@@ -13,6 +13,7 @@ resolution of missing annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 from . import syntax as S
@@ -22,8 +23,8 @@ from .syntax import (
     dual, erase, free_endpoints,
 )
 from .contexts import (
-    Context, Entry, LeftTok, MsgBox, Query, Queue, RightTok, Star,
-    context_fully_annotated, msgbox, rename_context_targets,
+    Context, Entry, LeftTok, MsgBox, Query, RightTok, Star, context_fully_annotated,
+    endpoint_names, map_context, msgbox, rename_context_targets, target_names,
 )
 
 Env = tuple[tuple[str, Type], ...]
@@ -79,15 +80,6 @@ class Derivation:
 # Forwarder system
 
 
-def _names_in_context(g: Context) -> set[str]:
-    seen = set(g.endpoints())
-    for e in g.entries:
-        for it in e.queue:
-            if isinstance(it, MsgBox):
-                seen.update(p for p, _ in it.payloads)
-    return seen
-
-
 def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Context], ...]]:
     """One rule of the forwarder system, term-directed.
 
@@ -141,7 +133,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
             e = _active(g, x)
             match e.typing:
                 case Par(a, b, u) if u is not None:
-                    if f in _names_in_context(g):
+                    if f in endpoint_names(g):
                         raise RuleMismatch(f"received name {f} is not fresh")
                     g2 = g.replace(x, Entry(x, e.queue + (msgbox(u, f, a),), b))
                     return "Par", ((cont, g2),)
@@ -153,7 +145,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                 case Tensor(a, b, ts):
                     if not ts:
                         raise NonEmptyTargetViolation("rule * needs a nonempty target set")
-                    if f in _names_in_context(g):
+                    if f in endpoint_names(g):
                         raise RuleMismatch(f"sent name {f} is not fresh")
                     gathered: list[tuple[str, Type]] = []
                     g2 = g
@@ -227,7 +219,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                             raise RuleMismatch(f"! needs {o.endpoint} to be ?-typed")
                         if o.queue:
                             raise LeftoverQueue(f"! needs an empty queue at {o.endpoint}")
-                    if f in _names_in_context(g):
+                    if f in endpoint_names(g):
                         raise RuleMismatch(f"server name {f} is not fresh")
                     g2 = g.replace(x, Entry(f, tuple(Query(u) for u in ts), a))
                     g2 = rename_context_targets(g2, {x: f})
@@ -245,7 +237,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                         raise QueueHeadMismatch(
                             f"head of {z}'s queue must be a query for {x}, got {ez.queue[:1]}"
                         )
-                    if f in _names_in_context(g):
+                    if f in endpoint_names(g):
                         raise RuleMismatch(f"client name {f} is not fresh")
                     g2 = g.replace(z, Entry(z, ez.queue[1:], ez.typing))
                     g2 = g2.replace(x, Entry(f, e.queue, a))
@@ -637,34 +629,11 @@ class _HoleCounter:
 
 def annotate_with_holes(t: Type, counter: _HoleCounter) -> Type:
     """Fill every empty annotation slot with a unique placeholder."""
-    match t:
-        case Atom() | DualAtom():
-            return t
-        case One(ts):
-            return One(ts or (counter.new(),))
-        case Bot(u):
-            return Bot(u or counter.new())
-        case Tensor(l, r, ts):
-            return Tensor(annotate_with_holes(l, counter), annotate_with_holes(r, counter),
-                          ts or (counter.new(),))
-        case Par(l, r, u):
-            return Par(annotate_with_holes(l, counter), annotate_with_holes(r, counter),
-                       u or counter.new())
-        case Plus(l, r, u):
-            return Plus(annotate_with_holes(l, counter), annotate_with_holes(r, counter),
-                        u or counter.new())
-        case With(l, r, ts):
-            return With(annotate_with_holes(l, counter), annotate_with_holes(r, counter),
-                        ts or (counter.new(),))
-        case OfCourse(b, ts):
-            return OfCourse(annotate_with_holes(b, counter), ts or (counter.new(),))
-        case WhyNot(b, u):
-            return WhyNot(annotate_with_holes(b, counter), u or counter.new())
-    raise TypeError(t)
+    return S.map_slots(t, lambda _, ts: ts or (counter.new(),))
 
 
 def _subst_holes_type(t: Type, store: dict[str, tuple[str, ...]], default: str | None = None) -> Type:
-    def sub(ts: tuple[str, ...]) -> tuple[str, ...]:
+    def sub(_, ts: tuple[str, ...]) -> tuple[str, ...]:
         if _is_hole(ts):
             if ts[0] in store:
                 return store[ts[0]]
@@ -672,56 +641,20 @@ def _subst_holes_type(t: Type, store: dict[str, tuple[str, ...]], default: str |
                 return (default,)
         return ts
 
-    match t:
-        case Atom() | DualAtom():
-            return t
-        case One(ts):
-            return One(sub(ts))
-        case Bot(u):
-            return S.with_targets(Bot(), sub((u,)) if u else ())
-        case Tensor(l, r, ts):
-            return Tensor(_subst_holes_type(l, store, default),
-                          _subst_holes_type(r, store, default), sub(ts))
-        case Par(l, r, u):
-            return S.with_targets(Par(_subst_holes_type(l, store, default),
-                                      _subst_holes_type(r, store, default)),
-                                  sub((u,)) if u else ())
-        case Plus(l, r, u):
-            return S.with_targets(Plus(_subst_holes_type(l, store, default),
-                                       _subst_holes_type(r, store, default)),
-                                  sub((u,)) if u else ())
-        case With(l, r, ts):
-            return With(_subst_holes_type(l, store, default),
-                        _subst_holes_type(r, store, default), sub(ts))
-        case OfCourse(b, ts):
-            return OfCourse(_subst_holes_type(b, store, default), sub(ts))
-        case WhyNot(b, u):
-            return S.with_targets(WhyNot(_subst_holes_type(b, store, default)),
-                                  sub((u,)) if u else ())
-    raise TypeError(t)
+    return S.map_slots(t, sub)
 
 
 def _subst_holes_context(g: Context, store: dict[str, tuple[str, ...]]) -> Context:
     if not store:
         return g
-    ents = []
-    for e in g.entries:
-        typ = _subst_holes_type(e.typing, store) if e.typing is not None else None
-        queue = []
-        for it in e.queue:
-            if isinstance(it, MsgBox):
-                it = MsgBox(it.target,
-                            tuple((n, _subst_holes_type(t, store)) for n, t in it.payloads))
-            queue.append(it)
-        ents.append(Entry(e.endpoint, tuple(queue), typ))
-    return Context(tuple(ents))
+    return map_context(g, typ=lambda t: _subst_holes_type(t, store))
 
 
 def synth_forwarder(g: Context) -> Process | None:
     """Search for a forwarder inhabiting a fully annotated context."""
     if not context_fully_annotated(g):
         raise NotAnnotated("context has unannotated connectives")
-    supply = S.FreshNames(frozenset(_names_in_context(g)))
+    supply = S.FreshNames(frozenset(endpoint_names(g)))
     for proc, _ in _solutions(g, {}, supply, {}, {}):
         return proc
     return None
@@ -749,33 +682,14 @@ def synth_with_annotations(env: Env) -> tuple[Context, Process] | None:
     return None
 
 
-def _head_targets(t: Type) -> tuple[str, ...]:
-    return S.targets_of(t)
-
-
 def _dangling_names(g: Context) -> tuple[str, ...]:
     """Annotation targets that name no current endpoint or boxed payload.
 
     They are promises: an earlier rule recorded the name a later binder must
     introduce, so the search offers them as binder candidates.
     """
-    present = set(g.endpoints())
-    refs: set[str] = set()
-
-    def scan_type(t: Type):
-        for s in S.subtypes(t):
-            refs.update(u for u in S.targets_of(s) if not u.startswith(_HOLE_PREFIX))
-
-    for e in g.entries:
-        if e.typing is not None:
-            scan_type(e.typing)
-        for it in e.queue:
-            refs.add(it.target)
-            if isinstance(it, MsgBox):
-                for pn, pt in it.payloads:
-                    present.add(pn)
-                    scan_type(pt)
-    return tuple(sorted(refs - present))
+    refs = target_names(g) - endpoint_names(g)
+    return tuple(sorted(u for u in refs if not u.startswith(_HOLE_PREFIX)))
 
 
 def _binder_candidates(base: str, g: Context, supply: S.FreshNames) -> list[str]:
@@ -868,7 +782,7 @@ def _resolved_action(e: Entry, g: Context):
     t = e.typing
     if t is None or isinstance(t, (Atom, DualAtom)):
         return None
-    ts = _head_targets(t)
+    ts = S.targets_of(t)
     if _is_hole(ts):
         return None
     match t:
@@ -920,7 +834,7 @@ def _hole_actions(e: Entry, g: Context):
     t = e.typing
     if t is None or isinstance(t, (Atom, DualAtom)):
         return
-    ts = _head_targets(t)
+    ts = S.targets_of(t)
     if not _is_hole(ts):
         return
     hole = ts[0]
@@ -945,7 +859,7 @@ def _hole_actions(e: Entry, g: Context):
                 if o.endpoint != x and o.queue and o.queue[0] == Query(x):
                     yield hole, (o.endpoint,), ("Quest", (o.endpoint,))
         case With():
-            for sub in _subsets(actives):
+            for sub in nonempty_subsets(actives):
                 yield hole, sub, ("With", sub)
         case Tensor():
             eligible = [
@@ -956,7 +870,7 @@ def _hole_actions(e: Entry, g: Context):
                 and isinstance(o.queue[0], MsgBox)
                 and o.queue[0].target == x
             ]
-            for sub in _subsets(sorted(eligible)):
+            for sub in nonempty_subsets(sorted(eligible)):
                 yield hole, sub, ("Tensor", sub)
         case OfCourse():
             others = [o for o in g.entries if o.endpoint != x]
@@ -972,13 +886,10 @@ def _hole_actions(e: Entry, g: Context):
     return
 
 
-def _subsets(names):
+def nonempty_subsets(names):
     """Nonempty subsets, smallest first, lexicographic within a size."""
-    from itertools import combinations
-
     for k in range(1, len(names) + 1):
-        for c in combinations(names, k):
-            yield tuple(c)
+        yield from combinations(names, k)
 
 
 def _fire(action, e: Entry, g: Context, store, supply, failed, ren):

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import compat as CM
 from . import cutelim as CE
@@ -266,7 +265,6 @@ GRAMMAR_NOTE = "see the grammar reference shipped as fwdcal/grammar.ebnf"
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="fwdcal", description=__doc__, epilog=GRAMMAR_NOTE)
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel independent declarations")
     sub = ap.add_subparsers(dest="cmd", required=True)
     for name in ("fmt", "check", "synth", "compat", "sim"):
         p = sub.add_parser(name)
@@ -311,11 +309,7 @@ def main(argv=None) -> int:
     if not jobs:
         print(f"no {args.cmd} declarations in {args.file}", file=sys.stderr)
         return 2
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            oks = list(ex.map(lambda f: f(), jobs))
-    else:
-        oks = [f() for f in jobs]
+    oks = [f() for f in jobs]
     return 0 if all(oks) else 1
 
 

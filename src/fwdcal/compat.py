@@ -12,7 +12,7 @@ central correctness test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator
 
 from . import syntax as S
@@ -20,11 +20,8 @@ from .syntax import (
     Atom, Bot, DualAtom, Endpoint, OfCourse, One, Par, Plus, Tensor, Type, WhyNot, With,
     dual, erase,
 )
-from .contexts import (
-    Config, EMPTY_CONFIG, LeftTok, MsgBox, Query, Queue, RightTok, Star, msgbox,
-)
-
-Env = tuple[tuple[Endpoint, Type], ...]
+from .contexts import Config, EMPTY_CONFIG, LeftTok, MsgBox, Query, RightTok, Star, msgbox
+from .checker import Env, nonempty_subsets
 
 
 # ---------------------------------------------------------------------------
@@ -212,85 +209,38 @@ def transitions(c: Config) -> list[tuple[TransitionLabel, Config]]:
 # ---------------------------------------------------------------------------
 # Annotation enumeration
 
-_PAYLOAD = object()
-_SPINE = object()
+def _annotation_variants(t: Type, owner: Endpoint,
+                         others: tuple[Endpoint, ...]) -> Iterator[Type]:
+    """All spine-slot annotations of a plain type, in the lexicographic
+    order of their slots in ``map_slots`` order.
 
-
-def _annotation_variants(t: Type, owner: Endpoint, others: tuple[Endpoint, ...],
-                         payload: bool = False) -> Iterator[Type]:
-    """All spine-slot annotations of a plain type.
-
-    Slots inside message payloads are erased again the moment the payload is
-    carried out of the configuration, so their value is irrelevant; they are
-    pinned to an arbitrary endpoint to keep the type fully annotated.
+    Slots inside message payloads (the left operand of a * or | on the
+    spine) are erased again the moment the payload is carried out of the
+    configuration, so their value is irrelevant; they are pinned to an
+    arbitrary endpoint to keep the type fully annotated.
     """
     dummy = (others[0],) if others else (owner,)
-    if payload:
-        yield _pin(t, dummy)
-        return
-    match t:
-        case Atom() | DualAtom():
-            yield t
-        case One():
-            for sub in _nonempty_subsets(others):
-                yield One(sub)
-        case Bot():
-            for u in others:
-                yield Bot(u)
-        case Tensor(l, r, _):
-            for sub in _nonempty_subsets(others):
-                for rr in _annotation_variants(r, owner, others):
-                    yield Tensor(_pin(l, dummy), rr, sub)
-        case Par(l, r, _):
-            for u in others:
-                for rr in _annotation_variants(r, owner, others):
-                    yield Par(_pin(l, dummy), rr, u)
-        case Plus(l, r, _):
-            for u in others:
-                for ll in _annotation_variants(l, owner, others):
-                    for rr in _annotation_variants(r, owner, others):
-                        yield Plus(ll, rr, u)
-        case With(l, r, _):
-            for sub in _nonempty_subsets(others):
-                for ll in _annotation_variants(l, owner, others):
-                    for rr in _annotation_variants(r, owner, others):
-                        yield With(ll, rr, sub)
-        case OfCourse(b, _):
-            for sub in _nonempty_subsets(others):
-                for bb in _annotation_variants(b, owner, others):
-                    yield OfCourse(bb, sub)
-        case WhyNot(b, _):
-            for u in others:
-                for bb in _annotation_variants(b, owner, others):
-                    yield WhyNot(bb, u)
+    choices: list[list[tuple[Endpoint, ...]]] = []
+    in_payload = 0  # payload slots still to be visited
 
+    def plan(s: Type, ts: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
+        nonlocal in_payload
+        if in_payload:
+            in_payload -= 1
+            choices.append([dummy])
+            return ts
+        if isinstance(s, S.MULTI_TARGET):
+            choices.append(list(nonempty_subsets(others)))
+        else:
+            choices.append([(u,) for u in others])
+        if isinstance(s, (Tensor, Par)):
+            in_payload = S.size(s.left)  # the next slots visited are the payload's
+        return ts
 
-def _pin(t: Type, dummy: tuple[Endpoint, ...]) -> Type:
-    match t:
-        case Atom() | DualAtom():
-            return t
-        case One():
-            return One(dummy)
-        case Bot():
-            return Bot(dummy[0])
-        case Tensor(l, r, _):
-            return Tensor(_pin(l, dummy), _pin(r, dummy), dummy)
-        case Par(l, r, _):
-            return Par(_pin(l, dummy), _pin(r, dummy), dummy[0])
-        case Plus(l, r, _):
-            return Plus(_pin(l, dummy), _pin(r, dummy), dummy[0])
-        case With(l, r, _):
-            return With(_pin(l, dummy), _pin(r, dummy), dummy)
-        case OfCourse(b, _):
-            return OfCourse(_pin(b, dummy), dummy)
-        case WhyNot(b, _):
-            return WhyNot(_pin(b, dummy), dummy[0])
-    raise TypeError(t)
-
-
-def _nonempty_subsets(names: tuple[Endpoint, ...]) -> Iterator[tuple[Endpoint, ...]]:
-    for k in range(1, len(names) + 1):
-        yield from combinations(names, k)
+    S.map_slots(t, plan)
+    for combo in product(*choices):
+        slot = iter(combo)
+        yield S.map_slots(t, lambda _, ts: next(slot))
 
 
 def annotation_variants(env: Env) -> Iterator[Config]:
@@ -367,9 +317,6 @@ class CompatChecker:
         ok = any(self.is_executable(c) for c in annotation_variants(denv))
         self._compat[key] = ok
         return ok
-
-
-_default = CompatChecker()
 
 
 def is_executable(c: Config) -> bool:

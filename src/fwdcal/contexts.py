@@ -12,10 +12,10 @@ system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Union
 
-from .syntax import Endpoint, Type, erase, is_fully_annotated, rename_targets, size
+from .syntax import Endpoint, Type, erase, is_fully_annotated, rename_targets, size, slots
 
 
 # ---------------------------------------------------------------------------
@@ -70,31 +70,6 @@ class RightTok:
 
 QueueItem = Union[MsgBox, Star, Query, LeftTok, RightTok]
 Queue = tuple[QueueItem, ...]
-
-
-def retarget(item: QueueItem, new: Endpoint) -> QueueItem:
-    match item:
-        case MsgBox(_, payloads):
-            return MsgBox(new, payloads)
-        case Star():
-            return Star(new)
-        case Query():
-            return Query(new)
-        case LeftTok():
-            return LeftTok(new)
-        case RightTok():
-            return RightTok(new)
-    raise TypeError(item)
-
-
-def rename_item_targets(item: QueueItem, mapping: dict[Endpoint, Endpoint]) -> QueueItem:
-    out = retarget(item, mapping.get(item.target, item.target))
-    if isinstance(out, MsgBox):
-        out = MsgBox(
-            out.target,
-            tuple((e, rename_targets(t, mapping)) for e, t in out.payloads),
-        )
-    return out
 
 
 def normalize_queue(q: Queue) -> Queue:
@@ -157,14 +132,71 @@ def ctx(*entries: Entry) -> Context:
     return Context(tuple(entries))
 
 
-def context_fully_annotated(g: Context) -> bool:
+def map_context(g: Context, typ: Callable[[Type], Type] | None = None,
+                target: Callable[[Endpoint], Endpoint] | None = None,
+                name: Callable[[Endpoint], Endpoint] | None = None) -> Context:
+    """Rebuild ``g`` with ``typ`` applied to every type (entry typings and
+    boxed payload types), ``target`` to every queue item's target and
+    ``name`` to every entry endpoint and boxed payload name.
+
+    This is the one walk over contexts: the renamers and scanners below are
+    built on it.  It visits the entries in order, each one's name, then its
+    queue, then its typing.  A callback left out keeps its parts; a part that
+    comes back unchanged is kept as the same object, and so is ``g``.
+    """
+
+    def item(it: QueueItem) -> QueueItem:
+        u = target(it.target) if target else it.target
+        if isinstance(it, MsgBox):
+            pls = tuple((name(n) if name else n, typ(t) if typ else t) for n, t in it.payloads)
+            return it if u == it.target and pls == it.payloads else MsgBox(u, pls)
+        return it if u == it.target else replace(it, target=u)
+
+    ents, changed = [], False
     for e in g.entries:
-        if e.typing is not None and not is_fully_annotated(e.typing):
-            return False
-        for it in e.queue:
-            if isinstance(it, MsgBox) and not all(is_fully_annotated(t) for _, t in it.payloads):
-                return False
-    return True
+        x = name(e.endpoint) if name else e.endpoint
+        q = tuple(map(item, e.queue))
+        t = typ(e.typing) if typ and e.typing is not None else e.typing
+        if x != e.endpoint or q != e.queue or t is not e.typing:
+            e, changed = Entry(x, q, t), True
+        ents.append(e)
+    return Context(tuple(ents)) if changed else g
+
+
+def _recorder(out: list) -> Callable:
+    def record(v):
+        out.append(v)
+        return v
+
+    return record
+
+
+def context_types(g: Context) -> list[Type]:
+    """Entry typings and boxed payload types, in walk order."""
+    out: list[Type] = []
+    map_context(g, typ=_recorder(out))
+    return out
+
+
+def endpoint_names(g: Context) -> set[Endpoint]:
+    """Entry endpoints and boxed payload names: the names ``g`` binds."""
+    out: list[Endpoint] = []
+    map_context(g, name=_recorder(out))
+    return set(out)
+
+
+def target_names(g: Context) -> set[Endpoint]:
+    """Queue-item targets and the annotation targets of every type."""
+    out: list[Endpoint] = []
+    map_context(g, target=_recorder(out))
+    for t in context_types(g):
+        for ts in slots(t):
+            out.extend(ts)
+    return set(out)
+
+
+def context_fully_annotated(g: Context) -> bool:
+    return all(is_fully_annotated(t) for t in context_types(g))
 
 
 def normalize_context(g: Context) -> Context:
@@ -177,30 +209,27 @@ def normalize_context(g: Context) -> Context:
     return Context(ents)
 
 
-def contexts_equivalent(g1: Context, g2: Context) -> bool:
-    return normalize_context(g1) == normalize_context(g2)
-
-
 def rename_context_targets(g: Context, mapping: dict[Endpoint, Endpoint]) -> Context:
     """Rename endpoints wherever they occur as forwarding targets (queue item
     labels and type annotations); entry names are untouched."""
-    ents = []
-    for e in g.entries:
-        typ = rename_targets(e.typing, mapping) if e.typing is not None else None
-        ents.append(Entry(e.endpoint, tuple(rename_item_targets(i, mapping) for i in e.queue), typ))
-    return Context(tuple(ents))
+    if not mapping:
+        return g
+    return map_context(g, typ=lambda t: rename_targets(t, mapping),
+                       target=lambda u: mapping.get(u, u))
+
+
+def rename_context(g: Context, mapping: dict[Endpoint, Endpoint]) -> Context:
+    """Rename endpoints everywhere: entry and payload names as well as
+    forwarding targets."""
+    if not mapping:
+        return g
+    return map_context(g, typ=lambda t: rename_targets(t, mapping),
+                       target=lambda u: mapping.get(u, u), name=lambda n: mapping.get(n, n))
 
 
 def context_size(g: Context) -> int:
     """Total size: connectives in entry types plus in queued payload types."""
-    n = 0
-    for e in g.entries:
-        if e.typing is not None:
-            n += size(e.typing)
-        for it in e.queue:
-            if isinstance(it, MsgBox):
-                n += sum(size(t) for _, t in it.payloads)
-    return n
+    return sum(size(t) for t in context_types(g))
 
 
 def erase_context(g: Context) -> tuple[tuple[Endpoint, Type], ...]:
@@ -295,9 +324,3 @@ def config_of_context(g: Context) -> Config:
         for it in e.queue:
             sigma.setdefault((it.target, e.endpoint), []).append(it)
     return Config.make(delta, ((k, tuple(v)) for k, v in sigma.items()))
-
-
-def iter_queue_items(g: Context) -> Iterator[tuple[Endpoint, QueueItem]]:
-    for e in g.entries:
-        for it in e.queue:
-            yield e.endpoint, it

@@ -12,20 +12,21 @@ beta-steps, strictly decreasing the (rank, process sizes) measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass, field, replace
+from itertools import product
+from typing import Callable
 
 from . import syntax as S
 from .syntax import (
     Atom, Bot, Case, Client, Close, Cut, DualAtom, Endpoint, Inl, Inr, Link, OfCourse,
     One, Par, Plus, Process, Recv, Send, Server, Tensor, Type, Wait, WhyNot, With,
-    dual, erase, rename_free, size,
+    dual, erase, head_endpoint, rename_free, size,
 )
 from .contexts import (
-    Context, Entry, LeftTok, MsgBox, Query, Queue, QueueItem, RightTok, Star,
-    normalize_context, rename_context_targets, retarget,
+    Context, Entry, LeftTok, MsgBox, Query, Queue, QueueItem, RightTok, Star, context_size,
+    endpoint_names, normalize_context, rename_context, rename_context_targets, target_names,
 )
-from .checker import CheckError, Derivation, check_forwarder, forwarder_step
+from .checker import CheckError, check_forwarder, forwarder_step
 
 
 class CutError(Exception):
@@ -119,27 +120,20 @@ def _splice(ts: tuple[Endpoint, ...], old: Endpoint, new: tuple[Endpoint, ...]) 
 
 
 def rewrite_pending(t: Type, kind: type, at: Endpoint, new: tuple[Endpoint, ...]) -> Type | None:
-    """Rewrite the leftmost ``kind`` connective aimed at ``at`` to aim at
-    ``new`` instead; None when no such connective exists."""
-    if isinstance(t, kind) and at in S.targets_of(t):
-        return S.with_targets(t, _splice(S.targets_of(t), at, new))
-    match t:
-        case Atom() | DualAtom() | One() | Bot():
-            return None
-        case Tensor(l, r, _) | Par(l, r, _) | Plus(l, r, _) | With(l, r, _):
-            got = rewrite_pending(l, kind, at, new)
-            if got is not None:
-                return type(t)(got, r, *_slot(t))
-            got = rewrite_pending(r, kind, at, new)
-            if got is not None:
-                return type(t)(l, got, *_slot(t))
-            return None
-        case OfCourse(b, _) | WhyNot(b, _):
-            got = rewrite_pending(b, kind, at, new)
-            if got is not None:
-                return type(t)(got, *_slot(t))
-            return None
-    raise TypeError(t)
+    """Rewrite the leftmost ``kind`` connective aimed at ``at`` (the first
+    in ``map_slots`` order) to aim at ``new`` instead; None when no such
+    connective exists."""
+    hit = False
+
+    def first(s: Type, ts: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
+        nonlocal hit
+        if hit or not isinstance(s, kind) or at not in ts:
+            return ts
+        hit = True
+        return _splice(ts, at, new)
+
+    got = S.map_slots(t, first)
+    return got if hit else None
 
 
 def rewrite_all(t: Type, kind: type | tuple[type, ...], at: Endpoint,
@@ -147,27 +141,15 @@ def rewrite_all(t: Type, kind: type | tuple[type, ...], at: Endpoint,
     """Rewrite every ``kind`` connective aimed at ``at`` to aim at ``new``
     instead; returns the count."""
     n = 0
-    if isinstance(t, kind) and at in S.targets_of(t):
-        t = S.with_targets(t, _splice(S.targets_of(t), at, new))
+
+    def every(s: Type, ts: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
+        nonlocal n
+        if not isinstance(s, kind) or at not in ts:
+            return ts
         n += 1
-    match t:
-        case Atom() | DualAtom() | One() | Bot():
-            return t, n
-        case Tensor(l, r, _) | Par(l, r, _) | Plus(l, r, _) | With(l, r, _):
-            l2, nl = rewrite_all(l, kind, at, new)
-            r2, nr = rewrite_all(r, kind, at, new)
-            return type(t)(l2, r2, *_slot(t)), n + nl + nr
-        case OfCourse(b, _) | WhyNot(b, _):
-            b2, nb = rewrite_all(b, kind, at, new)
-            return type(t)(b2, *_slot(t)), n + nb
-    raise TypeError(t)
+        return _splice(ts, at, new)
 
-
-def _slot(t: Type):
-    ts = S.targets_of(t)
-    if isinstance(t, (One, Tensor, With, OfCourse)):
-        return (ts,)
-    return (ts[0] if ts else None,)
+    return S.map_slots(t, every), n
 
 
 _ITEM_PENDING: dict[type, type] = {
@@ -280,8 +262,6 @@ def distr_enumerate(p: CutPair) -> list[CutPair]:
         if not receivers:
             return  # no maximal distribution exists
         if isinstance(item, MsgBox) and len(item.payloads) > 1:
-            from itertools import product
-
             for combo in product(receivers, repeat=len(item.payloads)):
                 go(distr_step(q, tuple(combo)))
         else:
@@ -322,11 +302,11 @@ def _subst_multi_side(ctx: Context, dying: Endpoint, partners: tuple[Endpoint, .
                 if item_kind is Star:
                     # every star aimed at the dying endpoint moves with it
                     q = tuple(
-                        retarget(i, to) if isinstance(i, Star) and i.target == dying else i
+                        replace(i, target=to) if isinstance(i, Star) and i.target == dying else i
                         for i in e.queue
                     )
                 else:
-                    q = e.queue[:idx] + (retarget(it, to),) + e.queue[idx + 1 :]
+                    q = e.queue[:idx] + (replace(it, target=to),) + e.queue[idx + 1 :]
                 ctx = ctx.replace(m, Entry(m, q, e.typing))
                 continue
         if e.typing is None:
@@ -360,7 +340,7 @@ def _subst_single_side(ctx: Context, dying: Endpoint, partner: Endpoint,
                 raise StructuralMismatch(
                     f"first item for {dying} at {partner} is {type(it).__name__}"
                 )
-            series = tuple(retarget(it, u) for u in new_names)
+            series = tuple(replace(it, target=u) for u in new_names)
             q = e.queue[:idx] + series + e.queue[idx + 1 :]
             return ctx.replace(partner, Entry(partner, q, e.typing))
     if e.typing is None:
@@ -448,24 +428,8 @@ def subst_run(p: CutPair) -> Context:
     return p.phase.context
 
 
-def _target_names(g: Context) -> set[str]:
-    """Annotation targets (in entry and payload types) and queue-item targets."""
-    names = set()
-    for e in g.entries:
-        if e.typing is not None:
-            for s in S.subtypes(e.typing):
-                names.update(S.targets_of(s))
-        for it in e.queue:
-            names.add(it.target)
-            if isinstance(it, MsgBox):
-                for _, pt in it.payloads:
-                    for s in S.subtypes(pt):
-                        names.update(S.targets_of(s))
-    return names
-
-
 def context_names(g: Context) -> frozenset[str]:
-    return frozenset(_ctx_names(g) | _target_names(g))
+    return frozenset(endpoint_names(g) | target_names(g))
 
 
 def cut_conclusions(left: Context, x: Endpoint, right: Context, y: Endpoint) -> list[Context]:
@@ -487,22 +451,7 @@ def cut_conclusions(left: Context, x: Endpoint, right: Context, y: Endpoint) -> 
 
 
 def proc_size(p: Process) -> int:
-    match p:
-        case Link() | Close():
-            return 1
-        case Wait(_, c) | Inl(_, c) | Inr(_, c) | Recv(_, _, c) | Server(_, _, c) | Client(_, _, c):
-            return 1 + proc_size(c)
-        case Send(_, _, pl, c):
-            return 1 + proc_size(pl) + proc_size(c)
-        case Case(_, l, r):
-            return 1 + proc_size(l) + proc_size(r)
-        case Cut(_, _, l, r):
-            return 1 + proc_size(l) + proc_size(r)
-        case S.MCut(_, fwd, pending, parts):
-            return 1 + proc_size(fwd) + sum(proc_size(q) for _, q in pending) + sum(
-                proc_size(q) for q in parts
-            )
-    raise TypeError(p)
+    return 1 + sum(proc_size(q) for _, q in S.scope(p)[1])
 
 
 def rank(p: Process, formula_of: Callable[[Cut], Type] | None = None) -> int:
@@ -511,23 +460,12 @@ def rank(p: Process, formula_of: Callable[[Cut], Type] | None = None) -> int:
     Bare process terms do not carry cut formulas, so a lookup supplies them;
     the reduction engine tracks formulas alongside the terms it rewrites.
     """
-    match p:
-        case Cut() as c:
-            if formula_of is None:
-                raise CutError("rank of a cut needs its formula")
-            sub = max(rank(c.left, formula_of), rank(c.right, formula_of))
-            return max(size(erase(formula_of(c))), sub)
-        case Link() | Close():
-            return 0
-        case Wait(_, c) | Inl(_, c) | Inr(_, c) | Recv(_, _, c) | Server(_, _, c) | Client(_, _, c):
-            return rank(c, formula_of)
-        case Send(_, _, pl, c):
-            return max(rank(pl, formula_of), rank(c, formula_of))
-        case Case(_, l, r):
-            return max(rank(l, formula_of), rank(r, formula_of))
-        case S.MCut():
-            raise CutError("rank is defined for binary cut terms")
-    raise TypeError(p)
+    if isinstance(p, S.MCut):
+        raise CutError("rank is defined for binary cut terms")
+    if isinstance(p, Cut) and formula_of is None:
+        raise CutError("rank of a cut needs its formula")
+    sub = max((rank(q, formula_of) for _, q in S.scope(p)[1]), default=0)
+    return max(size(erase(formula_of(p))), sub) if isinstance(p, Cut) else sub
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +490,8 @@ class _Engine:
     # K-step identifications: spectator -> (trace position of the K, the
     # consumed payload name the goal's annotations expect)
     idents: dict[str, tuple[int, str]] = field(default_factory=dict)
+    # the longest branch tried: what a failed reduction reports
+    deepest: list[str] = field(default_factory=list)
 
     def tick(self, tag: str):
         self.steps += 1
@@ -561,13 +501,13 @@ class _Engine:
 
     def untick(self, upto: int):
         # backtracking: forget the abandoned branch's tags and identifications
+        if len(self.trace) > len(self.deepest):
+            self.deepest = self.trace[:]
         del self.trace[upto:]
         self.idents = {s: (at, c) for s, (at, c) in self.idents.items() if at < upto}
 
 
 def default_fuel(left: Judged, right: Judged) -> int:
-    from .contexts import context_size
-
     return 4 * (
         context_size(left.ctx) + context_size(right.ctx)
         + proc_size(left.term) + proc_size(right.term) + 4
@@ -575,7 +515,7 @@ def default_fuel(left: Judged, right: Judged) -> int:
 
 
 def reduce_cut(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
-               gamma: Context, fuel: int | None = None) -> tuple[Process, tuple[str, ...]]:
+               gamma: Context) -> tuple[Process, tuple[str, ...]]:
     """Reduce ``res x y (left | right)`` to a cut-free process at ``gamma``.
 
     ``gamma`` must be one of the cut's conclusions; the engine threads the
@@ -591,65 +531,28 @@ def reduce_cut(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
     the spectator is emitted binding the received name instead.  Only bound
     names are renamed: a spectator that no commuted receive binds (one that
     ``gamma`` itself fixes) cannot take the name, and that step fails.
+
+    When no interleaving realizes ``gamma``, the ``Stuck`` error shows the
+    deepest branch the engine tried and the step at which it failed.
     """
     shared = judgement_names(left) & judgement_names(right)
     if shared:
         raise CutError(f"cut sides share names {sorted(shared)}; rename apart first")
-    if fuel is None:
-        fuel = default_fuel(left, right)
-    eng = _Engine(fuel)
+    eng = _Engine(default_fuel(left, right))
     got = _reduce(left, x, right, y, gamma, eng)
     if got is None:
-        raise Stuck(f"no reduction realizes the requested conclusion; trace {eng.trace}")
+        where = f"failed at {eng.deepest[-1]}" if eng.deepest else "no step applies"
+        raise Stuck("no reduction realizes the requested conclusion; "
+                    f"deepest trace {eng.deepest}, {where}")
     return got, tuple(eng.trace)
 
 
-def _ctx_names(g: Context) -> set[str]:
-    out = set(g.endpoints())
-    for e in g.entries:
-        for it in e.queue:
-            if isinstance(it, MsgBox):
-                out.update(p for p, _ in it.payloads)
-    return out
-
-
 def _proc_names(p: Process) -> set[str]:
-    out = set()
-
-    def go(q: Process):
-        match q:
-            case Link(a, b):
-                out.update((a, b))
-            case Close(a):
-                out.add(a)
-            case Wait(a, c) | Inl(a, c) | Inr(a, c):
-                out.add(a)
-                go(c)
-            case Send(a, f, pl, c):
-                out.update((a, f))
-                go(pl)
-                go(c)
-            case Recv(a, f, c) | Server(a, f, c) | Client(a, f, c):
-                out.update((a, f))
-                go(c)
-            case Case(a, l, r):
-                out.add(a)
-                go(l)
-                go(r)
-            case Cut(a, b, l, r):
-                out.update((a, b))
-                go(l)
-                go(r)
-            case S.MCut(bound, fwd, pending, parts):
-                out.update(bound)
-                go(fwd)
-                for yy, qq in pending:
-                    out.add(yy)
-                    go(qq)
-                for qq in parts:
-                    go(qq)
-
-    go(p)
+    heads, subs = S.scope(p)
+    out = set(heads)
+    for bs, q in subs:
+        out.update(bs)
+        out |= _proc_names(q)
     return out
 
 
@@ -669,70 +572,18 @@ def freshen_judgement(j: Judged, avoid: frozenset[str]) -> Judged:
         return j
     supply = S.FreshNames(frozenset(avoid) | judgement_names(j))
     mapping = {b: supply.fresh(b) for b in clash}
-    return Judged(_rename_everywhere(j.term, mapping), _rename_ctx_everywhere(j.ctx, mapping))
+    return Judged(_rename_everywhere(j.term, mapping), rename_context(j.ctx, mapping))
 
 
 def _rename_everywhere(p: Process, m: dict[str, str]) -> Process:
-    def r(n: str) -> str:
-        return m.get(n, n)
-
-    match p:
-        case Link(a, b):
-            return Link(r(a), r(b))
-        case Close(a):
-            return Close(r(a))
-        case Wait(a, c):
-            return Wait(r(a), _rename_everywhere(c, m))
-        case Inl(a, c):
-            return Inl(r(a), _rename_everywhere(c, m))
-        case Inr(a, c):
-            return Inr(r(a), _rename_everywhere(c, m))
-        case Case(a, l, rr):
-            return Case(r(a), _rename_everywhere(l, m), _rename_everywhere(rr, m))
-        case Recv(a, f, c) | Server(a, f, c) | Client(a, f, c):
-            return type(p)(r(a), r(f), _rename_everywhere(c, m))
-        case Send(a, f, pl, c):
-            return Send(r(a), r(f), _rename_everywhere(pl, m), _rename_everywhere(c, m))
-        case Cut(a, b, l, rr):
-            return Cut(r(a), r(b), _rename_everywhere(l, m), _rename_everywhere(rr, m))
-    raise TypeError(p)
-
-
-def _rename_ctx_everywhere(g: Context, m: dict[str, str]) -> Context:
-    from .syntax import rename_targets
-
-    ents = []
-    for e in g.entries:
-        q = []
-        for it in e.queue:
-            it = retarget(it, m.get(it.target, it.target))
-            if isinstance(it, MsgBox):
-                it = MsgBox(it.target,
-                            tuple((m.get(pn, pn), rename_targets(pt, m))
-                                  for pn, pt in it.payloads))
-            q.append(it)
-        typ = rename_targets(e.typing, m) if e.typing is not None else None
-        ents.append(Entry(m.get(e.endpoint, e.endpoint), tuple(q), typ))
-    return Context(tuple(ents))
+    heads, subs = S.scope(p)
+    return S.from_scope(p, tuple(m.get(n, n) for n in heads), tuple(
+        (tuple(m.get(b, b) for b in bs), _rename_everywhere(q, m)) for bs, q in subs))
 
 
 def _premises(j: Judged) -> tuple[str, tuple[Judged, ...]]:
     tag, prem = forwarder_step(j.term, j.ctx)
     return tag, tuple(Judged(q, h) for q, h in prem)
-
-
-def _measure(a: Type, left: Judged, right: Judged) -> tuple[int, int]:
-    return size(erase(a)), proc_size(left.term) + proc_size(right.term)
-
-
-def _head_endpoint(p: Process) -> Endpoint | None:
-    match p:
-        case Close(a) | Wait(a, _) | Send(a, _, _, _) | Recv(a, _, _) | Inl(a, _) \
-             | Inr(a, _) | Case(a, _, _) | Server(a, _, _) | Client(a, _, _):
-            return a
-        case Link():
-            return None
-    return None
 
 
 def _reduce(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
@@ -751,7 +602,7 @@ def _reduce(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
                 eng.untick(mark)
                 return None
 
-    lh, rh = _head_endpoint(left.term), _head_endpoint(right.term)
+    lh, rh = head_endpoint(left.term), head_endpoint(right.term)
 
     # Base case B2 and the key cases need both heads on the cut pair.
     if lh == x and rh == y:
@@ -836,7 +687,7 @@ def _identify(gamma: Context, c: Endpoint, payload: Judged, a: Endpoint,
     enclosing commuted receive binds, one the goal already names, or one
     already identified with another name.
     """
-    targets = _target_names(gamma)
+    targets = target_names(gamma)
     if c not in targets:
         return gamma
     spect = [n for n in payload.ctx.endpoints() if n != a]
@@ -921,7 +772,7 @@ def _commute(a_j: Judged, a_x: Endpoint, b_j: Judged, b_y: Endpoint,
     """Push the head action of ``a_j`` (not on its cut endpoint) outside the
     cut, threading the goal context through the action's rule."""
     term = a_j.term
-    if isinstance(term, Link) or _head_endpoint(term) == a_x:
+    if isinstance(term, Link) or head_endpoint(term) == a_x:
         return None
     tags = {Wait: "C1", Recv: "C2", Send: "C3", Case: "C-case", Inl: "C-inl",
             Inr: "C-inr", Server: "C-srv", Client: "C-cli", Close: None}
@@ -1095,8 +946,7 @@ def _align_binders(payload: Judged, a: Endpoint, want: Type) -> dict[str, str]:
     names = _proc_names(payload.term)
     bound = names - S.free_endpoints(payload.term)
     rho: dict[str, str] = {}
-    for sh, sw in zip(S.subtypes(have), S.subtypes(want)):
-        th, tw = S.targets_of(sh), S.targets_of(sw)
+    for th, tw in zip(S.slots(have), S.slots(want)):
         if len(th) != len(tw):
             return {}
         for n, m in zip(th, tw):
@@ -1142,7 +992,7 @@ def _swap_box(g: Context, c: Endpoint, spect: tuple[tuple[str, Type], ...]) -> C
         if len(names) == 1:
             return S.rename_targets(t, {c: names[0]})
         t, _ = rewrite_all(t, S.MULTI_TARGET, c, names)
-        if any(c in S.targets_of(s) for s in S.subtypes(t)):
+        if any(c in ts for ts in S.slots(t)):
             raise refused(where)
         return t
 
@@ -1153,7 +1003,7 @@ def _swap_box(g: Context, c: Endpoint, spect: tuple[tuple[str, Type], ...]) -> C
             if it.target == c:
                 if len(names) != 1:
                     raise refused(f"the queue of {e.endpoint}")
-                it = retarget(it, names[0])
+                it = replace(it, target=names[0])
             if isinstance(it, MsgBox):
                 pls = []
                 for pn, pt in it.payloads:
@@ -1183,7 +1033,7 @@ def beta_step(left: Judged, x: Endpoint, right: Judged, y: Endpoint) -> tuple[st
         z = rt.y if rt.x == y else rt.x
         return "B1", rename_free(lt, {x: z})
 
-    lh, rh = _head_endpoint(lt), _head_endpoint(rt)
+    lh, rh = head_endpoint(lt), head_endpoint(rt)
     if lh == x and rh == y:
         match lt, rt:
             case (Close(_), Wait(_, q)):
@@ -1216,7 +1066,7 @@ def beta_step(left: Judged, x: Endpoint, right: Judged, y: Endpoint) -> tuple[st
     # commute the right side first, as in the reduction figure
     for (side, sx, other, ox, flip) in ((right, y, left, x, True), (left, x, right, y, False)):
         st = side.term
-        if isinstance(st, Link) or _head_endpoint(st) == sx:
+        if isinstance(st, Link) or head_endpoint(st) == sx:
             continue
         inner_args = lambda cont: (Cut(x, y, other.term, cont) if flip
                                    else Cut(x, y, cont, other.term))

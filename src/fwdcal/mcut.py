@@ -16,9 +16,11 @@ from dataclasses import dataclass, field, replace
 from . import syntax as S
 from .syntax import (
     Case, Client, Close, Endpoint, Inl, Inr, Link, Process, Recv, Send, Server, Type,
-    Wait, WhyNot, dual, erase, free_endpoints, rename_free, size,
+    Wait, WhyNot, dual, erase, free_endpoints, head_endpoint, rename_free, size,
 )
-from .contexts import Context, Entry, MsgBox, Star, context_size
+from .contexts import (
+    MsgBox, context_size, endpoint_names, rename_context, rename_context_targets,
+)
 from .checker import (
     CheckError, Env, check_cll, check_forwarder, cp_step, forwarder_step,
 )
@@ -148,18 +150,9 @@ def check_mcut_config(c: MCutConfig) -> tuple[bool, str]:
     return True, "ok"
 
 
-def mcut_measure(c: MCutConfig) -> tuple[int, int]:
-    cut_sizes = sum(size(erase(p.typ)) for p in c.parts) + sum(
-        size(erase(p.typ)) for p in c.pending
-    )
-    proc_sizes = sum(proc_size(p.term) for p in c.parts) + proc_size(c.fwd.term)
-    return cut_sizes, proc_sizes
-
-
 @dataclass
 class _Runner:
     fuel: int
-    validate: bool = True
     trace: list[str] = field(default_factory=list)
     supply: S.FreshNames = field(default_factory=lambda: S.FreshNames())
     steps: int = 0
@@ -180,23 +173,20 @@ def default_mcut_fuel(c: MCutConfig) -> int:
     return 8 * (n + 4)
 
 
-def run_mcut(c: MCutConfig, fuel: int | None = None, validate: bool = True,
-             on_step=None) -> tuple[Process, tuple[str, ...]]:
+def run_mcut(c: MCutConfig) -> tuple[Process, tuple[str, ...]]:
     """Reduce a configuration to its residual composed process.
 
-    Every step re-establishes the configuration invariants (checked when
-    ``validate``); the result checks in CP at the union of the stored
-    environments.  ``on_step`` observes (tag, config) after each rewrite.
+    Every step re-establishes the configuration invariants, which are
+    checked after each rewrite; the result checks in CP at the union of the
+    stored environments.
     """
-    if fuel is None:
-        fuel = default_mcut_fuel(c)
     names = set(c.bound)
     for p in c.parts:
         names |= free_endpoints(p.term) | {p.endpoint} | {n for n, _ in p.env}
     for p in c.pending:
         names |= free_endpoints(p.term) | {p.name} | {n for n, _ in p.env}
-    names |= set(_ctx_names(c.fwd.ctx))
-    r = _Runner(fuel, validate, supply=S.FreshNames(frozenset(names)))
+    names |= endpoint_names(c.fwd.ctx)
+    r = _Runner(default_mcut_fuel(c), supply=S.FreshNames(frozenset(names)))
     # binders of independently authored parts may collide once composed
     c = replace(
         c,
@@ -214,15 +204,6 @@ def run_mcut(c: MCutConfig, fuel: int | None = None, validate: bool = True,
     return term, tuple(r.trace)
 
 
-def _ctx_names(g: Context) -> set[str]:
-    out = set(g.endpoints())
-    for e in g.entries:
-        for it in e.queue:
-            if isinstance(it, MsgBox):
-                out.update(pn for pn, _ in it.payloads)
-    return out
-
-
 def _run(c: MCutConfig, r: _Runner) -> Process:
     wrappers: list = []
     while True:
@@ -236,18 +217,16 @@ def _run(c: MCutConfig, r: _Runner) -> Process:
                 return out
             case ("continue", c2, tag):
                 r.tick(tag)
-                if r.validate:
-                    ok, why = check_mcut_config(c2)
-                    if not ok:
-                        raise McutError(f"invariant broken after {tag}: {why}")
+                ok, why = check_mcut_config(c2)
+                if not ok:
+                    raise McutError(f"invariant broken after {tag}: {why}")
                 c = c2
             case ("emit", wrapper, c2, tag):
                 r.tick(tag)
                 wrappers.append(wrapper)
-                if r.validate:
-                    ok, why = check_mcut_config(c2)
-                    if not ok:
-                        raise McutError(f"invariant broken after {tag}: {why}")
+                ok, why = check_mcut_config(c2)
+                if not ok:
+                    raise McutError(f"invariant broken after {tag}: {why}")
                 c = c2
             case ("fork", mk, cl, cr, tag):
                 r.tick(tag)
@@ -324,7 +303,7 @@ def _step(c: MCutConfig, r: _Runner):
             if not isinstance(part.term, Send) or part.term.x != x:
                 raise Stuck(f"forwarder receives on {x} but the part does not send")
             g = r.supply.fresh(yb)
-            fwd2 = _rename_bound_recv(c.fwd, g)
+            fwd2 = _rename_binder(c.fwd, g)
             _, (fj,) = _fwd_premises(fwd2)
             tag, prem = cp_step(part.term, part.env + ((x, part.typ),))
             (pl_term, pl_env), (ct_term, ct_env) = prem
@@ -347,8 +326,7 @@ def _step(c: MCutConfig, r: _Runner):
             g = r.supply.fresh(part.term.fresh)
             _, (sj, qj) = _fwd_premises(c.fwd)
             # rename the transported forwarder's fresh endpoint to g
-            sj = Judged(rename_free(sj.term, {yb: g}),
-                        _rename_entry(sj.ctx, yb, g))
+            sj = Judged(rename_free(sj.term, {yb: g}), rename_context(sj.ctx, {yb: g}))
             cohort = [e.endpoint for e in sj.ctx.entries if e.endpoint != g]
             inner_parts = []
             consumed = []
@@ -410,7 +388,7 @@ def _step(c: MCutConfig, r: _Runner):
             if not isinstance(part.term, Server) or part.term.x != x:
                 raise Stuck(f"forwarder queries {x} but the part is no server")
             g = r.supply.fresh(zb)
-            fwd2 = _rename_bound_client(c.fwd, g)
+            fwd2 = _rename_binder(c.fwd, g)
             _, (fj,) = _fwd_premises(fwd2)
             _, ((bt, bt_env),) = cp_step(part.term, part.env + ((x, part.typ),))
             bt = rename_free(bt, {part.term.fresh: g})
@@ -440,7 +418,7 @@ def _step(c: MCutConfig, r: _Runner):
             if x in free_endpoints(part.term.cont):
                 return _contract_step(c, part, r)
             g = r.supply.fresh(zb)
-            fwd2 = _rename_bound_server(c.fwd, g)
+            fwd2 = _rename_binder(c.fwd, g)
             _, (fj,) = _fwd_premises(fwd2)
             _, ((ct, ct_env),) = cp_step(part.term, part.env + ((x, part.typ),))
             ct = rename_free(ct, {part.term.fresh: g})
@@ -459,44 +437,16 @@ def _fwd_premises(j: Judged) -> tuple[str, tuple[Judged, ...]]:
     return tag, tuple(Judged(q, h) for q, h in prem)
 
 
-def _rename_entry(g: Context, old: Endpoint, new: Endpoint) -> Context:
-    from .contexts import rename_context_targets
+def _rename_binder(fwd: Judged, g: Endpoint) -> Judged:
+    """Rename the binder of the forwarder's head action to ``g``.
 
-    ents = tuple(
-        Entry(new if e.endpoint == old else e.endpoint, e.queue, e.typing) for e in g.entries
-    )
-    return rename_context_targets(Context(ents), {old: new})
-
-
-def _follow_ctx(g: Context, old: Endpoint, new: Endpoint) -> Context:
-    # annotations may forward-reference a term binder; renaming the binder
-    # renames those targets, unless the name is taken by an actual entry
-    from .contexts import rename_context_targets
-
-    if g.has(old):
-        return g
-    return rename_context_targets(g, {old: new})
-
-
-def _rename_bound_recv(fwd: Judged, g: Endpoint) -> Judged:
-    assert isinstance(fwd.term, Recv)
-    t = fwd.term
-    return Judged(Recv(t.x, g, rename_free(t.cont, {t.fresh: g})),
-                  _follow_ctx(fwd.ctx, t.fresh, g))
-
-
-def _rename_bound_client(fwd: Judged, g: Endpoint) -> Judged:
-    assert isinstance(fwd.term, Client)
-    t = fwd.term
-    return Judged(Client(t.x, g, rename_free(t.cont, {t.fresh: g})),
-                  _follow_ctx(fwd.ctx, t.fresh, g))
-
-
-def _rename_bound_server(fwd: Judged, g: Endpoint) -> Judged:
-    assert isinstance(fwd.term, Server)
-    t = fwd.term
-    return Judged(Server(t.x, g, rename_free(t.body, {t.fresh: g})),
-                  _follow_ctx(fwd.ctx, t.fresh, g))
+    Annotations may forward-reference a term binder, so its targets follow,
+    unless the name is taken by an actual entry.
+    """
+    heads, ((bs, q),) = S.scope(fwd.term)
+    (b,) = bs
+    term = S.from_scope(fwd.term, heads, (((g,), rename_free(q, {b: g})),))
+    return Judged(term, fwd.ctx if fwd.ctx.has(b) else rename_context_targets(fwd.ctx, {b: g}))
 
 
 def _commute_part(c: MCutConfig, part: PartEntry, r: _Runner):
@@ -504,7 +454,7 @@ def _commute_part(c: MCutConfig, part: PartEntry, r: _Runner):
     endpoints; None when the head is on the bound endpoint."""
     term = part.term
     x = part.endpoint
-    head = _head_endpoint(term)
+    head = head_endpoint(term)
     if head is None or head == x:
         return None
     ext = dict(part.env)
@@ -559,14 +509,6 @@ def _commute_part(c: MCutConfig, part: PartEntry, r: _Runner):
     raise Stuck(f"cannot commute head {type(term).__name__}")
 
 
-def _head_endpoint(p: Process) -> Endpoint | None:
-    match p:
-        case Close(a) | Wait(a, _) | Send(a, _, _, _) | Recv(a, _, _) | Inl(a, _) \
-             | Inr(a, _) | Case(a, _, _) | Server(a, _, _) | Client(a, _, _):
-            return a
-    return None
-
-
 def _contract_step(c: MCutConfig, part: PartEntry, r: _Runner):
     """Server duplication: the part re-uses the bound server endpoint, so the
     whole server composition is copied; the copy serves the later uses."""
@@ -582,7 +524,7 @@ def _contract_step(c: MCutConfig, part: PartEntry, r: _Runner):
     for b in c.bound:
         if b != x:
             ren[b] = r.supply.fresh(b)
-    fwd2 = Judged(rename_free(c.fwd.term, ren), _rename_ctx_all(c.fwd.ctx, ren))
+    fwd2 = Judged(rename_free(c.fwd.term, ren), rename_context(c.fwd.ctx, ren))
     copy_parts = []
     for p in c.parts:
         if p.endpoint == x:
@@ -597,34 +539,11 @@ def _contract_step(c: MCutConfig, part: PartEntry, r: _Runner):
     return ("continue", outer, "Contract")
 
 
-def _rename_ctx_all(g: Context, m: dict[str, str]) -> Context:
-    from .contexts import rename_context_targets
-
-    ents = tuple(Entry(m.get(e.endpoint, e.endpoint), e.queue, e.typing) for e in g.entries)
-    return rename_context_targets(Context(ents), m)
-
-
 def _freshen_binders(p: Process, supply: S.FreshNames) -> Process:
-    match p:
-        case Link() | Close():
-            return p
-        case Wait(a, c):
-            return Wait(a, _freshen_binders(c, supply))
-        case Inl(a, c):
-            return Inl(a, _freshen_binders(c, supply))
-        case Inr(a, c):
-            return Inr(a, _freshen_binders(c, supply))
-        case Case(a, l, rr):
-            return Case(a, _freshen_binders(l, supply), _freshen_binders(rr, supply))
-        case Recv(a, f, cnt) | Server(a, f, cnt) | Client(a, f, cnt):
-            f2 = supply.fresh(f)
-            return type(p)(a, f2, _freshen_binders(rename_free(cnt, {f: f2}), supply))
-        case Send(a, f, pl, cnt):
-            f2 = supply.fresh(f)
-            return Send(a, f2, _freshen_binders(rename_free(pl, {f: f2}), supply),
-                        _freshen_binders(cnt, supply))
-        case S.Cut(a, b, l, rr):
-            a2, b2 = supply.fresh(a), supply.fresh(b)
-            return S.Cut(a2, b2, _freshen_binders(rename_free(l, {a: a2}), supply),
-                         _freshen_binders(rename_free(rr, {b: b2}), supply))
-    raise TypeError(p)
+    heads, subs = S.scope(p)
+    ren = {b: supply.fresh(b) for b in dict.fromkeys(b for bs, _ in subs for b in bs)}
+    out = []
+    for bs, q in subs:
+        q = rename_free(q, {b: ren[b] for b in bs})
+        out.append((tuple(ren[b] for b in bs), _freshen_binders(q, supply)))
+    return S.from_scope(p, heads, tuple(out))

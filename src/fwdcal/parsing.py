@@ -137,11 +137,11 @@ class Parser:
         if self.at("!"):
             self.eat("!")
             ts = self.targets()
-            return S.OfCourse(self.type_unary(), ts)
+            return S.OfCourse(self.type_atom(), ts)
         if self.at("?"):
             self.eat("?")
             u = self.opt_target()
-            return S.WhyNot(self.type_unary(), u)
+            return S.WhyNot(self.type_atom(), u)
         if self.cur.kind == "ident" and self.cur.text not in KEYWORDS:
             name = self.eat_ident()
             if ("type", name) in self.names:
@@ -149,11 +149,8 @@ class Parser:
             return S.Atom(name)
         raise self.error(f"got {self.cur.text!r}", ("type",))
 
-    def type_unary(self) -> S.Type:
-        return self.type_atom()
-
     def type_(self) -> S.Type:
-        left = self.type_unary()
+        left = self.type_atom()
         for op, single in (("*", False), ("|", True), ("+", True), ("&", False)):
             if self.at(op):
                 self.eat(op)

@@ -11,15 +11,10 @@ fresh names may additionally contain ``#``.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, replace
-from typing import Iterator, Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 Endpoint = str
-
-ENDPOINT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_']*\Z")
-# '#' only appears in machine-generated fresh names (base#counter).
-INTERNAL_ENDPOINT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_']*(?:#[0-9]+)?\Z")
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +83,13 @@ class WhyNot:
 
 Type = Union[Atom, DualAtom, One, Bot, Tensor, Par, Plus, With, OfCourse, WhyNot]
 
-# Variants whose annotation slot is a set of endpoints (gathering/broadcast).
-MULTI_TARGET = (One, Tensor, With, OfCourse)
-# Variants whose annotation slot is a single endpoint.
-SINGLE_TARGET = (Bot, Par, Plus, WhyNot)
+# Operand count of each connective and unit, and whether its annotation slot
+# is a set of endpoints (gathering/broadcast) rather than a single endpoint.
+_SHAPES = {
+    One: (0, True), Bot: (0, False), Tensor: (2, True), Par: (2, False),
+    Plus: (2, False), With: (2, True), OfCourse: (1, True), WhyNot: (1, False),
+}
+MULTI_TARGET = tuple(c for c, (_, multi) in _SHAPES.items() if multi)
 
 
 def children(t: Type) -> tuple[Type, ...]:
@@ -105,49 +103,9 @@ def children(t: Type) -> tuple[Type, ...]:
     raise TypeError(t)
 
 
-def subtypes(t: Type) -> Iterator[Type]:
-    """Pre-order traversal of a type."""
-    yield t
-    for c in children(t):
-        yield from subtypes(c)
-
-
-def size(t: Type) -> int:
-    """Number of connectives and units; atoms count zero."""
-    match t:
-        case Atom() | DualAtom():
-            return 0
-        case One() | Bot():
-            return 1
-        case Tensor(l, r, _) | Par(l, r, _) | Plus(l, r, _) | With(l, r, _):
-            return 1 + size(l) + size(r)
-        case OfCourse(b, _) | WhyNot(b, _):
-            return 1 + size(b)
-    raise TypeError(t)
-
-
 def erase(t: Type) -> Type:
     """Strip every annotation slot, yielding the plain CP-side type."""
-    match t:
-        case Atom() | DualAtom():
-            return t
-        case One():
-            return One()
-        case Bot():
-            return Bot()
-        case Tensor(l, r, _):
-            return Tensor(erase(l), erase(r))
-        case Par(l, r, _):
-            return Par(erase(l), erase(r))
-        case Plus(l, r, _):
-            return Plus(erase(l), erase(r))
-        case With(l, r, _):
-            return With(erase(l), erase(r))
-        case OfCourse(b, _):
-            return OfCourse(erase(b))
-        case WhyNot(b, _):
-            return WhyNot(erase(b))
-    raise TypeError(t)
+    return map_slots(t, lambda _, ts: ())
 
 
 def dual(t: Type) -> Type:
@@ -182,74 +140,89 @@ def dual(t: Type) -> Type:
 
 def targets_of(t: Type) -> tuple[Endpoint, ...]:
     """Annotation slot of the head connective, as a tuple (empty if unset)."""
-    match t:
-        case Atom() | DualAtom():
+    shape = _SHAPES.get(type(t))
+    if shape is None:
+        if isinstance(t, (Atom, DualAtom)):
             return ()
-        case One(ts) | Tensor(_, _, ts) | With(_, _, ts) | OfCourse(_, ts):
-            return ts
-        case Bot(u) | Par(_, _, u) | Plus(_, _, u) | WhyNot(_, u):
-            return (u,) if u is not None else ()
-    raise TypeError(t)
+        raise TypeError(t)
+    if shape[1]:
+        return t.targets
+    return () if t.target is None else (t.target,)
 
 
-def with_targets(t: Type, ts: tuple[Endpoint, ...]) -> Type:
-    """Replace the head annotation slot."""
-    match t:
-        case Atom() | DualAtom():
-            if ts:
-                raise ValueError("atoms carry no annotation")
+def map_slots(t: Type, f: Callable[[Type, tuple[Endpoint, ...]], tuple[Endpoint, ...]]) -> Type:
+    """Rebuild ``t`` with every connective's annotation slot replaced by
+    ``f(connective, slot)``; a single-target slot takes at most one name.
+
+    ``f`` sees the slots in pre-order: a connective before its left operand
+    (or body), the left operand before the right.  Callers rely on that
+    order: ``rewrite_pending`` rewrites the leftmost matching connective by
+    acting on the first one ``f`` is shown, and synthesis numbers its
+    annotation holes in visiting order.  Atoms carry no slot.  A subtree whose
+    slots all come back unchanged is returned as the same object, so a walk
+    that changes nothing allocates nothing.
+    """
+    shape = _SHAPES.get(type(t))
+    if shape is None:
+        if isinstance(t, (Atom, DualAtom)):
             return t
-        case One() | Tensor() | With() | OfCourse():
-            return replace(t, targets=ts)
-        case Bot() | Par() | Plus() | WhyNot():
-            if len(ts) > 1:
-                raise ValueError(f"single-target connective got {ts}")
-            return replace(t, target=ts[0] if ts else None)
-    raise TypeError(t)
+        raise TypeError(t)
+    arity, multi = shape
+    if multi:
+        old = t.targets
+    else:
+        old = () if t.target is None else (t.target,)
+    new = f(t, old)
+    if arity == 2:
+        l, r = t.left, t.right
+        l2, r2 = map_slots(l, f), map_slots(r, f)
+        if new == old and l2 is l and r2 is r:
+            return t
+        kids = (l2, r2)
+    elif arity == 1:
+        b = t.body
+        b2 = map_slots(b, f)
+        if new == old and b2 is b:
+            return t
+        kids = (b2,)
+    elif new == old:
+        return t
+    else:
+        kids = ()
+    if multi:
+        return type(t)(*kids, tuple(new))
+    if len(new) > 1:
+        raise ValueError(f"single-target connective got {new}")
+    return type(t)(*kids, new[0] if new else None)
+
+
+def slots(t: Type) -> list[tuple[Endpoint, ...]]:
+    """Every connective's annotation slot, in ``map_slots`` order."""
+    out: list[tuple[Endpoint, ...]] = []
+
+    def record(_, ts):
+        out.append(ts)
+        return ts
+
+    map_slots(t, record)
+    return out
+
+
+def size(t: Type) -> int:
+    """Number of connectives and units (each has one slot); atoms count zero."""
+    return len(slots(t))
 
 
 def is_fully_annotated(t: Type) -> bool:
     """True when every connective and unit carries a nonempty target slot."""
-    for s in subtypes(t):
-        if isinstance(s, (Atom, DualAtom)):
-            continue
-        if not targets_of(s) or any(u.startswith("?") for u in targets_of(s)):
-            return False
-    return True
+    return all(ts and not any(u.startswith("?") for u in ts) for ts in slots(t))
 
 
 def rename_targets(t: Type, mapping: dict[Endpoint, Endpoint]) -> Type:
     """Rename annotation targets throughout a type (identity on structure)."""
     if not mapping:
         return t
-
-    def ren(ts: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
-        return tuple(mapping.get(u, u) for u in ts)
-
-    match t:
-        case Atom() | DualAtom():
-            return t
-        case One(ts):
-            return One(ren(ts))
-        case Bot():
-            return with_targets(t, ren(targets_of(t)))
-        case Tensor(l, r, ts):
-            return Tensor(rename_targets(l, mapping), rename_targets(r, mapping), ren(ts))
-        case Par(l, r, _):
-            return with_targets(
-                Par(rename_targets(l, mapping), rename_targets(r, mapping)), ren(targets_of(t))
-            )
-        case Plus(l, r, _):
-            return with_targets(
-                Plus(rename_targets(l, mapping), rename_targets(r, mapping)), ren(targets_of(t))
-            )
-        case With(l, r, ts):
-            return With(rename_targets(l, mapping), rename_targets(r, mapping), ren(ts))
-        case OfCourse(b, ts):
-            return OfCourse(rename_targets(b, mapping), ren(ts))
-        case WhyNot(b, _):
-            return with_targets(WhyNot(rename_targets(b, mapping)), ren(targets_of(t)))
-    raise TypeError(t)
+    return map_slots(t, lambda _, ts: tuple(mapping.get(u, u) for u in ts))
 
 
 # ---------------------------------------------------------------------------
@@ -340,51 +313,74 @@ class MCut:
 Process = Union[Link, Close, Wait, Send, Recv, Inl, Inr, Case, Server, Client, Cut, MCut]
 
 
-def free_endpoints(p: Process) -> frozenset[Endpoint]:
+Scope = tuple[tuple[tuple[Endpoint, ...], Process], ...]
+
+
+def scope(p: Process) -> tuple[tuple[Endpoint, ...], Scope]:
+    """The binder table: the names ``p`` acts on at its head, and each direct
+    subterm with the binders it sits under, in field order.
+
+    This is the one place that says what a constructor binds.  A
+    multiparty cut binds its bound endpoints and its pending names over every
+    subterm: the forwarder, each pending message process and each part.
+    """
     match p:
         case Link(x, y):
-            return frozenset((x, y))
+            return (x, y), ()
         case Close(x):
-            return frozenset((x,))
-        case Wait(x, c):
-            return free_endpoints(c) | {x}
+            return (x,), ()
+        case Wait(x, c) | Inl(x, c) | Inr(x, c):
+            return (x,), (((), c),)
         case Send(x, f, pl, c):
-            return (free_endpoints(pl) - {f}) | free_endpoints(c) | {x}
-        case Recv(x, f, c):
-            return (free_endpoints(c) - {f}) | {x}
-        case Inl(x, c) | Inr(x, c):
-            return free_endpoints(c) | {x}
+            return (x,), (((f,), pl), ((), c))
+        case Recv(x, f, c) | Server(x, f, c) | Client(x, f, c):
+            return (x,), (((f,), c),)
         case Case(x, l, r):
-            return free_endpoints(l) | free_endpoints(r) | {x}
-        case Server(x, f, b) | Client(x, f, b):
-            return (free_endpoints(b) - {f}) | {x}
+            return (x,), (((), l), ((), r))
         case Cut(x, y, l, r):
-            return (free_endpoints(l) - {x}) | (free_endpoints(r) - {y})
+            return (), (((x,), l), ((y,), r))
         case MCut(bound, fwd, pending, parts):
-            fv = free_endpoints(fwd)
-            for y, q in pending:
-                fv |= free_endpoints(q) - {y}
-            for q in parts:
-                fv |= free_endpoints(q)
-            return fv - frozenset(bound) - frozenset(y for y, _ in pending)
+            names = bound + tuple(y for y, _ in pending)
+            return (), tuple((names, q) for q in (fwd, *(q for _, q in pending), *parts))
     raise TypeError(p)
+
+
+def from_scope(p: Process, heads: tuple[Endpoint, ...], subs: Scope) -> Process:
+    """Inverse of ``scope``: ``p``'s constructor over new head names, binders
+    and subterms."""
+    match p:
+        case Link() | Close():
+            return type(p)(*heads)
+        case Wait() | Inl() | Inr() | Case():
+            return type(p)(*heads, *(q for _, q in subs))
+        case Send() | Recv() | Server() | Client():
+            return type(p)(*heads, subs[0][0][0], *(q for _, q in subs))
+        case Cut():
+            ((x,), l), ((y,), r) = subs
+            return Cut(x, y, l, r)
+        case MCut(bound, _, pending, _):
+            names, (fwd, *rest) = subs[0][0], [q for _, q in subs]
+            k, n = len(bound), len(pending)
+            return MCut(names[:k], fwd, tuple(zip(names[k:], rest[:n])), tuple(rest[n:]))
+    raise TypeError(p)
+
+
+def head_endpoint(p: Process) -> Endpoint | None:
+    """The endpoint ``p``'s outermost action is on; None for links and cuts."""
+    heads, _ = scope(p)
+    return heads[0] if len(heads) == 1 else None
+
+
+def free_endpoints(p: Process) -> frozenset[Endpoint]:
+    heads, subs = scope(p)
+    fv = frozenset(heads)
+    for bs, q in subs:
+        fv = fv.union(free_endpoints(q).difference(bs))
+    return fv
 
 
 def is_cut_free(p: Process) -> bool:
-    match p:
-        case Cut() | MCut():
-            return False
-        case Link() | Close():
-            return True
-        case Wait(_, c) | Inl(_, c) | Inr(_, c):
-            return is_cut_free(c)
-        case Send(_, _, pl, c):
-            return is_cut_free(pl) and is_cut_free(c)
-        case Recv(_, _, c) | Server(_, _, c) | Client(_, _, c):
-            return is_cut_free(c)
-        case Case(_, l, r):
-            return is_cut_free(l) and is_cut_free(r)
-    raise TypeError(p)
+    return not isinstance(p, (Cut, MCut)) and all(is_cut_free(q) for _, q in scope(p)[1])
 
 
 class FreshNames:
@@ -405,72 +401,29 @@ class FreshNames:
 
 
 def rename_free(p: Process, mapping: dict[Endpoint, Endpoint]) -> Process:
-    """Capture-avoiding renaming of free endpoints."""
+    """Capture-avoiding renaming of free endpoints.
+
+    A binder that would capture an incoming name is first renamed apart, once
+    for all the subterms it scopes over.
+    """
     if not mapping:
         return p
-
-    def go(p: Process, m: dict[Endpoint, Endpoint]) -> Process:
-        if not m:
-            return p
-
-        def r(x: Endpoint) -> Endpoint:
-            return m.get(x, x)
-
-        def under(binders: tuple[Endpoint, ...], q: Process) -> tuple[tuple[Endpoint, ...], Process]:
-            # Drop shadowed entries; freshen binders that would capture.
-            m2 = {k: v for k, v in m.items() if k not in binders}
-            clash = [b for b in binders if b in m2.values()]
-            if clash:
-                fresh = FreshNames(frozenset(m2.values()) | free_endpoints(q) | set(binders))
-                ren = {b: fresh.fresh(b) for b in clash}
-                q = go(q, ren)
-                binders = tuple(ren.get(b, b) for b in binders)
-                m2 = {k: v for k, v in m.items() if k not in binders}
-            return binders, go(q, m2)
-
-        match p:
-            case Link(x, y):
-                return Link(r(x), r(y))
-            case Close(x):
-                return Close(r(x))
-            case Wait(x, c):
-                return Wait(r(x), go(c, m))
-            case Send(x, f, pl, c):
-                (f2,), pl2 = under((f,), pl)
-                return Send(r(x), f2, pl2, go(c, m))
-            case Recv(x, f, c):
-                (f2,), c2 = under((f,), c)
-                return Recv(r(x), f2, c2)
-            case Inl(x, c):
-                return Inl(r(x), go(c, m))
-            case Inr(x, c):
-                return Inr(r(x), go(c, m))
-            case Case(x, l, rr):
-                return Case(r(x), go(l, m), go(rr, m))
-            case Server(x, f, b):
-                (f2,), b2 = under((f,), b)
-                return Server(r(x), f2, b2)
-            case Client(x, f, b):
-                (f2,), b2 = under((f,), b)
-                return Client(r(x), f2, b2)
-            case Cut(x, y, l, rr):
-                (x2,), l2 = under((x,), l)
-                (y2,), r2 = under((y,), rr)
-                return Cut(x2, y2, l2, r2)
-            case MCut(bound, fwd, pending, parts):
-                m2 = {k: v for k, v in m.items() if k not in bound}
-                pend = tuple(
-                    (y, go(q, {k: v for k, v in m2.items() if k != y})) for y, q in pending
-                )
-                return MCut(
-                    bound,
-                    go(fwd, {k: v for k, v in m2.items()}),
-                    pend,
-                    tuple(go(q, m2) for q in parts),
-                )
-        raise TypeError(p)
-
-    return go(p, dict(mapping))
+    heads, subs = scope(p)
+    moved: dict[tuple[Endpoint, ...], dict[Endpoint, Endpoint]] = {}
+    for bs in dict.fromkeys(bs for bs, _ in subs):
+        m = {k: v for k, v in mapping.items() if k not in bs}
+        clash = [b for b in bs if b in m.values()]
+        if clash:
+            scoped = (free_endpoints(q) for b2, q in subs if b2 == bs)
+            fresh = FreshNames(frozenset(m.values()).union(bs, *scoped))
+            moved[bs] = {b: fresh.fresh(b) for b in clash}
+    out = []
+    for bs, q in subs:
+        ren = moved.get(bs, {})
+        bs2 = tuple(ren.get(b, b) for b in bs)
+        m = {k: v for k, v in mapping.items() if k not in bs2}
+        out.append((bs2, rename_free(rename_free(q, ren), m)))
+    return from_scope(p, tuple(mapping.get(x, x) for x in heads), tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from itertools import product
 
 from fwdcal import syntax as S
 from fwdcal import checker as K
-from fwdcal.contexts import Context, Entry, MsgBox
+from fwdcal.contexts import Context, endpoint_names, rename_context
 from fwdcal.syntax import (
     Atom, Bot, DualAtom, OfCourse, One, Par, Plus, Tensor, WhyNot, With, dual, erase,
 )
@@ -94,34 +94,11 @@ def sample_derivable_judgements(rng: random.Random, n: int, max_size: int = 4,
     return out[:n]
 
 
-def _all_names(ctx: Context) -> set[str]:
-    names = set(ctx.endpoints())
-    for e in ctx.entries:
-        for it in e.queue:
-            if isinstance(it, MsgBox):
-                names.update(p for p, _ in it.payloads)
-    return names
-
-
 def rename_judgement(proc, ctx: Context, suffix: str):
     """Consistently rename every endpoint of a judgement (alpha on free names)."""
     mapping = {n: n.split("#")[0] + suffix + (("x" + n.split("#")[1]) if "#" in n else "")
-               for n in _all_names(ctx)}
-    ents = []
-    from fwdcal.contexts import rename_item_targets
-
-    for e in ctx.entries:
-        q = []
-        for it in e.queue:
-            it = rename_item_targets(it, mapping)
-            if isinstance(it, MsgBox):
-                it = MsgBox(it.target,
-                            tuple((mapping.get(p, p), S.rename_targets(t, mapping))
-                                  for p, t in it.payloads))
-            q.append(it)
-        typ = S.rename_targets(e.typing, mapping) if e.typing is not None else None
-        ents.append(Entry(mapping[e.endpoint], tuple(q), typ))
-    return S.rename_free(proc, mapping), Context(tuple(ents)), mapping
+               for n in endpoint_names(ctx)}
+    return S.rename_free(proc, mapping), rename_context(ctx, mapping), mapping
 
 
 def sample_cut_pairs(rng: random.Random, n: int, max_formula: int = 4,

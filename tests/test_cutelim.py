@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -10,9 +11,9 @@ from fwdcal.contexts import (
     Context, Entry, LeftTok, MsgBox, Star, ctx, msgbox, normalize_context,
 )
 from fwdcal.cutelim import (
-    AnnotationMismatch, CutError, CutPair, CutSide, Done, Judged, _swap_box, beta_step,
-    cut_conclusions, distr_enumerate, distr_step, finish_distribution, proc_size, rank,
-    reduce_cut, subst_run, unit_redistribute,
+    AnnotationMismatch, CutError, CutPair, CutSide, Done, Judged, Stuck, _swap_box,
+    beta_step, cut_conclusions, distr_enumerate, distr_step, finish_distribution, proc_size,
+    rank, reduce_cut, subst_run, unit_redistribute,
 )
 from fwdcal.syntax import (
     Atom, Bot, Close, Cut, DualAtom, Link, One, Par, Plus, Recv, Send, Tensor, Wait,
@@ -288,6 +289,21 @@ def test_reduce_cut_spliced_payload_takes_host_binders():
         assert "K" in trace
         assert S.is_cut_free(term)
         check_forwarder(term, g)
+
+
+def test_reduce_cut_stuck_reports_deepest_trace():
+    # this conclusion still aims at the cut endpoints x and y, so no
+    # interleaving realizes it; the error shows how far the engine got and
+    # the step at which that branch failed
+    j1, x, j2, y = genutil.fresh_cut_sides(erase(P.parse_type("~a & bot")))
+    g = P.parse_context("w : a +{v} 1{x}, v : ~a &{w} bot{y}")
+    assert normalize_context(g) in map(normalize_context, cut_conclusions(j1.ctx, x, j2.ctx, y))
+    with pytest.raises(Stuck) as e:
+        reduce_cut(j1, x, j2, y, g)
+    got = re.search(r"deepest trace \[(.+)\], failed at (\S+)$", str(e.value))
+    assert got, str(e.value)
+    tags = [t.strip("' ") for t in got.group(1).split(",")]
+    assert tags[0] == "C-case" and tags[-1] == got.group(2)
 
 
 def test_reduce_cut_all_gammas_random():

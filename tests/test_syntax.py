@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal.syntax import (
-    Atom, Bot, Case, Close, Cut, DualAtom, Inl, Link, MCut, OfCourse, One, Par, Plus,
-    Recv, Send, Server, Tensor, Wait, WhyNot, With, dual, erase, free_endpoints,
+    Atom, Bot, Case, Client, Close, Cut, DualAtom, Inl, Inr, Link, MCut, OfCourse, One, Par,
+    Plus, Recv, Send, Server, Tensor, Wait, WhyNot, With, dual, erase, free_endpoints,
     print_process, print_type, rename_free, size,
 )
 
@@ -42,6 +42,31 @@ procs = st.deferred(
         st.builds(Case, names, procs, procs),
         st.builds(Server, names, names, procs),
         st.builds(Cut, names, names, procs, procs),
+    )
+)
+
+# Every binding form, the multiparty cut included, for the scope laws;
+# ``procs`` stays the input of the roundtrip tests.
+scoped_procs = st.deferred(
+    lambda: st.one_of(
+        st.builds(Link, names, names),
+        names.map(Close),
+        st.builds(Wait, names, scoped_procs),
+        st.builds(Send, names, names, scoped_procs, scoped_procs),
+        st.builds(Recv, names, names, scoped_procs),
+        st.builds(Inl, names, scoped_procs),
+        st.builds(Inr, names, scoped_procs),
+        st.builds(Case, names, scoped_procs, scoped_procs),
+        st.builds(Server, names, names, scoped_procs),
+        st.builds(Client, names, names, scoped_procs),
+        st.builds(Cut, names, names, scoped_procs, scoped_procs),
+        st.builds(
+            MCut,
+            st.lists(names, min_size=1, max_size=2).map(tuple),
+            scoped_procs,
+            st.lists(st.tuples(names, scoped_procs), max_size=2).map(tuple),
+            st.lists(scoped_procs, min_size=1, max_size=2).map(tuple),
+        ),
     )
 )
 
@@ -169,6 +194,30 @@ def test_rename_identity_keeps_free(p):
     fv = free_endpoints(p)
     q = rename_free(p, {"zzz": "qqq"})
     assert free_endpoints(q) == fv
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoped_procs, st.dictionaries(names, names, max_size=3))
+def test_rename_free_renames_exactly_the_free_names(p, m):
+    assert S.from_scope(p, *S.scope(p)) == p
+    assert free_endpoints(rename_free(p, m)) == {m.get(n, n) for n in free_endpoints(p)}
+
+
+def test_rename_free_mcut_pending_names_are_bound():
+    p = P.parse_process("res {a : a<->y [y <- close y]} (close a)")
+    assert free_endpoints(p) == set()
+    assert rename_free(p, {"y": "z"}) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(types)
+def test_map_slots_unchanged_is_shared(t):
+    assert S.map_slots(t, lambda s, ts: ts) is t
+
+
+def test_map_slots_visits_in_preorder():
+    t = P.parse_type("(a *{x} 1{y}) |{z} !{u} bot{v}")
+    assert S.slots(t) == [("z",), ("x",), ("y",), ("u",), ("v",)]
 
 
 def test_alpha_renaming_preserves_judgement():
