@@ -1,19 +1,29 @@
 """Judgement checking and synthesis.
 
-Two judgements live here.  ``check_forwarder`` validates the queue-annotated
-forwarder system, where every receive enqueues a boxed item aimed at the
-endpoint that must relay it and every send pops matching boxes.  ``check_cll``
-validates plain CP typing with explicit weakening and contraction steps.
-``synth_forwarder`` decides derivability by proof search (the rules are
-invertible, so search never backtracks over rule order on fully annotated
-contexts), and ``synth_with_annotations`` extends the search with lazy
-resolution of missing annotations.
+Two judgements live here, each with one rule table.  ``forwarder_step`` is
+the queue-annotated forwarder system: a receive enqueues a boxed item aimed
+at the endpoint that must relay it, and a send pops matching boxes.
+``cp_step`` is plain CP typing.  Given a term and a context, each applies
+the rule the term's head names and returns the premise judgements;
+everything else is built on them.  ``check_forwarder`` and ``check_cll``
+fold them over a term (``check_cll`` adds the weakening and contraction
+steps the term forces), ``synth_forwarder`` decides derivability by proof
+search that fires ``forwarder_step`` (the rules are invertible, so search
+never backtracks over rule order on fully annotated contexts), and
+``synth_with_annotations`` extends the search with lazy resolution of
+missing annotations.  The cut engines take their premises from the same two
+tables.
+
+Queues are read per target.  The ⊗, ⊕ and ? rules acting at ``x`` read the
+first item aimed at ``x`` in the queue of each endpoint they consult, not
+the head of the whole queue: items aimed at distinct endpoints commute, as
+compat's per-target FIFOs have it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, replace
+from itertools import combinations, starmap
 from typing import Iterator
 
 from . import syntax as S
@@ -23,8 +33,9 @@ from .syntax import (
     dual, erase, free_endpoints,
 )
 from .contexts import (
-    Context, Entry, LeftTok, MsgBox, Query, RightTok, Star, context_fully_annotated,
-    endpoint_names, map_context, msgbox, rename_context_targets, target_names,
+    Context, Entry, LeftTok, MsgBox, Query, Queue, RightTok, Star, context_fully_annotated,
+    endpoint_names, first_destined, map_context, msgbox, normalize_context,
+    rename_context_targets, target_names,
 )
 
 Env = tuple[tuple[str, Type], ...]
@@ -152,16 +163,15 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                     for u in ts:
                         if u == x or not g.has(u):
                             raise RuleMismatch(f"* target {u} not in context")
-                        eu = g2.get(u)
-                        if not eu.queue:
+                        if not g2.get(u).queue:
                             raise QueueHeadMismatch(f"empty queue at {u}, * at {x} expects a box")
-                        head = eu.queue[0]
-                        if not isinstance(head, MsgBox) or head.target != x:
+                        head, g2 = _pop_for(g2, u, x)
+                        if not head or not isinstance(head[0], MsgBox):
                             raise QueueHeadMismatch(
-                                f"head of {u}'s queue must be a message for {x}, got {head}"
+                                f"head of {u}'s queue must be a message for {x}, "
+                                f"got {head[0] if head else None}"
                             )
-                        gathered.extend(head.payloads)
-                        g2 = g2.replace(u, Entry(u, eu.queue[1:], eu.typing))
+                        gathered.extend(head[0].payloads)
                     names = [n for n, _ in gathered] + [f]
                     if len(set(names)) != len(names):
                         raise RuleMismatch(f"gathered payload names clash: {names}")
@@ -178,13 +188,10 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                 case Plus(a, b, z) if z is not None:
                     if not g.has(z):
                         raise RuleMismatch(f"+ target {z} not in context")
-                    ez = g.get(z)
                     tok = LeftTok(x) if want_left else RightTok(x)
-                    if not ez.queue or ez.queue[0] != tok:
-                        raise QueueHeadMismatch(
-                            f"head of {z}'s queue must be {tok}, got {ez.queue[:1]}"
-                        )
-                    g2 = g.replace(z, Entry(z, ez.queue[1:], ez.typing))
+                    head, g2 = _pop_for(g, z, x)
+                    if head != (tok,):
+                        raise QueueHeadMismatch(f"head of {z}'s queue must be {tok}, got {head}")
                     g2 = g2.replace(x, Entry(x, e.queue, a if want_left else b))
                     return ("PlusL" if want_left else "PlusR"), ((cont, g2),)
             raise RuleMismatch(f"select on {x} needs {x}:A+{{z}}B, got {e.typing}")
@@ -232,14 +239,13 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                 case WhyNot(a, z) if z is not None:
                     if not g.has(z):
                         raise RuleMismatch(f"? target {z} not in context")
-                    ez = g.get(z)
-                    if not ez.queue or ez.queue[0] != Query(x):
+                    head, g2 = _pop_for(g, z, x)
+                    if head != (Query(x),):
                         raise QueueHeadMismatch(
-                            f"head of {z}'s queue must be a query for {x}, got {ez.queue[:1]}"
+                            f"head of {z}'s queue must be a query for {x}, got {head}"
                         )
                     if f in endpoint_names(g):
                         raise RuleMismatch(f"client name {f} is not fresh")
-                    g2 = g.replace(z, Entry(z, ez.queue[1:], ez.typing))
                     g2 = g2.replace(x, Entry(f, e.queue, a))
                     g2 = rename_context_targets(g2, {x: f})
                     return "Quest", ((cont, g2),)
@@ -249,6 +255,16 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
             raise RuleMismatch("forwarders contain no cuts")
 
     raise RuleMismatch(f"no forwarder rule for {type(p).__name__}")
+
+
+def _pop_for(g: Context, u: str, x: str) -> tuple[Queue, Context]:
+    """The first item of ``u``'s queue aimed at ``x``, as a tuple of at most
+    one item, and ``g`` without it."""
+    e = g.get(u)
+    for i, it in enumerate(e.queue):
+        if it.target == x:
+            return (it,), g.replace(u, Entry(u, e.queue[:i] + e.queue[i + 1:], e.typing))
+    return (), g
 
 
 def _active(g: Context, x: str) -> Entry:
@@ -269,7 +285,7 @@ def check_forwarder(p: Process, g: Context) -> Derivation:
 
 def _check_fwd(p: Process, g: Context) -> Derivation:
     rule, premises = forwarder_step(p, g)
-    return Derivation(rule, p, g, tuple(_check_fwd(q, h) for q, h in premises))
+    return Derivation(rule, p, g, tuple(starmap(_check_fwd, premises)))
 
 
 def validate_derivation(d: Derivation) -> bool:
@@ -316,17 +332,16 @@ def check_cll(p: Process, env: Env) -> Derivation:
 
 
 def _split_env(p_left: Process, drop_l: set[str], p_right: Process, drop_r: set[str],
-               env: Env, whole: Process) -> tuple[Env, Env, list[str]]:
+               env: Env, whole: Process) -> tuple[Env, Env]:
     fl = free_endpoints(p_left) - drop_l
     fr = free_endpoints(p_right) - drop_r
-    left, right, contracted = [], [], []
+    left, right = [], []
     for n, t in env:
         inl, inr = n in fl, n in fr
         if inl and inr:
             if not isinstance(t, WhyNot):
                 raise RuleMismatch(f"{n} used by both premises but not ?-typed")
-            contracted.append(n)
-            left.append((n, t))
+            left.append((n, t))  # contracted: both premises keep it
             right.append((n, t))
         elif inl:
             left.append((n, t))
@@ -336,10 +351,10 @@ def _split_env(p_left: Process, drop_l: set[str], p_right: Process, drop_r: set[
             right.append((n, t))  # weakened at a leaf of the continuation
         else:
             raise UnusedEndpoint(f"{n} unused by {type(whole).__name__}")
-    return tuple(left), tuple(right), contracted
+    return tuple(left), tuple(right)
 
 
-def _leaf(rule: str, p: Process, env: Env, used: set[str]) -> Derivation:
+def _leaf(rule: str, p: Process, env: Env, used: tuple[str, ...]) -> Derivation:
     extras = tuple((n, t) for n, t in env if n not in used)
     for n, t in extras:
         if not isinstance(t, WhyNot):
@@ -354,117 +369,43 @@ def _leaf(rule: str, p: Process, env: Env, used: set[str]) -> Derivation:
 
 
 def _check_cll(p: Process, env: Env) -> Derivation:
-    match p:
-        case Link(x, y):
-            tx, ty = _env_get(env, x), _env_get(env, y)
-            if dual(tx) != ty:
-                raise RuleMismatch(f"link {x}<->{y} needs dual types, got {tx} / {ty}")
-            return _leaf("Ax", p, env, {x, y})
-
-        case Close(x):
-            if not isinstance(_env_get(env, x), One):
-                raise RuleMismatch(f"close {x} needs {x}:1")
-            return _leaf("One", p, env, {x})
-
-        case Wait(x, cont):
-            if not isinstance(_env_get(env, x), Bot):
-                raise RuleMismatch(f"wait {x} needs {x}:bot")
-            sub = _check_cll(cont, _env_del(env, x))
-            return Derivation("Bot", p, env, (sub,))
-
-        case Send(x, f, payload, cont):
-            t = _env_get(env, x)
-            if not isinstance(t, Tensor):
-                raise RuleMismatch(f"send on {x} needs {x}:A*B")
-            rest = _env_del(env, x)
-            left, right, contracted = _split_env(payload, {f}, cont, {x}, rest, p)
-            dl = _check_cll(payload, left + ((f, t.left),))
-            dr = _check_cll(cont, right + ((x, t.right),))
-            d = Derivation("Tensor", p, env, (dl, dr))
-            for _ in contracted:
+    """The fold of ``cp_step`` over ``p``, with the structural steps the
+    rule table leaves implicit made explicit."""
+    rule, prem = _cp_rule(p, env)
+    if not prem:
+        return _leaf(rule, p, env, S.scope(p)[0])
+    d = Derivation(rule, p, env, tuple(starmap(_check_cll, prem)))
+    if rule == "Quest" and len(prem[0][1]) > len(env):
+        # the continuation still uses the client endpoint: contraction
+        # supplied the copy the rule consumed
+        return Derivation("Contract", p, env, (replace(d, context=env + (prem[0][1][-1],)),))
+    if rule in ("Tensor", "Cut"):
+        # each name the two premises share (binders aside) was contracted
+        (_, left), (_, right) = prem
+        shared = {n for n, _ in right[:-1]}
+        for n, _ in left[:-1]:
+            if n in shared:
                 d = Derivation("Contract", p, env, (d,))
-            return d
-
-        case Recv(x, f, cont):
-            t = _env_get(env, x)
-            if not isinstance(t, Par):
-                raise RuleMismatch(f"recv on {x} needs {x}:A|B")
-            sub = _check_cll(cont, _env_del(env, x) + ((f, t.left), (x, t.right)))
-            return Derivation("Par", p, env, (sub,))
-
-        case Inl(x, cont) | Inr(x, cont):
-            t = _env_get(env, x)
-            if not isinstance(t, Plus):
-                raise RuleMismatch(f"select on {x} needs {x}:A+B")
-            keep = t.left if isinstance(p, Inl) else t.right
-            sub = _check_cll(cont, _env_del(env, x) + ((x, keep),))
-            return Derivation("PlusL" if isinstance(p, Inl) else "PlusR", p, env, (sub,))
-
-        case Case(x, l, r):
-            t = _env_get(env, x)
-            if not isinstance(t, With):
-                raise RuleMismatch(f"case on {x} needs {x}:A&B")
-            dl = _check_cll(l, _env_del(env, x) + ((x, t.left),))
-            dr = _check_cll(r, _env_del(env, x) + ((x, t.right),))
-            return Derivation("With", p, env, (dl, dr))
-
-        case Server(x, f, body):
-            t = _env_get(env, x)
-            if not isinstance(t, OfCourse):
-                raise RuleMismatch(f"srv on {x} needs {x}:!A")
-            rest = _env_del(env, x)
-            for n, tt in rest:
-                if not isinstance(tt, WhyNot):
-                    raise RuleMismatch(f"! context must be ?-typed, {n} is not")
-            sub = _check_cll(body, rest + ((f, t.body),))
-            return Derivation("Bang", p, env, (sub,))
-
-        case Client(x, f, cont):
-            t = _env_get(env, x)
-            if not isinstance(t, WhyNot):
-                raise RuleMismatch(f"client on {x} needs {x}:?A")
-            rest = _env_del(env, x)
-            if x in free_endpoints(cont):
-                sub = _check_cll(cont, rest + ((f, t.body), (x, t)))
-                quest = Derivation("Quest", p, env + ((x, t),), (sub,))
-                return Derivation("Contract", p, env, (quest,))
-            sub = _check_cll(cont, rest + ((f, t.body),))
-            return Derivation("Quest", p, env, (sub,))
-
-        case Cut(x, y, l, r):
-            left, right, contracted = _split_env(l, {x}, r, {y}, env, p)
-            a = _infer(l, x, dict(left))
-            b = _infer(r, y, dict(right))
-            formula = _unify(a, dual(b))
-            if formula is None:
-                raise CutFormulaError(f"cut formulas disagree: {a} versus dual {b}")
-            if _has_unknown(formula):
-                raise CutFormulaError(f"cannot infer cut formula for res {x} {y}")
-            dl = _check_cll(l, left + ((x, formula),))
-            dr = _check_cll(r, right + ((y, dual(formula)),))
-            d = Derivation("Cut", p, env, (dl, dr))
-            for _ in contracted:
-                d = Derivation("Contract", p, env, (d,))
-            return d
-
-        case MCut():
-            raise RuleMismatch("multiparty cuts are validated as configurations")
-
-    raise RuleMismatch(f"no CP rule for {type(p).__name__}")
+    return d
 
 
 def cp_step(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]:
     """One CP rule applied to the head of ``p``, yielding premise judgements.
 
-    Contraction on a re-used ?-endpoint is folded into the client step; cuts
-    are not decomposed here.
+    ``env`` is erased first.  Contraction on a re-used ?-endpoint is folded
+    into the client step, and a cut's formula is reconstructed from its two
+    subterms; a leaf rule does not check for unused endpoints (``check_cll``
+    weakens them).
     """
-    env = tuple((n, erase(t)) for n, t in env)
+    return _cp_rule(p, tuple((n, erase(t)) for n, t in env))
+
+
+def _cp_rule(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]:
     match p:
         case Link(x, y):
             tx, ty = _env_get(env, x), _env_get(env, y)
             if dual(tx) != ty:
-                raise RuleMismatch(f"link {x}<->{y} needs dual types")
+                raise RuleMismatch(f"link {x}<->{y} needs dual types, got {tx} / {ty}")
             return "Ax", ()
         case Close(x):
             if not isinstance(_env_get(env, x), One):
@@ -478,11 +419,8 @@ def cp_step(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]
             t = _env_get(env, x)
             if not isinstance(t, Tensor):
                 raise RuleMismatch(f"send on {x} needs {x}:A*B")
-            left, right, _ = _split_env(payload, {f}, cont, {x}, _env_del(env, x), p)
-            return "Tensor", (
-                (payload, left + ((f, t.left),)),
-                (cont, right + ((x, t.right),)),
-            )
+            left, right = _split_env(payload, {f}, cont, {x}, _env_del(env, x), p)
+            return "Tensor", ((payload, left + ((f, t.left),)), (cont, right + ((x, t.right),)))
         case Recv(x, f, cont):
             t = _env_get(env, x)
             if not isinstance(t, Par):
@@ -518,7 +456,19 @@ def cp_step(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]
             if x in free_endpoints(cont):
                 return "Quest", ((cont, rest + ((f, t.body), (x, t))),)
             return "Quest", ((cont, rest + ((f, t.body),)),)
-    raise RuleMismatch(f"cp_step cannot decompose {type(p).__name__}")
+        case Cut(x, y, l, r):
+            left, right = _split_env(l, {x}, r, {y}, env, p)
+            a = _infer(l, x, dict(left))
+            b = _infer(r, y, dict(right))
+            formula = _unify(a, dual(b))
+            if formula is None:
+                raise CutFormulaError(f"cut formulas disagree: {a} versus dual {b}")
+            if _has_unknown(formula):
+                raise CutFormulaError(f"cannot infer cut formula for res {x} {y}")
+            return "Cut", ((l, left + ((x, formula),)), (r, right + ((y, dual(formula)),)))
+        case MCut():
+            raise RuleMismatch("multiparty cuts are validated as configurations")
+    raise RuleMismatch(f"no CP rule for {type(p).__name__}")
 
 
 # Cut-formula reconstruction: a lightweight structural inference with an
@@ -709,10 +659,8 @@ def _solutions(
     ``ren`` maps those original names to their current names along this
     branch (continuations of ! and ? get renamed as the rules fire).
     """
-    from .contexts import normalize_context
-
     if store:
-        cur = {h: tuple(ren.get(u, u) for u in v) for h, v in store.items()}
+        cur = {h: tuple(ren.get(u, u) for u in v) for h, v in store.items()} if ren else store
         g = _subst_holes_context(g, cur)
     key = normalize_context(g)
     if key in failed:
@@ -763,127 +711,81 @@ def _solutions_raw(g, store, supply, failed, ren):
 
     # Deterministic step: an entry whose head annotation is resolved and whose
     # rule is enabled can always be fired first (the rules are invertible).
+    by = {e.endpoint: e for e in entries}
+    holed = []
     for e in entries:
-        act = _resolved_action(e, g)
-        if act is not None:
-            yield from _fire(act, e, g, store, supply, failed, ren)
+        if e.typing is None or isinstance(e.typing, (Atom, DualAtom, One)):
+            continue
+        if _is_hole(S.targets_of(e.typing)):
+            holed.append(e)
+            continue
+        for value, head in _moves(e, by):
+            yield from _fire(e, value, head, g, store, supply, failed, ren)
             return
 
     # Otherwise branch over lazy annotation choices, entry by entry.
-    for e in entries:
-        for choice in _hole_actions(e, g):
-            hole, value, act = choice
-            st = {**store, hole: _unrename(ren, value)}
-            yield from _fire(act, e, g, st, supply, failed, ren)
+    for e in holed:
+        for value, head in _moves(e, by):
+            yield from _fire(e, value, head, g, store, supply, failed, ren)
 
 
-def _resolved_action(e: Entry, g: Context):
-    """An applicable rule at ``e`` whose head annotation carries no hole."""
-    t = e.typing
-    if t is None or isinstance(t, (Atom, DualAtom)):
-        return None
+# The head constructor the rule of a connective that reads no queue fires.
+_HEAD = {Bot: Wait, Par: Recv, With: Case}
+
+
+def _moves(e: Entry, by: dict[str, Entry]):
+    """The rule instances synthesis tries at ``e``, in search order: the
+    value of its head annotation slot and the constructor of the head term.
+    ``by`` maps the context's endpoints, in name order, to their entries.
+
+    A resolved slot offers itself when its rule applies; a hole offers every
+    candidate value.  This is only a cheap applicability test, reading
+    queues per target as ``forwarder_step`` does; the premises come from
+    ``forwarder_step``.
+    """
+    t, x = e.typing, e.endpoint
     ts = S.targets_of(t)
-    if _is_hole(ts):
-        return None
+    hole = _is_hole(ts)
+    others = [u for u in by if u != x]
     match t:
-        case Par():
-            if g.has(ts[0]) and ts[0] != e.endpoint:
-                return ("Par", ts)
-        case Bot():
-            if g.has(ts[0]) and ts[0] != e.endpoint:
-                return ("Bot", ts)
-        case With():
-            if all(g.has(u) and u != e.endpoint for u in ts):
-                return ("With", ts)
+        case Bot() | Par() | With():
+            if not hole:
+                if all(u in by and u != x for u in ts):
+                    yield ts, _HEAD[type(t)]
+                return
+            actives = [u for u in others if by[u].typing is not None]
+            values = nonempty_subsets(actives) if isinstance(t, With) else ((u,) for u in actives)
+            for v in values:
+                yield v, _HEAD[type(t)]
         case Tensor():
-            for u in ts:
-                if u == e.endpoint or not g.has(u):
-                    return None
-                q = g.get(u).queue
-                if not q or not isinstance(q[0], MsgBox) or q[0].target != e.endpoint:
-                    return None
-            return ("Tensor", ts)
-        case Plus():
-            z = ts[0]
-            if g.has(z) and g.get(z).queue:
-                head = g.get(z).queue[0]
-                if head == LeftTok(e.endpoint):
-                    return ("PlusL", ts)
-                if head == RightTok(e.endpoint):
-                    return ("PlusR", ts)
-            return None
-        case WhyNot():
-            z = ts[0]
-            if g.has(z) and g.get(z).queue and g.get(z).queue[0] == Query(e.endpoint):
-                return ("Quest", ts)
-            return None
+            ready = [u for u in others if isinstance(_head_for(by[u], x), MsgBox)]
+            if not hole:
+                if set(ts) <= set(ready):
+                    yield ts, Send
+                return
+            for v in nonempty_subsets(ready):
+                yield v, Send
+        case Plus() | WhyNot():
+            for z in (others if hole else ts):
+                head = _head_for(by[z], x) if z in by and z != x else None
+                if isinstance(t, Plus) and isinstance(head, (LeftTok, RightTok)):
+                    yield (z,), Inl if isinstance(head, LeftTok) else Inr
+                elif isinstance(t, WhyNot) and isinstance(head, Query):
+                    yield (z,), Client
         case OfCourse():
-            others = [o for o in g.entries if o.endpoint != e.endpoint]
-            if (
-                not e.queue
-                and set(ts) == {o.endpoint for o in others}
-                and all(isinstance(o.typing, WhyNot) and not o.queue for o in others)
-            ):
-                return ("Bang", ts)
-            return None
-    return None
+            if e.queue or not others or any(
+                    not isinstance(by[u].typing, WhyNot) or by[u].queue for u in others):
+                return
+            if hole:
+                yield tuple(others), Server
+            elif set(ts) == set(others):
+                yield ts, Server
 
 
-def _hole_actions(e: Entry, g: Context):
-    """Lazy annotation choices at ``e``: (hole, value, action) triples."""
-    t = e.typing
-    if t is None or isinstance(t, (Atom, DualAtom)):
-        return
-    ts = S.targets_of(t)
-    if not _is_hole(ts):
-        return
-    hole = ts[0]
-    x = e.endpoint
-    actives = sorted(o.endpoint for o in g.entries if o.endpoint != x and o.typing is not None)
-    anyone = sorted(o.endpoint for o in g.entries if o.endpoint != x)
-    match t:
-        case Par() | Bot():
-            tag = "Par" if isinstance(t, Par) else "Bot"
-            for u in actives:
-                yield hole, (u,), (tag, (u,))
-        case Plus():
-            for o in sorted(g.entries, key=lambda o: o.endpoint):
-                if o.endpoint == x or not o.queue:
-                    continue
-                if o.queue[0] == LeftTok(x):
-                    yield hole, (o.endpoint,), ("PlusL", (o.endpoint,))
-                elif o.queue[0] == RightTok(x):
-                    yield hole, (o.endpoint,), ("PlusR", (o.endpoint,))
-        case WhyNot():
-            for o in sorted(g.entries, key=lambda o: o.endpoint):
-                if o.endpoint != x and o.queue and o.queue[0] == Query(x):
-                    yield hole, (o.endpoint,), ("Quest", (o.endpoint,))
-        case With():
-            for sub in nonempty_subsets(actives):
-                yield hole, sub, ("With", sub)
-        case Tensor():
-            eligible = [
-                o.endpoint
-                for o in g.entries
-                if o.endpoint != x
-                and o.queue
-                and isinstance(o.queue[0], MsgBox)
-                and o.queue[0].target == x
-            ]
-            for sub in nonempty_subsets(sorted(eligible)):
-                yield hole, sub, ("Tensor", sub)
-        case OfCourse():
-            others = [o for o in g.entries if o.endpoint != x]
-            if (
-                not e.queue
-                and others
-                and all(isinstance(o.typing, WhyNot) and not o.queue for o in others)
-            ):
-                names = tuple(sorted(o.endpoint for o in others))
-                yield hole, names, ("Bang", names)
-        case One():
-            return  # handled as a leaf
-    return
+def _head_for(o: Entry, x: str):
+    """The first item of ``o``'s queue aimed at ``x``, or None."""
+    i = first_destined(o.queue, x)
+    return None if i is None else o.queue[i]
 
 
 def nonempty_subsets(names):
@@ -892,70 +794,49 @@ def nonempty_subsets(names):
         yield from combinations(names, k)
 
 
-def _fire(action, e: Entry, g: Context, store, supply, failed, ren):
-    tag, ts = action
+_STUB = Close("_")  # a head term's subterms: forwarder_step only passes them on
+_BINDER_BASE = {Recv: "m", Send: "w"}  # a server or client copy keeps its own name
+
+
+def _fire(e: Entry, value: tuple[str, ...], ctor: type, g: Context, store, supply,
+          failed, ren):
+    """Fire ``ctor``'s rule at ``e`` with its head slot set to ``value``,
+    once per binder candidate, and rebuild the term around the solutions of
+    the premises ``forwarder_step`` gives."""
     x = e.endpoint
-    t = _subst_holes_type(e.typing, {h: tuple(ren.get(u, u) for u in v)
-                                     for h, v in store.items()})
-    queue = e.queue
-    if tag == "Bot":
-        g2 = g.replace(x, Entry(x, queue + (Star(ts[0]),), None))
-        for proc, st in _solutions(g2, store, supply, failed, ren):
-            yield Wait(x, proc), st
-    elif tag == "Par":
-        for f in _binder_candidates("m", g, supply):
-            g2 = g.replace(x, Entry(x, queue + (msgbox(ts[0], f, t.left),), t.right))
-            for proc, st in _solutions(g2, store, supply, failed, ren):
-                yield Recv(x, f, proc), st
-    elif tag in ("PlusL", "PlusR"):
-        z = ts[0]
-        ez = g.get(z)
-        keep = t.left if tag == "PlusL" else t.right
-        g2 = g.replace(z, Entry(z, ez.queue[1:], ez.typing)).replace(x, Entry(x, queue, keep))
-        mk = Inl if tag == "PlusL" else Inr
-        for proc, st in _solutions(g2, store, supply, failed, ren):
-            yield mk(x, proc), st
-    elif tag == "With":
-        gl = g.replace(x, Entry(x, queue + tuple(LeftTok(u) for u in ts), t.left))
-        gr = g.replace(x, Entry(x, queue + tuple(RightTok(u) for u in ts), t.right))
-        for pl, st1 in _solutions(gl, store, supply, failed, ren):
-            for pr, st2 in _solutions(gr, st1, supply, failed, ren):
-                yield Case(x, pl, pr), st2
-    elif tag == "Tensor":
-        gathered: list[tuple[str, Type]] = []
-        g2 = g
-        for u in ts:
-            eu = g2.get(u)
-            head = eu.queue[0]
-            gathered.extend(head.payloads)
-            g2 = g2.replace(u, Entry(u, eu.queue[1:], eu.typing))
-        for f in _binder_candidates("w", g, supply):
-            names = [n for n, _ in gathered] + [f]
-            if len(set(names)) != len(names):
-                continue
-            left = Context(tuple(Entry(n, (), tt) for n, tt in gathered) + (Entry(f, (), t.left),))
-            right = g2.replace(x, Entry(x, g2.get(x).queue, t.right))
-            for pl, st1 in _solutions(left, store, supply, failed, ren):
-                for pr, st2 in _solutions(right, st1, supply, failed, ren):
-                    yield Send(x, f, pl, pr), st2
-    elif tag == "Bang":
-        orig = _unrename(ren, (x,))[0]
-        for f in _binder_candidates(x, g, supply):
-            g2 = g.replace(x, Entry(f, tuple(Query(u) for u in ts), t.body))
-            g2 = rename_context_targets(g2, {x: f})
-            for proc, st in _solutions(g2, store, supply, failed, {**ren, orig: f}):
-                yield Server(x, f, proc), st
-    elif tag == "Quest":
-        z = ts[0]
-        ez = g.get(z)
-        orig = _unrename(ren, (x,))[0]
-        for f in _binder_candidates(x, g, supply):
-            g2 = g.replace(z, Entry(z, ez.queue[1:], ez.typing)).replace(x, Entry(f, queue, t.body))
-            g2 = rename_context_targets(g2, {x: f})
-            for proc, st in _solutions(g2, store, supply, failed, {**ren, orig: f}):
-                yield Client(x, f, proc), st
+    ts = S.targets_of(e.typing)
+    if _is_hole(ts):
+        store = {**store, ts[0]: _unrename(ren, value)}
+        g = g.replace(x, Entry(x, e.queue, _subst_holes_type(e.typing, {ts[0]: value})))
+    stubs = (_STUB, _STUB) if ctor in (Send, Case) else (_STUB,)
+    if ctor in (Wait, Inl, Inr, Case):
+        heads = [ctor(x, *stubs)]
     else:
-        raise AssertionError(tag)
+        base = _BINDER_BASE.get(ctor, x)
+        heads = [ctor(x, f, *stubs) for f in _binder_candidates(base, g, supply)]
+    for head in heads:
+        try:
+            _, prem = forwarder_step(head, g)
+        except RuleMismatch:
+            continue  # the payload names the send gathers clash
+        sub_ren = ren
+        if ctor in (Server, Client):
+            sub_ren = {**ren, _unrename(ren, (x,))[0]: head.fresh}
+        names, subs = S.scope(head)
+        for qs, st in _joint_solutions(prem, store, supply, failed, sub_ren):
+            yield S.from_scope(head, names, tuple((bs, q) for (bs, _), q in zip(subs, qs))), st
+
+
+def _joint_solutions(prem, store, supply, failed, ren):
+    """Solutions of every premise (there is at least one) in turn, threading
+    the hole store."""
+    (_, h), rest = prem[0], prem[1:]
+    for q, st in _solutions(h, store, supply, failed, ren):
+        if not rest:
+            yield (q,), st
+            continue
+        for qs, st2 in _joint_solutions(rest, st, supply, failed, ren):
+            yield (q,) + qs, st2
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def run_sim(decl: PA.SimDecl, as_json: bool, step: bool) -> bool:
               f"{_verdict(True)} sim\n  " + "\n  ".join(trace)
               + f"\n  => {S.print_process(term)}")
         return True
-    except (McutError, CheckError) as e:
+    except (CutError, CheckError) as e:
         _emit({"sim": "error", "error": str(e)}, as_json, f"{_verdict(False)} sim: {e}")
         return False
 

@@ -38,11 +38,6 @@ class MsgBox:
         ((e, _),) = self.payloads
         return e
 
-    @property
-    def payload_type(self) -> Type:
-        ((_, t),) = self.payloads
-        return t
-
 
 def msgbox(target: Endpoint, endpoint: Endpoint, typ: Type) -> MsgBox:
     return MsgBox(target, ((endpoint, typ),))
@@ -80,6 +75,19 @@ def normalize_queue(q: Queue) -> Queue:
     subsequence of items sharing a target is never reordered.
     """
     return tuple(sorted(q, key=lambda it: it.target))
+
+
+def first_destined(q: Queue, target: Endpoint) -> int | None:
+    """Position of the first item of ``q`` aimed at ``target``.
+
+    Items aimed at distinct endpoints commute, so this item heads the part
+    of the queue ``target`` sees: it is what a rule acting at ``target``
+    reads, whatever precedes it for other endpoints.
+    """
+    for i, it in enumerate(q):
+        if it.target == target:
+            return i
+    return None
 
 
 def queues_equivalent(q1: Queue, q2: Queue) -> bool:
@@ -179,10 +187,18 @@ def context_types(g: Context) -> list[Type]:
 
 
 def endpoint_names(g: Context) -> set[Endpoint]:
-    """Entry endpoints and boxed payload names: the names ``g`` binds."""
-    out: list[Endpoint] = []
-    map_context(g, name=_recorder(out))
-    return set(out)
+    """Entry endpoints and boxed payload names: the names ``g`` binds.
+
+    A plain loop rather than a ``map_context`` walk: every rule that binds
+    a name asks it for freshness, so it is on the checkers' hot path.
+    """
+    out = set()
+    for e in g.entries:
+        out.add(e.endpoint)
+        for it in e.queue:
+            if isinstance(it, MsgBox):
+                out.update(n for n, _ in it.payloads)
+    return out
 
 
 def target_names(g: Context) -> set[Endpoint]:

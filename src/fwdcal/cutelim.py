@@ -24,7 +24,8 @@ from .syntax import (
 )
 from .contexts import (
     Context, Entry, LeftTok, MsgBox, Query, Queue, QueueItem, RightTok, Star, context_size,
-    endpoint_names, normalize_context, rename_context, rename_context_targets, target_names,
+    endpoint_names, first_destined, normalize_context, rename_context, rename_context_targets,
+    target_names,
 )
 from .checker import CheckError, check_forwarder, forwarder_step
 
@@ -58,13 +59,15 @@ class PlanMismatch(CutError):
 
 
 class FuelExhausted(CutError):
+    """A reduction ran out of steps; binary cuts and compositions alike."""
+
     def __init__(self, msg, trace):
         super().__init__(f"{msg}; trace so far: {trace}")
         self.trace = trace
 
 
 class Stuck(CutError):
-    pass
+    """No reduction step applies; binary cuts and compositions alike."""
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +278,6 @@ def distr_enumerate(p: CutPair) -> list[CutPair]:
 # -- substitution -------------------------------------------------------------
 
 
-def _first_destined(queue: Queue, target: Endpoint) -> int | None:
-    for i, it in enumerate(queue):
-        if it.target == target:
-            return i
-    return None
-
-
 def _subst_multi_side(ctx: Context, dying: Endpoint, partners: tuple[Endpoint, ...],
                       pending_kind: type, item_kind: type, to: Endpoint) -> Context:
     """On the gathering/broadcast side: each partner either already queues the
@@ -292,7 +288,7 @@ def _subst_multi_side(ctx: Context, dying: Endpoint, partners: tuple[Endpoint, .
             raise DanglingReference(f"partner {m} missing from context")
         e = ctx.get(m)
         if item_kind is not None:
-            idx = _first_destined(e.queue, dying)
+            idx = first_destined(e.queue, dying)
             if idx is not None:
                 it = e.queue[idx]
                 if not isinstance(it, item_kind):
@@ -333,7 +329,7 @@ def _subst_single_side(ctx: Context, dying: Endpoint, partner: Endpoint,
         raise DanglingReference(f"partner {partner} missing from context")
     e = ctx.get(partner)
     if token_kind is not None:
-        idx = _first_destined(e.queue, dying)
+        idx = first_destined(e.queue, dying)
         if idx is not None:
             it = e.queue[idx]
             if not isinstance(it, token_kind):
@@ -394,7 +390,7 @@ def subst_step(p: CutPair) -> CutPair:
             branch = "L"
             e = bctx.get(c) if bctx.has(c) else None
             if e is not None:
-                idx = _first_destined(e.queue, y)
+                idx = first_destined(e.queue, y)
                 if idx is not None and isinstance(e.queue[idx], (LeftTok, RightTok)):
                     branch = "L" if isinstance(e.queue[idx], LeftTok) else "R"
                     bctx2 = _subst_single_side(bctx, y, c, With, type(e.queue[idx]), ms)
@@ -490,8 +486,10 @@ class _Engine:
     # K-step identifications: spectator -> (trace position of the K, the
     # consumed payload name the goal's annotations expect)
     idents: dict[str, tuple[int, str]] = field(default_factory=dict)
-    # the longest branch tried: what a failed reduction reports
+    # the longest branch tried and why its last step failed: what a failed
+    # reduction reports
     deepest: list[str] = field(default_factory=list)
+    why: str = ""
 
     def tick(self, tag: str):
         self.steps += 1
@@ -499,10 +497,12 @@ class _Engine:
         if self.steps > self.fuel:
             raise FuelExhausted("fuel exhausted", tuple(self.trace))
 
-    def untick(self, upto: int):
-        # backtracking: forget the abandoned branch's tags and identifications
+    def untick(self, upto: int, why: Exception | str | None = None):
+        # backtracking: forget the abandoned branch's tags and identifications;
+        # ``why`` is the check that failed, when this step swallowed one
         if len(self.trace) > len(self.deepest):
             self.deepest = self.trace[:]
+            self.why = str(why) if why else "no step applies after it"
         del self.trace[upto:]
         self.idents = {s: (at, c) for s, (at, c) in self.idents.items() if at < upto}
 
@@ -533,7 +533,8 @@ def reduce_cut(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
     ``gamma`` itself fixes) cannot take the name, and that step fails.
 
     When no interleaving realizes ``gamma``, the ``Stuck`` error shows the
-    deepest branch the engine tried and the step at which it failed.
+    deepest branch the engine tried, the step at which it failed and the
+    text of the check that failed there.
     """
     shared = judgement_names(left) & judgement_names(right)
     if shared:
@@ -541,7 +542,7 @@ def reduce_cut(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
     eng = _Engine(default_fuel(left, right))
     got = _reduce(left, x, right, y, gamma, eng)
     if got is None:
-        where = f"failed at {eng.deepest[-1]}" if eng.deepest else "no step applies"
+        where = f"failed at {eng.deepest[-1]}: {eng.why}" if eng.deepest else "no step applies"
         raise Stuck("no reduction realizes the requested conclusion; "
                     f"deepest trace {eng.deepest}, {where}")
     return got, tuple(eng.trace)
@@ -581,7 +582,8 @@ def _rename_everywhere(p: Process, m: dict[str, str]) -> Process:
         (tuple(m.get(b, b) for b in bs), _rename_everywhere(q, m)) for bs, q in subs))
 
 
-def _premises(j: Judged) -> tuple[str, tuple[Judged, ...]]:
+def premises(j: Judged) -> tuple[str, tuple[Judged, ...]]:
+    """The rule ``forwarder_step`` applies at ``j`` and its premises."""
     tag, prem = forwarder_step(j.term, j.ctx)
     return tag, tuple(Judged(q, h) for q, h in prem)
 
@@ -598,8 +600,8 @@ def _reduce(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
             try:
                 check_forwarder(result, gamma)
                 return result
-            except CheckError:
-                eng.untick(mark)
+            except CheckError as e:
+                eng.untick(mark, e)
                 return None
 
     lh, rh = head_endpoint(left.term), head_endpoint(right.term)
@@ -618,100 +620,93 @@ def _reduce(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
     return _commute(left, x, right, y, gamma, eng, swap=False)
 
 
+# Heads that take the negative side of a principal cut; the engine and
+# ``beta_step`` put the positive action (send, case, server, close) on the left.
+_NEGATIVE = (Wait, Recv, Inl, Inr, Client)
+
+
 def _principal(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
                gamma: Context, eng: _Engine) -> Process | None:
     lt, rt = left.term, right.term
-    if isinstance(lt, Recv) or isinstance(lt, Inl) or isinstance(lt, Inr) \
-       or isinstance(lt, Client) or isinstance(lt, Wait):
-        # normalize so the positive action (send/case/server/close) is on the left
+    if isinstance(lt, _NEGATIVE):
         return _principal(right, y, left, x, gamma, eng)
 
     mark = len(eng.trace)
     match lt, rt:
         case (Close(_), Wait(_, _)):
+            # unit base case: the wait continuation already inhabits the goal,
+            # the nonuniform substitution only reshuffles proof-level queues
             eng.tick("B2")
-            got = _b2(left, x, right, y, gamma)
-            if got is not None:
-                return got
-            eng.untick(mark)
-            return None
+            _, (cont_j,) = premises(right)
+            try:
+                check_forwarder(cont_j.term, gamma)
+                return cont_j.term
+            except CheckError as e:
+                eng.untick(mark, e)
+                return None
 
         case (Send(_, a, _, _), Recv(_, c, _)):
             eng.tick("K")
-            _, (payload_j, cont_j) = _premises(left)
-            _, (rcont_j,) = _premises(right)
+            _, (payload_j, cont_j) = premises(left)
+            _, (rcont_j,) = premises(right)
             try:
                 boxed = _cut_in_box(payload_j, a, rcont_j, c, eng)
-            except CutError:
-                eng.untick(mark)
+                gamma = _identify(gamma, c, payload_j, a, eng, mark)
+            except CutError as e:
+                eng.untick(mark, e)
                 return None
-            gamma = _identify(gamma, c, payload_j, a, eng, mark)
-            if gamma is None:
-                eng.untick(mark)
-                return None
-            got = _reduce(cont_j, x, boxed, y, gamma, eng)
-            if got is None:
-                eng.untick(mark)
-            return got
+            redex = (cont_j, x, boxed, y)
 
         case (Case(_, _, _), Inl(_, _)) | (Case(_, _, _), Inr(_, _)):
             eng.tick("K-add")
-            _, (lprem, rprem) = _premises(left)
-            _, (cont_j,) = _premises(right)
-            chosen = lprem if isinstance(rt, Inl) else rprem
-            got = _reduce(chosen, x, cont_j, y, gamma, eng)
-            if got is None:
-                eng.untick(mark)
-            return got
+            _, (lprem, rprem) = premises(left)
+            _, (cont_j,) = premises(right)
+            redex = (lprem if isinstance(rt, Inl) else rprem, x, cont_j, y)
 
         case (Server(_, a, _), Client(_, b, _)):
             eng.tick("K-exp")
-            _, (body_j,) = _premises(left)
-            _, (cont_j,) = _premises(right)
-            got = _reduce(body_j, a, cont_j, b, gamma, eng)
-            if got is None:
-                eng.untick(mark)
-            return got
+            _, (body_j,) = premises(left)
+            _, (cont_j,) = premises(right)
+            redex = (body_j, a, cont_j, b)
 
-    raise Stuck(f"principal heads do not interact: {type(lt).__name__}/{type(rt).__name__}")
+        case _:
+            raise Stuck("principal heads do not interact: "
+                        f"{type(lt).__name__}/{type(rt).__name__}")
+    got = _reduce(*redex, gamma, eng)
+    if got is None:
+        eng.untick(mark)
+    return got
 
 
 def _identify(gamma: Context, c: Endpoint, payload: Judged, a: Endpoint,
-              eng: _Engine, mark: int) -> Context | None:
+              eng: _Engine, mark: int) -> Context:
     """Thread a K step's splice through the goal.
 
     When the goal's annotations name the consumed payload ``c``, they follow
     the payload's lone spectator, and the identification is recorded so that
     the commuted receive binding the spectator is emitted binding ``c``.
-    None when that cannot be done: several spectators, a spectator no
-    enclosing commuted receive binds, one the goal already names, or one
+    A CutError says why that cannot be done: several spectators, a spectator
+    no enclosing commuted receive binds, one the goal already names, or one
     already identified with another name.
     """
     targets = target_names(gamma)
     if c not in targets:
         return gamma
     spect = [n for n in payload.ctx.endpoints() if n != a]
-    if len(spect) != 1 or spect[0] not in eng.receives or spect[0] in targets:
-        return None
+    if len(spect) != 1:
+        raise CutError(f"the goal names {c}, spliced as {len(spect)} spectators {spect}")
     s = spect[0]
+    if s not in eng.receives:
+        raise CutError(f"the goal names {c}, but no enclosing commuted receive binds "
+                       f"its spectator {s}")
+    if s in targets:
+        raise CutError(f"the goal names both {c} and its spectator {s}")
     prior = eng.idents.get(s)
     if prior is None:
         eng.idents[s] = (mark, c)
     elif prior[1] != c:
-        return None
+        raise CutError(f"spectator {s} is already identified with {prior[1]}, not {c}")
     return rename_context_targets(gamma, {c: s})
-
-
-def _b2(left: Judged, x: Endpoint, right: Judged, y: Endpoint, gamma: Context) -> Process | None:
-    """Unit base case: the wait continuation already inhabits the goal, the
-    nonuniform substitution only reshuffles proof-level queues."""
-    assert isinstance(right.term, Wait)
-    _, (cont_j,) = _premises(right)
-    try:
-        check_forwarder(cont_j.term, gamma)
-        return cont_j.term
-    except CheckError:
-        return None
 
 
 def unit_redistribute(q: Judged, y: Endpoint, us: tuple[Endpoint, ...],
@@ -767,76 +762,60 @@ def unit_redistribute(q: Judged, y: Endpoint, us: tuple[Endpoint, ...],
     return Judged(q.term, Context(tuple(ents) + side.entries))
 
 
+# The reduction figure's name for commuting each head past a cut.
+_COMMUTE_TAGS = {Wait: "C1", Recv: "C2", Send: "C3", Case: "C-case", Inl: "C-inl",
+                 Inr: "C-inr", Server: "C-srv", Client: "C-cli"}
+
+
 def _commute(a_j: Judged, a_x: Endpoint, b_j: Judged, b_y: Endpoint,
              gamma: Context, eng: _Engine, swap: bool) -> Process | None:
     """Push the head action of ``a_j`` (not on its cut endpoint) outside the
-    cut, threading the goal context through the action's rule."""
+    cut, threading the goal context through the action's rule.
+
+    Each subterm whose premise holds the cut endpoint is reduced at the
+    goal's matching premise; any other subterm is kept, and its premise must
+    be the goal's.
+    """
     term = a_j.term
-    if isinstance(term, Link) or head_endpoint(term) == a_x:
-        return None
-    tags = {Wait: "C1", Recv: "C2", Send: "C3", Case: "C-case", Inl: "C-inl",
-            Inr: "C-inr", Server: "C-srv", Client: "C-cli", Close: None}
-    tag = tags.get(type(term))
-    if tag is None:
+    tag = _COMMUTE_TAGS.get(type(term))
+    if tag is None or head_endpoint(term) == a_x:
         return None
     mark = len(eng.trace)
     eng.tick(tag)
     try:
-        rule, gpremises = forwarder_step(term, gamma)
-    except CheckError:
-        eng.untick(mark)
+        _, gpremises = forwarder_step(term, gamma)
+    except CheckError as e:
+        eng.untick(mark, e)
         return None
-    _, apremises = _premises(a_j)
-
-    def orient(inner_a: Judged, g2: Context):
-        if swap:
-            return _reduce(b_j, b_y, inner_a, a_x, g2, eng)
-        return _reduce(inner_a, a_x, b_j, b_y, g2, eng)
-
-    result: Process | None = None
-    match term:
-        case Wait(z, _):
-            got = orient(apremises[0], gpremises[0][1])
-            result = Wait(z, got) if got is not None else None
-        case Recv(z, v, _):
-            eng.receives.append(v)
-            got = orient(apremises[0], gpremises[0][1])
-            eng.receives.pop()
-            if got is not None and v in eng.idents:
-                # a K step below identified v with the name the goal expects
-                _, c = eng.idents.pop(v)
-                result = Recv(z, c, rename_free(got, {v: c}))
-            elif got is not None:
-                result = Recv(z, v, got)
-        case Inl(z, _) | Inr(z, _):
-            got = orient(apremises[0], gpremises[0][1])
-            if got is not None:
-                result = (Inl if isinstance(term, Inl) else Inr)(z, got)
-        case Client(z, v, _):
-            got = orient(apremises[0], gpremises[0][1])
-            result = Client(z, v, got) if got is not None else None
-        case Server(z, v, _):
-            got = orient(apremises[0], gpremises[0][1])
-            result = Server(z, v, got) if got is not None else None
-        case Send(z, v, _, _):
-            payload_j, cont_j = apremises
-            gpl_ctx, gc_ctx = gpremises[0][1], gpremises[1][1]
-            if normalize_context(payload_j.ctx) != normalize_context(gpl_ctx):
-                eng.untick(mark)
-                return None
-            got = orient(cont_j, gc_ctx)
-            result = Send(z, v, payload_j.term, got) if got is not None else None
-        case Case(z, _, _):
-            lprem, rprem = apremises
-            a_got = orient(lprem, gpremises[0][1])
-            if a_got is None:
-                eng.untick(mark)
-                return None
-            b_got = orient(rprem, gpremises[1][1])
-            result = Case(z, a_got, b_got) if b_got is not None else None
-    if result is None:
-        eng.untick(mark)
-    return result
+    _, apremises = premises(a_j)
+    heads, subs = S.scope(term)
+    if isinstance(term, Recv):
+        eng.receives.append(term.fresh)
+    out = []
+    for (bs, _), aprem, (_, g2) in zip(subs, apremises, gpremises):
+        if not aprem.ctx.has(a_x):
+            if normalize_context(aprem.ctx) != normalize_context(g2):
+                eng.untick(mark, f"the goal does not keep the context of {tag}'s "
+                                 f"subterm {S.print_process(aprem.term)}")
+                break
+            out.append((bs, aprem.term))
+            continue
+        got = (_reduce(b_j, b_y, aprem, a_x, g2, eng) if swap
+               else _reduce(aprem, a_x, b_j, b_y, g2, eng))
+        if got is None:
+            eng.untick(mark)
+            break
+        out.append((bs, got))
+    if isinstance(term, Recv):
+        eng.receives.pop()
+    if len(out) < len(subs):
+        return None
+    if isinstance(term, Recv) and term.fresh in eng.idents:
+        # a K step below identified the received name with the one the goal
+        # expects: the receive binds that name instead
+        _, c = eng.idents.pop(term.fresh)
+        out = [((c,), rename_free(out[0][1], {term.fresh: c}))]
+    return S.from_scope(term, heads, tuple(out))
 
 
 def _cut_in_box(payload: Judged, a: Endpoint, host: Judged, c: Endpoint,
@@ -854,16 +833,12 @@ def _cut_in_box(payload: Judged, a: Endpoint, host: Judged, c: Endpoint,
     names the host's message type expects, where its own type names others
     (see ``_align_binders``).
     """
-    # locate the box holding c
-    holder = None
-    for e in host.ctx.entries:
-        for it in e.queue:
-            if isinstance(it, MsgBox) and any(pn == c for pn, _ in it.payloads):
-                holder = e.endpoint
-                break
-    if holder is None:
-        raise CutError(f"no box holds {c}")
+    def holds(g: Context) -> bool:
+        return any(isinstance(it, MsgBox) and any(pn == c for pn, _ in it.payloads)
+                   for e in g.entries for it in e.queue)
 
+    if not holds(host.ctx):
+        raise CutError(f"no box holds {c}")
     spect = []
     for en in payload.ctx.entries:
         if en.endpoint == a:
@@ -874,62 +849,37 @@ def _cut_in_box(payload: Judged, a: Endpoint, host: Judged, c: Endpoint,
     spect = tuple(spect)
 
     def rebuild(h: Judged) -> Judged:
-        tag, prem = _premises(h)
+        tag, prem = premises(h)
         term = h.term
-        match term, tag:
-            case (Send(z, v, pl, cont), "Tensor"):
-                popped = _popped_payload_names(h)
-                if c in popped:
-                    pj, cj = prem
-                    if len(popped) == 1 and len(pj.ctx.entries) == 2:
-                        # simp: the gather is exactly the one box; splice
-                        rho = _align_binders(payload, a, pj.ctx.get(v).typing)
-                        new_term = Send(z, a, _rename_everywhere(payload.term, rho), cj.term)
-                        new_ctx = _swap_box(h.ctx, c, tuple(
-                            (pn, S.rename_targets(pt, rho)) for pn, pt in spect))
-                        return Judged(new_term, new_ctx)
-                    # general: cut the payload against the message process
-                    sj = pj
-                    concl = cut_conclusions(payload.ctx, a, sj.ctx, c)
-                    if len(concl) != 1:
-                        raise CutError(f"inner box cut is not determinate: {len(concl)}")
-                    # the inner cut's binders are its own: no receive
-                    # commuted outside it can take an identification
-                    outer, eng.receives = eng.receives, []
-                    try:
-                        inner = _reduce(payload, a, sj, c, concl[0], eng)
-                    finally:
-                        eng.receives = outer
-                    if inner is None:
-                        raise CutError("inner box cut failed")
-                    new_term = Send(z, v, inner, cj.term)
-                    new_ctx = _swap_box(h.ctx, c, spect)
-                    return Judged(new_term, new_ctx)
-                pj, cj = prem
-                sub = rebuild(cj)
-                return Judged(Send(z, v, pj.term, sub.term), _swap_box(h.ctx, c, spect))
-            case (Recv(z, v, _), "Par"):
-                sub = rebuild(prem[0])
-                return Judged(Recv(z, v, sub.term), _swap_box(h.ctx, c, spect))
-            case (Wait(z, _), "Bot"):
-                sub = rebuild(prem[0])
-                return Judged(Wait(z, sub.term), _swap_box(h.ctx, c, spect))
-            case (Inl(z, _), "PlusL"):
-                sub = rebuild(prem[0])
-                return Judged(Inl(z, sub.term), _swap_box(h.ctx, c, spect))
-            case (Inr(z, _), "PlusR"):
-                sub = rebuild(prem[0])
-                return Judged(Inr(z, sub.term), _swap_box(h.ctx, c, spect))
-            case (Case(z, _, _), "With"):
-                l2, r2 = rebuild(prem[0]), rebuild(prem[1])
-                return Judged(Case(z, l2.term, r2.term), _swap_box(h.ctx, c, spect))
-            case (Client(z, v, _), "Quest"):
-                sub = rebuild(prem[0])
-                return Judged(Client(z, v, sub.term), _swap_box(h.ctx, c, spect))
-            case (Server(z, v, _), "Bang"):
-                sub = rebuild(prem[0])
-                return Judged(Server(z, v, sub.term), _swap_box(h.ctx, c, spect))
-        raise CutError(f"box never consumed under {tag}")
+        if tag == "Tensor" and prem[0].ctx.has(c):
+            # the send consumes the box: its message process meets the payload
+            pj, cj = prem
+            if len(pj.ctx.entries) == 2:
+                # simp: the gather is exactly the one box; splice
+                rho = _align_binders(payload, a, pj.ctx.get(term.fresh).typing)
+                new_term = Send(term.x, a, _rename_everywhere(payload.term, rho), cj.term)
+                return Judged(new_term, _swap_box(h.ctx, c, tuple(
+                    (pn, S.rename_targets(pt, rho)) for pn, pt in spect)))
+            # general: cut the payload against the message process
+            concl = cut_conclusions(payload.ctx, a, pj.ctx, c)
+            if len(concl) != 1:
+                raise CutError(f"inner box cut is not determinate: {len(concl)}")
+            # the inner cut's binders are its own: no receive
+            # commuted outside it can take an identification
+            outer, eng.receives = eng.receives, []
+            try:
+                inner = _reduce(payload, a, pj, c, concl[0], eng)
+            finally:
+                eng.receives = outer
+            if inner is None:
+                raise CutError("inner box cut failed")
+            return Judged(Send(term.x, term.fresh, inner, cj.term), _swap_box(h.ctx, c, spect))
+        if not prem:
+            raise CutError(f"box never consumed under {tag}")
+        heads, subs = S.scope(term)
+        rebuilt = tuple((bs, rebuild(q).term if holds(q.ctx) else q.term)
+                        for (bs, _), q in zip(subs, prem))
+        return Judged(S.from_scope(term, heads, rebuilt), _swap_box(h.ctx, c, spect))
 
     out = rebuild(host)
     check_forwarder(out.term, out.ctx)
@@ -955,18 +905,6 @@ def _align_binders(payload: Judged, a: Endpoint, want: Type) -> dict[str, str]:
     if len(set(rho.values())) != len(rho) or names & set(rho.values()):
         return {}
     return rho
-
-
-def _popped_payload_names(h: Judged) -> set[str]:
-    term, ctx = h.term, h.ctx
-    assert isinstance(term, Send)
-    t = ctx.get(term.x).typing
-    names: set[str] = set()
-    for u in S.targets_of(t):
-        q = ctx.get(u).queue
-        if q and isinstance(q[0], MsgBox):
-            names.update(pn for pn, _ in q[0].payloads)
-    return names
 
 
 def _swap_box(g: Context, c: Endpoint, spect: tuple[tuple[str, Type], ...]) -> Context:
@@ -1035,56 +973,35 @@ def beta_step(left: Judged, x: Endpoint, right: Judged, y: Endpoint) -> tuple[st
 
     lh, rh = head_endpoint(lt), head_endpoint(rt)
     if lh == x and rh == y:
+        if isinstance(lt, _NEGATIVE):
+            return beta_step(right, y, left, x)
         match lt, rt:
             case (Close(_), Wait(_, q)):
                 return "B2", q
-            case (Wait(_, q), Close(_)):
-                return "B2", q
             case (Send(_, a, pl, cont), Recv(_, cv, r)):
-                _, (payload_j, cont_j) = _premises(left)
-                _, (r_j,) = _premises(right)
+                _, (payload_j, cont_j) = premises(left)
+                _, (r_j,) = premises(right)
                 eng = _Engine(default_fuel(left, right) * 4)
                 boxed = _cut_in_box(payload_j, a, r_j, cv, eng)
                 return "K", Cut(x, y, cont_j.term, boxed.term)
-            case (Recv(_, _, _), Send(_, _, _, _)):
-                tag, tm = beta_step(right, y, left, x)
-                return tag, tm
             case (Case(_, l, _), Inl(_, r)):
                 return "K-add", Cut(x, y, l, r)
             case (Case(_, _, rr), Inr(_, r)):
                 return "K-add", Cut(x, y, rr, r)
-            case (Inl(_, _) | Inr(_, _), Case(_, _, _)):
-                tag, tm = beta_step(right, y, left, x)
-                return tag, tm
             case (Server(_, sa, b), Client(_, cb, q)):
                 return "K-exp", Cut(sa, cb, b, q)
-            case (Client(_, _, _), Server(_, _, _)):
-                tag, tm = beta_step(right, y, left, x)
-                return tag, tm
         raise Stuck("principal heads do not interact")
 
-    # commute the right side first, as in the reduction figure
-    for (side, sx, other, ox, flip) in ((right, y, left, x, True), (left, x, right, y, False)):
-        st = side.term
-        if isinstance(st, Link) or head_endpoint(st) == sx:
+    # commute the right side first, as in the reduction figure; the subterms
+    # whose premise holds the cut endpoint go under the cut
+    for (side, sx, other, flip) in ((right, y, left, True), (left, x, right, False)):
+        tag = _COMMUTE_TAGS.get(type(side.term))
+        if tag is None or head_endpoint(side.term) == sx:
             continue
-        inner_args = lambda cont: (Cut(x, y, other.term, cont) if flip
-                                   else Cut(x, y, cont, other.term))
-        match st:
-            case Wait(z, q):
-                return "C1", Wait(z, inner_args(q))
-            case Recv(z, v, q):
-                return "C2", Recv(z, v, inner_args(q))
-            case Send(z, v, pl, q):
-                return "C3", Send(z, v, pl, inner_args(q))
-            case Inl(z, q):
-                return "C-inl", Inl(z, inner_args(q))
-            case Inr(z, q):
-                return "C-inr", Inr(z, inner_args(q))
-            case Case(z, l, r):
-                return "C-case", Case(z, inner_args(l), inner_args(r))
-            case Client(z, v, q):
-                return "C-cli", Client(z, v, inner_args(q))
-            case Server(z, v, q):
-                return "C-srv", Server(z, v, inner_args(q))
+        heads, subs = S.scope(side.term)
+        _, prem = premises(side)
+        return tag, S.from_scope(side.term, heads, tuple(
+            (bs, (Cut(x, y, other.term, q) if flip else Cut(x, y, q, other.term))
+             if j.ctx.has(sx) else q)
+            for (bs, q), j in zip(subs, prem)))
     raise Stuck("no beta step applies")

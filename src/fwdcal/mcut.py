@@ -21,24 +21,12 @@ from .syntax import (
 from .contexts import (
     MsgBox, context_size, endpoint_names, rename_context, rename_context_targets,
 )
-from .checker import (
-    CheckError, Env, check_cll, check_forwarder, cp_step, forwarder_step,
-)
-from .cutelim import Judged, proc_size
+from .checker import CheckError, Env, check_cll, check_forwarder, cp_step
+from .cutelim import CutError, FuelExhausted, Judged, Stuck, premises, proc_size
 
 
-class McutError(Exception):
+class McutError(CutError):
     pass
-
-
-class Stuck(McutError):
-    pass
-
-
-class FuelExhausted(McutError):
-    def __init__(self, msg, trace):
-        super().__init__(f"{msg}; trace: {trace}")
-        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -251,190 +239,155 @@ def mcutq_step(c: MCutConfig, r: _Runner | None = None):
     return _step(c, r or _Runner(default_mcut_fuel(c)))
 
 
+# For each forwarder head: the part head that meets it on the same endpoint,
+# and what the forwarder does there (for the error when the part does not).
+_MEETS = {
+    Close: (Wait, "closes {x} but the part does not wait"),
+    Wait: (Close, "waits on {x} but the part does not close"),
+    Recv: (Send, "receives on {x} but the part does not send"),
+    Send: (Recv, "sends on {x} but the part does not receive"),
+    Case: ((Inl, Inr), "branches on {x} but the part does not select"),
+    Inl: (Case, "selects on {x} but the part does not branch"),
+    Inr: (Case, "selects on {x} but the part does not branch"),
+    Client: (Server, "queries {x} but the part is no server"),
+    Server: (Client, "serves {x} but the part is no client"),
+}
+
+
 def _step(c: MCutConfig, r: _Runner):
     ft = c.fwd.term
+    if isinstance(ft, Link):
+        return _axiom_step(c, r)
+    if type(ft) not in _MEETS:
+        raise Stuck(f"forwarder head {type(ft).__name__} not handled")
+    x = ft.x
+    part = c.part_at(x)
+    if isinstance(ft, Server) and x not in free_endpoints(part.term):
+        # the part discards the server: drop the whole composition
+        if c.pending:
+            raise Stuck("weakening with pending messages")
+        for o in c.parts:
+            if o.endpoint != x and not isinstance(erase(o.typ), S.OfCourse):
+                raise Stuck("weakening step against a non-server part")
+        return ("final", part.term, "Weaken")
+    got = _commute_part(c, part, r)
+    if got is not None:
+        return got
+    want, what = _MEETS[type(ft)]
+    if not isinstance(part.term, want) or part.term.x != x:
+        raise Stuck("forwarder " + what.format(x=x))
     match ft:
-        case Link(a, b):
-            pa, pb = c.part_at(a), c.part_at(b)
-            got = _commute_part(c, pa, r)
-            if got is not None:
-                return got
-            got = _commute_part(c, pb, r)
-            if got is not None:
-                return got
-            if not isinstance(pa.term, Link) or not isinstance(pb.term, Link):
-                raise Stuck("axiom forwarder against non-link parts")
-            za = pa.term.y if pa.term.x == a else pa.term.x
-            zb = pb.term.y if pb.term.x == b else pb.term.x
-            ta = dict(pa.env)[za]
-            link = Link(za, zb) if isinstance(erase(ta), S.DualAtom) else Link(zb, za)
-            if len(c.parts) != 2 or c.pending:
-                raise Stuck("axiom case with leftover parts or pending messages")
-            return ("final", link, "Ax")
-
-        case Close(x):
-            part = c.part_at(x)
-            got = _commute_part(c, part, r)
-            if got is not None:
-                return got
-            if not isinstance(part.term, Wait) or part.term.x != x:
-                raise Stuck(f"forwarder closes {x} but the part does not wait")
+        case Close():
             if len(c.parts) != 1 or c.pending:
                 raise Stuck("closing step with leftover parts or pending messages")
             return ("final", part.term.cont, "Bot")
-
-        case Wait(x, _):
-            part = c.part_at(x)
-            got = _commute_part(c, part, r)
-            if got is not None:
-                return got
-            if not isinstance(part.term, Close) or part.term.x != x:
-                raise Stuck(f"forwarder waits on {x} but the part does not close")
+        case Wait():
             if part.env and not all(isinstance(erase(t), WhyNot) for _, t in part.env):
                 raise Stuck("closing part carries non-? externals")
-            _, (fj,) = _fwd_premises(c.fwd)
+            _, (fj,) = premises(c.fwd)
             return ("continue", replace(c, fwd=fj, parts=c.replace_part(x, None)), "One")
-
-        case Recv(x, yb, _):
-            part = c.part_at(x)
-            got = _commute_part(c, part, r)
-            if got is not None:
-                return got
-            if not isinstance(part.term, Send) or part.term.x != x:
-                raise Stuck(f"forwarder receives on {x} but the part does not send")
-            g = r.supply.fresh(yb)
-            fwd2 = _rename_binder(c.fwd, g)
-            _, (fj,) = _fwd_premises(fwd2)
-            tag, prem = cp_step(part.term, part.env + ((x, part.typ),))
-            (pl_term, pl_env), (ct_term, ct_env) = prem
-            pl_env2 = tuple((n, t) for n, t in pl_env if n != part.term.fresh)
-            a_typ = dict(pl_env)[part.term.fresh]
-            pl = rename_free(pl_term, {part.term.fresh: g})
-            pend = c.pending + (PendingEntry(g, pl, pl_env2, a_typ),)
-            ct_env2 = tuple((n, t) for n, t in ct_env if n != x)
-            newpart = PartEntry(ct_term, ct_env2, x, dict(ct_env)[x])
-            return ("continue", replace(c, fwd=fj, pending=pend,
-                                        parts=c.replace_part(x, newpart)), "Tensor")
-
-        case Send(x, yb, _, _):
-            part = c.part_at(x)
-            got = _commute_part(c, part, r)
-            if got is not None:
-                return got
-            if not isinstance(part.term, Recv) or part.term.x != x:
-                raise Stuck(f"forwarder sends on {x} but the part does not receive")
-            g = r.supply.fresh(part.term.fresh)
-            _, (sj, qj) = _fwd_premises(c.fwd)
-            # rename the transported forwarder's fresh endpoint to g
-            sj = Judged(rename_free(sj.term, {yb: g}), rename_context(sj.ctx, {yb: g}))
-            cohort = [e.endpoint for e in sj.ctx.entries if e.endpoint != g]
-            inner_parts = []
-            consumed = []
-            for z in cohort:
-                pe = next((p for p in c.pending if p.name == z), None)
-                if pe is None:
-                    raise Stuck(f"gathered message {z} has no pending process")
-                consumed.append(pe)
-                inner_parts.append(PartEntry(pe.term, pe.env, z, pe.typ))
-            tag, prem = cp_step(part.term, part.env + ((x, part.typ),))
-            ((ct_term, ct_env),) = prem
-            ct = rename_free(ct_term, {part.term.fresh: g})
-            ct_env = tuple((g if n == part.term.fresh else n, t) for n, t in ct_env)
-            a_typ = dict(ct_env)[g]
-            part0 = PartEntry(ct, tuple((n, t) for n, t in ct_env if n != g), g, a_typ)
-            inner = MCutConfig((g,) + tuple(cohort), sj, (), (part0,) + tuple(inner_parts))
-            s_in = _run(inner, r)
-            outer_env = tuple((n, t) for n, t in part0.env if n != x)
-            for pe in consumed:
-                outer_env += pe.env
-            newpart = PartEntry(s_in, outer_env, x, dict(part0.env)[x])
-            pend = tuple(p for p in c.pending if p not in consumed)
-            return ("continue", replace(c, fwd=qj, pending=pend,
-                                        parts=c.replace_part(x, newpart)), "Par")
-
-        case Case(x, _, _):
-            part = c.part_at(x)
-            got = _commute_part(c, part, r)
-            if got is not None:
-                return got
-            if not isinstance(part.term, (Inl, Inr)) or part.term.x != x:
-                raise Stuck(f"forwarder branches on {x} but the part does not select")
-            _, (lj, rj) = _fwd_premises(c.fwd)
-            fj = lj if isinstance(part.term, Inl) else rj
-            _, ((ct, ct_env),) = cp_step(part.term, part.env + ((x, part.typ),))
-            newpart = PartEntry(ct, tuple((n, t) for n, t in ct_env if n != x), x,
-                                dict(ct_env)[x])
-            return ("continue", replace(c, fwd=fj, parts=c.replace_part(x, newpart)), "Plus")
-
-        case Inl(x, _) | Inr(x, _):
-            part = c.part_at(x)
-            got = _commute_part(c, part, r)
-            if got is not None:
-                return got
-            if not isinstance(part.term, Case) or part.term.x != x:
-                raise Stuck(f"forwarder selects on {x} but the part does not branch")
-            _, (fj,) = _fwd_premises(c.fwd)
-            _, ((lt, le), (rt, re_)) = cp_step(part.term, part.env + ((x, part.typ),))
-            ct, ct_env = (lt, le) if isinstance(ft, Inl) else (rt, re_)
-            newpart = PartEntry(ct, tuple((n, t) for n, t in ct_env if n != x), x,
-                                dict(ct_env)[x])
-            return ("continue", replace(c, fwd=fj, parts=c.replace_part(x, newpart)), "With")
-
-        case Client(x, zb, _):
-            part = c.part_at(x)
-            got = _commute_part(c, part, r)
-            if got is not None:
-                return got
-            if not isinstance(part.term, Server) or part.term.x != x:
-                raise Stuck(f"forwarder queries {x} but the part is no server")
-            g = r.supply.fresh(zb)
-            fwd2 = _rename_binder(c.fwd, g)
-            _, (fj,) = _fwd_premises(fwd2)
-            _, ((bt, bt_env),) = cp_step(part.term, part.env + ((x, part.typ),))
-            bt = rename_free(bt, {part.term.fresh: g})
-            bt_env = tuple((g if n == part.term.fresh else n, t) for n, t in bt_env)
-            newpart = PartEntry(bt, tuple((n, t) for n, t in bt_env if n != g), g,
-                                dict(bt_env)[g])
-            bound = tuple(g if b == x else b for b in c.bound)
-            return ("continue", MCutConfig(bound, fj, c.pending,
-                                           c.replace_part(x, newpart)), "Bang")
-
-        case Server(x, zb, _):
-            part = c.part_at(x)
-            if x not in free_endpoints(part.term):
-                # the part discards the server: drop the whole composition
-                others = [p for p in c.parts if p.endpoint != x]
-                if c.pending:
-                    raise Stuck("weakening with pending messages")
-                for o in others:
-                    if not isinstance(erase(o.typ), S.OfCourse):
-                        raise Stuck("weakening step against a non-server part")
-                return ("final", part.term, "Weaken")
-            got = _commute_part(c, part, r)
-            if got is not None:
-                return got
-            if not isinstance(part.term, Client) or part.term.x != x:
-                raise Stuck(f"forwarder serves {x} but the part is no client")
+        case Recv():
+            return _binder_step(c, part, r, "Tensor")
+        case Client():
+            return _binder_step(c, part, r, "Bang")
+        case Server():
             if x in free_endpoints(part.term.cont):
                 return _contract_step(c, part, r)
-            g = r.supply.fresh(zb)
-            fwd2 = _rename_binder(c.fwd, g)
-            _, (fj,) = _fwd_premises(fwd2)
+            return _binder_step(c, part, r, "Quest")
+        case Send(_, yb, _, _):
+            return _transport_step(c, part, yb, r)
+        case Case():
+            _, (lj, rj) = premises(c.fwd)
             _, ((ct, ct_env),) = cp_step(part.term, part.env + ((x, part.typ),))
-            ct = rename_free(ct, {part.term.fresh: g})
-            ct_env = tuple((g if n == part.term.fresh else n, t) for n, t in ct_env)
-            newpart = PartEntry(ct, tuple((n, t) for n, t in ct_env if n != g), g,
-                                dict(ct_env)[g])
-            bound = tuple(g if b == x else b for b in c.bound)
-            return ("continue", MCutConfig(bound, fj, c.pending,
-                                           c.replace_part(x, newpart)), "Quest")
+            fj = lj if isinstance(part.term, Inl) else rj
+            return ("continue", replace(c, fwd=fj, parts=c.replace_part(
+                x, _own(ct, ct_env, x))), "Plus")
+        case Inl() | Inr():
+            _, (fj,) = premises(c.fwd)
+            _, (left, right) = cp_step(part.term, part.env + ((x, part.typ),))
+            ct, ct_env = left if isinstance(ft, Inl) else right
+            return ("continue", replace(c, fwd=fj, parts=c.replace_part(
+                x, _own(ct, ct_env, x))), "With")
 
-    raise Stuck(f"forwarder head {type(ft).__name__} not handled")
+
+def _axiom_step(c: MCutConfig, r: _Runner):
+    a, b = c.fwd.term.x, c.fwd.term.y
+    pa, pb = c.part_at(a), c.part_at(b)
+    got = _commute_part(c, pa, r)
+    if got is not None:
+        return got
+    got = _commute_part(c, pb, r)
+    if got is not None:
+        return got
+    if not isinstance(pa.term, Link) or not isinstance(pb.term, Link):
+        raise Stuck("axiom forwarder against non-link parts")
+    za = pa.term.y if pa.term.x == a else pa.term.x
+    zb = pb.term.y if pb.term.x == b else pb.term.x
+    ta = dict(pa.env)[za]
+    link = Link(za, zb) if isinstance(erase(ta), S.DualAtom) else Link(zb, za)
+    if len(c.parts) != 2 or c.pending:
+        raise Stuck("axiom case with leftover parts or pending messages")
+    return ("final", link, "Ax")
 
 
-def _fwd_premises(j: Judged) -> tuple[str, tuple[Judged, ...]]:
-    tag, prem = forwarder_step(j.term, j.ctx)
-    return tag, tuple(Judged(q, h) for q, h in prem)
+def _own(term: Process, env: Env, x: Endpoint, typ: Type | None = None) -> PartEntry:
+    """The part running ``term`` at ``env``, which owns ``x`` (typed ``typ``,
+    or as ``env`` has it)."""
+    return PartEntry(term, tuple((n, t) for n, t in env if n != x), x,
+                     dict(env)[x] if typ is None else typ)
+
+
+def _binder_step(c: MCutConfig, part: PartEntry, r: _Runner, tag: str):
+    """The forwarder's head and the part's both bind a name: a message, or a
+    server's or a client's copy.  Both take one fresh name ``g``, and the
+    part's premise under the binder goes on at ``g``: a message waits as a
+    pending process while the continuation stays the part at ``x``; a copy
+    becomes the part that owns ``g`` in place of ``x``."""
+    x, f = part.endpoint, part.term.fresh
+    g = r.supply.fresh(c.fwd.term.fresh)
+    _, (fj,) = premises(_rename_binder(c.fwd, g))
+    _, ((q, h), *rest) = cp_step(part.term, part.env + ((x, part.typ),))
+    moved = _own(rename_free(q, {f: g}), tuple((g if n == f else n, t) for n, t in h), g)
+    if rest:
+        ((ct, ct_env),) = rest
+        pend = c.pending + (PendingEntry(g, moved.term, moved.env, moved.typ),)
+        return ("continue", replace(c, fwd=fj, pending=pend,
+                                    parts=c.replace_part(x, _own(ct, ct_env, x))), tag)
+    bound = tuple(g if b == x else b for b in c.bound)
+    return ("continue", MCutConfig(bound, fj, c.pending, c.replace_part(x, moved)), tag)
+
+
+def _transport_step(c: MCutConfig, part: PartEntry, yb: Endpoint, r: _Runner):
+    """The forwarder sends on ``x`` what it gathered and the part receives it
+    as ``g``: the transported forwarder composes the part's continuation with
+    the pending processes of the gathered messages, and the result becomes
+    the part at ``x``."""
+    x = part.endpoint
+    g = r.supply.fresh(part.term.fresh)
+    _, (sj, qj) = premises(c.fwd)
+    # rename the transported forwarder's fresh endpoint to g
+    sj = Judged(rename_free(sj.term, {yb: g}), rename_context(sj.ctx, {yb: g}))
+    cohort = [e.endpoint for e in sj.ctx.entries if e.endpoint != g]
+    inner_parts = []
+    consumed = []
+    for z in cohort:
+        pe = next((p for p in c.pending if p.name == z), None)
+        if pe is None:
+            raise Stuck(f"gathered message {z} has no pending process")
+        consumed.append(pe)
+        inner_parts.append(PartEntry(pe.term, pe.env, z, pe.typ))
+    _, ((ct_term, ct_env),) = cp_step(part.term, part.env + ((x, part.typ),))
+    ct = rename_free(ct_term, {part.term.fresh: g})
+    part0 = _own(ct, tuple((g if n == part.term.fresh else n, t) for n, t in ct_env), g)
+    inner = MCutConfig((g,) + tuple(cohort), sj, (), (part0,) + tuple(inner_parts))
+    s_in = _run(inner, r)
+    outer_env = tuple((n, t) for n, t in part0.env if n != x)
+    for pe in consumed:
+        outer_env += pe.env
+    newpart = PartEntry(s_in, outer_env, x, dict(part0.env)[x])
+    pend = tuple(p for p in c.pending if p not in consumed)
+    return ("continue", replace(c, fwd=qj, pending=pend,
+                                parts=c.replace_part(x, newpart)), "Par")
 
 
 def _rename_binder(fwd: Judged, g: Endpoint) -> Judged:
@@ -451,62 +404,34 @@ def _rename_binder(fwd: Judged, g: Endpoint) -> Judged:
 
 def _commute_part(c: MCutConfig, part: PartEntry, r: _Runner):
     """Emit the part's head action when it is on one of its own external
-    endpoints; None when the head is on the bound endpoint."""
+    endpoints; None when the head is on the bound endpoint.
+
+    The premises whose environment holds the part's bound endpoint stay in
+    the composition; the others leave it with the action.  With one such
+    premise the action is emitted around the rest of the run; with two (the
+    branches of a case) the run forks, one composition per premise.
+    """
     term = part.term
     x = part.endpoint
     head = head_endpoint(term)
     if head is None or head == x:
         return None
-    ext = dict(part.env)
-    if head not in ext:
+    if head not in dict(part.env):
         raise Stuck(f"part at {x} acts on unknown endpoint {head}")
-    tag, prem = cp_step(term, part.env + ((x, part.typ),))
-    match term:
-        case Wait(z, _):
-            ((ct, ct_env),) = prem
-            np = PartEntry(ct, tuple((n, t) for n, t in ct_env if n != x), x, part.typ)
-            return ("emit", lambda s, z=z: Wait(z, s),
-                    replace(c, parts=c.replace_part(x, np)), "comm")
-        case Recv(z, v, _):
-            ((ct, ct_env),) = prem
-            np = PartEntry(ct, tuple((n, t) for n, t in ct_env if n != x), x, part.typ)
-            return ("emit", lambda s, z=z, v=v: Recv(z, v, s),
-                    replace(c, parts=c.replace_part(x, np)), "comm")
-        case Send(z, v, pl, cont):
-            (pl_t, pl_env), (ct, ct_env) = prem
-            if x in free_endpoints(pl):
-                # the bound endpoint rides in the message: the continuation
-                # leaves the composition, the payload becomes the part
-                np = PartEntry(pl_t, tuple((n, t) for n, t in pl_env if n != x), x, part.typ)
-                return ("emit", lambda s, z=z, v=v, ct=ct: Send(z, v, s, ct),
-                        replace(c, parts=c.replace_part(x, np)), "comm")
-            np = PartEntry(ct, tuple((n, t) for n, t in ct_env if n != x), x, part.typ)
-            return ("emit", lambda s, z=z, v=v, pl=pl: Send(z, v, pl, s),
-                    replace(c, parts=c.replace_part(x, np)), "comm")
-        case Inl(z, _) | Inr(z, _):
-            ((ct, ct_env),) = prem
-            np = PartEntry(ct, tuple((n, t) for n, t in ct_env if n != x), x, part.typ)
-            mk = Inl if isinstance(term, Inl) else Inr
-            return ("emit", lambda s, z=z, mk=mk: mk(z, s),
-                    replace(c, parts=c.replace_part(x, np)), "comm")
-        case Client(z, v, _):
-            ((ct, ct_env),) = prem
-            np = PartEntry(ct, tuple((n, t) for n, t in ct_env if n != x), x, part.typ)
-            return ("emit", lambda s, z=z, v=v: Client(z, v, s),
-                    replace(c, parts=c.replace_part(x, np)), "comm")
-        case Server(z, v, _):
-            ((ct, ct_env),) = prem
-            np = PartEntry(ct, tuple((n, t) for n, t in ct_env if n != x), x, part.typ)
-            return ("emit", lambda s, z=z, v=v: Server(z, v, s),
-                    replace(c, parts=c.replace_part(x, np)), "comm")
-        case Case(z, _, _):
-            (lt, le), (rt, re_) = prem
-            npl = PartEntry(lt, tuple((n, t) for n, t in le if n != x), x, part.typ)
-            npr = PartEntry(rt, tuple((n, t) for n, t in re_ if n != x), x, part.typ)
-            cl = replace(c, parts=c.replace_part(x, npl))
-            cr = replace(c, parts=c.replace_part(x, npr))
-            return ("fork", lambda a, b, z=z: Case(z, a, b), cl, cr, "comm")
-    raise Stuck(f"cannot commute head {type(term).__name__}")
+    _, prem = cp_step(term, part.env + ((x, part.typ),))
+    heads, subs = S.scope(term)
+    stay = [i for i, (_, h) in enumerate(prem) if any(n == x for n, _ in h)]
+
+    def wrap(*inner: Process) -> Process:
+        fill = dict(zip(stay, inner))
+        return S.from_scope(term, heads, tuple(
+            (bs, fill.get(i, q)) for i, (bs, q) in enumerate(subs)))
+
+    runs = [replace(c, parts=c.replace_part(x, _own(prem[i][0], prem[i][1], x, part.typ)))
+            for i in stay]
+    if len(runs) == 1:
+        return ("emit", wrap, runs[0], "comm")
+    return ("fork", wrap, *runs, "comm")
 
 
 def _contract_step(c: MCutConfig, part: PartEntry, r: _Runner):
@@ -532,8 +457,7 @@ def _contract_step(c: MCutConfig, part: PartEntry, r: _Runner):
         copy_parts.append(PartEntry(_freshen_binders(p.term, r.supply), p.env,
                                     ren[p.endpoint], p.typ))
     s_in = _run(inner, r)
-    outer_part = PartEntry(s_in, tuple((n, t) for n, t in inner.conclusion_env() if n != x2),
-                           x2, part.typ)
+    outer_part = _own(s_in, inner.conclusion_env(), x2, part.typ)
     outer = MCutConfig(tuple(ren[b] for b in c.bound), fwd2, (),
                        (outer_part,) + tuple(copy_parts))
     return ("continue", outer, "Contract")

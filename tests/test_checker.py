@@ -233,3 +233,29 @@ def test_cp_step_matches_check():
     assert tag == "Tensor" and len(prem) == 2
     for q, h in prem:
         check_cll(q, h)
+
+
+def test_synth_reads_queues_per_target():
+    # y's branch queues a token for x ahead of one for z; z selects first, so
+    # it must read the first item aimed at z, not the head of y's queue
+    from fwdcal.compat import multiparty_compatible
+
+    for order in ("x,z", "z,x"):
+        g = P.parse_context(
+            f"y : 1{{x,z}} &{{{order}}} 1{{x,z}}, z : (~a |{{x}} bot{{y}}) +{{y}} "
+            f"(~a |{{x}} bot{{y}}), x : a *{{z}} (bot{{y}} +{{y}} bot{{y}})")
+        f = synth_forwarder(g)
+        assert f is not None, order
+        check_forwarder(f, g)
+        env = tuple((e.endpoint, erase(e.typing)) for e in g.entries)
+        assert synth_with_annotations(env) is not None
+        assert multiparty_compatible(tuple((x, dual(t)) for x, t in env))
+
+
+def test_check_reads_queues_per_target():
+    p = P.parse_process("case y {inl: z.inl. x.inl. wait x; wait z; close y; "
+                        "inr: z.inr. x.inr. wait x; wait z; close y}")
+    for order in ("x,z", "z,x"):
+        g = P.parse_context(f"y : (1{{x,z}}) &{{{order}}} (1{{x,z}}), "
+                            "x : bot{y} +{y} bot{y}, z : bot{y} +{y} bot{y}")
+        assert check_forwarder(p, g).rules_preorder()[:3] == ("With", "PlusL", "PlusL")

@@ -5,7 +5,7 @@ from fwdcal import compat as CM
 from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal.checker import synth_with_annotations, forwarder_step
-from fwdcal.contexts import Config, MsgBox, translate_config
+from fwdcal.contexts import Config, MsgBox, normalize_context, translate_config
 from fwdcal.compat import (
     BangStep, BranchLStep, BranchRStep, CloseStep, LinkStep, QuestStep, RecvStep,
     SelLStep, SelRStep, SendStep, WaitStep, annotation_variants, is_executable,
@@ -67,6 +67,10 @@ def test_annotation_variants_cover_two_endpoint_uniqueness():
     assert len(vs) == 1  # all slots are forced with a single other endpoint
 
 
+THREE_PARTY = ("y : 1{x,z} &{x,z} 1{x,z}, z : (~a |{x} bot{y}) +{y} (~a |{x} bot{y}), "
+               "x : a *{z} (bot{y} +{y} bot{y})")
+
+
 def _rule_for(label):
     return {
         LinkStep: "Ax", CloseStep: "One", WaitStep: "Bot", SendStep: "Tensor",
@@ -120,37 +124,35 @@ def test_transitions_mirror_forwarder_rules():
         (("x", P.parse_type("~a & ~a")), ("y", P.parse_type("a + a"))),
         (("x", P.parse_type("! bot")), ("y", P.parse_type("? 1"))),
     ]
-    for env in envs:
-        denv = tuple((x, dual(erase(t))) for x, t in env)
-        for c0 in annotation_variants(denv):
-            frontier = [c0]
-            seen = set()
-            while frontier:
-                c = frontier.pop()
-                if c in seen:
-                    continue
-                seen.add(c)
-                gam = translate_config(c)
-                for lab, c2 in transitions(c):
-                    frontier.append(c2)
-                    term, fresh = _stub_term(lab, c, c2)
-                    tag, prem = forwarder_step(term, gam)
-                    want_tag = _rule_for(lab)
-                    assert tag == want_tag, (lab, tag)
-                    if tag == "With":
-                        idx = 0 if isinstance(lab, BranchLStep) else 1
-                        got = prem[idx][1]
-                    elif tag == "Tensor":
-                        got = prem[1][1]
-                    elif tag in ("Ax", "One"):
-                        continue
-                    else:
-                        got = prem[0][1]
-                    principal = lab.x if hasattr(lab, "x") else None
-                    got = _rename_entryname(got, fresh, principal)
-                    from fwdcal.contexts import normalize_context
-
-                    assert normalize_context(got) == normalize_context(translate_config(c2)), lab
+    frontier = [c0 for env in envs
+                for c0 in annotation_variants(tuple((x, dual(erase(t))) for x, t in env))]
+    # three parties, under one annotation: y's branch queues a token for x
+    # ahead of one for z, and z's selection reads the first item aimed at z,
+    # as its per-target FIFO in the configuration does
+    g = P.parse_context(THREE_PARTY)
+    frontier.append(Config.make(tuple((e.endpoint, e.typing) for e in g.entries)))
+    seen = set()
+    while frontier:
+        c = frontier.pop()
+        if c in seen:
+            continue
+        seen.add(c)
+        gam = translate_config(c)
+        for lab, c2 in transitions(c):
+            frontier.append(c2)
+            term, fresh = _stub_term(lab, c, c2)
+            tag, prem = forwarder_step(term, gam)
+            assert tag == _rule_for(lab), (lab, tag)
+            if tag == "With":
+                got = prem[0 if isinstance(lab, BranchLStep) else 1][1]
+            elif tag == "Tensor":
+                got = prem[1][1]
+            elif tag in ("Ax", "One"):
+                continue
+            else:
+                got = prem[0][1]
+            got = _rename_entryname(got, fresh, lab.x)
+            assert normalize_context(got) == normalize_context(translate_config(c2)), lab
 
 
 def test_executable_invariant_under_renaming():

@@ -293,17 +293,19 @@ def test_reduce_cut_spliced_payload_takes_host_binders():
 
 def test_reduce_cut_stuck_reports_deepest_trace():
     # this conclusion still aims at the cut endpoints x and y, so no
-    # interleaving realizes it; the error shows how far the engine got and
-    # the step at which that branch failed
+    # interleaving realizes it; the error shows how far the engine got, the
+    # step at which that branch failed and the check that failed there: the
+    # unit step's check_forwarder, since w's 1 still gathers the dead x
     j1, x, j2, y = genutil.fresh_cut_sides(erase(P.parse_type("~a & bot")))
     g = P.parse_context("w : a +{v} 1{x}, v : ~a &{w} bot{y}")
     assert normalize_context(g) in map(normalize_context, cut_conclusions(j1.ctx, x, j2.ctx, y))
     with pytest.raises(Stuck) as e:
         reduce_cut(j1, x, j2, y, g)
-    got = re.search(r"deepest trace \[(.+)\], failed at (\S+)$", str(e.value))
+    got = re.search(r"deepest trace \[(.+)\], failed at (\S+): (.+)$", str(e.value))
     assert got, str(e.value)
     tags = [t.strip("' ") for t in got.group(1).split(",")]
-    assert tags[0] == "C-case" and tags[-1] == got.group(2)
+    assert tags[0] == "C-case" and tags[-1] == got.group(2) == "B2"
+    assert got.group(3) == "1 at w must gather every other endpoint, got ('x',)"
 
 
 def test_reduce_cut_all_gammas_random():
