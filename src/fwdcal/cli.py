@@ -123,7 +123,8 @@ def run_compat(decl: PA.CompatDecl, as_json: bool) -> bool:
     from .checker import synth_with_annotations
 
     src = PA.print_plain_env(decl.env)
-    ok = CM.multiparty_compatible(decl.env)
+    chk = CM.CompatChecker()
+    ok = CM.multiparty_compatible(decl.env, chk)
     if ok:
         denv = tuple((x, S.dual(S.erase(t))) for x, t in decl.env)
         witness = synth_with_annotations(denv)
@@ -133,9 +134,10 @@ def run_compat(decl: PA.CompatDecl, as_json: bool) -> bool:
             rec["witness"] = S.print_process(witness[1])
             rec["annotated"] = PA.print_context(witness[0])
             text += f"\n  witness {S.print_process(witness[1])}"
+        rec["stats"] = chk.stats()
         _emit(rec, as_json, text)
         return True
-    stuck = CM.stuck_path(decl.env)
+    stuck = CM.stuck_path(decl.env, chk)
     rec = {"compat": src, "ok": False}
     text = f"{_verdict(False)} compat {src}"
     if stuck is not None:
@@ -146,6 +148,7 @@ def run_compat(decl: PA.CompatDecl, as_json: bool) -> bool:
         rec["stuck_at"] = PA.print_context(translate_config(final))
         text += "\n  stuck after " + (", ".join(type(l).__name__ for l in labels) or "no steps")
         text += f"\n  at {rec['stuck_at']}"
+    rec["stats"] = chk.stats()
     _emit(rec, as_json, text)
     return False
 

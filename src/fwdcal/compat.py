@@ -7,13 +7,53 @@ and that the environment carried by each send step is itself compatible;
 multiparty compatibility then quantifies over annotations of the dualized
 environment.  The cross-check against forwarder synthesis is the package's
 central correctness test.
+
+The decision runs at the cost the theory allows through three reductions.
+
+1. Canonical box names.  A boxed payload is named by its position in the
+   configuration (``m1``, ``m2``, ... in ``sigma`` order, skipping endpoint
+   names), assigned in ``_make`` alone, so one state reached by two
+   interleavings is one ``Config`` and the memo merges them.  Payload names
+   are never read here: payload slots are pinned and ``SendStep`` erases the
+   gathered types.
+2. Annotation slots resolved on demand.  A spine slot with one candidate is
+   filled at once; one with several gets a unique hole.  ``transitions``
+   raises ``Need`` when an endpoint that might move under some value of its
+   head slot has a hole there (a ``1`` slot is read only when its entry is
+   the last one left).  The solver catches it, fills the hole with each
+   candidate in turn (``nonempty_subsets``/name order) and runs again from the
+   root.  A verdict reached without reading a hole holds for every way of
+   filling it, so the memo stays keyed by ``Config``, holes included.  The
+   solver skips a candidate that ``Need.viable`` rejects: the configuration
+   that read the hole is reached whatever the hole holds, and every path
+   from it under that value ends nonempty, so the root is not executable
+   under it either.
+3. One endpoint per configuration.  ``is_executable`` follows only the
+   transitions of the first endpoint, in name order, that can move (both
+   branches of a ``&`` are still followed).  This is a persistent set:
+
+   - An endpoint consumes only the heads of queues aimed at it and pushes
+     only onto the tails of queues it holds.  So transitions of distinct
+     endpoints commute (their targets are equal ``Config``s, canonical names
+     included), and none disables another or changes the transitions another
+     has: an endpoint keeps the moves it has until it takes one.
+   - Close, Link and Bang are enabled only when no other endpoint can move.
+   - Every transition strictly shrinks the acting endpoint's type (Link and
+     Close empty the configuration), so every path is finite.
+
+   Hence the chosen endpoint moves on every maximal path, and moving its
+   step to the front gives a path through one of the explored successors.
+   By induction every maximal path is a permutation of an explored one: it
+   ends in the same configuration and carries the same ``SendStep`` payload
+   types.  ``transitions`` without ``one_endpoint`` still lists every
+   endpoint's moves; ``stuck_path`` and the tests use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator
+from itertools import count
+from typing import Callable
 
 from . import syntax as S
 from .syntax import (
@@ -21,7 +61,7 @@ from .syntax import (
     dual, erase,
 )
 from .contexts import Config, EMPTY_CONFIG, LeftTok, MsgBox, Query, RightTok, Star, msgbox
-from .checker import Env, nonempty_subsets
+from .checker import _HOLE_PREFIX, Env, _is_hole, _subst_holes_type, nonempty_subsets
 
 
 # ---------------------------------------------------------------------------
@@ -101,157 +141,229 @@ TransitionLabel = (
 )
 
 
-def _fresh_payload_name(c: Config) -> str:
-    used = {x for x, _ in c.delta} | c.holders()
-    for (_, _), q in c.sigma:
+class Need(Exception):
+    """A transition must read an annotation slot that is still a hole.
+
+    ``viable`` is false for a value that makes the reading configuration
+    non-executable whatever happens next: an item sent to an endpoint that
+    can never take it, a read from one that can never send it, or a 1 or a
+    ! whose slot is not the one set its rule accepts.
+    """
+
+    def __init__(self, hole: str, viable: Callable[[tuple[Endpoint, ...]], bool]):
+        super().__init__(hole)
+        self.hole = hole
+        self.viable = viable
+
+
+def _occurs(t: Type, cls: type) -> bool:
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, cls):
+            return True
+        todo.extend(S.children(t))
+    return False
+
+
+def _takes(delta, us, rule: type) -> bool:
+    """Each of ``us`` is still present and may yet fire ``rule``, the only
+    rule that removes the item sent to it."""
+    return all(u in delta and _occurs(delta[u], rule) for u in us)
+
+
+def _feeds(sigma, delta, x: Endpoint, us, items, rule: type) -> bool:
+    """The queue of items for ``x`` at each of ``us`` starts with one of
+    ``items``, or is empty and its holder may yet fire ``rule``, the only
+    rule that sends one; any other head blocks ``x`` for good."""
+    for u in us:
+        q = sigma.get((x, u))
+        if not (isinstance(q[0], items) if q else _takes(delta, (u,), rule)):
+            return False
+    return True
+
+
+def _make(delta, sigma) -> Config:
+    """``Config.make`` with every box renamed to its canonical name: ``m<k>``
+    in ``sigma`` order, skipping the names of endpoints."""
+    c = Config.make(delta, sigma)
+    if not c.sigma:
+        return c
+    used = {x for x, _ in c.delta}
+    for key, _ in c.sigma:
+        used.update(key)
+    names = (n for n in (f"m{k}" for k in count(1)) if n not in used)
+    sig, changed = [], False
+    for key, q in c.sigma:
+        items = []
         for it in q:
             if isinstance(it, MsgBox):
-                used.update(p for p, _ in it.payloads)
-    k = 1
-    while f"m{k}" in used:
-        k += 1
-    return f"m{k}"
+                pls = tuple((next(names), t) for _, t in it.payloads)
+                if pls != it.payloads:
+                    it, changed = MsgBox(it.target, pls), True
+            items.append(it)
+        sig.append((key, tuple(items)))
+    return Config(c.delta, tuple(sig)) if changed else c
 
 
-def transitions(c: Config) -> list[tuple[TransitionLabel, Config]]:
-    """All transitions of a fully annotated configuration."""
-    out: list[tuple[TransitionLabel, Config]] = []
+def _waiting(c: Config, x: Endpoint, kinds) -> bool:
+    """Some queue aimed at ``x`` has an item of one of ``kinds`` at its head."""
+    return any(u == x and isinstance(q[0], kinds) for (u, _), q in c.sigma)
+
+
+def transitions(c: Config, one_endpoint: bool = False) -> list[tuple[TransitionLabel, Config]]:
+    """The transitions of a configuration, endpoint by endpoint in name order.
+
+    With ``one_endpoint``, only those of the first endpoint that has any (the
+    persistent set of the module docstring).  Raises ``Need`` when an
+    endpoint's move depends on a head slot that is still a hole.
+    """
     delta = c.delta_map()
     sigma = c.sigma_map()
 
-    # Leaf rules look at the whole configuration.
+    # Leaf rule on the whole configuration: two atoms can do nothing else.
     if len(delta) == 2 and not c.sigma:
-        (x, tx), (y, ty) = sorted(delta.items())
+        (x, tx), (y, ty) = c.delta
         if isinstance(tx, DualAtom) and isinstance(ty, Atom) and tx.name == ty.name:
-            out.append((LinkStep(x, y), EMPTY_CONFIG))
-        elif isinstance(tx, Atom) and isinstance(ty, DualAtom) and tx.name == ty.name:
-            out.append((LinkStep(y, x), EMPTY_CONFIG))
+            return [(LinkStep(x, y), EMPTY_CONFIG)]
+        if isinstance(tx, Atom) and isinstance(ty, DualAtom) and tx.name == ty.name:
+            return [(LinkStep(y, x), EMPTY_CONFIG)]
 
-    for x, t in sorted(delta.items()):
-        match t:
-            case One(ts):
-                holders_ok = all(
-                    key[0] == x and q == (Star(x),) for key, q in c.sigma
-                )
-                if (
-                    ts
-                    and len(delta) == 1
-                    and holders_ok
-                    and {h for (_, h) in sigma} == set(ts)
-                ):
+    out: list[tuple[TransitionLabel, Config]] = []
+    for x, t in c.delta:
+        moves = _endpoint_transitions(c, x, t, delta, sigma)
+        if moves and one_endpoint:
+            return moves
+        out.extend(moves)
+    return out
+
+
+def _endpoint_transitions(c: Config, x: Endpoint, t: Type, delta, sigma):
+    out: list[tuple[TransitionLabel, Config]] = []
+    match t:
+        case One(ts):
+            if len(delta) == 1 and all(key[0] == x and q == (Star(x),) for key, q in c.sigma):
+                holders = {h for (_, h) in sigma}
+                if _is_hole(ts):
+                    raise Need(ts[0], lambda v: set(v) == holders)
+                if ts and holders == set(ts):
                     out.append((CloseStep(tuple(sorted(ts)), x), EMPTY_CONFIG))
-            case Bot(u) if u is not None:
-                nd = tuple((k, v) for k, v in c.delta if k != x)
+        case Bot(u) if u is not None:
+            if _is_hole((u,)):
+                raise Need(u, lambda v: _takes(delta, v, One))
+            nd = tuple((k, v) for k, v in c.delta if k != x)
+            ns = dict(sigma)
+            ns[(u, x)] = ns.get((u, x), ()) + (Star(u),)
+            out.append((WaitStep(x, u), _make(nd, ns.items())))
+        case Par(a, b, u) if u is not None:
+            if _is_hole((u,)):
+                raise Need(u, lambda v: _takes(delta, v, Tensor))
+            nd = tuple((k, b if k == x else v) for k, v in c.delta)
+            ns = dict(sigma)
+            ns[(u, x)] = ns.get((u, x), ()) + (msgbox(u, "m", a),)
+            out.append((RecvStep(x, u), _make(nd, ns.items())))
+        case Tensor(a, b, ts) if ts:
+            if _is_hole(ts):
+                if _waiting(c, x, MsgBox):
+                    raise Need(ts[0], lambda v: _feeds(sigma, delta, x, v, MsgBox, Par))
+                return out
+            gathered: list[Type] = []
+            ns = dict(sigma)
+            for u in ts:
+                q = ns.get((x, u), ())
+                if not q or not isinstance(q[0], MsgBox) or q[0].target != x:
+                    return out
+                gathered.extend(tt for _, tt in q[0].payloads)
+                ns[(x, u)] = q[1:]
+            nd = tuple((k, b if k == x else v) for k, v in c.delta)
+            lab = SendStep(tuple(ts), x, (erase(a), tuple(erase(g) for g in gathered)))
+            out.append((lab, _make(nd, ns.items())))
+        case Plus(a, b, z) if z is not None:
+            if _is_hole((z,)):
+                if _waiting(c, x, (LeftTok, RightTok)):
+                    raise Need(z, lambda v: _feeds(sigma, delta, x, v, (LeftTok, RightTok), With))
+                return out
+            q = sigma.get((x, z), ())
+            if q and q[0] in (LeftTok(x), RightTok(x)):
+                left = q[0] == LeftTok(x)
                 ns = dict(sigma)
-                ns[(u, x)] = ns.get((u, x), ()) + (Star(u),)
-                out.append((WaitStep(x, u), Config.make(nd, ns.items())))
-            case Par(a, b, u) if u is not None:
-                m = _fresh_payload_name(c)
-                nd = tuple((k, b if k == x else v) for k, v in c.delta)
+                ns[(x, z)] = q[1:]
+                nd = tuple((k, (a if left else b) if k == x else v) for k, v in c.delta)
+                out.append(((SelLStep if left else SelRStep)(x, z), _make(nd, ns.items())))
+        case With(a, b, ts) if ts:
+            if _is_hole(ts):
+                raise Need(ts[0], lambda v: _takes(delta, v, Plus))
+            for lab_cls, tok, keep in ((BranchLStep, LeftTok, a), (BranchRStep, RightTok, b)):
                 ns = dict(sigma)
-                ns[(u, x)] = ns.get((u, x), ()) + (msgbox(u, m, a),)
-                out.append((RecvStep(x, u), Config.make(nd, ns.items())))
-            case Tensor(a, b, ts) if ts:
-                gathered: list[Type] = []
-                ns = dict(sigma)
-                ok = True
                 for u in ts:
-                    q = ns.get((x, u), ())
-                    if not q or not isinstance(q[0], MsgBox) or q[0].target != x:
-                        ok = False
-                        break
-                    gathered.extend(tt for _, tt in q[0].payloads)
-                    ns[(x, u)] = q[1:]
-                if ok:
-                    nd = tuple((k, b if k == x else v) for k, v in c.delta)
-                    lab = SendStep(tuple(ts), x, (erase(a), tuple(erase(g) for g in gathered)))
-                    out.append((lab, Config.make(nd, ns.items())))
-            case Plus(a, b, z) if z is not None:
-                q = sigma.get((x, z), ())
-                if q and q[0] == LeftTok(x):
-                    ns = dict(sigma)
-                    ns[(x, z)] = q[1:]
-                    nd = tuple((k, a if k == x else v) for k, v in c.delta)
-                    out.append((SelLStep(x, z), Config.make(nd, ns.items())))
-                elif q and q[0] == RightTok(x):
-                    ns = dict(sigma)
-                    ns[(x, z)] = q[1:]
-                    nd = tuple((k, b if k == x else v) for k, v in c.delta)
-                    out.append((SelRStep(x, z), Config.make(nd, ns.items())))
-            case With(a, b, ts) if ts:
-                for lab_cls, keep in ((BranchLStep, a), (BranchRStep, b)):
-                    ns = dict(sigma)
-                    tok = LeftTok if lab_cls is BranchLStep else RightTok
-                    for u in ts:
-                        ns[(u, x)] = ns.get((u, x), ()) + (tok(u),)
-                    nd = tuple((k, keep if k == x else v) for k, v in c.delta)
-                    out.append((lab_cls(x, tuple(ts)), Config.make(nd, ns.items())))
-            case OfCourse(a, ts) if ts:
-                others = {k for k in delta if k != x}
-                if (
-                    not c.sigma
-                    and set(ts) == others
-                    and all(isinstance(delta[o], WhyNot) for o in others)
-                ):
+                    ns[(u, x)] = ns.get((u, x), ()) + (tok(u),)
+                nd = tuple((k, keep if k == x else v) for k, v in c.delta)
+                out.append((lab_cls(x, tuple(ts)), _make(nd, ns.items())))
+        case OfCourse(a, ts) if ts:
+            others = {k for k in delta if k != x}
+            if not c.sigma and all(isinstance(delta[o], WhyNot) for o in others):
+                if _is_hole(ts):
+                    raise Need(ts[0], lambda v: set(v) == others)
+                if set(ts) == others:
                     nd = tuple((k, a if k == x else v) for k, v in c.delta)
                     ns = {(u, x): (Query(u),) for u in ts}
-                    out.append((BangStep(tuple(ts), x), Config.make(nd, ns.items())))
-            case WhyNot(a, z) if z is not None:
-                q = sigma.get((x, z), ())
-                if q and q[0] == Query(x):
-                    ns = dict(sigma)
-                    ns[(x, z)] = q[1:]
-                    nd = tuple((k, a if k == x else v) for k, v in c.delta)
-                    out.append((QuestStep(x, z), Config.make(nd, ns.items())))
+                    out.append((BangStep(tuple(ts), x), _make(nd, ns.items())))
+        case WhyNot(a, z) if z is not None:
+            if _is_hole((z,)):
+                if _waiting(c, x, Query):
+                    raise Need(z, lambda v: _feeds(sigma, delta, x, v, Query, OfCourse))
+                return out
+            q = sigma.get((x, z), ())
+            if q and q[0] == Query(x):
+                ns = dict(sigma)
+                ns[(x, z)] = q[1:]
+                nd = tuple((k, a if k == x else v) for k, v in c.delta)
+                out.append((QuestStep(x, z), _make(nd, ns.items())))
     return out
 
 
 # ---------------------------------------------------------------------------
-# Annotation enumeration
+# Annotation
 
-def _annotation_variants(t: Type, owner: Endpoint,
-                         others: tuple[Endpoint, ...]) -> Iterator[Type]:
-    """All spine-slot annotations of a plain type, in the lexicographic
-    order of their slots in ``map_slots`` order.
 
-    Slots inside message payloads (the left operand of a * or | on the
-    spine) are erased again the moment the payload is carried out of the
-    configuration, so their value is irrelevant; they are pinned to an
-    arbitrary endpoint to keep the type fully annotated.
+def _annotate(env: Env, choose: Callable[[list[tuple[Endpoint, ...]]], tuple[Endpoint, ...]],
+              ) -> Config | None:
+    """The configuration of ``env`` with each spine slot set to
+    ``choose(candidates)``, or None when a slot has no candidate.
+
+    A single-target slot's candidates are the other endpoints in name order,
+    a multi-target slot's their ``nonempty_subsets``.  Slots inside message
+    payloads (the left operand of a * or | on the spine) are erased again the
+    moment the payload is carried out of the configuration, so their value is
+    irrelevant; they are pinned to an arbitrary endpoint.
     """
-    dummy = (others[0],) if others else (owner,)
-    choices: list[list[tuple[Endpoint, ...]]] = []
-    in_payload = 0  # payload slots still to be visited
-
-    def plan(s: Type, ts: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
-        nonlocal in_payload
-        if in_payload:
-            in_payload -= 1
-            choices.append([dummy])
-            return ts
-        if isinstance(s, S.MULTI_TARGET):
-            choices.append(list(nonempty_subsets(others)))
-        else:
-            choices.append([(u,) for u in others])
-        if isinstance(s, (Tensor, Par)):
-            in_payload = S.size(s.left)  # the next slots visited are the payload's
-        return ts
-
-    S.map_slots(t, plan)
-    for combo in product(*choices):
-        slot = iter(combo)
-        yield S.map_slots(t, lambda _, ts: next(slot))
-
-
-def annotation_variants(env: Env) -> Iterator[Config]:
-    """All initial configurations over the spine annotations of ``env``."""
-    names = tuple(sorted(x for x, _ in env))
-    per_entry = []
+    names = sorted(x for x, _ in env)
+    delta = []
     for x, t in sorted(env):
         others = tuple(n for n in names if n != x)
-        per_entry.append([(x, v) for v in _annotation_variants(erase(t), x, others)])
-    for combo in product(*per_entry):
-        yield Config.make(combo)
+        if not others and S.size(t):
+            return None
+        dummy = others[:1]
+        single = [(u,) for u in others]
+        multi = list(nonempty_subsets(others))
+        in_payload = 0  # payload slots still to be visited
+
+        def slot(s: Type, ts: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
+            nonlocal in_payload
+            if in_payload:
+                in_payload -= 1
+                return dummy
+            if isinstance(s, (Tensor, Par)):
+                in_payload = S.size(s.left)  # the next slots visited are the payload's
+            return choose(multi if isinstance(s, S.MULTI_TARGET) else single)
+
+        delta.append((x, S.map_slots(erase(t), slot)))
+    return Config.make(delta)
+
+
+def _carried_env(lab: SendStep) -> Env:
+    a, gathered = lab.carried
+    return tuple((f"e{i}", t) for i, t in enumerate(gathered + (a,)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,98 +375,132 @@ def _canon_env(env: Env) -> Env:
 
 
 class CompatChecker:
-    """Memoizing decision procedures over the transition semantics."""
+    """Memoizing decision procedures over the transition semantics.
+
+    It counts the configurations it explored (memo misses), the memo hits
+    and the annotation slots it resolved; ``stats`` reports them.
+    """
 
     def __init__(self):
         self._exec: dict[Config, bool] = {}
         self._send_ok: dict[tuple, bool] = {}
         self._compat: dict[tuple, bool] = {}
+        self.configs = 0
+        self.memo_hits = 0
+        self.resolutions = 0
+
+    def stats(self) -> dict[str, int]:
+        return {"configs": self.configs, "memo_hits": self.memo_hits,
+                "resolutions": self.resolutions}
 
     def is_executable(self, c: Config) -> bool:
         """True when every maximal path ends empty and every send step
-        carries a recursively compatible environment."""
+        carries a recursively compatible environment.  Raises ``Need`` when
+        that depends on an annotation hole of ``c``."""
         hit = self._exec.get(c)
         if hit is not None:
+            self.memo_hits += 1
             return hit
+        self.configs += 1
         if c.is_empty():
             self._exec[c] = True
             return True
-        trs = transitions(c)
+        trs = transitions(c, one_endpoint=True)
         ok = bool(trs)
         for lab, c2 in trs:
-            if not ok:
+            if isinstance(lab, SendStep) and not self.send_env_ok(_carried_env(lab)):
+                ok = False
                 break
-            if isinstance(lab, SendStep):
-                a, gathered = lab.carried
-                carried_env = tuple(
-                    (f"e{i}", t) for i, t in enumerate(gathered + (a,))
-                )
-                if not self.send_env_ok(carried_env):
-                    ok = False
-                    break
             if not self.is_executable(c2):
                 ok = False
+                break
         self._exec[c] = ok
         return ok
+
+    def _some_executable(self, env: Env) -> bool:
+        """Some annotation of ``env`` is executable.  Slots with several
+        candidates start as holes and are filled as ``transitions`` reads
+        them."""
+        candidates: dict[str, list[tuple[Endpoint, ...]]] = {}
+
+        def choose(cands):
+            if len(cands) == 1:
+                return cands[0]
+            hole = f"{_HOLE_PREFIX}{len(candidates) + 1}"
+            candidates[hole] = cands
+            return (hole,)
+
+        root = _annotate(env, choose)
+        todo = [] if root is None else [root]
+        while todo:
+            c = todo.pop()
+            try:
+                if self.is_executable(c):
+                    return True
+            except Need as need:
+                self.resolutions += 1
+                todo.extend(_fill(c, need.hole, v) for v in reversed(candidates[need.hole])
+                            if need.viable(v))
+        return False
 
     def send_env_ok(self, env: Env) -> bool:
         """Some annotation of the carried environment is executable."""
         key = tuple(t for _, t in _canon_env(env))
         hit = self._send_ok.get(key)
-        if hit is not None:
-            return hit
-        ok = any(self.is_executable(c) for c in annotation_variants(env))
-        self._send_ok[key] = ok
-        return ok
+        if hit is None:
+            hit = self._send_ok[key] = self._some_executable(env)
+        return hit
 
     def multiparty_compatible(self, env: Env) -> bool:
         """Some annotation of the dualized environment is executable."""
         key = _canon_env(env)
         hit = self._compat.get(key)
-        if hit is not None:
-            return hit
-        denv = tuple((x, dual(t)) for x, t in key)
-        ok = any(self.is_executable(c) for c in annotation_variants(denv))
-        self._compat[key] = ok
-        return ok
+        if hit is None:
+            denv = tuple((x, dual(t)) for x, t in key)
+            hit = self._compat[key] = self._some_executable(denv)
+        return hit
+
+
+def _fill(c: Config, hole: str, value: tuple[Endpoint, ...]) -> Config:
+    """A root configuration (no queues) with ``hole`` set to ``value``."""
+    return Config.make((x, _subst_holes_type(t, {hole: value})) for x, t in c.delta)
 
 
 def is_executable(c: Config) -> bool:
     return CompatChecker().is_executable(c)
 
 
-def multiparty_compatible(env: Env) -> bool:
-    return CompatChecker().multiparty_compatible(env)
+def multiparty_compatible(env: Env, checker: CompatChecker | None = None) -> bool:
+    return (checker or CompatChecker()).multiparty_compatible(env)
 
 
-def stuck_path(env: Env) -> tuple[Config, list[TransitionLabel], Config] | None:
+def stuck_path(env: Env, checker: CompatChecker | None = None,
+               ) -> tuple[Config, list[TransitionLabel], Config] | None:
     """A witness that an environment is incompatible: for the first annotation
     of its dual, a maximal path ending in a nonempty configuration (or a send
-    step whose carried environment is itself incompatible)."""
-    denv = tuple((x, dual(erase(t))) for x, t in env)
-    chk = CompatChecker()
-    for c0 in annotation_variants(denv):
-        if chk.is_executable(c0):
-            continue
+    step whose carried environment is itself incompatible).  None when that
+    annotation is executable, or when the dual has no annotation at all.
 
-        def search(c: Config, seen: list[TransitionLabel]):
-            trs = transitions(c)
-            if not trs:
-                return (seen, c) if not c.is_empty() else None
-            for lab, c2 in trs:
-                if isinstance(lab, SendStep):
-                    a, gathered = lab.carried
-                    carried_env = tuple((f"e{i}", t) for i, t in enumerate(gathered + (a,)))
-                    if not chk.send_env_ok(carried_env):
-                        return (seen + [lab], c)
-                if not chk.is_executable(c2):
-                    got = search(c2, seen + [lab])
-                    if got is not None:
-                        return got
-            return None
+    On an incompatible environment no annotation is executable, so the first
+    one is as good a witness as any.
+    """
+    chk = checker or CompatChecker()
+    c0 = _annotate(tuple((x, dual(erase(t))) for x, t in env), lambda cands: cands[0])
+    if c0 is None or chk.is_executable(c0):
+        return None
 
-        got = search(c0, [])
-        if got is not None:
-            labels, final = got
-            return c0, labels, final
-    return None
+    def search(c: Config, seen: list[TransitionLabel]):
+        trs = transitions(c)
+        if not trs:
+            return (seen, c) if not c.is_empty() else None
+        for lab, c2 in trs:
+            if isinstance(lab, SendStep) and not chk.send_env_ok(_carried_env(lab)):
+                return (seen + [lab], c)
+            if not chk.is_executable(c2):
+                got = search(c2, seen + [lab])
+                if got is not None:
+                    return got
+        return None
+
+    labels, final = search(c0, [])
+    return c0, labels, final

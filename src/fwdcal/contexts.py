@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Union
 
-from .syntax import Endpoint, Type, erase, is_fully_annotated, rename_targets, size, slots
+from .syntax import Endpoint, Type, add_targets, erase, is_fully_annotated, rename_targets, size
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +202,21 @@ def endpoint_names(g: Context) -> set[Endpoint]:
 
 
 def target_names(g: Context) -> set[Endpoint]:
-    """Queue-item targets and the annotation targets of every type."""
-    out: list[Endpoint] = []
-    map_context(g, target=_recorder(out))
-    for t in context_types(g):
-        for ts in slots(t):
-            out.extend(ts)
-    return set(out)
+    """Queue-item targets and the annotation targets of every type.
+
+    A plain loop, as ``endpoint_names``: synthesis asks it each time a
+    binding rule fires.
+    """
+    out: set[Endpoint] = set()
+    for e in g.entries:
+        for it in e.queue:
+            out.add(it.target)
+            if isinstance(it, MsgBox):
+                for _, t in it.payloads:
+                    add_targets(t, out)
+        if e.typing is not None:
+            add_targets(e.typing, out)
+    return out
 
 
 def context_fully_annotated(g: Context) -> bool:
@@ -294,9 +302,6 @@ class Config:
 
     def sigma_map(self) -> dict[tuple[Endpoint, Endpoint], Queue]:
         return {k: q for k, q in self.sigma}
-
-    def holders(self) -> set[Endpoint]:
-        return {x for (_, x), _ in self.sigma}
 
     def is_empty(self) -> bool:
         return not self.delta and not self.sigma

@@ -326,9 +326,18 @@ class Parser:
             self.eat("]")
         return tuple(items)
 
-    def context_entry(self) -> C.Entry:
+    def bound_endpoint(self, seen: set[str]) -> str:
+        """The endpoint an entry of a context or environment binds: each
+        names an endpoint once."""
+        if self.cur.text in seen:
+            raise self.error(f"duplicate endpoint {self.cur.text}")
         x = self.eat_ident("endpoint")
+        seen.add(x)
         self.eat(":")
+        return x
+
+    def context_entry(self, seen: set[str]) -> C.Entry:
+        x = self.bound_endpoint(seen)
         if self.at("."):
             self.eat(".")
             typ = None
@@ -337,22 +346,19 @@ class Parser:
         return C.Entry(x, self.queue_items(), typ)
 
     def context(self) -> C.Context:
-        entries = [self.context_entry()]
+        seen: set[str] = set()
+        entries = [self.context_entry(seen)]
         while self.at(","):
             self.eat(",")
-            entries.append(self.context_entry())
+            entries.append(self.context_entry(seen))
         return C.Context(tuple(entries))
 
     def plain_env(self) -> tuple[tuple[str, S.Type], ...]:
-        out = []
-        x = self.eat_ident("endpoint")
-        self.eat(":")
-        out.append((x, self.type_()))
+        seen: set[str] = set()
+        out = [(self.bound_endpoint(seen), self.type_())]
         while self.at(","):
             self.eat(",")
-            x = self.eat_ident("endpoint")
-            self.eat(":")
-            out.append((x, self.type_()))
+            out.append((self.bound_endpoint(seen), self.type_()))
         return tuple(out)
 
 

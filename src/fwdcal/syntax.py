@@ -208,6 +208,31 @@ def slots(t: Type) -> list[tuple[Endpoint, ...]]:
     return out
 
 
+def add_targets(t: Type, out: set[Endpoint]) -> None:
+    """Add every annotation target of ``t`` to ``out``.
+
+    A plain loop over the slot shapes rather than a ``map_slots`` walk:
+    synthesis reads every type of a context this way each time a binding
+    rule fires.
+    """
+    while True:
+        shape = _SHAPES.get(type(t))
+        if shape is None:
+            return
+        arity, multi = shape
+        if multi:
+            out.update(t.targets)
+        elif t.target is not None:
+            out.add(t.target)
+        if arity == 2:
+            add_targets(t.left, out)
+            t = t.right
+        elif arity == 1:
+            t = t.body
+        else:
+            return
+
+
 def size(t: Type) -> int:
     """Number of connectives and units (each has one slot); atoms count zero."""
     return len(slots(t))

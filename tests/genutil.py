@@ -9,7 +9,8 @@ from itertools import product
 
 from fwdcal import syntax as S
 from fwdcal import checker as K
-from fwdcal.contexts import Context, endpoint_names, rename_context
+from fwdcal import compat as CM
+from fwdcal.contexts import Config, Context, endpoint_names, rename_context
 from fwdcal.syntax import (
     Atom, Bot, DualAtom, OfCourse, One, Par, Plus, Tensor, WhyNot, With, dual, erase,
 )
@@ -18,8 +19,10 @@ CONNECTIVES = ("tensor", "par", "plus", "with", "ofcourse", "whynot", "one", "bo
 
 
 def random_plain_type(rng: random.Random, size: int, atom: str = "a",
-                      units=True, additives=True, exponentials=True) -> S.Type:
-    """A random erased type of exactly the given size."""
+                      units=True, additives=True, exponentials=True,
+                      head: str | None = None) -> S.Type:
+    """A random erased type of exactly the given size; ``head`` (one of
+    ``CONNECTIVES``) fixes its head connective when ``size`` allows it."""
     if size == 0:
         return rng.choice((Atom(atom), DualAtom(atom)))
     choices = ["tensor", "par"]
@@ -29,7 +32,7 @@ def random_plain_type(rng: random.Random, size: int, atom: str = "a",
         choices += ["ofcourse", "whynot"]
     if units:
         choices += ["one", "bot"]
-    kind = rng.choice(choices)
+    kind = head or rng.choice(choices)
     if kind == "one":
         if size == 1:
             return One()
@@ -149,3 +152,143 @@ def fresh_cut_sides(a_plain, left_names=("w", "x"), right_names=("y", "v")):
     yi = list(rc.endpoints()).index(ry)
     j2 = freshen_judgement(Judged(rp, rc), judgement_names(j1))
     return j1, lx, j2, j2.ctx.entries[yi].endpoint
+
+
+# ---------------------------------------------------------------------------
+# Compatibility oracle: every annotation, every interleaving
+
+
+def _annotation_variants(t: S.Type, owner: str, others: tuple[str, ...]):
+    """All spine-slot annotations of a plain type, in the lexicographic
+    order of their slots in ``map_slots`` order; payload slots are pinned to
+    an arbitrary endpoint, since they are erased when the payload is sent."""
+    dummy = (others[0],) if others else (owner,)
+    choices: list[list[tuple[str, ...]]] = []
+    in_payload = 0  # payload slots still to be visited
+
+    def plan(s, ts):
+        nonlocal in_payload
+        if in_payload:
+            in_payload -= 1
+            choices.append([dummy])
+            return ts
+        if isinstance(s, S.MULTI_TARGET):
+            choices.append(list(K.nonempty_subsets(others)))
+        else:
+            choices.append([(u,) for u in others])
+        if isinstance(s, (Tensor, Par)):
+            in_payload = S.size(s.left)  # the next slots visited are the payload's
+        return ts
+
+    S.map_slots(t, plan)
+    for combo in product(*choices):
+        slot = iter(combo)
+        yield S.map_slots(t, lambda _, ts: next(slot))
+
+
+def annotation_variants(env):
+    """All initial configurations over the spine annotations of ``env``: the
+    eager product the lazy solver of ``compat`` must agree with."""
+    names = tuple(sorted(x for x, _ in env))
+    per_entry = []
+    for x, t in sorted(env):
+        others = tuple(n for n in names if n != x)
+        per_entry.append([(x, v) for v in _annotation_variants(erase(t), x, others)])
+    for combo in product(*per_entry):
+        yield Config.make(combo)
+
+
+def exhaustively_compatible(env) -> bool:
+    """Multiparty compatibility by brute force: some annotation of the dual
+    (``annotation_variants``) is executable along every interleaving (the
+    full ``compat.transitions``), every send carrying an environment with an
+    executable annotation."""
+    executable: dict = {}
+    send_ok: dict = {}
+
+    def some(env) -> bool:
+        return any(is_executable(c) for c in annotation_variants(env))
+
+    def carried_ok(lab) -> bool:
+        a, gathered = lab.carried
+        key = (a, gathered)
+        if key not in send_ok:
+            send_ok[key] = some(tuple((f"e{i}", t) for i, t in enumerate(gathered + (a,))))
+        return send_ok[key]
+
+    def is_executable(c) -> bool:
+        if c not in executable:
+            trs = CM.transitions(c)
+            executable[c] = c.is_empty() or bool(trs) and all(
+                (not isinstance(lab, CM.SendStep) or carried_ok(lab)) and is_executable(c2)
+                for lab, c2 in trs)
+        return executable[c]
+
+    return some(tuple((x, dual(erase(t))) for x, t in env))
+
+
+def random_env(rng: random.Random, parties: int, head: str, max_size: int = 2):
+    """A random plain environment whose first party's type has head
+    connective ``head`` (unit heads have size 1)."""
+    size = 1 if head in ("one", "bot") else rng.randint(1, max_size)
+    env = [("e0", random_plain_type(rng, size, head=head))]
+    env += [(f"e{i}", random_plain_type(rng, rng.randint(0, max_size)))
+            for i in range(1, parties)]
+    return tuple(env)
+
+
+def choice_projection_env(rng: random.Random, parties: int, waiters: int,
+                          events: int = 2, depth: int = 2):
+    """The projections of a random global protocol, as in the ``kparty``
+    workload: a sequence of events, each a message (the sender's type gets a
+    * with the payload, the receiver's a | with its dual) or a tree of up to
+    ``depth`` nested choices within one pair of parties (the chooser's type gets a
+    +, the receiver's a &).  A party no event involves sees the protocol's
+    end, which is ``bot`` for the ``waiters`` first parties of a random order
+    and ``1`` for the others.  With one waiter the environment is compatible
+    by construction; with none or two, a closing party is missing or
+    doubled."""
+    names = [f"p{i}" for i in range(parties)]
+    evs = []
+    for _ in range(events):
+        i, j = rng.sample(names, 2)
+        if rng.random() < 0.4:
+            evs.append(("msg", i, j, random_plain_type(rng, rng.randint(0, 1))))
+        else:
+            evs.append(("choice", _choice_tree(rng, i, j, depth)))
+    order = names[:]
+    rng.shuffle(order)
+    ends = {p: Bot() if p in order[:waiters] else One() for p in names}
+
+    def proj(k: int, p: str) -> S.Type:
+        if k == len(evs):
+            return ends[p]
+        ev, rest = evs[k], proj(k + 1, p)
+        if ev[0] == "msg":
+            _, i, j, a = ev
+            return Tensor(a, rest) if p == i else Par(dual(a), rest) if p == j else rest
+        return _project_tree(ev[1], p, rest)
+
+    return tuple((p, proj(0, p)) for p in names)
+
+
+def _choice_tree(rng: random.Random, i: str, j: str, depth: int):
+    """A choice by ``i`` to ``j`` whose branches hold choices within the same
+    pair (either party may choose), or None (the branch ends the tree)."""
+    if depth == 0 or rng.random() < 0.4:
+        return None
+    if rng.random() < 0.5:
+        i, j = j, i
+    return (i, j, _choice_tree(rng, i, j, depth - 1), _choice_tree(rng, i, j, depth - 1))
+
+
+def _project_tree(node, p: str, cont: S.Type) -> S.Type:
+    if node is None:
+        return cont
+    i, j, l, r = node
+    lt, rt = _project_tree(l, p, cont), _project_tree(r, p, cont)
+    if p == i:
+        return Plus(lt, rt)
+    if p == j:
+        return With(lt, rt)
+    return lt  # a party outside the pair sees the same continuation either way

@@ -44,3 +44,29 @@ def test_result_terms(capsys):
     assert cli.main(["--json", "sim", str(CORPUS / "compose.fwd")]) == 0
     (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
     assert rec["term"] == "ey(v#1). wait ey; ex[v].(v#1<->v | close ex)"
+
+
+@pytest.mark.parametrize("cmd,decl", [
+    ("compat", "compat x : 1, x : bot;"),
+    ("synth", "synth x : 1, x : bot;"),
+])
+def test_duplicate_endpoint_is_a_located_parse_error(cmd, decl, tmp_path, capsys):
+    path = tmp_path / "dup.fwd"
+    path.write_text(decl + "\n", encoding="utf-8")
+    assert cli.main([cmd, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert f"{path}:1:{decl.rindex('x') + 1}: duplicate endpoint x" in err
+
+
+def test_compat_json_records_carry_the_checker_counters(tmp_path, capsys):
+    path = tmp_path / "c.fwd"
+    path.write_text("compat x : 1, y : bot;\ncompat x : 1, y : 1;\n", encoding="utf-8")
+    assert cli.main(["--json", "compat", str(path)]) == 1
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["ok"] for r in recs] == [True, False]
+    for r in recs:
+        assert set(r["stats"]) == {"configs", "memo_hits", "resolutions"}
+        assert r["stats"]["configs"] > 0
+    assert cli.main(["compat", str(path)]) == 1
+    assert "configs" not in capsys.readouterr().out
