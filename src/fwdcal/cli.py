@@ -298,21 +298,28 @@ def main(argv=None) -> int:
         return 0
 
     jobs: list = []
-    for d in decls.decls:
+    for d, line in zip(decls.decls, decls.lines):
         if args.cmd == "check" and isinstance(d, (PA.CheckDecl, PA.CheckCllDecl)):
-            jobs.append(lambda d=d: run_check(d, args.json))
+            jobs.append((line, lambda d=d: run_check(d, args.json)))
         elif args.cmd == "synth" and isinstance(d, PA.SynthDecl):
-            jobs.append(lambda d=d: run_synth(d, args.json))
+            jobs.append((line, lambda d=d: run_synth(d, args.json)))
         elif args.cmd == "compat" and isinstance(d, PA.CompatDecl):
-            jobs.append(lambda d=d: run_compat(d, args.json))
+            jobs.append((line, lambda d=d: run_compat(d, args.json)))
         elif args.cmd == "cut" and isinstance(d, PA.CutDecl):
-            jobs.append(lambda d=d: run_cut(d, args.json, args.all_gammas))
+            jobs.append((line, lambda d=d: run_cut(d, args.json, args.all_gammas)))
         elif args.cmd == "sim" and isinstance(d, PA.SimDecl):
-            jobs.append(lambda d=d: run_sim(d, args.json, args.step))
+            jobs.append((line, lambda d=d: run_sim(d, args.json, args.step)))
     if not jobs:
         print(f"no {args.cmd} declarations in {args.file}", file=sys.stderr)
         return 2
-    oks = [f() for f in jobs]
+    oks = []
+    for line, f in jobs:
+        try:
+            oks.append(f())
+        except RecursionError:
+            print(f"{args.file}:{line}: {args.cmd} declaration nests too deeply to handle",
+                  file=sys.stderr)
+            return 2
     return 0 if all(oks) else 1
 
 

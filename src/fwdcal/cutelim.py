@@ -6,15 +6,23 @@ every queued item of the dying endpoints to an endpoint of the opposite
 context (rewriting the item's destination to expect delivery from there), and
 substitution peels the two formulas in lockstep, rewiring every remaining
 reference to the dying endpoints.  Distribution is nondeterministic, so a cut
-has a set of conclusions; the reduction engine realizes any chosen one by
-beta-steps, strictly decreasing the (rank, process sizes) measure.
+has a set of conclusions.
+
+The reduction figure is written once, as a table (``_table``): at a redex it
+lists the steps that apply, each a cut-free leaf (B1, B2), a smaller redex
+(K, K-add, K-exp) or a head action pushed out of the cut (C-*).  ``beta_step``
+renders the first step as a term with Cut nodes; ``reduce_cut``'s engine
+realizes a chosen conclusion by firing the steps at that goal, strictly
+decreasing the (rank, process sizes) measure.  It returns the realized term
+and its trace, or reports the deepest failed branch and the check that
+failed there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 from . import syntax as S
 from .syntax import (
@@ -87,9 +95,6 @@ class CutSide:
         if e.typing is None:
             raise StructuralMismatch(f"cut endpoint {x} is terminated")
         return CutSide(g.without(x), e.queue, x, e.typing)
-
-    def judgement(self) -> Context:
-        return self.ctx.add(Entry(self.endpoint, self.queue, self.formula))
 
 
 @dataclass(frozen=True)
@@ -443,7 +448,7 @@ def cut_conclusions(left: Context, x: Endpoint, right: Context, y: Endpoint) -> 
 
 
 # ---------------------------------------------------------------------------
-# Rank
+# The reduction figure and its engine
 
 
 def proc_size(p: Process) -> int:
@@ -451,11 +456,8 @@ def proc_size(p: Process) -> int:
 
 
 def rank(p: Process, formula_of: Callable[[Cut], Type] | None = None) -> int:
-    """Maximum size of a cut formula in ``p``; zero when cut-free.
-
-    Bare process terms do not carry cut formulas, so a lookup supplies them;
-    the reduction engine tracks formulas alongside the terms it rewrites.
-    """
+    """Maximum size of a cut formula in ``p``; zero when cut-free.  Bare
+    process terms do not carry cut formulas, so a lookup supplies them."""
     if isinstance(p, S.MCut):
         raise CutError("rank is defined for binary cut terms")
     if isinstance(p, Cut) and formula_of is None:
@@ -464,88 +466,12 @@ def rank(p: Process, formula_of: Callable[[Cut], Type] | None = None) -> int:
     return max(size(erase(formula_of(p))), sub) if isinstance(p, Cut) else sub
 
 
-# ---------------------------------------------------------------------------
-# The reduction engine
-
-
 @dataclass(frozen=True)
 class Judged:
     """A forwarder term together with its (derivable) typing context."""
 
     term: Process
     ctx: Context
-
-
-@dataclass
-class _Engine:
-    fuel: int
-    trace: list[str] = field(default_factory=list)
-    steps: int = 0
-    # binders of the commuted receives enclosing the current step
-    receives: list[str] = field(default_factory=list)
-    # K-step identifications: spectator -> (trace position of the K, the
-    # consumed payload name the goal's annotations expect)
-    idents: dict[str, tuple[int, str]] = field(default_factory=dict)
-    # the longest branch tried and why its last step failed: what a failed
-    # reduction reports
-    deepest: list[str] = field(default_factory=list)
-    why: str = ""
-
-    def tick(self, tag: str):
-        self.steps += 1
-        self.trace.append(tag)
-        if self.steps > self.fuel:
-            raise FuelExhausted("fuel exhausted", tuple(self.trace))
-
-    def untick(self, upto: int, why: Exception | str | None = None):
-        # backtracking: forget the abandoned branch's tags and identifications;
-        # ``why`` is the check that failed, when this step swallowed one
-        if len(self.trace) > len(self.deepest):
-            self.deepest = self.trace[:]
-            self.why = str(why) if why else "no step applies after it"
-        del self.trace[upto:]
-        self.idents = {s: (at, c) for s, (at, c) in self.idents.items() if at < upto}
-
-
-def default_fuel(left: Judged, right: Judged) -> int:
-    return 4 * (
-        context_size(left.ctx) + context_size(right.ctx)
-        + proc_size(left.term) + proc_size(right.term) + 4
-    )
-
-
-def reduce_cut(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
-               gamma: Context) -> tuple[Process, tuple[str, ...]]:
-    """Reduce ``res x y (left | right)`` to a cut-free process at ``gamma``.
-
-    ``gamma`` must be one of the cut's conclusions; the engine threads the
-    goal through commuting steps and backtracks over the interleavings the
-    nondeterministic distribution allows.  The two judgements must not share
-    any name (freshen_judgement prepares a side).
-
-    Result binders follow the conclusion.  ``gamma``'s annotations may
-    forward-reference a name that a receive on the cut endpoint binds.  A
-    multiplicative key step consumes that receive and splices the payload's
-    lone spectator in place of the received name, so the engine renames the
-    name to the spectator in the goal, and the commuted receive that binds
-    the spectator is emitted binding the received name instead.  Only bound
-    names are renamed: a spectator that no commuted receive binds (one that
-    ``gamma`` itself fixes) cannot take the name, and that step fails.
-
-    When no interleaving realizes ``gamma``, the ``Stuck`` error shows the
-    deepest branch the engine tried, the step at which it failed and the
-    text of the check that failed there.
-    """
-    shared = judgement_names(left) & judgement_names(right)
-    if shared:
-        raise CutError(f"cut sides share names {sorted(shared)}; rename apart first")
-    eng = _Engine(default_fuel(left, right))
-    got = _reduce(left, x, right, y, gamma, eng)
-    if got is None:
-        where = f"failed at {eng.deepest[-1]}: {eng.why}" if eng.deepest else "no step applies"
-        raise Stuck("no reduction realizes the requested conclusion; "
-                    f"deepest trace {eng.deepest}, {where}")
-    return got, tuple(eng.trace)
 
 
 def _proc_names(p: Process) -> set[str]:
@@ -588,125 +514,268 @@ def premises(j: Judged) -> tuple[str, tuple[Judged, ...]]:
     return tag, tuple(Judged(q, h) for q, h in prem)
 
 
-def _reduce(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
-            gamma: Context, eng: _Engine) -> Process | None:
-    # Base case B1: a bare link on the cut endpoint renames the other side.
-    for (a_j, a_x, b_j, b_y, swap) in ((left, x, right, y, False), (right, y, left, x, True)):
-        if isinstance(a_j.term, Link) and a_x in (a_j.term.x, a_j.term.y):
-            z = a_j.term.y if a_j.term.x == a_x else a_j.term.x
-            mark = len(eng.trace)
-            eng.tick("B1")
-            result = rename_free(b_j.term, {b_y: z})
-            try:
-                check_forwarder(result, gamma)
-                return result
-            except CheckError as e:
-                eng.untick(mark, e)
-                return None
+class _Cut(NamedTuple):
+    """The redex ``res x y (left | right)``."""
 
-    lh, rh = head_endpoint(left.term), head_endpoint(right.term)
+    left: Judged
+    x: Endpoint
+    right: Judged
+    y: Endpoint
 
-    # Base case B2 and the key cases need both heads on the cut pair.
-    if lh == x and rh == y:
-        return _principal(left, x, right, y, gamma, eng)
-    if lh == x and rh != y:
-        return _commute(right, y, left, x, gamma, eng, swap=True)
-    if rh == y and lh != x:
-        return _commute(left, x, right, y, gamma, eng, swap=False)
-    # both non-principal: try commuting either side
-    got = _commute(right, y, left, x, gamma, eng, swap=True)
-    if got is not None:
-        return got
-    return _commute(left, x, right, y, gamma, eng, swap=False)
+    @property
+    def term(self) -> Cut:
+        return Cut(self.x, self.y, self.left.term, self.right.term)
 
 
-# Heads that take the negative side of a principal cut; the engine and
-# ``beta_step`` put the positive action (send, case, server, close) on the left.
+class _Step(NamedTuple):
+    """One step of the figure at a redex: a cut-free ``leaf``, a smaller
+    ``redex``, or a ``head`` pushed out of the cut whose ``subs`` each keep a
+    premise (a Judged) or put it under the cut.  A K step also carries the
+    payload ``(c, payload, a)`` it consumes, or the error that stopped it."""
+
+    tag: str
+    leaf: Process | None = None
+    redex: _Cut | None = None
+    head: Process | None = None
+    subs: tuple[tuple[tuple[str, ...], Judged | _Cut], ...] = ()
+    consumed: tuple[Endpoint, Judged, Endpoint] | None = None
+    failed: Exception | None = None
+
+
+# A K step's box cut ``res a c (payload | message)``, reduced at its conclusion.
+BoxCut = Callable[[Judged, Endpoint, Judged, Endpoint, Context], Process]
+
+# The reduction figure's name for commuting each head past a cut.
+_COMMUTE_TAGS = {Wait: "C1", Recv: "C2", Send: "C3", Case: "C-case", Inl: "C-inl",
+                 Inr: "C-inr", Server: "C-srv", Client: "C-cli"}
+
+# Heads that take the negative side of a principal cut; the table puts the
+# positive action (send, case, server, close) on the left.
 _NEGATIVE = (Wait, Recv, Inl, Inr, Client)
 
 
-def _principal(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
-               gamma: Context, eng: _Engine) -> Process | None:
-    lt, rt = left.term, right.term
-    if isinstance(lt, _NEGATIVE):
-        return _principal(right, y, left, x, gamma, eng)
+def _table(r: _Cut, box_cut: BoxCut) -> Iterator[_Step]:
+    """The reduction figure at ``r``: the steps that apply, in the order the
+    engine tries them.  A link on a cut endpoint (the left side's first) is
+    B1 and excludes every other step; two heads on the cut endpoints meet in
+    the principal case; otherwise the right side's head commutes, then the
+    left side's."""
+    for j, jx, other, oy in ((r.left, r.x, r.right, r.y), (r.right, r.y, r.left, r.x)):
+        t = j.term
+        if isinstance(t, Link) and jx in (t.x, t.y):
+            yield _Step("B1", leaf=rename_free(other.term, {oy: t.y if t.x == jx else t.x}))
+            return
+    lh, rh = head_endpoint(r.left.term), head_endpoint(r.right.term)
+    if lh == r.x and rh == r.y:
+        yield _principal(r, box_cut)
+        return
+    for side, sx, head, flip in ((r.right, r.y, rh, True), (r.left, r.x, lh, False)):
+        tag = _COMMUTE_TAGS.get(type(side.term))
+        if tag is None or head == sx:
+            continue
+        # the subterms whose premise holds the cut endpoint go under the cut
+        _, prem = premises(side)
+        yield _Step(tag, head=side.term, subs=tuple(
+            (bs, (_Cut(r.left, r.x, j, r.y) if flip else _Cut(j, r.x, r.right, r.y))
+             if j.ctx.has(sx) else j) for (bs, _), j in zip(S.scope(side.term)[1], prem)))
 
-    mark = len(eng.trace)
-    match lt, rt:
+
+def _principal(r: _Cut, box_cut: BoxCut) -> _Step:
+    if isinstance(r.left.term, _NEGATIVE):
+        r = _Cut(r.right, r.y, r.left, r.x)
+    (_, lprem), (_, rprem) = premises(r.left), premises(r.right)
+    match r.left.term, r.right.term:
         case (Close(_), Wait(_, _)):
             # unit base case: the wait continuation already inhabits the goal,
             # the nonuniform substitution only reshuffles proof-level queues
-            eng.tick("B2")
-            _, (cont_j,) = premises(right)
-            try:
-                check_forwarder(cont_j.term, gamma)
-                return cont_j.term
-            except CheckError as e:
-                eng.untick(mark, e)
-                return None
-
+            return _Step("B2", leaf=rprem[0].term)
         case (Send(_, a, _, _), Recv(_, c, _)):
-            eng.tick("K")
-            _, (payload_j, cont_j) = premises(left)
-            _, (rcont_j,) = premises(right)
+            payload, cont = lprem
             try:
-                boxed = _cut_in_box(payload_j, a, rcont_j, c, eng)
-                gamma = _identify(gamma, c, payload_j, a, eng, mark)
-            except CutError as e:
-                eng.untick(mark, e)
-                return None
-            redex = (cont_j, x, boxed, y)
-
-        case (Case(_, _, _), Inl(_, _)) | (Case(_, _, _), Inr(_, _)):
-            eng.tick("K-add")
-            _, (lprem, rprem) = premises(left)
-            _, (cont_j,) = premises(right)
-            redex = (lprem if isinstance(rt, Inl) else rprem, x, cont_j, y)
-
+                boxed = _cut_in_box(payload, a, rprem[0], c, box_cut)
+            except (CutError, CheckError) as e:
+                return _Step("K", failed=e)
+            return _Step("K", redex=_Cut(cont, r.x, boxed, r.y), consumed=(c, payload, a))
+        case (Case(_, _, _), (Inl(_, _) | Inr(_, _)) as pick):
+            return _Step("K-add", redex=_Cut(lprem[isinstance(pick, Inr)], r.x, rprem[0], r.y))
         case (Server(_, a, _), Client(_, b, _)):
-            eng.tick("K-exp")
-            _, (body_j,) = premises(left)
-            _, (cont_j,) = premises(right)
-            redex = (body_j, a, cont_j, b)
+            return _Step("K-exp", redex=_Cut(lprem[0], a, rprem[0], b))
+    raise Stuck("principal heads do not interact: "
+                f"{type(r.left.term).__name__}/{type(r.right.term).__name__}")
 
-        case _:
-            raise Stuck("principal heads do not interact: "
-                        f"{type(lt).__name__}/{type(rt).__name__}")
-    got = _reduce(*redex, gamma, eng)
-    if got is None:
-        eng.untick(mark)
-    return got
+
+def beta_step(left: Judged, x: Endpoint, right: Judged, y: Endpoint) -> tuple[str, Process]:
+    """Apply the first reduction of the figure to ``res x y (left | right)``;
+    returns its tag and the resulting term, with the remaining cuts as Cut
+    nodes (a K step's box cut is reduced in full, by ``reduce_cut``)."""
+    for step in _table(_Cut(left, x, right, y), lambda *cut: reduce_cut(*cut)[0]):
+        if step.failed is not None:
+            raise step.failed
+        if step.head is None:
+            return step.tag, step.leaf if step.redex is None else step.redex.term
+        return step.tag, S.from_scope(step.head, S.scope(step.head)[0], tuple(
+            (bs, s.term) for bs, s in step.subs))
+    raise Stuck("no beta step applies")
+
+
+# -- the engine ---------------------------------------------------------------
+
+
+class _Realized(NamedTuple):
+    """A branch that reached a cut-free term: the term, its tags as they fired,
+    and the K-step identifications (spectator -> name) no receive bound yet."""
+
+    term: Process
+    trace: tuple[str, ...]
+    idents: dict[str, str]
+
+
+class _Failed(NamedTuple):
+    """A branch that did not: the tags from the root cut down to the step
+    that failed, and the check that failed there."""
+
+    path: tuple[str, ...]
+    why: str = "no step applies after it"
+
+
+class _Walk(NamedTuple):
+    """Where the engine stands: the tags from the root cut, the binders of the
+    enclosing commuted receives, and the steps left (shared by all branches)."""
+
+    at: tuple[str, ...]
+    receives: tuple[str, ...]
+    fuel: list[int]
+
+    def enter(self, tag: str) -> _Walk:
+        self.fuel[0] -= 1
+        if self.fuel[0] < 0:
+            raise FuelExhausted("fuel exhausted", self.at + (tag,))
+        return _Walk(self.at + (tag,), self.receives, self.fuel)
+
+
+def reduce_cut(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
+               gamma: Context) -> tuple[Process, tuple[str, ...]]:
+    """Reduce ``res x y (left | right)`` to a cut-free process at ``gamma``, one
+    of the cut's conclusions; returns it with the tags of the steps taken, in
+    the order they fired.  The judgements must not share any name.
+
+    The engine fires the table's steps in order and keeps the first that
+    realizes its goal; threading the goal through each commuted head's rule
+    (``forwarder_step``), it backtracks over the interleavings distribution
+    allows.  A branch fails where a check fails: a leaf's ``check_forwarder``,
+    the goal's premises of a commuted head, a kept subterm whose premise is
+    not the goal's, a K step's box cut or its identification (``_identify``).
+    Failing, ``Stuck`` names the deepest failed branch alone (not the
+    branches realized beside it): its tags from the root cut, the step at
+    which it failed and the check that failed there."""
+    if shared := judgement_names(left) & judgement_names(right):
+        raise CutError(f"cut sides share names {sorted(shared)}; rename apart first")
+    fuel = 4 * (context_size(left.ctx) + context_size(right.ctx)
+                + proc_size(left.term) + proc_size(right.term) + 4)
+    got = _drive(_Cut(left, x, right, y), gamma, _Walk((), (), [fuel]), {})
+    if isinstance(got, _Realized):
+        return got.term, got.trace
+    where = f"failed at {got.path[-1]}: {got.why}" if got.path else "no step applies"
+    raise Stuck("no reduction realizes the requested conclusion; "
+                f"deepest trace {list(got.path)}, {where}")
+
+
+def _drive(r: _Cut, gamma: Context, walk: _Walk, idents: dict[str, str]) -> _Realized | _Failed:
+    """Realize ``r`` at ``gamma`` by the first step of the table that does;
+    otherwise the deepest failed branch among the steps tried."""
+    boxes: list[_Realized] = []
+    failures = [_Failed(walk.at)]
+
+    def box_cut(payload: Judged, a: Endpoint, message: Judged, c: Endpoint,
+                concl: Context) -> Process:
+        # an inner cut's binders are its own: no outer receive takes its names
+        got = _drive(_Cut(payload, a, message, c), concl, _Walk(walk.at + ("K",), (), walk.fuel),
+                     boxes[-1].idents if boxes else idents)
+        if isinstance(got, _Failed):
+            failures.append(got)
+            raise CutError("inner box cut failed")
+        boxes.append(got)
+        return got.term
+
+    for step in _table(r, box_cut):
+        got = _fire(step, gamma, walk.enter(step.tag), (step.tag,) + sum(
+            (b.trace for b in boxes), ()), boxes[-1].idents if boxes else idents)
+        if isinstance(got, _Realized):
+            return got
+        failures.append(got)
+    return max(failures, key=lambda f: len(f.path))  # the first on a tie
+
+
+def _fire(step: _Step, gamma: Context, walk: _Walk, trace: tuple[str, ...],
+          idents: dict[str, str]) -> _Realized | _Failed:
+    """Take ``step`` at ``gamma``, where ``trace`` holds its tag and any box cuts;
+    a CheckError or CutError raised at the step makes it a failed branch."""
+    try:
+        if step.failed is not None:
+            raise step.failed
+        if step.leaf is not None:
+            check_forwarder(step.leaf, gamma)
+            return _Realized(step.leaf, trace, idents)
+        if step.redex is not None:
+            if step.consumed is not None:
+                gamma, idents = _identify(gamma, *step.consumed, walk.receives, idents)
+            got = _drive(step.redex, gamma, walk, idents)
+            return got if isinstance(got, _Failed) else got._replace(trace=trace + got.trace)
+        # a commuted head: its rule at the goal gives each subterm's goal
+        term, out = step.head, []
+        _, goals = forwarder_step(term, gamma)
+        if isinstance(term, Recv):
+            walk = _Walk(walk.at, walk.receives + (term.fresh,), walk.fuel)
+        for (bs, sub), (_, g2) in zip(step.subs, goals):
+            if isinstance(sub, _Cut):
+                got = _drive(sub, g2, walk, idents)
+                if isinstance(got, _Failed):
+                    return got
+                trace, idents = trace + got.trace, got.idents
+                out.append((bs, got.term))
+            elif normalize_context(sub.ctx) == normalize_context(g2):
+                out.append((bs, sub.term))
+            else:
+                raise CutError(f"the goal does not keep the context of {step.tag}'s "
+                               f"subterm {S.print_process(sub.term)}")
+    except FuelExhausted:
+        raise
+    except (CheckError, CutError) as e:
+        return _Failed(walk.at, str(e))
+    if isinstance(term, Recv) and term.fresh in idents:
+        # a K step below identified the received name with the one the goal
+        # expects: the receive binds that name instead
+        c = idents[term.fresh]
+        idents = {s: n for s, n in idents.items() if s != term.fresh}
+        out = [((c,), rename_free(out[0][1], {term.fresh: c}))]
+    return _Realized(S.from_scope(term, S.scope(term)[0], tuple(out)), trace, idents)
 
 
 def _identify(gamma: Context, c: Endpoint, payload: Judged, a: Endpoint,
-              eng: _Engine, mark: int) -> Context:
-    """Thread a K step's splice through the goal.
-
-    When the goal's annotations name the consumed payload ``c``, they follow
-    the payload's lone spectator, and the identification is recorded so that
-    the commuted receive binding the spectator is emitted binding ``c``.
-    A CutError says why that cannot be done: several spectators, a spectator
-    no enclosing commuted receive binds, one the goal already names, or one
-    already identified with another name.
-    """
+              receives: tuple[str, ...], idents: dict[str, str]) -> tuple[Context, dict[str, str]]:
+    """Thread a K step's splice through the goal; result binders follow the
+    conclusion.  The K step consumes the received name ``c`` and splices the
+    payload's lone spectator in its place, so goal annotations that name
+    ``c`` follow the spectator, and the commuted receive that binds the
+    spectator is to bind ``c`` instead.  A CutError says why that cannot be
+    done: several spectators, a spectator no enclosing commuted receive binds
+    (one the goal fixes), one the goal already names, or one already
+    identified with another name."""
     targets = target_names(gamma)
     if c not in targets:
-        return gamma
+        return gamma, idents
     spect = [n for n in payload.ctx.endpoints() if n != a]
     if len(spect) != 1:
         raise CutError(f"the goal names {c}, spliced as {len(spect)} spectators {spect}")
     s = spect[0]
-    if s not in eng.receives:
+    if s not in receives:
         raise CutError(f"the goal names {c}, but no enclosing commuted receive binds "
                        f"its spectator {s}")
     if s in targets:
         raise CutError(f"the goal names both {c} and its spectator {s}")
-    prior = eng.idents.get(s)
-    if prior is None:
-        eng.idents[s] = (mark, c)
-    elif prior[1] != c:
-        raise CutError(f"spectator {s} is already identified with {prior[1]}, not {c}")
-    return rename_context_targets(gamma, {c: s})
+    if idents.get(s, c) != c:
+        raise CutError(f"spectator {s} is already identified with {idents[s]}, not {c}")
+    return rename_context_targets(gamma, {c: s}), {**idents, s: c}
 
 
 def unit_redistribute(q: Judged, y: Endpoint, us: tuple[Endpoint, ...],
@@ -762,76 +831,17 @@ def unit_redistribute(q: Judged, y: Endpoint, us: tuple[Endpoint, ...],
     return Judged(q.term, Context(tuple(ents) + side.entries))
 
 
-# The reduction figure's name for commuting each head past a cut.
-_COMMUTE_TAGS = {Wait: "C1", Recv: "C2", Send: "C3", Case: "C-case", Inl: "C-inl",
-                 Inr: "C-inr", Server: "C-srv", Client: "C-cli"}
-
-
-def _commute(a_j: Judged, a_x: Endpoint, b_j: Judged, b_y: Endpoint,
-             gamma: Context, eng: _Engine, swap: bool) -> Process | None:
-    """Push the head action of ``a_j`` (not on its cut endpoint) outside the
-    cut, threading the goal context through the action's rule.
-
-    Each subterm whose premise holds the cut endpoint is reduced at the
-    goal's matching premise; any other subterm is kept, and its premise must
-    be the goal's.
-    """
-    term = a_j.term
-    tag = _COMMUTE_TAGS.get(type(term))
-    if tag is None or head_endpoint(term) == a_x:
-        return None
-    mark = len(eng.trace)
-    eng.tick(tag)
-    try:
-        _, gpremises = forwarder_step(term, gamma)
-    except CheckError as e:
-        eng.untick(mark, e)
-        return None
-    _, apremises = premises(a_j)
-    heads, subs = S.scope(term)
-    if isinstance(term, Recv):
-        eng.receives.append(term.fresh)
-    out = []
-    for (bs, _), aprem, (_, g2) in zip(subs, apremises, gpremises):
-        if not aprem.ctx.has(a_x):
-            if normalize_context(aprem.ctx) != normalize_context(g2):
-                eng.untick(mark, f"the goal does not keep the context of {tag}'s "
-                                 f"subterm {S.print_process(aprem.term)}")
-                break
-            out.append((bs, aprem.term))
-            continue
-        got = (_reduce(b_j, b_y, aprem, a_x, g2, eng) if swap
-               else _reduce(aprem, a_x, b_j, b_y, g2, eng))
-        if got is None:
-            eng.untick(mark)
-            break
-        out.append((bs, got))
-    if isinstance(term, Recv):
-        eng.receives.pop()
-    if len(out) < len(subs):
-        return None
-    if isinstance(term, Recv) and term.fresh in eng.idents:
-        # a K step below identified the received name with the one the goal
-        # expects: the receive binds that name instead
-        _, c = eng.idents.pop(term.fresh)
-        out = [((c,), rename_free(out[0][1], {term.fresh: c}))]
-    return S.from_scope(term, heads, tuple(out))
-
-
 def _cut_in_box(payload: Judged, a: Endpoint, host: Judged, c: Endpoint,
-                eng: _Engine) -> Judged:
+                box_cut: BoxCut) -> Judged:
     """Replace the boxed endpoint ``c`` inside ``host`` by the payload's
     spectator ports, composing the payload in without a residual cut.
 
     When the box is consumed by a send whose gather is exactly that one
-    message, the payload is spliced in place of the send's message process;
-    otherwise a smaller cut is built and reduced recursively.
-
-    Targets follow the spliced payload: at every level of the host, the
-    annotations and queue items that named ``c`` name the spectators instead
-    (see ``_swap_box``).  A spliced payload process also takes the binder
-    names the host's message type expects, where its own type names others
-    (see ``_align_binders``).
+    message, the payload is spliced in place of the send's message process,
+    taking the binder names the host's message type expects
+    (``_align_binders``); otherwise ``box_cut`` reduces a smaller cut.  At
+    every level of the host, the annotations and queue items that named
+    ``c`` name the spectators instead (``_swap_box``).
     """
     def holds(g: Context) -> bool:
         return any(isinstance(it, MsgBox) and any(pn == c for pn, _ in it.payloads)
@@ -839,14 +849,10 @@ def _cut_in_box(payload: Judged, a: Endpoint, host: Judged, c: Endpoint,
 
     if not holds(host.ctx):
         raise CutError(f"no box holds {c}")
-    spect = []
-    for en in payload.ctx.entries:
-        if en.endpoint == a:
-            continue
-        if en.typing is None or en.queue:
-            raise CutError("payload spectators must be plain typed entries")
-        spect.append((en.endpoint, en.typing))
-    spect = tuple(spect)
+    others = [en for en in payload.ctx.entries if en.endpoint != a]
+    if any(en.typing is None or en.queue for en in others):
+        raise CutError("payload spectators must be plain typed entries")
+    spect = tuple((en.endpoint, en.typing) for en in others)
 
     def rebuild(h: Judged) -> Judged:
         tag, prem = premises(h)
@@ -864,15 +870,7 @@ def _cut_in_box(payload: Judged, a: Endpoint, host: Judged, c: Endpoint,
             concl = cut_conclusions(payload.ctx, a, pj.ctx, c)
             if len(concl) != 1:
                 raise CutError(f"inner box cut is not determinate: {len(concl)}")
-            # the inner cut's binders are its own: no receive
-            # commuted outside it can take an identification
-            outer, eng.receives = eng.receives, []
-            try:
-                inner = _reduce(payload, a, pj, c, concl[0], eng)
-            finally:
-                eng.receives = outer
-            if inner is None:
-                raise CutError("inner box cut failed")
+            inner = box_cut(payload, a, pj, c, concl[0])
             return Judged(Send(term.x, term.fresh, inner, cj.term), _swap_box(h.ctx, c, spect))
         if not prem:
             raise CutError(f"box never consumed under {tag}")
@@ -910,12 +908,10 @@ def _align_binders(payload: Judged, a: Endpoint, want: Type) -> dict[str, str]:
 def _swap_box(g: Context, c: Endpoint, spect: tuple[tuple[str, Type], ...]) -> Context:
     """Replace payload ``c`` in whatever box holds it by the spectator list.
 
-    Targets follow the spliced payload: every annotation target (in entry
-    types and in boxed payload types) and every queue-item target that names
-    ``c`` names the spectators instead.  A multi-target slot takes them all;
-    a single-target slot or a queue item can follow only a lone spectator,
-    so with several spectators such a reference raises a CutError naming the
-    box and the reference.
+    Every annotation target (in entry and boxed payload types) and queue-item
+    target that names ``c`` names the spectators instead.  A multi-target slot
+    takes them all; a single-target slot or a queue item can follow only a
+    lone spectator, else a CutError names the box and the reference.
     """
     names = tuple(pn for pn, _ in spect)
 
@@ -934,74 +930,17 @@ def _swap_box(g: Context, c: Endpoint, spect: tuple[tuple[str, Type], ...]) -> C
             raise refused(where)
         return t
 
-    ents = []
-    for e in g.entries:
-        q = []
-        for it in e.queue:
-            if it.target == c:
-                if len(names) != 1:
-                    raise refused(f"the queue of {e.endpoint}")
-                it = replace(it, target=names[0])
-            if isinstance(it, MsgBox):
-                pls = []
-                for pn, pt in it.payloads:
-                    if pn == c:
-                        pls.extend(spect)
-                    else:
-                        pls.append((pn, follow(pt, f"payload {pn}")))
-                it = MsgBox(it.target, tuple(pls))
-            q.append(it)
-        typ = follow(e.typing, e.endpoint) if e.typing is not None else None
-        ents.append(Entry(e.endpoint, tuple(q), typ))
-    return Context(tuple(ents))
+    def item(it: QueueItem, at: Endpoint) -> QueueItem:
+        if it.target == c:
+            if len(names) != 1:
+                raise refused(f"the queue of {at}")
+            it = replace(it, target=names[0])
+        if not isinstance(it, MsgBox):
+            return it
+        return MsgBox(it.target, tuple(pl for pn, pt in it.payloads for pl in (
+            spect if pn == c else ((pn, follow(pt, f"payload {pn}")),))))
 
-
-# ---------------------------------------------------------------------------
-# Single beta steps over bare terms (for the reduction figure's fixtures)
-
-
-def beta_step(left: Judged, x: Endpoint, right: Judged, y: Endpoint) -> tuple[str, Process]:
-    """Apply one reduction to ``res x y (left | right)``; returns the figure
-    tag and the resulting term with remaining cuts as Cut nodes."""
-    lt, rt = left.term, right.term
-    if isinstance(lt, Link) and x in (lt.x, lt.y):
-        z = lt.y if lt.x == x else lt.x
-        return "B1", rename_free(rt, {y: z})
-    if isinstance(rt, Link) and y in (rt.x, rt.y):
-        z = rt.y if rt.x == y else rt.x
-        return "B1", rename_free(lt, {x: z})
-
-    lh, rh = head_endpoint(lt), head_endpoint(rt)
-    if lh == x and rh == y:
-        if isinstance(lt, _NEGATIVE):
-            return beta_step(right, y, left, x)
-        match lt, rt:
-            case (Close(_), Wait(_, q)):
-                return "B2", q
-            case (Send(_, a, pl, cont), Recv(_, cv, r)):
-                _, (payload_j, cont_j) = premises(left)
-                _, (r_j,) = premises(right)
-                eng = _Engine(default_fuel(left, right) * 4)
-                boxed = _cut_in_box(payload_j, a, r_j, cv, eng)
-                return "K", Cut(x, y, cont_j.term, boxed.term)
-            case (Case(_, l, _), Inl(_, r)):
-                return "K-add", Cut(x, y, l, r)
-            case (Case(_, _, rr), Inr(_, r)):
-                return "K-add", Cut(x, y, rr, r)
-            case (Server(_, sa, b), Client(_, cb, q)):
-                return "K-exp", Cut(sa, cb, b, q)
-        raise Stuck("principal heads do not interact")
-
-    # commute the right side first, as in the reduction figure; the subterms
-    # whose premise holds the cut endpoint go under the cut
-    for (side, sx, other, flip) in ((right, y, left, True), (left, x, right, False)):
-        tag = _COMMUTE_TAGS.get(type(side.term))
-        if tag is None or head_endpoint(side.term) == sx:
-            continue
-        heads, subs = S.scope(side.term)
-        _, prem = premises(side)
-        return tag, S.from_scope(side.term, heads, tuple(
-            (bs, (Cut(x, y, other.term, q) if flip else Cut(x, y, q, other.term))
-             if j.ctx.has(sx) else q)
-            for (bs, q), j in zip(subs, prem)))
-    raise Stuck("no beta step applies")
+    return Context(tuple(
+        Entry(e.endpoint, tuple(item(it, e.endpoint) for it in e.queue),
+              None if e.typing is None else follow(e.typing, e.endpoint))
+        for e in g.entries))

@@ -168,19 +168,7 @@ def run_mcut(c: MCutConfig) -> tuple[Process, tuple[str, ...]]:
     checked after each rewrite; the result checks in CP at the union of the
     stored environments.
     """
-    names = set(c.bound)
-    for p in c.parts:
-        names |= free_endpoints(p.term) | {p.endpoint} | {n for n, _ in p.env}
-    for p in c.pending:
-        names |= free_endpoints(p.term) | {p.name} | {n for n, _ in p.env}
-    names |= endpoint_names(c.fwd.ctx)
-    r = _Runner(default_mcut_fuel(c), supply=S.FreshNames(frozenset(names)))
-    # binders of independently authored parts may collide once composed
-    c = replace(
-        c,
-        parts=tuple(replace(p, term=_freshen_binders(p.term, r.supply)) for p in c.parts),
-        pending=tuple(replace(p, term=_freshen_binders(p.term, r.supply)) for p in c.pending),
-    )
+    c, r = _runner(c)
     ok, why = check_mcut_config(c)
     if not ok:
         raise McutError(f"invalid configuration: {why}")
@@ -228,7 +216,7 @@ def _run(c: MCutConfig, r: _Runner) -> Process:
                 raise AssertionError(got)
 
 
-def mcutq_step(c: MCutConfig, r: _Runner | None = None):
+def mcutq_step(c: MCutConfig):
     """One reduction of a configuration.
 
     Returns one of ``("final", term, tag)``, ``("continue", config, tag)``,
@@ -236,7 +224,27 @@ def mcutq_step(c: MCutConfig, r: _Runner | None = None):
     composition, or ``("fork", combine, left, right, tag)`` when an external
     branching action splits the run.
     """
-    return _step(c, r or _Runner(default_mcut_fuel(c)))
+    return _step(*_runner(c))
+
+
+def _runner(c: MCutConfig) -> tuple[MCutConfig, _Runner]:
+    """A runner whose supply avoids every name of the configuration, and the
+    configuration with its parts' and pending processes' binders renamed
+    apart: binders of independently authored parts may collide once
+    composed, and a binder that an emitted action leaves free must not meet
+    a free name of another process."""
+    names = set(c.bound)
+    for p in c.parts:
+        names |= free_endpoints(p.term) | {p.endpoint} | {n for n, _ in p.env}
+    for p in c.pending:
+        names |= free_endpoints(p.term) | {p.name} | {n for n, _ in p.env}
+    names |= endpoint_names(c.fwd.ctx)
+    r = _Runner(default_mcut_fuel(c), supply=S.FreshNames(frozenset(names)))
+    return replace(
+        c,
+        parts=tuple(replace(p, term=_freshen_binders(p.term, r.supply)) for p in c.parts),
+        pending=tuple(replace(p, term=_freshen_binders(p.term, r.supply)) for p in c.pending),
+    ), r
 
 
 # For each forwarder head: the part head that meets it on the same endpoint,

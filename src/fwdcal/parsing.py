@@ -431,12 +431,30 @@ Declaration = (
 @dataclass(frozen=True)
 class DeclarationFile:
     decls: tuple[Declaration, ...]
+    # the line each declaration starts on, for messages
+    lines: tuple[int, ...] = field(default=(), compare=False)
+
+
+def _guarded(p: Parser, parse):
+    """``parse()``, with a recursion overflow (input nested too deeply for
+    the recursive-descent parser) turned into a ParseError at the token
+    reached."""
+    try:
+        return parse()
+    except RecursionError:
+        raise p.error("input nests too deeply") from None
 
 
 def parse_file(text: str) -> DeclarationFile:
     p = Parser(tokenize(text))
+    return _guarded(p, lambda: _declarations(p))
+
+
+def _declarations(p: Parser) -> DeclarationFile:
     decls: list[Declaration] = []
+    lines: list[int] = []
     while p.cur.kind != "eof":
+        lines.append(p.cur.line)
         if p.at("type"):
             p.eat("type")
             name = p.eat_ident("name")
@@ -518,12 +536,12 @@ def parse_file(text: str) -> DeclarationFile:
                 ("type", "proc", "check", "checkcll", "synth", "compat", "cut", "sim"),
             )
         p.eat(";")
-    return DeclarationFile(tuple(decls))
+    return DeclarationFile(tuple(decls), tuple(lines))
 
 
 def _parse_with(fn_name: str, text: str):
     p = Parser(tokenize(text))
-    out = getattr(p, fn_name)()
+    out = _guarded(p, getattr(p, fn_name))
     if p.cur.kind != "eof":
         raise p.error(f"trailing input {p.cur.text!r}", ("end of input",))
     return out

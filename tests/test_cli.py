@@ -1,11 +1,14 @@
 """The command-line front end over the corpus, in process."""
 
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from fwdcal import cli
+from fwdcal import mcut as MC
 from fwdcal import parsing as P
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -70,3 +73,47 @@ def test_compat_json_records_carry_the_checker_counters(tmp_path, capsys):
         assert r["stats"]["configs"] > 0
     assert cli.main(["compat", str(path)]) == 1
     assert "configs" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd,decl", [
+    ("compat", "compat x : " + "(" * 3000 + "1" + ")" * 3000 + ", y : bot;"),
+    ("check", "check " + "wait x; " * 3000 + "close y |- y : 1{x}, x : bot{y};"),
+], ids=["compat-type", "check-process"])
+def test_deep_input_is_a_located_parse_error(cmd, decl, tmp_path, capsys):
+    path = tmp_path / "deep.fwd"
+    path.write_text(decl + "\n", encoding="utf-8")
+    assert cli.main([cmd, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert re.match(rf"{re.escape(str(path))}:1:\d+: input nests too deeply\n", err), err
+
+
+def test_deep_declaration_is_named_when_handling_overflows(tmp_path, capsys):
+    # shallow enough to parse, too deep for the recursive checker and printer
+    xs = [f"x{i}" for i in range(sys.getrecursionlimit() * 3 // 5)]
+    path = tmp_path / "wide.fwd"
+    path.write_text(
+        "check close z |- z : 1{x0}, x0 : . [to=z *];\n"
+        "check " + "".join(f"wait {x}; " for x in xs) + "close z |- "
+        f"z : 1{{{','.join(xs)}}}, " + ", ".join(f"{x} : bot{{z}}" for x in xs) + ";\n",
+        encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("ok check close z")
+    assert err == f"{path}:2: check declaration nests too deeply to handle\n"
+
+
+def test_sim_step_walks_compose_to_final(tmp_path, capsys):
+    # feed each printed state back in: every state parses into a valid
+    # configuration, and the walk ends in the composition's last action
+    state = (CORPUS / "compose.fwd").read_text(encoding="utf-8")
+    path = tmp_path / "state.fwd"
+    for _ in range(20):
+        (decl,) = P.parse_file(state).decls
+        assert MC.check_mcut_config(cli._sim_config(decl)) == (True, "ok")
+        path.write_text(state, encoding="utf-8")
+        assert cli.main(["sim", "--step", str(path)]) == 0
+        head, _, state = capsys.readouterr().out.partition("\n")
+        if ": final " in head:
+            break
+    assert head == "Bot: final close ex"

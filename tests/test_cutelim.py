@@ -6,7 +6,8 @@ import pytest
 import genutil
 from fwdcal import parsing as P
 from fwdcal import syntax as S
-from fwdcal.checker import check_forwarder, synth_with_annotations
+from fwdcal import cutelim
+from fwdcal.checker import RuleMismatch, check_forwarder, synth_with_annotations
 from fwdcal.contexts import (
     Context, Entry, LeftTok, MsgBox, Star, ctx, msgbox, normalize_context,
 )
@@ -293,9 +294,11 @@ def test_reduce_cut_spliced_payload_takes_host_binders():
 
 def test_reduce_cut_stuck_reports_deepest_trace():
     # this conclusion still aims at the cut endpoints x and y, so no
-    # interleaving realizes it; the error shows how far the engine got, the
-    # step at which that branch failed and the check that failed there: the
-    # unit step's check_forwarder, since w's 1 still gathers the dead x
+    # interleaving realizes it.  The error names the failing branch alone:
+    # the right arm of the commuted case, without the tags of the left arm
+    # realized beside it; the step at which it failed; and the check that
+    # failed there: the unit step's check_forwarder, since w's 1 still
+    # gathers the dead x
     j1, x, j2, y = genutil.fresh_cut_sides(erase(P.parse_type("~a & bot")))
     g = P.parse_context("w : a +{v} 1{x}, v : ~a &{w} bot{y}")
     assert normalize_context(g) in map(normalize_context, cut_conclusions(j1.ctx, x, j2.ctx, y))
@@ -304,8 +307,43 @@ def test_reduce_cut_stuck_reports_deepest_trace():
     got = re.search(r"deepest trace \[(.+)\], failed at (\S+): (.+)$", str(e.value))
     assert got, str(e.value)
     tags = [t.strip("' ") for t in got.group(1).split(",")]
-    assert tags[0] == "C-case" and tags[-1] == got.group(2) == "B2"
+    assert tags == ["C-case", "K-add", "C1", "C-inr", "B2"]
+    assert got.group(2) == "B2"
     assert got.group(3) == "1 at w must gather every other endpoint, got ('x',)"
+
+
+def test_reduce_cut_fails_only_with_cut_errors():
+    # a check that fails inside a step (a CheckError from the checker, say)
+    # fails that branch; whatever reduce_cut raises is a CutError
+    rng = random.Random(5)
+    cuts = [(Judged(p1, g1), x, Judged(p2, g2), y)
+            for p1, g1, x, p2, g2, y in genutil.sample_cut_pairs(rng, 30, max_formula=4)]
+    cuts += [genutil.fresh_cut_sides(genutil.random_plain_type(rng, rng.randint(1, 4)))
+             for _ in range(15)]
+    outcomes = {True: 0, False: 0}
+    for j1, x, j2, y in cuts:
+        for g in cut_conclusions(j1.ctx, x, j2.ctx, y):
+            try:
+                reduce_cut(j1, x, j2, y, g)
+                outcomes[True] += 1
+            except CutError:
+                outcomes[False] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_reduce_cut_check_error_in_a_step_fails_the_branch(monkeypatch):
+    # the K step's box splice ends with check_forwarder; its CheckError must
+    # fail the branch (reported by Stuck), not abort the reduction
+    A = erase(P.parse_type("(~a | bot) | ~b * (b * 1)"))
+    j1, x, j2, y = genutil.fresh_cut_sides(A)
+    g = cut_conclusions(j1.ctx, x, j2.ctx, y)[0]
+
+    def refuse(*_):
+        raise RuleMismatch("host refused")
+
+    monkeypatch.setattr(cutelim, "_cut_in_box", refuse)
+    with pytest.raises(Stuck, match=r"failed at K: host refused$"):
+        reduce_cut(j1, x, j2, y, g)
 
 
 def test_reduce_cut_all_gammas_random():

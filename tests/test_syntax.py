@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -16,59 +17,88 @@ opt_target = st.one_of(st.none(), names)
 targets = st.lists(names, max_size=3, unique=True).map(tuple)
 
 
-types = st.deferred(
-    lambda: st.one_of(
-        names.map(Atom),
-        names.map(DualAtom),
-        targets.map(One),
-        opt_target.map(Bot),
-        st.builds(Tensor, types, types, targets),
-        st.builds(Par, types, types, opt_target),
-        st.builds(Plus, types, types, opt_target),
-        st.builds(With, types, types, targets),
-        st.builds(OfCourse, types, targets),
-        st.builds(WhyNot, types, opt_target),
-    )
+# Tree sizes are bounded inside the strategies (``max_leaves``), so the
+# example counts below buy distinct small trees rather than time spent
+# generating a few huge ones; ``test_strategies_reach_every_constructor``
+# pins that every constructor is drawn.
+types = st.recursive(
+    st.one_of(names.map(Atom), names.map(DualAtom), targets.map(One), opt_target.map(Bot)),
+    lambda sub: st.one_of(
+        st.builds(Tensor, sub, sub, targets),
+        st.builds(Par, sub, sub, opt_target),
+        st.builds(Plus, sub, sub, opt_target),
+        st.builds(With, sub, sub, targets),
+        st.builds(OfCourse, sub, targets),
+        st.builds(WhyNot, sub, opt_target),
+    ),
+    max_leaves=12,
 )
 
-procs = st.deferred(
-    lambda: st.one_of(
-        st.builds(Link, names, names),
-        names.map(Close),
-        st.builds(Wait, names, procs),
-        st.builds(Send, names, names, procs, procs),
-        st.builds(Recv, names, names, procs),
-        st.builds(Inl, names, procs),
-        st.builds(Case, names, procs, procs),
-        st.builds(Server, names, names, procs),
-        st.builds(Cut, names, names, procs, procs),
-    )
+proc_leaves = st.one_of(st.builds(Link, names, names), names.map(Close))
+
+procs = st.recursive(
+    proc_leaves,
+    lambda sub: st.one_of(
+        st.builds(Wait, names, sub),
+        st.builds(Send, names, names, sub, sub),
+        st.builds(Recv, names, names, sub),
+        st.builds(Inl, names, sub),
+        st.builds(Case, names, sub, sub),
+        st.builds(Server, names, names, sub),
+        st.builds(Cut, names, names, sub, sub),
+    ),
+    max_leaves=12,
 )
 
 # Every binding form, the multiparty cut included, for the scope laws;
 # ``procs`` stays the input of the roundtrip tests.
-scoped_procs = st.deferred(
-    lambda: st.one_of(
-        st.builds(Link, names, names),
-        names.map(Close),
-        st.builds(Wait, names, scoped_procs),
-        st.builds(Send, names, names, scoped_procs, scoped_procs),
-        st.builds(Recv, names, names, scoped_procs),
-        st.builds(Inl, names, scoped_procs),
-        st.builds(Inr, names, scoped_procs),
-        st.builds(Case, names, scoped_procs, scoped_procs),
-        st.builds(Server, names, names, scoped_procs),
-        st.builds(Client, names, names, scoped_procs),
-        st.builds(Cut, names, names, scoped_procs, scoped_procs),
+scoped_procs = st.recursive(
+    proc_leaves,
+    lambda sub: st.one_of(
+        st.builds(Wait, names, sub),
+        st.builds(Send, names, names, sub, sub),
+        st.builds(Recv, names, names, sub),
+        st.builds(Inl, names, sub),
+        st.builds(Inr, names, sub),
+        st.builds(Case, names, sub, sub),
+        st.builds(Server, names, names, sub),
+        st.builds(Client, names, names, sub),
+        st.builds(Cut, names, names, sub, sub),
         st.builds(
             MCut,
             st.lists(names, min_size=1, max_size=2).map(tuple),
-            scoped_procs,
-            st.lists(st.tuples(names, scoped_procs), max_size=2).map(tuple),
-            st.lists(scoped_procs, min_size=1, max_size=2).map(tuple),
+            sub,
+            st.lists(st.tuples(names, sub), max_size=2).map(tuple),
+            st.lists(sub, min_size=1, max_size=2).map(tuple),
         ),
-    )
+    ),
+    max_leaves=12,
 )
+
+
+def _constructors(x) -> set[type]:
+    if isinstance(x, tuple):
+        return set().union(*map(_constructors, x))
+    if not dataclasses.is_dataclass(x):
+        return set()
+    return {type(x)}.union(*(_constructors(getattr(x, f.name)) for f in dataclasses.fields(x)))
+
+
+@pytest.mark.parametrize("strategy,constructors", [
+    (types, {Atom, DualAtom, One, Bot, Tensor, Par, Plus, With, OfCourse, WhyNot}),
+    (procs, {Link, Close, Wait, Send, Recv, Inl, Case, Server, Cut}),
+    (scoped_procs, {Link, Close, Wait, Send, Recv, Inl, Inr, Case, Server, Client, Cut, MCut}),
+], ids=["types", "procs", "scoped_procs"])
+def test_strategies_reach_every_constructor(strategy, constructors):
+    seen: set[type] = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(strategy)
+    def draw(t):
+        seen.update(_constructors(t))
+
+    draw()
+    assert seen == constructors
 
 
 @settings(max_examples=300, deadline=None)
