@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import compat as CM
 from . import cutelim as CE
@@ -214,52 +215,46 @@ def _sim_config(decl: PA.SimDecl) -> MC.MCutConfig:
 
 
 def _print_sim_state(c: MC.MCutConfig) -> str:
-    parts = []
-    for p in c.parts:
-        env = p.env + ((p.endpoint, p.typ),)
-        parts.append(f"({S.print_process(p.term)}) |- {PA.print_plain_env(env)} @ {p.endpoint}")
-    out = (f"sim ({S.print_process(c.fwd.term)}) |- {PA.print_context(c.fwd.ctx)} "
-           f"parts {', '.join(parts)}")
-    if c.pending:
-        pend = ", ".join(
-            f"{p.name} <- ({S.print_process(p.term)}) |- "
-            f"{PA.print_plain_env(p.env + ((p.name, p.typ),))}"
-            for p in c.pending
-        )
-        out += f" pending ({pend})"
-    return out + ";"
+    return PA.print_declaration(PA.SimDecl(
+        c.fwd.process, c.fwd.context,
+        tuple(PA.SimPart(p.term, p.env + ((p.endpoint, p.typ),), p.endpoint) for p in c.parts),
+        tuple((p.name, p.term, p.env + ((p.name, p.typ),)) for p in c.pending)))
 
 
 def run_sim(decl: PA.SimDecl, as_json: bool, step: bool) -> bool:
+    stats = MC.McutStats()
     try:
         cfg = _sim_config(decl)
-        if step:
-            got = MC.mcutq_step(cfg)
-            match got:
-                case ("final", term, tag):
-                    _emit({"sim": "final", "tag": tag, "term": S.print_process(term)},
-                          as_json, f"{tag}: final {S.print_process(term)}")
-                case ("continue", c2, tag):
-                    _emit({"sim": "step", "tag": tag, "state": _print_sim_state(c2)},
-                          as_json, f"{tag}:\n{_print_sim_state(c2)}")
-                case ("emit", wrapper, c2, tag):
-                    _emit({"sim": "emit", "tag": tag, "state": _print_sim_state(c2)},
-                          as_json, f"{tag}: action emitted\n{_print_sim_state(c2)}")
-                case ("fork", _, cl, cr, tag):
-                    _emit({"sim": "fork", "tag": tag,
-                           "left": _print_sim_state(cl), "right": _print_sim_state(cr)},
-                          as_json,
-                          f"{tag}: fork\n{_print_sim_state(cl)}\n{_print_sim_state(cr)}")
-            return True
-        term, trace = MC.run_mcut(cfg)
-        _emit({"sim": "ok", "trace": list(trace), "term": S.print_process(term)},
-              as_json,
-              f"{_verdict(True)} sim\n  " + "\n  ".join(trace)
-              + f"\n  => {S.print_process(term)}")
-        return True
+        rec, text = _sim_step(cfg, stats) if step else _sim_run(cfg, stats)
     except (CutError, CheckError) as e:
-        _emit({"sim": "error", "error": str(e)}, as_json, f"{_verdict(False)} sim: {e}")
-        return False
+        rec, text = {"sim": "error", "error": str(e)}, f"{_verdict(False)} sim: {e}"
+    rec["stats"] = asdict(stats)
+    _emit(rec, as_json, text)
+    return rec["sim"] != "error"
+
+
+def _sim_run(cfg: MC.MCutConfig, stats: MC.McutStats) -> tuple[dict, str]:
+    term, trace = MC.run_mcut(cfg, stats)
+    return ({"sim": "ok", "trace": list(trace), "term": S.print_process(term)},
+            f"{_verdict(True)} sim\n  " + "\n  ".join(trace)
+            + f"\n  => {S.print_process(term)}")
+
+
+def _sim_step(cfg: MC.MCutConfig, stats: MC.McutStats) -> tuple[dict, str]:
+    match MC.mcutq_step(cfg, stats):
+        case ("final", term, tag):
+            return ({"sim": "final", "tag": tag, "term": S.print_process(term)},
+                    f"{tag}: final {S.print_process(term)}")
+        case ("continue", c2, tag):
+            return ({"sim": "step", "tag": tag, "state": _print_sim_state(c2)},
+                    f"{tag}:\n{_print_sim_state(c2)}")
+        case ("emit", _, c2, tag):
+            return ({"sim": "emit", "tag": tag, "state": _print_sim_state(c2)},
+                    f"{tag}: action emitted\n{_print_sim_state(c2)}")
+        case ("fork", _, cl, cr, tag):
+            return ({"sim": "fork", "tag": tag,
+                     "left": _print_sim_state(cl), "right": _print_sim_state(cr)},
+                    f"{tag}: fork\n{_print_sim_state(cl)}\n{_print_sim_state(cr)}")
 
 
 GRAMMAR_NOTE = "see the grammar reference shipped as fwdcal/grammar.ebnf"

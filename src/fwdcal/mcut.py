@@ -7,6 +7,20 @@ outermost action selects the next case; a part whose head acts on one of its
 own free endpoints first emits that action outside the whole composition.
 Reduction terminates in a plain CP process covering the union of the external
 environments.
+
+A run walks the forwarder's derivation.  Its names are fixed when it starts
+(``_start``); after that the forwarder is never renamed, and a step that
+binds a name renames the part's binder to the forwarder's.  Each invariant
+is established where it can change:
+
+* a configuration from outside is checked in full, which builds the
+  forwarder's derivation once; each later forwarder is a premise of it,
+  except the renamed copy a Contract step makes and checks;
+* after a step, the structural invariants are checked (distinct names,
+  duality, boxes against pending processes, a part for every active
+  endpoint), and the parts and pending processes the step created or
+  rewrote are checked in CP;
+* the residual process is checked in CP at the external environments.
 """
 
 from __future__ import annotations
@@ -18,11 +32,11 @@ from .syntax import (
     Case, Client, Close, Endpoint, Inl, Inr, Link, Process, Recv, Send, Server, Type,
     Wait, WhyNot, dual, erase, free_endpoints, head_endpoint, rename_free, size,
 )
-from .contexts import (
-    MsgBox, context_size, endpoint_names, rename_context, rename_context_targets,
+from .contexts import MsgBox, context_size, rename_context
+from .checker import CheckError, Derivation, Env, check_cll, check_forwarder, cp_step
+from .cutelim import (
+    CutError, FuelExhausted, Judged, Stuck, freshen_judgement, judgement_names, proc_size,
 )
-from .checker import CheckError, Env, check_cll, check_forwarder, cp_step
-from .cutelim import CutError, FuelExhausted, Judged, Stuck, premises, proc_size
 
 
 class McutError(CutError):
@@ -48,7 +62,7 @@ class PendingEntry:
 @dataclass(frozen=True)
 class MCutConfig:
     bound: tuple[Endpoint, ...]
-    fwd: Judged
+    fwd: Judged | Derivation  # a Judged as given; a run holds its derivation
     pending: tuple[PendingEntry, ...]
     parts: tuple[PartEntry, ...]
 
@@ -59,120 +73,122 @@ class MCutConfig:
         raise Stuck(f"no part owns endpoint {x}")
 
     def replace_part(self, x: Endpoint, new: PartEntry | None) -> tuple[PartEntry, ...]:
-        out = []
-        for p in self.parts:
-            if p.endpoint == x:
-                if new is not None:
-                    out.append(new)
-            else:
-                out.append(p)
-        return tuple(out)
-
-    def term(self) -> Process:
-        return S.MCut(
-            self.bound,
-            self.fwd.term,
-            tuple((p.name, p.term) for p in self.pending),
-            tuple(p.term for p in self.parts),
-        )
+        return tuple(p if p.endpoint != x else new for p in self.parts
+                     if p.endpoint != x or new is not None)
 
     def conclusion_env(self) -> Env:
-        out: list[tuple[Endpoint, Type]] = []
-        seen = set()
-        for p in self.pending:
+        out: dict[Endpoint, Type] = {}
+        for p in self.pending + self.parts:
             for n, t in p.env:
-                if n not in seen:
-                    seen.add(n)
-                    out.append((n, erase(t)))
-        for p in self.parts:
-            for n, t in p.env:
-                if n not in seen:
-                    seen.add(n)
-                    out.append((n, erase(t)))
-        return tuple(out)
+                if n not in out:
+                    out[n] = erase(t)
+        return tuple(out.items())
+
+
+@dataclass
+class McutStats:
+    """What a run did: its steps, the forwarder derivations it built, and the
+    parts and pending processes it checked in CP."""
+
+    steps: int = 0
+    forwarder_checks: int = 0
+    part_checks: int = 0
 
 
 def check_mcut_config(c: MCutConfig) -> tuple[bool, str]:
     """All configuration invariants; reports the first violated one."""
-    if len(set(c.bound)) != len(c.bound):
-        return False, "bound endpoints not pairwise distinct"
-    if not S.is_cut_free(c.fwd.term):
-        return False, "forwarder contains a cut"
-    if set(c.fwd.ctx.endpoints()) != set(c.bound):
-        return False, "forwarder context must cover exactly the bound endpoints"
     try:
-        check_forwarder(c.fwd.term, c.fwd.ctx)
-    except CheckError as e:
-        return False, f"forwarder does not check: {e}"
+        _check(c, McutStats())
+    except McutError as e:
+        return False, str(e)
+    return True, "ok"
+
+
+def _check(c: MCutConfig, stats: McutStats, before: MCutConfig | None = None) -> MCutConfig:
+    """``c`` with its forwarder's derivation; an McutError names the first
+    invariant it breaks.
+
+    A forwarder that is still a Judged is checked here; a Derivation is a
+    premise of one checked before.  With ``before``, a checked configuration
+    that ``c`` was made from, only the parts and pending processes created or
+    rewritten since are checked in CP: a step carries every other entry over
+    as the same object.
+    """
+    if len(set(c.bound)) != len(c.bound):
+        raise McutError("bound endpoints not pairwise distinct")
+    judged = isinstance(c.fwd, Judged)
+    if judged and not S.is_cut_free(c.fwd.term):
+        raise McutError("forwarder contains a cut")
+    ctx = c.fwd.ctx if judged else c.fwd.context
+    if set(ctx.endpoints()) != set(c.bound):
+        raise McutError("forwarder context must cover exactly the bound endpoints")
+    if judged:
+        c = replace(c, fwd=_derive(c.fwd, stats))
     owned = [p.endpoint for p in c.parts]
     if len(set(owned)) != len(owned) or not set(owned) <= set(c.bound):
-        return False, "parts must own distinct bound endpoints"
+        raise McutError("parts must own distinct bound endpoints")
     for p in c.parts:
-        e = c.fwd.ctx.get(p.endpoint)
+        e = ctx.get(p.endpoint)
         if e.typing is None or erase(e.typing) != dual(erase(p.typ)):
-            return False, f"{p.endpoint}: forwarder and part types are not dual"
-        try:
-            check_cll(p.term, p.env + ((p.endpoint, p.typ),))
-        except CheckError as e2:
-            return False, f"part at {p.endpoint} does not check: {e2}"
+            raise McutError(f"{p.endpoint}: forwarder and part types are not dual")
     names = [p.name for p in c.pending]
     if len(set(names)) != len(names):
-        return False, "pending names not distinct"
-    for p in c.pending:
-        try:
-            check_cll(p.term, p.env + ((p.name, p.typ),))
-        except CheckError as e2:
-            return False, f"pending {p.name} does not check: {e2}"
+        raise McutError("pending names not distinct")
     boxed: list[tuple[Endpoint, Type]] = []
-    for e in c.fwd.ctx.entries:
+    for e in ctx.entries:
         for it in e.queue:
             if isinstance(it, MsgBox):
                 boxed.extend((pn, erase(pt)) for pn, pt in it.payloads)
     want = sorted((p.name, dual(erase(p.typ))) for p in c.pending)
     if sorted(boxed) != want:
-        return False, "queued messages and pending processes disagree"
+        raise McutError("queued messages and pending processes disagree")
     for x in c.bound:
-        e = c.fwd.ctx.get(x)
-        if e.typing is not None and x not in set(owned):
-            return False, f"active forwarder endpoint {x} has no part"
-    return True, "ok"
+        if ctx.get(x).typing is not None and x not in set(owned):
+            raise McutError(f"active forwarder endpoint {x} has no part")
+    kept = {id(p) for p in before.parts + before.pending} if before else set()
+    for what, x, p in ([(f"part at {p.endpoint}", p.endpoint, p) for p in c.parts]
+                       + [(f"pending {p.name}", p.name, p) for p in c.pending]):
+        if id(p) not in kept:
+            stats.part_checks += 1
+            try:
+                check_cll(p.term, p.env + ((x, p.typ),))
+            except CheckError as e:
+                raise McutError(f"{what} does not check: {e}") from None
+    return c
+
+
+def _derive(j: Judged, stats: McutStats) -> Derivation:
+    stats.forwarder_checks += 1
+    try:
+        return check_forwarder(j.term, j.ctx)
+    except CheckError as e:
+        raise McutError(f"forwarder does not check: {e}") from None
 
 
 @dataclass
 class _Runner:
     fuel: int
+    supply: S.FreshNames
+    stats: McutStats
     trace: list[str] = field(default_factory=list)
-    supply: S.FreshNames = field(default_factory=lambda: S.FreshNames())
-    steps: int = 0
 
     def tick(self, tag: str):
         self.trace.append(tag)
-        self.steps += 1
-        if self.steps > self.fuel:
+        self.stats.steps += 1
+        if len(self.trace) > self.fuel:
             raise FuelExhausted("fuel exhausted", tuple(self.trace))
 
 
-def default_mcut_fuel(c: MCutConfig) -> int:
-    n = context_size(c.fwd.ctx) + proc_size(c.fwd.term)
-    for p in c.parts:
-        n += proc_size(p.term) + size(erase(p.typ))
-    for p in c.pending:
-        n += proc_size(p.term) + size(erase(p.typ))
-    return 8 * (n + 4)
-
-
-def run_mcut(c: MCutConfig) -> tuple[Process, tuple[str, ...]]:
+def run_mcut(c: MCutConfig, stats: McutStats | None = None) -> tuple[Process, tuple[str, ...]]:
     """Reduce a configuration to its residual composed process.
 
-    Every step re-establishes the configuration invariants, which are
-    checked after each rewrite; the result checks in CP at the union of the
-    stored environments.
+    Each invariant is checked where it can change (see the module
+    docstring); the result checks in CP at the union of the stored
+    environments.  ``stats``, when given, counts what the run did, also
+    when it fails.
     """
-    c, r = _runner(c)
-    ok, why = check_mcut_config(c)
-    if not ok:
-        raise McutError(f"invalid configuration: {why}")
-    term = _run(c, r)
+    c, r = _start(c, stats or McutStats())
+    term = _run(c, r, c)
     try:
         check_cll(term, c.conclusion_env())
     except CheckError as e:
@@ -180,71 +196,78 @@ def run_mcut(c: MCutConfig) -> tuple[Process, tuple[str, ...]]:
     return term, tuple(r.trace)
 
 
-def _run(c: MCutConfig, r: _Runner) -> Process:
+def _run(c: MCutConfig, r: _Runner, checked: MCutConfig) -> Process:
+    """Run ``c`` to its residual process.  ``checked`` is ``c`` or the checked
+    configuration whose step built ``c`` to run inside it."""
     wrappers: list = []
     while True:
         got = _step(c, r)
+        tag = got[-1]
+        r.tick(tag)
         match got:
-            case ("final", term, tag):
-                r.tick(tag)
-                out = term
-                for w in reversed(wrappers):
-                    out = w(out)
-                return out
-            case ("continue", c2, tag):
-                r.tick(tag)
-                ok, why = check_mcut_config(c2)
-                if not ok:
-                    raise McutError(f"invariant broken after {tag}: {why}")
-                c = c2
-            case ("emit", wrapper, c2, tag):
-                r.tick(tag)
+            case ("final", out, _):
+                break
+            case ("fork", mk, cl, cr, _):
+                out = mk(_run(cl, r, c), _run(cr, r, c))
+                break
+            case ("emit", wrapper, c2, _):
                 wrappers.append(wrapper)
-                ok, why = check_mcut_config(c2)
-                if not ok:
-                    raise McutError(f"invariant broken after {tag}: {why}")
-                c = c2
-            case ("fork", mk, cl, cr, tag):
-                r.tick(tag)
-                lterm = _run(cl, r)
-                rterm = _run(cr, r)
-                out = mk(lterm, rterm)
-                for w in reversed(wrappers):
-                    out = w(out)
-                return out
-            case _:
-                raise AssertionError(got)
+            case ("continue", c2, _):
+                pass
+        try:
+            c = checked = _check(c2, r.stats, checked)
+        except McutError as e:
+            raise McutError(f"invariant broken after {tag}: {e}") from None
+    for w in reversed(wrappers):
+        out = w(out)
+    return out
 
 
-def mcutq_step(c: MCutConfig):
-    """One reduction of a configuration.
+def mcutq_step(c: MCutConfig, stats: McutStats | None = None):
+    """One reduction of a configuration, checked in full first.
 
     Returns one of ``("final", term, tag)``, ``("continue", config, tag)``,
     ``("emit", wrapper, config, tag)`` for an action that leaves the
     composition, or ``("fork", combine, left, right, tag)`` when an external
-    branching action splits the run.
+    branching action splits the run.  A returned configuration holds its
+    forwarder's derivation.
     """
-    return _step(*_runner(c))
+    c, r = _start(c, stats or McutStats())
+    got = _step(c, r)
+    r.tick(got[-1])
+    return got
 
 
-def _runner(c: MCutConfig) -> tuple[MCutConfig, _Runner]:
-    """A runner whose supply avoids every name of the configuration, and the
-    configuration with its parts' and pending processes' binders renamed
-    apart: binders of independently authored parts may collide once
-    composed, and a binder that an emitted action leaves free must not meet
-    a free name of another process."""
-    names = set(c.bound)
-    for p in c.parts:
-        names |= free_endpoints(p.term) | {p.endpoint} | {n for n, _ in p.env}
-    for p in c.pending:
-        names |= free_endpoints(p.term) | {p.name} | {n for n, _ in p.env}
-    names |= endpoint_names(c.fwd.ctx)
-    r = _Runner(default_mcut_fuel(c), supply=S.FreshNames(frozenset(names)))
-    return replace(
-        c,
-        parts=tuple(replace(p, term=_freshen_binders(p.term, r.supply)) for p in c.parts),
-        pending=tuple(replace(p, term=_freshen_binders(p.term, r.supply)) for p in c.pending),
-    ), r
+def _start(c: MCutConfig, stats: McutStats) -> tuple[MCutConfig, _Runner]:
+    """Fix the run's names, then check the configuration in full.
+
+    The forwarder is renamed apart from the parts' and pending processes'
+    free names, bar the bound endpoints and pending names it shares with
+    them.  Their binders are then renamed apart from every name, the
+    forwarder's included: independently authored binders may collide once
+    composed, and a binder an emitted action leaves free must not meet
+    another free name.  The runner's supply avoids every name.
+    """
+    shared = set(c.bound) | {p.name for p in c.pending}
+    names = set(shared)
+    for p in c.parts + c.pending:
+        names |= free_endpoints(p.term) | {n for n, _ in p.env}
+    fwd = c.fwd if isinstance(c.fwd, Judged) else Judged(c.fwd.process, c.fwd.context)
+    fwd = freshen_judgement(fwd, frozenset(names - shared))
+    supply = S.FreshNames(frozenset(names | judgement_names(fwd)))
+    parts = tuple(replace(p, term=_freshen_binders(p.term, supply)) for p in c.parts)
+    pending = tuple(replace(p, term=_freshen_binders(p.term, supply)) for p in c.pending)
+    c = MCutConfig(c.bound, fwd, pending, parts)
+    try:
+        c = _check(c, stats)
+    except McutError as e:
+        raise McutError(f"invalid configuration: {e}") from None
+    return c, _Runner(_fuel(c), supply, stats)
+
+
+def _fuel(c: MCutConfig) -> int:
+    n = sum(proc_size(p.term) + size(erase(p.typ)) for p in c.parts + c.pending)
+    return 8 * (n + context_size(c.fwd.context) + proc_size(c.fwd.process) + 4)
 
 
 # For each forwarder head: the part head that meets it on the same endpoint,
@@ -263,9 +286,9 @@ _MEETS = {
 
 
 def _step(c: MCutConfig, r: _Runner):
-    ft = c.fwd.term
+    ft = c.fwd.process
     if isinstance(ft, Link):
-        return _axiom_step(c, r)
+        return _axiom_step(c)
     if type(ft) not in _MEETS:
         raise Stuck(f"forwarder head {type(ft).__name__} not handled")
     x = ft.x
@@ -278,7 +301,7 @@ def _step(c: MCutConfig, r: _Runner):
             if o.endpoint != x and not isinstance(erase(o.typ), S.OfCourse):
                 raise Stuck("weakening step against a non-server part")
         return ("final", part.term, "Weaken")
-    got = _commute_part(c, part, r)
+    got = _commute_part(c, part)
     if got is not None:
         return got
     want, what = _MEETS[type(ft)]
@@ -292,41 +315,39 @@ def _step(c: MCutConfig, r: _Runner):
         case Wait():
             if part.env and not all(isinstance(erase(t), WhyNot) for _, t in part.env):
                 raise Stuck("closing part carries non-? externals")
-            _, (fj,) = premises(c.fwd)
+            (fj,) = c.fwd.premises
             return ("continue", replace(c, fwd=fj, parts=c.replace_part(x, None)), "One")
         case Recv():
-            return _binder_step(c, part, r, "Tensor")
+            return _binder_step(c, part, "Tensor")
         case Client():
-            return _binder_step(c, part, r, "Bang")
+            return _binder_step(c, part, "Bang")
         case Server():
             if x in free_endpoints(part.term.cont):
                 return _contract_step(c, part, r)
-            return _binder_step(c, part, r, "Quest")
-        case Send(_, yb, _, _):
-            return _transport_step(c, part, yb, r)
+            return _binder_step(c, part, "Quest")
+        case Send():
+            return _transport_step(c, part, r)
         case Case():
-            _, (lj, rj) = premises(c.fwd)
+            lj, rj = c.fwd.premises
             _, ((ct, ct_env),) = cp_step(part.term, part.env + ((x, part.typ),))
             fj = lj if isinstance(part.term, Inl) else rj
             return ("continue", replace(c, fwd=fj, parts=c.replace_part(
                 x, _own(ct, ct_env, x))), "Plus")
         case Inl() | Inr():
-            _, (fj,) = premises(c.fwd)
+            (fj,) = c.fwd.premises
             _, (left, right) = cp_step(part.term, part.env + ((x, part.typ),))
             ct, ct_env = left if isinstance(ft, Inl) else right
             return ("continue", replace(c, fwd=fj, parts=c.replace_part(
                 x, _own(ct, ct_env, x))), "With")
 
 
-def _axiom_step(c: MCutConfig, r: _Runner):
-    a, b = c.fwd.term.x, c.fwd.term.y
+def _axiom_step(c: MCutConfig):
+    a, b = c.fwd.process.x, c.fwd.process.y
     pa, pb = c.part_at(a), c.part_at(b)
-    got = _commute_part(c, pa, r)
-    if got is not None:
-        return got
-    got = _commute_part(c, pb, r)
-    if got is not None:
-        return got
+    for p in (pa, pb):
+        got = _commute_part(c, p)
+        if got is not None:
+            return got
     if not isinstance(pa.term, Link) or not isinstance(pb.term, Link):
         raise Stuck("axiom forwarder against non-link parts")
     za = pa.term.y if pa.term.x == a else pa.term.x
@@ -345,17 +366,22 @@ def _own(term: Process, env: Env, x: Endpoint, typ: Type | None = None) -> PartE
                      dict(env)[x] if typ is None else typ)
 
 
-def _binder_step(c: MCutConfig, part: PartEntry, r: _Runner, tag: str):
+def _under(term: Process, env: Env, f: Endpoint, g: Endpoint) -> PartEntry:
+    """The part running ``term`` at ``env``, a premise under the part's
+    binder ``f``, renamed to the forwarder's binder ``g``, which it owns."""
+    return _own(rename_free(term, {f: g}), tuple((g if n == f else n, t) for n, t in env), g)
+
+
+def _binder_step(c: MCutConfig, part: PartEntry, tag: str):
     """The forwarder's head and the part's both bind a name: a message, or a
-    server's or a client's copy.  Both take one fresh name ``g``, and the
-    part's premise under the binder goes on at ``g``: a message waits as a
-    pending process while the continuation stays the part at ``x``; a copy
-    becomes the part that owns ``g`` in place of ``x``."""
-    x, f = part.endpoint, part.term.fresh
-    g = r.supply.fresh(c.fwd.term.fresh)
-    _, (fj,) = premises(_rename_binder(c.fwd, g))
+    server's or a client's copy.  The part's premise under its binder goes on
+    at the forwarder's binder ``g``: a message waits as a pending process
+    while the continuation stays the part at ``x``; a copy becomes the part
+    that owns ``g`` in place of ``x``."""
+    x, g = part.endpoint, c.fwd.process.fresh
+    (fj,) = c.fwd.premises
     _, ((q, h), *rest) = cp_step(part.term, part.env + ((x, part.typ),))
-    moved = _own(rename_free(q, {f: g}), tuple((g if n == f else n, t) for n, t in h), g)
+    moved = _under(q, h, part.term.fresh, g)
     if rest:
         ((ct, ct_env),) = rest
         pend = c.pending + (PendingEntry(g, moved.term, moved.env, moved.typ),)
@@ -365,52 +391,33 @@ def _binder_step(c: MCutConfig, part: PartEntry, r: _Runner, tag: str):
     return ("continue", MCutConfig(bound, fj, c.pending, c.replace_part(x, moved)), tag)
 
 
-def _transport_step(c: MCutConfig, part: PartEntry, yb: Endpoint, r: _Runner):
-    """The forwarder sends on ``x`` what it gathered and the part receives it
-    as ``g``: the transported forwarder composes the part's continuation with
-    the pending processes of the gathered messages, and the result becomes
-    the part at ``x``."""
-    x = part.endpoint
-    g = r.supply.fresh(part.term.fresh)
-    _, (sj, qj) = premises(c.fwd)
-    # rename the transported forwarder's fresh endpoint to g
-    sj = Judged(rename_free(sj.term, {yb: g}), rename_context(sj.ctx, {yb: g}))
-    cohort = [e.endpoint for e in sj.ctx.entries if e.endpoint != g]
-    inner_parts = []
+def _transport_step(c: MCutConfig, part: PartEntry, r: _Runner):
+    """The forwarder sends on ``x`` what it gathered, binding ``g``, and the
+    part receives it, its binder renamed to ``g``: the transported forwarder
+    composes the part's continuation with the pending processes of the
+    gathered messages, and the result becomes the part at ``x``."""
+    x, g = part.endpoint, c.fwd.process.fresh
+    sj, qj = c.fwd.premises
+    cohort = [e.endpoint for e in sj.context.entries if e.endpoint != g]
     consumed = []
     for z in cohort:
         pe = next((p for p in c.pending if p.name == z), None)
         if pe is None:
             raise Stuck(f"gathered message {z} has no pending process")
         consumed.append(pe)
-        inner_parts.append(PartEntry(pe.term, pe.env, z, pe.typ))
-    _, ((ct_term, ct_env),) = cp_step(part.term, part.env + ((x, part.typ),))
-    ct = rename_free(ct_term, {part.term.fresh: g})
-    part0 = _own(ct, tuple((g if n == part.term.fresh else n, t) for n, t in ct_env), g)
-    inner = MCutConfig((g,) + tuple(cohort), sj, (), (part0,) + tuple(inner_parts))
-    s_in = _run(inner, r)
+    _, ((ct, ct_env),) = cp_step(part.term, part.env + ((x, part.typ),))
+    part0 = _under(ct, ct_env, part.term.fresh, g)
+    s_in = _run(MCutConfig((g,) + tuple(cohort), sj, (), (part0,) + tuple(
+        PartEntry(pe.term, pe.env, pe.name, pe.typ) for pe in consumed)), r, c)
     outer_env = tuple((n, t) for n, t in part0.env if n != x)
-    for pe in consumed:
-        outer_env += pe.env
+    outer_env += sum((pe.env for pe in consumed), ())
     newpart = PartEntry(s_in, outer_env, x, dict(part0.env)[x])
     pend = tuple(p for p in c.pending if p not in consumed)
     return ("continue", replace(c, fwd=qj, pending=pend,
                                 parts=c.replace_part(x, newpart)), "Par")
 
 
-def _rename_binder(fwd: Judged, g: Endpoint) -> Judged:
-    """Rename the binder of the forwarder's head action to ``g``.
-
-    Annotations may forward-reference a term binder, so its targets follow,
-    unless the name is taken by an actual entry.
-    """
-    heads, ((bs, q),) = S.scope(fwd.term)
-    (b,) = bs
-    term = S.from_scope(fwd.term, heads, (((g,), rename_free(q, {b: g})),))
-    return Judged(term, fwd.ctx if fwd.ctx.has(b) else rename_context_targets(fwd.ctx, {b: g}))
-
-
-def _commute_part(c: MCutConfig, part: PartEntry, r: _Runner):
+def _commute_part(c: MCutConfig, part: PartEntry):
     """Emit the part's head action when it is on one of its own external
     endpoints; None when the head is on the bound endpoint.
 
@@ -419,8 +426,7 @@ def _commute_part(c: MCutConfig, part: PartEntry, r: _Runner):
     premise the action is emitted around the rest of the run; with two (the
     branches of a case) the run forks, one composition per premise.
     """
-    term = part.term
-    x = part.endpoint
+    term, x = part.term, part.endpoint
     head = head_endpoint(term)
     if head is None or head == x:
         return None
@@ -444,7 +450,8 @@ def _commute_part(c: MCutConfig, part: PartEntry, r: _Runner):
 
 def _contract_step(c: MCutConfig, part: PartEntry, r: _Runner):
     """Server duplication: the part re-uses the bound server endpoint, so the
-    whole server composition is copied; the copy serves the later uses."""
+    whole server composition is copied; the copy serves the later uses.  Its
+    forwarder is a renamed judgement, so it is checked where it is made."""
     x = part.endpoint
     assert isinstance(part.term, Client)
     x2 = r.supply.fresh(x)
@@ -453,21 +460,13 @@ def _contract_step(c: MCutConfig, part: PartEntry, r: _Runner):
     inner = replace(c, parts=c.replace_part(x, inner_part))
 
     # fresh copy of the server composition for the leftover uses
-    ren: dict[str, str] = {x: x2}
-    for b in c.bound:
-        if b != x:
-            ren[b] = r.supply.fresh(b)
-    fwd2 = Judged(rename_free(c.fwd.term, ren), rename_context(c.fwd.ctx, ren))
-    copy_parts = []
-    for p in c.parts:
-        if p.endpoint == x:
-            continue
-        copy_parts.append(PartEntry(_freshen_binders(p.term, r.supply), p.env,
-                                    ren[p.endpoint], p.typ))
-    s_in = _run(inner, r)
-    outer_part = _own(s_in, inner.conclusion_env(), x2, part.typ)
-    outer = MCutConfig(tuple(ren[b] for b in c.bound), fwd2, (),
-                       (outer_part,) + tuple(copy_parts))
+    ren = {x: x2} | {b: r.supply.fresh(b) for b in c.bound if b != x}
+    fwd2 = _derive(Judged(rename_free(c.fwd.process, ren), rename_context(c.fwd.context, ren)),
+                   r.stats)
+    copies = tuple(PartEntry(_freshen_binders(p.term, r.supply), p.env, ren[p.endpoint], p.typ)
+                   for p in c.parts if p.endpoint != x)
+    outer_part = _own(_run(inner, r, c), inner.conclusion_env(), x2, part.typ)
+    outer = MCutConfig(tuple(ren[b] for b in c.bound), fwd2, (), (outer_part,) + copies)
     return ("continue", outer, "Contract")
 
 

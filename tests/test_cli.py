@@ -88,6 +88,17 @@ def test_deep_input_is_a_located_parse_error(cmd, decl, tmp_path, capsys):
     assert re.match(rf"{re.escape(str(path))}:1:\d+: input nests too deeply\n", err), err
 
 
+def test_sim_json_records_carry_the_run_counters(capsys):
+    assert cli.main(["--json", "sim", str(CORPUS / "compose.fwd")]) == 0
+    (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert rec["stats"] == {"steps": len(rec["trace"]), "forwarder_checks": 1, "part_checks": 10}
+    assert cli.main(["--json", "sim", "--step", str(CORPUS / "compose.fwd")]) == 0
+    (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert rec["stats"] == {"steps": 1, "forwarder_checks": 1, "part_checks": 2}
+    assert cli.main(["sim", str(CORPUS / "compose.fwd")]) == 0
+    assert "checks" not in capsys.readouterr().out
+
+
 def test_deep_declaration_is_named_when_handling_overflows(tmp_path, capsys):
     # shallow enough to parse, too deep for the recursive checker and printer
     xs = [f"x{i}" for i in range(sys.getrecursionlimit() * 3 // 5)]

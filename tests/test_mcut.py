@@ -2,12 +2,21 @@
 endpoints emits that action outside the composition (one continuation stays
 in it) or, for a case, forks the run into one composition per branch."""
 
+import random
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+import genutil
+from fwdcal import cli
 from fwdcal import mcut as MC
 from fwdcal import parsing as P
 from fwdcal import syntax as S
+from fwdcal.checker import eta_link, synth_with_annotations
 from fwdcal.cutelim import Judged
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 LINK = "(x<->y) |- x : ~a, y : a"
 PEER_Y = "(y<->f) |- f : a, y : ~a @ y"
@@ -65,3 +74,111 @@ def test_part_server_on_external_endpoint():
     term, trace = run_sim(fwd, [part_x, part_y])
     assert term == "!u(v). ?f[t]. wait t; close v"
     assert trace == ("comm", "Quest", "Bang", "comm", "comm", "One", "Bot")
+
+
+# Head connectives of the exponential-free fragment.  Exponentials are left
+# out: composition still fails on some of them, and every failing sim
+# declaration of the benchmark's cut workload (seeds 1-5) has them and fails
+# with "! context must be ?-typed".
+FRAGMENT_HEADS = ("tensor", "par", "plus", "with")
+# Endpoint names, some shared with the binders that synthesis (m, w) and
+# eta-links (u, v) choose, so the run must rename apart.
+NAMES = ("x", "y", "m", "w", "u", "v", "z")
+
+
+def fragment_formulas(rng: random.Random, per_shape: int = 3, max_size: int = 4):
+    out = [rng.choice((S.Atom("a"), S.DualAtom("a"))) for _ in range(per_shape)]
+    out += [S.One(), S.Bot()]
+    for head in FRAGMENT_HEADS:
+        for n in range(1, max_size + 1):
+            out += [genutil.random_plain_type(rng, n, exponentials=False, head=head)
+                    for _ in range(per_shape)]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_composition_reduces_on_the_exponential_free_fragment(seed):
+    # the composition theorem: a synthesized dual-pair forwarder composed
+    # with eta-link parts reduces to a CP process, which run_mcut checks
+    rng = random.Random(seed)
+    for a in fragment_formulas(rng):
+        x, y = rng.sample(NAMES, 2)
+        ctx, fwd = synth_with_annotations(((x, a), (y, S.dual(a))))
+        parts = (MC.PartEntry(eta_link(f"{x}_e", x, S.dual(a)), ((f"{x}_e", a),), x, S.dual(a)),
+                 MC.PartEntry(eta_link(f"{y}_e", y, a), ((f"{y}_e", S.dual(a)),), y, a))
+        MC.run_mcut(MC.MCutConfig((x, y), Judged(fwd, ctx), (), parts))
+
+
+# compose.fwd with clashing names; each case fails if the run skips one half
+# of the renaming apart it does when it starts
+RENAMED_APART = {
+    # the forwarder's binders m, w are the parts' external endpoints: the
+    # forwarder is renamed apart from the parts' free names
+    "forwarder-binders-are-part-externals": (
+        "(y(m). x[w].(m<->w | wait y; close x)) |- x : a *{y} 1{y}, y : ~a |{x} bot{x}",
+        ["(x(u). w[v].(u<->v | wait x; close w)) |- w : a * 1, x : ~a | bot @ x",
+         "(m(v). y[u].(v<->u | wait m; close y)) |- m : ~a | bot, y : a * 1 @ y"],
+        "m(v#1). wait m; w[v].(v#1<->v | close w)"),
+    # the forwarder binds v#1, the name the second part's v would be renamed
+    # to: the parts' binders are renamed apart from the forwarder's names too
+    "forwarder-binder-is-a-fresh-part-binder": (
+        "(y(v#1). x[w].(v#1<->w | wait y; close x)) |- x : a *{y} 1{y}, y : ~a |{x} bot{x}",
+        ["(x(u). ex[v].(u<->v | wait x; close ex)) |- ex : a * 1, x : ~a | bot @ x",
+         "(ey(v). y[u].(v<->u | wait ey; close y)) |- ey : ~a | bot, y : a * 1 @ y"],
+        "ey(v#2). wait ey; ex[v].(v#2<->v | close ex)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENAMED_APART))
+def test_forwarder_and_part_names_are_renamed_apart(case):
+    fwd, parts, want = RENAMED_APART[case]
+    term, _ = run_sim(fwd, parts)
+    assert term == want
+
+
+def compose_config() -> MC.MCutConfig:
+    (d,) = P.parse_file((CORPUS / "compose.fwd").read_text(encoding="utf-8")).decls
+    return cli._sim_config(d)
+
+
+def test_a_run_checks_the_forwarder_once(monkeypatch):
+    # every later forwarder is a premise of the derivation built at the start
+    calls = []
+    check_forwarder = MC.check_forwarder
+
+    def counted(p, g):
+        calls.append(p)
+        return check_forwarder(p, g)
+
+    monkeypatch.setattr(MC, "check_forwarder", counted)
+    stats = MC.McutStats()
+    MC.run_mcut(compose_config(), stats)
+    assert len(calls) == stats.forwarder_checks == 1
+
+
+# A step of compose.fwd that leaves the part at y as "close y"; the run must
+# fail at that step.  The first comm emits the part's receive on ey, and the
+# Tensor step leaves y : 1 with ey : bot unused.
+BROKEN_STEPS = {
+    "comm": ("_commute_part", "close y needs y:1"),
+    "Tensor": ("_binder_step", "ey unused at One leaf"),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(BROKEN_STEPS))
+def test_a_step_that_breaks_a_part_fails_at_that_step(tag, monkeypatch):
+    name, why = BROKEN_STEPS[tag]
+    step = getattr(MC, name)
+
+    def broken(c, part, *args):
+        got = step(c, part, *args)
+        if got is None or part.endpoint != "y":
+            return got
+        *head, c2, got_tag = got
+        bad = replace(c2.part_at("y"), term=S.Close("y"))
+        return (*head, replace(c2, parts=c2.replace_part("y", bad)), got_tag)
+
+    monkeypatch.setattr(MC, name, broken)
+    with pytest.raises(MC.McutError, match=rf"^invariant broken after {tag}: "
+                       rf"part at y does not check: {why}$"):
+        MC.run_mcut(compose_config())
