@@ -159,8 +159,8 @@ def run_cut(decl: PA.CutDecl, as_json: bool, all_gammas: bool) -> bool:
     ry = decl.right_ctx.entries[-1].endpoint
     src = f"cut {lx} against {ry}"
     try:
-        check_forwarder(decl.left, decl.left_ctx)
-        check_forwarder(decl.right, decl.right_ctx)
+        left = check_forwarder(decl.left, decl.left_ctx)
+        right = check_forwarder(decl.right, decl.right_ctx)
         concl = CE.cut_conclusions(decl.left_ctx, lx, decl.right_ctx, ry)
     except (CheckError, CutError) as e:
         _emit({"cut": src, "ok": False, "error": str(e)}, as_json,
@@ -171,8 +171,7 @@ def run_cut(decl: PA.CutDecl, as_json: bool, all_gammas: bool) -> bool:
     results = []
     for g in chosen:
         try:
-            term, trace = CE.reduce_cut(Judged(decl.left, decl.left_ctx), lx,
-                                        Judged(decl.right, decl.right_ctx), ry, g)
+            term, trace = CE.reduce_cut(left, lx, right, ry, g)
             check_forwarder(term, g)
             results.append({"gamma": PA.print_context(g), "trace": list(trace),
                             "term": S.print_process(term)})

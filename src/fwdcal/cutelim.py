@@ -1,21 +1,21 @@
 """Binary cut: distribution, substitution, and the reduction engine.
 
 A cut joins two judgements whose distinguished formulas are dual up to
-erasure.  Its conclusions are computed in two phases: distribution relocates
-every queued item of the dying endpoints to an endpoint of the opposite
-context (rewriting the item's destination to expect delivery from there), and
-substitution peels the two formulas in lockstep, rewiring every remaining
-reference to the dying endpoints.  Distribution is nondeterministic, so a cut
-has a set of conclusions.
+erasure.  Its conclusions (``cut_conclusions``) are computed in two phases,
+each once.  ``distributions`` enumerates every way to relocate the queued
+items of the dying endpoints to endpoints of the opposite context (rewiring
+each item's sender to expect delivery from there); a cut therefore has a set
+of conclusions.  ``substitute`` then peels the two formulas in lockstep,
+rewiring every remaining reference to the dying endpoints.
 
 The reduction figure is written once, as a table (``_table``): at a redex it
 lists the steps that apply, each a cut-free leaf (B1, B2), a smaller redex
-(K, K-add, K-exp) or a head action pushed out of the cut (C-*).  ``beta_step``
-renders the first step as a term with Cut nodes; ``reduce_cut``'s engine
-realizes a chosen conclusion by firing the steps at that goal, strictly
-decreasing the (rank, process sizes) measure.  It returns the realized term
-and its trace, or reports the deepest failed branch and the check that
-failed there.
+(K, K-add, K-exp) or a head action pushed out of the cut (C-*).  A redex's
+sides are checked derivations, and the table reads each step's premises off
+their nodes.  ``beta_step`` renders the first step as a term with Cut nodes;
+``reduce_cut``'s engine realizes a chosen conclusion by firing the steps at
+that goal, bounded by fuel.  It returns the realized term and its trace, or
+reports the deepest failed branch and the check that failed there.
 """
 
 from __future__ import annotations
@@ -28,25 +28,17 @@ from . import syntax as S
 from .syntax import (
     Atom, Bot, Case, Client, Close, Cut, DualAtom, Endpoint, Inl, Inr, Link, OfCourse,
     One, Par, Plus, Process, Recv, Send, Server, Tensor, Type, Wait, WhyNot, With,
-    dual, erase, head_endpoint, rename_free, size,
+    dual, erase, head_endpoint, rename_free,
 )
 from .contexts import (
     Context, Entry, LeftTok, MsgBox, Query, Queue, QueueItem, RightTok, Star, context_size,
     endpoint_names, first_destined, normalize_context, rename_context, rename_context_targets,
     target_names,
 )
-from .checker import CheckError, check_forwarder, forwarder_step
+from .checker import CheckError, Derivation, check_forwarder, forwarder_step
 
 
 class CutError(Exception):
-    pass
-
-
-class NoSuchReceiver(CutError):
-    pass
-
-
-class EmptyQueue(CutError):
     pass
 
 
@@ -95,28 +87,6 @@ class CutSide:
         if e.typing is None:
             raise StructuralMismatch(f"cut endpoint {x} is terminated")
         return CutSide(g.without(x), e.queue, x, e.typing)
-
-
-@dataclass(frozen=True)
-class Done:
-    context: Context
-
-
-@dataclass(frozen=True)
-class CutPair:
-    top: CutSide
-    bottom: CutSide
-    phase: str | Done = "distributing"
-    # The bullet markers: distributed items accumulate per receiver, in front
-    # of the receiver's original queue.  Present only while distributing.
-    cursors: tuple[tuple[Endpoint, Queue], ...] = ()
-
-    def __post_init__(self):
-        if erase(self.top.formula) != dual(erase(self.bottom.formula)):
-            raise StructuralMismatch(
-                f"cut formulas are not dual: {erase(self.top.formula)} "
-                f"vs {erase(self.bottom.formula)}"
-            )
 
 
 # -- the sender-side rewiring -------------------------------------------------
@@ -187,97 +157,39 @@ def _rewire_sender(ctx: Context, item: QueueItem, dying: Endpoint,
     return ctx.replace(d, Entry(d, e.queue, got))
 
 
-def distr_step(p: CutPair, item_target_choice: Endpoint | tuple[Endpoint, ...]) -> CutPair:
-    """Move the head item of a cut queue to a chosen receiver opposite it.
+def distributions(top: CutSide, bottom: CutSide) -> list[tuple[CutSide, CutSide]]:
+    """Every maximal distribution of the two cut queues, deduplicated, in a
+    canonical order: the sides with their queues emptied.
 
-    The top queue is drained first; gathered boxes take one receiver per
-    payload and split accordingly.  When both queues are empty the phase
-    advances by ``finish_distribution``.
+    Each item of the top queue, then of the bottom queue, goes to every
+    receiver on the opposite side; a gathered box takes one receiver per
+    payload and splits into one box per payload.  The sender's pending
+    connective aimed at the dying endpoint is rewired to the receivers, and
+    the moved pieces precede the receivers' own queues.
     """
-    if p.phase != "distributing":
-        raise CutError("distr_step outside the distribution phase")
-    if p.top.queue:
-        src, dst_ctx, from_top = p.top, p.bottom.ctx, True
-    elif p.bottom.queue:
-        src, dst_ctx, from_top = p.bottom, p.top.ctx, False
-    else:
-        raise EmptyQueue("both cut queues are already distributed")
-    item, rest = src.queue[0], src.queue[1:]
+    items = [(0, it) for it in top.queue] + [(1, it) for it in bottom.queue]
+    dying = (top.endpoint, bottom.endpoint)
+    found: dict[tuple[Context, Context], tuple[Context, Context]] = {}
 
-    choice = item_target_choice
-    if isinstance(choice, str):
-        choice = (choice,)
-    if isinstance(item, MsgBox) and len(item.payloads) > 1:
-        if len(choice) != len(item.payloads):
-            raise NoSuchReceiver("gathered box needs one receiver per payload")
-        pieces = [MsgBox(item.target, (pl,)) for pl in item.payloads]
-    else:
-        if len(choice) != 1:
-            raise NoSuchReceiver("plain items take a single receiver")
-        pieces = [item]
-    for c in choice:
-        if not dst_ctx.has(c):
-            raise NoSuchReceiver(f"{c} is not an endpoint of the opposite context")
-
-    # Rewire the sender entry, which lives on the same side as the queue.
-    same_ctx = p.top.ctx if from_top else p.bottom.ctx
-    same_ctx = _rewire_sender(same_ctx, item, src.endpoint, tuple(choice))
-
-    cursors = p.cursors
-    for c, piece in zip(choice, pieces):
-        cur = dict(cursors)
-        cur[c] = cur.get(c, ()) + (piece,)
-        cursors = tuple(sorted(cur.items()))
-
-    if from_top:
-        top = CutSide(same_ctx, rest, p.top.endpoint, p.top.formula)
-        return CutPair(top, p.bottom, "distributing", cursors)
-    bottom = CutSide(same_ctx, rest, p.bottom.endpoint, p.bottom.formula)
-    return CutPair(p.top, bottom, "distributing", cursors)
-
-
-def finish_distribution(p: CutPair) -> CutPair:
-    """Flush the bullet markers: distributed items precede original queues."""
-    if p.top.queue or p.bottom.queue:
-        raise CutError("queues not fully distributed")
-    cur = dict(p.cursors)
-
-    def flush(ctx: Context) -> Context:
-        ents = []
-        for e in ctx.entries:
-            pre = cur.get(e.endpoint, ())
-            ents.append(Entry(e.endpoint, tuple(pre) + e.queue, e.typing))
-        return Context(tuple(ents))
-
-    top = CutSide(flush(p.top.ctx), (), p.top.endpoint, p.top.formula)
-    bottom = CutSide(flush(p.bottom.ctx), (), p.bottom.endpoint, p.bottom.formula)
-    return CutPair(top, bottom, "substituting", ())
-
-
-def distr_enumerate(p: CutPair) -> list[CutPair]:
-    """All maximal distributions, cursors flushed, deduplicated."""
-    results: dict[tuple, CutPair] = {}
-
-    def go(q: CutPair):
-        if not q.top.queue and not q.bottom.queue:
-            done = finish_distribution(q)
-            key = (normalize_context(done.top.ctx), normalize_context(done.bottom.ctx))
-            results.setdefault(key, done)
+    def go(ctxs: tuple[Context, Context], moved: tuple[tuple[Endpoint, QueueItem], ...], k: int):
+        if k == len(items):
+            done = tuple(Context(tuple(
+                Entry(e.endpoint, tuple(it for r, it in moved if r == e.endpoint) + e.queue,
+                      e.typing) for e in g.entries)) for g in ctxs)
+            found.setdefault(tuple(map(normalize_context, done)), done)
             return
-        src_top = bool(q.top.queue)
-        item = (q.top.queue if src_top else q.bottom.queue)[0]
-        receivers = (q.bottom.ctx if src_top else q.top.ctx).endpoints()
-        if not receivers:
-            return  # no maximal distribution exists
+        side, item = items[k]
+        pieces = [item]
         if isinstance(item, MsgBox) and len(item.payloads) > 1:
-            for combo in product(receivers, repeat=len(item.payloads)):
-                go(distr_step(q, tuple(combo)))
-        else:
-            for c in receivers:
-                go(distr_step(q, c))
+            pieces = [MsgBox(item.target, (pl,)) for pl in item.payloads]
+        for receivers in product(ctxs[1 - side].endpoints(), repeat=len(pieces)):
+            sender = _rewire_sender(ctxs[side], item, dying[side], receivers)
+            go((sender, ctxs[1]) if side == 0 else (ctxs[0], sender),
+               moved + tuple(zip(receivers, pieces)), k + 1)
 
-    go(p)
-    return [results[k] for k in sorted(results, key=repr)]
+    go((top.ctx, bottom.ctx), (), 0)
+    return [(replace(top, ctx=found[k][0], queue=()), replace(bottom, ctx=found[k][1], queue=()))
+            for k in sorted(found, key=repr)]
 
 
 # -- substitution -------------------------------------------------------------
@@ -354,79 +266,44 @@ def _subst_single_side(ctx: Context, dying: Endpoint, partner: Endpoint,
     return ctx.replace(partner, Entry(partner, e.queue, t2))
 
 
-def subst_step(p: CutPair) -> CutPair:
-    """One peeling step of the substitution phase; deterministic."""
-    if p.phase != "substituting":
-        raise CutError("subst_step outside the substitution phase")
-    a, b = p.top.formula, p.bottom.formula
-    x, y = p.top.endpoint, p.bottom.endpoint
-    tctx, bctx = p.top.ctx, p.bottom.ctx
-
-    def swapped(q: CutPair) -> CutPair:
-        return CutPair(q.bottom, q.top, q.phase, q.cursors)
-
-    match a, b:
-        case (Atom(n), DualAtom(m)) | (DualAtom(n), Atom(m)):
-            if n != m:
-                raise StructuralMismatch(f"atoms differ: {n} vs {m}")
-            merged = Context(tctx.entries + bctx.entries)
-            return CutPair(p.top, p.bottom, Done(merged), ())
-
-        case (One(ms), Bot(c)):
-            tctx2 = _subst_multi_side(tctx, x, ms, Bot, Star, c)
-            bctx2 = _subst_single_side(bctx, y, c, One, None, ms)
-            merged = Context(tctx2.entries + bctx2.entries)
-            return CutPair(p.top, p.bottom, Done(merged), ())
-        case (Bot(_), One(_)):
-            return swapped(subst_step(swapped(p)))
-
-        case (Tensor(a1, b1, ms), Par(_, b2, c)):
-            tctx2 = _subst_multi_side(tctx, x, ms, Par, MsgBox, c)
-            bctx2 = _subst_single_side(bctx, y, c, Tensor, None, ms)
-            return CutPair(
-                CutSide(tctx2, (), x, b1), CutSide(bctx2, (), y, b2), "substituting", ()
-            )
-        case (Par(_, _, _), Tensor(_, _, _)):
-            return swapped(subst_step(swapped(p)))
-
-        case (With(a1, b1, ms), Plus(a2, b2, c)):
-            tctx2 = _subst_multi_side(tctx, x, ms, Plus, None, c)
-            # the token (if queued) decides the branch; otherwise peel left
-            branch = "L"
-            e = bctx.get(c) if bctx.has(c) else None
-            if e is not None:
-                idx = first_destined(e.queue, y)
-                if idx is not None and isinstance(e.queue[idx], (LeftTok, RightTok)):
-                    branch = "L" if isinstance(e.queue[idx], LeftTok) else "R"
-                    bctx2 = _subst_single_side(bctx, y, c, With, type(e.queue[idx]), ms)
-                else:
-                    bctx2 = _subst_single_side(bctx, y, c, With, None, ms)
-            else:
-                raise DanglingReference(f"partner {c} missing from context")
-            ka, kb = (a1, a2) if branch == "L" else (b1, b2)
-            return CutPair(
-                CutSide(tctx2, (), x, ka), CutSide(bctx2, (), y, kb), "substituting", ()
-            )
-        case (Plus(_, _, _), With(_, _, _)):
-            return swapped(subst_step(swapped(p)))
-
-        case (OfCourse(a1, ms), WhyNot(a2, c)):
-            tctx2 = _subst_multi_side(tctx, x, ms, WhyNot, None, c)
-            bctx2 = _subst_single_side(bctx, y, c, OfCourse, Query, ms)
-            return CutPair(
-                CutSide(tctx2, (), x, a1), CutSide(bctx2, (), y, a2), "substituting", ()
-            )
-        case (WhyNot(_, _), OfCourse(_, _)):
-            return swapped(subst_step(swapped(p)))
-
-    raise StructuralMismatch(f"no substitution case for {type(a).__name__}/{type(b).__name__}")
-
-
-def subst_run(p: CutPair) -> Context:
-    """Peel the cut formulas to quiescence; deterministic."""
-    while not isinstance(p.phase, Done):
-        p = subst_step(p)
-    return p.phase.context
+def substitute(top: CutSide, bottom: CutSide) -> Context:
+    """Peel the two dual cut formulas in lockstep, rewiring every reference
+    to the dying endpoints, down to the units or the atoms; returns the
+    merged context.  Each step puts the positive formula (the gathering or
+    broadcasting one) first, and so does the merge at the units; at the
+    atoms, the top side comes first."""
+    while True:
+        flip = isinstance(bottom.formula, S.MULTI_TARGET)
+        p, n = (bottom, top) if flip else (top, bottom)
+        x, y = p.endpoint, n.endpoint
+        match p.formula, n.formula:
+            case (Atom(), DualAtom()) | (DualAtom(), Atom()):
+                return Context(top.ctx.entries + bottom.ctx.entries)
+            case One(ms), Bot(c):
+                pctx = _subst_multi_side(p.ctx, x, ms, Bot, Star, c)
+                nctx = _subst_single_side(n.ctx, y, c, One, None, ms)
+                return Context(pctx.entries + nctx.entries)
+            case Tensor(_, pa, ms), Par(_, na, c):
+                pctx = _subst_multi_side(p.ctx, x, ms, Par, MsgBox, c)
+                nctx = _subst_single_side(n.ctx, y, c, Tensor, None, ms)
+            case With(pl, pr, ms), Plus(nl, nr, c):
+                pctx = _subst_multi_side(p.ctx, x, ms, Plus, None, c)
+                # the token queued for y, if any, decides the branch; else left
+                q = n.ctx.get(c).queue if n.ctx.has(c) else ()
+                i = first_destined(q, y)
+                tok = None
+                if i is not None and isinstance(q[i], (LeftTok, RightTok)):
+                    tok = type(q[i])
+                nctx = _subst_single_side(n.ctx, y, c, With, tok, ms)
+                pa, na = (pr, nr) if tok is RightTok else (pl, nl)
+            case OfCourse(pa, ms), WhyNot(na, c):
+                pctx = _subst_multi_side(p.ctx, x, ms, WhyNot, None, c)
+                nctx = _subst_single_side(n.ctx, y, c, OfCourse, Query, ms)
+            case _:
+                raise StructuralMismatch(f"no substitution case for "
+                                         f"{type(p.formula).__name__}/{type(n.formula).__name__}")
+        p, n = CutSide(pctx, (), x, pa), CutSide(nctx, (), y, na)
+        top, bottom = (n, p) if flip else (p, n)
 
 
 def context_names(g: Context) -> frozenset[str]:
@@ -439,10 +316,13 @@ def cut_conclusions(left: Context, x: Endpoint, right: Context, y: Endpoint) -> 
     shared = context_names(left) & context_names(right)
     if shared:
         raise CutError(f"cut contexts share names {sorted(shared)}")
-    pair = CutPair(CutSide.of(left, x), CutSide.of(right, y))
+    top, bottom = CutSide.of(left, x), CutSide.of(right, y)
+    if erase(top.formula) != dual(erase(bottom.formula)):
+        raise StructuralMismatch(
+            f"cut formulas are not dual: {erase(top.formula)} vs {erase(bottom.formula)}")
     out: dict[Context, Context] = {}
-    for q in distr_enumerate(pair):
-        g = subst_run(q)
+    for t, b in distributions(top, bottom):
+        g = substitute(t, b)
         out.setdefault(normalize_context(g), g)
     return [out[k] for k in sorted(out, key=repr)]
 
@@ -453,17 +333,6 @@ def cut_conclusions(left: Context, x: Endpoint, right: Context, y: Endpoint) -> 
 
 def proc_size(p: Process) -> int:
     return 1 + sum(proc_size(q) for _, q in S.scope(p)[1])
-
-
-def rank(p: Process, formula_of: Callable[[Cut], Type] | None = None) -> int:
-    """Maximum size of a cut formula in ``p``; zero when cut-free.  Bare
-    process terms do not carry cut formulas, so a lookup supplies them."""
-    if isinstance(p, S.MCut):
-        raise CutError("rank is defined for binary cut terms")
-    if isinstance(p, Cut) and formula_of is None:
-        raise CutError("rank of a cut needs its formula")
-    sub = max((rank(q, formula_of) for _, q in S.scope(p)[1]), default=0)
-    return max(size(erase(formula_of(p))), sub) if isinstance(p, Cut) else sub
 
 
 @dataclass(frozen=True)
@@ -508,42 +377,36 @@ def _rename_everywhere(p: Process, m: dict[str, str]) -> Process:
         (tuple(m.get(b, b) for b in bs), _rename_everywhere(q, m)) for bs, q in subs))
 
 
-def premises(j: Judged) -> tuple[str, tuple[Judged, ...]]:
-    """The rule ``forwarder_step`` applies at ``j`` and its premises."""
-    tag, prem = forwarder_step(j.term, j.ctx)
-    return tag, tuple(Judged(q, h) for q, h in prem)
-
-
 class _Cut(NamedTuple):
-    """The redex ``res x y (left | right)``."""
+    """The redex ``res x y (left | right)``, its sides checked derivations."""
 
-    left: Judged
+    left: Derivation
     x: Endpoint
-    right: Judged
+    right: Derivation
     y: Endpoint
 
     @property
-    def term(self) -> Cut:
-        return Cut(self.x, self.y, self.left.term, self.right.term)
+    def process(self) -> Cut:
+        return Cut(self.x, self.y, self.left.process, self.right.process)
 
 
 class _Step(NamedTuple):
     """One step of the figure at a redex: a cut-free ``leaf``, a smaller
     ``redex``, or a ``head`` pushed out of the cut whose ``subs`` each keep a
-    premise (a Judged) or put it under the cut.  A K step also carries the
+    premise (a Derivation) or put it under the cut.  A K step also carries the
     payload ``(c, payload, a)`` it consumes, or the error that stopped it."""
 
     tag: str
     leaf: Process | None = None
     redex: _Cut | None = None
     head: Process | None = None
-    subs: tuple[tuple[tuple[str, ...], Judged | _Cut], ...] = ()
-    consumed: tuple[Endpoint, Judged, Endpoint] | None = None
+    subs: tuple[tuple[tuple[str, ...], Derivation | _Cut], ...] = ()
+    consumed: tuple[Endpoint, Derivation, Endpoint] | None = None
     failed: Exception | None = None
 
 
 # A K step's box cut ``res a c (payload | message)``, reduced at its conclusion.
-BoxCut = Callable[[Judged, Endpoint, Judged, Endpoint, Context], Process]
+BoxCut = Callable[[Derivation, Endpoint, Derivation, Endpoint, Context], Process]
 
 # The reduction figure's name for commuting each head past a cut.
 _COMMUTE_TAGS = {Wait: "C1", Recv: "C2", Send: "C3", Case: "C-case", Inl: "C-inl",
@@ -561,34 +424,34 @@ def _table(r: _Cut, box_cut: BoxCut) -> Iterator[_Step]:
     the principal case; otherwise the right side's head commutes, then the
     left side's."""
     for j, jx, other, oy in ((r.left, r.x, r.right, r.y), (r.right, r.y, r.left, r.x)):
-        t = j.term
+        t = j.process
         if isinstance(t, Link) and jx in (t.x, t.y):
-            yield _Step("B1", leaf=rename_free(other.term, {oy: t.y if t.x == jx else t.x}))
+            yield _Step("B1", leaf=rename_free(other.process, {oy: t.y if t.x == jx else t.x}))
             return
-    lh, rh = head_endpoint(r.left.term), head_endpoint(r.right.term)
+    lh, rh = head_endpoint(r.left.process), head_endpoint(r.right.process)
     if lh == r.x and rh == r.y:
         yield _principal(r, box_cut)
         return
     for side, sx, head, flip in ((r.right, r.y, rh, True), (r.left, r.x, lh, False)):
-        tag = _COMMUTE_TAGS.get(type(side.term))
+        tag = _COMMUTE_TAGS.get(type(side.process))
         if tag is None or head == sx:
             continue
         # the subterms whose premise holds the cut endpoint go under the cut
-        _, prem = premises(side)
-        yield _Step(tag, head=side.term, subs=tuple(
+        yield _Step(tag, head=side.process, subs=tuple(
             (bs, (_Cut(r.left, r.x, j, r.y) if flip else _Cut(j, r.x, r.right, r.y))
-             if j.ctx.has(sx) else j) for (bs, _), j in zip(S.scope(side.term)[1], prem)))
+             if j.context.has(sx) else j)
+            for (bs, _), j in zip(S.scope(side.process)[1], side.premises)))
 
 
 def _principal(r: _Cut, box_cut: BoxCut) -> _Step:
-    if isinstance(r.left.term, _NEGATIVE):
+    if isinstance(r.left.process, _NEGATIVE):
         r = _Cut(r.right, r.y, r.left, r.x)
-    (_, lprem), (_, rprem) = premises(r.left), premises(r.right)
-    match r.left.term, r.right.term:
+    lprem, rprem = r.left.premises, r.right.premises
+    match r.left.process, r.right.process:
         case (Close(_), Wait(_, _)):
             # unit base case: the wait continuation already inhabits the goal,
             # the nonuniform substitution only reshuffles proof-level queues
-            return _Step("B2", leaf=rprem[0].term)
+            return _Step("B2", leaf=rprem[0].process)
         case (Send(_, a, _, _), Recv(_, c, _)):
             payload, cont = lprem
             try:
@@ -601,10 +464,10 @@ def _principal(r: _Cut, box_cut: BoxCut) -> _Step:
         case (Server(_, a, _), Client(_, b, _)):
             return _Step("K-exp", redex=_Cut(lprem[0], a, rprem[0], b))
     raise Stuck("principal heads do not interact: "
-                f"{type(r.left.term).__name__}/{type(r.right.term).__name__}")
+                f"{type(r.left.process).__name__}/{type(r.right.process).__name__}")
 
 
-def beta_step(left: Judged, x: Endpoint, right: Judged, y: Endpoint) -> tuple[str, Process]:
+def beta_step(left: Derivation, x: Endpoint, right: Derivation, y: Endpoint) -> tuple[str, Process]:
     """Apply the first reduction of the figure to ``res x y (left | right)``;
     returns its tag and the resulting term, with the remaining cuts as Cut
     nodes (a K step's box cut is reduced in full, by ``reduce_cut``)."""
@@ -612,9 +475,9 @@ def beta_step(left: Judged, x: Endpoint, right: Judged, y: Endpoint) -> tuple[st
         if step.failed is not None:
             raise step.failed
         if step.head is None:
-            return step.tag, step.leaf if step.redex is None else step.redex.term
+            return step.tag, step.leaf if step.redex is None else step.redex.process
         return step.tag, S.from_scope(step.head, S.scope(step.head)[0], tuple(
-            (bs, s.term) for bs, s in step.subs))
+            (bs, s.process) for bs, s in step.subs))
     raise Stuck("no beta step applies")
 
 
@@ -653,11 +516,12 @@ class _Walk(NamedTuple):
         return _Walk(self.at + (tag,), self.receives, self.fuel)
 
 
-def reduce_cut(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
+def reduce_cut(left: Derivation, x: Endpoint, right: Derivation, y: Endpoint,
                gamma: Context) -> tuple[Process, tuple[str, ...]]:
     """Reduce ``res x y (left | right)`` to a cut-free process at ``gamma``, one
     of the cut's conclusions; returns it with the tags of the steps taken, in
-    the order they fired.  The judgements must not share any name.
+    the order they fired.  ``left`` and ``right`` are the derivations of the
+    two judgements (``check_forwarder``'s), which must not share any name.
 
     The engine fires the table's steps in order and keeps the first that
     realizes its goal; threading the goal through each commuted head's rule
@@ -668,10 +532,12 @@ def reduce_cut(left: Judged, x: Endpoint, right: Judged, y: Endpoint,
     Failing, ``Stuck`` names the deepest failed branch alone (not the
     branches realized beside it): its tags from the root cut, the step at
     which it failed and the check that failed there."""
-    if shared := judgement_names(left) & judgement_names(right):
+    left_names, right_names = (context_names(d.context) | _proc_names(d.process)
+                               for d in (left, right))
+    if shared := left_names & right_names:
         raise CutError(f"cut sides share names {sorted(shared)}; rename apart first")
-    fuel = 4 * (context_size(left.ctx) + context_size(right.ctx)
-                + proc_size(left.term) + proc_size(right.term) + 4)
+    fuel = 4 * (context_size(left.context) + context_size(right.context)
+                + proc_size(left.process) + proc_size(right.process) + 4)
     got = _drive(_Cut(left, x, right, y), gamma, _Walk((), (), [fuel]), {})
     if isinstance(got, _Realized):
         return got.term, got.trace
@@ -686,7 +552,7 @@ def _drive(r: _Cut, gamma: Context, walk: _Walk, idents: dict[str, str]) -> _Rea
     boxes: list[_Realized] = []
     failures = [_Failed(walk.at)]
 
-    def box_cut(payload: Judged, a: Endpoint, message: Judged, c: Endpoint,
+    def box_cut(payload: Derivation, a: Endpoint, message: Derivation, c: Endpoint,
                 concl: Context) -> Process:
         # an inner cut's binders are its own: no outer receive takes its names
         got = _drive(_Cut(payload, a, message, c), concl, _Walk(walk.at + ("K",), (), walk.fuel),
@@ -733,11 +599,11 @@ def _fire(step: _Step, gamma: Context, walk: _Walk, trace: tuple[str, ...],
                     return got
                 trace, idents = trace + got.trace, got.idents
                 out.append((bs, got.term))
-            elif normalize_context(sub.ctx) == normalize_context(g2):
-                out.append((bs, sub.term))
+            elif normalize_context(sub.context) == normalize_context(g2):
+                out.append((bs, sub.process))
             else:
                 raise CutError(f"the goal does not keep the context of {step.tag}'s "
-                               f"subterm {S.print_process(sub.term)}")
+                               f"subterm {S.print_process(sub.process)}")
     except FuelExhausted:
         raise
     except (CheckError, CutError) as e:
@@ -751,7 +617,7 @@ def _fire(step: _Step, gamma: Context, walk: _Walk, trace: tuple[str, ...],
     return _Realized(S.from_scope(term, S.scope(term)[0], tuple(out)), trace, idents)
 
 
-def _identify(gamma: Context, c: Endpoint, payload: Judged, a: Endpoint,
+def _identify(gamma: Context, c: Endpoint, payload: Derivation, a: Endpoint,
               receives: tuple[str, ...], idents: dict[str, str]) -> tuple[Context, dict[str, str]]:
     """Thread a K step's splice through the goal; result binders follow the
     conclusion.  The K step consumes the received name ``c`` and splices the
@@ -764,7 +630,7 @@ def _identify(gamma: Context, c: Endpoint, payload: Judged, a: Endpoint,
     targets = target_names(gamma)
     if c not in targets:
         return gamma, idents
-    spect = [n for n in payload.ctx.endpoints() if n != a]
+    spect = [n for n in payload.context.endpoints() if n != a]
     if len(spect) != 1:
         raise CutError(f"the goal names {c}, spliced as {len(spect)} spectators {spect}")
     s = spect[0]
@@ -831,68 +697,69 @@ def unit_redistribute(q: Judged, y: Endpoint, us: tuple[Endpoint, ...],
     return Judged(q.term, Context(tuple(ents) + side.entries))
 
 
-def _cut_in_box(payload: Judged, a: Endpoint, host: Judged, c: Endpoint,
-                box_cut: BoxCut) -> Judged:
+def _cut_in_box(payload: Derivation, a: Endpoint, host: Derivation, c: Endpoint,
+                box_cut: BoxCut) -> Derivation:
     """Replace the boxed endpoint ``c`` inside ``host`` by the payload's
-    spectator ports, composing the payload in without a residual cut.
+    spectator ports, composing the payload in without a residual cut; returns
+    the derivation of the result, which its closing ``check_forwarder``
+    builds.
 
-    When the box is consumed by a send whose gather is exactly that one
-    message, the payload is spliced in place of the send's message process,
-    taking the binder names the host's message type expects
-    (``_align_binders``); otherwise ``box_cut`` reduces a smaller cut.  At
-    every level of the host, the annotations and queue items that named
-    ``c`` name the spectators instead (``_swap_box``).
+    The host's derivation is walked down to the send that consumes the box.
+    When its gather is exactly that one message, the payload is spliced in
+    place of the send's message process, taking the binder names the host's
+    message type expects (``_align_binders``); otherwise ``box_cut`` reduces
+    a smaller cut.  At every level of the host, the annotations and queue
+    items that named ``c`` name the spectators instead (``_swap_box``).
     """
     def holds(g: Context) -> bool:
         return any(isinstance(it, MsgBox) and any(pn == c for pn, _ in it.payloads)
                    for e in g.entries for it in e.queue)
 
-    if not holds(host.ctx):
+    if not holds(host.context):
         raise CutError(f"no box holds {c}")
-    others = [en for en in payload.ctx.entries if en.endpoint != a]
+    others = [en for en in payload.context.entries if en.endpoint != a]
     if any(en.typing is None or en.queue for en in others):
         raise CutError("payload spectators must be plain typed entries")
     spect = tuple((en.endpoint, en.typing) for en in others)
 
-    def rebuild(h: Judged) -> Judged:
-        tag, prem = premises(h)
-        term = h.term
-        if tag == "Tensor" and prem[0].ctx.has(c):
+    def rebuild(h: Derivation) -> Judged:
+        term, prem = h.process, h.premises
+        if h.rule == "Tensor" and prem[0].context.has(c):
             # the send consumes the box: its message process meets the payload
             pj, cj = prem
-            if len(pj.ctx.entries) == 2:
+            if len(pj.context.entries) == 2:
                 # simp: the gather is exactly the one box; splice
-                rho = _align_binders(payload, a, pj.ctx.get(term.fresh).typing)
-                new_term = Send(term.x, a, _rename_everywhere(payload.term, rho), cj.term)
-                return Judged(new_term, _swap_box(h.ctx, c, tuple(
+                rho = _align_binders(payload, a, pj.context.get(term.fresh).typing)
+                new_term = Send(term.x, a, _rename_everywhere(payload.process, rho), cj.process)
+                return Judged(new_term, _swap_box(h.context, c, tuple(
                     (pn, S.rename_targets(pt, rho)) for pn, pt in spect)))
             # general: cut the payload against the message process
-            concl = cut_conclusions(payload.ctx, a, pj.ctx, c)
+            concl = cut_conclusions(payload.context, a, pj.context, c)
             if len(concl) != 1:
                 raise CutError(f"inner box cut is not determinate: {len(concl)}")
             inner = box_cut(payload, a, pj, c, concl[0])
-            return Judged(Send(term.x, term.fresh, inner, cj.term), _swap_box(h.ctx, c, spect))
+            return Judged(Send(term.x, term.fresh, inner, cj.process),
+                          _swap_box(h.context, c, spect))
         if not prem:
-            raise CutError(f"box never consumed under {tag}")
+            raise CutError(f"box never consumed under {h.rule}")
         heads, subs = S.scope(term)
-        rebuilt = tuple((bs, rebuild(q).term if holds(q.ctx) else q.term)
+        rebuilt = tuple((bs, rebuild(q).term if holds(q.context) else q.process)
                         for (bs, _), q in zip(subs, prem))
-        return Judged(S.from_scope(term, heads, rebuilt), _swap_box(h.ctx, c, spect))
+        return Judged(S.from_scope(term, heads, rebuilt), _swap_box(h.context, c, spect))
 
     out = rebuild(host)
-    check_forwarder(out.term, out.ctx)
-    return out
+    return check_forwarder(out.term, out.ctx)
 
 
-def _align_binders(payload: Judged, a: Endpoint, want: Type) -> dict[str, str]:
+def _align_binders(payload: Derivation, a: Endpoint, want: Type) -> dict[str, str]:
     """Renaming of the payload term's binders under which ``a``'s type takes
     the annotation targets of ``want`` (the message type the host expects);
     empty when the two types do not align slot by slot."""
-    have = payload.ctx.get(a).typing
+    have = payload.context.get(a).typing
     if erase(have) != erase(want):
         return {}
-    names = _proc_names(payload.term)
-    bound = names - S.free_endpoints(payload.term)
+    names = _proc_names(payload.process)
+    bound = names - S.free_endpoints(payload.process)
     rho: dict[str, str] = {}
     for th, tw in zip(S.slots(have), S.slots(want)):
         if len(th) != len(tw):

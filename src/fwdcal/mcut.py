@@ -214,13 +214,17 @@ def _run(c: MCutConfig, r: _Runner, checked: MCutConfig) -> Process:
                 wrappers.append(wrapper)
             case ("continue", c2, _):
                 pass
-        try:
-            c = checked = _check(c2, r.stats, checked)
-        except McutError as e:
-            raise McutError(f"invariant broken after {tag}: {e}") from None
+        c = checked = _check_after(tag, c2, r.stats, checked)
     for w in reversed(wrappers):
         out = w(out)
     return out
+
+
+def _check_after(tag: str, c: MCutConfig, stats: McutStats, before: MCutConfig) -> MCutConfig:
+    try:
+        return _check(c, stats, before)
+    except McutError as e:
+        raise McutError(f"invariant broken after {tag}: {e}") from None
 
 
 def mcutq_step(c: MCutConfig, stats: McutStats | None = None):
@@ -229,13 +233,16 @@ def mcutq_step(c: MCutConfig, stats: McutStats | None = None):
     Returns one of ``("final", term, tag)``, ``("continue", config, tag)``,
     ``("emit", wrapper, config, tag)`` for an action that leaves the
     composition, or ``("fork", combine, left, right, tag)`` when an external
-    branching action splits the run.  A returned configuration holds its
-    forwarder's derivation.
+    branching action splits the run.  Each returned configuration, both
+    branches of a fork included, is checked as a run checks it after a step,
+    and holds its forwarder's derivation.
     """
     c, r = _start(c, stats or McutStats())
     got = _step(c, r)
-    r.tick(got[-1])
-    return got
+    tag = got[-1]
+    r.tick(tag)
+    return tuple(_check_after(tag, v, r.stats, c) if isinstance(v, MCutConfig) else v
+                 for v in got)
 
 
 def _start(c: MCutConfig, stats: McutStats) -> tuple[MCutConfig, _Runner]:
@@ -463,8 +470,11 @@ def _contract_step(c: MCutConfig, part: PartEntry, r: _Runner):
     ren = {x: x2} | {b: r.supply.fresh(b) for b in c.bound if b != x}
     fwd2 = _derive(Judged(rename_free(c.fwd.process, ren), rename_context(c.fwd.context, ren)),
                    r.stats)
-    copies = tuple(PartEntry(_freshen_binders(p.term, r.supply), p.env, ren[p.endpoint], p.typ)
-                   for p in c.parts if p.endpoint != x)
+    # each copy acts on its renamed endpoint, its binders fresh
+    copies = tuple(
+        PartEntry(_freshen_binders(rename_free(p.term, {p.endpoint: ren[p.endpoint]}), r.supply),
+                  p.env, ren[p.endpoint], p.typ)
+        for p in c.parts if p.endpoint != x)
     outer_part = _own(_run(inner, r, c), inner.conclusion_env(), x2, part.typ)
     outer = MCutConfig(tuple(ren[b] for b in c.bound), fwd2, (), (outer_part,) + copies)
     return ("continue", outer, "Contract")

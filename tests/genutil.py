@@ -140,8 +140,8 @@ def sample_cut_pairs(rng: random.Random, n: int, max_formula: int = 4,
 
 
 def fresh_cut_sides(a_plain, left_names=("w", "x"), right_names=("y", "v")):
-    """Two synthesized dual-pair judgements with disjoint name spaces, cutting
-    the second entry of each."""
+    """The derivations of two synthesized dual-pair judgements with disjoint
+    name spaces, cutting the second entry of each."""
     from fwdcal.cutelim import Judged, freshen_judgement, judgement_names
 
     lw, lx = left_names
@@ -151,7 +151,8 @@ def fresh_cut_sides(a_plain, left_names=("w", "x"), right_names=("y", "v")):
     j1 = Judged(lp, lc)
     yi = list(rc.endpoints()).index(ry)
     j2 = freshen_judgement(Judged(rp, rc), judgement_names(j1))
-    return j1, lx, j2, j2.ctx.entries[yi].endpoint
+    return (K.check_forwarder(lp, lc), lx, K.check_forwarder(j2.term, j2.ctx),
+            j2.ctx.entries[yi].endpoint)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,9 @@ def test_result_terms(capsys):
     assert cli.main(["--json", "sim", str(CORPUS / "compose.fwd")]) == 0
     (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
     assert rec["term"] == "ey(v#1). wait ey; ex[v].(v#1<->v | close ex)"
+    assert cli.main(["--json", "sim", str(CORPUS / "contract.fwd")]) == 0
+    (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert rec["term"] == "z[w].(?t[r]. w<->r | ?t[r#5]. z<->r#5)"
 
 
 @pytest.mark.parametrize("cmd,decl", [
@@ -94,7 +97,8 @@ def test_sim_json_records_carry_the_run_counters(capsys):
     assert rec["stats"] == {"steps": len(rec["trace"]), "forwarder_checks": 1, "part_checks": 10}
     assert cli.main(["--json", "sim", "--step", str(CORPUS / "compose.fwd")]) == 0
     (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
-    assert rec["stats"] == {"steps": 1, "forwarder_checks": 1, "part_checks": 2}
+    # the two parts as given, and the part the step rewrote
+    assert rec["stats"] == {"steps": 1, "forwarder_checks": 1, "part_checks": 3}
     assert cli.main(["sim", str(CORPUS / "compose.fwd")]) == 0
     assert "checks" not in capsys.readouterr().out
 

@@ -12,13 +12,11 @@ from fwdcal.contexts import (
     Context, Entry, LeftTok, MsgBox, Star, ctx, msgbox, normalize_context,
 )
 from fwdcal.cutelim import (
-    AnnotationMismatch, CutError, CutPair, CutSide, Done, Judged, Stuck, _swap_box,
-    beta_step, cut_conclusions, distr_enumerate, distr_step, finish_distribution, proc_size,
-    rank, reduce_cut, subst_run, unit_redistribute,
+    AnnotationMismatch, CutError, CutSide, Judged, Stuck, _swap_box, beta_step,
+    cut_conclusions, distributions, reduce_cut, substitute, unit_redistribute,
 )
 from fwdcal.syntax import (
-    Atom, Bot, Close, Cut, DualAtom, Link, One, Par, Plus, Recv, Send, Tensor, Wait,
-    With, dual, erase, size,
+    Atom, Bot, Close, Cut, DualAtom, Link, One, Par, Plus, Recv, Send, Tensor, Wait, erase,
 )
 
 
@@ -30,68 +28,85 @@ def test_distr_moves_box_and_rewires_sender():
     # d's type that aimed at x now aims at c
     B = Atom("b")
     d_type = Tensor(DualAtom("b"), One(("c",)), ("x",))
-    pair = CutPair(
-        CutSide(ctx(Entry("d", (), d_type)), (msgbox("d", "bb", B),), "x", Atom("a")),
-        CutSide(ctx(Entry("c", (), Bot("d"))), (), "y", DualAtom("a")),
-    )
-    stepped = distr_step(pair, "c")
-    assert stepped.top.queue == ()
-    assert stepped.top.ctx.get("d").typing == Tensor(DualAtom("b"), One(("c",)), ("c",))
-    done = finish_distribution(stepped)
-    assert done.bottom.ctx.get("c").queue == (msgbox("d", "bb", B),)
-    assert done.phase == "substituting"
+    top = CutSide(ctx(Entry("d", (), d_type)), (msgbox("d", "bb", B),), "x", Atom("a"))
+    bottom = CutSide(ctx(Entry("c", (), Bot("d"))), (), "y", DualAtom("a"))
+    ((t, b),) = distributions(top, bottom)
+    assert t.queue == b.queue == ()
+    assert t.ctx.get("d").typing == Tensor(DualAtom("b"), One(("c",)), ("c",))
+    assert b.ctx.get("c").queue == (msgbox("d", "bb", B),)
 
 
 def test_distr_empty_queues_single_result():
-    pair = CutPair(
-        CutSide(ctx(Entry("u", (), Atom("b"))), (), "x", Atom("a")),
-        CutSide(ctx(Entry("v", (), DualAtom("b"))), (), "y", DualAtom("a")),
-    )
-    assert len(distr_enumerate(pair)) == 1
+    top = CutSide(ctx(Entry("u", (), Atom("b"))), (), "x", Atom("a"))
+    bottom = CutSide(ctx(Entry("v", (), DualAtom("b"))), (), "y", DualAtom("a"))
+    assert distributions(top, bottom) == [(top, bottom)]
 
 
 def test_distr_two_receivers_two_results():
     B = Atom("b")
     d_type = Tensor(DualAtom("b"), One(("c1", "c2")), ("x",))
-    pair = CutPair(
-        CutSide(ctx(Entry("d", (), d_type)), (msgbox("d", "bb", B),), "x", Atom("a")),
-        CutSide(ctx(Entry("c1", (), Bot("d")), Entry("c2", (), Bot("d"))), (), "y",
-                DualAtom("a")),
-    )
-    assert len(distr_enumerate(pair)) == 2
+    top = CutSide(ctx(Entry("d", (), d_type)), (msgbox("d", "bb", B),), "x", Atom("a"))
+    bottom = CutSide(ctx(Entry("c1", (), Bot("d")), Entry("c2", (), Bot("d"))), (), "y",
+                     DualAtom("a"))
+    assert len(distributions(top, bottom)) == 2
 
 
 def test_distr_additive_token():
     d_type = Plus(Atom("b"), Atom("b"), "x")
-    pair = CutPair(
-        CutSide(ctx(Entry("d", (), d_type)), (LeftTok("d"),), "x", Atom("a")),
-        CutSide(ctx(Entry("c", (), Bot("d"))), (), "y", DualAtom("a")),
-    )
-    stepped = distr_step(pair, "c")
-    assert stepped.top.ctx.get("d").typing == Plus(Atom("b"), Atom("b"), "c")
+    top = CutSide(ctx(Entry("d", (), d_type)), (LeftTok("d"),), "x", Atom("a"))
+    bottom = CutSide(ctx(Entry("c", (), Bot("d"))), (), "y", DualAtom("a"))
+    ((t, b),) = distributions(top, bottom)
+    assert t.ctx.get("d").typing == Plus(Atom("b"), Atom("b"), "c")
+    assert b.ctx.get("c").queue == (LeftTok("d"),)
 
 
 def test_distr_requires_pending_reference():
-    pair = CutPair(
-        CutSide(ctx(Entry("d", (), Atom("b"))), (msgbox("d", "bb", Atom("c")),), "x",
-                Atom("a")),
-        CutSide(ctx(Entry("c", (), Bot("d"))), (), "y", DualAtom("a")),
-    )
+    top = CutSide(ctx(Entry("d", (), Atom("b"))), (msgbox("d", "bb", Atom("c")),), "x",
+                  Atom("a"))
+    bottom = CutSide(ctx(Entry("c", (), Bot("d"))), (), "y", DualAtom("a"))
     with pytest.raises(AnnotationMismatch):
-        distr_step(pair, "c")
+        distributions(top, bottom)
+
+
+def test_distr_gathered_box_takes_one_receiver_per_payload():
+    # x's box gathers two payloads for d: each payload goes to any receiver
+    # opposite, as its own box, and d's tensor gathers from those receivers
+    left = P.parse_context("d : ~b *{x} ~c, x : a [to=d msg p1 : b; p2 : e]")
+    right = P.parse_context("c1 : c, c2 : ~e, y : ~a")
+    assert [P.print_context(g) for g in cut_conclusions(left, "x", right, "y")] == [
+        "d : ~b *{c2,c2} ~c, c1 : c, c2 : ~e [to=d msg p1 : b] [to=d msg p2 : e]",
+        "d : ~b *{c1,c1} ~c, c1 : c [to=d msg p1 : b] [to=d msg p2 : e], c2 : ~e",
+        "d : ~b *{c1,c2} ~c, c1 : c [to=d msg p1 : b], c2 : ~e [to=d msg p2 : e]",
+        "d : ~b *{c2,c1} ~c, c1 : c [to=d msg p2 : e], c2 : ~e [to=d msg p1 : b]",
+    ]
+
+
+# Sampled cut pairs whose cut endpoints hold queues: (seed, index) of
+# genutil.sample_cut_pairs(Random(seed), 10, max_formula=4), and the printed
+# conclusions in order.  The last still names the cut endpoint p (the
+# additive branch substitution does not peel).
+QUEUED_CUTS = {
+    (1, 3): ["q : ~a [to=m msg m#1 : a], m : ~a *{q} a"],
+    (3, 4): ["m : a +{m#1} ~a [to=m#1 R], m#1 : a +{m} ~a [to=m L]"],
+    (5, 3): ["w : a [to=q ?] [to=q msg m#1 : ~a +{w#2} ~a], q : ?{w} ((a &{m#1} a) *{w} ~a)"],
+    (7, 4): ["q : (a *{w#4} ~a) +{w#4} a *{p} a, w#4 : a [to=q L] [to=q msg m : ~a]"],
+}
+
+
+@pytest.mark.parametrize("seed,index", sorted(QUEUED_CUTS))
+def test_conclusions_of_sampled_cuts_with_queues(seed, index):
+    _, g1, x, _, g2, y = genutil.sample_cut_pairs(random.Random(seed), 10, max_formula=4)[index]
+    assert g1.get(x).queue or g2.get(y).queue
+    assert [P.print_context(g) for g in cut_conclusions(g1, x, g2, y)] == QUEUED_CUTS[seed, index]
 
 
 # -- substitution -------------------------------------------------------------
 
 
 def test_subst_atoms_merges():
-    pair = CutPair(
-        CutSide(ctx(Entry("u", (), Atom("b"))), (), "x", Atom("a")),
-        CutSide(ctx(Entry("v", (), DualAtom("b"))), (), "y", DualAtom("a")),
-        "substituting",
-    )
-    g = subst_run(pair)
-    assert set(g.endpoints()) == {"u", "v"}
+    g = substitute(CutSide(ctx(Entry("u", (), Atom("b"))), (), "x", DualAtom("a")),
+                   CutSide(ctx(Entry("v", (), DualAtom("b"))), (), "y", Atom("a")))
+    assert list(g.endpoints()) == ["u", "v"]
 
 
 def test_subst_units_rewrites_stars_and_gathering():
@@ -104,6 +119,8 @@ def test_subst_units_rewrites_stars_and_gathering():
     assert g.get("u1").queue == (Star("v"),)
     assert g.get("u2").queue == (Star("v"),)
     assert g.get("v").typing == One(("u1", "u2"))
+    # the conclusion lists the positive side first, on either side of the cut
+    assert cut_conclusions(right, "y", left, "x") == concl
 
 
 def test_subst_tensor_box_case():
@@ -125,34 +142,19 @@ def test_subst_tensor_box_case():
 def test_criss_cross_halves_conclusions_stable():
     A = erase(P.parse_type("~name | ~cost * bot"))
     j1, x, j2, y = genutil.fresh_cut_sides(A)
-    c1 = cut_conclusions(j1.ctx, x, j2.ctx, y)
-    c2 = cut_conclusions(j1.ctx, x, j2.ctx, y)
+    c1 = cut_conclusions(j1.context, x, j2.context, y)
+    c2 = cut_conclusions(j1.context, x, j2.context, y)
     assert c1 == c2 and len(c1) == 1
     golden = P.parse_context(
         "v : ~name |{w} ~cost *{w} bot{w}, w : name *{v} cost |{v} 1{v}")
     assert normalize_context(c1[0]) == normalize_context(golden)
 
 
-# -- rank ---------------------------------------------------------------------
-
-
-def test_rank_cut_free():
-    assert rank(P.parse_process("x(u). close y")) == 0
-
-
-def test_rank_with_formula():
-    c = Cut("x", "y", Close("x"), Wait("y", Close("z")))
-    assert rank(c, lambda _: P.parse_type("a * 1")) == 2
-    assert rank(c, lambda _: Atom("a")) == 0
-
-
 # -- the reduction figure ------------------------------------------------------
 
 
 def _judged(proc_txt, ctx_txt):
-    p, g = P.parse_process(proc_txt), P.parse_context(ctx_txt)
-    check_forwarder(p, g)
-    return Judged(p, g)
+    return check_forwarder(P.parse_process(proc_txt), P.parse_context(ctx_txt))
 
 
 def test_beta_B1():
@@ -171,7 +173,7 @@ def test_beta_B2_matches_unit_redistribute():
     cont = Judged(P.parse_process("close v"),
                   P.parse_context("v : 1{y}, y : . [to=v *]"))
     redis = unit_redistribute(cont, "y", ("u1", "u2"), {},
-                              left.ctx.without("x"), "x")
+                              left.context.without("x"), "x")
     assert term == redis.term == P.parse_process("close v")
     check_forwarder(redis.term, redis.ctx)
 
@@ -183,7 +185,7 @@ def test_beta_C1():
                     "v : 1{u,y}, u : bot{v}, y : bot{v}")
     tag, term = beta_step(left, "x", right, "y")
     assert tag == "C1"
-    assert term == Wait("u", Cut("x", "y", left.term, P.parse_process("wait y; close v")))
+    assert term == Wait("u", Cut("x", "y", left.process, P.parse_process("wait y; close v")))
 
 
 def test_beta_C2():
@@ -193,7 +195,7 @@ def test_beta_C2():
                     "u : ~a |{y} bot{y}, y : a *{u} 1{u}")
     tag, term = beta_step(left, "x", right, "y")
     assert tag == "C2"
-    assert term == Recv("u", "m", Cut("x", "y", left.term,
+    assert term == Recv("u", "m", Cut("x", "y", left.process,
                                       P.parse_process("y[w].(m<->w | wait u; close y)")))
 
 
@@ -204,7 +206,7 @@ def test_beta_C3():
     tag, term = beta_step(left, "x", right, "y")
     assert tag == "C3"
     assert term == Send("u", "w", P.parse_process("m<->w"),
-                        Cut("x", "y", left.term, P.parse_process("wait u; close y")))
+                        Cut("x", "y", left.process, P.parse_process("wait u; close y")))
 
 
 def test_beta_K():
@@ -255,7 +257,7 @@ def test_box_splice_targets_follow_spectators():
 def test_reduce_cut_atoms():
     left = _judged("z<->x", "z : ~a, x : a")
     right = _judged("y<->w", "y : ~a, w : a")
-    concl = cut_conclusions(left.ctx, "x", right.ctx, "y")
+    concl = cut_conclusions(left.context, "x", right.context, "y")
     assert [set(g.endpoints()) for g in concl] == [{"z", "w"}]
     term, trace = reduce_cut(left, "x", right, "y", concl[0])
     assert trace == ("B1",) and term == Link("z", "w")
@@ -264,7 +266,7 @@ def test_reduce_cut_atoms():
 def test_reduce_cut_units_single_step():
     left = _judged("close x", "u1 : . [to=x *], u2 : . [to=x *], x : 1{u1,u2}")
     right = _judged("wait y; close v", "v : 1{y}, y : bot{v}")
-    concl = cut_conclusions(left.ctx, "x", right.ctx, "y")
+    concl = cut_conclusions(left.context, "x", right.context, "y")
     assert len(concl) == 1
     term, trace = reduce_cut(left, "x", right, "y", concl[0])
     assert trace == ("B2",) and term == Close("v")
@@ -274,7 +276,7 @@ def test_reduce_cut_units_single_step():
 def test_reduce_cut_crisscross_halves():
     A = erase(P.parse_type("~name | ~cost * bot"))
     j1, x, j2, y = genutil.fresh_cut_sides(A)
-    for g in cut_conclusions(j1.ctx, x, j2.ctx, y):
+    for g in cut_conclusions(j1.context, x, j2.context, y):
         term, trace = reduce_cut(j1, x, j2, y, g)
         assert S.is_cut_free(term)
         check_forwarder(term, g)
@@ -285,7 +287,7 @@ def test_reduce_cut_spliced_payload_takes_host_binders():
     # process; the payload process spliced in its place must bind those names
     A = erase(P.parse_type("((~a & a) * (bot | a)) * a"))
     j1, x, j2, y = genutil.fresh_cut_sides(A)
-    for g in cut_conclusions(j1.ctx, x, j2.ctx, y):
+    for g in cut_conclusions(j1.context, x, j2.context, y):
         term, trace = reduce_cut(j1, x, j2, y, g)
         assert "K" in trace
         assert S.is_cut_free(term)
@@ -301,7 +303,8 @@ def test_reduce_cut_stuck_reports_deepest_trace():
     # gathers the dead x
     j1, x, j2, y = genutil.fresh_cut_sides(erase(P.parse_type("~a & bot")))
     g = P.parse_context("w : a +{v} 1{x}, v : ~a &{w} bot{y}")
-    assert normalize_context(g) in map(normalize_context, cut_conclusions(j1.ctx, x, j2.ctx, y))
+    concl = cut_conclusions(j1.context, x, j2.context, y)
+    assert normalize_context(g) in map(normalize_context, concl)
     with pytest.raises(Stuck) as e:
         reduce_cut(j1, x, j2, y, g)
     got = re.search(r"deepest trace \[(.+)\], failed at (\S+): (.+)$", str(e.value))
@@ -316,13 +319,13 @@ def test_reduce_cut_fails_only_with_cut_errors():
     # a check that fails inside a step (a CheckError from the checker, say)
     # fails that branch; whatever reduce_cut raises is a CutError
     rng = random.Random(5)
-    cuts = [(Judged(p1, g1), x, Judged(p2, g2), y)
+    cuts = [(check_forwarder(p1, g1), x, check_forwarder(p2, g2), y)
             for p1, g1, x, p2, g2, y in genutil.sample_cut_pairs(rng, 30, max_formula=4)]
     cuts += [genutil.fresh_cut_sides(genutil.random_plain_type(rng, rng.randint(1, 4)))
              for _ in range(15)]
     outcomes = {True: 0, False: 0}
     for j1, x, j2, y in cuts:
-        for g in cut_conclusions(j1.ctx, x, j2.ctx, y):
+        for g in cut_conclusions(j1.context, x, j2.context, y):
             try:
                 reduce_cut(j1, x, j2, y, g)
                 outcomes[True] += 1
@@ -336,7 +339,7 @@ def test_reduce_cut_check_error_in_a_step_fails_the_branch(monkeypatch):
     # fail the branch (reported by Stuck), not abort the reduction
     A = erase(P.parse_type("(~a | bot) | ~b * (b * 1)"))
     j1, x, j2, y = genutil.fresh_cut_sides(A)
-    g = cut_conclusions(j1.ctx, x, j2.ctx, y)[0]
+    g = cut_conclusions(j1.context, x, j2.context, y)[0]
 
     def refuse(*_):
         raise RuleMismatch("host refused")
@@ -353,7 +356,7 @@ def test_reduce_cut_all_gammas_random():
     realized = 0
     for p1, g1, x, p2, g2, y in pairs:
         for g in cut_conclusions(g1, x, g2, y):
-            term, trace = reduce_cut(Judged(p1, g1), x, Judged(p2, g2), y, g)
+            term, trace = reduce_cut(check_forwarder(p1, g1), x, check_forwarder(p2, g2), y, g)
             assert S.is_cut_free(term)
             check_forwarder(term, g)
             realized += 1
@@ -399,7 +402,7 @@ def test_measure_decreases_along_traces():
     # at a name received on the cut endpoint, which a K step consumes
     A = erase(P.parse_type("(~a | bot) | ~b * (b * 1)"))
     j1, x, j2, y = genutil.fresh_cut_sides(A)
-    g = cut_conclusions(j1.ctx, x, j2.ctx, y)[0]
+    g = cut_conclusions(j1.context, x, j2.context, y)[0]
     term, trace = reduce_cut(j1, x, j2, y, g)
     assert S.is_cut_free(term)
     check_forwarder(term, g)

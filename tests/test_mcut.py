@@ -182,3 +182,34 @@ def test_a_step_that_breaks_a_part_fails_at_that_step(tag, monkeypatch):
     with pytest.raises(MC.McutError, match=rf"^invariant broken after {tag}: "
                        rf"part at y does not check: {why}$"):
         MC.run_mcut(compose_config())
+
+
+def sim_config(fwd: str, parts: list[str]) -> MC.MCutConfig:
+    (d,) = P.parse_file(f"sim {fwd} parts {', '.join(parts)};").decls
+    return cli._sim_config(d)
+
+
+# The first step of a configuration, in step mode, made to leave the part at
+# x as "close x" in the last configuration it returns: the emitted run of
+# compose.fwd, or the right branch of the fork of a part's case.
+BROKEN_FIRST_STEPS = {
+    "emit": (compose_config, "y", "close y needs y:1"),
+    "fork": (lambda: sim_config(LINK, [COMMUTING["case-forks"][0], PEER_Y]), "x",
+             "close x needs x:1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN_FIRST_STEPS))
+def test_step_mode_checks_the_configurations_it_returns(kind, monkeypatch):
+    config, x, why = BROKEN_FIRST_STEPS[kind]
+    step = MC._commute_part
+
+    def broken(c, part):
+        *head, c2, tag = step(c, part)
+        bad = replace(c2.part_at(x), term=S.Close(x))
+        return (*head, replace(c2, parts=c2.replace_part(x, bad)), tag)
+
+    monkeypatch.setattr(MC, "_commute_part", broken)
+    with pytest.raises(MC.McutError, match=rf"^invariant broken after comm: "
+                       rf"part at {x} does not check: {why}$"):
+        MC.mcutq_step(config())
