@@ -3,16 +3,17 @@
 Two judgements live here, each with one rule table.  ``forwarder_step`` is
 the queue-annotated forwarder system: a receive enqueues a boxed item aimed
 at the endpoint that must relay it, and a send pops matching boxes.
-``cp_step`` is plain CP typing.  Given a term and a context, each applies
-the rule the term's head names and returns the premise judgements;
-everything else is built on them.  ``check_forwarder`` and ``check_cll``
-fold them over a term (``check_cll`` adds the weakening and contraction
-steps the term forces), ``synth_forwarder`` decides derivability by proof
-search that fires ``forwarder_step`` (the rules are invertible, so search
-never backtracks over rule order on fully annotated contexts), and
-``synth_with_annotations`` extends the search with lazy resolution of
-missing annotations.  The cut engines take their premises from the same two
-tables.
+``cp_step`` is plain CP typing over an erased environment.  Given a term and
+a context, each applies the rule the term's head names and returns the
+premise judgements; everything else is built on them.  ``check_forwarder``
+and ``check_cll`` fold them over a term (``check_cll`` erases its
+environment once, and adds the weakening and contraction steps the term
+forces), ``synth_forwarder`` decides derivability by proof search that fires
+``forwarder_step`` (the rules are invertible, so search never backtracks
+over rule order on fully annotated contexts), and ``synth_with_annotations``
+extends the search with lazy resolution of missing annotations.  The cut and
+composition engines read their premises off the derivations of the two
+folds.
 
 Queues are read per target.  The ⊗, ⊕ and ? rules acting at ``x`` read the
 first item aimed at ``x`` in the queue of each endpoint they consult, not
@@ -371,7 +372,7 @@ def _leaf(rule: str, p: Process, env: Env, used: tuple[str, ...]) -> Derivation:
 def _check_cll(p: Process, env: Env) -> Derivation:
     """The fold of ``cp_step`` over ``p``, with the structural steps the
     rule table leaves implicit made explicit."""
-    rule, prem = _cp_rule(p, env)
+    rule, prem = cp_step(p, env)
     if not prem:
         return _leaf(rule, p, env, S.scope(p)[0])
     d = Derivation(rule, p, env, tuple(starmap(_check_cll, prem)))
@@ -392,15 +393,12 @@ def _check_cll(p: Process, env: Env) -> Derivation:
 def cp_step(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]:
     """One CP rule applied to the head of ``p``, yielding premise judgements.
 
-    ``env`` is erased first.  Contraction on a re-used ?-endpoint is folded
-    into the client step, and a cut's formula is reconstructed from its two
+    ``env`` is plain (erased): ``check_cll`` erases once and folds this rule
+    table over the term.  Contraction on a re-used ?-endpoint is folded into
+    the client step, and a cut's formula is reconstructed from its two
     subterms; a leaf rule does not check for unused endpoints (``check_cll``
     weakens them).
     """
-    return _cp_rule(p, tuple((n, erase(t)) for n, t in env))
-
-
-def _cp_rule(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]:
     match p:
         case Link(x, y):
             tx, ty = _env_get(env, x), _env_get(env, y)

@@ -195,29 +195,23 @@ def run_cut(decl: PA.CutDecl, as_json: bool, all_gammas: bool) -> bool:
 
 
 def _sim_config(decl: PA.SimDecl) -> MC.MCutConfig:
+    def entry(what: str, proc: S.Process, env, x: str) -> MC.PartEntry:
+        typ = dict(env).get(x)
+        if typ is None:
+            raise McutError(f"{what} {x} must list its own endpoint type")
+        return MC.PartEntry(proc, tuple((n, t) for n, t in env if n != x), x, typ)
+
+    parts = tuple(entry("part at", p.proc, p.env, p.endpoint) for p in decl.parts)
+    pending = tuple(entry("pending", proc, env, name) for name, proc, env in decl.pending)
     bound = tuple(e.endpoint for e in decl.fwd_ctx.entries)
-    parts = []
-    for p in decl.parts:
-        env = tuple((n, t) for n, t in p.env if n != p.endpoint)
-        typ = dict(p.env).get(p.endpoint)
-        if typ is None:
-            raise McutError(f"part at {p.endpoint} must list its own endpoint type")
-        parts.append(MC.PartEntry(p.proc, env, p.endpoint, typ))
-    pending = []
-    for name, proc, env in decl.pending:
-        env2 = tuple((n, t) for n, t in env if n != name)
-        typ = dict(env).get(name)
-        if typ is None:
-            raise McutError(f"pending {name} must list its own endpoint type")
-        pending.append(MC.PendingEntry(name, proc, env2, typ))
-    return MC.MCutConfig(bound, Judged(decl.fwd, decl.fwd_ctx), tuple(pending), tuple(parts))
+    return MC.MCutConfig(bound, Judged(decl.fwd, decl.fwd_ctx), pending, parts)
 
 
 def _print_sim_state(c: MC.MCutConfig) -> str:
     return PA.print_declaration(PA.SimDecl(
         c.fwd.process, c.fwd.context,
         tuple(PA.SimPart(p.term, p.env + ((p.endpoint, p.typ),), p.endpoint) for p in c.parts),
-        tuple((p.name, p.term, p.env + ((p.name, p.typ),)) for p in c.pending)))
+        tuple((p.endpoint, p.term, p.env + ((p.endpoint, p.typ),)) for p in c.pending)))
 
 
 def run_sim(decl: PA.SimDecl, as_json: bool, step: bool) -> bool:

@@ -54,10 +54,6 @@ class DanglingReference(CutError):
     pass
 
 
-class PlanMismatch(CutError):
-    pass
-
-
 class FuelExhausted(CutError):
     """A reduction ran out of steps; binary cuts and compositions alike."""
 
@@ -642,59 +638,6 @@ def _identify(gamma: Context, c: Endpoint, payload: Derivation, a: Endpoint,
     if idents.get(s, c) != c:
         raise CutError(f"spectator {s} is already identified with {idents[s]}, not {c}")
     return rename_context_targets(gamma, {c: s}), {**idents, s: c}
-
-
-def unit_redistribute(q: Judged, y: Endpoint, us: tuple[Endpoint, ...],
-                      plan: dict[int, Endpoint], close_side: Context,
-                      x: Endpoint) -> Judged:
-    """Retype a unit-cut continuation at the redistributed context.
-
-    ``q`` is the wait continuation, judged with ``y`` terminated; ``us`` are
-    the gathering partners of the closing endpoint ``x`` and ``plan`` sends
-    each position of ``y``'s pending queue (its closing star excluded) to one
-    of them.  The term comes back unchanged: terminated endpoints never occur
-    in it, only the typing records the scatter.
-    """
-    if not q.ctx.has(y):
-        raise PlanMismatch(f"{y} not in the continuation context")
-    ey = q.ctx.get(y)
-    if ey.typing is not None:
-        raise PlanMismatch(f"{y} must be terminated")
-    items = list(ey.queue)
-    if not items or not isinstance(items[-1], Star):
-        raise PlanMismatch(f"{y}'s queue must end with the closing star")
-    star = items.pop()
-    if set(plan) != set(range(len(items))):
-        raise PlanMismatch("plan must cover the queue positions exactly")
-    for i in plan:
-        if plan[i] not in us:
-            raise PlanMismatch(f"receiver {plan[i]} is not a gathering partner")
-
-    moved: dict[Endpoint, list[QueueItem]] = {u: [] for u in us}
-    side = q.ctx.without(y)
-    for i, it in enumerate(items):
-        side = _rewire_sender(side, it, y, (plan[i],))
-        moved[plan[i]].append(it)
-
-    # partners were terminated holding one star for x; it now serves the
-    # endpoint the closing star was aimed at
-    c = star.target
-    ents = []
-    for u in us:
-        old = close_side.get(u)
-        if old.typing is not None or old.queue != (Star(x),):
-            raise PlanMismatch(f"{u} is not a gathering partner of {x}")
-        ents.append(Entry(u, tuple(moved[u]) + (Star(c),), None))
-    if not side.has(c):
-        raise PlanMismatch(f"unit partner {c} missing")
-    ec = side.get(c)
-    if ec.typing is None:
-        raise PlanMismatch(f"unit partner {c} is terminated")
-    t2 = rewrite_pending(ec.typing, One, y, us)
-    if t2 is None:
-        raise PlanMismatch(f"{c} has no pending unit aimed at {y}")
-    side = side.replace(c, Entry(c, ec.queue, t2))
-    return Judged(q.term, Context(tuple(ents) + side.entries))
 
 
 def _cut_in_box(payload: Derivation, a: Endpoint, host: Derivation, c: Endpoint,

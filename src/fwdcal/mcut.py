@@ -8,19 +8,24 @@ own free endpoints first emits that action outside the whole composition.
 Reduction terminates in a plain CP process covering the union of the external
 environments.
 
-A run walks the forwarder's derivation.  Its names are fixed when it starts
-(``_start``); after that the forwarder is never renamed, and a step that
-binds a name renames the part's binder to the forwarder's.  Each invariant
-is established where it can change:
+A run walks the derivations of its processes.  Its names are fixed and its
+part types erased when it starts (``_start``); after that the forwarder is
+never renamed, and a step that binds a name renames the part's binder to the
+forwarder's.  Each invariant is established where it can change:
 
-* a configuration from outside is checked in full, which builds the
-  forwarder's derivation once; each later forwarder is a premise of it,
-  except the renamed copy a Contract step makes and checks;
+* a configuration from outside is checked in full, which derives its
+  forwarder and, in CP, each part and pending process;
+* a later forwarder, part or pending process that a step takes from a
+  premise carries that premise as its derivation; one the step renames,
+  composes or copies is checked anew;
 * after a step, the structural invariants are checked (distinct names,
   duality, boxes against pending processes, a part for every active
-  endpoint), and the parts and pending processes the step created or
-  rewrote are checked in CP;
+  endpoint), and so is each configuration a step runs inside it;
 * the residual process is checked in CP at the external environments.
+
+An emitted server wraps the rest of the run in CP's ! rule, which needs
+every other endpoint ?-typed: another part's action on an endpoint that is
+not ?-typed is emitted first (``_commute``).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .syntax import (
     Wait, WhyNot, dual, erase, free_endpoints, head_endpoint, rename_free, size,
 )
 from .contexts import MsgBox, context_size, rename_context
-from .checker import CheckError, Derivation, Env, check_cll, check_forwarder, cp_step
+from .checker import CheckError, Derivation, Env, check_cll, check_forwarder
 from .cutelim import (
     CutError, FuelExhausted, Judged, Stuck, freshen_judgement, judgement_names, proc_size,
 )
@@ -45,25 +50,20 @@ class McutError(CutError):
 
 @dataclass(frozen=True)
 class PartEntry:
+    """A part, or a pending message process named by its payload endpoint."""
+
     term: Process
     env: Env  # external endpoints
-    endpoint: Endpoint  # the bound endpoint this part owns
+    endpoint: Endpoint  # the bound endpoint this part owns, or the payload
     typ: Type  # its (plain) type
-
-
-@dataclass(frozen=True)
-class PendingEntry:
-    name: Endpoint
-    term: Process
-    env: Env
-    typ: Type
+    deriv: Derivation | None = field(default=None, compare=False)  # CP, once checked
 
 
 @dataclass(frozen=True)
 class MCutConfig:
     bound: tuple[Endpoint, ...]
     fwd: Judged | Derivation  # a Judged as given; a run holds its derivation
-    pending: tuple[PendingEntry, ...]
+    pending: tuple[PartEntry, ...]
     parts: tuple[PartEntry, ...]
 
     def part_at(self, x: Endpoint) -> PartEntry:
@@ -81,7 +81,7 @@ class MCutConfig:
         for p in self.pending + self.parts:
             for n, t in p.env:
                 if n not in out:
-                    out[n] = erase(t)
+                    out[n] = t
         return tuple(out.items())
 
 
@@ -95,24 +95,13 @@ class McutStats:
     part_checks: int = 0
 
 
-def check_mcut_config(c: MCutConfig) -> tuple[bool, str]:
-    """All configuration invariants; reports the first violated one."""
-    try:
-        _check(c, McutStats())
-    except McutError as e:
-        return False, str(e)
-    return True, "ok"
-
-
-def _check(c: MCutConfig, stats: McutStats, before: MCutConfig | None = None) -> MCutConfig:
-    """``c`` with its forwarder's derivation; an McutError names the first
-    invariant it breaks.
+def _check(c: MCutConfig, stats: McutStats) -> MCutConfig:
+    """``c`` with the derivations of its forwarder, its parts and its pending
+    processes; an McutError names the first invariant it breaks.
 
     A forwarder that is still a Judged is checked here; a Derivation is a
-    premise of one checked before.  With ``before``, a checked configuration
-    that ``c`` was made from, only the parts and pending processes created or
-    rewritten since are checked in CP: a step carries every other entry over
-    as the same object.
+    premise of one checked before.  A part or pending process keeps a
+    derivation of its term at its typing, and is checked in CP otherwise.
     """
     if len(set(c.bound)) != len(c.bound):
         raise McutError("bound endpoints not pairwise distinct")
@@ -129,9 +118,9 @@ def _check(c: MCutConfig, stats: McutStats, before: MCutConfig | None = None) ->
         raise McutError("parts must own distinct bound endpoints")
     for p in c.parts:
         e = ctx.get(p.endpoint)
-        if e.typing is None or erase(e.typing) != dual(erase(p.typ)):
+        if e.typing is None or erase(e.typing) != dual(p.typ):
             raise McutError(f"{p.endpoint}: forwarder and part types are not dual")
-    names = [p.name for p in c.pending]
+    names = [p.endpoint for p in c.pending]
     if len(set(names)) != len(names):
         raise McutError("pending names not distinct")
     boxed: list[tuple[Endpoint, Type]] = []
@@ -139,22 +128,28 @@ def _check(c: MCutConfig, stats: McutStats, before: MCutConfig | None = None) ->
         for it in e.queue:
             if isinstance(it, MsgBox):
                 boxed.extend((pn, erase(pt)) for pn, pt in it.payloads)
-    want = sorted((p.name, dual(erase(p.typ))) for p in c.pending)
+    want = sorted((p.endpoint, dual(p.typ)) for p in c.pending)
     if sorted(boxed) != want:
         raise McutError("queued messages and pending processes disagree")
     for x in c.bound:
         if ctx.get(x).typing is not None and x not in set(owned):
             raise McutError(f"active forwarder endpoint {x} has no part")
-    kept = {id(p) for p in before.parts + before.pending} if before else set()
-    for what, x, p in ([(f"part at {p.endpoint}", p.endpoint, p) for p in c.parts]
-                       + [(f"pending {p.name}", p.name, p) for p in c.pending]):
-        if id(p) not in kept:
-            stats.part_checks += 1
-            try:
-                check_cll(p.term, p.env + ((x, p.typ),))
-            except CheckError as e:
-                raise McutError(f"{what} does not check: {e}") from None
-    return c
+    return replace(c, parts=tuple(_certify(p, "part at", stats) for p in c.parts),
+                   pending=tuple(_certify(p, "pending", stats) for p in c.pending))
+
+
+def _certify(p: PartEntry, what: str, stats: McutStats) -> PartEntry:
+    """``p`` with a CP derivation of its term at its typing: its own if it
+    has one, else the one ``check_cll`` builds."""
+    typing = p.env + ((p.endpoint, p.typ),)
+    d = p.deriv
+    if d is not None and d.process is p.term and dict(d.context) == dict(typing):
+        return p
+    stats.part_checks += 1
+    try:
+        return replace(p, deriv=check_cll(p.term, typing))
+    except CheckError as e:
+        raise McutError(f"{what} {p.endpoint} does not check: {e}") from None
 
 
 def _derive(j: Judged, stats: McutStats) -> Derivation:
@@ -188,7 +183,7 @@ def run_mcut(c: MCutConfig, stats: McutStats | None = None) -> tuple[Process, tu
     when it fails.
     """
     c, r = _start(c, stats or McutStats())
-    term = _run(c, r, c)
+    term = _run(c, r)
     try:
         check_cll(term, c.conclusion_env())
     except CheckError as e:
@@ -196,33 +191,38 @@ def run_mcut(c: MCutConfig, stats: McutStats | None = None) -> tuple[Process, tu
     return term, tuple(r.trace)
 
 
-def _run(c: MCutConfig, r: _Runner, checked: MCutConfig) -> Process:
-    """Run ``c`` to its residual process.  ``checked`` is ``c`` or the checked
-    configuration whose step built ``c`` to run inside it."""
+def _run(c: MCutConfig, r: _Runner) -> Process:
+    """Run the checked configuration ``c`` to its residual process."""
     wrappers: list = []
     while True:
-        got = _step(c, r)
-        tag = got[-1]
-        r.tick(tag)
-        match got:
+        match _checked_step(c, r):
             case ("final", out, _):
                 break
             case ("fork", mk, cl, cr, _):
-                out = mk(_run(cl, r, c), _run(cr, r, c))
+                out = mk(_run(cl, r), _run(cr, r))
                 break
-            case ("emit", wrapper, c2, _):
+            case ("emit", wrapper, c, _):
                 wrappers.append(wrapper)
-            case ("continue", c2, _):
+            case ("continue", c, _):
                 pass
-        c = checked = _check_after(tag, c2, r.stats, checked)
     for w in reversed(wrappers):
         out = w(out)
     return out
 
 
-def _check_after(tag: str, c: MCutConfig, stats: McutStats, before: MCutConfig) -> MCutConfig:
+def _checked_step(c: MCutConfig, r: _Runner):
+    """One step of the checked configuration ``c``, each configuration it
+    returns checked."""
+    got = _step(c, r)
+    tag = got[-1]
+    r.tick(tag)
+    return tuple(_check_after(tag, v, r.stats) if isinstance(v, MCutConfig) else v
+                 for v in got)
+
+
+def _check_after(tag: str, c: MCutConfig, stats: McutStats) -> MCutConfig:
     try:
-        return _check(c, stats, before)
+        return _check(c, stats)
     except McutError as e:
         raise McutError(f"invariant broken after {tag}: {e}") from None
 
@@ -235,18 +235,14 @@ def mcutq_step(c: MCutConfig, stats: McutStats | None = None):
     composition, or ``("fork", combine, left, right, tag)`` when an external
     branching action splits the run.  Each returned configuration, both
     branches of a fork included, is checked as a run checks it after a step,
-    and holds its forwarder's derivation.
+    and holds the derivations of its forwarder and its processes.
     """
-    c, r = _start(c, stats or McutStats())
-    got = _step(c, r)
-    tag = got[-1]
-    r.tick(tag)
-    return tuple(_check_after(tag, v, r.stats, c) if isinstance(v, MCutConfig) else v
-                 for v in got)
+    return _checked_step(*_start(c, stats or McutStats()))
 
 
 def _start(c: MCutConfig, stats: McutStats) -> tuple[MCutConfig, _Runner]:
-    """Fix the run's names, then check the configuration in full.
+    """Fix the run's names and erase its part types, then check the
+    configuration in full.
 
     The forwarder is renamed apart from the parts' and pending processes'
     free names, bar the bound endpoints and pending names it shares with
@@ -255,16 +251,17 @@ def _start(c: MCutConfig, stats: McutStats) -> tuple[MCutConfig, _Runner]:
     composed, and a binder an emitted action leaves free must not meet
     another free name.  The runner's supply avoids every name.
     """
-    shared = set(c.bound) | {p.name for p in c.pending}
+    shared = set(c.bound) | {p.endpoint for p in c.pending}
     names = set(shared)
     for p in c.parts + c.pending:
         names |= free_endpoints(p.term) | {n for n, _ in p.env}
     fwd = c.fwd if isinstance(c.fwd, Judged) else Judged(c.fwd.process, c.fwd.context)
     fwd = freshen_judgement(fwd, frozenset(names - shared))
     supply = S.FreshNames(frozenset(names | judgement_names(fwd)))
-    parts = tuple(replace(p, term=_freshen_binders(p.term, supply)) for p in c.parts)
-    pending = tuple(replace(p, term=_freshen_binders(p.term, supply)) for p in c.pending)
-    c = MCutConfig(c.bound, fwd, pending, parts)
+    fixed = tuple(PartEntry(_freshen_binders(p.term, supply), tuple(
+        (n, erase(t)) for n, t in p.env), p.endpoint, erase(p.typ)) for p in c.parts + c.pending)
+    k = len(c.parts)
+    c = MCutConfig(c.bound, fwd, fixed[k:], fixed[:k])
     try:
         c = _check(c, stats)
     except McutError as e:
@@ -273,7 +270,7 @@ def _start(c: MCutConfig, stats: McutStats) -> tuple[MCutConfig, _Runner]:
 
 
 def _fuel(c: MCutConfig) -> int:
-    n = sum(proc_size(p.term) + size(erase(p.typ)) for p in c.parts + c.pending)
+    n = sum(proc_size(p.term) + size(p.typ) for p in c.parts + c.pending)
     return 8 * (n + context_size(c.fwd.context) + proc_size(c.fwd.process) + 4)
 
 
@@ -305,10 +302,10 @@ def _step(c: MCutConfig, r: _Runner):
         if c.pending:
             raise Stuck("weakening with pending messages")
         for o in c.parts:
-            if o.endpoint != x and not isinstance(erase(o.typ), S.OfCourse):
+            if o.endpoint != x and not isinstance(o.typ, S.OfCourse):
                 raise Stuck("weakening step against a non-server part")
         return ("final", part.term, "Weaken")
-    got = _commute_part(c, part)
+    got = _commute(c, part)
     if got is not None:
         return got
     want, what = _MEETS[type(ft)]
@@ -320,7 +317,7 @@ def _step(c: MCutConfig, r: _Runner):
                 raise Stuck("closing step with leftover parts or pending messages")
             return ("final", part.term.cont, "Bot")
         case Wait():
-            if part.env and not all(isinstance(erase(t), WhyNot) for _, t in part.env):
+            if part.env and not all(isinstance(t, WhyNot) for _, t in part.env):
                 raise Stuck("closing part carries non-? externals")
             (fj,) = c.fwd.premises
             return ("continue", replace(c, fwd=fj, parts=c.replace_part(x, None)), "One")
@@ -336,23 +333,21 @@ def _step(c: MCutConfig, r: _Runner):
             return _transport_step(c, part, r)
         case Case():
             lj, rj = c.fwd.premises
-            _, ((ct, ct_env),) = cp_step(part.term, part.env + ((x, part.typ),))
+            (q,) = _premises(part)
             fj = lj if isinstance(part.term, Inl) else rj
-            return ("continue", replace(c, fwd=fj, parts=c.replace_part(
-                x, _own(ct, ct_env, x))), "Plus")
+            return ("continue", replace(c, fwd=fj, parts=c.replace_part(x, _own(q, x))), "Plus")
         case Inl() | Inr():
             (fj,) = c.fwd.premises
-            _, (left, right) = cp_step(part.term, part.env + ((x, part.typ),))
-            ct, ct_env = left if isinstance(ft, Inl) else right
-            return ("continue", replace(c, fwd=fj, parts=c.replace_part(
-                x, _own(ct, ct_env, x))), "With")
+            left, right = _premises(part)
+            q = left if isinstance(ft, Inl) else right
+            return ("continue", replace(c, fwd=fj, parts=c.replace_part(x, _own(q, x))), "With")
 
 
 def _axiom_step(c: MCutConfig):
     a, b = c.fwd.process.x, c.fwd.process.y
     pa, pb = c.part_at(a), c.part_at(b)
     for p in (pa, pb):
-        got = _commute_part(c, p)
+        got = _commute(c, p)
         if got is not None:
             return got
     if not isinstance(pa.term, Link) or not isinstance(pb.term, Link):
@@ -360,23 +355,33 @@ def _axiom_step(c: MCutConfig):
     za = pa.term.y if pa.term.x == a else pa.term.x
     zb = pb.term.y if pb.term.x == b else pb.term.x
     ta = dict(pa.env)[za]
-    link = Link(za, zb) if isinstance(erase(ta), S.DualAtom) else Link(zb, za)
+    link = Link(za, zb) if isinstance(ta, S.DualAtom) else Link(zb, za)
     if len(c.parts) != 2 or c.pending:
         raise Stuck("axiom case with leftover parts or pending messages")
     return ("final", link, "Ax")
 
 
-def _own(term: Process, env: Env, x: Endpoint, typ: Type | None = None) -> PartEntry:
-    """The part running ``term`` at ``env``, which owns ``x`` (typed ``typ``,
-    or as ``env`` has it)."""
-    return PartEntry(term, tuple((n, t) for n, t in env if n != x), x,
-                     dict(env)[x] if typ is None else typ)
+def _premises(part: PartEntry) -> tuple[Derivation, ...]:
+    """The premises of the CP rule the part's head names, read off its
+    derivation."""
+    d = part.deriv
+    while d.rule == "Contract":
+        (d,) = d.premises
+    return d.premises
 
 
-def _under(term: Process, env: Env, f: Endpoint, g: Endpoint) -> PartEntry:
-    """The part running ``term`` at ``env``, a premise under the part's
-    binder ``f``, renamed to the forwarder's binder ``g``, which it owns."""
-    return _own(rename_free(term, {f: g}), tuple((g if n == f else n, t) for n, t in env), g)
+def _own(d: Derivation, x: Endpoint) -> PartEntry:
+    """The part that the premise ``d`` derives, which owns ``x``."""
+    env = d.context
+    return PartEntry(d.process, tuple((n, t) for n, t in env if n != x), x, dict(env)[x], d)
+
+
+def _under(d: Derivation, f: Endpoint, g: Endpoint) -> PartEntry:
+    """The part that the premise ``d`` under the part's binder ``f`` derives,
+    renamed to the forwarder's binder ``g``, which it owns.  The renamed term
+    has no derivation yet."""
+    p = _own(d, f)
+    return PartEntry(rename_free(p.term, {f: g}), p.env, g, p.typ)
 
 
 def _binder_step(c: MCutConfig, part: PartEntry, tag: str):
@@ -387,13 +392,12 @@ def _binder_step(c: MCutConfig, part: PartEntry, tag: str):
     that owns ``g`` in place of ``x``."""
     x, g = part.endpoint, c.fwd.process.fresh
     (fj,) = c.fwd.premises
-    _, ((q, h), *rest) = cp_step(part.term, part.env + ((x, part.typ),))
-    moved = _under(q, h, part.term.fresh, g)
+    q, *rest = _premises(part)
+    moved = _under(q, part.term.fresh, g)
     if rest:
-        ((ct, ct_env),) = rest
-        pend = c.pending + (PendingEntry(g, moved.term, moved.env, moved.typ),)
-        return ("continue", replace(c, fwd=fj, pending=pend,
-                                    parts=c.replace_part(x, _own(ct, ct_env, x))), tag)
+        (ct,) = rest
+        return ("continue", replace(c, fwd=fj, pending=c.pending + (moved,),
+                                    parts=c.replace_part(x, _own(ct, x))), tag)
     bound = tuple(g if b == x else b for b in c.bound)
     return ("continue", MCutConfig(bound, fj, c.pending, c.replace_part(x, moved)), tag)
 
@@ -402,26 +406,40 @@ def _transport_step(c: MCutConfig, part: PartEntry, r: _Runner):
     """The forwarder sends on ``x`` what it gathered, binding ``g``, and the
     part receives it, its binder renamed to ``g``: the transported forwarder
     composes the part's continuation with the pending processes of the
-    gathered messages, and the result becomes the part at ``x``."""
+    gathered messages, and the result becomes the part at ``x``.  That
+    composition is checked before it runs."""
     x, g = part.endpoint, c.fwd.process.fresh
     sj, qj = c.fwd.premises
     cohort = [e.endpoint for e in sj.context.entries if e.endpoint != g]
     consumed = []
     for z in cohort:
-        pe = next((p for p in c.pending if p.name == z), None)
+        pe = next((p for p in c.pending if p.endpoint == z), None)
         if pe is None:
             raise Stuck(f"gathered message {z} has no pending process")
         consumed.append(pe)
-    _, ((ct, ct_env),) = cp_step(part.term, part.env + ((x, part.typ),))
-    part0 = _under(ct, ct_env, part.term.fresh, g)
-    s_in = _run(MCutConfig((g,) + tuple(cohort), sj, (), (part0,) + tuple(
-        PartEntry(pe.term, pe.env, pe.name, pe.typ) for pe in consumed)), r, c)
+    (ct,) = _premises(part)
+    part0 = _under(ct, part.term.fresh, g)
+    inner = MCutConfig((g, *cohort), sj, (), (part0, *consumed))
+    s_in = _run(_check_after("Par", inner, r.stats), r)
     outer_env = tuple((n, t) for n, t in part0.env if n != x)
     outer_env += sum((pe.env for pe in consumed), ())
     newpart = PartEntry(s_in, outer_env, x, dict(part0.env)[x])
-    pend = tuple(p for p in c.pending if p not in consumed)
+    pend = tuple(p for p in c.pending if p.endpoint not in cohort)
     return ("continue", replace(c, fwd=qj, pending=pend,
                                 parts=c.replace_part(x, newpart)), "Par")
+
+
+def _commute(c: MCutConfig, part: PartEntry):
+    """Emit an external action of ``part``, or, when that is a server, one
+    of another part's on an endpoint that is not ?-typed: CP's ! rule
+    needs every other endpoint of the run it wraps ?-typed.  None when
+    ``part``'s head is on its bound endpoint."""
+    if isinstance(part.term, Server) and part.term.x != part.endpoint:
+        for o in c.parts:
+            env, h = dict(o.env), head_endpoint(o.term)
+            if o.endpoint != part.endpoint and h in env and not isinstance(env[h], WhyNot):
+                return _commute_part(c, o)
+    return _commute_part(c, part)
 
 
 def _commute_part(c: MCutConfig, part: PartEntry):
@@ -439,17 +457,16 @@ def _commute_part(c: MCutConfig, part: PartEntry):
         return None
     if head not in dict(part.env):
         raise Stuck(f"part at {x} acts on unknown endpoint {head}")
-    _, prem = cp_step(term, part.env + ((x, part.typ),))
+    prem = _premises(part)
     heads, subs = S.scope(term)
-    stay = [i for i, (_, h) in enumerate(prem) if any(n == x for n, _ in h)]
+    stay = [i for i, q in enumerate(prem) if any(n == x for n, _ in q.context)]
 
     def wrap(*inner: Process) -> Process:
         fill = dict(zip(stay, inner))
         return S.from_scope(term, heads, tuple(
             (bs, fill.get(i, q)) for i, (bs, q) in enumerate(subs)))
 
-    runs = [replace(c, parts=c.replace_part(x, _own(prem[i][0], prem[i][1], x, part.typ)))
-            for i in stay]
+    runs = [replace(c, parts=c.replace_part(x, _own(prem[i], x))) for i in stay]
     if len(runs) == 1:
         return ("emit", wrap, runs[0], "comm")
     return ("fork", wrap, *runs, "comm")
@@ -458,12 +475,13 @@ def _commute_part(c: MCutConfig, part: PartEntry):
 def _contract_step(c: MCutConfig, part: PartEntry, r: _Runner):
     """Server duplication: the part re-uses the bound server endpoint, so the
     whole server composition is copied; the copy serves the later uses.  Its
-    forwarder is a renamed judgement, so it is checked where it is made."""
+    forwarder is a renamed judgement, so it is checked where it is made; the
+    composition that serves the first use is checked before it runs."""
     x = part.endpoint
     assert isinstance(part.term, Client)
     x2 = r.supply.fresh(x)
     inner_term = Client(x, part.term.fresh, rename_free(part.term.cont, {x: x2}))
-    inner_part = PartEntry(inner_term, part.env + ((x2, erase(part.typ)),), x, part.typ)
+    inner_part = PartEntry(inner_term, part.env + ((x2, part.typ),), x, part.typ)
     inner = replace(c, parts=c.replace_part(x, inner_part))
 
     # fresh copy of the server composition for the leftover uses
@@ -475,7 +493,9 @@ def _contract_step(c: MCutConfig, part: PartEntry, r: _Runner):
         PartEntry(_freshen_binders(rename_free(p.term, {p.endpoint: ren[p.endpoint]}), r.supply),
                   p.env, ren[p.endpoint], p.typ)
         for p in c.parts if p.endpoint != x)
-    outer_part = _own(_run(inner, r, c), inner.conclusion_env(), x2, part.typ)
+    served = _run(_check_after("Contract", inner, r.stats), r)
+    outer_part = PartEntry(served, tuple((n, t) for n, t in inner.conclusion_env() if n != x2),
+                           x2, part.typ)
     outer = MCutConfig(tuple(ren[b] for b in c.bound), fwd2, (), (outer_part,) + copies)
     return ("continue", outer, "Contract")
 

@@ -356,7 +356,8 @@ class Parser:
     def plain_env(self) -> tuple[tuple[str, S.Type], ...]:
         seen: set[str] = set()
         out = [(self.bound_endpoint(seen), self.type_())]
-        while self.at(","):
+        # a "," before NAME "<-" starts a sim's next pending process
+        while self.at(",") and self.toks[min(self.i + 2, len(self.toks) - 1)].text != "<-":
             self.eat(",")
             out.append((self.bound_endpoint(seen), self.type_()))
         return tuple(out)

@@ -12,8 +12,8 @@ from fwdcal.contexts import (
     Context, Entry, LeftTok, MsgBox, Star, ctx, msgbox, normalize_context,
 )
 from fwdcal.cutelim import (
-    AnnotationMismatch, CutError, CutSide, Judged, Stuck, _swap_box, beta_step,
-    cut_conclusions, distributions, reduce_cut, substitute, unit_redistribute,
+    AnnotationMismatch, CutError, CutSide, Stuck, _swap_box, beta_step,
+    cut_conclusions, distributions, reduce_cut, substitute,
 )
 from fwdcal.syntax import (
     Atom, Bot, Close, Cut, DualAtom, Link, One, Par, Plus, Recv, Send, Tensor, Wait, erase,
@@ -165,17 +165,13 @@ def test_beta_B1():
     assert term == P.parse_process("wait z; close w")
 
 
-def test_beta_B2_matches_unit_redistribute():
+def test_beta_B2():
     left = _judged("close x", "u1 : . [to=x *], u2 : . [to=x *], x : 1{u1,u2}")
     right = _judged("wait y; close v", "v : 1{y}, y : bot{v}")
     tag, term = beta_step(left, "x", right, "y")
     assert tag == "B2"
-    cont = Judged(P.parse_process("close v"),
-                  P.parse_context("v : 1{y}, y : . [to=v *]"))
-    redis = unit_redistribute(cont, "y", ("u1", "u2"), {},
-                              left.context.without("x"), "x")
-    assert term == redis.term == P.parse_process("close v")
-    check_forwarder(redis.term, redis.ctx)
+    assert term == P.parse_process("close v")
+    check_forwarder(term, cut_conclusions(left.context, "x", right.context, "y")[0])
 
 
 def test_beta_C1():

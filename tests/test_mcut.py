@@ -76,32 +76,49 @@ def test_part_server_on_external_endpoint():
     assert trace == ("comm", "Quest", "Bang", "comm", "comm", "One", "Bot")
 
 
-# Head connectives of the exponential-free fragment.  Exponentials are left
-# out: composition still fails on some of them, and every failing sim
-# declaration of the benchmark's cut workload (seeds 1-5) has them and fails
-# with "! context must be ?-typed".
-FRAGMENT_HEADS = ("tensor", "par", "plus", "with")
+def test_a_server_is_emitted_after_actions_on_endpoints_not_queried():
+    # the smallest composition that once emitted a server too early: after
+    # the Par step, the part at p serves its external p_e while the part at
+    # k still sends on k_e : ~a * ?a.  CP's ! rule needs the rest of the run
+    # ?-typed, so k_e's send goes first
+    fwd = ("(p(m). k[w].(w<->m | !p(p#1). ?k[k#2]. p#1<->k#2)) "
+           "|- k : ~a *{p} ?{p} a, p : a |{k} !{k} ~a")
+    parts = ["(k(u). k_e[v].(u<->v | !k(v#2). ?k_e[u#1]. u#1<->v#2)) "
+             "|- k_e : ~a * ? a, k : a | ! ~a @ k",
+             "(p_e(v). p[u].(v<->u | !p_e(v#2). ?p[u#1]. u#1<->v#2)) "
+             "|- p_e : a | ! ~a, p : ~a * ? a @ p"]
+    term, trace = run_sim(fwd, parts)
+    assert term == "p_e(v#3). k_e[v].(v<->v#3 | !p_e(v#5). ?k_e[u#2]. v#5<->u#2)"
+    # after Par: k_e's send, then p_e's server
+    assert trace == ("comm", "Tensor", "comm", "Ax", "Par", "comm", "comm", "Quest", "Bang",
+                     "comm", "Ax")
+
+
+# Head connectives of the formulas the composition theorem is tested on;
+# atoms and units are added.  Exponential heads and subformulas reach the
+# Bang, Quest and Contract steps, and the order in which a server on an
+# external endpoint is emitted.
+HEADS = ("tensor", "par", "plus", "with", "ofcourse", "whynot")
 # Endpoint names, some shared with the binders that synthesis (m, w) and
 # eta-links (u, v) choose, so the run must rename apart.
 NAMES = ("x", "y", "m", "w", "u", "v", "z")
 
 
-def fragment_formulas(rng: random.Random, per_shape: int = 3, max_size: int = 4):
+def sample_formulas(rng: random.Random, per_shape: int = 3, max_size: int = 4):
     out = [rng.choice((S.Atom("a"), S.DualAtom("a"))) for _ in range(per_shape)]
     out += [S.One(), S.Bot()]
-    for head in FRAGMENT_HEADS:
+    for head in HEADS:
         for n in range(1, max_size + 1):
-            out += [genutil.random_plain_type(rng, n, exponentials=False, head=head)
-                    for _ in range(per_shape)]
+            out += [genutil.random_plain_type(rng, n, head=head) for _ in range(per_shape)]
     return out
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_composition_reduces_on_the_exponential_free_fragment(seed):
+def test_composition_reduces_to_a_cp_process(seed):
     # the composition theorem: a synthesized dual-pair forwarder composed
     # with eta-link parts reduces to a CP process, which run_mcut checks
     rng = random.Random(seed)
-    for a in fragment_formulas(rng):
+    for a in sample_formulas(rng):
         x, y = rng.sample(NAMES, 2)
         ctx, fwd = synth_with_annotations(((x, a), (y, S.dual(a))))
         parts = (MC.PartEntry(eta_link(f"{x}_e", x, S.dual(a)), ((f"{x}_e", a),), x, S.dual(a)),

@@ -152,6 +152,18 @@ def test_parse_mcut_roundtrip():
     assert P.parse_process(print_process(p)) == p
 
 
+def test_sim_with_two_pending_processes_roundtrips():
+    # a pending process's environment ends before the "," that starts the
+    # next pending process, NAME "<-"
+    decl = P.SimDecl(
+        P.parse_process("x<->y"), P.parse_context("x : ~a, y : a"),
+        (P.SimPart(Link("y", "e"), (("e", Atom("a")), ("y", DualAtom("a"))), "y"),),
+        (("m", Link("u", "m"), (("u", Atom("a")), ("m", DualAtom("a")))),
+         ("n", Link("v", "n"), (("v", Atom("a")), ("n", DualAtom("a"))))))
+    (back,) = P.parse_file(P.print_declaration(decl)).decls
+    assert back == decl
+
+
 def test_print_one_targets():
     assert print_type(One(("a", "b"))) == "1{a,b}"
 
