@@ -10,8 +10,8 @@ and ``check_cll`` fold them over a term (``check_cll`` erases its
 environment once, and adds the weakening and contraction steps the term
 forces), ``synth_forwarder`` decides derivability by proof search that fires
 ``forwarder_step`` (the rules are invertible, so search never backtracks
-over rule order on fully annotated contexts), and ``synth_with_annotations``
-extends the search with lazy resolution of missing annotations.  The cut and
+over rule order on fully annotated contexts), and ``synth_context`` extends
+the search with lazy resolution of missing annotations.  The cut and
 composition engines read their premises off the derivations of the two
 folds.
 
@@ -29,7 +29,7 @@ from typing import Iterator
 
 from . import syntax as S
 from .syntax import (
-    Atom, Bot, Case, Client, Close, Cut, DualAtom, Inl, Inr, Link, MCut, OfCourse,
+    Atom, Bot, Case, Client, Close, Cut, DualAtom, Inl, Inr, Link, OfCourse,
     One, Par, Plus, Process, Recv, Send, Server, Tensor, Type, Wait, WhyNot, With,
     dual, erase, free_endpoints,
 )
@@ -252,7 +252,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                     return "Quest", ((cont, g2),)
             raise RuleMismatch(f"client on {x} needs {x}:?{{z}}A, got {e.typing}")
 
-        case Cut() | MCut():
+        case Cut():
             raise RuleMismatch("forwarders contain no cuts")
 
     raise RuleMismatch(f"no forwarder rule for {type(p).__name__}")
@@ -287,17 +287,6 @@ def check_forwarder(p: Process, g: Context) -> Derivation:
 def _check_fwd(p: Process, g: Context) -> Derivation:
     rule, premises = forwarder_step(p, g)
     return Derivation(rule, p, g, tuple(starmap(_check_fwd, premises)))
-
-
-def validate_derivation(d: Derivation) -> bool:
-    """Re-check every node of a forwarder derivation against its rule."""
-    rule, premises = forwarder_step(d.process, d.context)  # may raise
-    if rule != d.rule or len(premises) != len(d.premises):
-        return False
-    for (q, h), sub in zip(premises, d.premises):
-        if q != sub.process or h != sub.context or not validate_derivation(sub):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +453,6 @@ def cp_step(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]
             if _has_unknown(formula):
                 raise CutFormulaError(f"cannot infer cut formula for res {x} {y}")
             return "Cut", ((l, left + ((x, formula),)), (r, right + ((y, dual(formula)),)))
-        case MCut():
-            raise RuleMismatch("multiparty cuts are validated as configurations")
     raise RuleMismatch(f"no CP rule for {type(p).__name__}")
 
 
@@ -609,24 +596,32 @@ def synth_forwarder(g: Context) -> Process | None:
 
 
 def synth_with_annotations(env: Env) -> tuple[Context, Process] | None:
-    """Find an annotation of a plain environment and a forwarder for it.
+    """``synth_context`` on a plain environment, erased first."""
+    return synth_context(Context(tuple(Entry(x, (), erase(t)) for x, t in env)))
 
-    Annotation slots are resolved lazily as the proof search reaches them;
-    candidate targets are tried in name order, and multi-target slots by
-    smallest subset first.  Slots the derivation never consults (branches not
-    taken) are filled with an arbitrary other endpoint at the end.
+
+def synth_context(g: Context) -> tuple[Context, Process] | None:
+    """Find values for the empty annotation slots of ``g`` and a forwarder
+    for the context they complete.
+
+    Each empty slot, in an entry's typing or in a boxed payload type, becomes
+    a hole; given targets, queues and terminated entries stay as they are.
+    Holes are resolved lazily as the proof search reaches them; candidate
+    targets are tried in name order, and multi-target slots by smallest
+    subset first.  Holes the derivation never consults (branches not taken)
+    are filled at the end with the first other endpoint of their entry.
     """
     counter = _HoleCounter()
-    holed = tuple((x, annotate_with_holes(erase(t), counter)) for x, t in env)
-    g = Context(tuple(Entry(x, (), t) for x, t in holed))
-    supply = S.FreshNames(frozenset(x for x, _ in env))
-    for proc, store in _solutions(g, {}, supply, {}, {}):
-        names = sorted(x for x, _ in env)
-        out_entries = []
-        for x, t in holed:
-            default = next((n for n in names if n != x), x)
-            out_entries.append(Entry(x, (), _subst_holes_type(t, store, default)))
-        return Context(tuple(out_entries)), proc
+    holed = map_context(g, typ=lambda t: annotate_with_holes(t, counter))
+    supply = S.FreshNames(frozenset(endpoint_names(g)))
+    for proc, store in _solutions(holed, {}, supply, {}, {}):
+        names = sorted(holed.endpoints())
+        entries = []
+        for e in holed.entries:
+            default = next((n for n in names if n != e.endpoint), e.endpoint)
+            one = map_context(Context((e,)), typ=lambda t: _subst_holes_type(t, store, default))
+            entries.extend(one.entries)
+        return Context(tuple(entries)), proc
     return None
 
 

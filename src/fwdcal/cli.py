@@ -20,8 +20,8 @@ from . import cutelim as CE
 from . import mcut as MC
 from . import parsing as PA
 from . import syntax as S
-from .checker import CheckError, Derivation, check_cll, check_forwarder, synth_forwarder
-from .contexts import Context
+from .checker import CheckError, Derivation, check_cll, check_forwarder, synth_context
+from .contexts import Context, context_fully_annotated
 from .cutelim import CutError, Judged
 from .mcut import McutError
 
@@ -92,26 +92,18 @@ def run_check(decl, as_json: bool) -> bool:
 
 
 def run_synth(decl: PA.SynthDecl, as_json: bool) -> bool:
-    from .checker import synth_with_annotations
-    from .contexts import context_fully_annotated
-
     src = PA.print_context(decl.context)
-    if context_fully_annotated(decl.context):
-        got = synth_forwarder(decl.context)
-        if got is None:
-            _emit({"synth": src, "ok": False}, as_json, f"{_verdict(False)} synth {src}")
-            return False
-        d = check_forwarder(got, decl.context)
-        _emit({"synth": src, "ok": True, "forwarder": S.print_process(got),
-               "derivation": deriv_json(d)},
-              as_json, f"{_verdict(True)} synth {src}\n  {S.print_process(got)}")
-        return True
-    env = tuple((e.endpoint, e.typing) for e in decl.context.entries)
-    got = synth_with_annotations(env)
+    got = synth_context(decl.context)
     if got is None:
         _emit({"synth": src, "ok": False}, as_json, f"{_verdict(False)} synth {src}")
         return False
     ctx2, proc = got
+    if context_fully_annotated(decl.context):
+        d = check_forwarder(proc, decl.context)
+        _emit({"synth": src, "ok": True, "forwarder": S.print_process(proc),
+               "derivation": deriv_json(d)},
+              as_json, f"{_verdict(True)} synth {src}\n  {S.print_process(proc)}")
+        return True
     _emit({"synth": src, "ok": True, "forwarder": S.print_process(proc),
            "annotated": PA.print_context(ctx2)},
           as_json,
@@ -145,9 +137,9 @@ def run_compat(decl: PA.CompatDecl, as_json: bool) -> bool:
         from .contexts import translate_config
 
         c0, labels, final = stuck
-        rec["stuck_labels"] = [type(l).__name__ for l in labels]
+        rec["stuck_labels"] = [lab.rule for lab in labels]
         rec["stuck_at"] = PA.print_context(translate_config(final))
-        text += "\n  stuck after " + (", ".join(type(l).__name__ for l in labels) or "no steps")
+        text += "\n  stuck after " + (", ".join(rec["stuck_labels"]) or "no steps")
         text += f"\n  at {rec['stuck_at']}"
     rec["stats"] = chk.stats()
     _emit(rec, as_json, text)

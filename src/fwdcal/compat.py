@@ -2,8 +2,9 @@
 
 The transition system is defined so that a configuration steps exactly when a
 forwarder rule applies to its context translation, with the premise as the
-target.  Executability asks that every maximal path drains the configuration
-and that the environment carried by each send step is itself compatible;
+target, and each transition is a ``Step`` named by that rule.  Executability
+asks that every maximal path drains the configuration and that the
+environment carried by each ``Tensor`` step is itself compatible;
 multiparty compatibility then quantifies over annotations of the dualized
 environment.  The cross-check against forwarder synthesis is the package's
 central correctness test.
@@ -14,8 +15,8 @@ The decision runs at the cost the theory allows through three reductions.
    configuration (``m1``, ``m2``, ... in ``sigma`` order, skipping endpoint
    names), assigned in ``_make`` alone, so one state reached by two
    interleavings is one ``Config`` and the memo merges them.  Payload names
-   are never read here: payload slots are pinned and ``SendStep`` erases the
-   gathered types.
+   are never read here: payload slots are pinned and a ``Tensor`` step
+   carries the gathered types erased.
 2. Annotation slots resolved on demand.  A spine slot with one candidate is
    filled at once; one with several gets a unique hole.  ``transitions``
    raises ``Need`` when an endpoint that might move under some value of its
@@ -37,23 +38,23 @@ The decision runs at the cost the theory allows through three reductions.
      endpoints commute (their targets are equal ``Config``s, canonical names
      included), and none disables another or changes the transitions another
      has: an endpoint keeps the moves it has until it takes one.
-   - Close, Link and Bang are enabled only when no other endpoint can move.
-   - Every transition strictly shrinks the acting endpoint's type (Link and
-     Close empty the configuration), so every path is finite.
+   - ``One``, ``Ax`` and ``Bang`` are enabled only when no other endpoint
+     can move.
+   - Every transition strictly shrinks the acting endpoint's type (``Ax``
+     and ``One`` empty the configuration), so every path is finite.
 
    Hence the chosen endpoint moves on every maximal path, and moving its
    step to the front gives a path through one of the explored successors.
    By induction every maximal path is a permutation of an explored one: it
-   ends in the same configuration and carries the same ``SendStep`` payload
-   types.  ``transitions`` without ``one_endpoint`` still lists every
+   ends in the same configuration and its ``Tensor`` steps carry the same
+   environments.  ``transitions`` without ``one_endpoint`` still lists every
    endpoint's moves; ``stuck_path`` and the tests use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import syntax as S
 from .syntax import (
@@ -65,80 +66,19 @@ from .checker import _HOLE_PREFIX, Env, _is_hole, _subst_holes_type, nonempty_su
 
 
 # ---------------------------------------------------------------------------
-# Transition labels
+# Transitions
 
 
-@dataclass(frozen=True)
-class LinkStep:
+class Step(NamedTuple):
+    """A transition, named by the forwarder rule it mirrors (the tag
+    ``forwarder_step`` gives it; ``&``'s premises are ``WithL``/``WithR``, as
+    ``⊕``'s rules are ``PlusL``/``PlusR``) and acting at ``x``.  ``carried`` is
+    the plain environment a ``Tensor`` step sends, ``e0 ... ek``: the gathered
+    payload types, then the sent one; other steps carry none."""
+
+    rule: str
     x: Endpoint
-    y: Endpoint
-
-
-@dataclass(frozen=True)
-class CloseStep:
-    holders: tuple[Endpoint, ...]
-    x: Endpoint
-
-
-@dataclass(frozen=True)
-class WaitStep:
-    x: Endpoint
-    u: Endpoint
-
-
-@dataclass(frozen=True)
-class SendStep:
-    holders: tuple[Endpoint, ...]
-    x: Endpoint
-    carried: tuple[Type, tuple[Type, ...]]  # plain payload type and gathered types
-
-
-@dataclass(frozen=True)
-class RecvStep:
-    x: Endpoint
-    u: Endpoint
-
-
-@dataclass(frozen=True)
-class SelLStep:
-    x: Endpoint
-    z: Endpoint
-
-
-@dataclass(frozen=True)
-class SelRStep:
-    x: Endpoint
-    z: Endpoint
-
-
-@dataclass(frozen=True)
-class BranchLStep:
-    x: Endpoint
-    targets: tuple[Endpoint, ...]
-
-
-@dataclass(frozen=True)
-class BranchRStep:
-    x: Endpoint
-    targets: tuple[Endpoint, ...]
-
-
-@dataclass(frozen=True)
-class BangStep:
-    targets: tuple[Endpoint, ...]
-    x: Endpoint
-
-
-@dataclass(frozen=True)
-class QuestStep:
-    x: Endpoint
-    z: Endpoint
-
-
-TransitionLabel = (
-    LinkStep | CloseStep | WaitStep | SendStep | RecvStep | SelLStep | SelRStep
-    | BranchLStep | BranchRStep | BangStep | QuestStep
-)
+    carried: Env = ()
 
 
 class Need(Exception):
@@ -211,7 +151,7 @@ def _waiting(c: Config, x: Endpoint, kinds) -> bool:
     return any(u == x and isinstance(q[0], kinds) for (u, _), q in c.sigma)
 
 
-def transitions(c: Config, one_endpoint: bool = False) -> list[tuple[TransitionLabel, Config]]:
+def transitions(c: Config, one_endpoint: bool = False) -> list[tuple[Step, Config]]:
     """The transitions of a configuration, endpoint by endpoint in name order.
 
     With ``one_endpoint``, only those of the first endpoint that has any (the
@@ -225,11 +165,11 @@ def transitions(c: Config, one_endpoint: bool = False) -> list[tuple[TransitionL
     if len(delta) == 2 and not c.sigma:
         (x, tx), (y, ty) = c.delta
         if isinstance(tx, DualAtom) and isinstance(ty, Atom) and tx.name == ty.name:
-            return [(LinkStep(x, y), EMPTY_CONFIG)]
+            return [(Step("Ax", x), EMPTY_CONFIG)]
         if isinstance(tx, Atom) and isinstance(ty, DualAtom) and tx.name == ty.name:
-            return [(LinkStep(y, x), EMPTY_CONFIG)]
+            return [(Step("Ax", y), EMPTY_CONFIG)]
 
-    out: list[tuple[TransitionLabel, Config]] = []
+    out: list[tuple[Step, Config]] = []
     for x, t in c.delta:
         moves = _endpoint_transitions(c, x, t, delta, sigma)
         if moves and one_endpoint:
@@ -239,7 +179,9 @@ def transitions(c: Config, one_endpoint: bool = False) -> list[tuple[TransitionL
 
 
 def _endpoint_transitions(c: Config, x: Endpoint, t: Type, delta, sigma):
-    out: list[tuple[TransitionLabel, Config]] = []
+    """The rule table: the moves of ``x``, each given to ``_successor`` as
+    ``x``'s new type (None when it terminates), the holders whose first item
+    for ``x`` it pops and the items it pushes onto ``x``'s queues."""
     match t:
         case One(ts):
             if len(delta) == 1 and all(key[0] == x and q == (Star(x),) for key, q in c.sigma):
@@ -247,79 +189,75 @@ def _endpoint_transitions(c: Config, x: Endpoint, t: Type, delta, sigma):
                 if _is_hole(ts):
                     raise Need(ts[0], lambda v: set(v) == holders)
                 if ts and holders == set(ts):
-                    out.append((CloseStep(tuple(sorted(ts)), x), EMPTY_CONFIG))
+                    return [_successor(c, sigma, "One", x, None, ts)]
         case Bot(u) if u is not None:
             if _is_hole((u,)):
                 raise Need(u, lambda v: _takes(delta, v, One))
-            nd = tuple((k, v) for k, v in c.delta if k != x)
-            ns = dict(sigma)
-            ns[(u, x)] = ns.get((u, x), ()) + (Star(u),)
-            out.append((WaitStep(x, u), _make(nd, ns.items())))
+            return [_successor(c, sigma, "Bot", x, None, (), (Star(u),))]
         case Par(a, b, u) if u is not None:
             if _is_hole((u,)):
                 raise Need(u, lambda v: _takes(delta, v, Tensor))
-            nd = tuple((k, b if k == x else v) for k, v in c.delta)
-            ns = dict(sigma)
-            ns[(u, x)] = ns.get((u, x), ()) + (msgbox(u, "m", a),)
-            out.append((RecvStep(x, u), _make(nd, ns.items())))
+            return [_successor(c, sigma, "Par", x, b, (), (msgbox(u, "m", a),))]
         case Tensor(a, b, ts) if ts:
             if _is_hole(ts):
                 if _waiting(c, x, MsgBox):
                     raise Need(ts[0], lambda v: _feeds(sigma, delta, x, v, MsgBox, Par))
-                return out
+                return []
             gathered: list[Type] = []
-            ns = dict(sigma)
             for u in ts:
-                q = ns.get((x, u), ())
-                if not q or not isinstance(q[0], MsgBox) or q[0].target != x:
-                    return out
-                gathered.extend(tt for _, tt in q[0].payloads)
-                ns[(x, u)] = q[1:]
-            nd = tuple((k, b if k == x else v) for k, v in c.delta)
-            lab = SendStep(tuple(ts), x, (erase(a), tuple(erase(g) for g in gathered)))
-            out.append((lab, _make(nd, ns.items())))
+                q = sigma.get((x, u))
+                if not q or not isinstance(q[0], MsgBox):
+                    return []
+                gathered.extend(erase(g) for _, g in q[0].payloads)
+            gathered.append(erase(a))
+            carried = tuple((f"e{i}", g) for i, g in enumerate(gathered))
+            return [_successor(c, sigma, "Tensor", x, b, ts, (), carried)]
         case Plus(a, b, z) if z is not None:
             if _is_hole((z,)):
                 if _waiting(c, x, (LeftTok, RightTok)):
                     raise Need(z, lambda v: _feeds(sigma, delta, x, v, (LeftTok, RightTok), With))
-                return out
-            q = sigma.get((x, z), ())
-            if q and q[0] in (LeftTok(x), RightTok(x)):
-                left = q[0] == LeftTok(x)
-                ns = dict(sigma)
-                ns[(x, z)] = q[1:]
-                nd = tuple((k, (a if left else b) if k == x else v) for k, v in c.delta)
-                out.append(((SelLStep if left else SelRStep)(x, z), _make(nd, ns.items())))
+                return []
+            q = sigma.get((x, z))
+            if q and q[0] == LeftTok(x):
+                return [_successor(c, sigma, "PlusL", x, a, (z,))]
+            if q and q[0] == RightTok(x):
+                return [_successor(c, sigma, "PlusR", x, b, (z,))]
         case With(a, b, ts) if ts:
             if _is_hole(ts):
                 raise Need(ts[0], lambda v: _takes(delta, v, Plus))
-            for lab_cls, tok, keep in ((BranchLStep, LeftTok, a), (BranchRStep, RightTok, b)):
-                ns = dict(sigma)
-                for u in ts:
-                    ns[(u, x)] = ns.get((u, x), ()) + (tok(u),)
-                nd = tuple((k, keep if k == x else v) for k, v in c.delta)
-                out.append((lab_cls(x, tuple(ts)), _make(nd, ns.items())))
+            return [_successor(c, sigma, "WithL", x, a, (), tuple(LeftTok(u) for u in ts)),
+                    _successor(c, sigma, "WithR", x, b, (), tuple(RightTok(u) for u in ts))]
         case OfCourse(a, ts) if ts:
             others = {k for k in delta if k != x}
             if not c.sigma and all(isinstance(delta[o], WhyNot) for o in others):
                 if _is_hole(ts):
                     raise Need(ts[0], lambda v: set(v) == others)
                 if set(ts) == others:
-                    nd = tuple((k, a if k == x else v) for k, v in c.delta)
-                    ns = {(u, x): (Query(u),) for u in ts}
-                    out.append((BangStep(tuple(ts), x), _make(nd, ns.items())))
+                    return [_successor(c, sigma, "Bang", x, a, (), tuple(Query(u) for u in ts))]
         case WhyNot(a, z) if z is not None:
             if _is_hole((z,)):
                 if _waiting(c, x, Query):
                     raise Need(z, lambda v: _feeds(sigma, delta, x, v, Query, OfCourse))
-                return out
-            q = sigma.get((x, z), ())
+                return []
+            q = sigma.get((x, z))
             if q and q[0] == Query(x):
-                ns = dict(sigma)
-                ns[(x, z)] = q[1:]
-                nd = tuple((k, a if k == x else v) for k, v in c.delta)
-                out.append((QuestStep(x, z), _make(nd, ns.items())))
-    return out
+                return [_successor(c, sigma, "Quest", x, a, (z,))]
+    return []
+
+
+def _successor(c: Config, sigma, rule: str, x: Endpoint, typ: Type | None,
+               pops: tuple[Endpoint, ...] = (), pushes: tuple = (), carried: Env = (),
+               ) -> tuple[Step, Config]:
+    """The move of ``x`` by ``rule``: ``x`` takes type ``typ`` (None: it
+    terminates), the first item for ``x`` at each of ``pops`` is consumed,
+    and each of ``pushes`` joins ``x``'s queue for its target."""
+    delta = tuple((k, typ if k == x else v) for k, v in c.delta if k != x or typ is not None)
+    ns = dict(sigma)
+    for u in pops:
+        ns[(x, u)] = ns[(x, u)][1:]
+    for it in pushes:
+        ns[(it.target, x)] = ns.get((it.target, x), ()) + (it,)
+    return Step(rule, x, carried), _make(delta, ns.items())
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +297,6 @@ def _annotate(env: Env, choose: Callable[[list[tuple[Endpoint, ...]]], tuple[End
 
         delta.append((x, S.map_slots(erase(t), slot)))
     return Config.make(delta)
-
-
-def _carried_env(lab: SendStep) -> Env:
-    a, gathered = lab.carried
-    return tuple((f"e{i}", t) for i, t in enumerate(gathered + (a,)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +341,7 @@ class CompatChecker:
         trs = transitions(c, one_endpoint=True)
         ok = bool(trs)
         for lab, c2 in trs:
-            if isinstance(lab, SendStep) and not self.send_env_ok(_carried_env(lab)):
+            if lab.carried and not self.send_env_ok(lab.carried):
                 ok = False
                 break
             if not self.is_executable(c2):
@@ -475,7 +408,7 @@ def multiparty_compatible(env: Env, checker: CompatChecker | None = None) -> boo
 
 
 def stuck_path(env: Env, checker: CompatChecker | None = None,
-               ) -> tuple[Config, list[TransitionLabel], Config] | None:
+               ) -> tuple[Config, list[Step], Config] | None:
     """A witness that an environment is incompatible: for the first annotation
     of its dual, a maximal path ending in a nonempty configuration (or a send
     step whose carried environment is itself incompatible).  None when that
@@ -489,12 +422,12 @@ def stuck_path(env: Env, checker: CompatChecker | None = None,
     if c0 is None or chk.is_executable(c0):
         return None
 
-    def search(c: Config, seen: list[TransitionLabel]):
+    def search(c: Config, seen: list[Step]):
         trs = transitions(c)
         if not trs:
             return (seen, c) if not c.is_empty() else None
         for lab, c2 in trs:
-            if isinstance(lab, SendStep) and not chk.send_env_ok(_carried_env(lab)):
+            if lab.carried and not chk.send_env_ok(lab.carried):
                 return (seen + [lab], c)
             if not chk.is_executable(c2):
                 got = search(c2, seen + [lab])

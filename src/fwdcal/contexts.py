@@ -33,11 +33,6 @@ class MsgBox:
     target: Endpoint
     payloads: tuple[tuple[Endpoint, Type], ...]
 
-    @property
-    def payload_endpoint(self) -> Endpoint:
-        ((e, _),) = self.payloads
-        return e
-
 
 def msgbox(target: Endpoint, endpoint: Endpoint, typ: Type) -> MsgBox:
     return MsgBox(target, ((endpoint, typ),))
@@ -88,10 +83,6 @@ def first_destined(q: Queue, target: Endpoint) -> int | None:
         if it.target == target:
             return i
     return None
-
-
-def queues_equivalent(q1: Queue, q2: Queue) -> bool:
-    return normalize_queue(q1) == normalize_queue(q2)
 
 
 # ---------------------------------------------------------------------------

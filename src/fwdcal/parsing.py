@@ -207,8 +207,6 @@ class Parser:
             return S.Client(x, f, self.process())
         if self.at("res"):
             self.eat("res")
-            if self.at("{"):
-                return self._mcut()
             x = self.eat_ident("endpoint")
             y = self.eat_ident("endpoint")
             self.eat("(")
@@ -257,32 +255,6 @@ class Parser:
             self.eat(".")
             return S.Inr(name, self.process())
         raise self.error(f"got {self.cur.text!r}", ("<->", "(", "[", ".inl", ".inr"))
-
-    def _mcut(self) -> S.Process:
-        self.eat("{")
-        bound = [self.eat_ident("endpoint")]
-        while self.cur.kind == "ident" and not self.at(":"):
-            bound.append(self.eat_ident("endpoint"))
-        self.eat(":")
-        fwd = self.process()
-        pending: list[tuple[str, S.Process]] = []
-        if self.at("["):
-            self.eat("[")
-            while not self.at("]"):
-                y = self.eat_ident("endpoint")
-                self.eat("<-")
-                pending.append((y, self.process()))
-                if self.at(","):
-                    self.eat(",")
-            self.eat("]")
-        self.eat("}")
-        self.eat("(")
-        parts = [self.process()]
-        while self.at("|"):
-            self.eat("|")
-            parts.append(self.process())
-        self.eat(")")
-        return S.MCut(tuple(bound), fwd, tuple(pending), tuple(parts))
 
     # -- contexts -------------------------------------------------------------
 

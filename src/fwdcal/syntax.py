@@ -327,15 +327,7 @@ class Cut:
     right: Process
 
 
-@dataclass(frozen=True)
-class MCut:
-    bound: tuple[Endpoint, ...]
-    fwd: Process
-    pending: tuple[tuple[Endpoint, Process], ...]
-    parts: tuple[Process, ...]
-
-
-Process = Union[Link, Close, Wait, Send, Recv, Inl, Inr, Case, Server, Client, Cut, MCut]
+Process = Union[Link, Close, Wait, Send, Recv, Inl, Inr, Case, Server, Client, Cut]
 
 
 Scope = tuple[tuple[tuple[Endpoint, ...], Process], ...]
@@ -345,9 +337,7 @@ def scope(p: Process) -> tuple[tuple[Endpoint, ...], Scope]:
     """The binder table: the names ``p`` acts on at its head, and each direct
     subterm with the binders it sits under, in field order.
 
-    This is the one place that says what a constructor binds.  A
-    multiparty cut binds its bound endpoints and its pending names over every
-    subterm: the forwarder, each pending message process and each part.
+    This is the one place that says what a constructor binds.
     """
     match p:
         case Link(x, y):
@@ -364,9 +354,6 @@ def scope(p: Process) -> tuple[tuple[Endpoint, ...], Scope]:
             return (x,), (((), l), ((), r))
         case Cut(x, y, l, r):
             return (), (((x,), l), ((y,), r))
-        case MCut(bound, fwd, pending, parts):
-            names = bound + tuple(y for y, _ in pending)
-            return (), tuple((names, q) for q in (fwd, *(q for _, q in pending), *parts))
     raise TypeError(p)
 
 
@@ -383,10 +370,6 @@ def from_scope(p: Process, heads: tuple[Endpoint, ...], subs: Scope) -> Process:
         case Cut():
             ((x,), l), ((y,), r) = subs
             return Cut(x, y, l, r)
-        case MCut(bound, _, pending, _):
-            names, (fwd, *rest) = subs[0][0], [q for _, q in subs]
-            k, n = len(bound), len(pending)
-            return MCut(names[:k], fwd, tuple(zip(names[k:], rest[:n])), tuple(rest[n:]))
     raise TypeError(p)
 
 
@@ -405,7 +388,7 @@ def free_endpoints(p: Process) -> frozenset[Endpoint]:
 
 
 def is_cut_free(p: Process) -> bool:
-    return not isinstance(p, (Cut, MCut)) and all(is_cut_free(q) for _, q in scope(p)[1])
+    return not isinstance(p, Cut) and all(is_cut_free(q) for _, q in scope(p)[1])
 
 
 class FreshNames:
@@ -521,9 +504,4 @@ def print_process(p: Process) -> str:
             return f"?{x}[{f}]. {print_process(b)}"
         case Cut(x, y, l, r):
             return f"res {x} {y} ({print_process(l)} | {print_process(r)})"
-        case MCut(bound, fwd, pending, parts):
-            hdr = " ".join(bound) + " : " + print_process(fwd)
-            if pending:
-                hdr += " [" + ", ".join(f"{y} <- {print_process(q)}" for y, q in pending) + "]"
-            return "res {" + hdr + "} (" + " | ".join(print_process(q) for q in parts) + ")"
     raise TypeError(p)

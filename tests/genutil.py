@@ -210,18 +210,16 @@ def exhaustively_compatible(env) -> bool:
     def some(env) -> bool:
         return any(is_executable(c) for c in annotation_variants(env))
 
-    def carried_ok(lab) -> bool:
-        a, gathered = lab.carried
-        key = (a, gathered)
-        if key not in send_ok:
-            send_ok[key] = some(tuple((f"e{i}", t) for i, t in enumerate(gathered + (a,))))
-        return send_ok[key]
+    def carried_ok(env) -> bool:
+        if env not in send_ok:
+            send_ok[env] = some(env)
+        return send_ok[env]
 
     def is_executable(c) -> bool:
         if c not in executable:
             trs = CM.transitions(c)
             executable[c] = c.is_empty() or bool(trs) and all(
-                (not isinstance(lab, CM.SendStep) or carried_ok(lab)) and is_executable(c2)
+                (not lab.carried or carried_ok(lab.carried)) and is_executable(c2)
                 for lab, c2 in trs)
         return executable[c]
 

@@ -137,3 +137,35 @@ def test_sim_step_walks_compose_to_final(tmp_path, capsys):
         if ": final " in head:
             break
     assert head == "Bot: final close ex"
+
+
+def test_negative_compat_names_the_forwarder_rules_of_its_stuck_path(tmp_path, capsys):
+    path = tmp_path / "neg.fwd"
+    path.write_text("compat x : a * a * 1, y : ~a | bot;\n", encoding="utf-8")
+    stuck_at = "x : . [to=y msg m1 : ~a] [to=y *], y : 1{x}"
+    assert cli.main(["compat", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL compat x : a * a * 1, y : ~a | bot\n"
+        f"  stuck after Par, Par, Bot, Tensor\n  at {stuck_at}\n")
+    assert cli.main(["--json", "compat", str(path)]) == 1
+    (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert rec["stuck_labels"] == ["Par", "Par", "Bot", "Tensor"]
+    assert rec["stuck_at"] == stuck_at
+    assert rec["stats"] == {"configs": 7, "memo_hits": 5, "resolutions": 0}
+
+
+@pytest.mark.parametrize("decl,out", [
+    # the given bot{y} stays: y can never take x's star
+    ("synth x : bot{y}, y : bot, z : 1;", "FAIL synth x : bot{y}, y : bot, z : 1\n"),
+    # the queued star stays, and x's 1 cannot gather it after the send
+    ("synth x : a * 1, y : ~a | bot [to=x *];",
+     "FAIL synth x : a * 1, y : ~a | bot [to=x *]\n"),
+    # a terminated entry is kept, not erased
+    ("synth x : 1, y : . [to=x *];",
+     "ok synth x : 1, y : . [to=x *]\n  close x\n  at x : 1{y}, y : . [to=x *]\n"),
+], ids=["given-target", "queue", "terminated"])
+def test_synth_keeps_what_a_partly_annotated_context_gives(decl, out, tmp_path, capsys):
+    path = tmp_path / "synth.fwd"
+    path.write_text(decl + "\n", encoding="utf-8")
+    assert cli.main(["synth", str(path)]) == (0 if out.startswith("ok") else 1)
+    assert capsys.readouterr().out == out

@@ -6,17 +6,13 @@ from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal.checker import synth_with_annotations, forwarder_step
 from fwdcal.contexts import Config, MsgBox, normalize_context, translate_config
-from fwdcal.compat import (
-    BangStep, BranchLStep, BranchRStep, CloseStep, LinkStep, QuestStep, RecvStep,
-    SelLStep, SelRStep, SendStep, WaitStep, is_executable, multiparty_compatible,
-    stuck_path, transitions,
-)
+from fwdcal.compat import Step, is_executable, multiparty_compatible, stuck_path, transitions
 from fwdcal.syntax import Atom, Bot, DualAtom, One, dual, erase
 
 
 def test_transitions_dual_atoms():
     c = Config.make((("x", DualAtom("a")), ("y", Atom("a"))))
-    assert transitions(c) == [(LinkStep("x", "y"), Config.make(()))]
+    assert transitions(c) == [(Step("Ax", "x"), Config.make(()))]
 
 
 def test_transitions_empty_config():
@@ -28,7 +24,7 @@ def test_crisscross_first_transitions_are_the_receives():
         "x : ~name |{y} ~cost *{y} bot{y}, y : cost |{x} name *{x} 1{x}")
     c = Config.make(tuple((e.endpoint, e.typing) for e in ann.entries))
     labs = [lab for lab, _ in transitions(c)]
-    assert {type(l) for l in labs} == {RecvStep}
+    assert {l.rule for l in labs} == {"Par"}
     assert {l.x for l in labs} == {"x", "y"}
 
 
@@ -71,39 +67,36 @@ THREE_PARTY = ("y : 1{x,z} &{x,z} 1{x,z}, z : (~a |{x} bot{y}) +{y} (~a |{x} bot
                "x : a *{z} (bot{y} +{y} bot{y})")
 
 
-def _rule_for(label):
-    return {
-        LinkStep: "Ax", CloseStep: "One", WaitStep: "Bot", SendStep: "Tensor",
-        RecvStep: "Par", SelLStep: "PlusL", SelRStep: "PlusR", BranchLStep: "With",
-        BranchRStep: "With", BangStep: "Bang", QuestStep: "Quest",
-    }[type(label)]
-
-
-def _stub_term(label, c, cprime):
+def _stub_term(lab, c, cprime):
+    """A term whose head fires the rule ``lab`` names, and the name it binds
+    when that name is a fresh one."""
     stub = S.Close("stub")
-    match label:
-        case LinkStep(x, y):
+    x = lab.x
+    match lab.rule:
+        case "Ax":
+            (y,) = [k for k, _ in c.delta if k != x]
             return S.Link(x, y), None
-        case CloseStep(_, x):
+        case "One":
             return S.Close(x), None
-        case WaitStep(x, _):
+        case "Bot":
             return S.Wait(x, stub), None
-        case RecvStep(x, u):
-            box = dict(cprime.sigma_map())[(u, x)][-1]
-            return S.Recv(x, box.payload_endpoint, stub), None
-        case SendStep(_, x, _):
+        case "Par":
+            box = cprime.sigma_map()[(c.delta_map()[x].target, x)][-1]
+            ((f, _),) = box.payloads
+            return S.Recv(x, f, stub), None
+        case "Tensor":
             return S.Send(x, "w0", stub, stub), "w0"
-        case SelLStep(x, _):
+        case "PlusL":
             return S.Inl(x, stub), None
-        case SelRStep(x, _):
+        case "PlusR":
             return S.Inr(x, stub), None
-        case BranchLStep(x, _) | BranchRStep(x, _):
+        case "WithL" | "WithR":
             return S.Case(x, stub, stub), None
-        case BangStep(_, x):
+        case "Bang":
             return S.Server(x, "w0", stub), "w0"
-        case QuestStep(x, _):
+        case "Quest":
             return S.Client(x, "w0", stub), "w0"
-    raise AssertionError(label)
+    raise AssertionError(lab)
 
 
 def _rename_entryname(g, old, new):
@@ -142,10 +135,12 @@ def test_transitions_mirror_forwarder_rules():
             frontier.append(c2)
             term, fresh = _stub_term(lab, c, c2)
             tag, prem = forwarder_step(term, gam)
-            assert tag == _rule_for(lab), (lab, tag)
+            assert tag == ("With" if lab.rule in ("WithL", "WithR") else lab.rule), (lab, tag)
             if tag == "With":
-                got = prem[0 if isinstance(lab, BranchLStep) else 1][1]
+                got = prem[lab.rule == "WithR"][1]
             elif tag == "Tensor":
+                left = tuple(erase(e.typing) for e in prem[0][1].entries)
+                assert left == tuple(t for _, t in lab.carried), lab
                 got = prem[1][1]
             elif tag in ("Ax", "One"):
                 continue

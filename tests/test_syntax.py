@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal.syntax import (
-    Atom, Bot, Case, Client, Close, Cut, DualAtom, Inl, Inr, Link, MCut, OfCourse, One, Par,
+    Atom, Bot, Case, Client, Close, Cut, DualAtom, Inl, Inr, Link, OfCourse, One, Par,
     Plus, Recv, Send, Server, Tensor, Wait, WhyNot, With, dual, erase, free_endpoints,
     print_process, print_type, rename_free, size,
 )
@@ -50,8 +50,8 @@ procs = st.recursive(
     max_leaves=12,
 )
 
-# Every binding form, the multiparty cut included, for the scope laws;
-# ``procs`` stays the input of the roundtrip tests.
+# Every binding form, for the scope laws; ``procs`` stays the input of the
+# roundtrip tests.
 scoped_procs = st.recursive(
     proc_leaves,
     lambda sub: st.one_of(
@@ -64,13 +64,6 @@ scoped_procs = st.recursive(
         st.builds(Server, names, names, sub),
         st.builds(Client, names, names, sub),
         st.builds(Cut, names, names, sub, sub),
-        st.builds(
-            MCut,
-            st.lists(names, min_size=1, max_size=2).map(tuple),
-            sub,
-            st.lists(st.tuples(names, sub), max_size=2).map(tuple),
-            st.lists(sub, min_size=1, max_size=2).map(tuple),
-        ),
     ),
     max_leaves=12,
 )
@@ -87,7 +80,7 @@ def _constructors(x) -> set[type]:
 @pytest.mark.parametrize("strategy,constructors", [
     (types, {Atom, DualAtom, One, Bot, Tensor, Par, Plus, With, OfCourse, WhyNot}),
     (procs, {Link, Close, Wait, Send, Recv, Inl, Case, Server, Cut}),
-    (scoped_procs, {Link, Close, Wait, Send, Recv, Inl, Inr, Case, Server, Client, Cut, MCut}),
+    (scoped_procs, {Link, Close, Wait, Send, Recv, Inl, Inr, Case, Server, Client, Cut}),
 ], ids=["types", "procs", "scoped_procs"])
 def test_strategies_reach_every_constructor(strategy, constructors):
     seen: set[type] = set()
@@ -143,13 +136,6 @@ def test_parse_process_crisscross():
 
 def test_parse_process_link():
     assert P.parse_process("x<->y") == Link("x", "y")
-
-
-def test_parse_mcut_roundtrip():
-    txt = "res {x y : x<->y [v <- close v]} (close x | wait y; close z)"
-    p = P.parse_process(txt)
-    assert isinstance(p, MCut)
-    assert P.parse_process(print_process(p)) == p
 
 
 def test_sim_with_two_pending_processes_roundtrips():
@@ -243,12 +229,6 @@ def test_rename_identity_keeps_free(p):
 def test_rename_free_renames_exactly_the_free_names(p, m):
     assert S.from_scope(p, *S.scope(p)) == p
     assert free_endpoints(rename_free(p, m)) == {m.get(n, n) for n in free_endpoints(p)}
-
-
-def test_rename_free_mcut_pending_names_are_bound():
-    p = P.parse_process("res {a : a<->y [y <- close y]} (close a)")
-    assert free_endpoints(p) == set()
-    assert rename_free(p, {"y": "z"}) == p
 
 
 @settings(max_examples=200, deadline=None)
