@@ -70,10 +70,6 @@ class UnusedEndpoint(CheckError):
     pass
 
 
-class CutFormulaError(CheckError):
-    pass
-
-
 @dataclass(frozen=True)
 class Derivation:
     rule: str
@@ -314,8 +310,8 @@ def check_cll(p: Process, env: Env) -> Derivation:
     """Check a CP process against a plain environment.
 
     Weakening and contraction of ?-typed endpoints are inserted where the
-    term forces them and recorded as explicit derivation steps.  Cut formulas
-    are reconstructed from the two subterms and must resolve completely.
+    term forces them and recorded as explicit derivation steps.  A cut's
+    stated formula is erased as the environment is.
     """
     env = tuple((n, erase(t)) for n, t in env)
     return _check_cll(p, env)
@@ -384,9 +380,9 @@ def cp_step(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]
 
     ``env`` is plain (erased): ``check_cll`` erases once and folds this rule
     table over the term.  Contraction on a re-used ?-endpoint is folded into
-    the client step, and a cut's formula is reconstructed from its two
-    subterms; a leaf rule does not check for unused endpoints (``check_cll``
-    weakens them).
+    the client step, and a cut types its two sides with its stated formula
+    and that formula's dual; a leaf rule does not check for unused endpoints
+    (``check_cll`` weakens them).
     """
     match p:
         case Link(x, y):
@@ -443,104 +439,11 @@ def cp_step(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]
             if x in free_endpoints(cont):
                 return "Quest", ((cont, rest + ((f, t.body), (x, t))),)
             return "Quest", ((cont, rest + ((f, t.body),)),)
-        case Cut(x, y, l, r):
+        case Cut(x, y, a, l, r):
             left, right = _split_env(l, {x}, r, {y}, env, p)
-            a = _infer(l, x, dict(left))
-            b = _infer(r, y, dict(right))
-            formula = _unify(a, dual(b))
-            if formula is None:
-                raise CutFormulaError(f"cut formulas disagree: {a} versus dual {b}")
-            if _has_unknown(formula):
-                raise CutFormulaError(f"cannot infer cut formula for res {x} {y}")
-            return "Cut", ((l, left + ((x, formula),)), (r, right + ((y, dual(formula)),)))
+            t = erase(a)
+            return "Cut", ((l, left + ((x, t),)), (r, right + ((y, dual(t)),)))
     raise RuleMismatch(f"no CP rule for {type(p).__name__}")
-
-
-# Cut-formula reconstruction: a lightweight structural inference with an
-# unknown placeholder, resolved by unifying the two sides of the cut.
-
-
-@dataclass(frozen=True)
-class _Unknown:
-    pass
-
-
-def _has_unknown(t) -> bool:
-    if isinstance(t, _Unknown):
-        return True
-    return any(_has_unknown(c) for c in S.children(t))
-
-
-def _unify(a, b):
-    if isinstance(a, _Unknown):
-        return b
-    if isinstance(b, _Unknown):
-        return a
-    if type(a) is not type(b):
-        return None
-    match a:
-        case Atom(n) | DualAtom(n):
-            return a if (n == getattr(b, "name", None)) else None
-        case One() | Bot():
-            return a
-        case Tensor(l, r, _) | Par(l, r, _) | Plus(l, r, _) | With(l, r, _):
-            ul, ur = _unify(l, b.left), _unify(r, b.right)
-            if ul is None or ur is None:
-                return None
-            return type(a)(ul, ur)
-        case OfCourse(bd, _) | WhyNot(bd, _):
-            ub = _unify(bd, b.body)
-            return None if ub is None else type(a)(ub)
-    return None
-
-
-def _infer(p: Process, x: str, env: dict[str, Type]):
-    """Type of ``x`` in ``p`` given the other endpoints, unknowns allowed."""
-    match p:
-        case Link(a, b):
-            if x == a:
-                return dual(env[b]) if b in env else _Unknown()
-            if x == b:
-                return dual(env[a]) if a in env else _Unknown()
-            return _Unknown()
-        case Close(a):
-            return One() if a == x else _Unknown()
-        case Wait(a, c):
-            return Bot() if a == x else _infer(c, x, env)
-        case Send(a, f, pl, c):
-            if a == x:
-                return Tensor(_infer(pl, f, env), _infer(c, x, env))
-            if x in free_endpoints(pl):
-                return _infer(pl, x, env)
-            return _infer(c, x, env)
-        case Recv(a, f, c):
-            if a == x:
-                return Par(_infer(c, f, env), _infer(c, x, env))
-            return _infer(c, x, env)
-        case Inl(a, c):
-            return Plus(_infer(c, x, env), _Unknown()) if a == x else _infer(c, x, env)
-        case Inr(a, c):
-            return Plus(_Unknown(), _infer(c, x, env)) if a == x else _infer(c, x, env)
-        case Case(a, l, r):
-            if a == x:
-                return With(_infer(l, x, env), _infer(r, x, env))
-            u = _unify(_infer(l, x, env), _infer(r, x, env))
-            return _Unknown() if u is None else u
-        case Server(a, f, b):
-            return OfCourse(_infer(b, f, env)) if a == x else _infer(b, x, env)
-        case Client(a, f, b):
-            if a == x:
-                inner = _infer(b, f, env)
-                if x in free_endpoints(b):
-                    u = _unify(WhyNot(inner), _infer(b, x, env))
-                    return u if u is not None else WhyNot(inner)
-                return WhyNot(inner)
-            return _infer(b, x, env)
-        case Cut(a, b, l, r):
-            if x in free_endpoints(l) - {a}:
-                return _infer(l, x, env)
-            return _infer(r, x, env)
-    return _Unknown()
 
 
 # ---------------------------------------------------------------------------

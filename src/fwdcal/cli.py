@@ -20,8 +20,10 @@ from . import cutelim as CE
 from . import mcut as MC
 from . import parsing as PA
 from . import syntax as S
-from .checker import CheckError, Derivation, check_cll, check_forwarder, synth_context
-from .contexts import Context, context_fully_annotated
+from .checker import (
+    CheckError, Derivation, check_cll, check_forwarder, synth_context, synth_with_annotations,
+)
+from .contexts import Context, context_fully_annotated, translate_config
 from .cutelim import CutError, Judged
 from .mcut import McutError
 
@@ -66,29 +68,20 @@ def _emit(record, as_json: bool, text: str):
         print(text)
 
 
-def run_check(decl, as_json: bool) -> bool:
-    if isinstance(decl, PA.CheckDecl):
-        what = f"check {S.print_process(decl.proc)}"
-        try:
-            d = check_forwarder(decl.proc, decl.context)
-            _emit({"check": what, "ok": True, "rules": list(d.rules_preorder()),
-                   "derivation": deriv_json(d)},
-                  as_json, f"{_verdict(True)} {what}\n{deriv_trace(d, 2)}")
-            return True
-        except CheckError as e:
-            _emit({"check": what, "ok": False, "error": str(e)},
-                  as_json, f"{_verdict(False)} {what}: {e}")
-            return False
-    what = f"checkcll {S.print_process(decl.proc)}"
+def run_check(decl: PA.CheckDecl | PA.CheckCllDecl, as_json: bool) -> bool:
+    fwd = isinstance(decl, PA.CheckDecl)
+    what = f"{'check' if fwd else 'checkcll'} {S.print_process(decl.proc)}"
     try:
-        d = check_cll(decl.proc, decl.env)
-        _emit({"check": what, "ok": True, "rules": list(d.rules_preorder())},
-              as_json, f"{_verdict(True)} {what}\n{deriv_trace(d, 2)}")
-        return True
+        d = check_forwarder(decl.proc, decl.context) if fwd else check_cll(decl.proc, decl.env)
     except CheckError as e:
         _emit({"check": what, "ok": False, "error": str(e)},
               as_json, f"{_verdict(False)} {what}: {e}")
         return False
+    rec = {"check": what, "ok": True, "rules": list(d.rules_preorder())}
+    if fwd:
+        rec["derivation"] = deriv_json(d)
+    _emit(rec, as_json, f"{_verdict(True)} {what}\n{deriv_trace(d, 2)}")
+    return True
 
 
 def run_synth(decl: PA.SynthDecl, as_json: bool) -> bool:
@@ -113,8 +106,6 @@ def run_synth(decl: PA.SynthDecl, as_json: bool) -> bool:
 
 
 def run_compat(decl: PA.CompatDecl, as_json: bool) -> bool:
-    from .checker import synth_with_annotations
-
     src = PA.print_plain_env(decl.env)
     chk = CM.CompatChecker()
     ok = CM.multiparty_compatible(decl.env, chk)
@@ -134,8 +125,6 @@ def run_compat(decl: PA.CompatDecl, as_json: bool) -> bool:
     rec = {"compat": src, "ok": False}
     text = f"{_verdict(False)} compat {src}"
     if stuck is not None:
-        from .contexts import translate_config
-
         c0, labels, final = stuck
         rec["stuck_labels"] = [lab.rule for lab in labels]
         rec["stuck_at"] = PA.print_context(translate_config(final))

@@ -12,10 +12,10 @@ The reduction figure is written once, as a table (``_table``): at a redex it
 lists the steps that apply, each a cut-free leaf (B1, B2), a smaller redex
 (K, K-add, K-exp) or a head action pushed out of the cut (C-*).  A redex's
 sides are checked derivations, and the table reads each step's premises off
-their nodes.  ``beta_step`` renders the first step as a term with Cut nodes;
-``reduce_cut``'s engine realizes a chosen conclusion by firing the steps at
-that goal, bounded by fuel.  It returns the realized term and its trace, or
-reports the deepest failed branch and the check that failed there.
+their nodes.  ``reduce_cut``'s engine realizes a chosen conclusion by firing
+the steps at that goal, bounded by fuel.  It returns the realized term and
+its trace, or reports the deepest failed branch and the check that failed
+there.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import syntax as S
 from .syntax import (
-    Atom, Bot, Case, Client, Close, Cut, DualAtom, Endpoint, Inl, Inr, Link, OfCourse,
+    Atom, Bot, Case, Client, Close, DualAtom, Endpoint, Inl, Inr, Link, OfCourse,
     One, Par, Plus, Process, Recv, Send, Server, Tensor, Type, Wait, WhyNot, With,
     dual, erase, head_endpoint, rename_free,
 )
@@ -381,10 +381,6 @@ class _Cut(NamedTuple):
     right: Derivation
     y: Endpoint
 
-    @property
-    def process(self) -> Cut:
-        return Cut(self.x, self.y, self.left.process, self.right.process)
-
 
 class _Step(NamedTuple):
     """One step of the figure at a redex: a cut-free ``leaf``, a smaller
@@ -461,20 +457,6 @@ def _principal(r: _Cut, box_cut: BoxCut) -> _Step:
             return _Step("K-exp", redex=_Cut(lprem[0], a, rprem[0], b))
     raise Stuck("principal heads do not interact: "
                 f"{type(r.left.process).__name__}/{type(r.right.process).__name__}")
-
-
-def beta_step(left: Derivation, x: Endpoint, right: Derivation, y: Endpoint) -> tuple[str, Process]:
-    """Apply the first reduction of the figure to ``res x y (left | right)``;
-    returns its tag and the resulting term, with the remaining cuts as Cut
-    nodes (a K step's box cut is reduced in full, by ``reduce_cut``)."""
-    for step in _table(_Cut(left, x, right, y), lambda *cut: reduce_cut(*cut)[0]):
-        if step.failed is not None:
-            raise step.failed
-        if step.head is None:
-            return step.tag, step.leaf if step.redex is None else step.redex.process
-        return step.tag, S.from_scope(step.head, S.scope(step.head)[0], tuple(
-            (bs, s.process) for bs, s in step.subs))
-    raise Stuck("no beta step applies")
 
 
 # -- the engine ---------------------------------------------------------------

@@ -106,8 +106,6 @@ def _check(c: MCutConfig, stats: McutStats) -> MCutConfig:
     if len(set(c.bound)) != len(c.bound):
         raise McutError("bound endpoints not pairwise distinct")
     judged = isinstance(c.fwd, Judged)
-    if judged and not S.is_cut_free(c.fwd.term):
-        raise McutError("forwarder contains a cut")
     ctx = c.fwd.ctx if judged else c.fwd.context
     if set(ctx.endpoints()) != set(c.bound):
         raise McutError("forwarder context must cover exactly the bound endpoints")

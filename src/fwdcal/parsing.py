@@ -209,12 +209,14 @@ class Parser:
             self.eat("res")
             x = self.eat_ident("endpoint")
             y = self.eat_ident("endpoint")
+            self.eat(":")
+            a = self.type_()
             self.eat("(")
             l = self.process()
             self.eat("|")
             r = self.process()
             self.eat(")")
-            return S.Cut(x, y, l, r)
+            return S.Cut(x, y, a, l, r)
         if self.at("("):
             self.eat("(")
             p = self.process()

@@ -323,6 +323,7 @@ class Client:
 class Cut:
     x: Endpoint
     y: Endpoint
+    formula: Type  # the type of x; y has its dual
     left: Process
     right: Process
 
@@ -352,7 +353,7 @@ def scope(p: Process) -> tuple[tuple[Endpoint, ...], Scope]:
             return (x,), (((f,), c),)
         case Case(x, l, r):
             return (x,), (((), l), ((), r))
-        case Cut(x, y, l, r):
+        case Cut(x, y, _, l, r):
             return (), (((x,), l), ((y,), r))
     raise TypeError(p)
 
@@ -369,7 +370,7 @@ def from_scope(p: Process, heads: tuple[Endpoint, ...], subs: Scope) -> Process:
             return type(p)(*heads, subs[0][0][0], *(q for _, q in subs))
         case Cut():
             ((x,), l), ((y,), r) = subs
-            return Cut(x, y, l, r)
+            return Cut(x, y, p.formula, l, r)
     raise TypeError(p)
 
 
@@ -502,6 +503,6 @@ def print_process(p: Process) -> str:
             return f"!{x}({f}). {print_process(b)}"
         case Client(x, f, b):
             return f"?{x}[{f}]. {print_process(b)}"
-        case Cut(x, y, l, r):
-            return f"res {x} {y} ({print_process(l)} | {print_process(r)})"
+        case Cut(x, y, a, l, r):
+            return f"res {x} {y} : {print_type(a)} ({print_process(l)} | {print_process(r)})"
     raise TypeError(p)

@@ -124,15 +124,18 @@ def test_check_cll_rejects_unused_linear():
         check_cll(P.parse_process("close x"), (("x", One()), ("y", Bot())))
 
 
-def test_check_cll_cut_inference():
-    p = P.parse_process("res a b (wait e; close a | wait b; close f)")
+def test_check_cll_cut_states_its_formula():
+    p = P.parse_process("res a b : 1 (wait e; close a | wait b; close f)")
     env = (("e", Bot()), ("f", One()))
     d = check_cll(p, env)
     assert d.rule == "Cut"
+    # the left side closes a, so a stated bot disagrees with its use of a
+    with pytest.raises(CheckError, match="close a needs a:1"):
+        check_cll(P.parse_process("res a b : bot (wait e; close a | wait b; close f)"), env)
 
 
 def test_check_cll_cut_with_links():
-    p = P.parse_process("res a b (e<->a | b<->f)")
+    p = P.parse_process("res a b : t (e<->a | b<->f)")
     env = (("e", Atom("t")), ("f", Atom("t")))
     with pytest.raises(CheckError):
         check_cll(p, env)

@@ -169,3 +169,23 @@ def test_synth_keeps_what_a_partly_annotated_context_gives(decl, out, tmp_path, 
     path.write_text(decl + "\n", encoding="utf-8")
     assert cli.main(["synth", str(path)]) == (0 if out.startswith("ok") else 1)
     assert capsys.readouterr().out == out
+
+
+def test_a_cp_cut_states_its_formula(tmp_path, capsys):
+    cut = "res a b : 1 (wait e; close a | wait b; close f)"
+    path = tmp_path / "cut.fwd"
+    path.write_text(f"checkcll {cut} |- e : bot, f : 1;\n", encoding="utf-8")
+    assert cli.main(["fmt", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == f"checkcll ({cut}) |- e : bot, f : 1;\n"
+    assert P.parse_file(out).decls == P.parse_file(path.read_text(encoding="utf-8")).decls
+    assert cli.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        f"ok checkcll {cut}\n  Cut\n    Bot\n      One\n    Bot\n      One\n")
+    # the formula is not optional: the old form is a located parse error
+    path.write_text("checkcll res a b (wait e; close a | wait b; close f) |- e : bot, f : 1;\n",
+                    encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert err.startswith(f"{path}:1:18: got '(' (expected one of: :)\n")

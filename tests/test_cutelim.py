@@ -7,16 +7,16 @@ import genutil
 from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal import cutelim
-from fwdcal.checker import RuleMismatch, check_forwarder, synth_with_annotations
+from fwdcal.checker import RuleMismatch, check_forwarder
 from fwdcal.contexts import (
-    Context, Entry, LeftTok, MsgBox, Star, ctx, msgbox, normalize_context,
+    Entry, LeftTok, MsgBox, Star, ctx, msgbox, normalize_context,
 )
 from fwdcal.cutelim import (
-    AnnotationMismatch, CutError, CutSide, Stuck, _swap_box, beta_step,
+    AnnotationMismatch, CutError, CutSide, Stuck, _swap_box,
     cut_conclusions, distributions, reduce_cut, substitute,
 )
 from fwdcal.syntax import (
-    Atom, Bot, Close, Cut, DualAtom, Link, One, Par, Plus, Recv, Send, Tensor, Wait, erase,
+    Atom, Bot, Close, DualAtom, Link, One, Par, Plus, Tensor, erase,
 )
 
 
@@ -157,21 +157,12 @@ def _judged(proc_txt, ctx_txt):
     return check_forwarder(P.parse_process(proc_txt), P.parse_context(ctx_txt))
 
 
-def test_beta_B1():
-    left = _judged("z<->x", "z : ~a, x : a")
-    right = _judged("wait y; close w", "w : 1{y}, y : bot{w}")
-    tag, term = beta_step(left, "x", right, "y")
-    assert tag == "B1"
-    assert term == P.parse_process("wait z; close w")
-
-
-def test_beta_B2():
-    left = _judged("close x", "u1 : . [to=x *], u2 : . [to=x *], x : 1{u1,u2}")
-    right = _judged("wait y; close v", "v : 1{y}, y : bot{v}")
-    tag, term = beta_step(left, "x", right, "y")
-    assert tag == "B2"
-    assert term == P.parse_process("close v")
-    check_forwarder(term, cut_conclusions(left.context, "x", right.context, "y")[0])
+def _realize(left, right):
+    """``reduce_cut`` at the cut's one conclusion, checked there."""
+    (g,) = cut_conclusions(left.context, "x", right.context, "y")
+    term, trace = reduce_cut(left, "x", right, "y", g)
+    check_forwarder(term, g)
+    return term, trace
 
 
 def test_beta_C1():
@@ -179,9 +170,9 @@ def test_beta_C1():
     left = _judged("close x", "u0 : . [to=x *], x : 1{u0}")
     right = _judged("wait u; wait y; close v",
                     "v : 1{u,y}, u : bot{v}, y : bot{v}")
-    tag, term = beta_step(left, "x", right, "y")
-    assert tag == "C1"
-    assert term == Wait("u", Cut("x", "y", left.process, P.parse_process("wait y; close v")))
+    term, trace = _realize(left, right)
+    assert trace == ("C1", "B2")
+    assert term == P.parse_process("wait u; close v")
 
 
 def test_beta_C2():
@@ -189,20 +180,18 @@ def test_beta_C2():
                    "e : a *{x} 1{x}, x : ~a |{e} bot{e}")
     right = _judged("u(m). y[w].(m<->w | wait u; close y)",
                     "u : ~a |{y} bot{y}, y : a *{u} 1{u}")
-    tag, term = beta_step(left, "x", right, "y")
-    assert tag == "C2"
-    assert term == Recv("u", "m", Cut("x", "y", left.process,
-                                      P.parse_process("y[w].(m<->w | wait u; close y)")))
+    term, trace = _realize(left, right)
+    assert trace == ("C2", "K", "C3", "C1", "B2")
+    assert term == P.parse_process("u(m). e[w].(m<->w | wait u; close e)")
 
 
 def test_beta_C3():
     left = _judged("wait x; close e", "e : 1{x}, x : bot{e}")
     right = _judged("u[w].(m<->w | wait u; close y)",
                     "u : b *{y} bot{y}, y : 1{u} [to=u msg m : ~b]")
-    tag, term = beta_step(left, "x", right, "y")
-    assert tag == "C3"
-    assert term == Send("u", "w", P.parse_process("m<->w"),
-                        Cut("x", "y", left.process, P.parse_process("wait u; close y")))
+    term, trace = _realize(left, right)
+    assert trace == ("C3", "C1", "B2")
+    assert term == P.parse_process("u[w].(m<->w | wait u; close e)")
 
 
 def test_beta_K():
@@ -212,31 +201,28 @@ def test_beta_K():
                    "u : bot{x} [to=x msg d : ~a], x : a *{u} 1{u}")
     right = _judged("y(c). wait y; v[w].(c<->w | close v)",
                     "y : ~a |{v} bot{v}, v : a *{y} 1{y}")
-    tag, term = beta_step(left, "x", right, "y")
-    assert tag == "K"
-    assert term == Cut(
-        "x", "y",
-        P.parse_process("wait u; close x"),
-        P.parse_process("wait y; v[a].(d<->a | close v)"),
-    )
+    term, trace = _realize(left, right)
+    assert trace == ("K", "C1", "B2")
+    assert term == P.parse_process("wait u; v[a].(d<->a | close v)")
 
 
 def test_beta_K_annotation_follows_spliced_payload():
     # v's payload annotation 1{c} aims at the received name c; once d is
-    # spliced in place of c, the boxed host is derivable only if it aims at d
+    # spliced in place of c, the boxed host is derivable only if it aims at d.
+    # The K step alone: the whole cut's conclusion still names c, and the
+    # engine cannot yet rename it to d, since no commuted receive binds d
     left = _judged("x[a].(wait d; close a | wait u; close x)",
                    "u : bot{x} [to=x msg d : bot{a}], x : 1{d} *{u} 1{u}")
     right = _judged("y(c). wait y; v[w].(wait c; close w | close v)",
                     "y : bot{w} |{v} bot{v}, v : 1{c} *{y} 1{y}")
-    tag, term = beta_step(left, "x", right, "y")
-    assert tag == "K"
-    assert term == Cut(
-        "x", "y",
-        P.parse_process("wait u; close x"),
-        P.parse_process("wait y; v[a].(wait d; close a | close v)"),
-    )
-    check_forwarder(term.right,
-                    P.parse_context("y : bot{v} [to=v msg d : bot{a}], v : 1{d} *{y} 1{y}"))
+
+    def no_box_cut(*cut):
+        raise AssertionError("a lone boxed payload is spliced, not cut")
+
+    host = cutelim._cut_in_box(left.premises[0], "a", right.premises[0], "c", no_box_cut)
+    assert host.process == P.parse_process("wait y; v[a].(wait d; close a | close v)")
+    assert host.context == P.parse_context(
+        "y : bot{v} [to=v msg d : bot{a}], v : 1{d} *{y} 1{y}")
 
 
 def test_box_splice_targets_follow_spectators():

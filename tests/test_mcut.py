@@ -66,6 +66,14 @@ def test_part_head_on_external_endpoint_leaves_the_composition(case):
     assert trace[0] == "comm" and trace[-1] == "Ax"
 
 
+def test_a_forwarder_with_a_cut_is_refused():
+    fwd = "(res a b : t (x<->a | b<->y)) |- x : ~t, y : t"
+    part_x = "(x<->e) |- e : ~t, x : t @ x"
+    part_y = "(y<->f) |- f : t, y : ~t @ y"
+    with pytest.raises(MC.McutError, match="forwarder does not check: forwarders contain no cuts"):
+        run_sim(fwd, [part_x, part_y])
+
+
 def test_part_server_on_external_endpoint():
     # the forwarder serves x; the part at x first serves its own external u
     fwd = "(!x(x1). ?y[y1]. wait y1; close x1) |- x : !{y} 1{y1}, y : ?{x} bot{x1}"

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,14 @@ types = st.recursive(
 
 proc_leaves = st.one_of(st.builds(Link, names, names), names.map(Close))
 
+# A cut states the plain type of its first endpoint; a few leaves suffice.
+formulas = st.recursive(
+    st.one_of(names.map(Atom), names.map(DualAtom), st.just(One()), st.just(Bot())),
+    lambda sub: st.one_of(*(st.builds(c, sub, sub) for c in (Tensor, Par, Plus, With)),
+                          *(st.builds(c, sub) for c in (OfCourse, WhyNot))),
+    max_leaves=4,
+)
+
 procs = st.recursive(
     proc_leaves,
     lambda sub: st.one_of(
@@ -45,7 +54,7 @@ procs = st.recursive(
         st.builds(Inl, names, sub),
         st.builds(Case, names, sub, sub),
         st.builds(Server, names, names, sub),
-        st.builds(Cut, names, names, sub, sub),
+        st.builds(Cut, names, names, formulas, sub, sub),
     ),
     max_leaves=12,
 )
@@ -63,7 +72,7 @@ scoped_procs = st.recursive(
         st.builds(Case, names, sub, sub),
         st.builds(Server, names, names, sub),
         st.builds(Client, names, names, sub),
-        st.builds(Cut, names, names, sub, sub),
+        st.builds(Cut, names, names, formulas, sub, sub),
     ),
     max_leaves=12,
 )
@@ -77,12 +86,13 @@ def _constructors(x) -> set[type]:
     return {type(x)}.union(*(_constructors(getattr(x, f.name)) for f in dataclasses.fields(x)))
 
 
-@pytest.mark.parametrize("strategy,constructors", [
-    (types, {Atom, DualAtom, One, Bot, Tensor, Par, Plus, With, OfCourse, WhyNot}),
-    (procs, {Link, Close, Wait, Send, Recv, Inl, Case, Server, Cut}),
-    (scoped_procs, {Link, Close, Wait, Send, Recv, Inl, Inr, Case, Server, Client, Cut}),
+@pytest.mark.parametrize("strategy,sort,constructors", [
+    (types, S.Type, {Atom, DualAtom, One, Bot, Tensor, Par, Plus, With, OfCourse, WhyNot}),
+    (procs, S.Process, {Link, Close, Wait, Send, Recv, Inl, Case, Server, Cut}),
+    (scoped_procs, S.Process,
+     {Link, Close, Wait, Send, Recv, Inl, Inr, Case, Server, Client, Cut}),
 ], ids=["types", "procs", "scoped_procs"])
-def test_strategies_reach_every_constructor(strategy, constructors):
+def test_strategies_reach_every_constructor(strategy, sort, constructors):
     seen: set[type] = set()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -91,7 +101,8 @@ def test_strategies_reach_every_constructor(strategy, constructors):
         seen.update(_constructors(t))
 
     draw()
-    assert seen == constructors
+    # a cut's formula is a type: count only the constructors of ``sort``
+    assert seen & set(typing.get_args(sort)) == constructors
 
 
 @settings(max_examples=300, deadline=None)
