@@ -23,6 +23,7 @@ compat's per-target FIFOs have it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from itertools import combinations, starmap
 from typing import Iterator
@@ -83,6 +84,51 @@ class Derivation:
             out.extend(p.rules_preorder())
         return tuple(out)
 
+    def rename(self, m: dict[str, str]) -> Derivation:
+        """This CP derivation with every name renamed by ``m``, bound names
+        included.  Renaming is equivariant: an injective renaming of a
+        derivation derives the renamed judgement, so nothing is re-checked.
+
+        ``m`` must be injective and none of its targets may occur in the
+        derivation; a ValueError says which condition fails.  The result is
+        built bottom-up: a node's process is its term rebuilt by
+        ``from_scope`` over its premises' renamed processes (a Weaken or
+        Contract node takes its premise's), so the root's process is the
+        renamed term.  A sub-derivation shared by several nodes is renamed
+        once, and one that mentions no renamed name is kept as it is.
+        """
+        if len(set(m.values())) != len(m):
+            raise ValueError(f"renaming {m} is not injective")
+        seen: set[str] = set()
+        done: dict[int, Derivation] = {}
+
+        def go(d: Derivation) -> Derivation:
+            out = done.get(id(d))
+            if out is not None:
+                return out
+            prem = tuple(map(go, d.premises))
+            names = [n for n, _ in d.context]
+            seen.update(names)
+            if all(map(operator.is_, prem, d.premises)) and not any(n in m for n in names):
+                out = d
+            else:
+                if d.rule in ("Weaken", "Contract"):
+                    proc = prem[0].process
+                else:
+                    heads, subs = S.scope(d.process)
+                    proc = S.from_scope(d.process, tuple(m.get(h, h) for h in heads), tuple(
+                        (tuple(m.get(b, b) for b in bs), q.process)
+                        for (bs, _), q in zip(subs, prem)))
+                out = Derivation(d.rule, proc, tuple((m.get(n, n), t) for n, t in d.context), prem)
+            done[id(d)] = out
+            return out
+
+        out = go(self)
+        clash = seen.intersection(m.values())
+        if clash:
+            raise ValueError(f"renaming targets {sorted(clash)} occur in the derivation")
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Forwarder system
@@ -104,7 +150,8 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
             match ex.typing, ey.typing:
                 case (DualAtom(a), Atom(b)) if a == b:
                     return "Ax", ()
-            raise RuleMismatch(f"Ax needs {x}:~a and {y}:a, got {ex.typing} and {ey.typing}")
+            raise RuleMismatch(
+                f"Ax needs {x}:~a and {y}:a, got {_shown(ex.typing)} and {_shown(ey.typing)}")
 
         case Close(x):
             e = _active(g, x)
@@ -127,7 +174,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                                 f"{o.endpoint} must hold exactly one star for {x}"
                             )
                     return "One", ()
-            raise RuleMismatch(f"close {x} needs {x}:1, got {e.typing}")
+            raise RuleMismatch(f"close {x} needs {x}:1, got {S.print_type(e.typing)}")
 
         case Wait(x, cont):
             e = _active(g, x)
@@ -135,7 +182,8 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                 case Bot(u) if u is not None:
                     g2 = g.replace(x, Entry(x, e.queue + (Star(u),), None))
                     return "Bot", ((cont, g2),)
-            raise RuleMismatch(f"wait {x} needs {x}:bot with a target, got {e.typing}")
+            raise RuleMismatch(
+                f"wait {x} needs {x}:bot with a target, got {S.print_type(e.typing)}")
 
         case Recv(x, f, cont):
             e = _active(g, x)
@@ -145,7 +193,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                         raise RuleMismatch(f"received name {f} is not fresh")
                     g2 = g.replace(x, Entry(x, e.queue + (msgbox(u, f, a),), b))
                     return "Par", ((cont, g2),)
-            raise RuleMismatch(f"recv on {x} needs {x}:A|{{u}}B, got {e.typing}")
+            raise RuleMismatch(f"recv on {x} needs {x}:A|{{u}}B, got {S.print_type(e.typing)}")
 
         case Send(x, f, payload, cont):
             e = _active(g, x)
@@ -176,7 +224,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                     ex2 = g2.get(x)
                     right = g2.replace(x, Entry(x, ex2.queue, b))
                     return "Tensor", ((payload, left), (cont, right))
-            raise RuleMismatch(f"send on {x} needs {x}:A*{{u}}B, got {e.typing}")
+            raise RuleMismatch(f"send on {x} needs {x}:A*{{u}}B, got {S.print_type(e.typing)}")
 
         case Inl(x, cont) | Inr(x, cont):
             e = _active(g, x)
@@ -191,7 +239,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                         raise QueueHeadMismatch(f"head of {z}'s queue must be {tok}, got {head}")
                     g2 = g2.replace(x, Entry(x, e.queue, a if want_left else b))
                     return ("PlusL" if want_left else "PlusR"), ((cont, g2),)
-            raise RuleMismatch(f"select on {x} needs {x}:A+{{z}}B, got {e.typing}")
+            raise RuleMismatch(f"select on {x} needs {x}:A+{{z}}B, got {S.print_type(e.typing)}")
 
         case Case(x, l, r):
             e = _active(g, x)
@@ -205,7 +253,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                     gl = g.replace(x, Entry(x, e.queue + tuple(LeftTok(u) for u in ts), a))
                     gr = g.replace(x, Entry(x, e.queue + tuple(RightTok(u) for u in ts), b))
                     return "With", ((l, gl), (r, gr))
-            raise RuleMismatch(f"case on {x} needs {x}:A&{{u}}B, got {e.typing}")
+            raise RuleMismatch(f"case on {x} needs {x}:A&{{u}}B, got {S.print_type(e.typing)}")
 
         case Server(x, f, body):
             e = _active(g, x)
@@ -228,7 +276,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                     g2 = g.replace(x, Entry(f, tuple(Query(u) for u in ts), a))
                     g2 = rename_context_targets(g2, {x: f})
                     return "Bang", ((body, g2),)
-            raise RuleMismatch(f"srv on {x} needs {x}:!{{u}}A, got {e.typing}")
+            raise RuleMismatch(f"srv on {x} needs {x}:!{{u}}A, got {S.print_type(e.typing)}")
 
         case Client(x, f, cont):
             e = _active(g, x)
@@ -246,12 +294,16 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                     g2 = g2.replace(x, Entry(f, e.queue, a))
                     g2 = rename_context_targets(g2, {x: f})
                     return "Quest", ((cont, g2),)
-            raise RuleMismatch(f"client on {x} needs {x}:?{{z}}A, got {e.typing}")
+            raise RuleMismatch(f"client on {x} needs {x}:?{{z}}A, got {S.print_type(e.typing)}")
 
         case Cut():
             raise RuleMismatch("forwarders contain no cuts")
 
     raise RuleMismatch(f"no forwarder rule for {type(p).__name__}")
+
+
+def _shown(t: Type | None) -> str:
+    return "terminated" if t is None else S.print_type(t)
 
 
 def _pop_for(g: Context, u: str, x: str) -> tuple[Queue, Context]:
@@ -388,7 +440,8 @@ def cp_step(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]
         case Link(x, y):
             tx, ty = _env_get(env, x), _env_get(env, y)
             if dual(tx) != ty:
-                raise RuleMismatch(f"link {x}<->{y} needs dual types, got {tx} / {ty}")
+                raise RuleMismatch(f"link {x}<->{y} needs dual types, got "
+                                   f"{S.print_type(tx)} / {S.print_type(ty)}")
             return "Ax", ()
         case Close(x):
             if not isinstance(_env_get(env, x), One):

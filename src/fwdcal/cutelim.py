@@ -315,7 +315,8 @@ def cut_conclusions(left: Context, x: Endpoint, right: Context, y: Endpoint) -> 
     top, bottom = CutSide.of(left, x), CutSide.of(right, y)
     if erase(top.formula) != dual(erase(bottom.formula)):
         raise StructuralMismatch(
-            f"cut formulas are not dual: {erase(top.formula)} vs {erase(bottom.formula)}")
+            f"cut formulas are not dual: {S.print_type(erase(top.formula))} "
+            f"vs {S.print_type(erase(bottom.formula))}")
     out: dict[Context, Context] = {}
     for t, b in distributions(top, bottom):
         g = substitute(t, b)

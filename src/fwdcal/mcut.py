@@ -16,11 +16,15 @@ forwarder's.  Each invariant is established where it can change:
 * a configuration from outside is checked in full, which derives its
   forwarder and, in CP, each part and pending process;
 * a later forwarder, part or pending process that a step takes from a
-  premise carries that premise as its derivation; one the step renames,
-  composes or copies is checked anew;
+  premise carries that premise as its derivation.  One under the part's
+  binder carries the premise renamed to the forwarder's binder
+  (``Derivation.rename``: renaming is equivariant).  One the step composes
+  or copies is checked anew;
 * after a step, the structural invariants are checked (distinct names,
   duality, boxes against pending processes, a part for every active
-  endpoint), and so is each configuration a step runs inside it;
+  endpoint), and so is each configuration a step runs inside it.  Duality
+  is checked for each part the step replaced or whose forwarder typing it
+  changed;
 * the residual process is checked in CP at the external environments.
 
 An emitted server wraps the rest of the run in CP's ! rule, which needs
@@ -88,20 +92,26 @@ class MCutConfig:
 @dataclass
 class McutStats:
     """What a run did: its steps, the forwarder derivations it built, and the
-    parts and pending processes it checked in CP."""
+    parts and pending processes it checked in CP: those given, and those a
+    step composes (a transport's result, the composition a Contract step
+    serves) or copies (a Contract step's client and server copies).  A part
+    a step takes from a premise, renamed or not, carries its derivation."""
 
     steps: int = 0
     forwarder_checks: int = 0
     part_checks: int = 0
 
 
-def _check(c: MCutConfig, stats: McutStats) -> MCutConfig:
+def _check(c: MCutConfig, stats: McutStats, before: MCutConfig | None = None) -> MCutConfig:
     """``c`` with the derivations of its forwarder, its parts and its pending
     processes; an McutError names the first invariant it breaks.
 
     A forwarder that is still a Judged is checked here; a Derivation is a
     premise of one checked before.  A part or pending process keeps a
     derivation of its term at its typing, and is checked in CP otherwise.
+    ``before`` is the checked configuration the step that made ``c`` started
+    from: a part it holds as the same object, at the same forwarder typing
+    object, is dual to that typing already.
     """
     if len(set(c.bound)) != len(c.bound):
         raise McutError("bound endpoints not pairwise distinct")
@@ -111,12 +121,14 @@ def _check(c: MCutConfig, stats: McutStats) -> MCutConfig:
         raise McutError("forwarder context must cover exactly the bound endpoints")
     if judged:
         c = replace(c, fwd=_derive(c.fwd, stats))
-    owned = [p.endpoint for p in c.parts]
-    if len(set(owned)) != len(owned) or not set(owned) <= set(c.bound):
+    owned = {p.endpoint for p in c.parts}
+    if len(owned) != len(c.parts) or not owned <= set(c.bound):
         raise McutError("parts must own distinct bound endpoints")
+    kept = {} if before is None else {
+        id(p): before.fwd.context.get(p.endpoint).typing for p in before.parts}
     for p in c.parts:
-        e = ctx.get(p.endpoint)
-        if e.typing is None or erase(e.typing) != dual(p.typ):
+        t = ctx.get(p.endpoint).typing
+        if t is None or (kept.get(id(p)) is not t and erase(t) != dual(p.typ)):
             raise McutError(f"{p.endpoint}: forwarder and part types are not dual")
     names = [p.endpoint for p in c.pending]
     if len(set(names)) != len(names):
@@ -130,7 +142,7 @@ def _check(c: MCutConfig, stats: McutStats) -> MCutConfig:
     if sorted(boxed) != want:
         raise McutError("queued messages and pending processes disagree")
     for x in c.bound:
-        if ctx.get(x).typing is not None and x not in set(owned):
+        if ctx.get(x).typing is not None and x not in owned:
             raise McutError(f"active forwarder endpoint {x} has no part")
     return replace(c, parts=tuple(_certify(p, "part at", stats) for p in c.parts),
                    pending=tuple(_certify(p, "pending", stats) for p in c.pending))
@@ -214,13 +226,14 @@ def _checked_step(c: MCutConfig, r: _Runner):
     got = _step(c, r)
     tag = got[-1]
     r.tick(tag)
-    return tuple(_check_after(tag, v, r.stats) if isinstance(v, MCutConfig) else v
+    return tuple(_check_after(tag, v, r.stats, c) if isinstance(v, MCutConfig) else v
                  for v in got)
 
 
-def _check_after(tag: str, c: MCutConfig, stats: McutStats) -> MCutConfig:
+def _check_after(tag: str, c: MCutConfig, stats: McutStats,
+                 before: MCutConfig | None = None) -> MCutConfig:
     try:
-        return _check(c, stats)
+        return _check(c, stats, before)
     except McutError as e:
         raise McutError(f"invariant broken after {tag}: {e}") from None
 
@@ -376,10 +389,9 @@ def _own(d: Derivation, x: Endpoint) -> PartEntry:
 
 def _under(d: Derivation, f: Endpoint, g: Endpoint) -> PartEntry:
     """The part that the premise ``d`` under the part's binder ``f`` derives,
-    renamed to the forwarder's binder ``g``, which it owns.  The renamed term
-    has no derivation yet."""
-    p = _own(d, f)
-    return PartEntry(rename_free(p.term, {f: g}), p.env, g, p.typ)
+    renamed to the forwarder's binder ``g``, which it owns; it carries the
+    renamed derivation."""
+    return _own(d.rename({f: g}), g)
 
 
 def _binder_step(c: MCutConfig, part: PartEntry, tag: str):
@@ -491,18 +503,22 @@ def _contract_step(c: MCutConfig, part: PartEntry, r: _Runner):
         PartEntry(_freshen_binders(rename_free(p.term, {p.endpoint: ren[p.endpoint]}), r.supply),
                   p.env, ren[p.endpoint], p.typ)
         for p in c.parts if p.endpoint != x)
-    served = _run(_check_after("Contract", inner, r.stats), r)
+    served = _run(_check_after("Contract", inner, r.stats, c), r)
     outer_part = PartEntry(served, tuple((n, t) for n, t in inner.conclusion_env() if n != x2),
                            x2, part.typ)
     outer = MCutConfig(tuple(ren[b] for b in c.bound), fwd2, (), (outer_part,) + copies)
     return ("continue", outer, "Contract")
 
 
-def _freshen_binders(p: Process, supply: S.FreshNames) -> Process:
+def _freshen_binders(p: Process, supply: S.FreshNames,
+                     ren: dict[Endpoint, Endpoint] | None = None) -> Process:
+    """``p`` with each binder renamed to a fresh name of ``supply``, in one
+    pass: ``ren`` maps the binders in scope to their fresh names.  A node's
+    binders are named before those of its subterms, in field order."""
+    ren = ren or {}
     heads, subs = S.scope(p)
-    ren = {b: supply.fresh(b) for b in dict.fromkeys(b for bs, _ in subs for b in bs)}
-    out = []
-    for bs, q in subs:
-        q = rename_free(q, {b: ren[b] for b in bs})
-        out.append((tuple(ren[b] for b in bs), _freshen_binders(q, supply)))
-    return S.from_scope(p, heads, tuple(out))
+    new = {b: supply.fresh(b) for b in dict.fromkeys(b for bs, _ in subs for b in bs)}
+    return S.from_scope(p, tuple(ren.get(h, h) for h in heads), tuple(
+        (tuple(new[b] for b in bs),
+         _freshen_binders(q, supply, ren | {b: new[b] for b in bs} if bs else ren))
+        for bs, q in subs))

@@ -388,10 +388,6 @@ def free_endpoints(p: Process) -> frozenset[Endpoint]:
     return fv
 
 
-def is_cut_free(p: Process) -> bool:
-    return not isinstance(p, Cut) and all(is_cut_free(q) for _, q in scope(p)[1])
-
-
 class FreshNames:
     """Deterministic fresh-name supply: base#1, base#2, ... avoiding a set."""
 

@@ -69,6 +69,10 @@ def enumerate_plain_types(size: int, atom: str = "a"):
             yield cls(b)
 
 
+def is_cut_free(p: S.Process) -> bool:
+    return not isinstance(p, S.Cut) and all(is_cut_free(q) for _, q in S.scope(p)[1])
+
+
 def derivation_nodes(d: K.Derivation):
     yield d.process, d.context
     for p in d.premises:

@@ -55,6 +55,19 @@ def test_ax_rejects_equal_atoms():
         check_forwarder(Link("x", "y"), g)
 
 
+@pytest.mark.parametrize("term", [
+    "close x", "wait x; close y", "x(u). close y", "x[u].(close u | close y)", "x.inl. close y",
+    "case x {inl: close y; inr: close y}", "!x(u). close y", "?x[u]. close y",
+])
+def test_rule_failures_print_the_typing_in_surface_syntax(term):
+    # a typing no rule of the term's head accepts
+    typing = "1{y} &{y} bot{y}" if term.startswith("x.inl") else "bot{y} +{y} 1{y}"
+    g = P.parse_context(f"x : {typing}, y : 1{{x}}")
+    with pytest.raises(RuleMismatch) as e:
+        forwarder_step(P.parse_process(term), g)
+    assert str(e.value).endswith(f", got {S.print_type(g.get('x').typing)}")
+
+
 def test_rejects_unannotated():
     g = ctx(Entry("x", (), Par(DualAtom("a"), Bot())), Entry("y", (), Tensor(Atom("a"), One())))
     with pytest.raises(NotAnnotated):

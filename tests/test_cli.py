@@ -90,22 +90,39 @@ def test_deep_input_is_a_located_parse_error(cmd, decl, tmp_path, capsys):
     assert re.match(rf"{re.escape(str(path))}:1:\d+: input nests too deeply\n", err), err
 
 
+@pytest.mark.parametrize("cmd,decl,want", [
+    ("check", "check x<->y |- x : a, y : a;", "Ax needs x:~a and y:a, got a and a"),
+    ("check", "checkcll res a b : a | b (e<->a | b<->f) |- e : bot, f : 1;",
+     "link e<->a needs dual types, got bot / a | b"),
+    ("cut", "cut (w<->x) |- w : ~a, x : a with (wait y; close v) |- v : 1{y}, y : bot{v};",
+     "cut formulas are not dual: a vs bot"),
+])
+def test_rule_failures_print_types_in_surface_syntax(cmd, decl, want, tmp_path, capsys):
+    path = tmp_path / "bad.fwd"
+    path.write_text(decl + "\n", encoding="utf-8")
+    assert cli.main(["--json", cmd, str(path)]) == 1
+    (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert rec["error"] == want
+
+
 def test_sim_json_records_carry_the_run_counters(capsys):
     assert cli.main(["--json", "sim", str(CORPUS / "compose.fwd")]) == 0
     (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
-    # the two parts as given, the message the Tensor step parks, and the
-    # continuation and the result of the Par step's transport
-    assert rec["stats"] == {"steps": len(rec["trace"]), "forwarder_checks": 1, "part_checks": 5}
+    # the two parts as given and the result of the Par step's transport; the
+    # message the Tensor step parks and the continuation the transport
+    # composes carry their renamed premises
+    assert rec["stats"] == {"steps": len(rec["trace"]), "forwarder_checks": 1, "part_checks": 3}
     assert cli.main(["--json", "sim", "--step", str(CORPUS / "compose.fwd")]) == 0
     (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
     # the two parts as given; the part the step left carries its premise
     assert rec["stats"] == {"steps": 1, "forwarder_checks": 1, "part_checks": 2}
     # the two parts as given; the Contract step's rewritten client, the
-    # composition that served the first use and the server's copy; and the
-    # renamed premise of each of the four Quest and Bang steps
+    # composition that served the first use and the server's copy.  The
+    # renamed premises of the four Quest and Bang steps carry their renamed
+    # derivations
     assert cli.main(["--json", "sim", str(CORPUS / "contract.fwd")]) == 0
     (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
-    assert rec["stats"] == {"steps": len(rec["trace"]), "forwarder_checks": 2, "part_checks": 9}
+    assert rec["stats"] == {"steps": len(rec["trace"]), "forwarder_checks": 2, "part_checks": 5}
     assert cli.main(["sim", str(CORPUS / "compose.fwd")]) == 0
     assert "checks" not in capsys.readouterr().out
 

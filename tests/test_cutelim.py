@@ -260,7 +260,7 @@ def test_reduce_cut_crisscross_halves():
     j1, x, j2, y = genutil.fresh_cut_sides(A)
     for g in cut_conclusions(j1.context, x, j2.context, y):
         term, trace = reduce_cut(j1, x, j2, y, g)
-        assert S.is_cut_free(term)
+        assert genutil.is_cut_free(term)
         check_forwarder(term, g)
 
 
@@ -272,7 +272,7 @@ def test_reduce_cut_spliced_payload_takes_host_binders():
     for g in cut_conclusions(j1.context, x, j2.context, y):
         term, trace = reduce_cut(j1, x, j2, y, g)
         assert "K" in trace
-        assert S.is_cut_free(term)
+        assert genutil.is_cut_free(term)
         check_forwarder(term, g)
 
 
@@ -339,7 +339,7 @@ def test_reduce_cut_all_gammas_random():
     for p1, g1, x, p2, g2, y in pairs:
         for g in cut_conclusions(g1, x, g2, y):
             term, trace = reduce_cut(check_forwarder(p1, g1), x, check_forwarder(p2, g2), y, g)
-            assert S.is_cut_free(term)
+            assert genutil.is_cut_free(term)
             check_forwarder(term, g)
             realized += 1
     assert realized > 0
@@ -386,6 +386,6 @@ def test_measure_decreases_along_traces():
     j1, x, j2, y = genutil.fresh_cut_sides(A)
     g = cut_conclusions(j1.context, x, j2.context, y)[0]
     term, trace = reduce_cut(j1, x, j2, y, g)
-    assert S.is_cut_free(term)
+    assert genutil.is_cut_free(term)
     check_forwarder(term, g)
     assert trace.count("K") >= 1

@@ -13,7 +13,7 @@ from fwdcal import cli
 from fwdcal import mcut as MC
 from fwdcal import parsing as P
 from fwdcal import syntax as S
-from fwdcal.checker import eta_link, synth_with_annotations
+from fwdcal.checker import check_cll, eta_link, synth_with_annotations
 from fwdcal.cutelim import Judged
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -121,6 +121,18 @@ def sample_formulas(rng: random.Random, per_shape: int = 3, max_size: int = 4):
     return out
 
 
+def eta_parts(x: str, y: str, a: S.Type) -> tuple[MC.PartEntry, MC.PartEntry]:
+    """Eta-link parts at ``x : ~a`` and ``y : a``, each with one external."""
+    return (MC.PartEntry(eta_link(f"{x}_e", x, S.dual(a)), ((f"{x}_e", a),), x, S.dual(a)),
+            MC.PartEntry(eta_link(f"{y}_e", y, a), ((f"{y}_e", S.dual(a)),), y, a))
+
+
+def sampled_parts(seed: int):
+    rng = random.Random(seed)
+    for a in sample_formulas(rng):
+        yield from eta_parts(*rng.sample(NAMES, 2), a)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_composition_reduces_to_a_cp_process(seed):
     # the composition theorem: a synthesized dual-pair forwarder composed
@@ -129,9 +141,114 @@ def test_composition_reduces_to_a_cp_process(seed):
     for a in sample_formulas(rng):
         x, y = rng.sample(NAMES, 2)
         ctx, fwd = synth_with_annotations(((x, a), (y, S.dual(a))))
-        parts = (MC.PartEntry(eta_link(f"{x}_e", x, S.dual(a)), ((f"{x}_e", a),), x, S.dual(a)),
-                 MC.PartEntry(eta_link(f"{y}_e", y, a), ((f"{y}_e", S.dual(a)),), y, a))
-        MC.run_mcut(MC.MCutConfig((x, y), Judged(fwd, ctx), (), parts))
+        MC.run_mcut(MC.MCutConfig((x, y), Judged(fwd, ctx), (), eta_parts(x, y, a)))
+
+
+def typing(p: MC.PartEntry):
+    return p.env + ((p.endpoint, p.typ),)
+
+
+def names_of(d) -> frozenset[str]:
+    """Every name of a CP derivation: each bound name is in a premise's
+    environment."""
+    return frozenset(n for _, env in genutil.derivation_nodes(d) for n, _ in env)
+
+
+# CP judgements whose derivations weaken and contract, which eta-links do not
+STRUCTURAL = [
+    "checkcll ?k[a]. ?k[b]. wait a; wait b; x<->y |- k : ? bot, x : ~t, y : t;",
+    "checkcll x[a].(?k[c]. wait c; close a | ?k[d]. wait d; close x) "
+    "|- k : ? bot, x : 1 * 1, w : ? 1;",
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_renaming_a_derivation_derives_the_renamed_judgement(seed):
+    # equivariance, at every node of the derivation of every sampled part:
+    # renaming a free name to a fresh one gives check_cll's derivation of the
+    # renamed judgement, without checking it again
+    judgements = [(d.proc, d.env) for d in P.parse_file("\n".join(STRUCTURAL)).decls]
+    judgements += [(part.term, typing(part)) for part in sampled_parts(seed)]
+    renamed, rules = 0, set()
+    for judgement in judgements:
+        root = check_cll(*judgement)
+        rules.update(root.rules_preorder())
+        fresh = S.FreshNames(names_of(root))
+        for p, env in genutil.derivation_nodes(root):
+            d = check_cll(p, env)
+            for n in dict(env):
+                m = {n: fresh.fresh(n)}
+                want = check_cll(S.rename_free(p, m), tuple((m.get(k, k), t) for k, t in env))
+                assert d.rename(m) == want
+                renamed += 1
+    assert renamed > 100 and {"Weaken", "Contract"} <= rules
+
+
+def test_renaming_a_bound_name_renames_its_binder():
+    env = (("x", S.Par(S.Bot(), S.One())),)
+    d = check_cll(P.parse_process("x(u). wait u; close x"), env)
+    assert d.rename({"u": "v"}) == check_cll(P.parse_process("x(v). wait v; close x"), env)
+
+
+def test_renaming_keeps_what_it_does_not_touch_and_renames_a_shared_premise_once():
+    shared = check_cll(P.parse_process("wait z; close y"), (("y", S.One()), ("z", S.Bot())))
+    # the leaf "close y" does not mention z
+    assert shared.rename({"z": "u"}).premises[0] is shared.premises[0]
+    case = P.parse_process("case z {inl: wait z; close y; inr: wait z; close y}")
+    env = (("y", S.One()), ("z", S.With(S.Bot(), S.Bot())))
+    d = check_cll(case, env)
+    assert d.premises == (shared, shared)
+    got = replace(d, premises=(shared, shared)).rename({"y": "v"})
+    assert got.premises[0] is got.premises[1]
+    assert got == check_cll(S.rename_free(case, {"y": "v"}), (("v", S.One()),) + env[1:])
+
+
+@pytest.mark.parametrize("m", [
+    {"x": "y"},  # a free name of the judgement
+    {"x": "u"},  # a bound name: renaming every occurrence would capture it
+    {"x": "w", "x_e": "w"},  # not injective
+])
+def test_renaming_onto_a_name_of_the_derivation_is_refused(m):
+    (part, _) = eta_parts("x", "y", S.Tensor(S.Atom("a"), S.One()))
+    d = check_cll(part.term, typing(part) + (("y", S.WhyNot(S.One())),))
+    assert "u" in names_of(d)
+    with pytest.raises(ValueError):
+        d.rename(m)
+
+
+def freshen_per_level(p: S.Process, supply: S.FreshNames) -> S.Process:
+    """Binder freshening as one rename_free per binder level: the naming
+    order ``_freshen_binders`` keeps."""
+    heads, subs = S.scope(p)
+    ren = {b: supply.fresh(b) for b in dict.fromkeys(b for bs, _ in subs for b in bs)}
+    return S.from_scope(p, heads, tuple(
+        (tuple(ren[b] for b in bs),
+         freshen_per_level(S.rename_free(q, {b: ren[b] for b in bs}), supply))
+        for bs, q in subs))
+
+
+def binders(p: S.Process) -> list[str]:
+    _, subs = S.scope(p)
+    return [b for bs, q in subs for b in (*bs, *binders(q))]
+
+
+# a cut binds a name on each side at one node: both are named before the
+# binders of either side
+CUT_PART = MC.PartEntry(
+    P.parse_process("res a b : ~t | bot (a(u). wait a; x<->u | b[v].(v<->y | close b))"),
+    (("x", S.Atom("t")),), "y", S.DualAtom("t"))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_freshened_binders_are_distinct_and_fresh(seed):
+    for part in (CUT_PART, *sampled_parts(seed)):
+        avoid = S.free_endpoints(part.term) | set(binders(part.term)) | set(dict(part.env))
+        supply = S.FreshNames(frozenset(avoid))
+        got = MC._freshen_binders(part.term, supply)
+        bs = binders(got)
+        assert len(set(bs)) == len(bs) and not set(bs) & avoid
+        check_cll(got, typing(part))
+        assert got == freshen_per_level(part.term, S.FreshNames(frozenset(avoid)))
 
 
 # compose.fwd with clashing names; each case fails if the run skips one half
@@ -238,3 +355,22 @@ def test_step_mode_checks_the_configurations_it_returns(kind, monkeypatch):
     with pytest.raises(MC.McutError, match=rf"^invariant broken after comm: "
                        rf"part at {x} does not check: {why}$"):
         MC.mcutq_step(config())
+
+
+def test_a_forwarder_typing_changed_under_a_kept_part_is_caught(monkeypatch):
+    # the first step of compose.fwd emits the receive of the part at y and
+    # keeps the part at x and the forwarder; a changed typing at x must be
+    # checked against that part all the same
+    step = MC._commute_part
+
+    def broken(c, part):
+        *head, c2, tag = step(c, part)
+        g = c2.fwd.context
+        bad = g.replace("x", replace(g.get("x"), typing=S.One(("y",))))
+        return (*head, replace(c2, fwd=replace(c2.fwd, context=bad)), tag)
+
+    monkeypatch.setattr(MC, "_commute_part", broken)
+    with pytest.raises(MC.McutError, match=r"^invariant broken after comm: "
+                       r"x: forwarder and part types are not dual$"):
+        MC.mcutq_step(compose_config())
+
