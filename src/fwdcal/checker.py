@@ -8,12 +8,12 @@ a context, each applies the rule the term's head names and returns the
 premise judgements; everything else is built on them.  ``check_forwarder``
 and ``check_cll`` fold them over a term (``check_cll`` erases its
 environment once, and adds the weakening and contraction steps the term
-forces), ``synth_forwarder`` decides derivability by proof search that fires
-``forwarder_step`` (the rules are invertible, so search never backtracks
-over rule order on fully annotated contexts), and ``synth_context`` extends
-the search with lazy resolution of missing annotations.  The cut and
-composition engines read their premises off the derivations of the two
-folds.
+forces), and ``synth_context`` decides derivability by proof search that
+fires ``forwarder_step`` (the rules are invertible, so search never
+backtracks over rule order on fully annotated contexts), resolving missing
+annotations lazily; ``synth_forwarder`` is that search on a fully annotated
+context.  The cut and composition engines read their premises off the
+derivations of the two folds.
 
 Queues are read per target.  The ⊗, ⊕ and ? rules acting at ``x`` read the
 first item aimed at ``x`` in the queue of each endpoint they consult, not
@@ -36,7 +36,7 @@ from .syntax import (
 )
 from .contexts import (
     Context, Entry, LeftTok, MsgBox, Query, Queue, RightTok, Star, context_fully_annotated,
-    endpoint_names, first_destined, map_context, msgbox, normalize_context,
+    endpoint_names, first_destined, map_context, msgbox, normalize_context, print_queue_item,
     rename_context_targets, target_names,
 )
 
@@ -164,7 +164,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                     others = [o for o in g.entries if o.endpoint != x]
                     if set(ts) != {o.endpoint for o in others}:
                         raise RuleMismatch(
-                            f"1 at {x} must gather every other endpoint, got {ts}"
+                            f"1 at {x} must gather every other endpoint, got {{{','.join(ts)}}}"
                         )
                     for o in others:
                         if o.typing is not None:
@@ -214,7 +214,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                         if not head or not isinstance(head[0], MsgBox):
                             raise QueueHeadMismatch(
                                 f"head of {u}'s queue must be a message for {x}, "
-                                f"got {head[0] if head else None}"
+                                f"got {_popped(head)}"
                             )
                         gathered.extend(head[0].payloads)
                     names = [n for n, _ in gathered] + [f]
@@ -236,7 +236,8 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                     tok = LeftTok(x) if want_left else RightTok(x)
                     head, g2 = _pop_for(g, z, x)
                     if head != (tok,):
-                        raise QueueHeadMismatch(f"head of {z}'s queue must be {tok}, got {head}")
+                        raise QueueHeadMismatch(f"head of {z}'s queue must be "
+                                                f"{print_queue_item(tok)}, got {_popped(head)}")
                     g2 = g2.replace(x, Entry(x, e.queue, a if want_left else b))
                     return ("PlusL" if want_left else "PlusR"), ((cont, g2),)
             raise RuleMismatch(f"select on {x} needs {x}:A+{{z}}B, got {S.print_type(e.typing)}")
@@ -287,7 +288,7 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
                     head, g2 = _pop_for(g, z, x)
                     if head != (Query(x),):
                         raise QueueHeadMismatch(
-                            f"head of {z}'s queue must be a query for {x}, got {head}"
+                            f"head of {z}'s queue must be a query for {x}, got {_popped(head)}"
                         )
                     if f in endpoint_names(g):
                         raise RuleMismatch(f"client name {f} is not fresh")
@@ -304,6 +305,10 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
 
 def _shown(t: Type | None) -> str:
     return "terminated" if t is None else S.print_type(t)
+
+
+def _popped(head: Queue) -> str:
+    return print_queue_item(head[0]) if head else "nothing"
 
 
 def _pop_for(g: Context, u: str, x: str) -> tuple[Queue, Context]:
@@ -502,12 +507,6 @@ def cp_step(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]
 # ---------------------------------------------------------------------------
 # Synthesis
 
-_HOLE_PREFIX = "?"
-
-
-def _is_hole(ts: tuple[str, ...]) -> bool:
-    return len(ts) == 1 and ts[0].startswith(_HOLE_PREFIX)
-
 
 class _HoleCounter:
     def __init__(self):
@@ -515,7 +514,7 @@ class _HoleCounter:
 
     def new(self) -> str:
         self.n += 1
-        return f"{_HOLE_PREFIX}{self.n}"
+        return f"{S.HOLE_PREFIX}{self.n}"
 
 
 def annotate_with_holes(t: Type, counter: _HoleCounter) -> Type:
@@ -523,32 +522,18 @@ def annotate_with_holes(t: Type, counter: _HoleCounter) -> Type:
     return S.map_slots(t, lambda _, ts: ts or (counter.new(),))
 
 
-def _subst_holes_type(t: Type, store: dict[str, tuple[str, ...]], default: str | None = None) -> Type:
-    def sub(_, ts: tuple[str, ...]) -> tuple[str, ...]:
-        if _is_hole(ts):
-            if ts[0] in store:
-                return store[ts[0]]
-            if default is not None:
-                return (default,)
-        return ts
-
-    return S.map_slots(t, sub)
-
-
 def _subst_holes_context(g: Context, store: dict[str, tuple[str, ...]]) -> Context:
     if not store:
         return g
-    return map_context(g, typ=lambda t: _subst_holes_type(t, store))
+    return map_context(g, typ=lambda t: S.fill_holes(t, store))
 
 
 def synth_forwarder(g: Context) -> Process | None:
     """Search for a forwarder inhabiting a fully annotated context."""
     if not context_fully_annotated(g):
         raise NotAnnotated("context has unannotated connectives")
-    supply = S.FreshNames(frozenset(endpoint_names(g)))
-    for proc, _ in _solutions(g, {}, supply, {}, {}):
-        return proc
-    return None
+    got = synth_context(g)  # with no empty slot, this searches g itself
+    return None if got is None else got[1]
 
 
 def synth_with_annotations(env: Env) -> tuple[Context, Process] | None:
@@ -575,7 +560,7 @@ def synth_context(g: Context) -> tuple[Context, Process] | None:
         entries = []
         for e in holed.entries:
             default = next((n for n in names if n != e.endpoint), e.endpoint)
-            one = map_context(Context((e,)), typ=lambda t: _subst_holes_type(t, store, default))
+            one = map_context(Context((e,)), typ=lambda t: S.fill_holes(t, store, default))
             entries.extend(one.entries)
         return Context(tuple(entries)), proc
     return None
@@ -588,7 +573,7 @@ def _dangling_names(g: Context) -> tuple[str, ...]:
     introduce, so the search offers them as binder candidates.
     """
     refs = target_names(g) - endpoint_names(g)
-    return tuple(sorted(u for u in refs if not u.startswith(_HOLE_PREFIX)))
+    return tuple(sorted(u for u in refs if not S.is_hole((u,))))
 
 
 def _binder_candidates(base: str, g: Context, supply: S.FreshNames) -> list[str]:
@@ -650,7 +635,7 @@ def _solutions_raw(g, store, supply, failed, ren):
             if all(o.typing is None and o.queue == (Star(e.endpoint),) for o in others):
                 ts = e.typing.targets
                 names = tuple(sorted(o.endpoint for o in others))
-                if _is_hole(ts):
+                if S.is_hole(ts):
                     if names:
                         yield Close(e.endpoint), {**store, ts[0]: _unrename(ren, names)}
                     return
@@ -665,7 +650,7 @@ def _solutions_raw(g, store, supply, failed, ren):
     for e in entries:
         if e.typing is None or isinstance(e.typing, (Atom, DualAtom, One)):
             continue
-        if _is_hole(S.targets_of(e.typing)):
+        if S.is_hole(S.targets_of(e.typing)):
             holed.append(e)
             continue
         for value, head in _moves(e, by):
@@ -694,7 +679,7 @@ def _moves(e: Entry, by: dict[str, Entry]):
     """
     t, x = e.typing, e.endpoint
     ts = S.targets_of(t)
-    hole = _is_hole(ts)
+    hole = S.is_hole(ts)
     others = [u for u in by if u != x]
     match t:
         case Bot() | Par() | With():
@@ -754,9 +739,9 @@ def _fire(e: Entry, value: tuple[str, ...], ctor: type, g: Context, store, suppl
     the premises ``forwarder_step`` gives."""
     x = e.endpoint
     ts = S.targets_of(e.typing)
-    if _is_hole(ts):
+    if S.is_hole(ts):
         store = {**store, ts[0]: _unrename(ren, value)}
-        g = g.replace(x, Entry(x, e.queue, _subst_holes_type(e.typing, {ts[0]: value})))
+        g = g.replace(x, Entry(x, e.queue, S.fill_holes(e.typing, {ts[0]: value})))
     stubs = (_STUB, _STUB) if ctor in (Send, Case) else (_STUB,)
     if ctor in (Wait, Inl, Inr, Case):
         heads = [ctor(x, *stubs)]

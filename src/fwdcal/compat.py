@@ -62,7 +62,7 @@ from .syntax import (
     dual, erase,
 )
 from .contexts import Config, EMPTY_CONFIG, LeftTok, MsgBox, Query, RightTok, Star, msgbox
-from .checker import _HOLE_PREFIX, Env, _is_hole, _subst_holes_type, nonempty_subsets
+from .checker import Env, nonempty_subsets
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +186,20 @@ def _endpoint_transitions(c: Config, x: Endpoint, t: Type, delta, sigma):
         case One(ts):
             if len(delta) == 1 and all(key[0] == x and q == (Star(x),) for key, q in c.sigma):
                 holders = {h for (_, h) in sigma}
-                if _is_hole(ts):
+                if S.is_hole(ts):
                     raise Need(ts[0], lambda v: set(v) == holders)
                 if ts and holders == set(ts):
                     return [_successor(c, sigma, "One", x, None, ts)]
         case Bot(u) if u is not None:
-            if _is_hole((u,)):
+            if S.is_hole((u,)):
                 raise Need(u, lambda v: _takes(delta, v, One))
             return [_successor(c, sigma, "Bot", x, None, (), (Star(u),))]
         case Par(a, b, u) if u is not None:
-            if _is_hole((u,)):
+            if S.is_hole((u,)):
                 raise Need(u, lambda v: _takes(delta, v, Tensor))
             return [_successor(c, sigma, "Par", x, b, (), (msgbox(u, "m", a),))]
         case Tensor(a, b, ts) if ts:
-            if _is_hole(ts):
+            if S.is_hole(ts):
                 if _waiting(c, x, MsgBox):
                     raise Need(ts[0], lambda v: _feeds(sigma, delta, x, v, MsgBox, Par))
                 return []
@@ -213,7 +213,7 @@ def _endpoint_transitions(c: Config, x: Endpoint, t: Type, delta, sigma):
             carried = tuple((f"e{i}", g) for i, g in enumerate(gathered))
             return [_successor(c, sigma, "Tensor", x, b, ts, (), carried)]
         case Plus(a, b, z) if z is not None:
-            if _is_hole((z,)):
+            if S.is_hole((z,)):
                 if _waiting(c, x, (LeftTok, RightTok)):
                     raise Need(z, lambda v: _feeds(sigma, delta, x, v, (LeftTok, RightTok), With))
                 return []
@@ -223,19 +223,19 @@ def _endpoint_transitions(c: Config, x: Endpoint, t: Type, delta, sigma):
             if q and q[0] == RightTok(x):
                 return [_successor(c, sigma, "PlusR", x, b, (z,))]
         case With(a, b, ts) if ts:
-            if _is_hole(ts):
+            if S.is_hole(ts):
                 raise Need(ts[0], lambda v: _takes(delta, v, Plus))
             return [_successor(c, sigma, "WithL", x, a, (), tuple(LeftTok(u) for u in ts)),
                     _successor(c, sigma, "WithR", x, b, (), tuple(RightTok(u) for u in ts))]
         case OfCourse(a, ts) if ts:
             others = {k for k in delta if k != x}
             if not c.sigma and all(isinstance(delta[o], WhyNot) for o in others):
-                if _is_hole(ts):
+                if S.is_hole(ts):
                     raise Need(ts[0], lambda v: set(v) == others)
                 if set(ts) == others:
                     return [_successor(c, sigma, "Bang", x, a, (), tuple(Query(u) for u in ts))]
         case WhyNot(a, z) if z is not None:
-            if _is_hole((z,)):
+            if S.is_hole((z,)):
                 if _waiting(c, x, Query):
                     raise Need(z, lambda v: _feeds(sigma, delta, x, v, Query, OfCourse))
                 return []
@@ -359,7 +359,7 @@ class CompatChecker:
         def choose(cands):
             if len(cands) == 1:
                 return cands[0]
-            hole = f"{_HOLE_PREFIX}{len(candidates) + 1}"
+            hole = f"{S.HOLE_PREFIX}{len(candidates) + 1}"
             candidates[hole] = cands
             return (hole,)
 
@@ -396,7 +396,7 @@ class CompatChecker:
 
 def _fill(c: Config, hole: str, value: tuple[Endpoint, ...]) -> Config:
     """A root configuration (no queues) with ``hole`` set to ``value``."""
-    return Config.make((x, _subst_holes_type(t, {hole: value})) for x, t in c.delta)
+    return Config.make((x, S.fill_holes(t, {hole: value})) for x, t in c.delta)
 
 
 def is_executable(c: Config) -> bool:

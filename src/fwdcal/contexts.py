@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Union
 
-from .syntax import Endpoint, Type, add_targets, erase, is_fully_annotated, rename_targets, size
+from .syntax import (
+    Endpoint, Type, add_targets, erase, is_fully_annotated, print_type, rename_targets, size,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +62,23 @@ class RightTok:
 
 QueueItem = Union[MsgBox, Star, Query, LeftTok, RightTok]
 Queue = tuple[QueueItem, ...]
+
+
+def print_queue_item(it: QueueItem) -> str:
+    """An item in surface syntax, as contexts write it: ``[to=u *]``."""
+    match it:
+        case MsgBox(u, payloads):
+            body = "; ".join(f"{e} : {print_type(t)}" for e, t in payloads)
+            return f"[to={u} msg {body}]"
+        case Star(u):
+            return f"[to={u} *]"
+        case Query(u):
+            return f"[to={u} ?]"
+        case LeftTok(u):
+            return f"[to={u} L]"
+        case RightTok(u):
+            return f"[to={u} R]"
+    raise TypeError(it)
 
 
 def normalize_queue(q: Queue) -> Queue:

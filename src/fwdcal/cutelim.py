@@ -3,10 +3,14 @@
 A cut joins two judgements whose distinguished formulas are dual up to
 erasure.  Its conclusions (``cut_conclusions``) are computed in two phases,
 each once.  ``distributions`` enumerates every way to relocate the queued
-items of the dying endpoints to endpoints of the opposite context (rewiring
-each item's sender to expect delivery from there); a cut therefore has a set
+items of the dying endpoints to endpoints of the opposite context (the
+item's target then expects delivery from there); a cut therefore has a set
 of conclusions.  ``substitute`` then peels the two formulas in lockstep,
-rewiring every remaining reference to the dying endpoints.
+redirecting every remaining reference to the dying endpoints.  Both phases
+rewrite a reference in one place, ``_redirect``: a holder refers to a dying
+endpoint by the first item it queued for it or, before the rule that queues
+that item has fired, by a pending connective aimed at it (``_PUSHES`` and
+``_TAKES`` pair each rule with its items).
 
 The reduction figure is written once, as a table (``_table``): at a redex it
 lists the steps that apply, each a cut-free leaf (B1, B2), a smaller redex
@@ -85,29 +89,12 @@ class CutSide:
         return CutSide(g.without(x), e.queue, x, e.typing)
 
 
-# -- the sender-side rewiring -------------------------------------------------
+# -- redirecting references to a dying endpoint -------------------------------
 
 
 def _splice(ts: tuple[Endpoint, ...], old: Endpoint, new: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
     i = ts.index(old)
     return ts[:i] + new + ts[i + 1 :]
-
-
-def rewrite_pending(t: Type, kind: type, at: Endpoint, new: tuple[Endpoint, ...]) -> Type | None:
-    """Rewrite the leftmost ``kind`` connective aimed at ``at`` (the first
-    in ``map_slots`` order) to aim at ``new`` instead; None when no such
-    connective exists."""
-    hit = False
-
-    def first(s: Type, ts: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
-        nonlocal hit
-        if hit or not isinstance(s, kind) or at not in ts:
-            return ts
-        hit = True
-        return _splice(ts, at, new)
-
-    got = S.map_slots(t, first)
-    return got if hit else None
 
 
 def rewrite_all(t: Type, kind: type | tuple[type, ...], at: Endpoint,
@@ -126,31 +113,51 @@ def rewrite_all(t: Type, kind: type | tuple[type, ...], at: Endpoint,
     return S.map_slots(t, every), n
 
 
-_ITEM_PENDING: dict[type, type] = {
-    MsgBox: Tensor,
-    Star: One,
-    LeftTok: Plus,
-    RightTok: Plus,
-    Query: WhyNot,
-}
+# The items each rule queues at its endpoint for the endpoint it names, and
+# the rule that takes each item from there.
+_PUSHES: dict[type, tuple[type, ...]] = {
+    Bot: (Star,), Par: (MsgBox,), With: (LeftTok, RightTok), OfCourse: (Query,)}
+_TAKES: dict[type, type] = {
+    Star: One, MsgBox: Tensor, LeftTok: Plus, RightTok: Plus, Query: WhyNot}
 
 
-def _rewire_sender(ctx: Context, item: QueueItem, dying: Endpoint,
-                   receivers: tuple[Endpoint, ...]) -> Context:
-    """Point the item's destination at the receivers instead of the dying
-    cut endpoint."""
-    d = item.target
-    if not ctx.has(d):
-        raise AnnotationMismatch(f"queued item aimed at {d}, absent from the context")
-    e = ctx.get(d)
+def _redirect(ctx: Context, holder: Endpoint, at: Endpoint, new: tuple[Endpoint, ...],
+              kind: type) -> Context:
+    """Redirect ``holder``'s reference to the dying endpoint ``at`` to ``new``.
+
+    Once ``kind``'s rule has fired at ``holder``, the reference is the first
+    item it queued for ``at``, which becomes one item per name of ``new``.
+    Before, it is the first pending ``kind`` connective aimed at ``at`` (in
+    ``map_slots`` order), whose slot takes ``new`` in place of ``at``.  For
+    ``bot`` every star, or every connective, aimed at ``at`` is redirected.
+    """
+    if not ctx.has(holder):
+        raise DanglingReference(f"partner {holder} missing from context")
+    e = ctx.get(holder)
+    q, every = e.queue, kind is Bot
+    i = first_destined(q, at) if kind in _PUSHES else None
+    if i is not None:
+        if not isinstance(q[i], _PUSHES[kind]):
+            raise StructuralMismatch(f"first item for {at} at {holder} is {type(q[i]).__name__}")
+        moved = {j for j, it in enumerate(q) if it == q[i] and (every or j == i)}
+        q = tuple(r for j, it in enumerate(q)
+                  for r in ([replace(it, target=u) for u in new] if j in moved else [it]))
+        return ctx.replace(holder, Entry(holder, q, e.typing))
     if e.typing is None:
-        raise AnnotationMismatch(f"queued item aimed at terminated endpoint {d}")
-    got = rewrite_pending(e.typing, _ITEM_PENDING[type(item)], dying, receivers)
-    if got is None:
-        raise AnnotationMismatch(
-            f"{d} has no pending {_ITEM_PENDING[type(item)].__name__} aimed at {dying}"
-        )
-    return ctx.replace(d, Entry(d, e.queue, got))
+        raise DanglingReference(f"{holder} terminated with no reference to {at}")
+    hits = 0
+
+    def splice(s: Type, ts: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
+        nonlocal hits
+        if not isinstance(s, kind) or at not in ts or hits and not every:
+            return ts
+        hits += 1
+        return _splice(ts, at, new)
+
+    t = S.map_slots(e.typing, splice)
+    if not hits:
+        raise DanglingReference(f"{holder} has no pending {kind.__name__} at {at}")
+    return ctx.replace(holder, Entry(holder, q, t))
 
 
 def distributions(top: CutSide, bottom: CutSide) -> list[tuple[CutSide, CutSide]]:
@@ -159,9 +166,10 @@ def distributions(top: CutSide, bottom: CutSide) -> list[tuple[CutSide, CutSide]
 
     Each item of the top queue, then of the bottom queue, goes to every
     receiver on the opposite side; a gathered box takes one receiver per
-    payload and splits into one box per payload.  The sender's pending
-    connective aimed at the dying endpoint is rewired to the receivers, and
-    the moved pieces precede the receivers' own queues.
+    payload and splits into one box per payload.  The connective that will
+    take the item, pending at its target, is redirected from the dying
+    endpoint to the receivers, and the moved pieces precede the receivers'
+    own queues.
     """
     items = [(0, it) for it in top.queue] + [(1, it) for it in bottom.queue]
     dying = (top.endpoint, bottom.endpoint)
@@ -179,7 +187,11 @@ def distributions(top: CutSide, bottom: CutSide) -> list[tuple[CutSide, CutSide]
         if isinstance(item, MsgBox) and len(item.payloads) > 1:
             pieces = [MsgBox(item.target, (pl,)) for pl in item.payloads]
         for receivers in product(ctxs[1 - side].endpoints(), repeat=len(pieces)):
-            sender = _rewire_sender(ctxs[side], item, dying[side], receivers)
+            try:
+                sender = _redirect(ctxs[side], item.target, dying[side], receivers,
+                                   _TAKES[type(item)])
+            except DanglingReference as e:
+                raise AnnotationMismatch(str(e)) from None
             go((sender, ctxs[1]) if side == 0 else (ctxs[0], sender),
                moved + tuple(zip(receivers, pieces)), k + 1)
 
@@ -191,115 +203,42 @@ def distributions(top: CutSide, bottom: CutSide) -> list[tuple[CutSide, CutSide]
 # -- substitution -------------------------------------------------------------
 
 
-def _subst_multi_side(ctx: Context, dying: Endpoint, partners: tuple[Endpoint, ...],
-                      pending_kind: type, item_kind: type, to: Endpoint) -> Context:
-    """On the gathering/broadcast side: each partner either already queues the
-    matching item for the dying endpoint or still carries the pending dual
-    connective; both kinds of reference are redirected to ``to``."""
-    for m in partners:
-        if not ctx.has(m):
-            raise DanglingReference(f"partner {m} missing from context")
-        e = ctx.get(m)
-        if item_kind is not None:
-            idx = first_destined(e.queue, dying)
-            if idx is not None:
-                it = e.queue[idx]
-                if not isinstance(it, item_kind):
-                    raise StructuralMismatch(
-                        f"first item for {dying} at {m} is {type(it).__name__}"
-                    )
-                if item_kind is Star:
-                    # every star aimed at the dying endpoint moves with it
-                    q = tuple(
-                        replace(i, target=to) if isinstance(i, Star) and i.target == dying else i
-                        for i in e.queue
-                    )
-                else:
-                    q = e.queue[:idx] + (replace(it, target=to),) + e.queue[idx + 1 :]
-                ctx = ctx.replace(m, Entry(m, q, e.typing))
-                continue
-        if e.typing is None:
-            raise DanglingReference(f"{m} terminated with no queued reference to {dying}")
-        if item_kind is Star:
-            t2, n = rewrite_all(e.typing, pending_kind, dying, (to,))
-            if n == 0:
-                raise DanglingReference(f"{m} has no pending {pending_kind.__name__} at {dying}")
-        else:
-            t2 = rewrite_pending(e.typing, pending_kind, dying, (to,))
-            if t2 is None:
-                raise DanglingReference(f"{m} has no pending {pending_kind.__name__} at {dying}")
-        ctx = ctx.replace(m, Entry(m, e.queue, t2))
-    return ctx
-
-
-def _subst_single_side(ctx: Context, dying: Endpoint, partner: Endpoint,
-                       pending_kind: type, token_kind: type | None,
-                       new_names: tuple[Endpoint, ...]) -> Context:
-    """On the single-target side: the partner either queues the token aimed at
-    the dying endpoint (expanded into a broadcast series) or carries the dual
-    pending connective whose target list gets the new names spliced in."""
-    if not ctx.has(partner):
-        raise DanglingReference(f"partner {partner} missing from context")
-    e = ctx.get(partner)
-    if token_kind is not None:
-        idx = first_destined(e.queue, dying)
-        if idx is not None:
-            it = e.queue[idx]
-            if not isinstance(it, token_kind):
-                raise StructuralMismatch(
-                    f"first item for {dying} at {partner} is {type(it).__name__}"
-                )
-            series = tuple(replace(it, target=u) for u in new_names)
-            q = e.queue[:idx] + series + e.queue[idx + 1 :]
-            return ctx.replace(partner, Entry(partner, q, e.typing))
-    if e.typing is None:
-        raise DanglingReference(f"{partner} terminated with no reference to {dying}")
-    t2 = rewrite_pending(e.typing, pending_kind, dying, new_names)
-    if t2 is None:
-        raise DanglingReference(
-            f"{partner} has no pending {pending_kind.__name__} at {dying}"
-        )
-    return ctx.replace(partner, Entry(partner, e.queue, t2))
+def _require_dual(top: Type, bottom: Type) -> None:
+    if erase(top) != dual(erase(bottom)):
+        raise StructuralMismatch(f"cut formulas are not dual: {S.print_type(erase(top))} "
+                                 f"vs {S.print_type(erase(bottom))}")
 
 
 def substitute(top: CutSide, bottom: CutSide) -> Context:
-    """Peel the two dual cut formulas in lockstep, rewiring every reference
-    to the dying endpoints, down to the units or the atoms; returns the
-    merged context.  Each step puts the positive formula (the gathering or
-    broadcasting one) first, and so does the merge at the units; at the
-    atoms, the top side comes first."""
-    while True:
+    """Peel the two dual cut formulas in lockstep, redirecting every
+    reference to the dying endpoints, down to the units or the atoms; returns
+    the merged context.  At each connective, the positive (gathering or
+    broadcasting) formula's partners redirect their references to its
+    endpoint ``x`` to the negative one's partner ``c``, and ``c`` redirects
+    its reference to ``y`` to them.  The merge at the units puts the positive
+    side first; at the atoms, the top side comes first."""
+    _require_dual(top.formula, bottom.formula)
+    while not isinstance(top.formula, (Atom, DualAtom)):
         flip = isinstance(bottom.formula, S.MULTI_TARGET)
         p, n = (bottom, top) if flip else (top, bottom)
-        x, y = p.endpoint, n.endpoint
-        match p.formula, n.formula:
-            case (Atom(), DualAtom()) | (DualAtom(), Atom()):
-                return Context(top.ctx.entries + bottom.ctx.entries)
-            case One(ms), Bot(c):
-                pctx = _subst_multi_side(p.ctx, x, ms, Bot, Star, c)
-                nctx = _subst_single_side(n.ctx, y, c, One, None, ms)
-                return Context(pctx.entries + nctx.entries)
-            case Tensor(_, pa, ms), Par(_, na, c):
-                pctx = _subst_multi_side(p.ctx, x, ms, Par, MsgBox, c)
-                nctx = _subst_single_side(n.ctx, y, c, Tensor, None, ms)
-            case With(pl, pr, ms), Plus(nl, nr, c):
-                pctx = _subst_multi_side(p.ctx, x, ms, Plus, None, c)
-                # the token queued for y, if any, decides the branch; else left
-                q = n.ctx.get(c).queue if n.ctx.has(c) else ()
-                i = first_destined(q, y)
-                tok = None
-                if i is not None and isinstance(q[i], (LeftTok, RightTok)):
-                    tok = type(q[i])
-                nctx = _subst_single_side(n.ctx, y, c, With, tok, ms)
-                pa, na = (pr, nr) if tok is RightTok else (pl, nl)
-            case OfCourse(pa, ms), WhyNot(na, c):
-                pctx = _subst_multi_side(p.ctx, x, ms, WhyNot, None, c)
-                nctx = _subst_single_side(n.ctx, y, c, OfCourse, Query, ms)
-            case _:
-                raise StructuralMismatch(f"no substitution case for "
-                                         f"{type(p.formula).__name__}/{type(n.formula).__name__}")
+        x, y, ms, c = p.endpoint, n.endpoint, p.formula.targets, n.formula.target
+        pctx = p.ctx
+        for m in ms:
+            pctx = _redirect(pctx, m, x, (c,), type(n.formula))
+        nctx = _redirect(n.ctx, c, y, ms, type(p.formula))
+        kids = tuple(zip(S.children(p.formula), S.children(n.formula)))
+        if not kids:
+            return Context(pctx.entries + nctx.entries)
+        # go on with a tensor's right operand (its left travels boxed), the
+        # branch of a with that the token queued for y picks (else the left),
+        # or a bang's body
+        q = n.ctx.get(c).queue
+        i = first_destined(q, y)
+        right = isinstance(p.formula, Tensor) or i is not None and isinstance(q[i], RightTok)
+        pa, na = kids[-1] if right else kids[0]
         p, n = CutSide(pctx, (), x, pa), CutSide(nctx, (), y, na)
         top, bottom = (n, p) if flip else (p, n)
+    return Context(top.ctx.entries + bottom.ctx.entries)
 
 
 def context_names(g: Context) -> frozenset[str]:
@@ -313,10 +252,7 @@ def cut_conclusions(left: Context, x: Endpoint, right: Context, y: Endpoint) -> 
     if shared:
         raise CutError(f"cut contexts share names {sorted(shared)}")
     top, bottom = CutSide.of(left, x), CutSide.of(right, y)
-    if erase(top.formula) != dual(erase(bottom.formula)):
-        raise StructuralMismatch(
-            f"cut formulas are not dual: {S.print_type(erase(top.formula))} "
-            f"vs {S.print_type(erase(bottom.formula))}")
+    _require_dual(top.formula, bottom.formula)
     out: dict[Context, Context] = {}
     for t, b in distributions(top, bottom):
         g = substitute(t, b)

@@ -541,27 +541,11 @@ def parse_plain_env(text: str) -> tuple[tuple[str, S.Type], ...]:
 # -- printing of contexts and declarations ----------------------------------
 
 
-def print_queue_item(it: C.QueueItem) -> str:
-    match it:
-        case C.MsgBox(u, payloads):
-            body = "; ".join(f"{e} : {S.print_type(t)}" for e, t in payloads)
-            return f"[to={u} msg {body}]"
-        case C.Star(u):
-            return f"[to={u} *]"
-        case C.Query(u):
-            return f"[to={u} ?]"
-        case C.LeftTok(u):
-            return f"[to={u} L]"
-        case C.RightTok(u):
-            return f"[to={u} R]"
-    raise TypeError(it)
-
-
 def print_context(g: C.Context) -> str:
     parts = []
     for e in g.entries:
         typ = "." if e.typing is None else S.print_type(e.typing)
-        q = " ".join(print_queue_item(i) for i in e.queue)
+        q = " ".join(map(C.print_queue_item, e.queue))
         parts.append(f"{e.endpoint} : {typ}" + (f" {q}" if q else ""))
     return ", ".join(parts)
 

@@ -156,11 +156,11 @@ def map_slots(t: Type, f: Callable[[Type, tuple[Endpoint, ...]], tuple[Endpoint,
 
     ``f`` sees the slots in pre-order: a connective before its left operand
     (or body), the left operand before the right.  Callers rely on that
-    order: ``rewrite_pending`` rewrites the leftmost matching connective by
-    acting on the first one ``f`` is shown, and synthesis numbers its
-    annotation holes in visiting order.  Atoms carry no slot.  A subtree whose
-    slots all come back unchanged is returned as the same object, so a walk
-    that changes nothing allocates nothing.
+    order: cut elimination's ``_redirect`` rewrites the leftmost matching
+    connective by acting on the first one ``f`` is shown, and synthesis
+    numbers its annotation holes in visiting order.  Atoms carry no slot.  A
+    subtree whose slots all come back unchanged is returned as the same
+    object, so a walk that changes nothing allocates nothing.
     """
     shape = _SHAPES.get(type(t))
     if shape is None:
@@ -238,9 +238,34 @@ def size(t: Type) -> int:
     return len(slots(t))
 
 
+# An annotation hole: a slot that search fills in later, held as one
+# placeholder name no endpoint can take.
+HOLE_PREFIX = "?"
+
+
+def is_hole(ts: tuple[Endpoint, ...]) -> bool:
+    return len(ts) == 1 and ts[0].startswith(HOLE_PREFIX)
+
+
+def fill_holes(t: Type, store: dict[str, tuple[Endpoint, ...]],
+               default: Endpoint | None = None) -> Type:
+    """Fill each hole of ``t`` with its value in ``store``, else with
+    ``default`` when given; other slots are kept."""
+    def fill(_, ts: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
+        if is_hole(ts):
+            if ts[0] in store:
+                return store[ts[0]]
+            if default is not None:
+                return (default,)
+        return ts
+
+    return map_slots(t, fill)
+
+
 def is_fully_annotated(t: Type) -> bool:
-    """True when every connective and unit carries a nonempty target slot."""
-    return all(ts and not any(u.startswith("?") for u in ts) for ts in slots(t))
+    """True when every connective and unit carries a nonempty target slot
+    that is not a hole."""
+    return all(ts and not is_hole(ts) for ts in slots(t))
 
 
 def rename_targets(t: Type, mapping: dict[Endpoint, Endpoint]) -> Type:

@@ -96,6 +96,12 @@ def test_deep_input_is_a_located_parse_error(cmd, decl, tmp_path, capsys):
      "link e<->a needs dual types, got bot / a | b"),
     ("cut", "cut (w<->x) |- w : ~a, x : a with (wait y; close v) |- v : 1{y}, y : bot{v};",
      "cut formulas are not dual: a vs bot"),
+    ("check", "check x.inl. close x |- x : 1{y} +{y} 1{y}, y : .;",
+     "head of y's queue must be [to=x L], got nothing"),
+    ("check", "check x[w].(w<->v | close x) |- x : a *{y} 1{y}, y : . [to=x *];",
+     "head of y's queue must be a message for x, got [to=x *]"),
+    ("check", "check close x |- x : 1{zz}, y : . [to=x *];",
+     "1 at x must gather every other endpoint, got {zz}"),
 ])
 def test_rule_failures_print_types_in_surface_syntax(cmd, decl, want, tmp_path, capsys):
     path = tmp_path / "bad.fwd"

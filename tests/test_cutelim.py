@@ -9,14 +9,14 @@ from fwdcal import syntax as S
 from fwdcal import cutelim
 from fwdcal.checker import RuleMismatch, check_forwarder
 from fwdcal.contexts import (
-    Entry, LeftTok, MsgBox, Star, ctx, msgbox, normalize_context,
+    Entry, LeftTok, MsgBox, Query, Star, ctx, msgbox, normalize_context,
 )
 from fwdcal.cutelim import (
-    AnnotationMismatch, CutError, CutSide, Stuck, _swap_box,
-    cut_conclusions, distributions, reduce_cut, substitute,
+    AnnotationMismatch, CutError, CutSide, DanglingReference, Stuck, StructuralMismatch,
+    _swap_box, cut_conclusions, distributions, reduce_cut, substitute,
 )
 from fwdcal.syntax import (
-    Atom, Bot, Close, DualAtom, Link, One, Par, Plus, Tensor, erase,
+    Atom, Bot, Close, DualAtom, Link, OfCourse, One, Par, Plus, Tensor, WhyNot, With, erase,
 )
 
 
@@ -137,6 +137,58 @@ def test_subst_tensor_box_case():
     assert boxes and boxes[0].target == "c"
     assert g.get("b").typing == Bot("c")
     assert g.get("c").typing == P.parse_type("a *{b} 1{b}")
+
+
+def _bang_cut(c):
+    # x : !{u1,u2} a against y : ?{c} ~a, with c's entry given
+    top = CutSide(ctx(Entry("u1", (), WhyNot(Atom("b"), "x")),
+                      Entry("u2", (), WhyNot(Atom("b"), "x"))), (), "x",
+                  OfCourse(Atom("a"), ("u1", "u2")))
+    return top, CutSide(ctx(c), (), "y", WhyNot(DualAtom("a"), "c"))
+
+
+def test_subst_queued_query_becomes_one_per_server_partner():
+    # c already relayed y's query: the query goes to each of x's partners,
+    # whose pending ? aimed at x now aims at c
+    g = substitute(*_bang_cut(Entry("c", (Query("y"),), DualAtom("b"))))
+    assert P.print_context(g) == "u1 : ?{c} b, u2 : ?{c} b, c : ~b [to=u1 ?] [to=u2 ?]"
+
+
+def _unit_cut(*spectators):
+    # x : 1{u} against y : bot{c}, c : 1{y}
+    top = CutSide(ctx(*spectators), (), "x", One(("u",)))
+    return top, CutSide(ctx(Entry("c", (), One(("y",)))), (), "y", Bot("c"))
+
+
+@pytest.mark.parametrize("top,bottom,want", [
+    (*_bang_cut(Entry("c", (Star("y"),), DualAtom("b"))), "first item for y at c is Star"),
+    (*_unit_cut(Entry("u", (LeftTok("x"),), None)), "first item for x at u is LeftTok"),
+    (CutSide(ctx(Entry("u", (), Plus(Atom("b"), Atom("b"), "x"))), (), "x",
+             With(Atom("a"), Atom("a"), ("u",))),
+     CutSide(ctx(Entry("c", (Star("y"),), With(DualAtom("b"), DualAtom("b"), ("y",)))), (), "y",
+             Plus(DualAtom("a"), DualAtom("a"), "c")),
+     "first item for y at c is Star"),
+], ids=["bang-single-side", "unit-gathering-side", "with-single-side"])
+def test_subst_first_item_of_the_wrong_kind_is_a_structural_mismatch(top, bottom, want):
+    # a holder's first item for the dying endpoint must be one its rule queues
+    with pytest.raises(StructuralMismatch, match=want):
+        substitute(top, bottom)
+
+
+@pytest.mark.parametrize("top,bottom", [
+    _unit_cut(Entry("u", (), None)),
+    _unit_cut(Entry("v", (Star("x"),), None)),
+    _bang_cut(Entry("c")),
+], ids=["terminated-gathered", "missing-gathered", "terminated-single"])
+def test_subst_reference_without_a_holder_dangles(top, bottom):
+    with pytest.raises(DanglingReference):
+        substitute(top, bottom)
+
+
+def test_subst_units_rewrite_every_bot_aimed_at_the_cut():
+    # u waits on x twice: both waits now aim at c
+    top, bottom = _unit_cut(Entry("u", (), Tensor(Bot("x"), Bot("x"), ("w",))))
+    assert P.print_context(substitute(top, bottom)) == "u : bot{c} *{w} bot{c}, c : 1{u}"
 
 
 def test_criss_cross_halves_conclusions_stable():
@@ -294,7 +346,7 @@ def test_reduce_cut_stuck_reports_deepest_trace():
     tags = [t.strip("' ") for t in got.group(1).split(",")]
     assert tags == ["C-case", "K-add", "C1", "C-inr", "B2"]
     assert got.group(2) == "B2"
-    assert got.group(3) == "1 at w must gather every other endpoint, got ('x',)"
+    assert got.group(3) == "1 at w must gather every other endpoint, got {x}"
 
 
 def test_reduce_cut_fails_only_with_cut_errors():
