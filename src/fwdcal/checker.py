@@ -315,10 +315,10 @@ def _pop_for(g: Context, u: str, x: str) -> tuple[Queue, Context]:
     """The first item of ``u``'s queue aimed at ``x``, as a tuple of at most
     one item, and ``g`` without it."""
     e = g.get(u)
-    for i, it in enumerate(e.queue):
-        if it.target == x:
-            return (it,), g.replace(u, Entry(u, e.queue[:i] + e.queue[i + 1:], e.typing))
-    return (), g
+    i = first_destined(e.queue, x)
+    if i is None:
+        return (), g
+    return (e.queue[i],), g.replace(u, Entry(u, e.queue[:i] + e.queue[i + 1:], e.typing))
 
 
 def _active(g: Context, x: str) -> Entry:

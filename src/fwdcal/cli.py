@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 from . import compat as CM
 from . import cutelim as CE
@@ -231,6 +232,23 @@ def _sim_step(cfg: MC.MCutConfig, stats: MC.McutStats) -> tuple[dict, str]:
                     f"{tag}: fork\n{_print_sim_state(cl)}\n{_print_sim_state(cr)}")
 
 
+class Command(NamedTuple):
+    decls: tuple[type, ...]  # the declarations it runs
+    run: Callable  # (declaration, parsed arguments) -> verdict
+    flag: tuple[str, str] | None  # an option of its own, and its help
+
+
+# The commands that run declarations; fmt prints a whole file.
+COMMANDS = {
+    "check": Command((PA.CheckDecl, PA.CheckCllDecl), lambda d, a: run_check(d, a.json), None),
+    "synth": Command((PA.SynthDecl,), lambda d, a: run_synth(d, a.json), None),
+    "compat": Command((PA.CompatDecl,), lambda d, a: run_compat(d, a.json), None),
+    "sim": Command((PA.SimDecl,), lambda d, a: run_sim(d, a.json, a.step),
+                   ("--step", "apply a single step to the saved state")),
+    "cut": Command((PA.CutDecl,), lambda d, a: run_cut(d, a.json, a.all_gammas),
+                   ("--all-gammas", "realize every conclusion of each cut declaration")),
+}
+
 GRAMMAR_NOTE = "see the grammar reference shipped as fwdcal/grammar.ebnf"
 
 
@@ -238,16 +256,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="fwdcal", description=__doc__, epilog=GRAMMAR_NOTE)
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    for name in ("fmt", "check", "synth", "compat", "sim"):
+    sub.add_parser("fmt").add_argument("file")
+    for name, cmd in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("file")
-        if name == "sim":
-            p.add_argument("--step", action="store_true",
-                           help="apply a single step to the saved state")
-    pc = sub.add_parser("cut")
-    pc.add_argument("file")
-    pc.add_argument("--all-gammas", action="store_true",
-                    help="realize every conclusion of each cut declaration")
+        if cmd.flag:
+            p.add_argument(cmd.flag[0], action="store_true", help=cmd.flag[1])
     args = ap.parse_args(argv)
 
     try:
@@ -266,25 +280,15 @@ def main(argv=None) -> int:
         sys.stdout.write(PA.print_file(decls))
         return 0
 
-    jobs: list = []
-    for d, line in zip(decls.decls, decls.lines):
-        if args.cmd == "check" and isinstance(d, (PA.CheckDecl, PA.CheckCllDecl)):
-            jobs.append((line, lambda d=d: run_check(d, args.json)))
-        elif args.cmd == "synth" and isinstance(d, PA.SynthDecl):
-            jobs.append((line, lambda d=d: run_synth(d, args.json)))
-        elif args.cmd == "compat" and isinstance(d, PA.CompatDecl):
-            jobs.append((line, lambda d=d: run_compat(d, args.json)))
-        elif args.cmd == "cut" and isinstance(d, PA.CutDecl):
-            jobs.append((line, lambda d=d: run_cut(d, args.json, args.all_gammas)))
-        elif args.cmd == "sim" and isinstance(d, PA.SimDecl):
-            jobs.append((line, lambda d=d: run_sim(d, args.json, args.step)))
+    cmd = COMMANDS[args.cmd]
+    jobs = [(d, line) for d, line in zip(decls.decls, decls.lines) if isinstance(d, cmd.decls)]
     if not jobs:
         print(f"no {args.cmd} declarations in {args.file}", file=sys.stderr)
         return 2
     oks = []
-    for line, f in jobs:
+    for d, line in jobs:
         try:
-            oks.append(f())
+            oks.append(cmd.run(d, args))
         except RecursionError:
             print(f"{args.file}:{line}: {args.cmd} declaration nests too deeply to handle",
                   file=sys.stderr)

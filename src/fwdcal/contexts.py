@@ -16,12 +16,16 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Union
 
 from .syntax import (
-    Endpoint, Type, add_targets, erase, is_fully_annotated, print_type, rename_targets, size,
+    Endpoint, Forms, Type, add_targets, erase, is_fully_annotated, print_type, rename_targets,
+    size,
 )
 
 
 # ---------------------------------------------------------------------------
 # Queue items
+
+
+Payloads = tuple[tuple[Endpoint, Type], ...]
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,7 @@ class MsgBox:
     """
 
     target: Endpoint
-    payloads: tuple[tuple[Endpoint, Type], ...]
+    payloads: Payloads
 
 
 def msgbox(target: Endpoint, endpoint: Endpoint, typ: Type) -> MsgBox:
@@ -64,21 +68,20 @@ QueueItem = Union[MsgBox, Star, Query, LeftTok, RightTok]
 Queue = tuple[QueueItem, ...]
 
 
-def print_queue_item(it: QueueItem) -> str:
-    """An item in surface syntax, as contexts write it: ``[to=u *]``."""
-    match it:
-        case MsgBox(u, payloads):
-            body = "; ".join(f"{e} : {print_type(t)}" for e, t in payloads)
-            return f"[to={u} msg {body}]"
-        case Star(u):
-            return f"[to={u} *]"
-        case Query(u):
-            return f"[to={u} ?]"
-        case LeftTok(u):
-            return f"[to={u} L]"
-        case RightTok(u):
-            return f"[to={u} R]"
-    raise TypeError(it)
+def _print_payloads(payloads: Payloads) -> str:
+    return "; ".join(f"{e} : {print_type(t)}" for e, t in payloads)
+
+
+# An item in surface syntax, as contexts write it after an entry's type.
+QUEUE_ITEMS = Forms("QueueItem", {
+    MsgBox: "[to={target} msg {payloads}]",
+    Star: "[to={target} *]",
+    LeftTok: "[to={target} L]",
+    RightTok: "[to={target} R]",
+    Query: "[to={target} ?]",
+}, {"Endpoint": None, "Payloads": _print_payloads})
+
+print_queue_item = QUEUE_ITEMS.print
 
 
 def normalize_queue(q: Queue) -> Queue:
@@ -141,9 +144,6 @@ class Context:
 
     def replace(self, x: Endpoint, new: Entry) -> Context:
         return Context(tuple(new if e.endpoint == x else e for e in self.entries))
-
-    def add(self, *new: Entry) -> Context:
-        return Context(self.entries + tuple(new))
 
 
 def ctx(*entries: Entry) -> Context:

@@ -1,20 +1,28 @@
-"""Surface syntax: tokenizer and recursive-descent parsers.
+"""Surface syntax: tokenizer, parsers and the declaration printer.
 
-Types use infix ``*{targets}`` ``|{t}`` ``+{t}`` ``&{targets}`` (one
-right-associative tier), prefix ``!{targets}`` ``?{t}``, ``~`` on atom names,
-and units ``1{targets}`` ``bot{t}``; braces are omitted on erased types.
-Processes follow the grammar in grammar.ebnf.  Declaration files hold ``type``,
-``proc``, ``check``, ``checkcll``, ``synth``, ``compat``, ``cut`` and ``sim``
-items terminated by ``;``.
+Processes, queue items and declarations are each written once, as a table
+of forms (``syntax.PROCESSES``, ``contexts.QUEUE_ITEMS`` and
+``DECLARATIONS``): every constructor's printed text with a slot per field.
+The printer formats a table entry; at import, ``_compile`` turns each table
+into a parse trie that one loop, ``Parser.form``, walks.  Types keep a
+hand-written precedence parser: infix ``*{targets}`` ``|{t}`` ``+{t}``
+``&{targets}`` (one right-associative tier), prefix ``!{targets}`` ``?{t}``,
+``~`` on atom names, and units ``1{targets}`` ``bot{t}``; braces are omitted
+on erased types.  So do contexts, environments and a ``sim``'s lists of
+parts and pending processes.  grammar.ebnf is the user reference.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from string import Formatter
+from typing import Callable
 
 from . import syntax as S
 from . import contexts as C
+from .contexts import Context
+from .syntax import Endpoint, Process, Type
 
 KEYWORDS = {
     "bot", "close", "wait", "case", "inl", "inr", "res", "to", "msg",
@@ -84,19 +92,16 @@ class Parser:
     def at(self, text: str) -> bool:
         return self.cur.text == text and self.cur.kind != "eof"
 
-    def eat(self, text: str) -> Token:
+    def eat(self, text: str) -> None:
         if not self.at(text):
             raise self.error(f"got {self.cur.text!r}", (text,))
-        t = self.cur
         self.i += 1
-        return t
 
     def eat_ident(self, what: str = "identifier") -> str:
         if self.cur.kind != "ident" or self.cur.text in KEYWORDS:
             raise self.error(f"got {self.cur.text!r}", (what,))
-        t = self.cur
         self.i += 1
-        return t.text
+        return self.toks[self.i - 1].text
 
     # -- types --------------------------------------------------------------
 
@@ -165,140 +170,64 @@ class Parser:
                 return cls(left, right, ts)
         return left
 
-    # -- processes ------------------------------------------------------------
+    # -- forms --------------------------------------------------------------
+
+    def form(self, node: _Node):
+        """A term of the category whose parse trie ``node`` is: a literal
+        that goes on from the node is eaten, else its slot is parsed."""
+        args: list = []
+        while node.build is None:
+            nxt = node.edges.get(self.toks[self.i].text)
+            if nxt is not None:
+                self.i += 1
+            elif node.slot is _process:  # parsed from this frame: one frame a nesting level
+                args.append(self.form(_PROCESSES))
+                nxt = node.then
+            elif node.slot is not None:
+                args.append(node.slot(self))
+                nxt = node.then
+            elif node is _PROCESSES.then and ("proc", args[0]) in self.names:
+                return self.names[("proc", args[0])]  # a name no form goes on from
+            else:
+                raise self.error(f"got {self.cur.text!r}", _expected(node))
+            node = nxt
+        return node.build(*args)
 
     def process(self) -> S.Process:
-        if self.at("close"):
-            self.eat("close")
-            return S.Close(self.eat_ident("endpoint"))
-        if self.at("wait"):
-            self.eat("wait")
-            x = self.eat_ident("endpoint")
-            self.eat(";")
-            return S.Wait(x, self.process())
-        if self.at("case"):
-            self.eat("case")
-            x = self.eat_ident("endpoint")
-            self.eat("{")
-            self.eat("inl")
-            self.eat(":")
-            l = self.process()
-            self.eat(";")
-            self.eat("inr")
-            self.eat(":")
-            r = self.process()
-            self.eat("}")
-            return S.Case(x, l, r)
-        if self.at("!"):
-            self.eat("!")
-            x = self.eat_ident("endpoint")
-            self.eat("(")
-            f = self.eat_ident("endpoint")
-            self.eat(")")
-            self.eat(".")
-            return S.Server(x, f, self.process())
-        if self.at("?"):
-            self.eat("?")
-            x = self.eat_ident("endpoint")
-            self.eat("[")
-            f = self.eat_ident("endpoint")
-            self.eat("]")
-            self.eat(".")
-            return S.Client(x, f, self.process())
-        if self.at("res"):
-            self.eat("res")
-            x = self.eat_ident("endpoint")
-            y = self.eat_ident("endpoint")
-            self.eat(":")
-            a = self.type_()
-            self.eat("(")
-            l = self.process()
-            self.eat("|")
-            r = self.process()
-            self.eat(")")
-            return S.Cut(x, y, a, l, r)
-        if self.at("("):
-            self.eat("(")
-            p = self.process()
-            self.eat(")")
-            return p
-        name = self.eat_ident("process")
-        if ("proc", name) in self.names and not (
-            self.at("<->") or self.at("(") or self.at("[") or self.at(".")
-        ):
-            return self.names[("proc", name)]  # type: ignore[return-value]
-        if self.at("<->"):
-            self.eat("<->")
-            return S.Link(name, self.eat_ident("endpoint"))
-        if self.at("("):
-            self.eat("(")
-            f = self.eat_ident("endpoint")
-            self.eat(")")
-            self.eat(".")
-            return S.Recv(name, f, self.process())
-        if self.at("["):
-            self.eat("[")
-            f = self.eat_ident("endpoint")
-            self.eat("]")
-            self.eat(".")
-            self.eat("(")
-            pl = self.process()
-            self.eat("|")
-            cont = self.process()
-            self.eat(")")
-            return S.Send(name, f, pl, cont)
-        if self.at("."):
-            self.eat(".")
-            if self.at("inl"):
-                self.eat("inl")
-                self.eat(".")
-                return S.Inl(name, self.process())
-            self.eat("inr")
-            self.eat(".")
-            return S.Inr(name, self.process())
-        raise self.error(f"got {self.cur.text!r}", ("<->", "(", "[", ".inl", ".inr"))
+        return self.form(_PROCESSES)
+
+    def definition_name(self) -> str:
+        """The name a ``type`` or ``proc`` definition gives after its
+        keyword, once a file."""
+        kind, name = self.toks[self.i - 1].text, self.eat_ident("name")
+        if (kind, name) in self.names:
+            raise self.error(f"duplicate {kind} {name}")
+        return name
 
     # -- contexts -------------------------------------------------------------
 
     def queue_items(self) -> C.Queue:
         items: list[C.QueueItem] = []
         while self.at("["):
-            save = self.i
-            self.eat("[")
-            if self.at("]") and not items:
-                self.eat("]")
+            nxt = self.toks[self.i + 1].text
+            if nxt == "]" and not items:  # "[]" before any item: an empty queue
+                self.i += 2
                 continue
-            if not self.at("to"):
-                self.i = save
+            if nxt != "to":
                 break
-            self.eat("to")
-            self.eat("=")
-            u = self.eat_ident("endpoint")
-            if self.at("msg"):
-                self.eat("msg")
-                payloads = []
-                while True:
-                    e = self.eat_ident("endpoint")
-                    self.eat(":")
-                    payloads.append((e, self.type_()))
-                    if self.at(";"):
-                        self.eat(";")
-                        continue
-                    break
-                items.append(C.MsgBox(u, tuple(payloads)))
-            elif self.at("*"):
-                self.eat("*")
-                items.append(C.Star(u))
-            elif self.at("?"):
-                self.eat("?")
-                items.append(C.Query(u))
-            elif self.cur.text in ("L", "R"):
-                items.append(C.LeftTok(u) if self.cur.text == "L" else C.RightTok(u))
-                self.i += 1
-            else:
-                raise self.error(f"got {self.cur.text!r}", ("msg", "*", "L", "R", "?"))
-            self.eat("]")
+            items.append(self.form(_QUEUE_ITEMS))
         return tuple(items)
+
+    def payloads(self) -> C.Payloads:
+        """A box's payloads, ``e : A; f : B``."""
+        out = []
+        while True:
+            e = self.eat_ident("endpoint")
+            self.eat(":")
+            out.append((e, self.type_()))
+            if not self.at(";"):
+                return tuple(out)
+            self.eat(";")
 
     def bound_endpoint(self, seen: set[str]) -> str:
         """The endpoint an entry of a context or environment binds: each
@@ -327,7 +256,7 @@ class Parser:
             entries.append(self.context_entry(seen))
         return C.Context(tuple(entries))
 
-    def plain_env(self) -> tuple[tuple[str, S.Type], ...]:
+    def plain_env(self) -> Env:
         seen: set[str] = set()
         out = [(self.bound_endpoint(seen), self.type_())]
         # a "," before NAME "<-" starts a sim's next pending process
@@ -336,66 +265,105 @@ class Parser:
             out.append((self.bound_endpoint(seen), self.type_()))
         return tuple(out)
 
+    # -- a sim's parts and pending processes ----------------------------------
+
+    def sim_parts(self) -> Parts:
+        parts = []
+        while True:
+            q = self.process()
+            self.eat("|-")
+            env = self.plain_env()
+            self.eat("@")
+            parts.append(SimPart(q, env, self.eat_ident("endpoint")))
+            if not self.at(","):
+                return tuple(parts)
+            self.eat(",")
+
+    def sim_pending(self) -> Pending:
+        pend = []
+        if self.at("pending"):
+            self.eat("pending")
+            self.eat("(")
+            while not self.at(")"):
+                y = self.eat_ident("endpoint")
+                self.eat("<-")
+                q = self.process()
+                self.eat("|-")
+                pend.append((y, q, self.plain_env()))
+                if self.at(","):
+                    self.eat(",")
+            self.eat(")")
+        return tuple(pend)
+
+
+_process = Parser.process  # the process slot, which ``Parser.form`` parses by calling itself
+
 
 # ---------------------------------------------------------------------------
 # Declaration files
+
+Env = tuple[tuple[Endpoint, Type], ...]
 
 
 @dataclass(frozen=True)
 class TypeDef:
     name: str
-    typ: S.Type
+    typ: Type
 
 
 @dataclass(frozen=True)
 class ProcDef:
     name: str
-    proc: S.Process
+    proc: Process
 
 
 @dataclass(frozen=True)
 class CheckDecl:
-    proc: S.Process
-    context: C.Context
+    proc: Process
+    context: Context
 
 
 @dataclass(frozen=True)
 class CheckCllDecl:
-    proc: S.Process
-    env: tuple[tuple[str, S.Type], ...]
+    proc: Process
+    env: Env
 
 
 @dataclass(frozen=True)
 class SynthDecl:
-    context: C.Context
+    context: Context
 
 
 @dataclass(frozen=True)
 class CompatDecl:
-    env: tuple[tuple[str, S.Type], ...]
+    env: Env
 
 
 @dataclass(frozen=True)
 class CutDecl:
-    left: S.Process
-    left_ctx: C.Context
-    right: S.Process
-    right_ctx: C.Context
+    left: Process
+    left_ctx: Context
+    right: Process
+    right_ctx: Context
 
 
 @dataclass(frozen=True)
 class SimPart:
-    proc: S.Process
-    env: tuple[tuple[str, S.Type], ...]
-    endpoint: str
+    proc: Process
+    env: Env
+    endpoint: Endpoint
+
+
+Parts = tuple[SimPart, ...]
+Pending = tuple[tuple[Endpoint, Process, Env], ...]
 
 
 @dataclass(frozen=True)
 class SimDecl:
-    fwd: S.Process
-    fwd_ctx: C.Context
-    parts: tuple[SimPart, ...]
-    pending: tuple[tuple[str, S.Process, tuple[tuple[str, S.Type], ...]], ...] = ()
+    fwd: Process
+    fwd_ctx: Context
+    parts: Parts
+    pending: Pending = ()
 
 
 Declaration = (
@@ -430,87 +398,13 @@ def _declarations(p: Parser) -> DeclarationFile:
     lines: list[int] = []
     while p.cur.kind != "eof":
         lines.append(p.cur.line)
-        if p.at("type"):
-            p.eat("type")
-            name = p.eat_ident("name")
-            if ("type", name) in p.names:
-                raise p.error(f"duplicate type {name}")
-            p.eat("=")
-            t = p.type_()
-            p.names[("type", name)] = t
-            decls.append(TypeDef(name, t))
-        elif p.at("proc"):
-            p.eat("proc")
-            name = p.eat_ident("name")
-            if ("proc", name) in p.names:
-                raise p.error(f"duplicate proc {name}")
-            p.eat("=")
-            q = p.process()
-            p.names[("proc", name)] = q
-            decls.append(ProcDef(name, q))
-        elif p.at("check"):
-            p.eat("check")
-            q = p.process()
-            p.eat("|-")
-            decls.append(CheckDecl(q, p.context()))
-        elif p.at("checkcll"):
-            p.eat("checkcll")
-            q = p.process()
-            p.eat("|-")
-            decls.append(CheckCllDecl(q, p.plain_env()))
-        elif p.at("synth"):
-            p.eat("synth")
-            decls.append(SynthDecl(p.context()))
-        elif p.at("compat"):
-            p.eat("compat")
-            decls.append(CompatDecl(p.plain_env()))
-        elif p.at("cut"):
-            p.eat("cut")
-            l = p.process()
-            p.eat("|-")
-            lc = p.context()
-            p.eat("with")
-            r = p.process()
-            p.eat("|-")
-            rc = p.context()
-            decls.append(CutDecl(l, lc, r, rc))
-        elif p.at("sim"):
-            p.eat("sim")
-            fwd = p.process()
-            p.eat("|-")
-            fctx = p.context()
-            p.eat("parts")
-            parts = []
-            while True:
-                q = p.process()
-                p.eat("|-")
-                env = p.plain_env()
-                p.eat("@")
-                parts.append(SimPart(q, env, p.eat_ident("endpoint")))
-                if p.at(","):
-                    p.eat(",")
-                    continue
-                break
-            pend = []
-            if p.at("pending"):
-                p.eat("pending")
-                p.eat("(")
-                while not p.at(")"):
-                    y = p.eat_ident("endpoint")
-                    p.eat("<-")
-                    q = p.process()
-                    p.eat("|-")
-                    pend.append((y, q, p.plain_env()))
-                    if p.at(","):
-                        p.eat(",")
-                p.eat(")")
-            decls.append(SimDecl(fwd, fctx, tuple(parts), tuple(pend)))
-        else:
-            raise p.error(
-                f"got {p.cur.text!r}",
-                ("type", "proc", "check", "checkcll", "synth", "compat", "cut", "sim"),
-            )
-        p.eat(";")
+        d = p.form(_DECLARATIONS)
+        match d:
+            case TypeDef(name, t):
+                p.names[("type", name)] = t
+            case ProcDef(name, q):
+                p.names[("proc", name)] = q
+        decls.append(d)
     return DeclarationFile(tuple(decls), tuple(lines))
 
 
@@ -534,7 +428,7 @@ def parse_context(text: str) -> C.Context:
     return _parse_with("context", text)
 
 
-def parse_plain_env(text: str) -> tuple[tuple[str, S.Type], ...]:
+def parse_plain_env(text: str) -> Env:
     return _parse_with("plain_env", text)
 
 
@@ -550,44 +444,99 @@ def print_context(g: C.Context) -> str:
     return ", ".join(parts)
 
 
-def print_plain_env(env: tuple[tuple[str, S.Type], ...]) -> str:
+def print_plain_env(env: Env) -> str:
     return ", ".join(f"{x} : {S.print_type(t)}" for x, t in env)
 
 
-def print_declaration(d: Declaration) -> str:
-    match d:
-        case TypeDef(name, t):
-            return f"type {name} = {S.print_type(t)};"
-        case ProcDef(name, q):
-            return f"proc {name} = {S.print_process(q)};"
-        case CheckDecl(q, g):
-            return f"check ({S.print_process(q)}) |- {print_context(g)};"
-        case CheckCllDecl(q, env):
-            return f"checkcll ({S.print_process(q)}) |- {print_plain_env(env)};"
-        case SynthDecl(g):
-            return f"synth {print_context(g)};"
-        case CompatDecl(env):
-            return f"compat {print_plain_env(env)};"
-        case CutDecl(l, lc, r, rc):
-            return (
-                f"cut ({S.print_process(l)}) |- {print_context(lc)} "
-                f"with ({S.print_process(r)}) |- {print_context(rc)};"
-            )
-        case SimDecl(fwd, fctx, parts, pending):
-            ps = ", ".join(
-                f"({S.print_process(q.proc)}) |- {print_plain_env(q.env)} @ {q.endpoint}"
-                for q in parts
-            )
-            out = f"sim ({S.print_process(fwd)}) |- {print_context(fctx)} parts {ps}"
-            if pending:
-                pp = ", ".join(
-                    f"{y} <- ({S.print_process(q)}) |- {print_plain_env(env)}"
-                    for y, q, env in pending
-                )
-                out += f" pending ({pp})"
-            return out + ";"
-    raise TypeError(d)
+def _print_parts(parts: Parts) -> str:
+    return ", ".join(f"({S.print_process(q.proc)}) |- {print_plain_env(q.env)} @ {q.endpoint}"
+                     for q in parts)
+
+
+def _print_pending(pending: Pending) -> str:
+    if not pending:
+        return ""
+    pp = ", ".join(f"{y} <- ({S.print_process(q)}) |- {print_plain_env(env)}"
+                   for y, q, env in pending)
+    return f" pending ({pp})"
+
+
+# A "(" ")" around a lone process slot is printed and optional on input.
+DECLARATIONS = S.Forms("Declaration", {
+    TypeDef: "type {name} = {typ};",
+    ProcDef: "proc {name} = {proc};",
+    CheckDecl: "check ({proc}) |- {context};",
+    CheckCllDecl: "checkcll ({proc}) |- {env};",
+    SynthDecl: "synth {context};",
+    CompatDecl: "compat {env};",
+    CutDecl: "cut ({left}) |- {left_ctx} with ({right}) |- {right_ctx};",
+    SimDecl: "sim ({fwd}) |- {fwd_ctx} parts {parts}{pending};",
+}, {"str": None, "Type": S.print_type, "Process": S.print_process,
+    "Context": print_context, "Env": print_plain_env, "Parts": _print_parts,
+    "Pending": _print_pending})
+
+print_declaration = DECLARATIONS.print
 
 
 def print_file(f: DeclarationFile) -> str:
     return "\n".join(print_declaration(d) for d in f.decls) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Parse tries of the forms
+
+
+@dataclass
+class _Node:
+    """A point in parsing a category's forms: the literal tokens that go on
+    from it, or the slot that does; or the form that ends at it."""
+
+    edges: dict[str, _Node] = field(default_factory=dict)
+    slot: Callable | None = None  # parses the slot, which goes on to ``then``
+    then: _Node | None = None
+    build: Callable | None = None
+
+
+def _expected(node: _Node) -> tuple[str, ...]:
+    """The literals that go on from ``node``, for messages; one that only
+    leads to a further choice is named with it (".inl")."""
+    return tuple(lit + e for lit, nxt in node.edges.items()
+                 for e in (_expected(nxt) if len(nxt.edges) > 1 else ("",)))
+
+
+def _compile(forms: S.Forms, lead: Callable | None) -> _Node:
+    """The parse trie of a category's forms: each literal token of a form's
+    text is an edge, and each slot is parsed by its field's annotation (by
+    ``lead`` if it leads the form).  A "(" ")" around a lone process slot is
+    only printed, as the process parser takes parentheses anyway."""
+    root = _Node()
+    for cls, text in forms.texts.items():
+        kinds = {f.name: f.type for f in fields(cls)}
+        for name, kind in kinds.items():
+            if kind == "Process":
+                text = text.replace("({" + name + "})", "{" + name + "}")
+        node = root
+        for lit, name, _, _ in Formatter().parse(text):
+            for tok in tokenize(lit)[:-1]:
+                node = node.edges.setdefault(tok.text, _Node())
+            if name is not None:
+                if node.then is None:
+                    node.slot = lead if lead and node is root else _SLOTS[kinds[name]]
+                    node.then = _Node()
+                node = node.then
+        node.build = cls
+    return root
+
+
+# A slot parses by its field's annotation; a plain ``str`` is a definition's name.
+_SLOTS = {
+    "str": Parser.definition_name, "Endpoint": lambda p: p.eat_ident("endpoint"),
+    "Type": Parser.type_, "Process": _process, "Payloads": Parser.payloads,
+    "Context": Parser.context, "Env": Parser.plain_env, "Parts": Parser.sim_parts,
+    "Pending": Parser.sim_pending,
+}
+_PROCESSES = _compile(S.PROCESSES, lead=lambda p: p.eat_ident("process"))
+# "( P )" groups a process
+_PROCESSES.edges["("] = _Node(slot=_process, then=_Node({")": _Node(build=lambda q: q)}))
+_QUEUE_ITEMS = _compile(C.QUEUE_ITEMS, None)
+_DECLARATIONS = _compile(DECLARATIONS, None)

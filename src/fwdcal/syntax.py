@@ -11,7 +11,8 @@ fresh names may additionally contain ``#``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from string import Formatter
 from typing import Callable, Union
 
 Endpoint = str
@@ -502,28 +503,57 @@ def _print_operand(t: Type) -> str:
     return print_type(t)
 
 
-def print_process(p: Process) -> str:
-    match p:
-        case Link(x, y):
-            return f"{x}<->{y}"
-        case Close(x):
-            return f"close {x}"
-        case Wait(x, c):
-            return f"wait {x}; {print_process(c)}"
-        case Send(x, f, pl, c):
-            return f"{x}[{f}].({print_process(pl)} | {print_process(c)})"
-        case Recv(x, f, c):
-            return f"{x}({f}). {print_process(c)}"
-        case Inl(x, c):
-            return f"{x}.inl. {print_process(c)}"
-        case Inr(x, c):
-            return f"{x}.inr. {print_process(c)}"
-        case Case(x, l, r):
-            return f"case {x} {{inl: {print_process(l)}; inr: {print_process(r)}}}"
-        case Server(x, f, b):
-            return f"!{x}({f}). {print_process(b)}"
-        case Client(x, f, b):
-            return f"?{x}[{f}]. {print_process(b)}"
-        case Cut(x, y, a, l, r):
-            return f"res {x} {y} : {print_type(a)} ({print_process(l)} | {print_process(r)})"
-    raise TypeError(p)
+# ---------------------------------------------------------------------------
+# Surface forms
+
+
+class Forms:
+    """A syntactic category's surface forms, written once: each
+    constructor's printed text, with a ``{field}`` slot for each of its
+    fields in field order (``{{`` and ``}}`` are literal braces).  ``print``
+    formats a term's entry, and ``parsing`` compiles the same entries.
+
+    A slot prints by ``shows`` at its field's annotation, None printing a
+    name as it is; a slot of the category's own ``kind`` prints with
+    ``print`` itself, so printing takes one Python frame a nesting level.
+    """
+
+    def __init__(self, kind: str, texts: dict[type, str], shows: dict[str, Callable | None]):
+        self.texts = texts
+        shows = {**shows, kind: self.print}
+        self._forms = {}  # each text as a positional template, "{}<->{}", and its slots
+        for cls, text in texts.items():
+            pieces = list(Formatter().parse(text))
+            if [name for _, name, _, _ in pieces if name] != [f.name for f in fields(cls)]:
+                raise ValueError(f"{text!r} does not slot {cls.__name__}'s fields in order")
+            template = "".join(lit.replace("{", "{{").replace("}", "}}") + ("{}" if name else "")
+                               for lit, name, _, _ in pieces)
+            self._forms[cls] = (template, [(f.name, shows[f.type]) for f in fields(cls)])
+
+    def print(self, x) -> str:
+        form = self._forms.get(type(x))
+        if form is None:
+            raise TypeError(x)
+        template, slots = form
+        vals = []
+        for name, show in slots:
+            v = getattr(x, name)
+            vals.append(v if show is None else show(v))
+        return template.format(*vals)
+
+
+PROCESSES = Forms("Process", {
+    Link: "{x}<->{y}",
+    Close: "close {x}",
+    Wait: "wait {x}; {cont}",
+    Recv: "{x}({fresh}). {cont}",
+    Send: "{x}[{fresh}].({payload} | {cont})",
+    Inl: "{x}.inl. {cont}",
+    Inr: "{x}.inr. {cont}",
+    Case: "case {x} {{inl: {left}; inr: {right}}}",
+    Server: "!{x}({fresh}). {body}",
+    Client: "?{x}[{fresh}]. {cont}",
+    Cut: "res {x} {y} : {formula} ({left} | {right})",
+}, {"Endpoint": None, "Type": print_type})
+
+print_process = PROCESSES.print
