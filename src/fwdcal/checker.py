@@ -36,7 +36,7 @@ from .syntax import (
 )
 from .contexts import (
     Context, Entry, LeftTok, MsgBox, Query, Queue, RightTok, Star, context_fully_annotated,
-    endpoint_names, first_destined, map_context, msgbox, normalize_context, print_queue_item,
+    endpoint_names, first_destined, map_context, msgbox, normalize_queue, print_queue_item,
     rename_context_targets, target_names,
 )
 
@@ -522,12 +522,6 @@ def annotate_with_holes(t: Type, counter: _HoleCounter) -> Type:
     return S.map_slots(t, lambda _, ts: ts or (counter.new(),))
 
 
-def _subst_holes_context(g: Context, store: dict[str, tuple[str, ...]]) -> Context:
-    if not store:
-        return g
-    return map_context(g, typ=lambda t: S.fill_holes(t, store))
-
-
 def synth_forwarder(g: Context) -> Process | None:
     """Search for a forwarder inhabiting a fully annotated context."""
     if not context_fully_annotated(g):
@@ -551,6 +545,13 @@ def synth_context(g: Context) -> tuple[Context, Process] | None:
     targets are tried in name order, and multi-target slots by smallest
     subset first.  Holes the derivation never consults (branches not taken)
     are filled at the end with the first other endpoint of their entry.
+
+    Each hole sits in one slot: ``annotate_with_holes`` numbers the slots
+    apart, and no rule copies a type within a context.  So a resolution is
+    written into the one place that holds its hole: the head slot it sets,
+    or the premises still to be searched that copied it (``&`` gives both
+    its premises the spectators).  The search keeps this invariant: no
+    context it visits holds a hole that its store resolves.
     """
     counter = _HoleCounter()
     holed = map_context(g, typ=lambda t: annotate_with_holes(t, counter))
@@ -576,8 +577,11 @@ def _dangling_names(g: Context) -> tuple[str, ...]:
     return tuple(sorted(u for u in refs if not S.is_hole((u,))))
 
 
-def _binder_candidates(base: str, g: Context, supply: S.FreshNames) -> list[str]:
-    return [supply.fresh(base)] + [d for d in _dangling_names(g)]
+def _binder_candidates(base: str, g: Context, supply: S.FreshNames) -> Iterator[str]:
+    """A fresh name, then the dangling names; those are looked up only when
+    the search comes back for another binder."""
+    yield supply.fresh(base)
+    yield from _dangling_names(g)
 
 
 def _solutions(
@@ -591,12 +595,15 @@ def _solutions(
 
     ``store`` holds hole resolutions in the names of the original judgement;
     ``ren`` maps those original names to their current names along this
-    branch (continuations of ! and ? get renamed as the rules fire).
+    branch (continuations of ! and ? get renamed as the rules fire).  No
+    hole of ``g`` is resolved in ``store``: ``_fire`` sets a head hole in its
+    slot, and ``_joint_solutions`` substitutes what one premise resolved
+    into the premises after it.
+
+    ``failed`` holds the contexts known to have no solution, up to entry
+    order and the order of items aimed at distinct endpoints.
     """
-    if store:
-        cur = {h: tuple(ren.get(u, u) for u in v) for h, v in store.items()} if ren else store
-        g = _subst_holes_context(g, cur)
-    key = normalize_context(g)
+    key = tuple(sorted((e.endpoint, normalize_queue(e.queue), e.typing) for e in g.entries))
     if key in failed:
         return
 
@@ -741,13 +748,13 @@ def _fire(e: Entry, value: tuple[str, ...], ctor: type, g: Context, store, suppl
     ts = S.targets_of(e.typing)
     if S.is_hole(ts):
         store = {**store, ts[0]: _unrename(ren, value)}
-        g = g.replace(x, Entry(x, e.queue, S.fill_holes(e.typing, {ts[0]: value})))
+        g = g.replace(x, Entry(x, e.queue, S.with_head_slot(e.typing, value)))
     stubs = (_STUB, _STUB) if ctor in (Send, Case) else (_STUB,)
     if ctor in (Wait, Inl, Inr, Case):
-        heads = [ctor(x, *stubs)]
+        heads = (ctor(x, *stubs),)
     else:
         base = _BINDER_BASE.get(ctor, x)
-        heads = [ctor(x, f, *stubs) for f in _binder_candidates(base, g, supply)]
+        heads = (ctor(x, f, *stubs) for f in _binder_candidates(base, g, supply))
     for head in heads:
         try:
             _, prem = forwarder_step(head, g)
@@ -763,13 +770,19 @@ def _fire(e: Entry, value: tuple[str, ...], ctor: type, g: Context, store, suppl
 
 def _joint_solutions(prem, store, supply, failed, ren):
     """Solutions of every premise (there is at least one) in turn, threading
-    the hole store."""
+    the hole store.  A hole the first premise resolves can also sit in a
+    later one (the spectators a ``&`` copies into both branches), so its
+    value, in the premises' names, is substituted there."""
     (_, h), rest = prem[0], prem[1:]
     for q, st in _solutions(h, store, supply, failed, ren):
         if not rest:
             yield (q,), st
             continue
-        for qs, st2 in _joint_solutions(rest, st, supply, failed, ren):
+        later = rest
+        if len(st) > len(store):  # the store only grows
+            new = {k: tuple(ren.get(u, u) for u in v) for k, v in st.items() if k not in store}
+            later = tuple((p, map_context(g, typ=lambda t: S.fill_holes(t, new))) for p, g in rest)
+        for qs, st2 in _joint_solutions(later, st, supply, failed, ren):
             yield (q,) + qs, st2
 
 

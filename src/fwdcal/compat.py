@@ -48,7 +48,11 @@ The decision runs at the cost the theory allows through three reductions.
    By induction every maximal path is a permutation of an explored one: it
    ends in the same configuration and its ``Tensor`` steps carry the same
    environments.  ``transitions`` without ``one_endpoint`` still lists every
-   endpoint's moves; ``stuck_path`` and the tests use it.
+   endpoint's moves; the tests use it.  ``stuck_path`` follows one endpoint
+   as well: its search enters only configurations that are not executable,
+   where some move of the first endpoint that moves fails, and those moves
+   come first among every endpoint's, so the all-endpoint search would
+   never reach another endpoint.
 """
 
 from __future__ import annotations
@@ -423,7 +427,7 @@ def stuck_path(env: Env, checker: CompatChecker | None = None,
         return None
 
     def search(c: Config, seen: list[Step]):
-        trs = transitions(c)
+        trs = transitions(c, one_endpoint=True)
         if not trs:
             return (seen, c) if not c.is_empty() else None
         for lab, c2 in trs:

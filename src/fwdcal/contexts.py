@@ -307,6 +307,15 @@ class Config:
         s = tuple(sorted((k, tuple(q)) for k, q in sigma if q))
         return Config(d, s)
 
+    def __hash__(self) -> int:
+        # cached: the executability memo hashes a configuration on lookup
+        # and again on store, each time over every type and queue item
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.delta, self.sigma))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def delta_map(self) -> dict[Endpoint, Type]:
         return dict(self.delta)
 

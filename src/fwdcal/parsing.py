@@ -89,17 +89,21 @@ class Parser:
     def error(self, msg: str, expected: tuple[str, ...] = ()) -> ParseError:
         return ParseError(msg, self.cur.line, self.cur.col, expected)
 
+    def got(self) -> str:
+        """What an error found at the current token."""
+        return "got end of input" if self.cur.kind == "eof" else f"got {self.cur.text!r}"
+
     def at(self, text: str) -> bool:
         return self.cur.text == text and self.cur.kind != "eof"
 
     def eat(self, text: str) -> None:
         if not self.at(text):
-            raise self.error(f"got {self.cur.text!r}", (text,))
+            raise self.error(self.got(), (text,))
         self.i += 1
 
     def eat_ident(self, what: str = "identifier") -> str:
         if self.cur.kind != "ident" or self.cur.text in KEYWORDS:
-            raise self.error(f"got {self.cur.text!r}", (what,))
+            raise self.error(self.got(), (what,))
         self.i += 1
         return self.toks[self.i - 1].text
 
@@ -152,7 +156,7 @@ class Parser:
             if ("type", name) in self.names:
                 return self.names[("type", name)]  # type: ignore[return-value]
             return S.Atom(name)
-        raise self.error(f"got {self.cur.text!r}", ("type",))
+        raise self.error(self.got(), ("type",))
 
     def type_(self) -> S.Type:
         left = self.type_atom()
@@ -189,7 +193,7 @@ class Parser:
             elif node is _PROCESSES.then and ("proc", args[0]) in self.names:
                 return self.names[("proc", args[0])]  # a name no form goes on from
             else:
-                raise self.error(f"got {self.cur.text!r}", _expected(node))
+                raise self.error(self.got(), _expected(node))
             node = nxt
         return node.build(*args)
 
@@ -208,13 +212,7 @@ class Parser:
 
     def queue_items(self) -> C.Queue:
         items: list[C.QueueItem] = []
-        while self.at("["):
-            nxt = self.toks[self.i + 1].text
-            if nxt == "]" and not items:  # "[]" before any item: an empty queue
-                self.i += 2
-                continue
-            if nxt != "to":
-                break
+        while self.at("[") and self.toks[self.i + 1].text == "to":
             items.append(self.form(_QUEUE_ITEMS))
         return tuple(items)
 
@@ -280,19 +278,23 @@ class Parser:
             self.eat(",")
 
     def sim_pending(self) -> Pending:
+        """``pending (y <- Q |- env, ...)``, one or more separated by ``,``;
+        no pending processes without the keyword."""
+        if not self.at("pending"):
+            return ()
+        self.eat("pending")
+        self.eat("(")
         pend = []
-        if self.at("pending"):
-            self.eat("pending")
-            self.eat("(")
-            while not self.at(")"):
-                y = self.eat_ident("endpoint")
-                self.eat("<-")
-                q = self.process()
-                self.eat("|-")
-                pend.append((y, q, self.plain_env()))
-                if self.at(","):
-                    self.eat(",")
-            self.eat(")")
+        while True:
+            y = self.eat_ident("endpoint")
+            self.eat("<-")
+            q = self.process()
+            self.eat("|-")
+            pend.append((y, q, self.plain_env()))
+            if not self.at(","):
+                break
+            self.eat(",")
+        self.eat(")")
         return tuple(pend)
 
 

@@ -197,6 +197,12 @@ def map_slots(t: Type, f: Callable[[Type, tuple[Endpoint, ...]], tuple[Endpoint,
     return type(t)(*kids, new[0] if new else None)
 
 
+def with_head_slot(t: Type, ts: tuple[Endpoint, ...]) -> Type:
+    """``t`` with its head connective's annotation slot set to ``ts``, a
+    nonempty slot of its kind; the operands are kept as they are."""
+    return type(t)(*children(t), ts if _SHAPES[type(t)][1] else ts[0])
+
+
 def slots(t: Type) -> list[tuple[Endpoint, ...]]:
     """Every connective's annotation slot, in ``map_slots`` order."""
     out: list[tuple[Endpoint, ...]] = []

@@ -1,8 +1,11 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 import genutil
+from fwdcal import checker as K
 from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal.checker import (
@@ -10,7 +13,9 @@ from fwdcal.checker import (
     RuleMismatch, check_cll, check_forwarder, cp_step, eta_link, forwarder_step,
     synth_forwarder, synth_with_annotations,
 )
-from fwdcal.contexts import Context, Entry, Star, ctx, erase_context, msgbox
+from fwdcal.contexts import (
+    Context, Entry, Star, context_types, ctx, erase_context, map_context, msgbox,
+)
 from fwdcal.syntax import Atom, Bot, DualAtom, Link, One, Par, Tensor, dual, erase
 
 
@@ -274,3 +279,70 @@ def test_check_reads_queues_per_target():
         g = P.parse_context(f"y : (1{{x,z}}) &{{{order}}} (1{{x,z}}), "
                             "x : bot{y} +{y} bot{y}, z : bot{y} +{y} bot{y}")
         assert check_forwarder(p, g).rules_preorder()[:3] == ("With", "PlusL", "PlusL")
+
+
+def _hole_slots(g: Context) -> list[str]:
+    """The hole of each slot of ``g`` that holds one, in walk order."""
+    return [ts[0] for t in context_types(g) for ts in S.slots(t) if S.is_hole(ts)]
+
+
+def _partly_annotated(rng: random.Random, n: int):
+    """Contexts of derivable judgements with about half their slots emptied."""
+    for _, g in genutil.sample_derivable_judgements(rng, n, max_size=4):
+        yield map_context(g, typ=lambda t: S.map_slots(t, lambda _, ts: () if rng.random() < 0.5
+                                                       else ts))
+
+
+def test_each_hole_sits_in_one_slot_of_every_premise(monkeypatch):
+    # synthesis sets a head hole in its one slot and substitutes resolutions
+    # only into later sibling premises; both rest on this
+    real, fired = K.forwarder_step, []
+
+    def step(p, g):
+        rule, prem = real(p, g)
+        for _, h in prem:
+            holes = _hole_slots(h)
+            assert len(holes) == len(set(holes)), (rule, h)
+        fired.append(rule)
+        return rule, prem
+
+    monkeypatch.setattr(K, "forwarder_step", step)
+    rng = random.Random(31)
+    for g in _partly_annotated(rng, 150):
+        counter = K._HoleCounter()
+        holed = map_context(g, typ=lambda t: K.annotate_with_holes(t, counter))
+        assert sorted(_hole_slots(holed)) == sorted(f"{S.HOLE_PREFIX}{i}"
+                                                    for i in range(1, counter.n + 1))
+        assert K.synth_context(g) is not None
+    assert {"Tensor", "With", "Bang", "Quest"} <= set(fired)
+
+
+SYNTH_FIXTURE = Path(__file__).parent / "synth_fixture.json"
+
+
+def _synth_fixture_envs():
+    """50 compatible ``random_env`` draws of two parties, then 20 one-waiter
+    choice projections of three."""
+    from fwdcal.compat import multiparty_compatible
+
+    rng, k, n = random.Random(16), 0, 0
+    while n < 50:
+        env = genutil.random_env(rng, 2, genutil.CONNECTIVES[k % len(genutil.CONNECTIVES)])
+        k += 1
+        if multiparty_compatible(env):
+            n += 1
+            yield env
+    rng = random.Random(17)
+    for _ in range(20):
+        yield genutil.choice_projection_env(rng, 3, 1)
+
+
+def test_synthesis_results_are_pinned():
+    # the annotated context and the forwarder synthesis finds on each dual,
+    # as printed by the recorded search; the benchmark's cut inputs are
+    # synthesized the same way
+    rows = []
+    for env in _synth_fixture_envs():
+        got = synth_with_annotations(tuple((x, dual(t)) for x, t in env))
+        rows.append([P.print_plain_env(env), P.print_context(got[0]), S.print_process(got[1])])
+    assert rows == json.loads(SYNTH_FIXTURE.read_text(encoding="utf-8"))

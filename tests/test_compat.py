@@ -243,3 +243,56 @@ def test_theorem_agreement_dual_pairs_always_compatible():
         assert multiparty_compatible(env)
         denv = tuple((x, dual(erase(tt))) for x, tt in env)
         assert synth_with_annotations(denv) is not None
+
+
+def _stuck_path_all_endpoints(c0: Config):
+    """``stuck_path``'s search from ``c0`` over every endpoint's moves."""
+    chk = CM.CompatChecker()
+
+    def search(c, seen):
+        trs = transitions(c)
+        if not trs:
+            return (seen, c) if not c.is_empty() else None
+        for lab, c2 in trs:
+            if lab.carried and not chk.send_env_ok(lab.carried):
+                return (seen + [lab], c)
+            if not chk.is_executable(c2):
+                got = search(c2, seen + [lab])
+                if got is not None:
+                    return got
+        return None
+
+    return search(c0, [])
+
+
+def _seeded_negatives():
+    """The negative compat environments of the ``relay`` (the one-message-short
+    twins) and ``kparty`` workloads of seeds 1 and 2, then random ones, most
+    of them negative."""
+    from test_bench_inputs import load_workloads
+
+    wl = load_workloads()
+    for workload in ("relay", "kparty"):
+        for seed in (1, 2):
+            items = wl.generate(workload, seed)
+            decls = P.parse_file(wl.workload_text(items)).decls
+            yield from (d.env for it, d in zip(items, decls)
+                        if it.kind == "compat" and not it.expected)
+    rng = random.Random(61)
+    for k in range(160):
+        yield genutil.random_env(rng, 2 + k % 2, genutil.CONNECTIVES[k % len(genutil.CONNECTIVES)])
+
+
+def test_stuck_path_follows_the_all_endpoint_search():
+    # the first endpoint that moves has a move that fails, and its moves
+    # come first among every endpoint's: one endpoint's moves give the
+    # same path
+    found = 0
+    for env in _seeded_negatives():
+        got = stuck_path(env)
+        if got is None:  # compatible, or its dual has no annotation
+            continue
+        c0, labels, final = got
+        assert (labels, final) == _stuck_path_all_endpoints(c0), env
+        found += 1
+    assert found >= 240

@@ -119,8 +119,20 @@ def test_fmt_is_a_fixed_point_on_the_corpus(path):
     ("cut close x |- x : 1 close y |- y : 1;", "1:22: got 'close' (expected one of: with)"),
     # a label that is no selection lists both selections
     ("check x.foo. close x |- x : 1;", "1:9: got 'foo' (expected one of: inl, inr)"),
+    # the end of the input is named, not shown as an empty token
+    ("check close x |- x : 1", "1:23: got end of input (expected one of: ;)"),
+    ("check x(", "1:9: got end of input (expected one of: endpoint)"),
+    # a queue has no "[]" before its first item
+    ("synth x : 1 [] [to=y *];", "1:13: got '[' (expected one of: ;)"),
+    # pending processes are separated by ",", and there is at least one
+    ("sim x<->y |- x : ~a, y : a parts (y<->e) |- e : a, y : ~a @ y pending "
+     "(m <- (u<->m) |- u : a, m : ~a n <- (v<->n) |- v : a, n : ~a);",
+     "1:102: got 'n' (expected one of: ))"),
+    ("sim x<->y |- x : ~a, y : a parts (y<->e) |- e : a, y : ~a @ y pending ();",
+     "1:72: got ')' (expected one of: endpoint)"),
 ], ids=["after-name", "queue-item", "declaration", "recv", "case", "sim-part", "dup-type",
-        "dup-proc", "process", "queue-bracket", "payload", "cut-with", "select"])
+        "dup-proc", "process", "queue-bracket", "payload", "cut-with", "select", "end-of-input",
+        "end-of-input-in-term", "empty-queue", "pending-comma", "pending-empty"])
 def test_parse_errors_keep_their_position_and_text(text, message):
     with pytest.raises(P.ParseError) as e:
         P.parse_file(text)
