@@ -69,6 +69,11 @@ def _emit(record, as_json: bool, text: str):
         print(text)
 
 
+def run_fmt(decl: PA.Declaration) -> bool:
+    print(PA.print_declaration(decl))
+    return True
+
+
 def run_check(decl: PA.CheckDecl | PA.CheckCllDecl, as_json: bool) -> bool:
     fwd = isinstance(decl, PA.CheckDecl)
     what = f"{'check' if fwd else 'checkcll'} {S.print_process(decl.proc)}"
@@ -238,8 +243,9 @@ class Command(NamedTuple):
     flag: tuple[str, str] | None  # an option of its own, and its help
 
 
-# The commands that run declarations; fmt prints a whole file.
+# The commands, each over the declarations it runs; fmt prints any file.
 COMMANDS = {
+    "fmt": Command(tuple(PA.DECLARATIONS.texts), lambda d, a: run_fmt(d), None),
     "check": Command((PA.CheckDecl, PA.CheckCllDecl), lambda d, a: run_check(d, a.json), None),
     "synth": Command((PA.SynthDecl,), lambda d, a: run_synth(d, a.json), None),
     "compat": Command((PA.CompatDecl,), lambda d, a: run_compat(d, a.json), None),
@@ -256,7 +262,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="fwdcal", description=__doc__, epilog=GRAMMAR_NOTE)
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    sub.add_parser("fmt").add_argument("file")
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("file")
@@ -276,13 +281,9 @@ def main(argv=None) -> int:
         print(GRAMMAR_NOTE, file=sys.stderr)
         return 2
 
-    if args.cmd == "fmt":
-        sys.stdout.write(PA.print_file(decls))
-        return 0
-
     cmd = COMMANDS[args.cmd]
     jobs = [(d, line) for d, line in zip(decls.decls, decls.lines) if isinstance(d, cmd.decls)]
-    if not jobs:
+    if not jobs and args.cmd != "fmt":
         print(f"no {args.cmd} declarations in {args.file}", file=sys.stderr)
         return 2
     oks = []

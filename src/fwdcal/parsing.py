@@ -4,12 +4,12 @@ Processes, queue items and declarations are each written once, as a table
 of forms (``syntax.PROCESSES``, ``contexts.QUEUE_ITEMS`` and
 ``DECLARATIONS``): every constructor's printed text with a slot per field.
 The printer formats a table entry; at import, ``_compile`` turns each table
-into a parse trie that one loop, ``Parser.form``, walks.  Types keep a
-hand-written precedence parser: infix ``*{targets}`` ``|{t}`` ``+{t}``
-``&{targets}`` (one right-associative tier), prefix ``!{targets}`` ``?{t}``,
-``~`` on atom names, and units ``1{targets}`` ``bot{t}``; braces are omitted
-on erased types.  So do contexts, environments and a ``sim``'s lists of
-parts and pending processes.  grammar.ebnf is the user reference.
+into a parse trie that one loop, ``Parser.form``, walks.  Types are written
+once as ``syntax.CONNECTIVES``, each connective's symbol, operand count and
+annotation slot, which ``Parser.type_atom`` and ``Parser.type_`` parse and
+``syntax.print_type`` prints.  Contexts, environments and a ``sim``'s lists
+of parts and pending processes are parsed by hand.  grammar.ebnf is the
+user reference.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ KEYWORDS = {
     "type", "proc", "check", "checkcll", "synth", "compat", "cut", "with",
     "sim", "parts", "pending",
 }
+
+# The connectives by symbol: units and prefixes start a type operand, and
+# infixes go on from one.
+_PREFIXES = {row.symbol: cls for cls, row in S.CONNECTIVES.items() if row.arity < 2}
+_INFIXES = {row.symbol: cls for cls, row in S.CONNECTIVES.items() if row.arity == 2}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -109,48 +114,40 @@ class Parser:
 
     # -- types --------------------------------------------------------------
 
-    def targets(self) -> tuple[str, ...]:
-        if not self.at("{"):
-            return ()
-        self.eat("{")
-        ts: list[str] = []
-        if not self.at("}"):
-            ts.append(self.eat_ident("endpoint"))
-            while self.at(","):
-                self.eat(",")
+    def annotation(self, cls: type):
+        """The annotation slot after ``cls``'s symbol, ``{u,v}`` or none, as
+        ``cls`` holds it."""
+        start, ts = self.i, []
+        if self.at("{"):
+            self.eat("{")
+            if not self.at("}"):
                 ts.append(self.eat_ident("endpoint"))
-        self.eat("}")
-        return tuple(ts)
-
-    def opt_target(self) -> str | None:
-        ts = self.targets()
+                while self.at(","):
+                    self.eat(",")
+                    ts.append(self.eat_ident("endpoint"))
+            self.eat("}")
+        row = S.CONNECTIVES[cls]
+        if row.multi:
+            return tuple(ts)
         if len(ts) > 1:
-            raise self.error("connective takes a single target")
+            self.i = start + 3  # at the second target: "{" u "," v
+            raise self.error(f"{row.symbol} takes a single target")
         return ts[0] if ts else None
 
     def type_atom(self) -> S.Type:
+        cls = _PREFIXES.get(self.cur.text)
+        if cls is not None:
+            self.i += 1
+            ts = self.annotation(cls)
+            return cls(self.type_atom(), ts) if S.CONNECTIVES[cls].arity else cls(ts)
         if self.at("("):
             self.eat("(")
             t = self.type_()
             self.eat(")")
             return t
-        if self.at("1"):
-            self.eat("1")
-            return S.One(self.targets())
-        if self.at("bot"):
-            self.eat("bot")
-            return S.Bot(self.opt_target())
         if self.at("~"):
             self.eat("~")
             return S.DualAtom(self.eat_ident("atom name"))
-        if self.at("!"):
-            self.eat("!")
-            ts = self.targets()
-            return S.OfCourse(self.type_atom(), ts)
-        if self.at("?"):
-            self.eat("?")
-            u = self.opt_target()
-            return S.WhyNot(self.type_atom(), u)
         if self.cur.kind == "ident" and self.cur.text not in KEYWORDS:
             name = self.eat_ident()
             if ("type", name) in self.names:
@@ -160,19 +157,12 @@ class Parser:
 
     def type_(self) -> S.Type:
         left = self.type_atom()
-        for op, single in (("*", False), ("|", True), ("+", True), ("&", False)):
-            if self.at(op):
-                self.eat(op)
-                if single:
-                    u = self.opt_target()
-                    right = self.type_()
-                    cls = S.Par if op == "|" else S.Plus
-                    return cls(left, right, u)
-                ts = self.targets()
-                right = self.type_()
-                cls = S.Tensor if op == "*" else S.With
-                return cls(left, right, ts)
-        return left
+        cls = _INFIXES.get(self.cur.text)
+        if cls is None:
+            return left
+        self.i += 1
+        ts = self.annotation(cls)
+        return cls(left, self.type_(), ts)
 
     # -- forms --------------------------------------------------------------
 

@@ -84,24 +84,47 @@ class WhyNot:
 
 Type = Union[Atom, DualAtom, One, Bot, Tensor, Par, Plus, With, OfCourse, WhyNot]
 
-# Operand count of each connective and unit, and whether its annotation slot
-# is a set of endpoints (gathering/broadcast) rather than a single endpoint.
-_SHAPES = {
-    One: (0, True), Bot: (0, False), Tensor: (2, True), Par: (2, False),
-    Plus: (2, False), With: (2, True), OfCourse: (1, True), WhyNot: (1, False),
+
+@dataclass(frozen=True, slots=True)
+class Connective:
+    """A row of ``CONNECTIVES``, which the type parser and printer, ``dual``
+    and the slot traversals read: a connective's or unit's surface symbol,
+    its operand count (0 for a unit, 1 for a prefix, 2 for an infix on the
+    single right-associative tier), whether its annotation slot is a set of
+    endpoints (gathering or broadcast) rather than one, and its dual."""
+
+    symbol: str
+    arity: int
+    multi: bool
+    dual: type
+
+
+CONNECTIVES = {
+    One: Connective("1", 0, True, Bot),
+    Bot: Connective("bot", 0, False, One),
+    Tensor: Connective("*", 2, True, Par),
+    Par: Connective("|", 2, False, Tensor),
+    Plus: Connective("+", 2, False, With),
+    With: Connective("&", 2, True, Plus),
+    OfCourse: Connective("!", 1, True, WhyNot),
+    WhyNot: Connective("?", 1, False, OfCourse),
 }
-MULTI_TARGET = tuple(c for c, (_, multi) in _SHAPES.items() if multi)
+MULTI_TARGET = tuple(c for c, row in CONNECTIVES.items() if row.multi)
+
+
+def _row(t: Type) -> Connective | None:
+    """``t``'s connective, or None for an atom."""
+    row = CONNECTIVES.get(type(t))
+    if row is None and not isinstance(t, (Atom, DualAtom)):
+        raise TypeError(t)
+    return row
 
 
 def children(t: Type) -> tuple[Type, ...]:
-    match t:
-        case Atom() | DualAtom() | One() | Bot():
-            return ()
-        case Tensor(l, r, _) | Par(l, r, _) | Plus(l, r, _) | With(l, r, _):
-            return (l, r)
-        case OfCourse(b, _) | WhyNot(b, _):
-            return (b,)
-    raise TypeError(t)
+    row = _row(t)
+    if row is None or not row.arity:
+        return ()
+    return (t.left, t.right) if row.arity == 2 else (t.body,)
 
 
 def erase(t: Type) -> Type:
@@ -115,38 +138,18 @@ def dual(t: Type) -> Type:
     Cut formulas are compared only up to erasure, so duality is defined on
     plain types; annotated inputs are erased first.
     """
-    match t:
-        case Atom(a):
-            return DualAtom(a)
-        case DualAtom(a):
-            return Atom(a)
-        case One():
-            return Bot()
-        case Bot():
-            return One()
-        case Tensor(l, r, _):
-            return Par(dual(l), dual(r))
-        case Par(l, r, _):
-            return Tensor(dual(l), dual(r))
-        case Plus(l, r, _):
-            return With(dual(l), dual(r))
-        case With(l, r, _):
-            return Plus(dual(l), dual(r))
-        case OfCourse(b, _):
-            return WhyNot(dual(b))
-        case WhyNot(b, _):
-            return OfCourse(dual(b))
-    raise TypeError(t)
+    row = _row(t)
+    if row is None:
+        return DualAtom(t.name) if isinstance(t, Atom) else Atom(t.name)
+    return row.dual(*map(dual, children(t)))
 
 
 def targets_of(t: Type) -> tuple[Endpoint, ...]:
     """Annotation slot of the head connective, as a tuple (empty if unset)."""
-    shape = _SHAPES.get(type(t))
-    if shape is None:
-        if isinstance(t, (Atom, DualAtom)):
-            return ()
-        raise TypeError(t)
-    if shape[1]:
+    row = _row(t)
+    if row is None:
+        return ()
+    if row.multi:
         return t.targets
     return () if t.target is None else (t.target,)
 
@@ -163,24 +166,23 @@ def map_slots(t: Type, f: Callable[[Type, tuple[Endpoint, ...]], tuple[Endpoint,
     subtree whose slots all come back unchanged is returned as the same
     object, so a walk that changes nothing allocates nothing.
     """
-    shape = _SHAPES.get(type(t))
-    if shape is None:
+    row = CONNECTIVES.get(type(t))
+    if row is None:
         if isinstance(t, (Atom, DualAtom)):
             return t
         raise TypeError(t)
-    arity, multi = shape
-    if multi:
+    if row.multi:
         old = t.targets
     else:
         old = () if t.target is None else (t.target,)
     new = f(t, old)
-    if arity == 2:
+    if row.arity == 2:
         l, r = t.left, t.right
         l2, r2 = map_slots(l, f), map_slots(r, f)
         if new == old and l2 is l and r2 is r:
             return t
         kids = (l2, r2)
-    elif arity == 1:
+    elif row.arity == 1:
         b = t.body
         b2 = map_slots(b, f)
         if new == old and b2 is b:
@@ -190,7 +192,7 @@ def map_slots(t: Type, f: Callable[[Type, tuple[Endpoint, ...]], tuple[Endpoint,
         return t
     else:
         kids = ()
-    if multi:
+    if row.multi:
         return type(t)(*kids, tuple(new))
     if len(new) > 1:
         raise ValueError(f"single-target connective got {new}")
@@ -200,7 +202,7 @@ def map_slots(t: Type, f: Callable[[Type, tuple[Endpoint, ...]], tuple[Endpoint,
 def with_head_slot(t: Type, ts: tuple[Endpoint, ...]) -> Type:
     """``t`` with its head connective's annotation slot set to ``ts``, a
     nonempty slot of its kind; the operands are kept as they are."""
-    return type(t)(*children(t), ts if _SHAPES[type(t)][1] else ts[0])
+    return type(t)(*children(t), ts if CONNECTIVES[type(t)].multi else ts[0])
 
 
 def slots(t: Type) -> list[tuple[Endpoint, ...]]:
@@ -218,23 +220,22 @@ def slots(t: Type) -> list[tuple[Endpoint, ...]]:
 def add_targets(t: Type, out: set[Endpoint]) -> None:
     """Add every annotation target of ``t`` to ``out``.
 
-    A plain loop over the slot shapes rather than a ``map_slots`` walk:
+    A plain loop over ``CONNECTIVES`` rather than a ``map_slots`` walk:
     synthesis reads every type of a context this way each time a binding
     rule fires.
     """
     while True:
-        shape = _SHAPES.get(type(t))
-        if shape is None:
+        row = CONNECTIVES.get(type(t))
+        if row is None:
             return
-        arity, multi = shape
-        if multi:
+        if row.multi:
             out.update(t.targets)
         elif t.target is not None:
             out.add(t.target)
-        if arity == 2:
+        if row.arity == 2:
             add_targets(t.left, out)
             t = t.right
-        elif arity == 1:
+        elif row.arity == 1:
             t = t.body
         else:
             return
@@ -467,46 +468,24 @@ def rename_free(p: Process, mapping: dict[Endpoint, Endpoint]) -> Process:
 # Printing
 
 
-def _fmt_targets(ts: tuple[Endpoint, ...]) -> str:
-    return "{" + ",".join(ts) + "}" if ts else ""
-
-
-def _fmt_opt(u: Endpoint | None) -> str:
-    return "{" + u + "}" if u is not None else ""
-
-
-_BINOPS = {Tensor: "*", Par: "|", Plus: "+", With: "&"}
-
-
 def print_type(t: Type) -> str:
-    match t:
-        case Atom(a):
-            return a
-        case DualAtom(a):
-            return "~" + a
-        case One(ts):
-            return "1" + _fmt_targets(ts)
-        case Bot(u):
-            return "bot" + _fmt_opt(u)
-        case Tensor(l, r, ts) | With(l, r, ts):
-            op = _BINOPS[type(t)] + _fmt_targets(ts)
-            return f"{_print_operand(l)} {op} {print_type(r)}"
-        case Par(l, r, u) | Plus(l, r, u):
-            op = _BINOPS[type(t)] + _fmt_opt(u)
-            return f"{_print_operand(l)} {op} {print_type(r)}"
-        case OfCourse(b, ts):
-            return "!" + _fmt_targets(ts) + " " + _print_operand(b)
-        case WhyNot(b, u):
-            return "?" + _fmt_opt(u) + " " + _print_operand(b)
-    raise TypeError(t)
-
-
-def _print_operand(t: Type) -> str:
-    # Binaries are right-associative at one precedence tier, so a binary in
-    # left-operand position needs parentheses.
-    if isinstance(t, (Tensor, Par, Plus, With)):
-        return "(" + print_type(t) + ")"
-    return print_type(t)
+    """``t`` in surface syntax, taking one Python frame a nesting level."""
+    row = _row(t)
+    if row is None:
+        return t.name if isinstance(t, Atom) else "~" + t.name
+    ts = targets_of(t)
+    op = row.symbol + "{" + ",".join(ts) + "}" if ts else row.symbol
+    if not row.arity:
+        return op
+    first = t.left if row.arity == 2 else t.body
+    text = print_type(first)
+    # infixes are right-associative at one tier, so an infix operand that
+    # is not the right one of an infix needs parentheses
+    if type(first) in CONNECTIVES and CONNECTIVES[type(first)].arity == 2:
+        text = "(" + text + ")"
+    if row.arity == 1:
+        return op + " " + text
+    return text + " " + op + " " + print_type(t.right)
 
 
 # ---------------------------------------------------------------------------

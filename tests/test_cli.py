@@ -148,6 +148,28 @@ def test_deep_declaration_is_named_when_handling_overflows(tmp_path, capsys):
     assert err == f"{path}:2: check declaration nests too deeply to handle\n"
 
 
+def test_fmt_prints_a_deep_prefix_chain_back(tmp_path, capsys):
+    # parsing takes one Python frame a "!", and so does printing
+    decl = "type T = " + "! " * (sys.getrecursionlimit() * 3 // 5) + "a;\n"
+    path = tmp_path / "bangs.fwd"
+    path.write_text(decl, encoding="utf-8")
+    assert cli.main(["fmt", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (decl, "")
+
+
+def test_fmt_names_a_declaration_too_deep_to_print(tmp_path, capsys):
+    # each definition parses on its own; the second holds the first, so it
+    # is too deep to print
+    bangs = "! " * (sys.getrecursionlimit() * 3 // 5)
+    path = tmp_path / "bangs.fwd"
+    path.write_text(f"type T = {bangs}a;\ntype U = {bangs}T;\n", encoding="utf-8")
+    assert cli.main(["fmt", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == f"type T = {bangs}a;\n"
+    assert err == f"{path}:2: fmt declaration nests too deeply to handle\n"
+
+
 def test_sim_step_walks_compose_to_final(tmp_path, capsys):
     # feed each printed state back in: every state parses and steps, and the
     # walk ends in the composition's last action

@@ -11,7 +11,7 @@ from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal.contexts import Context, Entry, LeftTok, MsgBox, Query, RightTok, Star
 from fwdcal.syntax import Atom, Close, One, Tensor
-from test_syntax import names, procs, types
+from test_syntax import names, scoped_procs, types
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -31,19 +31,19 @@ envs = st.dictionaries(names, types, min_size=1, max_size=4).map(lambda d: tuple
 
 def sims(pending: int):
     """sim declarations with one or two parts and ``pending`` pending processes."""
-    parts = st.builds(P.SimPart, procs, envs, names)
-    pend = st.tuples(names, procs, envs)
-    return st.builds(P.SimDecl, procs, contexts,
+    parts = st.builds(P.SimPart, scoped_procs, envs, names)
+    pend = st.tuples(names, scoped_procs, envs)
+    return st.builds(P.SimDecl, scoped_procs, contexts,
                      st.lists(parts, min_size=1, max_size=2).map(tuple),
                      st.lists(pend, min_size=pending, max_size=pending).map(tuple))
 
 
 declarations = st.one_of(
-    st.builds(P.CheckDecl, procs, contexts),
-    st.builds(P.CheckCllDecl, procs, envs),
+    st.builds(P.CheckDecl, scoped_procs, contexts),
+    st.builds(P.CheckCllDecl, scoped_procs, envs),
     st.builds(P.SynthDecl, contexts),
     st.builds(P.CompatDecl, envs),
-    st.builds(P.CutDecl, procs, contexts, procs, contexts),
+    st.builds(P.CutDecl, scoped_procs, contexts, scoped_procs, contexts),
     sims(0),
     sims(2),
 )
@@ -52,7 +52,7 @@ declarations = st.one_of(
 # printed term never reads back as a reference to a definition
 files = st.builds(
     lambda t, q, ds: P.DeclarationFile((P.TypeDef("Ty", t), P.ProcDef("Pr", q), *ds)),
-    types, procs, st.lists(declarations, max_size=4))
+    types, scoped_procs, st.lists(declarations, max_size=4))
 
 
 @settings(max_examples=150, deadline=None)
@@ -130,9 +130,11 @@ def test_fmt_is_a_fixed_point_on_the_corpus(path):
      "1:102: got 'n' (expected one of: ))"),
     ("sim x<->y |- x : ~a, y : a parts (y<->e) |- e : a, y : ~a @ y pending ();",
      "1:72: got ')' (expected one of: endpoint)"),
+    # a second target on a single-target connective is named, with the connective
+    ("synth x : a |{u,v} b, u : 1;", "1:17: | takes a single target"),
 ], ids=["after-name", "queue-item", "declaration", "recv", "case", "sim-part", "dup-type",
         "dup-proc", "process", "queue-bracket", "payload", "cut-with", "select", "end-of-input",
-        "end-of-input-in-term", "empty-queue", "pending-comma", "pending-empty"])
+        "end-of-input-in-term", "empty-queue", "pending-comma", "pending-empty", "single-target"])
 def test_parse_errors_keep_their_position_and_text(text, message):
     with pytest.raises(P.ParseError) as e:
         P.parse_file(text)

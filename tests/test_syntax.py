@@ -45,22 +45,7 @@ formulas = st.recursive(
     max_leaves=4,
 )
 
-procs = st.recursive(
-    proc_leaves,
-    lambda sub: st.one_of(
-        st.builds(Wait, names, sub),
-        st.builds(Send, names, names, sub, sub),
-        st.builds(Recv, names, names, sub),
-        st.builds(Inl, names, sub),
-        st.builds(Case, names, sub, sub),
-        st.builds(Server, names, names, sub),
-        st.builds(Cut, names, names, formulas, sub, sub),
-    ),
-    max_leaves=12,
-)
-
-# Every binding form, for the scope laws; ``procs`` stays the input of the
-# roundtrip tests.
+# Every process constructor, for the roundtrips and the scope laws.
 scoped_procs = st.recursive(
     proc_leaves,
     lambda sub: st.one_of(
@@ -86,9 +71,15 @@ def _constructors(x) -> set[type]:
     return {type(x)}.union(*(_constructors(getattr(x, f.name)) for f in dataclasses.fields(x)))
 
 
+_TYPE_CONSTRUCTORS = {Atom, DualAtom, One, Bot, Tensor, Par, Plus, With, OfCourse, WhyNot}
+
+
+# ``procs``: the formulas that process cuts state reach every type
+# constructor, so the process roundtrip prints and parses each connective
+# inside a cut.
 @pytest.mark.parametrize("strategy,sort,constructors", [
-    (types, S.Type, {Atom, DualAtom, One, Bot, Tensor, Par, Plus, With, OfCourse, WhyNot}),
-    (procs, S.Process, {Link, Close, Wait, Send, Recv, Inl, Case, Server, Cut}),
+    (types, S.Type, _TYPE_CONSTRUCTORS),
+    (formulas, S.Type, _TYPE_CONSTRUCTORS),
     (scoped_procs, S.Process,
      {Link, Close, Wait, Send, Recv, Inl, Inr, Case, Server, Client, Cut}),
 ], ids=["types", "procs", "scoped_procs"])
@@ -112,7 +103,7 @@ def test_type_roundtrip(t):
 
 
 @settings(max_examples=300, deadline=None)
-@given(procs)
+@given(scoped_procs)
 def test_process_roundtrip(p):
     assert P.parse_process(print_process(p)) == p
 
@@ -228,7 +219,7 @@ def test_rename_free_capture_avoiding():
 
 
 @settings(max_examples=150, deadline=None)
-@given(procs)
+@given(scoped_procs)
 def test_rename_identity_keeps_free(p):
     fv = free_endpoints(p)
     q = rename_free(p, {"zzz": "qqq"})
