@@ -601,9 +601,10 @@ def _solutions(
     into the premises after it.
 
     ``failed`` holds the contexts known to have no solution, up to entry
-    order and the order of items aimed at distinct endpoints.
+    order and the order of items aimed at distinct endpoints.  Its key is
+    built only when there is something to look up, or a failure to store.
     """
-    key = tuple(sorted((e.endpoint, normalize_queue(e.queue), e.typing) for e in g.entries))
+    key = _failed_key(g) if failed else None
     if key in failed:
         return
 
@@ -612,7 +613,11 @@ def _solutions(
         produced = True
         yield proc, st
     if not produced:
-        failed[key] = True
+        failed[_failed_key(g) if key is None else key] = True
+
+
+def _failed_key(g: Context) -> tuple:
+    return tuple(sorted((e.endpoint, normalize_queue(e.queue), e.typing) for e in g.entries))
 
 
 def _unrename(ren: dict[str, str], names: tuple[str, ...]) -> tuple[str, ...]:
@@ -735,8 +740,8 @@ def nonempty_subsets(names):
         yield from combinations(names, k)
 
 
-_STUB = Close("_")  # a head term's subterms: forwarder_step only passes them on
-_BINDER_BASE = {Recv: "m", Send: "w"}  # a server or client copy keeps its own name
+STUB = Close("_")  # a head term's subterms: forwarder_step only passes them on
+BINDER_BASE = {Recv: "m", Send: "w"}  # a server or client copy keeps its own name
 
 
 def _fire(e: Entry, value: tuple[str, ...], ctor: type, g: Context, store, supply,
@@ -749,11 +754,11 @@ def _fire(e: Entry, value: tuple[str, ...], ctor: type, g: Context, store, suppl
     if S.is_hole(ts):
         store = {**store, ts[0]: _unrename(ren, value)}
         g = g.replace(x, Entry(x, e.queue, S.with_head_slot(e.typing, value)))
-    stubs = (_STUB, _STUB) if ctor in (Send, Case) else (_STUB,)
+    stubs = (STUB, STUB) if ctor in (Send, Case) else (STUB,)
     if ctor in (Wait, Inl, Inr, Case):
         heads = (ctor(x, *stubs),)
     else:
-        base = _BINDER_BASE.get(ctor, x)
+        base = BINDER_BASE.get(ctor, x)
         heads = (ctor(x, f, *stubs) for f in _binder_candidates(base, g, supply))
     for head in heads:
         try:

@@ -21,9 +21,7 @@ from . import cutelim as CE
 from . import mcut as MC
 from . import parsing as PA
 from . import syntax as S
-from .checker import (
-    CheckError, Derivation, check_cll, check_forwarder, synth_context, synth_with_annotations,
-)
+from .checker import CheckError, Derivation, check_cll, check_forwarder, synth_context
 from .contexts import Context, context_fully_annotated, translate_config
 from .cutelim import CutError, Judged
 from .mcut import McutError
@@ -112,12 +110,15 @@ def run_synth(decl: PA.SynthDecl, as_json: bool) -> bool:
 
 
 def run_compat(decl: PA.CompatDecl, as_json: bool) -> bool:
+    """Decide one environment, then read the record of that one run: a
+    positive's witness forwarder and the annotated dual it inhabits
+    (``compat.witness``), or a negative's stuck path (``compat.stuck_path``).
+    Nothing is searched a second time; ``stats`` reports the checker's counters."""
     src = PA.print_plain_env(decl.env)
     chk = CM.CompatChecker()
     ok = CM.multiparty_compatible(decl.env, chk)
     if ok:
-        denv = tuple((x, S.dual(S.erase(t))) for x, t in decl.env)
-        witness = synth_with_annotations(denv)
+        witness = CM.witness(decl.env, chk)
         text = f"{_verdict(True)} compat {src}"
         rec = {"compat": src, "ok": True}
         if witness is not None:

@@ -9,7 +9,8 @@ multiparty compatibility then quantifies over annotations of the dualized
 environment.  The cross-check against forwarder synthesis is the package's
 central correctness test.
 
-The decision runs at the cost the theory allows through three reductions.
+The decision runs at the cost the theory allows through three reductions,
+and is read off once it is made (point 4).
 
 1. Canonical box names.  A boxed payload is named by its position in the
    configuration (``m1``, ``m2``, ... in ``sigma`` order, skipping endpoint
@@ -49,10 +50,17 @@ The decision runs at the cost the theory allows through three reductions.
    ends in the same configuration and its ``Tensor`` steps carry the same
    environments.  ``transitions`` without ``one_endpoint`` still lists every
    endpoint's moves; the tests use it.  ``stuck_path`` follows one endpoint
-   as well: its search enters only configurations that are not executable,
+   as well: its path enters only configurations that are not executable,
    where some move of the first endpoint that moves fails, and those moves
    come first among every endpoint's, so the all-endpoint search would
    never reach another endpoint.
+4. The memo records why.  An executable configuration keeps the moves it
+   followed, one that is not its first failing move (or none), and each
+   environment decided the root annotation found executable (``Why``,
+   ``CompatChecker``).  ``witness`` replays a positive verdict's record
+   into a forwarder through ``forwarder_step``, and ``stuck_path`` follows
+   the recorded failing moves, so neither searches again: the CLI's
+   ``compat`` costs one decision, not a decision plus a synthesis.
 """
 
 from __future__ import annotations
@@ -62,11 +70,14 @@ from typing import Callable, NamedTuple
 
 from . import syntax as S
 from .syntax import (
-    Atom, Bot, DualAtom, Endpoint, OfCourse, One, Par, Plus, Tensor, Type, WhyNot, With,
-    dual, erase,
+    Atom, Bot, Case, Client, Close, DualAtom, Endpoint, Inl, Inr, Link, OfCourse, One, Par,
+    Plus, Process, Recv, Send, Server, Tensor, Type, Wait, WhyNot, With, dual, erase,
 )
-from .contexts import Config, EMPTY_CONFIG, LeftTok, MsgBox, Query, RightTok, Star, msgbox
-from .checker import Env, nonempty_subsets
+from .contexts import (
+    Config, Context, EMPTY_CONFIG, Entry, LeftTok, MsgBox, Query, RightTok, Star, endpoint_names,
+    map_context, msgbox,
+)
+from .checker import BINDER_BASE, STUB, Env, forwarder_step, nonempty_subsets
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +279,21 @@ def _successor(c: Config, sigma, rule: str, x: Endpoint, typ: Type | None,
 # Annotation
 
 
-def _annotate(env: Env, choose: Callable[[list[tuple[Endpoint, ...]]], tuple[Endpoint, ...]],
-              ) -> Config | None:
+Slot = tuple[Endpoint, ...]
+
+
+def _annotate(env: Env, choose: Callable[[list[Slot], Slot], Slot],
+              pin: Callable[[], Slot] | None = None) -> Config | None:
     """The configuration of ``env`` with each spine slot set to
-    ``choose(candidates)``, or None when a slot has no candidate.
+    ``choose(candidates, slot)``, where ``slot`` is its value in ``env``, or
+    None when a slot has no candidate.
 
     A single-target slot's candidates are the other endpoints in name order,
     a multi-target slot's their ``nonempty_subsets``.  Slots inside message
     payloads (the left operand of a * or | on the spine) are erased again the
     moment the payload is carried out of the configuration, so their value is
-    irrelevant; they are pinned to an arbitrary endpoint.
+    irrelevant here: they are pinned to ``pin()``, or to an arbitrary
+    endpoint.  This walk alone tells payload slots from spine slots.
     """
     names = sorted(x for x, _ in env)
     delta = []
@@ -290,16 +306,16 @@ def _annotate(env: Env, choose: Callable[[list[tuple[Endpoint, ...]]], tuple[End
         multi = list(nonempty_subsets(others))
         in_payload = 0  # payload slots still to be visited
 
-        def slot(s: Type, ts: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
+        def slot(s: Type, ts: Slot) -> Slot:
             nonlocal in_payload
             if in_payload:
                 in_payload -= 1
-                return dummy
+                return pin() if pin else dummy
             if isinstance(s, (Tensor, Par)):
                 in_payload = S.size(s.left)  # the next slots visited are the payload's
-            return choose(multi if isinstance(s, S.MULTI_TARGET) else single)
+            return choose(multi if isinstance(s, S.MULTI_TARGET) else single, ts)
 
-        delta.append((x, S.map_slots(erase(t), slot)))
+        delta.append((x, S.map_slots(t, slot)))
     return Config.make(delta)
 
 
@@ -311,17 +327,41 @@ def _canon_env(env: Env) -> Env:
     return tuple(sorted((x, erase(t)) for x, t in env))
 
 
+def _send_key(env: Env) -> tuple[Type, ...]:
+    """The memo key of a carried environment: its names are always
+    ``e0 ... ek``, so its types in name order."""
+    return tuple(t for _, t in _canon_env(env))
+
+
+class Why(NamedTuple):
+    """Why a configuration was decided.  An executable one keeps the
+    transitions it followed (none: it is empty).  One that is not keeps its
+    first failing transition, or none when it has no transition; that
+    transition's target is None when the environment it carries is the
+    part that fails."""
+
+    ok: bool
+    edges: tuple[tuple[Step, Config | None], ...]
+
+
+_DRAINED = Why(True, ())
+
+
 class CompatChecker:
     """Memoizing decision procedures over the transition semantics.
 
-    It counts the configurations it explored (memo misses), the memo hits
-    and the annotation slots it resolved; ``stats`` reports them.
+    The memos keep why: ``_exec`` maps each configuration decided to its
+    ``Why``, and ``_send_ok`` and ``_compat`` map each environment decided to
+    the root annotation found executable, or None.  ``witness`` and
+    ``stuck_path`` read them.  It counts the configurations it explored
+    (memo misses), the memo hits and the annotation slots it resolved;
+    ``stats`` reports them.
     """
 
     def __init__(self):
-        self._exec: dict[Config, bool] = {}
-        self._send_ok: dict[tuple, bool] = {}
-        self._compat: dict[tuple, bool] = {}
+        self._exec: dict[Config, Why] = {}
+        self._send_ok: dict[tuple, Config | None] = {}
+        self._compat: dict[tuple, Config | None] = {}
         self.configs = 0
         self.memo_hits = 0
         self.resolutions = 0
@@ -334,33 +374,36 @@ class CompatChecker:
         """True when every maximal path ends empty and every send step
         carries a recursively compatible environment.  Raises ``Need`` when
         that depends on an annotation hole of ``c``."""
+        return self.why(c).ok
+
+    def why(self, c: Config) -> Why:
+        """``is_executable``'s verdict on ``c``, with its reason."""
         hit = self._exec.get(c)
         if hit is not None:
             self.memo_hits += 1
             return hit
         self.configs += 1
-        if c.is_empty():
-            self._exec[c] = True
-            return True
-        trs = transitions(c, one_endpoint=True)
-        ok = bool(trs)
-        for lab, c2 in trs:
-            if lab.carried and not self.send_env_ok(lab.carried):
-                ok = False
-                break
-            if not self.is_executable(c2):
-                ok = False
-                break
-        self._exec[c] = ok
-        return ok
+        why = _DRAINED
+        if not c.is_empty():
+            trs = tuple(transitions(c, one_endpoint=True))
+            why = Why(bool(trs), trs)
+            for lab, c2 in trs:
+                if lab.carried and not self.send_env_ok(lab.carried):
+                    why = Why(False, ((lab, None),))
+                    break
+                if not self.why(c2).ok:
+                    why = Why(False, ((lab, c2),))
+                    break
+        self._exec[c] = why
+        return why
 
-    def _some_executable(self, env: Env) -> bool:
-        """Some annotation of ``env`` is executable.  Slots with several
-        candidates start as holes and are filled as ``transitions`` reads
-        them."""
-        candidates: dict[str, list[tuple[Endpoint, ...]]] = {}
+    def _some_executable(self, env: Env) -> Config | None:
+        """The first annotation of ``env`` found executable, or None.  Slots
+        with several candidates start as holes and are filled as
+        ``transitions`` reads them; a hole never read stays in the result."""
+        candidates: dict[str, list[Slot]] = {}
 
-        def choose(cands):
+        def choose(cands, _):
             if len(cands) == 1:
                 return cands[0]
             hole = f"{S.HOLE_PREFIX}{len(candidates) + 1}"
@@ -373,29 +416,26 @@ class CompatChecker:
             c = todo.pop()
             try:
                 if self.is_executable(c):
-                    return True
+                    return c
             except Need as need:
                 self.resolutions += 1
                 todo.extend(_fill(c, need.hole, v) for v in reversed(candidates[need.hole])
                             if need.viable(v))
-        return False
+        return None
 
     def send_env_ok(self, env: Env) -> bool:
         """Some annotation of the carried environment is executable."""
-        key = tuple(t for _, t in _canon_env(env))
-        hit = self._send_ok.get(key)
-        if hit is None:
-            hit = self._send_ok[key] = self._some_executable(env)
-        return hit
+        key = _send_key(env)
+        if key not in self._send_ok:
+            self._send_ok[key] = self._some_executable(_canon_env(env))
+        return self._send_ok[key] is not None
 
     def multiparty_compatible(self, env: Env) -> bool:
         """Some annotation of the dualized environment is executable."""
         key = _canon_env(env)
-        hit = self._compat.get(key)
-        if hit is None:
-            denv = tuple((x, dual(t)) for x, t in key)
-            hit = self._compat[key] = self._some_executable(denv)
-        return hit
+        if key not in self._compat:
+            self._compat[key] = self._some_executable(tuple((x, dual(t)) for x, t in key))
+        return self._compat[key] is not None
 
 
 def _fill(c: Config, hole: str, value: tuple[Endpoint, ...]) -> Config:
@@ -419,25 +459,162 @@ def stuck_path(env: Env, checker: CompatChecker | None = None,
     annotation is executable, or when the dual has no annotation at all.
 
     On an incompatible environment no annotation is executable, so the first
-    one is as good a witness as any.
+    one is as good a witness as any.  The path is the chain of first failing
+    transitions that deciding the annotation recorded.
     """
     chk = checker or CompatChecker()
-    c0 = _annotate(tuple((x, dual(erase(t))) for x, t in env), lambda cands: cands[0])
-    if c0 is None or chk.is_executable(c0):
+    c0 = _annotate(tuple((x, dual(erase(t))) for x, t in env), lambda cands, _: cands[0])
+    if c0 is None:
         return None
-
-    def search(c: Config, seen: list[Step]):
-        trs = transitions(c, one_endpoint=True)
-        if not trs:
-            return (seen, c) if not c.is_empty() else None
-        for lab, c2 in trs:
-            if lab.carried and not chk.send_env_ok(lab.carried):
-                return (seen + [lab], c)
-            if not chk.is_executable(c2):
-                got = search(c2, seen + [lab])
-                if got is not None:
-                    return got
+    why = chk.why(c0)
+    if why.ok:
         return None
+    labels, c = [], c0
+    while why.edges:
+        ((lab, c2),) = why.edges
+        labels.append(lab)
+        if c2 is None:
+            break
+        c, why = c2, chk._exec[c2]
+    return c0, labels, c
 
-    labels, final = search(c0, [])
-    return c0, labels, final
+
+# ---------------------------------------------------------------------------
+# Witnesses
+
+
+def witness(env: Env, checker: CompatChecker | None = None) -> tuple[Context, Process] | None:
+    """A forwarder for a compatible environment, read off the run that
+    decided it, and the annotated dual it inhabits (entries in ``env``'s
+    order).  None when ``env`` is not compatible, or in the case below.
+
+    The decided root annotation gives the spine slots; a hole that compat
+    never read takes the first other endpoint in name order.  Payload slots
+    start as holes.  The recorded transitions are replayed from the root
+    through ``forwarder_step``, one head constructor per ``Step``, so the
+    term is derived rule by rule as it is built.  A ``Tensor`` step sets the
+    holes of its payload premise from the root annotation its carried
+    environment was decided by, and replays that one in turn.  Holes left
+    open at the end take the same default as spine slots.
+
+    A box sent on both branches of a ``&`` is sent twice, each time with
+    binders of that branch, but its payload slots are set once.  When the
+    two sends set a slot to different binders, those binders share a name
+    and the replay runs again.  When they set it to sets of different
+    sizes, or a shared name would be bound twice on one path, the branches
+    disagree on the payload's annotation, and there is no witness to read.
+    """
+    chk = checker or CompatChecker()
+    chk.multiparty_compatible(env)
+    root = chk._compat[_canon_env(env)]
+    if root is None or root.is_empty():
+        return None
+    holes = count(1)
+    ann = _annotate(root.delta, lambda cands, ts: cands[0] if S.is_hole(ts) else ts,
+                    lambda: (f"{S.HOLE_PREFIX}{next(holes)}",)).delta_map()
+    g = Context(tuple(Entry(x, (), ann[x]) for x, _ in env))
+    ren = {x: x for x in ann}
+    replay = _Replay(chk, ann, {})
+    try:
+        proc = replay.term(root, g, ren)
+        if replay.alias:
+            # the same fresh names again, each mapped to the name it shares
+            replay = _Replay(chk, ann, replay.alias)
+            proc = replay.term(root, g, ren)
+    except _Disagree:
+        return None
+    names = sorted(ann)
+    return Context(tuple(
+        Entry(e.endpoint, (), S.fill_holes(e.typing, replay.store,
+                                           next(n for n in names if n != e.endpoint)))
+        for e in g.entries)), proc
+
+
+class _Disagree(Exception):
+    """Two branches need different values in one payload slot."""
+
+
+# The head constructor of the term each rule's step stands for, and its
+# number of subterms; WithL stands for the case over both branches.
+_HEADS = {
+    "Ax": (Link, 0), "One": (Close, 0), "Bot": (Wait, 1), "Par": (Recv, 1), "Tensor": (Send, 2),
+    "PlusL": (Inl, 1), "PlusR": (Inr, 1), "WithL": (Case, 2), "Bang": (Server, 1),
+    "Quest": (Client, 1),
+}
+
+
+class _Replay:
+    """One replay of a decided run into a term.  ``store`` collects the
+    payload holes set on the way; ``alias`` maps a binder name to the name
+    it shares with a binder of another branch."""
+
+    def __init__(self, chk: CompatChecker, names, alias: dict[str, str]):
+        self.chk = chk
+        self.supply = S.FreshNames(frozenset(names))
+        self.store: dict[str, Slot] = {}
+        self.alias = dict(alias)
+
+    def find(self, n: str) -> str:
+        while n in self.alias:
+            n = self.alias[n]
+        return n
+
+    def term(self, c: Config, g: Context, ren: dict[Endpoint, Endpoint]) -> Process:
+        """The term at ``g`` of executable ``c``, whose endpoint ``x`` is
+        ``ren[x]`` in ``g``."""
+        edges = self.chk._exec[c].edges
+        lab = edges[0][0]
+        x = ren[lab.x]
+        ctor, arity = _HEADS[lab.rule]
+        stubs = (STUB,) * arity
+        if ctor is Link:
+            head = Link(x, ren[next(n for n, _ in c.delta if n != lab.x)])
+        elif ctor in (Recv, Send, Server, Client):
+            f = self.find(self.supply.fresh(BINDER_BASE.get(ctor, x)))
+            if self.alias and f in endpoint_names(g):
+                raise _Disagree(f)  # a shared name, bound already on this path
+            head = ctor(x, f, *stubs)
+        else:
+            head = ctor(x, *stubs)
+        _, prem = forwarder_step(head, g)
+        if ctor in (Server, Client):  # the rule renames the endpoint to its binder
+            ren = {**ren, lab.x: head.fresh}
+        if ctor is Send:
+            (_, left), (_, right) = prem
+            sub = self.chk._send_ok[_send_key(lab.carried)]
+            left, sub_ren = self._resolve(left, sub)
+            qs = (self.term(sub, left, sub_ren), self.term(edges[0][1], right, ren))
+        else:
+            qs = tuple(self.term(c2, g2, ren) for (_, g2), (_, c2) in zip(prem, edges))
+        names, scopes = S.scope(head)
+        return S.from_scope(head, names, tuple((bs, q) for (bs, _), q in zip(scopes, qs)))
+
+    def _resolve(self, left: Context, sub: Config) -> tuple[Context, dict[Endpoint, Endpoint]]:
+        """``left``, a send's payload premise, with its holes set to the spine
+        slots of ``sub``, the root annotation its carried environment
+        ``e0 ... ek`` was decided by; and the renaming of those names."""
+        ren = {f"e{i}": e.endpoint for i, e in enumerate(left.entries)}
+        if not any(S.size(e.typing) for e in left.entries):
+            return left, ren
+        # the payload slots of sub's own payloads are pinned to a hole: they stay open
+        spine = _annotate(sub.delta, lambda cands, ts: ts, lambda: (S.HOLE_PREFIX,)).delta_map()
+        found = {}
+        for e, e_k in zip(left.entries, ren):
+            for ts, vs in zip(S.slots(e.typing), S.slots(spine[e_k])):
+                if S.is_hole(ts) and not S.is_hole(vs):
+                    found[ts[0]] = v = tuple(ren[u] for u in vs)
+                    self._set(ts[0], v)
+        return map_context(left, typ=lambda t: S.fill_holes(t, found)), ren
+
+    def _set(self, hole: str, v: Slot):
+        """Record ``hole``'s value; one it already has on another branch
+        makes their binders share names."""
+        old = self.store.setdefault(hole, v)
+        if old == v:
+            return
+        if len(old) != len(v):
+            raise _Disagree(hole)
+        for a, b in zip(old, v):
+            a, b = self.find(a), self.find(b)
+            if a != b:
+                self.alias[b] = a

@@ -1,10 +1,11 @@
+import json
 import random
 
 import genutil
 from fwdcal import compat as CM
 from fwdcal import parsing as P
 from fwdcal import syntax as S
-from fwdcal.checker import synth_with_annotations, forwarder_step
+from fwdcal.checker import check_forwarder, forwarder_step, synth_with_annotations
 from fwdcal.contexts import Config, MsgBox, normalize_context, translate_config
 from fwdcal.compat import Step, is_executable, multiparty_compatible, stuck_path, transitions
 from fwdcal.syntax import Atom, Bot, DualAtom, One, dual, erase
@@ -296,3 +297,111 @@ def test_stuck_path_follows_the_all_endpoint_search():
         assert (labels, final) == _stuck_path_all_endpoints(c0), env
         found += 1
     assert found >= 240
+
+
+def _witness_checks(env) -> bool:
+    """``compat.witness`` gives a term ``check_forwarder`` accepts at the
+    context it returns, or ``env`` is not compatible."""
+    chk = CM.CompatChecker()
+    if not multiparty_compatible(env, chk):
+        return False
+    ctx, proc = CM.witness(env, chk)
+    assert [e.endpoint for e in ctx.entries] == [x for x, _ in env]
+    assert [erase(e.typing) for e in ctx.entries] == [dual(erase(t)) for _, t in env]
+    check_forwarder(proc, ctx)
+    return True
+
+
+def test_witness_checks_on_random_environments():
+    # positives are rare among random environments: about one in 160
+    rng = random.Random(31)
+    positives = [0, 0]
+    for k in range(8000):
+        parties = 2 + k % 2
+        env = genutil.random_env(rng, parties, genutil.CONNECTIVES[k % len(genutil.CONNECTIVES)],
+                                 max_size=3 if parties == 2 else 2)
+        positives[parties - 2] += _witness_checks(env)
+    assert positives[0] >= 30 and positives[1] >= 2, positives
+
+
+def _payload_slots(t) -> bool:
+    """Some payload of ``t`` carries an annotation slot."""
+    return (isinstance(t, (S.Tensor, S.Par)) and S.size(t.left) > 0
+            or any(map(_payload_slots, S.children(t))))
+
+
+def test_witness_checks_on_dual_pairs():
+    # every dual pair is compatible; payloads with payloads of their own
+    rng = random.Random(41)
+    compound = 0
+    for _ in range(80):
+        t = genutil.random_plain_type(rng, rng.randint(1, 5))
+        assert _witness_checks((("x", t), ("y", dual(t))))
+        compound += _payload_slots(t)
+    assert compound >= 20, compound
+
+
+def test_witness_checks_on_choice_projections():
+    rng = random.Random(37)
+    for parties in (3, 4, 5, 6):
+        for _ in range(6):
+            env = genutil.choice_projection_env(rng, parties, 1, rng.randint(1, 3))
+            assert _witness_checks(env), env
+
+
+def test_witness_checks_on_relays():
+    for n in range(2, 13):
+        assert _witness_checks(_relay(n))
+        assert not _witness_checks(_relay(n, short=True))
+
+
+def test_witness_names_a_payload_slot_set_on_two_branches_once():
+    # p3's payload ~a is sent in both branches of p0's choice, and each
+    # branch sends it with a binder of its own: both binders take one name
+    env = P.parse_plain_env("p0 : ! a * bot, p1 : 1, p2 : 1 + 1, p3 : ? ~a | 1 & 1")
+    assert _witness_checks(env)
+
+
+def test_run_compat_calls_no_synthesis(monkeypatch, capsys):
+    from fwdcal import checker, cli
+
+    def boom(*args):
+        raise AssertionError("synthesis called")
+
+    monkeypatch.setattr(checker, "_solutions", boom)  # every synthesis entry point's search
+    for text in ("x : name * cost | 1, y : ~cost * ~name | bot",
+                 "p0 : ! a * bot, p1 : 1, p2 : 1 + 1, p3 : ? ~a | 1 & 1"):
+        assert cli.run_compat(P.CompatDecl(P.parse_plain_env(text)), True)
+        rec = json.loads(capsys.readouterr().out)
+        check_forwarder(P.parse_process(rec["witness"]), P.parse_context(rec["annotated"]))
+
+
+def test_stuck_path_after_a_verdict_with_resolutions_follows_the_all_endpoint_search():
+    # run_compat's order: the verdict resolves holes, then stuck_path reads
+    # the same checker's memo
+    from test_bench_inputs import load_workloads
+
+    wl = load_workloads()
+    items = wl.generate("kparty", 1)
+    decls = P.parse_file(wl.workload_text(items)).decls
+    found = 0
+    for it, d in zip(items, decls):
+        if it.kind != "compat" or not it.tag.endswith("-2w"):
+            continue
+        chk = CM.CompatChecker()
+        assert not multiparty_compatible(d.env, chk)
+        if not chk.resolutions:
+            continue
+        c0, labels, final = stuck_path(d.env, chk)
+        assert (labels, final) == _stuck_path_all_endpoints(c0), d.env
+        found += 1
+    assert found >= 3
+
+
+def test_no_witness_when_two_branches_annotate_one_payload_apart():
+    # x's boxed 1 leaves with one other payload on one branch of u's case and
+    # with two on the other, so its slot would gather one name on one branch
+    # and two on the other; synthesis finds no forwarder either
+    env = P.parse_plain_env("u : (1 | bot) + (1 | bot), x : bot * 1, y : 1 & (1 * 1)")
+    assert CM.witness(env) is None
+    assert synth_with_annotations(tuple((x, dual(erase(t))) for x, t in env)) is None

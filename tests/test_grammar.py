@@ -141,3 +141,12 @@ def test_every_form_has_its_production(forms, rules):
     spelled = set().union(*(_literal_runs(g[r]) for r in rules))
     for cls, text in forms.texts.items():
         assert _form_literals(cls, text) in spelled, (cls.__name__, text)
+
+
+@pytest.mark.parametrize("empty,bare", [
+    ("bot{}", "bot"), ("a |{} b", "a | b"), ("a +{} b", "a + b"), ("?{} a", "? a"),
+])
+def test_an_empty_single_target_slot_is_no_target(empty, bare):
+    # the grammar states it, and the parser reads it as an omitted slot
+    assert grammar()["target"] == [[("lit", "{"), ("[", [[("name", "NAME")]]), ("lit", "}")]]
+    assert P.parse_type(empty) == P.parse_type(bare)
