@@ -190,7 +190,7 @@ def _sim_config(decl: PA.SimDecl) -> MC.MCutConfig:
         return MC.PartEntry(proc, tuple((n, t) for n, t in env if n != x), x, typ)
 
     parts = tuple(entry("part at", p.proc, p.env, p.endpoint) for p in decl.parts)
-    pending = tuple(entry("pending", proc, env, name) for name, proc, env in decl.pending)
+    pending = tuple(entry("pending", p.proc, p.env, p.name) for p in decl.pending)
     bound = tuple(e.endpoint for e in decl.fwd_ctx.entries)
     return MC.MCutConfig(bound, Judged(decl.fwd, decl.fwd_ctx), pending, parts)
 
@@ -199,7 +199,8 @@ def _print_sim_state(c: MC.MCutConfig) -> str:
     return PA.print_declaration(PA.SimDecl(
         c.fwd.process, c.fwd.context,
         tuple(PA.SimPart(p.term, p.env + ((p.endpoint, p.typ),), p.endpoint) for p in c.parts),
-        tuple((p.endpoint, p.term, p.env + ((p.endpoint, p.typ),)) for p in c.pending)))
+        tuple(PA.SimPending(p.endpoint, p.term, p.env + ((p.endpoint, p.typ),))
+              for p in c.pending)))
 
 
 def run_sim(decl: PA.SimDecl, as_json: bool, step: bool) -> bool:

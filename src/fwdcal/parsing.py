@@ -1,15 +1,17 @@
 """Surface syntax: tokenizer, parsers and the declaration printer.
 
-Processes, queue items and declarations are each written once, as a table
-of forms (``syntax.PROCESSES``, ``contexts.QUEUE_ITEMS`` and
-``DECLARATIONS``): every constructor's printed text with a slot per field.
-The printer formats a table entry; at import, ``_compile`` turns each table
-into a parse trie that one loop, ``Parser.form``, walks.  Types are written
-once as ``syntax.CONNECTIVES``, each connective's symbol, operand count and
+Processes, queue items, declarations and a ``sim``'s parts and pending
+processes are each written once, as a table of forms (``syntax.PROCESSES``,
+``contexts.QUEUE_ITEMS``, ``DECLARATIONS``, ``SIM_PARTS`` and ``PENDING``):
+every constructor's printed text with a slot per field.  The printer formats
+a table entry; at import, ``_compile`` turns each table into a parse trie
+that one loop, ``Parser.form``, walks.  Types are written once as
+``syntax.CONNECTIVES``, each connective's symbol, operand count and
 annotation slot, which ``Parser.type_atom`` and ``Parser.type_`` parse and
-``syntax.print_type`` prints.  Contexts, environments and a ``sim``'s lists
-of parts and pending processes are parsed by hand.  grammar.ebnf is the
-user reference.
+``syntax.print_type`` prints.  Every list with a separator (target sets,
+payloads, contexts, environments, parts, pending processes) goes through one
+loop, ``Parser.sep``; only a context's entries are parsed by hand.
+grammar.ebnf is the user reference.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ KEYWORDS = {
 # infixes go on from one.
 _PREFIXES = {row.symbol: cls for cls, row in S.CONNECTIVES.items() if row.arity < 2}
 _INFIXES = {row.symbol: cls for cls, row in S.CONNECTIVES.items() if row.arity == 2}
+
+# The most connectives and process constructors a ``type`` or ``proc``
+# definition may stand for with the definitions it names expanded: each use
+# copies the whole tree into every printed text.
+MAX_DEFINITION_SIZE = 10_000
 
 _TOKEN_RE = re.compile(
     r"""
@@ -86,6 +93,7 @@ class Parser:
     toks: list[Token]
     i: int = 0
     names: dict[str, object] = field(default_factory=dict)  # proc/type definitions
+    sizes: dict[int, int] = field(default_factory=dict)  # expanded size by id of a tree in names
 
     @property
     def cur(self) -> Token:
@@ -112,23 +120,28 @@ class Parser:
         self.i += 1
         return self.toks[self.i - 1].text
 
+    def sep(self, item: Callable, by: str = ",", go_on: Callable | None = None) -> tuple:
+        """One or more ``item()``s with ``by`` between them: a ``by`` goes
+        on to the next item, unless ``go_on()`` says it ends the list."""
+        out = [item()]
+        while self.at(by) and (go_on is None or go_on()):
+            self.i += 1
+            out.append(item())
+        return tuple(out)
+
     # -- types --------------------------------------------------------------
 
     def annotation(self, cls: type):
         """The annotation slot after ``cls``'s symbol, ``{u,v}`` or none, as
         ``cls`` holds it."""
-        start, ts = self.i, []
+        start, ts = self.i, ()
         if self.at("{"):
             self.eat("{")
-            if not self.at("}"):
-                ts.append(self.eat_ident("endpoint"))
-                while self.at(","):
-                    self.eat(",")
-                    ts.append(self.eat_ident("endpoint"))
+            ts = () if self.at("}") else self.sep(lambda: self.eat_ident("endpoint"))
             self.eat("}")
         row = S.CONNECTIVES[cls]
         if row.multi:
-            return tuple(ts)
+            return ts
         if len(ts) > 1:
             self.i = start + 3  # at the second target: "{" u "," v
             raise self.error(f"{row.symbol} takes a single target")
@@ -198,6 +211,37 @@ class Parser:
             raise self.error(f"duplicate {kind} {name}")
         return name
 
+    def define(self, at: int, name: str, tree) -> None:
+        """Let later declarations use ``tree`` by the name at token ``at``,
+        unless it expands beyond ``MAX_DEFINITION_SIZE``."""
+        kind, n = self.toks[at - 1].text, self.expanded_size(tree)
+        if n > MAX_DEFINITION_SIZE:
+            tok = self.toks[at]
+            raise ParseError(f"{kind} {name} expands to {n} connectives and constructors "
+                             f"(at most {MAX_DEFINITION_SIZE})", tok.line, tok.col)
+        self.sizes[id(tree)] = n
+        self.names[(kind, name)] = tree
+
+    def expanded_size(self, tree) -> int:
+        """The connectives and constructors of a type or process, with the
+        definitions it uses expanded.  A definition's tree is counted by its
+        recorded size, so this is linear in the text that wrote ``tree``:
+        parsing shares no other node."""
+        n, todo = 0, [tree]
+        while todo:
+            x = todo.pop()
+            if id(x) in self.sizes:
+                n += self.sizes[id(x)]
+            elif type(x) in S.CONNECTIVES:
+                n += 1
+                todo.extend(S.children(x))
+            elif not isinstance(x, (S.Atom, S.DualAtom)):  # a process
+                n += 1
+                todo.extend(q for _, q in S.scope(x)[1])
+                if isinstance(x, S.Cut):
+                    todo.append(x.formula)
+        return n
+
     # -- contexts -------------------------------------------------------------
 
     def queue_items(self) -> C.Queue:
@@ -208,14 +252,8 @@ class Parser:
 
     def payloads(self) -> C.Payloads:
         """A box's payloads, ``e : A; f : B``."""
-        out = []
-        while True:
-            e = self.eat_ident("endpoint")
-            self.eat(":")
-            out.append((e, self.type_()))
-            if not self.at(";"):
-                return tuple(out)
-            self.eat(";")
+        # a fresh ``seen`` each: payload names are not checked for duplicates
+        return self.sep(lambda: (self.bound_endpoint(set()), self.type_()), by=";")
 
     def bound_endpoint(self, seen: set[str]) -> str:
         """The endpoint an entry of a context or environment binds: each
@@ -238,54 +276,29 @@ class Parser:
 
     def context(self) -> C.Context:
         seen: set[str] = set()
-        entries = [self.context_entry(seen)]
-        while self.at(","):
-            self.eat(",")
-            entries.append(self.context_entry(seen))
-        return C.Context(tuple(entries))
+        return C.Context(self.sep(lambda: self.context_entry(seen)))
 
     def plain_env(self) -> Env:
         seen: set[str] = set()
-        out = [(self.bound_endpoint(seen), self.type_())]
         # a "," before NAME "<-" starts a sim's next pending process
-        while self.at(",") and self.toks[min(self.i + 2, len(self.toks) - 1)].text != "<-":
-            self.eat(",")
-            out.append((self.bound_endpoint(seen), self.type_()))
-        return tuple(out)
+        return self.sep(lambda: (self.bound_endpoint(seen), self.type_()),
+                        go_on=lambda: self.toks[min(self.i + 2, len(self.toks) - 1)].text != "<-")
 
     # -- a sim's parts and pending processes ----------------------------------
 
     def sim_parts(self) -> Parts:
-        parts = []
-        while True:
-            q = self.process()
-            self.eat("|-")
-            env = self.plain_env()
-            self.eat("@")
-            parts.append(SimPart(q, env, self.eat_ident("endpoint")))
-            if not self.at(","):
-                return tuple(parts)
-            self.eat(",")
+        return self.sep(lambda: self.form(_SIM_PARTS))
 
     def sim_pending(self) -> Pending:
-        """``pending (y <- Q |- env, ...)``, one or more separated by ``,``;
-        no pending processes without the keyword."""
+        """``pending (`` ... ``)`` around the pending processes; none without
+        the keyword."""
         if not self.at("pending"):
             return ()
         self.eat("pending")
         self.eat("(")
-        pend = []
-        while True:
-            y = self.eat_ident("endpoint")
-            self.eat("<-")
-            q = self.process()
-            self.eat("|-")
-            pend.append((y, q, self.plain_env()))
-            if not self.at(","):
-                break
-            self.eat(",")
+        pend = self.sep(lambda: self.form(_PENDING))
         self.eat(")")
-        return tuple(pend)
+        return pend
 
 
 _process = Parser.process  # the process slot, which ``Parser.form`` parses by calling itself
@@ -346,8 +359,16 @@ class SimPart:
     endpoint: Endpoint
 
 
+@dataclass(frozen=True)
+class SimPending:
+    """A message in transit: the process ``proc`` that provides its payload ``name``."""
+    name: Endpoint
+    proc: Process
+    env: Env
+
+
 Parts = tuple[SimPart, ...]
-Pending = tuple[tuple[Endpoint, Process, Env], ...]
+Pending = tuple[SimPending, ...]
 
 
 @dataclass(frozen=True)
@@ -390,12 +411,11 @@ def _declarations(p: Parser) -> DeclarationFile:
     lines: list[int] = []
     while p.cur.kind != "eof":
         lines.append(p.cur.line)
+        start = p.i
         d = p.form(_DECLARATIONS)
         match d:
-            case TypeDef(name, t):
-                p.names[("type", name)] = t
-            case ProcDef(name, q):
-                p.names[("proc", name)] = q
+            case TypeDef(name, tree) | ProcDef(name, tree):
+                p.define(start + 1, name, tree)  # the name follows the keyword
         decls.append(d)
     return DeclarationFile(tuple(decls), tuple(lines))
 
@@ -440,17 +460,17 @@ def print_plain_env(env: Env) -> str:
     return ", ".join(f"{x} : {S.print_type(t)}" for x, t in env)
 
 
+_SIM_SHOWS = {"Endpoint": None, "Process": S.print_process, "Env": print_plain_env}
+SIM_PARTS = S.Forms("SimPart", {SimPart: "({proc}) |- {env} @ {endpoint}"}, _SIM_SHOWS)
+PENDING = S.Forms("SimPending", {SimPending: "{name} <- ({proc}) |- {env}"}, _SIM_SHOWS)
+
+
 def _print_parts(parts: Parts) -> str:
-    return ", ".join(f"({S.print_process(q.proc)}) |- {print_plain_env(q.env)} @ {q.endpoint}"
-                     for q in parts)
+    return ", ".join(map(SIM_PARTS.print, parts))
 
 
 def _print_pending(pending: Pending) -> str:
-    if not pending:
-        return ""
-    pp = ", ".join(f"{y} <- ({S.print_process(q)}) |- {print_plain_env(env)}"
-                   for y, q, env in pending)
-    return f" pending ({pp})"
+    return f" pending ({', '.join(map(PENDING.print, pending))})" if pending else ""
 
 
 # A "(" ")" around a lone process slot is printed and optional on input.
@@ -532,3 +552,5 @@ _PROCESSES = _compile(S.PROCESSES, lead=lambda p: p.eat_ident("process"))
 _PROCESSES.edges["("] = _Node(slot=_process, then=_Node({")": _Node(build=lambda q: q)}))
 _QUEUE_ITEMS = _compile(C.QUEUE_ITEMS, None)
 _DECLARATIONS = _compile(DECLARATIONS, None)
+_SIM_PARTS = _compile(SIM_PARTS, None)
+_PENDING = _compile(PENDING, None)

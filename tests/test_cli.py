@@ -9,6 +9,7 @@ import pytest
 
 from fwdcal import cli
 from fwdcal import parsing as P
+from test_parsing import doubling_chain
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -234,3 +235,27 @@ def test_a_cp_cut_states_its_formula(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
     assert err.startswith(f"{path}:1:18: got '(' (expected one of: :)\n")
+
+
+@pytest.mark.parametrize("kind,at", [("type", "T14"), ("proc", "P13")])
+def test_fmt_refuses_a_definition_that_expands_beyond_the_bound(tmp_path, capsys, kind, at):
+    # the 16-level type chain is 336 bytes, and would print 655,482
+    path = tmp_path / "chain.fwd"
+    path.write_text(doubling_chain(kind, 16), encoding="utf-8")
+    assert cli.main(["fmt", str(path)]) == 2
+    out, err = capsys.readouterr()
+    line = int(at[1:]) + 1
+    assert out == ""
+    assert err.splitlines()[0] == (f"{path}:{line}:6: {kind} {at} expands to 16383 "
+                                   f"connectives and constructors (at most 10000)")
+
+
+@pytest.mark.parametrize("kind", ["type", "proc"])
+def test_fmt_prints_a_ten_level_chain(tmp_path, capsys, kind):
+    path = tmp_path / "chain.fwd"
+    path.write_text(doubling_chain(kind, 10), encoding="utf-8")
+    assert cli.main(["fmt", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert P.parse_file(out) == P.parse_file(path.read_text(encoding="utf-8"))
+    assert out.splitlines()[-1].count("*" if kind == "type" else "[w]") == 1023

@@ -2,6 +2,7 @@ import json
 import random
 
 import genutil
+import pytest
 from fwdcal import compat as CM
 from fwdcal import parsing as P
 from fwdcal import syntax as S
@@ -175,6 +176,16 @@ def test_theorem_agreement_random_sample():
         denv = tuple((x, dual(erase(t))) for x, t in env)
         rhs = synth_with_annotations(denv) is not None
         assert lhs == rhs, env
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "compat says compatible where no forwarder exists (CHANGES.md): the boxed 1 "
+    "from x is gathered alone on one branch of u's case and with y's box on the other, "
+    "and one annotation slot cannot hold both"))
+def test_theorem_agreement_on_a_payload_gathered_differently_by_branch():
+    env = P.parse_plain_env("u : (1 | bot) + (1 | bot), x : bot * 1, y : 1 & (1 * 1)")
+    denv = tuple((x, dual(erase(t))) for x, t in env)
+    assert multiparty_compatible(env) == (synth_with_annotations(denv) is not None)
 
 
 def test_lazy_solver_agrees_with_exhaustive_oracle():

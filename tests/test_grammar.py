@@ -1,9 +1,10 @@
 """``grammar.ebnf`` says what the tables say.
 
 The reference grammar is written by hand, and the parser and printer read
-four tables: ``syntax.CONNECTIVES`` for types, and the forms of processes,
-queue items and declarations.  These tests read the grammar as it ships with
-the package and check it against each table, so neither can change alone.
+six tables: ``syntax.CONNECTIVES`` for types, and the forms of processes,
+queue items, declarations, and a ``sim``'s parts and pending processes.
+These tests read the grammar as it ships with the package and check it
+against each table, so neither can change alone.
 """
 
 import itertools
@@ -133,7 +134,9 @@ def test_unary_lists_the_prefixes_and_units():
     (S.PROCESSES, ("process",)),
     (C.QUEUE_ITEMS, ("item",)),
     (P.DECLARATIONS, None),  # each declaration's own rule
-], ids=["processes", "queue-items", "declarations"])
+    (P.SIM_PARTS, ("part",)),
+    (P.PENDING, ("pend",)),
+], ids=["processes", "queue-items", "declarations", "sim-parts", "pending"])
 def test_every_form_has_its_production(forms, rules):
     g = grammar()
     if rules is None:

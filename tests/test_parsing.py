@@ -32,7 +32,7 @@ envs = st.dictionaries(names, types, min_size=1, max_size=4).map(lambda d: tuple
 def sims(pending: int):
     """sim declarations with one or two parts and ``pending`` pending processes."""
     parts = st.builds(P.SimPart, scoped_procs, envs, names)
-    pend = st.tuples(names, scoped_procs, envs)
+    pend = st.builds(P.SimPending, names, scoped_procs, envs)
     return st.builds(P.SimDecl, scoped_procs, contexts,
                      st.lists(parts, min_size=1, max_size=2).map(tuple),
                      st.lists(pend, min_size=pending, max_size=pending).map(tuple))
@@ -132,10 +132,38 @@ def test_fmt_is_a_fixed_point_on_the_corpus(path):
      "1:72: got ')' (expected one of: endpoint)"),
     # a second target on a single-target connective is named, with the connective
     ("synth x : a |{u,v} b, u : 1;", "1:17: | takes a single target"),
+    # a "," in a list goes on to one more item
+    ("synth x : 1, ;", "1:14: got ';' (expected one of: endpoint)"),
+    ("synth x : bot{u,}, u : 1;", "1:17: got '}' (expected one of: endpoint)"),
+    ("sim x<->y |- x : ~a, y : a parts (y<->e) |- e : a, y : ~a @ y,;",
+     "1:63: got ';' (expected one of: process)"),
+    ("compat x : a, x : ~a;", "1:15: duplicate endpoint x"),
 ], ids=["after-name", "queue-item", "declaration", "recv", "case", "sim-part", "dup-type",
         "dup-proc", "process", "queue-bracket", "payload", "cut-with", "select", "end-of-input",
-        "end-of-input-in-term", "empty-queue", "pending-comma", "pending-empty", "single-target"])
+        "end-of-input-in-term", "empty-queue", "pending-comma", "pending-empty", "single-target",
+        "context-comma", "target-comma", "part-comma", "dup-endpoint"])
 def test_parse_errors_keep_their_position_and_text(text, message):
     with pytest.raises(P.ParseError) as e:
         P.parse_file(text)
     assert str(e.value) == message
+
+
+def doubling_chain(kind: str, levels: int) -> str:
+    """``T0``/``P0`` and ``levels`` more definitions, each using the one
+    before twice, so that the expanded size doubles with each level."""
+    name, first, step = {"type": ("T", "a", "{0} * {0}"),
+                         "proc": ("P", "close x", "x[w].({0} | {0})")}[kind]
+    return "".join([f"{kind} {name}0 = {first};\n"] + [
+        f"{kind} {name}{i} = {step.format(f'{name}{i - 1}')};\n" for i in range(1, levels + 1)])
+
+
+@pytest.mark.parametrize("kind", ["type", "proc"])
+def test_a_definition_is_sized_once(kind, monkeypatch):
+    # a use of an earlier definition counts its recorded size, so sizing a
+    # definition walks only the text that wrote it
+    walked = []
+    monkeypatch.setattr(S, "scope", lambda p, f=S.scope: walked.append(p) or f(p))
+    monkeypatch.setattr(S, "children", lambda t, f=S.children: walked.append(t) or f(t))
+    P.parse_file(doubling_chain(kind, 12))
+    # one node a definition, and "close x" in P0
+    assert len(walked) == (12 if kind == "type" else 13)

@@ -146,8 +146,8 @@ def test_sim_with_two_pending_processes_roundtrips():
     decl = P.SimDecl(
         P.parse_process("x<->y"), P.parse_context("x : ~a, y : a"),
         (P.SimPart(Link("y", "e"), (("e", Atom("a")), ("y", DualAtom("a"))), "y"),),
-        (("m", Link("u", "m"), (("u", Atom("a")), ("m", DualAtom("a")))),
-         ("n", Link("v", "n"), (("v", Atom("a")), ("n", DualAtom("a"))))))
+        (P.SimPending("m", Link("u", "m"), (("u", Atom("a")), ("m", DualAtom("a")))),
+         P.SimPending("n", Link("v", "n"), (("v", Atom("a")), ("n", DualAtom("a"))))))
     (back,) = P.parse_file(P.print_declaration(decl)).decls
     assert back == decl
 
