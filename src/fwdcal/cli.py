@@ -260,6 +260,24 @@ COMMANDS = {
 GRAMMAR_NOTE = "see the grammar reference shipped as fwdcal/grammar.ebnf"
 
 
+def read_source(path: str) -> str:
+    """A declaration file's text, read as ``open`` reads UTF-8 text: a
+    carriage return, alone or before a newline, ends a line as a newline
+    does.  A byte that is not UTF-8 is a ParseError at its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        before = _newlines(data[:e.start].decode("utf-8"))
+        raise PA.ParseError("not UTF-8 text", before.count("\n") + 1,
+                            len(before) - before.rfind("\n")) from None
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="fwdcal", description=__doc__, epilog=GRAMMAR_NOTE)
     ap.add_argument("--json", action="store_true", help="machine-readable output")
@@ -272,9 +290,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-        decls = PA.parse_file(text)
+        decls = PA.parse_file(read_source(args.file))
     except OSError as e:
         print(f"cannot read {args.file}: {e}", file=sys.stderr)
         return 2

@@ -1,4 +1,12 @@
-"""Surface syntax: tokenizer, parsers and the declaration printer.
+"""Surface syntax: scanner, parsers and the declaration printer.
+
+The scanner, ``_scan``, reads each line's token texts with one ``findall`` of
+``_SCAN_RE``, and the parser indexes that list of strings: a token's kind
+follows from its text, and "" ends the input.  No token holds its place.
+Only a ParseError or a declaration's line asks for one: ``Parser.place``
+finds the line from the index of each line's first token, and the column by
+scanning that one line again.  ``tokenize`` lists the tokens with their
+places.
 
 Processes, queue items, declarations and a ``sim``'s parts and pending
 processes are each written once, as a table of forms (``syntax.PROCESSES``,
@@ -17,7 +25,9 @@ grammar.ebnf is the user reference.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from string import Formatter
 from typing import Callable
 
@@ -42,13 +52,13 @@ _INFIXES = {row.symbol: cls for cls, row in S.CONNECTIVES.items() if row.arity =
 # copies the whole tree into every printed text.
 MAX_DEFINITION_SIZE = 10_000
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|\#\#[^\n]*)
-  | (?P<ident>[a-zA-Z][a-zA-Z0-9_']*(?:\#[0-9]+)?)
-  | (?P<op><->|<-|\|-|[(){}\[\],;:.=*+&~!?@|]|1)
-    """,
-    re.VERBOSE,
+# A token is an identifier, an operator or "1".  ``findall`` over a line
+# gives its token texts: blanks match nothing, and a "##" comment (to the
+# end of the line) and a character no token starts with each give "".
+_SCAN_RE = re.compile(
+    r"##[^\n]*"
+    r"|([a-zA-Z][a-zA-Z0-9_']*(?:#[0-9]+)?|<->|<-|\|-|[(){}\[\],;:.=*+&~!?@|1])"
+    r"|\S"
 )
 
 
@@ -57,6 +67,30 @@ class ParseError(Exception):
         self.line, self.col, self.expected = line, col, expected
         exp = f" (expected one of: {', '.join(expected)})" if expected else ""
         super().__init__(f"{line}:{col}: {msg}{exp}")
+
+
+def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
+    """``text``'s token texts, then "" for the end of input; its lines, split
+    at ``\\n`` only; and the index of each line's first token."""
+    toks: list[str] = []
+    lines = text.split("\n")
+    first: list[int] = []
+    for n, line in enumerate(lines, 1):
+        first.append(len(toks))
+        found = _SCAN_RE.findall(line)
+        if "" in found:  # a comment, or a character no token starts with
+            for m in _SCAN_RE.finditer(line):
+                if m.group(1) is None and not m.group().startswith("##"):
+                    raise ParseError(f"unexpected character {m.group()!r}", n, m.start() + 1)
+            found.pop()  # the comment, which ends the line
+        toks += found
+    toks.append("")
+    return toks, lines, first
+
+
+def _tokens_of(line: str):
+    """The column and text of each token of a line."""
+    return ((m.start() + 1, m.group(1)) for m in _SCAN_RE.finditer(line) if m.group(1))
 
 
 @dataclass
@@ -68,46 +102,54 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        if m.lastgroup != "ws":
-            toks.append(Token(m.lastgroup, chunk, line, col))
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    toks.append(Token("eof", "", line, col))
+    """``text``'s tokens with their lines and columns, then an "eof" token."""
+    _, lines, _ = _scan(text)
+    toks = [Token("ident" if t[0].isalpha() else "op", t, n, col)
+            for n, line in enumerate(lines, 1) for col, t in _tokens_of(line)]
+    toks.append(Token("eof", "", len(lines), len(lines[-1]) + 1))
     return toks
 
 
 @dataclass
 class Parser:
-    toks: list[Token]
+    toks: list[str]  # token texts, then "" for the end of input
+    # the text's lines and the index of each one's first token, which place a token
+    lines: list[str]
+    first: list[int]
     i: int = 0
     names: dict[str, object] = field(default_factory=dict)  # proc/type definitions
     sizes: dict[int, int] = field(default_factory=dict)  # expanded size by id of a tree in names
 
     @property
-    def cur(self) -> Token:
+    def cur(self) -> str:
         return self.toks[self.i]
 
+    def line(self, i: int) -> int:
+        """The line of token ``i``: the last whose first token is at most ``i``."""
+        return bisect_right(self.first, i)
+
+    def place(self, i: int) -> tuple[int, int]:
+        """The line and column of token ``i``; the column scans its line again."""
+        n = self.line(i)
+        line = self.lines[n - 1]
+        if not self.toks[i]:  # the end of input
+            return n, len(line) + 1
+        return n, next(islice(_tokens_of(line), i - self.first[n - 1], None))[0]
+
     def error(self, msg: str, expected: tuple[str, ...] = ()) -> ParseError:
-        return ParseError(msg, self.cur.line, self.cur.col, expected)
+        return ParseError(msg, *self.place(self.i), expected)
 
     def got(self) -> str:
         """What an error found at the current token."""
-        return "got end of input" if self.cur.kind == "eof" else f"got {self.cur.text!r}"
+        return f"got {self.cur!r}" if self.cur else "got end of input"
 
     def at(self, text: str) -> bool:
-        return self.cur.text == text and self.cur.kind != "eof"
+        return self.cur == text
+
+    def at_name(self) -> bool:
+        """Whether the current token is an identifier (no other token starts
+        with a letter) and no keyword."""
+        return self.cur[:1].isalpha() and self.cur not in KEYWORDS
 
     def eat(self, text: str) -> None:
         if not self.at(text):
@@ -115,10 +157,10 @@ class Parser:
         self.i += 1
 
     def eat_ident(self, what: str = "identifier") -> str:
-        if self.cur.kind != "ident" or self.cur.text in KEYWORDS:
+        if not self.at_name():
             raise self.error(self.got(), (what,))
         self.i += 1
-        return self.toks[self.i - 1].text
+        return self.toks[self.i - 1]
 
     def sep(self, item: Callable, by: str = ",", go_on: Callable | None = None) -> tuple:
         """One or more ``item()``s with ``by`` between them: a ``by`` goes
@@ -148,7 +190,7 @@ class Parser:
         return ts[0] if ts else None
 
     def type_atom(self) -> S.Type:
-        cls = _PREFIXES.get(self.cur.text)
+        cls = _PREFIXES.get(self.cur)
         if cls is not None:
             self.i += 1
             ts = self.annotation(cls)
@@ -161,7 +203,7 @@ class Parser:
         if self.at("~"):
             self.eat("~")
             return S.DualAtom(self.eat_ident("atom name"))
-        if self.cur.kind == "ident" and self.cur.text not in KEYWORDS:
+        if self.at_name():
             name = self.eat_ident()
             if ("type", name) in self.names:
                 return self.names[("type", name)]  # type: ignore[return-value]
@@ -170,7 +212,7 @@ class Parser:
 
     def type_(self) -> S.Type:
         left = self.type_atom()
-        cls = _INFIXES.get(self.cur.text)
+        cls = _INFIXES.get(self.cur)
         if cls is None:
             return left
         self.i += 1
@@ -184,7 +226,7 @@ class Parser:
         that goes on from the node is eaten, else its slot is parsed."""
         args: list = []
         while node.build is None:
-            nxt = node.edges.get(self.toks[self.i].text)
+            nxt = node.edges.get(self.cur)
             if nxt is not None:
                 self.i += 1
             elif node.slot is _process:  # parsed from this frame: one frame a nesting level
@@ -206,7 +248,7 @@ class Parser:
     def definition_name(self) -> str:
         """The name a ``type`` or ``proc`` definition gives after its
         keyword, once a file."""
-        kind, name = self.toks[self.i - 1].text, self.eat_ident("name")
+        kind, name = self.toks[self.i - 1], self.eat_ident("name")
         if (kind, name) in self.names:
             raise self.error(f"duplicate {kind} {name}")
         return name
@@ -214,11 +256,10 @@ class Parser:
     def define(self, at: int, name: str, tree) -> None:
         """Let later declarations use ``tree`` by the name at token ``at``,
         unless it expands beyond ``MAX_DEFINITION_SIZE``."""
-        kind, n = self.toks[at - 1].text, self.expanded_size(tree)
+        kind, n = self.toks[at - 1], self.expanded_size(tree)
         if n > MAX_DEFINITION_SIZE:
-            tok = self.toks[at]
             raise ParseError(f"{kind} {name} expands to {n} connectives and constructors "
-                             f"(at most {MAX_DEFINITION_SIZE})", tok.line, tok.col)
+                             f"(at most {MAX_DEFINITION_SIZE})", *self.place(at))
         self.sizes[id(tree)] = n
         self.names[(kind, name)] = tree
 
@@ -246,7 +287,7 @@ class Parser:
 
     def queue_items(self) -> C.Queue:
         items: list[C.QueueItem] = []
-        while self.at("[") and self.toks[self.i + 1].text == "to":
+        while self.at("[") and self.toks[self.i + 1] == "to":
             items.append(self.form(_QUEUE_ITEMS))
         return tuple(items)
 
@@ -258,8 +299,8 @@ class Parser:
     def bound_endpoint(self, seen: set[str]) -> str:
         """The endpoint an entry of a context or environment binds: each
         names an endpoint once."""
-        if self.cur.text in seen:
-            raise self.error(f"duplicate endpoint {self.cur.text}")
+        if self.cur in seen:
+            raise self.error(f"duplicate endpoint {self.cur}")
         x = self.eat_ident("endpoint")
         seen.add(x)
         self.eat(":")
@@ -282,7 +323,7 @@ class Parser:
         seen: set[str] = set()
         # a "," before NAME "<-" starts a sim's next pending process
         return self.sep(lambda: (self.bound_endpoint(seen), self.type_()),
-                        go_on=lambda: self.toks[min(self.i + 2, len(self.toks) - 1)].text != "<-")
+                        go_on=lambda: self.toks[min(self.i + 2, len(self.toks) - 1)] != "<-")
 
     # -- a sim's parts and pending processes ----------------------------------
 
@@ -402,16 +443,16 @@ def _guarded(p: Parser, parse):
 
 
 def parse_file(text: str) -> DeclarationFile:
-    p = Parser(tokenize(text))
+    p = Parser(*_scan(text))
     return _guarded(p, lambda: _declarations(p))
 
 
 def _declarations(p: Parser) -> DeclarationFile:
     decls: list[Declaration] = []
     lines: list[int] = []
-    while p.cur.kind != "eof":
-        lines.append(p.cur.line)
+    while p.cur:
         start = p.i
+        lines.append(p.line(start))
         d = p.form(_DECLARATIONS)
         match d:
             case TypeDef(name, tree) | ProcDef(name, tree):
@@ -421,10 +462,10 @@ def _declarations(p: Parser) -> DeclarationFile:
 
 
 def _parse_with(fn_name: str, text: str):
-    p = Parser(tokenize(text))
+    p = Parser(*_scan(text))
     out = _guarded(p, getattr(p, fn_name))
-    if p.cur.kind != "eof":
-        raise p.error(f"trailing input {p.cur.text!r}", ("end of input",))
+    if p.cur:
+        raise p.error(f"trailing input {p.cur!r}", ("end of input",))
     return out
 
 
@@ -529,8 +570,8 @@ def _compile(forms: S.Forms, lead: Callable | None) -> _Node:
                 text = text.replace("({" + name + "})", "{" + name + "}")
         node = root
         for lit, name, _, _ in Formatter().parse(text):
-            for tok in tokenize(lit)[:-1]:
-                node = node.edges.setdefault(tok.text, _Node())
+            for tok in _scan(lit)[0][:-1]:
+                node = node.edges.setdefault(tok, _Node())
             if name is not None:
                 if node.then is None:
                     node.slot = lead if lead and node is root else _SLOTS[kinds[name]]

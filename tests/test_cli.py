@@ -259,3 +259,13 @@ def test_fmt_prints_a_ten_level_chain(tmp_path, capsys, kind):
     assert err == ""
     assert P.parse_file(out) == P.parse_file(path.read_text(encoding="utf-8"))
     assert out.splitlines()[-1].count("*" if kind == "type" else "[w]") == 1023
+
+
+def test_a_byte_that_is_not_utf8_is_a_located_input_error(tmp_path, capsys):
+    # the column counts characters, "é" one; "\r\n" ends a line as "\n" does
+    path = tmp_path / "bad.fwd"
+    path.write_bytes(b"synth x : 1;\r\nsynth \xc3\xa9y : \xff;\n")
+    assert cli.main(["fmt", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == f"{path}:2:12: not UTF-8 text"

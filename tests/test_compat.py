@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import genutil
 import pytest
@@ -255,6 +256,34 @@ def test_theorem_agreement_dual_pairs_always_compatible():
         assert multiparty_compatible(env)
         denv = tuple((x, dual(erase(tt))) for x, tt in env)
         assert synth_with_annotations(denv) is not None
+
+
+def _redraw_an_operand(rng: random.Random, t: S.Type) -> S.Type:
+    """``t`` with one operand of its head connective drawn again at its size."""
+    kids = S.children(t)
+    k = rng.randrange(len(kids))
+    field = "body" if len(kids) == 1 else ("left", "right")[k]
+    return replace(t, **{field: genutil.random_plain_type(rng, S.size(kids[k]))})
+
+
+def test_theorem_agreement_with_payload_slots():
+    # two parties that send a payload with slots of its own: dual pairs, and
+    # twins of them with one operand of one side drawn again
+    rng = random.Random(71)
+    verdicts = []
+    while len(verdicts) < 200:
+        t = genutil.random_plain_type(rng, rng.randint(2, 4))
+        if not _payload_slots(t):
+            continue
+        for u in (t, _redraw_an_operand(rng, t)):
+            env = (("x", u), ("y", dual(t)))
+            ok = multiparty_compatible(env)
+            denv = tuple((x, dual(erase(tt))) for x, tt in env)
+            assert ok == (synth_with_annotations(denv) is not None), env
+            assert ok == genutil.exhaustively_compatible(env), env
+            verdicts.append(ok)
+    # every dual pair is compatible; the twins give both verdicts
+    assert 100 < sum(verdicts) < 200, sum(verdicts)
 
 
 def _stuck_path_all_endpoints(c0: Config):

@@ -2,6 +2,7 @@
 the same tree back, the formatter is a fixed point, and parse errors keep
 their positions and texts."""
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal.contexts import Context, Entry, LeftTok, MsgBox, Query, RightTok, Star
 from fwdcal.syntax import Atom, Close, One, Tensor
+from test_bench_inputs import load_workloads
 from test_syntax import names, scoped_procs, types
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -138,14 +140,58 @@ def test_fmt_is_a_fixed_point_on_the_corpus(path):
     ("sim x<->y |- x : ~a, y : a parts (y<->e) |- e : a, y : ~a @ y,;",
      "1:63: got ';' (expected one of: process)"),
     ("compat x : a, x : ~a;", "1:15: duplicate endpoint x"),
+    # the end of the input after a comment is where the text ends
+    ("check close x |- x : 1\n## trailing\n", "3:1: got end of input (expected one of: ;)"),
+    ("check close x |- x : 1 ## trailing", "1:35: got end of input (expected one of: ;)"),
+    # lines are counted by "\n"; a "\r", a tab or a "\xa0" is one column
+    ("synth x : 1;\r\n\r\n  compat x : a\r\n y : ~a;", "4:2: got 'y' (expected one of: ;)"),
+    ("## one\n\n\tsynth x :\xa0\xa0| ;", "3:13: got '|' (expected one of: type)"),
 ], ids=["after-name", "queue-item", "declaration", "recv", "case", "sim-part", "dup-type",
         "dup-proc", "process", "queue-bracket", "payload", "cut-with", "select", "end-of-input",
         "end-of-input-in-term", "empty-queue", "pending-comma", "pending-empty", "single-target",
-        "context-comma", "target-comma", "part-comma", "dup-endpoint"])
+        "context-comma", "target-comma", "part-comma", "dup-endpoint", "end-after-comment-line",
+        "end-in-comment", "crlf-lines", "tab-and-nbsp"])
 def test_parse_errors_keep_their_position_and_text(text, message):
     with pytest.raises(P.ParseError) as e:
         P.parse_file(text)
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("bad", ["$", "é", "#", "2"])
+@pytest.mark.parametrize("text,at", [
+    ("## one\n## two\nsynth y : {};", "3:11"),
+    ("synth x : 1,\r\n y : {};", "2:6"),
+    ("synth x : 1,\n\ty : {};", "2:6"),
+    ("synth x : 1,\n\xa0\xa0y :\xa0{};", "2:7"),
+], ids=["after-comment-lines", "after-crlf", "after-tab", "after-nbsp"])
+def test_an_unexpected_character_keeps_its_line_and_column(text, at, bad):
+    with pytest.raises(P.ParseError) as e:
+        P.parse_file(text.format(bad))
+    assert str(e.value) == f"{at}: unexpected character {bad!r}"
+
+
+def test_declaration_lines_skip_blank_and_comment_lines():
+    text = ("\n## head\n\nsynth x : 1;  ## one\n\n\n  compat x : a,\n y : ~a;\r\n"
+            "## mid\n\tsynth y : bot; synth z : 1;\n\n")
+    assert P.parse_file(text).lines == (4, 7, 10, 10)
+
+
+def test_a_parse_holds_little_beyond_the_tree_it_builds():
+    # ``relay`` seed 1 fourteen times over is 106 KB.  The bound is on the
+    # peak net of the tree parse_file returns, whose size is Python's (every
+    # node has its own __dict__ on 3.10).  The line scanner holds about 6 B
+    # per input byte; a Token object per token would hold 43 (3.11) to 61
+    wl = load_workloads()
+    text = wl.workload_text(wl.generate("relay", 1)) * 14
+    assert len(text) >= 100_000
+    tracemalloc.start()
+    try:
+        f = P.parse_file(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(f.decls) == 14 * 66
+    assert (peak - held) / len(text) < 20
 
 
 def doubling_chain(kind: str, levels: int) -> str:
