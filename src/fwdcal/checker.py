@@ -24,7 +24,6 @@ compat's per-target FIFOs have it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
 from itertools import combinations, starmap
 from typing import Iterator
 
@@ -39,6 +38,7 @@ from .contexts import (
     endpoint_names, first_destined, map_context, msgbox, normalize_queue, print_queue_item,
     rename_context_targets, target_names,
 )
+from .records import record, replace
 
 Env = tuple[tuple[str, Type], ...]
 
@@ -71,7 +71,7 @@ class UnusedEndpoint(CheckError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Derivation:
     rule: str
     process: Process

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from . import compat as CM
@@ -210,7 +209,7 @@ def run_sim(decl: PA.SimDecl, as_json: bool, step: bool) -> bool:
         rec, text = _sim_step(cfg, stats) if step else _sim_run(cfg, stats)
     except (CutError, CheckError) as e:
         rec, text = {"sim": "error", "error": str(e)}, f"{_verdict(False)} sim: {e}"
-    rec["stats"] = asdict(stats)
+    rec["stats"] = {name: getattr(stats, name) for name in stats.__slots__}
     _emit(rec, as_json, text)
     return rec["sim"] != "error"
 

@@ -12,11 +12,11 @@ system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Union
 
+from .records import record, replace
 from .syntax import (
-    Endpoint, Forms, Type, add_targets, erase, is_fully_annotated, print_type, rename_targets,
+    Endpoint, Forms, Type, add_targets, is_fully_annotated, print_type, rename_targets,
     size,
 )
 
@@ -28,7 +28,7 @@ from .syntax import (
 Payloads = tuple[tuple[Endpoint, Type], ...]
 
 
-@dataclass(frozen=True)
+@record
 class MsgBox:
     """A boxed message: payload endpoints received here, to forward to target.
 
@@ -44,22 +44,22 @@ def msgbox(target: Endpoint, endpoint: Endpoint, typ: Type) -> MsgBox:
     return MsgBox(target, ((endpoint, typ),))
 
 
-@dataclass(frozen=True)
+@record
 class Star:
     target: Endpoint
 
 
-@dataclass(frozen=True)
+@record
 class Query:
     target: Endpoint
 
 
-@dataclass(frozen=True)
+@record
 class LeftTok:
     target: Endpoint
 
 
-@dataclass(frozen=True)
+@record
 class RightTok:
     target: Endpoint
 
@@ -111,14 +111,14 @@ def first_destined(q: Queue, target: Endpoint) -> int | None:
 # Typing contexts
 
 
-@dataclass(frozen=True)
+@record
 class Entry:
     endpoint: Endpoint
     queue: Queue = ()
     typing: Type | None = None  # None encodes the terminated entry "x:."
 
 
-@dataclass(frozen=True)
+@record
 class Context:
     entries: tuple[Entry, ...]
 
@@ -266,27 +266,11 @@ def context_size(g: Context) -> int:
     return sum(size(t) for t in context_types(g))
 
 
-def erase_context(g: Context) -> tuple[tuple[Endpoint, Type], ...]:
-    """Erasure into a CP environment.
-
-    Boxed messages become standalone typed endpoints, tokens vanish, and
-    terminated entries contribute only their queue contents.
-    """
-    out: list[tuple[Endpoint, Type]] = []
-    for e in g.entries:
-        for it in e.queue:
-            if isinstance(it, MsgBox):
-                out.extend((p, erase(t)) for p, t in it.payloads)
-        if e.typing is not None:
-            out.append((e.endpoint, erase(e.typing)))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Compatibility configurations
 
 
-@dataclass(frozen=True)
+@record
 class Config:
     """Type environment plus per ordered (target, holder) pair FIFOs.
 
@@ -297,6 +281,7 @@ class Config:
 
     delta: tuple[tuple[Endpoint, Type], ...]
     sigma: tuple[tuple[tuple[Endpoint, Endpoint], Queue], ...] = ()
+    __slots__ = ("_hash",)  # None until the first ``hash``
 
     @staticmethod
     def make(
@@ -307,10 +292,14 @@ class Config:
         s = tuple(sorted((k, tuple(q)) for k, q in sigma if q))
         return Config(d, s)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", None)
+
     def __hash__(self) -> int:
-        # cached: the executability memo hashes a configuration on lookup
-        # and again on store, each time over every type and queue item
-        h = self.__dict__.get("_hash")
+        # cached in the ``_hash`` slot: the executability memo hashes a
+        # configuration on lookup and again on store, each time over every
+        # type and queue item
+        h = self._hash
         if h is None:
             h = hash((self.delta, self.sigma))
             object.__setattr__(self, "_hash", h)
@@ -352,15 +341,3 @@ def translate_config(c: Config) -> Context:
             queue.extend(sigma[(u, x)])
         entries.append(Entry(x, tuple(queue), delta.get(x)))
     return Context(tuple(entries))
-
-
-def config_of_context(g: Context) -> Config:
-    """Inverse of ``translate_config`` on its image."""
-    delta = []
-    sigma: dict[tuple[Endpoint, Endpoint], list[QueueItem]] = {}
-    for e in g.entries:
-        if e.typing is not None:
-            delta.append((e.endpoint, e.typing))
-        for it in e.queue:
-            sigma.setdefault((it.target, e.endpoint), []).append(it)
-    return Config.make(delta, ((k, tuple(v)) for k, v in sigma.items()))

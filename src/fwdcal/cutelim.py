@@ -24,7 +24,6 @@ there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
@@ -39,6 +38,7 @@ from .contexts import (
     endpoint_names, first_destined, normalize_context, rename_context, rename_context_targets,
     target_names,
 )
+from .records import record, replace
 from .checker import CheckError, Derivation, check_forwarder, forwarder_step
 
 
@@ -74,7 +74,7 @@ class Stuck(CutError):
 # Cut pairs
 
 
-@dataclass(frozen=True)
+@record
 class CutSide:
     ctx: Context  # spectator entries
     queue: Queue  # pending items of the cut endpoint
@@ -268,7 +268,7 @@ def proc_size(p: Process) -> int:
     return 1 + sum(proc_size(q) for _, q in S.scope(p)[1])
 
 
-@dataclass(frozen=True)
+@record
 class Judged:
     """A forwarder term together with its (derivable) typing context."""
 

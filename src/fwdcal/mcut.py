@@ -34,14 +34,13 @@ not ?-typed is emitted first (``_commute``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from . import syntax as S
 from .syntax import (
     Case, Client, Close, Endpoint, Inl, Inr, Link, Process, Recv, Send, Server, Type,
     Wait, WhyNot, dual, erase, free_endpoints, head_endpoint, rename_free, size,
 )
 from .contexts import MsgBox, context_size, rename_context
+from .records import record, replace, uncompared
 from .checker import CheckError, Derivation, Env, check_cll, check_forwarder
 from .cutelim import (
     CutError, FuelExhausted, Judged, Stuck, freshen_judgement, judgement_names, proc_size,
@@ -52,7 +51,7 @@ class McutError(CutError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PartEntry:
     """A part, or a pending message process named by its payload endpoint."""
 
@@ -60,10 +59,10 @@ class PartEntry:
     env: Env  # external endpoints
     endpoint: Endpoint  # the bound endpoint this part owns, or the payload
     typ: Type  # its (plain) type
-    deriv: Derivation | None = field(default=None, compare=False)  # CP, once checked
+    deriv: Derivation | None = uncompared(None)  # CP, once checked
 
 
-@dataclass(frozen=True)
+@record
 class MCutConfig:
     bound: tuple[Endpoint, ...]
     fwd: Judged | Derivation  # a Judged as given; a run holds its derivation
@@ -89,7 +88,6 @@ class MCutConfig:
         return tuple(out.items())
 
 
-@dataclass
 class McutStats:
     """What a run did: its steps, the forwarder derivations it built, and the
     parts and pending processes it checked in CP: those given, and those a
@@ -97,9 +95,10 @@ class McutStats:
     serves) or copies (a Contract step's client and server copies).  A part
     a step takes from a premise, renamed or not, carries its derivation."""
 
-    steps: int = 0
-    forwarder_checks: int = 0
-    part_checks: int = 0
+    __slots__ = ("steps", "forwarder_checks", "part_checks")
+
+    def __init__(self):
+        self.steps = self.forwarder_checks = self.part_checks = 0
 
 
 def _check(c: MCutConfig, stats: McutStats, before: MCutConfig | None = None) -> MCutConfig:
@@ -170,12 +169,12 @@ def _derive(j: Judged, stats: McutStats) -> Derivation:
         raise McutError(f"forwarder does not check: {e}") from None
 
 
-@dataclass
 class _Runner:
-    fuel: int
-    supply: S.FreshNames
-    stats: McutStats
-    trace: list[str] = field(default_factory=list)
+    __slots__ = ("fuel", "supply", "stats", "trace")
+
+    def __init__(self, fuel: int, supply: S.FreshNames, stats: McutStats):
+        self.fuel, self.supply, self.stats = fuel, supply, stats
+        self.trace: list[str] = []
 
     def tick(self, tag: str):
         self.trace.append(tag)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
 from itertools import islice
 from string import Formatter
 from typing import Callable
@@ -34,6 +33,7 @@ from typing import Callable
 from . import syntax as S
 from . import contexts as C
 from .contexts import Context
+from .records import fields, record, uncompared
 from .syntax import Endpoint, Process, Type
 
 KEYWORDS = {
@@ -93,12 +93,12 @@ def _tokens_of(line: str):
     return ((m.start() + 1, m.group(1)) for m in _SCAN_RE.finditer(line) if m.group(1))
 
 
-@dataclass
 class Token:
-    kind: str  # 'ident', 'op', 'eof'
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # 'ident', 'op', 'eof'
+        self.text, self.line, self.col = text, line, col
 
 
 def tokenize(text: str) -> list[Token]:
@@ -110,15 +110,16 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
-@dataclass
 class Parser:
-    toks: list[str]  # token texts, then "" for the end of input
-    # the text's lines and the index of each one's first token, which place a token
-    lines: list[str]
-    first: list[int]
-    i: int = 0
-    names: dict[str, object] = field(default_factory=dict)  # proc/type definitions
-    sizes: dict[int, int] = field(default_factory=dict)  # expanded size by id of a tree in names
+    __slots__ = ("toks", "lines", "first", "i", "names", "sizes")
+
+    def __init__(self, toks: list[str], lines: list[str], first: list[int]):
+        self.toks = toks  # token texts, then "" for the end of input
+        # the text's lines and the index of each one's first token, which place a token
+        self.lines, self.first = lines, first
+        self.i = 0
+        self.names: dict[tuple[str, str], object] = {}  # proc/type definitions
+        self.sizes: dict[int, int] = {}  # expanded size by id of a tree in names
 
     @property
     def cur(self) -> str:
@@ -351,41 +352,41 @@ _process = Parser.process  # the process slot, which ``Parser.form`` parses by c
 Env = tuple[tuple[Endpoint, Type], ...]
 
 
-@dataclass(frozen=True)
+@record
 class TypeDef:
     name: str
     typ: Type
 
 
-@dataclass(frozen=True)
+@record
 class ProcDef:
     name: str
     proc: Process
 
 
-@dataclass(frozen=True)
+@record
 class CheckDecl:
     proc: Process
     context: Context
 
 
-@dataclass(frozen=True)
+@record
 class CheckCllDecl:
     proc: Process
     env: Env
 
 
-@dataclass(frozen=True)
+@record
 class SynthDecl:
     context: Context
 
 
-@dataclass(frozen=True)
+@record
 class CompatDecl:
     env: Env
 
 
-@dataclass(frozen=True)
+@record
 class CutDecl:
     left: Process
     left_ctx: Context
@@ -393,14 +394,14 @@ class CutDecl:
     right_ctx: Context
 
 
-@dataclass(frozen=True)
+@record
 class SimPart:
     proc: Process
     env: Env
     endpoint: Endpoint
 
 
-@dataclass(frozen=True)
+@record
 class SimPending:
     """A message in transit: the process ``proc`` that provides its payload ``name``."""
     name: Endpoint
@@ -412,7 +413,7 @@ Parts = tuple[SimPart, ...]
 Pending = tuple[SimPending, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SimDecl:
     fwd: Process
     fwd_ctx: Context
@@ -425,11 +426,11 @@ Declaration = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class DeclarationFile:
     decls: tuple[Declaration, ...]
     # the line each declaration starts on, for messages
-    lines: tuple[int, ...] = field(default=(), compare=False)
+    lines: tuple[int, ...] = uncompared(())
 
 
 def _guarded(p: Parser, parse):
@@ -539,15 +540,17 @@ def print_file(f: DeclarationFile) -> str:
 # Parse tries of the forms
 
 
-@dataclass
 class _Node:
     """A point in parsing a category's forms: the literal tokens that go on
     from it, or the slot that does; or the form that ends at it."""
 
-    edges: dict[str, _Node] = field(default_factory=dict)
-    slot: Callable | None = None  # parses the slot, which goes on to ``then``
-    then: _Node | None = None
-    build: Callable | None = None
+    __slots__ = ("edges", "slot", "then", "build")
+
+    def __init__(self, edges: dict[str, _Node] | None = None, slot: Callable | None = None,
+                 then: _Node | None = None, build: Callable | None = None):
+        self.edges = {} if edges is None else edges
+        self.slot = slot  # parses the slot, which goes on to ``then``
+        self.then, self.build = then, build
 
 
 def _expected(node: _Node) -> tuple[str, ...]:

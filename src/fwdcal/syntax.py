@@ -11,9 +11,10 @@ fresh names may additionally contain ``#``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from string import Formatter
 from typing import Callable, Union
+
+from .records import fields, record
 
 Endpoint = str
 
@@ -22,61 +23,61 @@ Endpoint = str
 # Types
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class DualAtom:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class One:
     targets: tuple[Endpoint, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Bot:
     target: Endpoint | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Tensor:
     left: Type
     right: Type
     targets: tuple[Endpoint, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Par:
     left: Type
     right: Type
     target: Endpoint | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Plus:
     left: Type
     right: Type
     target: Endpoint | None = None
 
 
-@dataclass(frozen=True)
+@record
 class With:
     left: Type
     right: Type
     targets: tuple[Endpoint, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class OfCourse:
     body: Type
     targets: tuple[Endpoint, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class WhyNot:
     body: Type
     target: Endpoint | None = None
@@ -85,7 +86,7 @@ class WhyNot:
 Type = Union[Atom, DualAtom, One, Bot, Tensor, Par, Plus, With, OfCourse, WhyNot]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Connective:
     """A row of ``CONNECTIVES``, which the type parser and printer, ``dual``
     and the slot traversals read: a connective's or unit's surface symbol,
@@ -287,24 +288,24 @@ def rename_targets(t: Type, mapping: dict[Endpoint, Endpoint]) -> Type:
 # Processes
 
 
-@dataclass(frozen=True)
+@record
 class Link:
     x: Endpoint
     y: Endpoint
 
 
-@dataclass(frozen=True)
+@record
 class Close:
     x: Endpoint
 
 
-@dataclass(frozen=True)
+@record
 class Wait:
     x: Endpoint
     cont: Process
 
 
-@dataclass(frozen=True)
+@record
 class Send:
     x: Endpoint
     fresh: Endpoint
@@ -312,47 +313,47 @@ class Send:
     cont: Process
 
 
-@dataclass(frozen=True)
+@record
 class Recv:
     x: Endpoint
     fresh: Endpoint
     cont: Process
 
 
-@dataclass(frozen=True)
+@record
 class Inl:
     x: Endpoint
     cont: Process
 
 
-@dataclass(frozen=True)
+@record
 class Inr:
     x: Endpoint
     cont: Process
 
 
-@dataclass(frozen=True)
+@record
 class Case:
     x: Endpoint
     left: Process
     right: Process
 
 
-@dataclass(frozen=True)
+@record
 class Server:
     x: Endpoint
     fresh: Endpoint
     body: Process
 
 
-@dataclass(frozen=True)
+@record
 class Client:
     x: Endpoint
     fresh: Endpoint
     cont: Process
 
 
-@dataclass(frozen=True)
+@record
 class Cut:
     x: Endpoint
     y: Endpoint

@@ -10,7 +10,7 @@ from itertools import product
 from fwdcal import syntax as S
 from fwdcal import checker as K
 from fwdcal import compat as CM
-from fwdcal.contexts import Config, Context, endpoint_names, rename_context
+from fwdcal.contexts import Config, Context, MsgBox, QueueItem, endpoint_names, rename_context
 from fwdcal.syntax import (
     Atom, Bot, DualAtom, OfCourse, One, Par, Plus, Tensor, WhyNot, With, dual, erase,
 )
@@ -67,6 +67,34 @@ def enumerate_plain_types(size: int, atom: str = "a"):
     for cls in (OfCourse, WhyNot):
         for b in enumerate_plain_types(size - 1, atom):
             yield cls(b)
+
+
+def erase_context(g: Context) -> tuple[tuple[S.Endpoint, S.Type], ...]:
+    """Erasure into a CP environment.
+
+    Boxed messages become standalone typed endpoints, tokens vanish, and
+    terminated entries contribute only their queue contents.
+    """
+    out: list[tuple[S.Endpoint, S.Type]] = []
+    for e in g.entries:
+        for it in e.queue:
+            if isinstance(it, MsgBox):
+                out.extend((p, erase(t)) for p, t in it.payloads)
+        if e.typing is not None:
+            out.append((e.endpoint, erase(e.typing)))
+    return tuple(out)
+
+
+def config_of_context(g: Context) -> Config:
+    """Inverse of ``contexts.translate_config`` on its image."""
+    delta = []
+    sigma: dict[tuple[S.Endpoint, S.Endpoint], list[QueueItem]] = {}
+    for e in g.entries:
+        if e.typing is not None:
+            delta.append((e.endpoint, e.typing))
+        for it in e.queue:
+            sigma.setdefault((it.target, e.endpoint), []).append(it)
+    return Config.make(delta, ((k, tuple(v)) for k, v in sigma.items()))
 
 
 def is_cut_free(p: S.Process) -> bool:

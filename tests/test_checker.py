@@ -14,7 +14,7 @@ from fwdcal.checker import (
     synth_forwarder, synth_with_annotations,
 )
 from fwdcal.contexts import (
-    Context, Entry, Star, context_types, ctx, erase_context, map_context, msgbox,
+    Context, Entry, Star, context_types, ctx, map_context, msgbox,
 )
 from fwdcal.syntax import Atom, Bot, DualAtom, Link, One, Par, Tensor, dual, erase
 
@@ -120,7 +120,7 @@ def test_check_cll_wait():
 
 def test_check_cll_erased_crisscross():
     p, g = criss_judgement()
-    env = erase_context(g)
+    env = genutil.erase_context(g)
     d = check_cll(p, env)
     assert d.rules_preorder() == ("Par", "Par", "Tensor", "Ax", "Tensor", "Ax", "Bot", "One")
 
@@ -229,13 +229,13 @@ def test_embed_on_goldens():
     ]:
         p, g = P.parse_process(proc_txt), P.parse_context(ctx_txt)
         check_forwarder(p, g)
-        check_cll(p, erase_context(g))
+        check_cll(p, genutil.erase_context(g))
 
 
 def test_embed_random_judgements():
     rng = random.Random(23)
     for proc, g in genutil.sample_derivable_judgements(rng, 60, max_size=4):
-        check_cll(proc, erase_context(g))
+        check_cll(proc, genutil.erase_context(g))
 
 
 def test_eta_link_all_connectives():

@@ -1,6 +1,9 @@
 """The command-line front end over the corpus, in process."""
 
+import contextlib
+import io
 import json
+import random
 import re
 import sys
 from pathlib import Path
@@ -269,3 +272,43 @@ def test_a_byte_that_is_not_utf8_is_a_located_input_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[0] == f"{path}:2:12: not UTF-8 text"
+
+
+# Tokens a mutation may insert, besides the file's own.
+_INSERTS = ("(", ")", "{", "}", "[", "]", ";", ",", ":", ".", "|", "*", "&", "+", "!", "?", "~",
+            "1", "bot", "res", "to", "msg", "with", "parts", "pending", "x", "<->", "<-", "|-", "@")
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    """``text`` with one token deleted, duplicated, swapped with another of
+    its kind (name or operator) or inserted, the tokens joined by blanks."""
+    toks = [t.text for t in P.tokenize(text)[:-1]]
+    i = rng.randrange(len(toks))
+    op = rng.choice(("delete", "duplicate", "swap", "insert"))
+    if op == "delete":
+        del toks[i]
+    elif op == "duplicate":
+        toks.insert(i, toks[i])
+    elif op == "swap":
+        j = rng.choice([j for j, t in enumerate(toks) if t[0].isalpha() == toks[i][0].isalpha()])
+        toks[i], toks[j] = toks[j], toks[i]
+    else:
+        toks.insert(i, rng.choice(_INSERTS + tuple(toks)))
+    return " ".join(toks)
+
+
+def test_mutated_corpus_files_end_with_an_exit_code_and_no_exception(tmp_path):
+    # 100 seeds, three mutants each, every subcommand: 1,800 runs in process
+    texts = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.fwd"))]
+    path, codes = tmp_path / "mutant.fwd", set()
+    for seed in range(100):
+        rng = random.Random(seed)
+        for _ in range(3):
+            path.write_text(_mutant(rng, rng.choice(texts)), encoding="utf-8")
+            for cmd in KINDS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main([cmd, str(path)])
+                assert code in (0, 1, 2), (seed, cmd, path.read_text(encoding="utf-8"))
+                codes.add(code)
+    assert codes == {0, 1, 2}  # mutants reach every verdict, not only parse errors

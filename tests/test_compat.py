@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 
 import genutil
 import pytest
@@ -10,6 +9,7 @@ from fwdcal import syntax as S
 from fwdcal.checker import check_forwarder, forwarder_step, synth_with_annotations
 from fwdcal.contexts import Config, MsgBox, normalize_context, translate_config
 from fwdcal.compat import Step, is_executable, multiparty_compatible, stuck_path, transitions
+from fwdcal.records import replace
 from fwdcal.syntax import Atom, Bot, DualAtom, One, dual, erase
 
 

@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genutil import config_of_context, erase_context
 from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal.contexts import (
-    Config, Context, Entry, LeftTok, MsgBox, Query, RightTok, Star, config_of_context,
-    ctx, erase_context, msgbox, normalize_queue, translate_config,
+    Config, Context, Entry, LeftTok, MsgBox, Query, RightTok, Star, ctx, msgbox,
+    normalize_queue, translate_config,
 )
 from fwdcal.syntax import Atom, Bot, DualAtom, One, Tensor
 

@@ -9,7 +9,6 @@ against each table, so neither can change alone.
 
 import itertools
 import re
-from dataclasses import fields
 from importlib import resources
 from string import Formatter
 
@@ -18,6 +17,7 @@ import pytest
 from fwdcal import contexts as C
 from fwdcal import parsing as P
 from fwdcal import syntax as S
+from fwdcal.records import fields
 
 _EBNF_TOKEN = re.compile(
     r'\s+|\(\*.*?\*\)|"(?P<lit>[^"]*)"|(?P<name>[A-Za-z]\w*)|(?P<sym>[=|()\[\]{};])', re.S)

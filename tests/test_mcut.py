@@ -3,7 +3,6 @@ endpoints emits that action outside the composition (one continuation stays
 in it) or, for a case, forks the run into one composition per branch."""
 
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal.checker import check_cll, eta_link, synth_with_annotations
 from fwdcal.cutelim import Judged
+from fwdcal.records import replace
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

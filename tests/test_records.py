@@ -1,0 +1,144 @@
+"""The record contract of ``fwdcal.records``: slots, construction, match
+patterns, immutability, and the equality, hashes and reprs a frozen
+dataclass of the same fields gives."""
+
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from fwdcal import contexts as C
+from fwdcal import mcut as MC
+from fwdcal import parsing as P
+from fwdcal import syntax as S
+from fwdcal.records import Record, fields, record, replace
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+
+
+def nodes(x):
+    """Every record reachable from ``x`` through fields and tuples."""
+    if isinstance(x, tuple):
+        for y in x:
+            yield from nodes(y)
+    elif isinstance(x, Record):
+        yield x
+        for f in fields(x):
+            yield from nodes(getattr(x, f.name))
+
+
+def corpus_nodes() -> list:
+    out = [n for path in sorted(CORPUS.glob("*.fwd"))
+           for n in nodes(P.parse_file(path.read_text(encoding="utf-8")))]
+    cfg = C.Config.make([("x", S.Atom("a"))], [(("x", "y"), (C.Star("x"),))])
+    return out + [cfg, S.CONNECTIVES[S.Tensor],
+                  MC.PartEntry(S.Close("x"), (), "x", S.One(), None)]
+
+
+def test_a_record_differs_from_a_record_of_another_class_with_equal_fields():
+    assert S.Atom("a") != S.DualAtom("a")
+    assert S.Atom("a") == S.Atom("a") and hash(S.Atom("a")) == hash(S.Atom("a"))
+    assert S.Link("x", "y") != ("x", "y")
+    assert len({S.Atom("a"), S.DualAtom("a"), S.Atom("a")}) == 2
+
+
+def test_hash_repr_and_equality_are_those_of_a_frozen_dataclass():
+    seen = set()
+    for node in corpus_nodes():
+        cls, fs = type(node), fields(node)
+        vals = [getattr(node, f.name) for f in fs]
+        mirror = dataclasses.make_dataclass(
+            cls.__name__, [(f.name, f.type, dataclasses.field(compare=f.compare)) for f in fs],
+            frozen=True)
+        assert hash(node) == hash(mirror(*vals))
+        assert hash(node) == hash(tuple(v for f, v in zip(fs, vals) if f.compare))
+        assert repr(node) == repr(mirror(*vals))
+        assert node == cls(*vals) and node == cls(**{f.name: v for f, v in zip(fs, vals)})
+        seen.add(cls)
+    assert len(seen) >= 30  # every type and process constructor, and more
+
+
+def test_no_node_of_a_parsed_file_has_a_dict():
+    for node in corpus_nodes():
+        assert not hasattr(node, "__dict__"), type(node)
+
+
+def test_assignment_and_deletion_raise():
+    t = S.Tensor(S.Atom("a"), S.One())
+    with pytest.raises(AttributeError, match="cannot assign to field 'left'"):
+        t.left = S.Atom("b")
+    with pytest.raises(AttributeError, match="cannot delete field 'left'"):
+        del t.left
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert t.left == S.Atom("a")
+
+
+def test_construction_takes_positions_keywords_and_defaults():
+    assert S.Tensor(S.Atom("a"), S.One()) == S.Tensor(right=S.One(), left=S.Atom("a"), targets=())
+    assert C.Entry("x").queue == () and C.Entry("x").typing is None
+    with pytest.raises(TypeError):
+        S.Tensor(S.Atom("a"))
+    with pytest.raises(TypeError):
+        S.Atom("a", name="b")
+    with pytest.raises(ValueError, match="duplicate endpoints"):  # __post_init__ runs
+        C.Context((C.Entry("x"), C.Entry("x")))
+    with pytest.raises(TypeError, match="without a default follows"):
+        @record
+        class Bad:
+            a: int = 0
+            b: int
+
+
+def test_positional_match_patterns_bind_the_fields_in_order():
+    match S.Cut("x", "y", S.One(), S.Close("x"), S.Wait("y", S.Close("z"))):
+        case S.Cut(x, y, S.One(ts), S.Close(c), S.Wait(w, _)):
+            assert (x, y, ts, c, w) == ("x", "y", (), "x", "y")
+        case _:
+            pytest.fail("no match")
+    assert S.Send.__match_args__ == ("x", "fresh", "payload", "cont")
+
+
+def test_replace_keeps_the_fields_it_is_not_given():
+    t = S.Tensor(S.Atom("a"), S.One(), ("x",))
+    assert replace(t, targets=("y",)) == S.Tensor(S.Atom("a"), S.One(), ("y",))
+    assert replace(t) == t
+    with pytest.raises(TypeError):
+        replace(t, target="y")
+
+
+def test_uncompared_fields_are_left_out_of_equality_and_hash():
+    p = MC.PartEntry(S.Close("x"), (), "x", S.One())
+    q = replace(p, deriv="a derivation")
+    assert p == q and hash(p) == hash(q)
+    f = P.parse_file("synth x : 1;\n\nsynth y : 1;")
+    assert f.lines == (1, 3)
+    assert f == P.DeclarationFile(f.decls) and hash(f) == hash(P.DeclarationFile(f.decls))
+    assert [(g.name, g.compare) for g in fields(P.DeclarationFile)] == [
+        ("decls", True), ("lines", False)]
+
+
+def test_fields_give_names_and_annotations_in_order():
+    assert [(f.name, f.type) for f in fields(S.Tensor)] == [
+        ("left", "Type"), ("right", "Type"), ("targets", "tuple[Endpoint, ...]")]
+    assert fields(S.Atom("a")) == fields(S.Atom)
+
+
+def test_config_caches_its_hash_in_a_slot():
+    cfg = C.Config.make([("x", S.One())])
+    assert cfg._hash is None
+    assert hash(cfg) == hash((cfg.delta, cfg.sigma)) == cfg._hash
+    assert not hasattr(cfg, "__dict__")
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # building classes with either module is most of what start-up once cost
+    code = "import fwdcal.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

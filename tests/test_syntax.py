@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import typing
 
@@ -7,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fwdcal import parsing as P
 from fwdcal import syntax as S
+from fwdcal.records import Record, fields
 from fwdcal.syntax import (
     Atom, Bot, Case, Client, Close, Cut, DualAtom, Inl, Inr, Link, OfCourse, One, Par,
     Plus, Recv, Send, Server, Tensor, Wait, WhyNot, With, dual, erase, free_endpoints,
@@ -66,9 +66,9 @@ scoped_procs = st.recursive(
 def _constructors(x) -> set[type]:
     if isinstance(x, tuple):
         return set().union(*map(_constructors, x))
-    if not dataclasses.is_dataclass(x):
+    if not isinstance(x, Record):
         return set()
-    return {type(x)}.union(*(_constructors(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    return {type(x)}.union(*(_constructors(getattr(x, f.name)) for f in fields(x)))
 
 
 _TYPE_CONSTRUCTORS = {Atom, DualAtom, One, Bot, Tensor, Par, Plus, With, OfCourse, WhyNot}
