@@ -1,11 +1,13 @@
 """Judgement checking and synthesis.
 
-Two judgements live here, each with one rule table.  ``forwarder_step`` is
-the queue-annotated forwarder system: a receive enqueues a boxed item aimed
-at the endpoint that must relay it, and a send pops matching boxes.
-``cp_step`` is plain CP typing over an erased environment.  Given a term and
-a context, each applies the rule the term's head names and returns the
-premise judgements; everything else is built on them.  ``check_forwarder``
+Two judgements live here, each with one rule table from a term's class to
+its rule.  ``FORWARDER_RULES``, which ``forwarder_step`` applies, is the
+queue-annotated forwarder system: a receive enqueues a boxed item aimed at
+the endpoint that must relay it, and a send pops matching boxes.
+``CP_RULES``, which ``cp_step`` applies, is plain CP typing over an erased
+environment.  Given a term and a context, each applies the rule the term's
+head names and returns the premise judgements; everything else is built on
+them.  ``check_forwarder``
 and ``check_cll`` fold them over a term (``check_cll`` erases its
 environment once, and adds the weakening and contraction steps the term
 forces), and ``synth_context`` decides derivability by proof search that
@@ -135,176 +137,158 @@ class Derivation:
 
 
 def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Context], ...]]:
-    """One rule of the forwarder system, term-directed.
+    """One rule of the forwarder system, term-directed: the row of
+    ``FORWARDER_RULES`` for ``p``'s class.
 
     Returns the rule tag and the premise judgements, or raises a CheckError
     naming the first mismatch.
     """
-    match p:
-        case Link(x, y):
-            if set(g.endpoints()) != {x, y}:
-                raise RuleMismatch(f"Ax needs exactly the endpoints {x},{y}")
-            ex, ey = g.get(x), g.get(y)
-            if ex.queue or ey.queue:
-                raise LeftoverQueue("Ax requires empty queues")
-            match ex.typing, ey.typing:
-                case (DualAtom(a), Atom(b)) if a == b:
-                    return "Ax", ()
-            raise RuleMismatch(
-                f"Ax needs {x}:~a and {y}:a, got {_shown(ex.typing)} and {_shown(ey.typing)}")
-
-        case Close(x):
-            e = _active(g, x)
-            match e.typing:
-                case One(ts):
-                    if not ts:
-                        raise NonEmptyTargetViolation("rule 1 needs a nonempty target set")
-                    if e.queue:
-                        raise LeftoverQueue(f"1 requires an empty queue at {x}")
-                    others = [o for o in g.entries if o.endpoint != x]
-                    if set(ts) != {o.endpoint for o in others}:
-                        raise RuleMismatch(
-                            f"1 at {x} must gather every other endpoint, got {{{','.join(ts)}}}"
-                        )
-                    for o in others:
-                        if o.typing is not None:
-                            raise RuleMismatch(f"1 needs {o.endpoint} terminated")
-                        if o.queue != (Star(x),):
-                            raise LeftoverQueue(
-                                f"{o.endpoint} must hold exactly one star for {x}"
-                            )
-                    return "One", ()
-            raise RuleMismatch(f"close {x} needs {x}:1, got {S.print_type(e.typing)}")
-
-        case Wait(x, cont):
-            e = _active(g, x)
-            match e.typing:
-                case Bot(u) if u is not None:
-                    g2 = g.replace(x, Entry(x, e.queue + (Star(u),), None))
-                    return "Bot", ((cont, g2),)
-            raise RuleMismatch(
-                f"wait {x} needs {x}:bot with a target, got {S.print_type(e.typing)}")
-
-        case Recv(x, f, cont):
-            e = _active(g, x)
-            match e.typing:
-                case Par(a, b, u) if u is not None:
-                    if f in endpoint_names(g):
-                        raise RuleMismatch(f"received name {f} is not fresh")
-                    g2 = g.replace(x, Entry(x, e.queue + (msgbox(u, f, a),), b))
-                    return "Par", ((cont, g2),)
-            raise RuleMismatch(f"recv on {x} needs {x}:A|{{u}}B, got {S.print_type(e.typing)}")
-
-        case Send(x, f, payload, cont):
-            e = _active(g, x)
-            match e.typing:
-                case Tensor(a, b, ts):
-                    if not ts:
-                        raise NonEmptyTargetViolation("rule * needs a nonempty target set")
-                    if f in endpoint_names(g):
-                        raise RuleMismatch(f"sent name {f} is not fresh")
-                    gathered: list[tuple[str, Type]] = []
-                    g2 = g
-                    for u in ts:
-                        if u == x or not g.has(u):
-                            raise RuleMismatch(f"* target {u} not in context")
-                        if not g2.get(u).queue:
-                            raise QueueHeadMismatch(f"empty queue at {u}, * at {x} expects a box")
-                        head, g2 = _pop_for(g2, u, x)
-                        if not head or not isinstance(head[0], MsgBox):
-                            raise QueueHeadMismatch(
-                                f"head of {u}'s queue must be a message for {x}, "
-                                f"got {_popped(head)}"
-                            )
-                        gathered.extend(head[0].payloads)
-                    names = [n for n, _ in gathered] + [f]
-                    if len(set(names)) != len(names):
-                        raise RuleMismatch(f"gathered payload names clash: {names}")
-                    left = Context(tuple(Entry(n, (), t) for n, t in gathered) + (Entry(f, (), a),))
-                    ex2 = g2.get(x)
-                    right = g2.replace(x, Entry(x, ex2.queue, b))
-                    return "Tensor", ((payload, left), (cont, right))
-            raise RuleMismatch(f"send on {x} needs {x}:A*{{u}}B, got {S.print_type(e.typing)}")
-
-        case Inl(x, cont) | Inr(x, cont):
-            e = _active(g, x)
-            want_left = isinstance(p, Inl)
-            match e.typing:
-                case Plus(a, b, z) if z is not None:
-                    if not g.has(z):
-                        raise RuleMismatch(f"+ target {z} not in context")
-                    tok = LeftTok(x) if want_left else RightTok(x)
-                    head, g2 = _pop_for(g, z, x)
-                    if head != (tok,):
-                        raise QueueHeadMismatch(f"head of {z}'s queue must be "
-                                                f"{print_queue_item(tok)}, got {_popped(head)}")
-                    g2 = g2.replace(x, Entry(x, e.queue, a if want_left else b))
-                    return ("PlusL" if want_left else "PlusR"), ((cont, g2),)
-            raise RuleMismatch(f"select on {x} needs {x}:A+{{z}}B, got {S.print_type(e.typing)}")
-
-        case Case(x, l, r):
-            e = _active(g, x)
-            match e.typing:
-                case With(a, b, ts):
-                    if not ts:
-                        raise NonEmptyTargetViolation("rule & needs a nonempty target set")
-                    for u in ts:
-                        if u == x or not g.has(u):
-                            raise RuleMismatch(f"& target {u} not in context")
-                    gl = g.replace(x, Entry(x, e.queue + tuple(LeftTok(u) for u in ts), a))
-                    gr = g.replace(x, Entry(x, e.queue + tuple(RightTok(u) for u in ts), b))
-                    return "With", ((l, gl), (r, gr))
-            raise RuleMismatch(f"case on {x} needs {x}:A&{{u}}B, got {S.print_type(e.typing)}")
-
-        case Server(x, f, body):
-            e = _active(g, x)
-            match e.typing:
-                case OfCourse(a, ts):
-                    if not ts:
-                        raise NonEmptyTargetViolation("rule ! needs a nonempty target set")
-                    if e.queue:
-                        raise LeftoverQueue(f"! requires an empty queue at {x}")
-                    others = [o for o in g.entries if o.endpoint != x]
-                    if set(ts) != {o.endpoint for o in others}:
-                        raise RuleMismatch(f"! at {x} must broadcast to every other endpoint")
-                    for o in others:
-                        if o.typing is None or not isinstance(o.typing, WhyNot):
-                            raise RuleMismatch(f"! needs {o.endpoint} to be ?-typed")
-                        if o.queue:
-                            raise LeftoverQueue(f"! needs an empty queue at {o.endpoint}")
-                    if f in endpoint_names(g):
-                        raise RuleMismatch(f"server name {f} is not fresh")
-                    g2 = g.replace(x, Entry(f, tuple(Query(u) for u in ts), a))
-                    g2 = rename_context_targets(g2, {x: f})
-                    return "Bang", ((body, g2),)
-            raise RuleMismatch(f"srv on {x} needs {x}:!{{u}}A, got {S.print_type(e.typing)}")
-
-        case Client(x, f, cont):
-            e = _active(g, x)
-            match e.typing:
-                case WhyNot(a, z) if z is not None:
-                    if not g.has(z):
-                        raise RuleMismatch(f"? target {z} not in context")
-                    head, g2 = _pop_for(g, z, x)
-                    if head != (Query(x),):
-                        raise QueueHeadMismatch(
-                            f"head of {z}'s queue must be a query for {x}, got {_popped(head)}"
-                        )
-                    if f in endpoint_names(g):
-                        raise RuleMismatch(f"client name {f} is not fresh")
-                    g2 = g2.replace(x, Entry(f, e.queue, a))
-                    g2 = rename_context_targets(g2, {x: f})
-                    return "Quest", ((cont, g2),)
-            raise RuleMismatch(f"client on {x} needs {x}:?{{z}}A, got {S.print_type(e.typing)}")
-
-        case Cut():
-            raise RuleMismatch("forwarders contain no cuts")
-
-    raise RuleMismatch(f"no forwarder rule for {type(p).__name__}")
+    rule = FORWARDER_RULES.get(type(p))
+    if rule is None:
+        raise RuleMismatch(f"no forwarder rule for {type(p).__name__}")
+    return rule(p, g)
 
 
-def _shown(t: Type | None) -> str:
-    return "terminated" if t is None else S.print_type(t)
+def _fwd_ax(p: Link, g: Context):
+    x, y = p.x, p.y
+    if set(g.endpoints()) != {x, y}:
+        raise RuleMismatch(f"Ax needs exactly the endpoints {x},{y}")
+    ex, ey = g.get(x), g.get(y)
+    if ex.queue or ey.queue:
+        raise LeftoverQueue("Ax requires empty queues")
+    tx, ty = ex.typing, ey.typing
+    if type(tx) is DualAtom and type(ty) is Atom and tx.name == ty.name:
+        return "Ax", ()
+    shown = [S.print_type(t) if t is not None else "terminated" for t in (tx, ty)]
+    raise RuleMismatch(f"Ax needs {x}:~a and {y}:a, got {shown[0]} and {shown[1]}")
+
+
+def _fwd_one(p: Close, g: Context):
+    x = p.x
+    e, t = _active(g, x, One, "close", "1")
+    if e.queue:
+        raise LeftoverQueue(f"1 requires an empty queue at {x}")
+    others = [o for o in g.entries if o.endpoint != x]
+    if set(t.targets) != {o.endpoint for o in others}:
+        raise RuleMismatch(
+            f"1 at {x} must gather every other endpoint, got {{{','.join(t.targets)}}}")
+    for o in others:
+        if o.typing is not None:
+            raise RuleMismatch(f"1 needs {o.endpoint} terminated")
+        if o.queue != (Star(x),):
+            raise LeftoverQueue(f"{o.endpoint} must hold exactly one star for {x}")
+    return "One", ()
+
+
+def _fwd_bot(p: Wait, g: Context):
+    e, t = _active(g, p.x, Bot, "wait", "bot with a target")
+    return "Bot", ((p.cont, g.replace(p.x, Entry(p.x, e.queue + (Star(t.target),), None))),)
+
+
+def _fwd_par(p: Recv, g: Context):
+    x, f = p.x, p.fresh
+    e, t = _active(g, x, Par, "recv on", "A|{u}B")
+    if f in endpoint_names(g):
+        raise RuleMismatch(f"received name {f} is not fresh")
+    g2 = g.replace(x, Entry(x, e.queue + (msgbox(t.target, f, t.left),), t.right))
+    return "Par", ((p.cont, g2),)
+
+
+def _fwd_tensor(p: Send, g: Context):
+    x, f = p.x, p.fresh
+    _, t = _active(g, x, Tensor, "send on", "A*{u}B")
+    if f in endpoint_names(g):
+        raise RuleMismatch(f"sent name {f} is not fresh")
+    gathered: list[tuple[str, Type]] = []
+    g2 = g
+    for u in t.targets:
+        if u == x or not g.has(u):
+            raise RuleMismatch(f"* target {u} not in context")
+        if not g2.get(u).queue:
+            raise QueueHeadMismatch(f"empty queue at {u}, * at {x} expects a box")
+        head, g2 = _pop_for(g2, u, x)
+        if not head or not isinstance(head[0], MsgBox):
+            raise QueueHeadMismatch(
+                f"head of {u}'s queue must be a message for {x}, got {_popped(head)}")
+        gathered.extend(head[0].payloads)
+    names = [n for n, _ in gathered] + [f]
+    if len(set(names)) != len(names):
+        raise RuleMismatch(f"gathered payload names clash: {names}")
+    left = Context(tuple(Entry(n, (), a) for n, a in gathered) + (Entry(f, (), t.left),))
+    right = g2.replace(x, Entry(x, g2.get(x).queue, t.right))
+    return "Tensor", ((p.payload, left), (p.cont, right))
+
+
+def _fwd_plus(p: Inl | Inr, g: Context):
+    x, want_left = p.x, type(p) is Inl
+    e, t = _active(g, x, Plus, "select on", "A+{z}B")
+    z = t.target
+    if not g.has(z):
+        raise RuleMismatch(f"+ target {z} not in context")
+    tok = LeftTok(x) if want_left else RightTok(x)
+    head, g2 = _pop_for(g, z, x)
+    if head != (tok,):
+        raise QueueHeadMismatch(
+            f"head of {z}'s queue must be {print_queue_item(tok)}, got {_popped(head)}")
+    g2 = g2.replace(x, Entry(x, e.queue, t.left if want_left else t.right))
+    return ("PlusL" if want_left else "PlusR"), ((p.cont, g2),)
+
+
+def _fwd_with(p: Case, g: Context):
+    x = p.x
+    e, t = _active(g, x, With, "case on", "A&{u}B")
+    for u in t.targets:
+        if u == x or not g.has(u):
+            raise RuleMismatch(f"& target {u} not in context")
+    gl = g.replace(x, Entry(x, e.queue + tuple(LeftTok(u) for u in t.targets), t.left))
+    gr = g.replace(x, Entry(x, e.queue + tuple(RightTok(u) for u in t.targets), t.right))
+    return "With", ((p.left, gl), (p.right, gr))
+
+
+def _fwd_bang(p: Server, g: Context):
+    x, f = p.x, p.fresh
+    e, t = _active(g, x, OfCourse, "srv on", "!{u}A")
+    if e.queue:
+        raise LeftoverQueue(f"! requires an empty queue at {x}")
+    others = [o for o in g.entries if o.endpoint != x]
+    if set(t.targets) != {o.endpoint for o in others}:
+        raise RuleMismatch(f"! at {x} must broadcast to every other endpoint")
+    for o in others:
+        if o.typing is None or not isinstance(o.typing, WhyNot):
+            raise RuleMismatch(f"! needs {o.endpoint} to be ?-typed")
+        if o.queue:
+            raise LeftoverQueue(f"! needs an empty queue at {o.endpoint}")
+    if f in endpoint_names(g):
+        raise RuleMismatch(f"server name {f} is not fresh")
+    g2 = g.replace(x, Entry(f, tuple(Query(u) for u in t.targets), t.body))
+    return "Bang", ((p.body, rename_context_targets(g2, {x: f})),)
+
+
+def _fwd_quest(p: Client, g: Context):
+    x, f = p.x, p.fresh
+    e, t = _active(g, x, WhyNot, "client on", "?{z}A")
+    z = t.target
+    if not g.has(z):
+        raise RuleMismatch(f"? target {z} not in context")
+    head, g2 = _pop_for(g, z, x)
+    if head != (Query(x),):
+        raise QueueHeadMismatch(
+            f"head of {z}'s queue must be a query for {x}, got {_popped(head)}")
+    if f in endpoint_names(g):
+        raise RuleMismatch(f"client name {f} is not fresh")
+    g2 = g2.replace(x, Entry(f, e.queue, t.body))
+    return "Quest", ((p.cont, rename_context_targets(g2, {x: f})),)
+
+
+def _fwd_cut(p: Cut, g: Context):
+    raise RuleMismatch("forwarders contain no cuts")
+
+
+FORWARDER_RULES = {
+    Link: _fwd_ax, Close: _fwd_one, Wait: _fwd_bot, Recv: _fwd_par, Send: _fwd_tensor,
+    Inl: _fwd_plus, Inr: _fwd_plus, Case: _fwd_with, Server: _fwd_bang, Client: _fwd_quest,
+    Cut: _fwd_cut,
+}
 
 
 def _popped(head: Queue) -> str:
@@ -321,13 +305,22 @@ def _pop_for(g: Context, u: str, x: str) -> tuple[Queue, Context]:
     return (e.queue[i],), g.replace(u, Entry(u, e.queue[:i] + e.queue[i + 1:], e.typing))
 
 
-def _active(g: Context, x: str) -> Entry:
+def _active(g: Context, x: str, cls: type, acts: str, shape: str) -> tuple[Entry, Type]:
+    """``x``'s entry and its typing, which must be a ``cls`` with its slot
+    set; ``acts`` and ``shape`` say what the term does at ``x`` and the
+    shape of type it needs."""
     if not g.has(x):
         raise RuleMismatch(f"endpoint {x} not in context")
     e = g.get(x)
-    if e.typing is None:
+    t = e.typing
+    if t is None:
         raise RuleMismatch(f"endpoint {x} is terminated")
-    return e
+    row = S.CONNECTIVES[cls]
+    if type(t) is not cls or not row.multi and t.target is None:
+        raise RuleMismatch(f"{acts} {x} needs {x}:{shape}, got {S.print_type(t)}")
+    if row.multi and not t.targets:
+        raise NonEmptyTargetViolation(f"rule {row.symbol} needs a nonempty target set")
+    return e, t
 
 
 def check_forwarder(p: Process, g: Context) -> Derivation:
@@ -353,14 +346,14 @@ def _env_get(env: Env, x: str) -> Type:
     raise RuleMismatch(f"endpoint {x} not in environment")
 
 
-def _env_del(env: Env, x: str) -> Env:
-    out, dropped = [], False
-    for n, t in env:
-        if n == x and not dropped:
-            dropped = True
-            continue
-        out.append((n, t))
-    return tuple(out)
+def _env_take(env: Env, x: str, cls: type, acts: str, shape: str) -> tuple[Type, Env]:
+    """``x``'s type, which must be a ``cls``, and ``env`` without ``x``."""
+    for i, (n, t) in enumerate(env):
+        if n == x:
+            if type(t) is not cls:
+                raise RuleMismatch(f"{acts} {x} needs {x}:{shape}")
+            return t, env[:i] + env[i + 1:]
+    raise RuleMismatch(f"endpoint {x} not in environment")
 
 
 def check_cll(p: Process, env: Env) -> Derivation:
@@ -404,10 +397,9 @@ def _leaf(rule: str, p: Process, env: Env, used: tuple[str, ...]) -> Derivation:
             raise UnusedEndpoint(f"{n} unused at {rule} leaf")
     core = tuple((n, t) for n, t in env if n in used)
     d = Derivation(rule, p, core, ())
-    have = core
     for n, t in extras:
-        have = have + ((n, t),)
-        d = Derivation("Weaken", p, have, (d,))
+        core += ((n, t),)
+        d = Derivation("Weaken", p, core, (d,))
     return d
 
 
@@ -433,7 +425,8 @@ def _check_cll(p: Process, env: Env) -> Derivation:
 
 
 def cp_step(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]:
-    """One CP rule applied to the head of ``p``, yielding premise judgements.
+    """One CP rule applied to the head of ``p``, yielding premise judgements:
+    the row of ``CP_RULES`` for ``p``'s class.
 
     ``env`` is plain (erased): ``check_cll`` erases once and folds this rule
     table over the term.  Contraction on a re-used ?-endpoint is folded into
@@ -441,67 +434,83 @@ def cp_step(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]
     and that formula's dual; a leaf rule does not check for unused endpoints
     (``check_cll`` weakens them).
     """
-    match p:
-        case Link(x, y):
-            tx, ty = _env_get(env, x), _env_get(env, y)
-            if dual(tx) != ty:
-                raise RuleMismatch(f"link {x}<->{y} needs dual types, got "
-                                   f"{S.print_type(tx)} / {S.print_type(ty)}")
-            return "Ax", ()
-        case Close(x):
-            if not isinstance(_env_get(env, x), One):
-                raise RuleMismatch(f"close {x} needs {x}:1")
-            return "One", ()
-        case Wait(x, cont):
-            if not isinstance(_env_get(env, x), Bot):
-                raise RuleMismatch(f"wait {x} needs {x}:bot")
-            return "Bot", ((cont, _env_del(env, x)),)
-        case Send(x, f, payload, cont):
-            t = _env_get(env, x)
-            if not isinstance(t, Tensor):
-                raise RuleMismatch(f"send on {x} needs {x}:A*B")
-            left, right = _split_env(payload, {f}, cont, {x}, _env_del(env, x), p)
-            return "Tensor", ((payload, left + ((f, t.left),)), (cont, right + ((x, t.right),)))
-        case Recv(x, f, cont):
-            t = _env_get(env, x)
-            if not isinstance(t, Par):
-                raise RuleMismatch(f"recv on {x} needs {x}:A|B")
-            return "Par", ((cont, _env_del(env, x) + ((f, t.left), (x, t.right))),)
-        case Inl(x, cont) | Inr(x, cont):
-            t = _env_get(env, x)
-            if not isinstance(t, Plus):
-                raise RuleMismatch(f"select on {x} needs {x}:A+B")
-            keep = t.left if isinstance(p, Inl) else t.right
-            tag = "PlusL" if isinstance(p, Inl) else "PlusR"
-            return tag, ((cont, _env_del(env, x) + ((x, keep),)),)
-        case Case(x, l, r):
-            t = _env_get(env, x)
-            if not isinstance(t, With):
-                raise RuleMismatch(f"case on {x} needs {x}:A&B")
-            rest = _env_del(env, x)
-            return "With", ((l, rest + ((x, t.left),)), (r, rest + ((x, t.right),)))
-        case Server(x, f, body):
-            t = _env_get(env, x)
-            if not isinstance(t, OfCourse):
-                raise RuleMismatch(f"srv on {x} needs {x}:!A")
-            rest = _env_del(env, x)
-            for n, tt in rest:
-                if not isinstance(tt, WhyNot):
-                    raise RuleMismatch(f"! context must be ?-typed, {n} is not")
-            return "Bang", ((body, rest + ((f, t.body),)),)
-        case Client(x, f, cont):
-            t = _env_get(env, x)
-            if not isinstance(t, WhyNot):
-                raise RuleMismatch(f"client on {x} needs {x}:?A")
-            rest = _env_del(env, x)
-            if x in free_endpoints(cont):
-                return "Quest", ((cont, rest + ((f, t.body), (x, t))),)
-            return "Quest", ((cont, rest + ((f, t.body),)),)
-        case Cut(x, y, a, l, r):
-            left, right = _split_env(l, {x}, r, {y}, env, p)
-            t = erase(a)
-            return "Cut", ((l, left + ((x, t),)), (r, right + ((y, dual(t)),)))
-    raise RuleMismatch(f"no CP rule for {type(p).__name__}")
+    rule = CP_RULES.get(type(p))
+    if rule is None:
+        raise RuleMismatch(f"no CP rule for {type(p).__name__}")
+    return rule(p, env)
+
+
+def _cp_ax(p: Link, env: Env):
+    x, y = p.x, p.y
+    tx, ty = _env_get(env, x), _env_get(env, y)
+    if dual(tx) != ty:
+        raise RuleMismatch(f"link {x}<->{y} needs dual types, got "
+                           f"{S.print_type(tx)} / {S.print_type(ty)}")
+    return "Ax", ()
+
+
+def _cp_one(p: Close, env: Env):
+    _env_take(env, p.x, One, "close", "1")
+    return "One", ()
+
+
+def _cp_bot(p: Wait, env: Env):
+    _, rest = _env_take(env, p.x, Bot, "wait", "bot")
+    return "Bot", ((p.cont, rest),)
+
+
+def _cp_tensor(p: Send, env: Env):
+    x, f = p.x, p.fresh
+    t, rest = _env_take(env, x, Tensor, "send on", "A*B")
+    left, right = _split_env(p.payload, {f}, p.cont, {x}, rest, p)
+    return "Tensor", ((p.payload, left + ((f, t.left),)), (p.cont, right + ((x, t.right),)))
+
+
+def _cp_par(p: Recv, env: Env):
+    t, rest = _env_take(env, p.x, Par, "recv on", "A|B")
+    return "Par", ((p.cont, rest + ((p.fresh, t.left), (p.x, t.right))),)
+
+
+def _cp_plus(p: Inl | Inr, env: Env):
+    t, rest = _env_take(env, p.x, Plus, "select on", "A+B")
+    if type(p) is Inl:
+        return "PlusL", ((p.cont, rest + ((p.x, t.left),)),)
+    return "PlusR", ((p.cont, rest + ((p.x, t.right),)),)
+
+
+def _cp_with(p: Case, env: Env):
+    t, rest = _env_take(env, p.x, With, "case on", "A&B")
+    return "With", ((p.left, rest + ((p.x, t.left),)), (p.right, rest + ((p.x, t.right),)))
+
+
+def _cp_bang(p: Server, env: Env):
+    t, rest = _env_take(env, p.x, OfCourse, "srv on", "!A")
+    for n, tt in rest:
+        if not isinstance(tt, WhyNot):
+            raise RuleMismatch(f"! context must be ?-typed, {n} is not")
+    return "Bang", ((p.body, rest + ((p.fresh, t.body),)),)
+
+
+def _cp_quest(p: Client, env: Env):
+    x = p.x
+    t, rest = _env_take(env, x, WhyNot, "client on", "?A")
+    rest += ((p.fresh, t.body),)
+    if x in free_endpoints(p.cont):
+        return "Quest", ((p.cont, rest + ((x, t),)),)
+    return "Quest", ((p.cont, rest),)
+
+
+def _cp_cut(p: Cut, env: Env):
+    left, right = _split_env(p.left, {p.x}, p.right, {p.y}, env, p)
+    t = erase(p.formula)
+    return "Cut", ((p.left, left + ((p.x, t),)), (p.right, right + ((p.y, dual(t)),)))
+
+
+CP_RULES = {
+    Link: _cp_ax, Close: _cp_one, Wait: _cp_bot, Send: _cp_tensor, Recv: _cp_par,
+    Inl: _cp_plus, Inr: _cp_plus, Case: _cp_with, Server: _cp_bang, Client: _cp_quest,
+    Cut: _cp_cut,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -567,21 +576,13 @@ def synth_context(g: Context) -> tuple[Context, Process] | None:
     return None
 
 
-def _dangling_names(g: Context) -> tuple[str, ...]:
-    """Annotation targets that name no current endpoint or boxed payload.
-
-    They are promises: an earlier rule recorded the name a later binder must
-    introduce, so the search offers them as binder candidates.
-    """
-    refs = target_names(g) - endpoint_names(g)
-    return tuple(sorted(u for u in refs if not S.is_hole((u,))))
-
-
 def _binder_candidates(base: str, g: Context, supply: S.FreshNames) -> Iterator[str]:
-    """A fresh name, then the dangling names; those are looked up only when
-    the search comes back for another binder."""
+    """A fresh name, then the dangling names, looked up only when the search
+    comes back for another binder: the annotation targets that name no
+    current endpoint or boxed payload.  They are promises: an earlier rule
+    recorded the name a later binder must introduce."""
     yield supply.fresh(base)
-    yield from _dangling_names(g)
+    yield from sorted(u for u in target_names(g) - endpoint_names(g) if not S.is_hole((u,)))
 
 
 def _solutions(
@@ -749,11 +750,12 @@ def _fire(e: Entry, value: tuple[str, ...], ctor: type, g: Context, store, suppl
     """Fire ``ctor``'s rule at ``e`` with its head slot set to ``value``,
     once per binder candidate, and rebuild the term around the solutions of
     the premises ``forwarder_step`` gives."""
-    x = e.endpoint
-    ts = S.targets_of(e.typing)
-    if S.is_hole(ts):
+    x, t = e.endpoint, e.typing
+    ts = S.targets_of(t)
+    if S.is_hole(ts):  # the head slot takes ``value``, the operands are kept
         store = {**store, ts[0]: _unrename(ren, value)}
-        g = g.replace(x, Entry(x, e.queue, S.with_head_slot(e.typing, value)))
+        slot = value if type(t) in S.MULTI_TARGET else value[0]
+        g = g.replace(x, Entry(x, e.queue, type(t)(*S.children(t), slot)))
     stubs = (STUB, STUB) if ctor in (Send, Case) else (STUB,)
     if ctor in (Wait, Inl, Inr, Case):
         heads = (ctor(x, *stubs),)
@@ -808,20 +810,20 @@ def _eta(z: str, x: str, t: Type, supply: S.FreshNames) -> Process:
             return Wait(z, Close(x))
         case Bot():
             return Wait(x, Close(z))
-        case Tensor(a, b, _):
+        case Tensor(left=a, right=b):
             u, v = supply.fresh("u"), supply.fresh("v")
             return Recv(z, v, Send(x, u, _eta(v, u, a, supply), _eta(z, x, b, supply)))
-        case Par(a, b, _):
+        case Par(left=a, right=b):
             u, v = supply.fresh("u"), supply.fresh("v")
             return Recv(x, u, Send(z, v, _eta(u, v, dual(a), supply), _eta(x, z, dual(b), supply)))
-        case Plus(a, b, _):
+        case Plus(left=a, right=b):
             return Case(z, Inl(x, _eta(z, x, a, supply)), Inr(x, _eta(z, x, b, supply)))
-        case With(a, b, _):
+        case With(left=a, right=b):
             return Case(x, Inl(z, _eta(x, z, dual(a), supply)), Inr(z, _eta(x, z, dual(b), supply)))
-        case OfCourse(a, _):
+        case OfCourse(body=a):
             u, v = supply.fresh("u"), supply.fresh("v")
             return Server(x, u, Client(z, v, _eta(v, u, a, supply)))
-        case WhyNot(a, _):
+        case WhyNot(body=a):
             u, v = supply.fresh("u"), supply.fresh("v")
             return Server(z, v, Client(x, u, _eta(u, v, dual(a), supply)))
     raise TypeError(t)

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import compat as CM
 from . import cutelim as CE
@@ -24,6 +24,7 @@ from .checker import CheckError, Derivation, check_cll, check_forwarder, synth_c
 from .contexts import Context, context_fully_annotated, translate_config
 from .cutelim import CutError, Judged
 from .mcut import McutError
+from .records import record
 
 
 def _color_enabled() -> bool:
@@ -238,7 +239,8 @@ def _sim_step(cfg: MC.MCutConfig, stats: MC.McutStats) -> tuple[dict, str]:
                     f"{tag}: fork\n{_print_sim_state(cl)}\n{_print_sim_state(cr)}")
 
 
-class Command(NamedTuple):
+@record
+class Command:
     decls: tuple[type, ...]  # the declarations it runs
     run: Callable  # (declaration, parsed arguments) -> verdict
     flag: tuple[str, str] | None  # an option of its own, and its help

@@ -66,7 +66,7 @@ and is read off once it is made (point 4).
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import syntax as S
 from .syntax import (
@@ -77,6 +77,7 @@ from .contexts import (
     Config, Context, EMPTY_CONFIG, Entry, LeftTok, MsgBox, Query, RightTok, Star, endpoint_names,
     map_context, msgbox,
 )
+from .records import record
 from .checker import BINDER_BASE, STUB, Env, forwarder_step, nonempty_subsets
 
 
@@ -84,7 +85,8 @@ from .checker import BINDER_BASE, STUB, Env, forwarder_step, nonempty_subsets
 # Transitions
 
 
-class Step(NamedTuple):
+@record
+class Step:
     """A transition, named by the forwarder rule it mirrors (the tag
     ``forwarder_step`` gives it; ``&``'s premises are ``WithL``/``WithR``, as
     ``⊕``'s rules are ``PlusL``/``PlusR``) and acting at ``x``.  ``carried`` is
@@ -186,78 +188,99 @@ def transitions(c: Config, one_endpoint: bool = False) -> list[tuple[Step, Confi
 
     out: list[tuple[Step, Config]] = []
     for x, t in c.delta:
-        moves = _endpoint_transitions(c, x, t, delta, sigma)
+        rule, ts = TRANSITIONS.get(type(t)), S.targets_of(t)
+        moves = rule(c, x, t, ts, delta, sigma) if rule is not None and ts else []
         if moves and one_endpoint:
             return moves
         out.extend(moves)
     return out
 
 
-def _endpoint_transitions(c: Config, x: Endpoint, t: Type, delta, sigma):
-    """The rule table: the moves of ``x``, each given to ``_successor`` as
-    ``x``'s new type (None when it terminates), the holders whose first item
-    for ``x`` it pops and the items it pushes onto ``x``'s queues."""
-    match t:
-        case One(ts):
-            if len(delta) == 1 and all(key[0] == x and q == (Star(x),) for key, q in c.sigma):
-                holders = {h for (_, h) in sigma}
-                if S.is_hole(ts):
-                    raise Need(ts[0], lambda v: set(v) == holders)
-                if ts and holders == set(ts):
-                    return [_successor(c, sigma, "One", x, None, ts)]
-        case Bot(u) if u is not None:
-            if S.is_hole((u,)):
-                raise Need(u, lambda v: _takes(delta, v, One))
-            return [_successor(c, sigma, "Bot", x, None, (), (Star(u),))]
-        case Par(a, b, u) if u is not None:
-            if S.is_hole((u,)):
-                raise Need(u, lambda v: _takes(delta, v, Tensor))
-            return [_successor(c, sigma, "Par", x, b, (), (msgbox(u, "m", a),))]
-        case Tensor(a, b, ts) if ts:
-            if S.is_hole(ts):
-                if _waiting(c, x, MsgBox):
-                    raise Need(ts[0], lambda v: _feeds(sigma, delta, x, v, MsgBox, Par))
-                return []
-            gathered: list[Type] = []
-            for u in ts:
-                q = sigma.get((x, u))
-                if not q or not isinstance(q[0], MsgBox):
-                    return []
-                gathered.extend(erase(g) for _, g in q[0].payloads)
-            gathered.append(erase(a))
-            carried = tuple((f"e{i}", g) for i, g in enumerate(gathered))
-            return [_successor(c, sigma, "Tensor", x, b, ts, (), carried)]
-        case Plus(a, b, z) if z is not None:
-            if S.is_hole((z,)):
-                if _waiting(c, x, (LeftTok, RightTok)):
-                    raise Need(z, lambda v: _feeds(sigma, delta, x, v, (LeftTok, RightTok), With))
-                return []
-            q = sigma.get((x, z))
-            if q and q[0] == LeftTok(x):
-                return [_successor(c, sigma, "PlusL", x, a, (z,))]
-            if q and q[0] == RightTok(x):
-                return [_successor(c, sigma, "PlusR", x, b, (z,))]
-        case With(a, b, ts) if ts:
-            if S.is_hole(ts):
-                raise Need(ts[0], lambda v: _takes(delta, v, Plus))
-            return [_successor(c, sigma, "WithL", x, a, (), tuple(LeftTok(u) for u in ts)),
-                    _successor(c, sigma, "WithR", x, b, (), tuple(RightTok(u) for u in ts))]
-        case OfCourse(a, ts) if ts:
-            others = {k for k in delta if k != x}
-            if not c.sigma and all(isinstance(delta[o], WhyNot) for o in others):
-                if S.is_hole(ts):
-                    raise Need(ts[0], lambda v: set(v) == others)
-                if set(ts) == others:
-                    return [_successor(c, sigma, "Bang", x, a, (), tuple(Query(u) for u in ts))]
-        case WhyNot(a, z) if z is not None:
-            if S.is_hole((z,)):
-                if _waiting(c, x, Query):
-                    raise Need(z, lambda v: _feeds(sigma, delta, x, v, Query, OfCourse))
-                return []
-            q = sigma.get((x, z))
-            if q and q[0] == Query(x):
-                return [_successor(c, sigma, "Quest", x, a, (z,))]
+# The rule table ``TRANSITIONS``, a row per connective: the moves of ``x`` at
+# type ``t`` with its slot ``ts`` set, each given to ``_successor`` as ``x``'s new
+# type (None when it terminates), the holders it pops from and the items it pushes.
+
+def _one(c: Config, x: Endpoint, t: One, ts, delta, sigma):
+    if len(delta) == 1 and all(key[0] == x and q == (Star(x),) for key, q in c.sigma):
+        holders = {h for (_, h) in sigma}
+        if S.is_hole(ts):
+            raise Need(ts[0], lambda v: set(v) == holders)
+        if holders == set(ts):
+            return [_successor(c, sigma, "One", x, None, ts)]
     return []
+
+
+def _bot(c: Config, x: Endpoint, t: Bot, ts, delta, sigma):
+    if S.is_hole(ts):
+        raise Need(ts[0], lambda v: _takes(delta, v, One))
+    return [_successor(c, sigma, "Bot", x, None, (), (Star(ts[0]),))]
+
+
+def _par(c: Config, x: Endpoint, t: Par, ts, delta, sigma):
+    if S.is_hole(ts):
+        raise Need(ts[0], lambda v: _takes(delta, v, Tensor))
+    return [_successor(c, sigma, "Par", x, t.right, (), (msgbox(ts[0], "m", t.left),))]
+
+
+def _tensor(c: Config, x: Endpoint, t: Tensor, ts, delta, sigma):
+    if S.is_hole(ts):
+        if _waiting(c, x, MsgBox):
+            raise Need(ts[0], lambda v: _feeds(sigma, delta, x, v, MsgBox, Par))
+        return []
+    gathered: list[Type] = []
+    for u in ts:
+        q = sigma.get((x, u))
+        if not q or not isinstance(q[0], MsgBox):
+            return []
+        gathered.extend(erase(g) for _, g in q[0].payloads)
+    gathered.append(erase(t.left))
+    carried = tuple((f"e{i}", g) for i, g in enumerate(gathered))
+    return [_successor(c, sigma, "Tensor", x, t.right, ts, (), carried)]
+
+
+def _plus(c: Config, x: Endpoint, t: Plus, ts, delta, sigma):
+    if S.is_hole(ts):
+        if _waiting(c, x, (LeftTok, RightTok)):
+            raise Need(ts[0], lambda v: _feeds(sigma, delta, x, v, (LeftTok, RightTok), With))
+        return []
+    q = sigma.get((x, ts[0]))
+    if q and q[0] == LeftTok(x):
+        return [_successor(c, sigma, "PlusL", x, t.left, ts)]
+    if q and q[0] == RightTok(x):
+        return [_successor(c, sigma, "PlusR", x, t.right, ts)]
+    return []
+
+
+def _with(c: Config, x: Endpoint, t: With, ts, delta, sigma):
+    if S.is_hole(ts):
+        raise Need(ts[0], lambda v: _takes(delta, v, Plus))
+    return [_successor(c, sigma, "WithL", x, t.left, (), tuple(LeftTok(u) for u in ts)),
+            _successor(c, sigma, "WithR", x, t.right, (), tuple(RightTok(u) for u in ts))]
+
+
+def _bang(c: Config, x: Endpoint, t: OfCourse, ts, delta, sigma):
+    others = {k for k in delta if k != x}
+    if not c.sigma and all(isinstance(delta[o], WhyNot) for o in others):
+        if S.is_hole(ts):
+            raise Need(ts[0], lambda v: set(v) == others)
+        if set(ts) == others:
+            return [_successor(c, sigma, "Bang", x, t.body, (), tuple(Query(u) for u in ts))]
+    return []
+
+
+def _quest(c: Config, x: Endpoint, t: WhyNot, ts, delta, sigma):
+    if S.is_hole(ts):
+        if _waiting(c, x, Query):
+            raise Need(ts[0], lambda v: _feeds(sigma, delta, x, v, Query, OfCourse))
+        return []
+    q = sigma.get((x, ts[0]))
+    if q and q[0] == Query(x):
+        return [_successor(c, sigma, "Quest", x, t.body, ts)]
+    return []
+
+
+TRANSITIONS = {One: _one, Bot: _bot, Par: _par, Tensor: _tensor, Plus: _plus, With: _with,
+               OfCourse: _bang, WhyNot: _quest}
 
 
 def _successor(c: Config, sigma, rule: str, x: Endpoint, typ: Type | None,
@@ -333,7 +356,8 @@ def _send_key(env: Env) -> tuple[Type, ...]:
     return tuple(t for _, t in _canon_env(env))
 
 
-class Why(NamedTuple):
+@record
+class Why:
     """Why a configuration was decided.  An executable one keeps the
     transitions it followed (none: it is empty).  One that is not keeps its
     first failing transition, or none when it has no transition; that

@@ -25,7 +25,7 @@ there.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from . import syntax as S
 from .syntax import (
@@ -95,22 +95,6 @@ class CutSide:
 def _splice(ts: tuple[Endpoint, ...], old: Endpoint, new: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
     i = ts.index(old)
     return ts[:i] + new + ts[i + 1 :]
-
-
-def rewrite_all(t: Type, kind: type | tuple[type, ...], at: Endpoint,
-                new: tuple[Endpoint, ...]) -> tuple[Type, int]:
-    """Rewrite every ``kind`` connective aimed at ``at`` to aim at ``new``
-    instead; returns the count."""
-    n = 0
-
-    def every(s: Type, ts: tuple[Endpoint, ...]) -> tuple[Endpoint, ...]:
-        nonlocal n
-        if not isinstance(s, kind) or at not in ts:
-            return ts
-        n += 1
-        return _splice(ts, at, new)
-
-    return S.map_slots(t, every), n
 
 
 # The items each rule queues at its endpoint for the endpoint it names, and
@@ -310,7 +294,8 @@ def _rename_everywhere(p: Process, m: dict[str, str]) -> Process:
         (tuple(m.get(b, b) for b in bs), _rename_everywhere(q, m)) for bs, q in subs))
 
 
-class _Cut(NamedTuple):
+@record
+class _Cut:
     """The redex ``res x y (left | right)``, its sides checked derivations."""
 
     left: Derivation
@@ -319,7 +304,8 @@ class _Cut(NamedTuple):
     y: Endpoint
 
 
-class _Step(NamedTuple):
+@record
+class _Step:
     """One step of the figure at a redex: a cut-free ``leaf``, a smaller
     ``redex``, or a ``head`` pushed out of the cut whose ``subs`` each keep a
     premise (a Derivation) or put it under the cut.  A K step also carries the
@@ -377,20 +363,20 @@ def _principal(r: _Cut, box_cut: BoxCut) -> _Step:
         r = _Cut(r.right, r.y, r.left, r.x)
     lprem, rprem = r.left.premises, r.right.premises
     match r.left.process, r.right.process:
-        case (Close(_), Wait(_, _)):
+        case (Close(), Wait()):
             # unit base case: the wait continuation already inhabits the goal,
             # the nonuniform substitution only reshuffles proof-level queues
             return _Step("B2", leaf=rprem[0].process)
-        case (Send(_, a, _, _), Recv(_, c, _)):
+        case (Send(fresh=a), Recv(fresh=c)):
             payload, cont = lprem
             try:
                 boxed = _cut_in_box(payload, a, rprem[0], c, box_cut)
             except (CutError, CheckError) as e:
                 return _Step("K", failed=e)
             return _Step("K", redex=_Cut(cont, r.x, boxed, r.y), consumed=(c, payload, a))
-        case (Case(_, _, _), (Inl(_, _) | Inr(_, _)) as pick):
+        case (Case(), (Inl() | Inr()) as pick):
             return _Step("K-add", redex=_Cut(lprem[isinstance(pick, Inr)], r.x, rprem[0], r.y))
-        case (Server(_, a, _), Client(_, b, _)):
+        case (Server(fresh=a), Client(fresh=b)):
             return _Step("K-exp", redex=_Cut(lprem[0], a, rprem[0], b))
     raise Stuck("principal heads do not interact: "
                 f"{type(r.left.process).__name__}/{type(r.right.process).__name__}")
@@ -399,7 +385,8 @@ def _principal(r: _Cut, box_cut: BoxCut) -> _Step:
 # -- the engine ---------------------------------------------------------------
 
 
-class _Realized(NamedTuple):
+@record
+class _Realized:
     """A branch that reached a cut-free term: the term, its tags as they fired,
     and the K-step identifications (spectator -> name) no receive bound yet."""
 
@@ -408,7 +395,8 @@ class _Realized(NamedTuple):
     idents: dict[str, str]
 
 
-class _Failed(NamedTuple):
+@record
+class _Failed:
     """A branch that did not: the tags from the root cut down to the step
     that failed, and the check that failed there."""
 
@@ -416,7 +404,8 @@ class _Failed(NamedTuple):
     why: str = "no step applies after it"
 
 
-class _Walk(NamedTuple):
+@record
+class _Walk:
     """Where the engine stands: the tags from the root cut, the binders of the
     enclosing commuted receives, and the steps left (shared by all branches)."""
 
@@ -501,7 +490,7 @@ def _fire(step: _Step, gamma: Context, walk: _Walk, trace: tuple[str, ...],
             if step.consumed is not None:
                 gamma, idents = _identify(gamma, *step.consumed, walk.receives, idents)
             got = _drive(step.redex, gamma, walk, idents)
-            return got if isinstance(got, _Failed) else got._replace(trace=trace + got.trace)
+            return got if isinstance(got, _Failed) else replace(got, trace=trace + got.trace)
         # a commuted head: its rule at the goal gives each subterm's goal
         term, out = step.head, []
         _, goals = forwarder_step(term, gamma)
@@ -654,7 +643,8 @@ def _swap_box(g: Context, c: Endpoint, spect: tuple[tuple[str, Type], ...]) -> C
     def follow(t: Type, where: str) -> Type:
         if len(names) == 1:
             return S.rename_targets(t, {c: names[0]})
-        t, _ = rewrite_all(t, S.MULTI_TARGET, c, names)
+        t = S.map_slots(t, lambda s, ts: _splice(ts, c, names)
+                        if isinstance(s, S.MULTI_TARGET) and c in ts else ts)
         if any(c in ts for ts in S.slots(t)):
             raise refused(where)
         return t

@@ -122,7 +122,7 @@ class Parser:
         self.sizes: dict[int, int] = {}  # expanded size by id of a tree in names
 
     @property
-    def cur(self) -> str:
+    def cur(self) -> str:  # a call: the per-token methods index ``toks`` themselves
         return self.toks[self.i]
 
     def line(self, i: int) -> int:
@@ -145,23 +145,25 @@ class Parser:
         return f"got {self.cur!r}" if self.cur else "got end of input"
 
     def at(self, text: str) -> bool:
-        return self.cur == text
+        return self.toks[self.i] == text
 
     def at_name(self) -> bool:
         """Whether the current token is an identifier (no other token starts
         with a letter) and no keyword."""
-        return self.cur[:1].isalpha() and self.cur not in KEYWORDS
+        t = self.toks[self.i]
+        return t[:1].isalpha() and t not in KEYWORDS
 
     def eat(self, text: str) -> None:
-        if not self.at(text):
+        if self.toks[self.i] != text:
             raise self.error(self.got(), (text,))
         self.i += 1
 
     def eat_ident(self, what: str = "identifier") -> str:
-        if not self.at_name():
+        t = self.toks[self.i]
+        if not t[:1].isalpha() or t in KEYWORDS:
             raise self.error(self.got(), (what,))
         self.i += 1
-        return self.toks[self.i - 1]
+        return t
 
     def sep(self, item: Callable, by: str = ",", go_on: Callable | None = None) -> tuple:
         """One or more ``item()``s with ``by`` between them: a ``by`` goes
@@ -191,29 +193,30 @@ class Parser:
         return ts[0] if ts else None
 
     def type_atom(self) -> S.Type:
-        cls = _PREFIXES.get(self.cur)
+        t = self.toks[self.i]
+        cls = _PREFIXES.get(t)
         if cls is not None:
             self.i += 1
             ts = self.annotation(cls)
             return cls(self.type_atom(), ts) if S.CONNECTIVES[cls].arity else cls(ts)
-        if self.at("("):
-            self.eat("(")
-            t = self.type_()
+        if t == "(":
+            self.i += 1
+            typ = self.type_()
             self.eat(")")
-            return t
-        if self.at("~"):
-            self.eat("~")
+            return typ
+        if t == "~":
+            self.i += 1
             return S.DualAtom(self.eat_ident("atom name"))
-        if self.at_name():
-            name = self.eat_ident()
-            if ("type", name) in self.names:
-                return self.names[("type", name)]  # type: ignore[return-value]
-            return S.Atom(name)
+        if t[:1].isalpha() and t not in KEYWORDS:
+            self.i += 1
+            if ("type", t) in self.names:
+                return self.names[("type", t)]  # type: ignore[return-value]
+            return S.Atom(t)
         raise self.error(self.got(), ("type",))
 
     def type_(self) -> S.Type:
         left = self.type_atom()
-        cls = _INFIXES.get(self.cur)
+        cls = _INFIXES.get(self.toks[self.i])
         if cls is None:
             return left
         self.i += 1
@@ -227,7 +230,7 @@ class Parser:
         that goes on from the node is eaten, else its slot is parsed."""
         args: list = []
         while node.build is None:
-            nxt = node.edges.get(self.cur)
+            nxt = node.edges.get(self.toks[self.i])
             if nxt is not None:
                 self.i += 1
             elif node.slot is _process:  # parsed from this frame: one frame a nesting level
@@ -293,9 +296,9 @@ class Parser:
         return tuple(items)
 
     def payloads(self) -> C.Payloads:
-        """A box's payloads, ``e : A; f : B``."""
-        # a fresh ``seen`` each: payload names are not checked for duplicates
-        return self.sep(lambda: (self.bound_endpoint(set()), self.type_()), by=";")
+        """A box's payloads, ``e : A; f : B``, each name once."""
+        seen: set[str] = set()
+        return self.sep(lambda: (self.bound_endpoint(seen), self.type_()), by=";")
 
     def bound_endpoint(self, seen: set[str]) -> str:
         """The endpoint an entry of a context or environment binds: each
@@ -456,7 +459,7 @@ def _declarations(p: Parser) -> DeclarationFile:
         lines.append(p.line(start))
         d = p.form(_DECLARATIONS)
         match d:
-            case TypeDef(name, tree) | ProcDef(name, tree):
+            case TypeDef(name=name, typ=tree) | ProcDef(name=name, proc=tree):
                 p.define(start + 1, name, tree)  # the name follows the keyword
         decls.append(d)
     return DeclarationFile(tuple(decls), tuple(lines))

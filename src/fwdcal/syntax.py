@@ -200,12 +200,6 @@ def map_slots(t: Type, f: Callable[[Type, tuple[Endpoint, ...]], tuple[Endpoint,
     return type(t)(*kids, new[0] if new else None)
 
 
-def with_head_slot(t: Type, ts: tuple[Endpoint, ...]) -> Type:
-    """``t`` with its head connective's annotation slot set to ``ts``, a
-    nonempty slot of its kind; the operands are kept as they are."""
-    return type(t)(*children(t), ts if CONNECTIVES[type(t)].multi else ts[0])
-
-
 def slots(t: Type) -> list[tuple[Endpoint, ...]]:
     """Every connective's annotation slot, in ``map_slots`` order."""
     out: list[tuple[Endpoint, ...]] = []
@@ -368,44 +362,62 @@ Process = Union[Link, Close, Wait, Send, Recv, Inl, Inr, Case, Server, Client, C
 Scope = tuple[tuple[tuple[Endpoint, ...], Process], ...]
 
 
-def scope(p: Process) -> tuple[tuple[Endpoint, ...], Scope]:
-    """The binder table: the names ``p`` acts on at its head, and each direct
-    subterm with the binders it sits under, in field order.
+# The binder table: each constructor's head fields, the names it acts on,
+# and each subterm field with the binder fields it sits under, in field
+# order.  This is the one place that says what a constructor binds.
+BINDERS = {
+    Link: (("x", "y"), ()),
+    Close: (("x",), ()),
+    Wait: (("x",), (((), "cont"),)),
+    Send: (("x",), ((("fresh",), "payload"), ((), "cont"))),
+    Recv: (("x",), ((("fresh",), "cont"),)),
+    Inl: (("x",), (((), "cont"),)),
+    Inr: (("x",), (((), "cont"),)),
+    Case: (("x",), (((), "left"), ((), "right"))),
+    Server: (("x",), ((("fresh",), "body"),)),
+    Client: (("x",), ((("fresh",), "cont"),)),
+    Cut: ((), ((("x",), "left"), (("y",), "right"))),
+}
 
-    This is the one place that says what a constructor binds.
-    """
-    match p:
-        case Link(x, y):
-            return (x, y), ()
-        case Close(x):
-            return (x,), ()
-        case Wait(x, c) | Inl(x, c) | Inr(x, c):
-            return (x,), (((), c),)
-        case Send(x, f, pl, c):
-            return (x,), (((f,), pl), ((), c))
-        case Recv(x, f, c) | Server(x, f, c) | Client(x, f, c):
-            return (x,), (((f,), c),)
-        case Case(x, l, r):
-            return (x,), (((), l), ((), r))
-        case Cut(x, y, _, l, r):
-            return (), (((x,), l), ((y,), r))
-    raise TypeError(p)
+
+def _compile(cls: type, heads, subs) -> tuple[Callable, Callable]:
+    """``cls``'s row of ``BINDERS`` as its ``scope`` and its ``from_scope``,
+    one expression each, so that each is a lookup by ``type(p)`` and a call."""
+    def tup(xs) -> str:
+        return "(" + "".join(x + ", " for x in xs) + ")"
+
+    where = {h: f"h[{i}]" for i, h in enumerate(heads)}  # where from_scope reads a field
+    for j, (bs, q) in enumerate(subs):
+        where[q] = f"s[{j}][1]"
+        for k, b in enumerate(bs):
+            where.setdefault(b, f"s[{j}][0][{k}]")  # a binder is read where it first binds
+    read = tup([tup(f"p.{h}" for h in heads),
+                tup(tup([tup(f"p.{b}" for b in bs), f"p.{q}"]) for bs, q in subs)])
+    build = ", ".join(where.get(f.name, f"p.{f.name}") for f in fields(cls))
+    return eval(f"lambda p: {read}", {}), eval(f"lambda p, h, s: C({build})", {"C": cls})
+
+
+_COMPILED = {cls: _compile(cls, *row) for cls, row in BINDERS.items()}
+_SCOPE = {cls: fs[0] for cls, fs in _COMPILED.items()}
+_FROM_SCOPE = {cls: fs[1] for cls, fs in _COMPILED.items()}
+
+
+def scope(p: Process) -> tuple[tuple[Endpoint, ...], Scope]:
+    """``p``'s row of ``BINDERS``: the names ``p`` acts on at its head, and
+    each direct subterm with the binders it sits under, in field order."""
+    f = _SCOPE.get(type(p))
+    if f is None:
+        raise TypeError(p)
+    return f(p)
 
 
 def from_scope(p: Process, heads: tuple[Endpoint, ...], subs: Scope) -> Process:
     """Inverse of ``scope``: ``p``'s constructor over new head names, binders
-    and subterms."""
-    match p:
-        case Link() | Close():
-            return type(p)(*heads)
-        case Wait() | Inl() | Inr() | Case():
-            return type(p)(*heads, *(q for _, q in subs))
-        case Send() | Recv() | Server() | Client():
-            return type(p)(*heads, subs[0][0][0], *(q for _, q in subs))
-        case Cut():
-            ((x,), l), ((y,), r) = subs
-            return Cut(x, y, p.formula, l, r)
-    raise TypeError(p)
+    and subterms, read off the same row of ``BINDERS``."""
+    f = _FROM_SCOPE.get(type(p))
+    if f is None:
+        raise TypeError(p)
+    return f(p, heads, subs)
 
 
 def head_endpoint(p: Process) -> Endpoint | None:
@@ -415,11 +427,18 @@ def head_endpoint(p: Process) -> Endpoint | None:
 
 
 def free_endpoints(p: Process) -> frozenset[Endpoint]:
-    heads, subs = scope(p)
-    fv = frozenset(heads)
-    for bs, q in subs:
-        fv = fv.union(free_endpoints(q).difference(bs))
-    return fv
+    """The names ``p`` acts on outside binders of theirs, in one set as it walks."""
+    out: set[Endpoint] = set()
+    todo = [(p, ())]
+    while todo:
+        p, bound = todo.pop()
+        heads, subs = scope(p)
+        for h in heads:
+            if h not in bound:
+                out.add(h)
+        for bs, q in subs:
+            todo.append((q, bound + bs))
+    return frozenset(out)
 
 
 class FreshNames:

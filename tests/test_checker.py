@@ -346,3 +346,22 @@ def test_synthesis_results_are_pinned():
         got = synth_with_annotations(tuple((x, dual(t)) for x, t in env))
         rows.append([P.print_plain_env(env), P.print_context(got[0]), S.print_process(got[1])])
     assert rows == json.loads(SYNTH_FIXTURE.read_text(encoding="utf-8"))
+
+
+def test_the_rule_tables_have_a_row_for_each_process_form():
+    forms = set(S.PROCESSES.texts)
+    assert set(K.FORWARDER_RULES) == forms
+    assert set(K.CP_RULES) == forms
+
+
+def test_a_cut_and_an_unknown_object_keep_their_errors():
+    ctx = P.parse_context("x : 1{y}, y : . [to=x *]")
+    cut = P.parse_process("res a b : 1 (close a | wait b; close x)")
+    with pytest.raises(RuleMismatch, match="^forwarders contain no cuts$"):
+        K.forwarder_step(cut, ctx)
+    with pytest.raises(RuleMismatch, match="^no forwarder rule for object$"):
+        K.forwarder_step(object(), ctx)
+    with pytest.raises(RuleMismatch, match="^no CP rule for object$"):
+        K.cp_step(object(), (("x", One()),))
+    with pytest.raises(RuleMismatch, match="^no forwarder rule for Atom$"):
+        K.forwarder_step(Atom("a"), ctx)

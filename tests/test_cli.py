@@ -68,6 +68,17 @@ def test_duplicate_endpoint_is_a_located_parse_error(cmd, decl, tmp_path, capsys
     assert f"{path}:1:{decl.rindex('x') + 1}: duplicate endpoint x" in err
 
 
+def test_a_payload_name_repeated_in_one_box_is_a_located_parse_error(tmp_path, capsys):
+    # it once reached synthesis, which printed FAIL with exit code 1
+    decl = "synth x : a | b, y : . [to=x msg m : a; m : b];"
+    path = tmp_path / "dup.fwd"
+    path.write_text(decl + "\n", encoding="utf-8")
+    assert cli.main(["synth", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err and "FAIL" not in out
+    assert f"{path}:1:{decl.rindex('m :') + 1}: duplicate endpoint m" in err
+
+
 def test_compat_json_records_carry_the_checker_counters(tmp_path, capsys):
     path = tmp_path / "c.fwd"
     path.write_text("compat x : 1, y : bot;\ncompat x : 1, y : 1;\n", encoding="utf-8")

@@ -17,9 +17,9 @@ from test_syntax import names, scoped_procs, types
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
-# every queue-item kind; boxes carry one to three payloads
+# every queue-item kind; boxes carry one to three payloads, each named once
 payloads = st.lists(st.tuples(st.sampled_from(["p", "q", "r'", "m#1"]), types),
-                    min_size=1, max_size=3).map(tuple)
+                    min_size=1, max_size=3, unique_by=lambda pl: pl[0]).map(tuple)
 items = st.one_of(st.builds(MsgBox, names, payloads), names.map(Star), names.map(Query),
                   names.map(LeftTok), names.map(RightTok))
 queues = st.lists(items, max_size=4).map(tuple)
@@ -140,6 +140,8 @@ def test_fmt_is_a_fixed_point_on_the_corpus(path):
     ("sim x<->y |- x : ~a, y : a parts (y<->e) |- e : a, y : ~a @ y,;",
      "1:63: got ';' (expected one of: process)"),
     ("compat x : a, x : ~a;", "1:15: duplicate endpoint x"),
+    # a box names each of its payloads once
+    ("synth x : a | b, y : . [to=x msg m : a; m : b];", "1:41: duplicate endpoint m"),
     # the end of the input after a comment is where the text ends
     ("check close x |- x : 1\n## trailing\n", "3:1: got end of input (expected one of: ;)"),
     ("check close x |- x : 1 ## trailing", "1:35: got end of input (expected one of: ;)"),
@@ -149,7 +151,8 @@ def test_fmt_is_a_fixed_point_on_the_corpus(path):
 ], ids=["after-name", "queue-item", "declaration", "recv", "case", "sim-part", "dup-type",
         "dup-proc", "process", "queue-bracket", "payload", "cut-with", "select", "end-of-input",
         "end-of-input-in-term", "empty-queue", "pending-comma", "pending-empty", "single-target",
-        "context-comma", "target-comma", "part-comma", "dup-endpoint", "end-after-comment-line",
+        "context-comma", "target-comma", "part-comma", "dup-endpoint", "dup-payload",
+        "end-after-comment-line",
         "end-in-comment", "crlf-lines", "tab-and-nbsp"])
 def test_parse_errors_keep_their_position_and_text(text, message):
     with pytest.raises(P.ParseError) as e:

@@ -226,6 +226,54 @@ def test_rename_identity_keeps_free(p):
     assert free_endpoints(q) == fv
 
 
+def _free_by_cases(p) -> set[str]:
+    """Free names by the textbook definition, one case per constructor, so
+    that it does not read the binder table it checks."""
+    if isinstance(p, Link):
+        return {p.x, p.y}
+    if isinstance(p, Close):
+        return {p.x}
+    if isinstance(p, (Wait, Inl, Inr)):
+        return {p.x} | _free_by_cases(p.cont)
+    if isinstance(p, Send):  # the sent name is bound in the payload only
+        return {p.x} | (_free_by_cases(p.payload) - {p.fresh}) | _free_by_cases(p.cont)
+    if isinstance(p, (Recv, Client)):
+        return {p.x} | (_free_by_cases(p.cont) - {p.fresh})
+    if isinstance(p, Server):
+        return {p.x} | (_free_by_cases(p.body) - {p.fresh})
+    if isinstance(p, Case):
+        return {p.x} | _free_by_cases(p.left) | _free_by_cases(p.right)
+    if isinstance(p, Cut):
+        return (_free_by_cases(p.left) - {p.x}) | (_free_by_cases(p.right) - {p.y})
+    raise TypeError(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scoped_procs)
+def test_the_binder_table_rebuilds_every_term_and_its_free_names(p):
+    heads, subs = S.scope(p)
+    assert S.from_scope(p, heads, subs) == p
+    assert free_endpoints(p) == _free_by_cases(p)
+    assert S.head_endpoint(p) == (heads[0] if len(heads) == 1 else None)
+
+
+def test_the_binder_table_has_a_row_for_each_process_form():
+    assert set(S.BINDERS) == set(S.PROCESSES.texts)
+    # each row names only fields of its class, every subterm field once
+    for cls, (heads, subs) in S.BINDERS.items():
+        names = [f.name for f in fields(cls)]
+        assert set(heads) | {b for bs, _ in subs for b in bs} | {q for _, q in subs} <= set(names)
+        assert [f.name for f in fields(cls) if f.type == "Process"] == [q for _, q in subs]
+
+
+@pytest.mark.parametrize("bad", [object(), Atom("a"), None])
+def test_scope_and_from_scope_refuse_what_is_no_process(bad):
+    with pytest.raises(TypeError):
+        S.scope(bad)
+    with pytest.raises(TypeError):
+        S.from_scope(bad, (), ())
+
+
 @settings(max_examples=150, deadline=None)
 @given(scoped_procs, st.dictionaries(names, names, max_size=3))
 def test_rename_free_renames_exactly_the_free_names(p, m):
