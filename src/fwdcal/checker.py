@@ -741,7 +741,6 @@ def nonempty_subsets(names):
         yield from combinations(names, k)
 
 
-STUB = Close("_")  # a head term's subterms: forwarder_step only passes them on
 BINDER_BASE = {Recv: "m", Send: "w"}  # a server or client copy keeps its own name
 
 
@@ -756,13 +755,9 @@ def _fire(e: Entry, value: tuple[str, ...], ctor: type, g: Context, store, suppl
         store = {**store, ts[0]: _unrename(ren, value)}
         slot = value if type(t) in S.MULTI_TARGET else value[0]
         g = g.replace(x, Entry(x, e.queue, type(t)(*S.children(t), slot)))
-    stubs = (STUB, STUB) if ctor in (Send, Case) else (STUB,)
-    if ctor in (Wait, Inl, Inr, Case):
-        heads = (ctor(x, *stubs),)
-    else:
-        base = BINDER_BASE.get(ctor, x)
-        heads = (ctor(x, f, *stubs) for f in _binder_candidates(base, g, supply))
-    for head in heads:
+    binders = (_binder_candidates(BINDER_BASE.get(ctor, x), g, supply) if ctor in S.BINDING
+               else (None,))
+    for head in (S.head_term(ctor, (x,), f) for f in binders):
         try:
             _, prem = forwarder_step(head, g)
         except RuleMismatch:

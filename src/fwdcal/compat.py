@@ -78,7 +78,7 @@ from .contexts import (
     map_context, msgbox,
 )
 from .records import record
-from .checker import BINDER_BASE, STUB, Env, forwarder_step, nonempty_subsets
+from .checker import BINDER_BASE, Env, forwarder_step, nonempty_subsets
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +558,11 @@ class _Disagree(Exception):
     """Two branches need different values in one payload slot."""
 
 
-# The head constructor of the term each rule's step stands for, and its
-# number of subterms; WithL stands for the case over both branches.
+# The head constructor of the term each rule's step stands for; WithL stands
+# for the case over both branches.
 _HEADS = {
-    "Ax": (Link, 0), "One": (Close, 0), "Bot": (Wait, 1), "Par": (Recv, 1), "Tensor": (Send, 2),
-    "PlusL": (Inl, 1), "PlusR": (Inr, 1), "WithL": (Case, 2), "Bang": (Server, 1),
-    "Quest": (Client, 1),
+    "Ax": Link, "One": Close, "Bot": Wait, "Par": Recv, "Tensor": Send, "PlusL": Inl,
+    "PlusR": Inr, "WithL": Case, "Bang": Server, "Quest": Client,
 }
 
 
@@ -589,17 +588,14 @@ class _Replay:
         edges = self.chk._exec[c].edges
         lab = edges[0][0]
         x = ren[lab.x]
-        ctor, arity = _HEADS[lab.rule]
-        stubs = (STUB,) * arity
+        ctor, heads, f = _HEADS[lab.rule], (x,), None
         if ctor is Link:
-            head = Link(x, ren[next(n for n, _ in c.delta if n != lab.x)])
-        elif ctor in (Recv, Send, Server, Client):
+            heads = (x, ren[next(n for n, _ in c.delta if n != lab.x)])
+        elif ctor in S.BINDING:
             f = self.find(self.supply.fresh(BINDER_BASE.get(ctor, x)))
             if self.alias and f in endpoint_names(g):
                 raise _Disagree(f)  # a shared name, bound already on this path
-            head = ctor(x, f, *stubs)
-        else:
-            head = ctor(x, *stubs)
+        head = S.head_term(ctor, heads, f)
         _, prem = forwarder_step(head, g)
         if ctor in (Server, Client):  # the rule renames the endpoint to its binder
             ren = {**ren, lab.x: head.fresh}

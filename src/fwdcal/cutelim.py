@@ -16,10 +16,11 @@ The reduction figure is written once, as a table (``_table``): at a redex it
 lists the steps that apply, each a cut-free leaf (B1, B2), a smaller redex
 (K, K-add, K-exp) or a head action pushed out of the cut (C-*).  A redex's
 sides are checked derivations, and the table reads each step's premises off
-their nodes.  ``reduce_cut``'s engine realizes a chosen conclusion by firing
-the steps at that goal, bounded by fuel.  It returns the realized term and
-its trace, or reports the deepest failed branch and the check that failed
-there.
+their nodes.  ``reduce_cut``'s engine realizes a chosen conclusion by one
+step at each redex, the first the goal admits, bounded by fuel.  It returns
+the realized term and its trace; a check that fails at the step taken, or a
+redex at which no step applies, makes the reduction ``Stuck``, and the error
+names where and why.
 """
 
 from __future__ import annotations
@@ -260,20 +261,11 @@ class Judged:
     ctx: Context
 
 
-def _proc_names(p: Process) -> set[str]:
-    heads, subs = S.scope(p)
-    out = set(heads)
-    for bs, q in subs:
-        out.update(bs)
-        out |= _proc_names(q)
-    return out
-
-
 def judgement_names(j: Judged) -> frozenset[str]:
     """Every name a judgement mentions: endpoints, boxed payload names,
     annotation targets (which may forward-reference term binders), and the
     term's free and bound names."""
-    return context_names(j.ctx) | frozenset(_proc_names(j.term))
+    return context_names(j.ctx) | frozenset(S.names(j.term))
 
 
 def freshen_judgement(j: Judged, avoid: frozenset[str]) -> Judged:
@@ -308,16 +300,16 @@ class _Cut:
 class _Step:
     """One step of the figure at a redex: a cut-free ``leaf``, a smaller
     ``redex``, or a ``head`` pushed out of the cut whose ``subs`` each keep a
-    premise (a Derivation) or put it under the cut.  A K step also carries the
-    payload ``(c, payload, a)`` it consumes, or the error that stopped it."""
+    premise (a Derivation) or put it under the cut.  A K step's redex holds
+    the receive's premise as it is; its ``box``, ``(c, payload, a)``, is the
+    payload that takes the received name ``c``'s place there when it fires."""
 
     tag: str
     leaf: Process | None = None
     redex: _Cut | None = None
     head: Process | None = None
     subs: tuple[tuple[tuple[str, ...], Derivation | _Cut], ...] = ()
-    consumed: tuple[Endpoint, Derivation, Endpoint] | None = None
-    failed: Exception | None = None
+    box: tuple[Endpoint, Derivation, Endpoint] | None = None
 
 
 # A K step's box cut ``res a c (payload | message)``, reduced at its conclusion.
@@ -332,12 +324,12 @@ _COMMUTE_TAGS = {Wait: "C1", Recv: "C2", Send: "C3", Case: "C-case", Inl: "C-inl
 _NEGATIVE = (Wait, Recv, Inl, Inr, Client)
 
 
-def _table(r: _Cut, box_cut: BoxCut) -> Iterator[_Step]:
-    """The reduction figure at ``r``: the steps that apply, in the order the
-    engine tries them.  A link on a cut endpoint (the left side's first) is
-    B1 and excludes every other step; two heads on the cut endpoints meet in
-    the principal case; otherwise the right side's head commutes, then the
-    left side's."""
+def _table(r: _Cut) -> Iterator[_Step]:
+    """The reduction figure at ``r``: the steps that may apply, in the order
+    the engine asks the goal.  A link on a cut endpoint (the left side's
+    first) is B1 and excludes every other step; two heads on the cut
+    endpoints meet in the principal case; otherwise the right side's head
+    commutes, then the left side's."""
     for j, jx, other, oy in ((r.left, r.x, r.right, r.y), (r.right, r.y, r.left, r.x)):
         t = j.process
         if isinstance(t, Link) and jx in (t.x, t.y):
@@ -345,7 +337,7 @@ def _table(r: _Cut, box_cut: BoxCut) -> Iterator[_Step]:
             return
     lh, rh = head_endpoint(r.left.process), head_endpoint(r.right.process)
     if lh == r.x and rh == r.y:
-        yield _principal(r, box_cut)
+        yield _principal(r)
         return
     for side, sx, head, flip in ((r.right, r.y, rh, True), (r.left, r.x, lh, False)):
         tag = _COMMUTE_TAGS.get(type(side.process))
@@ -358,7 +350,7 @@ def _table(r: _Cut, box_cut: BoxCut) -> Iterator[_Step]:
             for (bs, _), j in zip(S.scope(side.process)[1], side.premises)))
 
 
-def _principal(r: _Cut, box_cut: BoxCut) -> _Step:
+def _principal(r: _Cut) -> _Step:
     if isinstance(r.left.process, _NEGATIVE):
         r = _Cut(r.right, r.y, r.left, r.x)
     lprem, rprem = r.left.premises, r.right.premises
@@ -369,11 +361,7 @@ def _principal(r: _Cut, box_cut: BoxCut) -> _Step:
             return _Step("B2", leaf=rprem[0].process)
         case (Send(fresh=a), Recv(fresh=c)):
             payload, cont = lprem
-            try:
-                boxed = _cut_in_box(payload, a, rprem[0], c, box_cut)
-            except (CutError, CheckError) as e:
-                return _Step("K", failed=e)
-            return _Step("K", redex=_Cut(cont, r.x, boxed, r.y), consumed=(c, payload, a))
+            return _Step("K", redex=_Cut(cont, r.x, rprem[0], r.y), box=(c, payload, a))
         case (Case(), (Inl() | Inr()) as pick):
             return _Step("K-add", redex=_Cut(lprem[isinstance(pick, Inr)], r.x, rprem[0], r.y))
         case (Server(fresh=a), Client(fresh=b)):
@@ -386,38 +374,23 @@ def _principal(r: _Cut, box_cut: BoxCut) -> _Step:
 
 
 @record
-class _Realized:
-    """A branch that reached a cut-free term: the term, its tags as they fired,
-    and the K-step identifications (spectator -> name) no receive bound yet."""
-
-    term: Process
-    trace: tuple[str, ...]
-    idents: dict[str, str]
-
-
-@record
-class _Failed:
-    """A branch that did not: the tags from the root cut down to the step
-    that failed, and the check that failed there."""
-
-    path: tuple[str, ...]
-    why: str = "no step applies after it"
-
-
-@record
 class _Walk:
-    """Where the engine stands: the tags from the root cut, the binders of the
-    enclosing commuted receives, and the steps left (shared by all branches)."""
+    """Where the engine stands: the tags from the root cut and the binders of
+    the enclosing commuted receives.  The walks of one reduction share the
+    rest: the tags fired so far, the most it may fire (its fuel), and the
+    K-step identifications (spectator -> name) no receive bound yet."""
 
     at: tuple[str, ...]
     receives: tuple[str, ...]
-    fuel: list[int]
+    trace: list[str]
+    fuel: int
+    idents: dict[str, str]
 
     def enter(self, tag: str) -> _Walk:
-        self.fuel[0] -= 1
-        if self.fuel[0] < 0:
+        self.trace.append(tag)
+        if len(self.trace) > self.fuel:
             raise FuelExhausted("fuel exhausted", self.at + (tag,))
-        return _Walk(self.at + (tag,), self.receives, self.fuel)
+        return _Walk(self.at + (tag,), self.receives, self.trace, self.fuel, self.idents)
 
 
 def reduce_cut(left: Derivation, x: Endpoint, right: Derivation, y: Endpoint,
@@ -427,113 +400,99 @@ def reduce_cut(left: Derivation, x: Endpoint, right: Derivation, y: Endpoint,
     the order they fired.  ``left`` and ``right`` are the derivations of the
     two judgements (``check_forwarder``'s), which must not share any name.
 
-    The engine fires the table's steps in order and keeps the first that
-    realizes its goal; threading the goal through each commuted head's rule
-    (``forwarder_step``), it backtracks over the interleavings distribution
-    allows.  A branch fails where a check fails: a leaf's ``check_forwarder``,
-    the goal's premises of a commuted head, a kept subterm whose premise is
-    not the goal's, a K step's box cut or its identification (``_identify``).
-    Failing, ``Stuck`` names the deepest failed branch alone (not the
-    branches realized beside it): its tags from the root cut, the step at
-    which it failed and the check that failed there."""
-    left_names, right_names = (context_names(d.context) | _proc_names(d.process)
+    The engine takes one step at each redex, the first step of the table
+    that the goal admits, and never undoes it.  A commuted head is admitted
+    when its rule (``forwarder_step``) accepts the goal, which gives each
+    subterm's goal; every other step is alone at its redex.  A check that
+    fails at the step taken makes the reduction ``Stuck``: a leaf's
+    ``check_forwarder``, a kept subterm whose premise is not the goal's, a K
+    step's box cut or its identification (``_identify``).  The error names
+    the tags from the root cut down to that step and the check that failed;
+    at a redex where no step applies, it names each refused head's check."""
+    left_names, right_names = (context_names(d.context) | S.names(d.process)
                                for d in (left, right))
     if shared := left_names & right_names:
         raise CutError(f"cut sides share names {sorted(shared)}; rename apart first")
     fuel = 4 * (context_size(left.context) + context_size(right.context)
                 + proc_size(left.process) + proc_size(right.process) + 4)
-    got = _drive(_Cut(left, x, right, y), gamma, _Walk((), (), [fuel]), {})
-    if isinstance(got, _Realized):
-        return got.term, got.trace
-    where = f"failed at {got.path[-1]}: {got.why}" if got.path else "no step applies"
-    raise Stuck("no reduction realizes the requested conclusion; "
-                f"deepest trace {list(got.path)}, {where}")
+    walk = _Walk((), (), [], fuel, {})
+    return _drive(_Cut(left, x, right, y), gamma, walk), tuple(walk.trace)
 
 
-def _drive(r: _Cut, gamma: Context, walk: _Walk, idents: dict[str, str]) -> _Realized | _Failed:
-    """Realize ``r`` at ``gamma`` by the first step of the table that does;
-    otherwise the deepest failed branch among the steps tried."""
-    boxes: list[_Realized] = []
-    failures = [_Failed(walk.at)]
-
-    def box_cut(payload: Derivation, a: Endpoint, message: Derivation, c: Endpoint,
-                concl: Context) -> Process:
-        # an inner cut's binders are its own: no outer receive takes its names
-        got = _drive(_Cut(payload, a, message, c), concl, _Walk(walk.at + ("K",), (), walk.fuel),
-                     boxes[-1].idents if boxes else idents)
-        if isinstance(got, _Failed):
-            failures.append(got)
-            raise CutError("inner box cut failed")
-        boxes.append(got)
-        return got.term
-
-    for step in _table(r, box_cut):
-        got = _fire(step, gamma, walk.enter(step.tag), (step.tag,) + sum(
-            (b.trace for b in boxes), ()), boxes[-1].idents if boxes else idents)
-        if isinstance(got, _Realized):
-            return got
-        failures.append(got)
-    return max(failures, key=lambda f: len(f.path))  # the first on a tie
+def _stuck(walk: _Walk, why: str) -> Stuck:
+    return Stuck(f"no reduction realizes the requested conclusion; trace {list(walk.at)}, {why}")
 
 
-def _fire(step: _Step, gamma: Context, walk: _Walk, trace: tuple[str, ...],
-          idents: dict[str, str]) -> _Realized | _Failed:
-    """Take ``step`` at ``gamma``, where ``trace`` holds its tag and any box cuts;
-    a CheckError or CutError raised at the step makes it a failed branch."""
-    try:
-        if step.failed is not None:
-            raise step.failed
-        if step.leaf is not None:
-            check_forwarder(step.leaf, gamma)
-            return _Realized(step.leaf, trace, idents)
-        if step.redex is not None:
-            if step.consumed is not None:
-                gamma, idents = _identify(gamma, *step.consumed, walk.receives, idents)
-            got = _drive(step.redex, gamma, walk, idents)
-            return got if isinstance(got, _Failed) else replace(got, trace=trace + got.trace)
-        # a commuted head: its rule at the goal gives each subterm's goal
-        term, out = step.head, []
-        _, goals = forwarder_step(term, gamma)
-        if isinstance(term, Recv):
-            walk = _Walk(walk.at, walk.receives + (term.fresh,), walk.fuel)
-        for (bs, sub), (_, g2) in zip(step.subs, goals):
-            if isinstance(sub, _Cut):
-                got = _drive(sub, g2, walk, idents)
-                if isinstance(got, _Failed):
-                    return got
-                trace, idents = trace + got.trace, got.idents
-                out.append((bs, got.term))
-            elif normalize_context(sub.context) == normalize_context(g2):
-                out.append((bs, sub.process))
-            else:
-                raise CutError(f"the goal does not keep the context of {step.tag}'s "
-                               f"subterm {S.print_process(sub.process)}")
-    except FuelExhausted:
-        raise
-    except (CheckError, CutError) as e:
-        return _Failed(walk.at, str(e))
-    if isinstance(term, Recv) and term.fresh in idents:
+def _drive(r: _Cut, gamma: Context, walk: _Walk) -> Process:
+    """Realize ``r`` at ``gamma`` by the first step of the table that the goal
+    admits; a CheckError or CutError at that step makes the reduction Stuck."""
+    refused = []
+    for step in _table(r):
+        try:
+            goals = () if step.head is None else forwarder_step(step.head, gamma)[1]
+        except CheckError as e:
+            refused.append(f"; {step.tag} refused: {e}")
+            continue
+        walk = walk.enter(step.tag)
+        try:
+            return _fire(step, gamma, goals, walk)
+        except (Stuck, FuelExhausted):
+            raise  # from a redex below, which named itself
+        except (CheckError, CutError) as e:
+            raise _stuck(walk, f"failed at {step.tag}: {e}") from None
+    raise _stuck(walk, "no step applies" + "".join(refused))
+
+
+def _fire(step: _Step, gamma: Context, goals, walk: _Walk) -> Process:
+    """Take ``step`` at ``gamma``; ``goals`` are a commuted head's premises
+    there, as its rule gives them."""
+    if step.leaf is not None:
+        check_forwarder(step.leaf, gamma)
+        return step.leaf
+    if step.redex is not None:
+        r = step.redex
+        if step.box is not None:
+            c, payload, a = step.box
+            # an inner cut's binders are its own: no outer receive takes its names
+            inner = replace(walk, receives=())
+            r = replace(r, right=_cut_in_box(payload, a, r.right, c, lambda pl, pa, msg, mc, g:
+                                             _drive(_Cut(pl, pa, msg, mc), g, inner)))
+            gamma = _identify(gamma, c, payload, a, walk.receives, walk.idents)
+        return _drive(r, gamma, walk)
+    # a commuted head: a subterm under the cut is realized at its goal, and a
+    # kept one must inhabit its goal already
+    term, out = step.head, []
+    if isinstance(term, Recv):
+        walk = replace(walk, receives=walk.receives + (term.fresh,))
+    for (bs, sub), (_, g2) in zip(step.subs, goals):
+        if isinstance(sub, _Cut):
+            out.append((bs, _drive(sub, g2, walk)))
+        elif normalize_context(sub.context) == normalize_context(g2):
+            out.append((bs, sub.process))
+        else:
+            raise CutError(f"the goal does not keep the context of {step.tag}'s "
+                           f"subterm {S.print_process(sub.process)}")
+    if isinstance(term, Recv) and term.fresh in walk.idents:
         # a K step below identified the received name with the one the goal
         # expects: the receive binds that name instead
-        c = idents[term.fresh]
-        idents = {s: n for s, n in idents.items() if s != term.fresh}
+        c = walk.idents.pop(term.fresh)
         out = [((c,), rename_free(out[0][1], {term.fresh: c}))]
-    return _Realized(S.from_scope(term, S.scope(term)[0], tuple(out)), trace, idents)
+    return S.from_scope(term, S.scope(term)[0], tuple(out))
 
 
 def _identify(gamma: Context, c: Endpoint, payload: Derivation, a: Endpoint,
-              receives: tuple[str, ...], idents: dict[str, str]) -> tuple[Context, dict[str, str]]:
+              receives: tuple[str, ...], idents: dict[str, str]) -> Context:
     """Thread a K step's splice through the goal; result binders follow the
     conclusion.  The K step consumes the received name ``c`` and splices the
     payload's lone spectator in its place, so goal annotations that name
     ``c`` follow the spectator, and the commuted receive that binds the
-    spectator is to bind ``c`` instead.  A CutError says why that cannot be
-    done: several spectators, a spectator no enclosing commuted receive binds
-    (one the goal fixes), one the goal already names, or one already
-    identified with another name."""
+    spectator is to bind ``c`` instead, which ``idents`` records.  A CutError
+    says why that cannot be done: several spectators, a spectator no
+    enclosing commuted receive binds (one the goal fixes), one the goal
+    already names, or one already identified with another name."""
     targets = target_names(gamma)
     if c not in targets:
-        return gamma, idents
+        return gamma
     spect = [n for n in payload.context.endpoints() if n != a]
     if len(spect) != 1:
         raise CutError(f"the goal names {c}, spliced as {len(spect)} spectators {spect}")
@@ -545,7 +504,8 @@ def _identify(gamma: Context, c: Endpoint, payload: Derivation, a: Endpoint,
         raise CutError(f"the goal names both {c} and its spectator {s}")
     if idents.get(s, c) != c:
         raise CutError(f"spectator {s} is already identified with {idents[s]}, not {c}")
-    return rename_context_targets(gamma, {c: s}), {**idents, s: c}
+    idents[s] = c
+    return rename_context_targets(gamma, {c: s})
 
 
 def _cut_in_box(payload: Derivation, a: Endpoint, host: Derivation, c: Endpoint,
@@ -609,7 +569,7 @@ def _align_binders(payload: Derivation, a: Endpoint, want: Type) -> dict[str, st
     have = payload.context.get(a).typing
     if erase(have) != erase(want):
         return {}
-    names = _proc_names(payload.process)
+    names = S.names(payload.process)
     bound = names - S.free_endpoints(payload.process)
     rho: dict[str, str] = {}
     for th, tw in zip(S.slots(have), S.slots(want)):

@@ -147,12 +147,6 @@ class Parser:
     def at(self, text: str) -> bool:
         return self.toks[self.i] == text
 
-    def at_name(self) -> bool:
-        """Whether the current token is an identifier (no other token starts
-        with a letter) and no keyword."""
-        t = self.toks[self.i]
-        return t[:1].isalpha() and t not in KEYWORDS
-
     def eat(self, text: str) -> None:
         if self.toks[self.i] != text:
             raise self.error(self.got(), (text,))
@@ -461,8 +455,30 @@ def _declarations(p: Parser) -> DeclarationFile:
         match d:
             case TypeDef(name=name, typ=tree) | ProcDef(name=name, proc=tree):
                 p.define(start + 1, name, tree)  # the name follows the keyword
+        _known_targets(p, start, d)
         decls.append(d)
     return DeclarationFile(tuple(decls), tuple(lines))
+
+
+def _known_targets(p: Parser, start: int, d: Declaration) -> None:
+    """Refuse a target, in a type or a queue item of a context that a term
+    inhabits (``{term} |- {context}`` in the declaration's form), that names
+    no endpoint or payload of the context and no name of the term.  A
+    ``synth`` context has no term: its targets may name binders of a
+    forwarder not found yet.  The error is placed at the target's first use
+    after the context's "|-"."""
+    at, fs = start, fields(type(d))
+    for term, ctx in zip(fs, fs[1:]):
+        if (term.type, ctx.type) != ("Process", "Context"):
+            continue
+        at = p.toks.index("|-", at) + 1
+        g = getattr(d, ctx.name)
+        unknown = C.target_names(g) - C.endpoint_names(g)
+        if unknown and (unknown := unknown - S.names(getattr(d, term.name))):
+            k = next((k for k in range(at, p.i) if p.toks[k] in unknown), at)
+            name = p.toks[k] if p.toks[k] in unknown else min(unknown)
+            raise ParseError(f"target {name} names no endpoint, payload or name of the term",
+                             *p.place(k))
 
 
 def _parse_with(fn_name: str, text: str):

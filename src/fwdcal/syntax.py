@@ -400,6 +400,8 @@ def _compile(cls: type, heads, subs) -> tuple[Callable, Callable]:
 _COMPILED = {cls: _compile(cls, *row) for cls, row in BINDERS.items()}
 _SCOPE = {cls: fs[0] for cls, fs in _COMPILED.items()}
 _FROM_SCOPE = {cls: fs[1] for cls, fs in _COMPILED.items()}
+# The constructors that bind a name in a subterm.
+BINDING = frozenset(cls for cls, (_, subs) in BINDERS.items() if any(bs for bs, _ in subs))
 
 
 def scope(p: Process) -> tuple[tuple[Endpoint, ...], Scope]:
@@ -418,6 +420,17 @@ def from_scope(p: Process, heads: tuple[Endpoint, ...], subs: Scope) -> Process:
     if f is None:
         raise TypeError(p)
     return f(p, heads, subs)
+
+
+STUB = Close("_")  # a head term's subterms: a rule at its head only passes them on
+
+
+def head_term(cls: type, heads: tuple[Endpoint, ...], binder: Endpoint | None = None) -> Process:
+    """``cls`` acting on ``heads`` over ``STUB`` subterms, with ``binder`` in
+    each binder field of its row of ``BINDERS`` (any class but ``Cut``): the
+    term whose rule fires at its head."""
+    return _FROM_SCOPE[cls](None, heads, tuple(((binder,) * len(bs), STUB)
+                                               for bs, _ in BINDERS[cls][1]))
 
 
 def head_endpoint(p: Process) -> Endpoint | None:
@@ -439,6 +452,19 @@ def free_endpoints(p: Process) -> frozenset[Endpoint]:
         for bs, q in subs:
             todo.append((q, bound + bs))
     return frozenset(out)
+
+
+def names(p: Process) -> set[Endpoint]:
+    """Every name ``p`` mentions: the names it acts on and the ones it binds."""
+    out: set[Endpoint] = set()
+    todo = [p]
+    while todo:
+        heads, subs = scope(todo.pop())
+        out.update(heads)
+        for bs, q in subs:
+            out.update(bs)
+            todo.append(q)
+    return out
 
 
 class FreshNames:

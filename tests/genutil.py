@@ -1,6 +1,7 @@
 """Generators shared by the test modules: random plain types, compatible
 environments, derivable judgements (with queues, sampled from derivation
-trees), and cut-pair material."""
+trees), and cut-pair material; and two oracles, brute-force compatibility
+and cut reduction by search."""
 
 from __future__ import annotations
 
@@ -10,7 +11,12 @@ from itertools import product
 from fwdcal import syntax as S
 from fwdcal import checker as K
 from fwdcal import compat as CM
-from fwdcal.contexts import Config, Context, MsgBox, QueueItem, endpoint_names, rename_context
+from fwdcal import cutelim as CE
+from fwdcal.contexts import (
+    Config, Context, MsgBox, QueueItem, context_size, endpoint_names, normalize_context,
+    rename_context,
+)
+from fwdcal.records import replace
 from fwdcal.syntax import (
     Atom, Bot, DualAtom, OfCourse, One, Par, Plus, Tensor, WhyNot, With, dual, erase,
 )
@@ -144,8 +150,6 @@ def sample_cut_pairs(rng: random.Random, n: int, max_formula: int = 4,
     instance ``Tensor``); the right formula is its dual.  Without it, both
     sides are drawn from the whole pool, so the draws for a seed stay those
     of the unrestricted sampler."""
-    from fwdcal.cutelim import Judged, freshen_judgement, judgement_names
-
     pool = []
     want = max(24, n)
     while len(pool) < want:
@@ -166,7 +170,7 @@ def sample_cut_pairs(rng: random.Random, n: int, max_formula: int = 4,
         if erase(g1.get(x).typing) != dual(erase(g2.get(y).typing)):
             continue
         yi = list(g2.endpoints()).index(y)
-        j2 = freshen_judgement(Judged(p2, g2), judgement_names(Judged(p1, g1)))
+        j2 = CE.freshen_judgement(CE.Judged(p2, g2), CE.judgement_names(CE.Judged(p1, g1)))
         pairs.append((p1, g1, x, j2.term, j2.ctx, j2.ctx.entries[yi].endpoint))
     return pairs
 
@@ -174,15 +178,13 @@ def sample_cut_pairs(rng: random.Random, n: int, max_formula: int = 4,
 def fresh_cut_sides(a_plain, left_names=("w", "x"), right_names=("y", "v")):
     """The derivations of two synthesized dual-pair judgements with disjoint
     name spaces, cutting the second entry of each."""
-    from fwdcal.cutelim import Judged, freshen_judgement, judgement_names
-
     lw, lx = left_names
     ry, rv = right_names
     lc, lp = K.synth_with_annotations(((lw, dual(a_plain)), (lx, a_plain)))
     rc, rp = K.synth_with_annotations(((ry, dual(a_plain)), (rv, a_plain)))
-    j1 = Judged(lp, lc)
+    j1 = CE.Judged(lp, lc)
     yi = list(rc.endpoints()).index(ry)
-    j2 = freshen_judgement(Judged(rp, rc), judgement_names(j1))
+    j2 = CE.freshen_judgement(CE.Judged(rp, rc), CE.judgement_names(j1))
     return (K.check_forwarder(lp, lc), lx, K.check_forwarder(j2.term, j2.ctx),
             j2.ctx.entries[yi].endpoint)
 
@@ -323,3 +325,88 @@ def _project_tree(node, p: str, cont: S.Type) -> S.Type:
     if p == j:
         return With(lt, rt)
     return lt  # a party outside the pair sees the same continuation either way
+
+
+# ---------------------------------------------------------------------------
+# Cut-reduction oracle: every step of the figure, with backtracking
+
+
+def search_reduce_cut(left: K.Derivation, x: str, right: K.Derivation, y: str,
+                      gamma: Context):
+    """``cutelim.reduce_cut`` as a search, the reference its one step per
+    redex is compared against: at each redex, try the steps of
+    ``cutelim._table`` in order, backtracking past every one that fails, and
+    keep the first that realizes its goal.  Returns the term and its trace,
+    or None; running out of fuel (a step tried, failed or not, costs one)
+    raises ``FuelExhausted``."""
+    fuel = [4 * (context_size(left.context) + context_size(right.context)
+                 + CE.proc_size(left.process) + CE.proc_size(right.process) + 4)]
+    got = _search(CE._Cut(left, x, right, y), gamma, (), fuel, {})
+    return None if got is None else got[:2]
+
+
+def _search(r, gamma: Context, receives: tuple[str, ...], fuel: list[int], idents):
+    """(term, trace, idents) of the first step at ``r`` that realizes
+    ``gamma``, or None."""
+    for step in CE._table(r):
+        fuel[0] -= 1
+        if fuel[0] < 0:
+            raise CE.FuelExhausted("fuel exhausted", ())
+        try:
+            got = _search_step(step, gamma, receives, fuel, idents)
+        except CE.FuelExhausted:
+            raise
+        except (K.CheckError, CE.CutError):
+            got = None
+        if got is not None:
+            return got
+    return None
+
+
+def _search_step(step, gamma: Context, receives: tuple[str, ...], fuel: list[int], idents):
+    """(term, trace, idents) of ``step`` at ``gamma``, or None; a check that
+    fails raises."""
+    trace = (step.tag,)
+    if step.leaf is not None:
+        K.check_forwarder(step.leaf, gamma)
+        return step.leaf, trace, idents
+    if step.redex is not None:
+        r = step.redex
+        if step.box is not None:
+            c, payload, a = step.box
+
+            def box_cut(payload, a, message, c, concl):
+                nonlocal trace, idents
+                got = _search(CE._Cut(payload, a, message, c), concl, (), fuel, idents)
+                if got is None:
+                    raise CE.CutError("inner box cut failed")
+                term, more, idents = got
+                trace += more
+                return term
+
+            r = replace(r, right=CE._cut_in_box(payload, a, r.right, c, box_cut))
+            idents = dict(idents)  # a failed branch must not keep its identification
+            gamma = CE._identify(gamma, c, payload, a, receives, idents)
+        got = _search(r, gamma, receives, fuel, idents)
+        return None if got is None else (got[0], trace + got[1], got[2])
+    term, out = step.head, []
+    _, goals = K.forwarder_step(term, gamma)
+    if isinstance(term, S.Recv):
+        receives += (term.fresh,)
+    for (bs, sub), (_, g2) in zip(step.subs, goals):
+        if isinstance(sub, CE._Cut):
+            got = _search(sub, g2, receives, fuel, idents)
+            if got is None:
+                return None
+            q, more, idents = got
+            trace += more
+        elif normalize_context(sub.context) == normalize_context(g2):
+            q = sub.process
+        else:
+            return None
+        out.append((bs, q))
+    if isinstance(term, S.Recv) and term.fresh in idents:
+        c = idents[term.fresh]
+        idents = {s: n for s, n in idents.items() if s != term.fresh}
+        out = [((c,), S.rename_free(out[0][1], {term.fresh: c}))]
+    return S.from_scope(term, S.scope(term)[0], tuple(out)), trace, idents

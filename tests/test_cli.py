@@ -79,6 +79,24 @@ def test_a_payload_name_repeated_in_one_box_is_a_located_parse_error(tmp_path, c
     assert f"{path}:1:{decl.rindex('m :') + 1}: duplicate endpoint m" in err
 
 
+@pytest.mark.parametrize("cmd,decl,name", [
+    ("check", "check close x |- x : 1{zz};", "zz"),
+    ("cut", "cut (close x) |- u1 : . [to=x *], x : 1{u1,zz} "
+     "with (wait y; close v) |- v : 1{y}, y : bot{v};", "zz"),
+    ("sim", "sim (wait x; close y) |- x : bot{q}, y : 1{x} "
+     "parts (close x) |- x : 1 @ x, (wait y; close e) |- y : bot, e : 1 @ y;", "q"),
+])
+def test_an_unknown_target_is_a_located_parse_error(cmd, decl, name, tmp_path, capsys):
+    # it once reached the checkers, which printed FAIL with exit code 1
+    path = tmp_path / "target.fwd"
+    path.write_text(decl + "\n", encoding="utf-8")
+    assert cli.main([cmd, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err and "FAIL" not in out
+    assert (f"{path}:1:{decl.index(name + '}') + 1}: target {name} names no endpoint, "
+            "payload or name of the term") in err
+
+
 def test_compat_json_records_carry_the_checker_counters(tmp_path, capsys):
     path = tmp_path / "c.fwd"
     path.write_text("compat x : 1, y : bot;\ncompat x : 1, y : 1;\n", encoding="utf-8")
@@ -115,7 +133,7 @@ def test_deep_input_is_a_located_parse_error(cmd, decl, tmp_path, capsys):
      "head of y's queue must be [to=x L], got nothing"),
     ("check", "check x[w].(w<->v | close x) |- x : a *{y} 1{y}, y : . [to=x *];",
      "head of y's queue must be a message for x, got [to=x *]"),
-    ("check", "check close x |- x : 1{zz}, y : . [to=x *];",
+    ("check", "check close x |- x : 1{zz}, y : . [to=x *], zz : .;",
      "1 at x must gather every other endpoint, got {zz}"),
 ])
 def test_rule_failures_print_types_in_surface_syntax(cmd, decl, want, tmp_path, capsys):

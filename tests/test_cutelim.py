@@ -7,7 +7,7 @@ import genutil
 from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal import cutelim
-from fwdcal.checker import RuleMismatch, check_forwarder
+from fwdcal.checker import CheckError, RuleMismatch, check_forwarder, forwarder_step
 from fwdcal.contexts import (
     Entry, LeftTok, MsgBox, Query, Star, ctx, msgbox, normalize_context,
 )
@@ -328,12 +328,12 @@ def test_reduce_cut_spliced_payload_takes_host_binders():
         check_forwarder(term, g)
 
 
-def test_reduce_cut_stuck_reports_deepest_trace():
+def test_reduce_cut_stuck_names_the_failed_step_and_its_check():
     # this conclusion still aims at the cut endpoints x and y, so no
-    # interleaving realizes it.  The error names the failing branch alone:
-    # the right arm of the commuted case, without the tags of the left arm
-    # realized beside it; the step at which it failed; and the check that
-    # failed there: the unit step's check_forwarder, since w's 1 still
+    # reduction realizes it.  The error names the tags from the root cut down
+    # to the step that failed: the right arm of the commuted case, without
+    # the tags of the left arm realized beside it; that step; and the check
+    # that failed there: the unit step's check_forwarder, since w's 1 still
     # gathers the dead x
     j1, x, j2, y = genutil.fresh_cut_sides(erase(P.parse_type("~a & bot")))
     g = P.parse_context("w : a +{v} 1{x}, v : ~a &{w} bot{y}")
@@ -341,7 +341,7 @@ def test_reduce_cut_stuck_reports_deepest_trace():
     assert normalize_context(g) in map(normalize_context, concl)
     with pytest.raises(Stuck) as e:
         reduce_cut(j1, x, j2, y, g)
-    got = re.search(r"deepest trace \[(.+)\], failed at (\S+): (.+)$", str(e.value))
+    got = re.search(r"; trace \[(.+)\], failed at (\S+): (.+)$", str(e.value))
     assert got, str(e.value)
     tags = [t.strip("' ") for t in got.group(1).split(",")]
     assert tags == ["C-case", "K-add", "C1", "C-inr", "B2"]
@@ -349,9 +349,49 @@ def test_reduce_cut_stuck_reports_deepest_trace():
     assert got.group(3) == "1 at w must gather every other endpoint, got {x}"
 
 
+def test_reduce_cut_stuck_where_the_goal_refuses_every_head():
+    # pair 2 of the sample: after the K step, both sides' heads commute, and
+    # the goal refuses each one's rule; the error names both checks
+    p1, g1, x, p2, g2, y = genutil.sample_cut_pairs(random.Random(21), 10, max_formula=4)[2]
+    j1, j2 = check_forwarder(p1, g1), check_forwarder(p2, g2)
+    (g,) = cut_conclusions(g1, x, g2, y)
+    with pytest.raises(Stuck) as e:
+        reduce_cut(j1, x, j2, y, g)
+    assert str(e.value) == (
+        "no reduction realizes the requested conclusion; "
+        "trace ['C-case', 'K-add', 'C-inr', 'C2', 'K'], no step applies; "
+        "C3 refused: * target q#5 not in context; C-case refused: & target p not in context")
+    assert genutil.search_reduce_cut(j1, x, j2, y, g) is None
+
+
+def test_reduce_cut_takes_the_client_when_the_goal_refuses_the_server(monkeypatch):
+    # after K-exp, the right side's head is a server whose endpoint s still
+    # holds a query, so the goal refuses the ! rule at s; the left side's
+    # client is the step taken, and it realizes the goal as the search does
+    left = _judged("?p[p2]. !s(s2). ?p2[p4]. p4<->s2", "p : ?{s} ?{s} ~a, s : !{p} a [to=p ?]")
+    right = _judged("!q(q6). ?u[u3]. !q6(q7). ?u3[u5]. u5<->q7",
+                    "u : ?{q} ?{q} ~a, q : !{u} !{u} a")
+    refused = []
+
+    def step(head, g):
+        try:
+            return forwarder_step(head, g)
+        except CheckError as e:
+            refused.append((type(head).__name__, str(e)))
+            raise
+
+    monkeypatch.setattr(cutelim, "forwarder_step", step)
+    (g,) = cut_conclusions(left.context, "p", right.context, "q")
+    term, trace = reduce_cut(left, "p", right, "q", g)
+    assert trace == ("K-exp", "C-cli", "C-srv", "K-exp", "B1")
+    assert refused == [("Server", "! requires an empty queue at s")]
+    check_forwarder(term, g)
+    assert genutil.search_reduce_cut(left, "p", right, "q", g) == (term, trace)
+
+
 def test_reduce_cut_fails_only_with_cut_errors():
     # a check that fails inside a step (a CheckError from the checker, say)
-    # fails that branch; whatever reduce_cut raises is a CutError
+    # makes the reduction Stuck; whatever reduce_cut raises is a CutError
     rng = random.Random(5)
     cuts = [(check_forwarder(p1, g1), x, check_forwarder(p2, g2), y)
             for p1, g1, x, p2, g2, y in genutil.sample_cut_pairs(rng, 30, max_formula=4)]
@@ -368,9 +408,9 @@ def test_reduce_cut_fails_only_with_cut_errors():
     assert outcomes[True] and outcomes[False]
 
 
-def test_reduce_cut_check_error_in_a_step_fails_the_branch(monkeypatch):
-    # the K step's box splice ends with check_forwarder; its CheckError must
-    # fail the branch (reported by Stuck), not abort the reduction
+def test_reduce_cut_check_error_in_a_step_makes_it_stuck(monkeypatch):
+    # the K step's box splice ends with check_forwarder; its CheckError makes
+    # the reduction Stuck at the K step, as a CutError does
     A = erase(P.parse_type("(~a | bot) | ~b * (b * 1)"))
     j1, x, j2, y = genutil.fresh_cut_sides(A)
     g = cut_conclusions(j1.context, x, j2.context, y)[0]
@@ -441,3 +481,28 @@ def test_measure_decreases_along_traces():
     assert genutil.is_cut_free(term)
     check_forwarder(term, g)
     assert trace.count("K") >= 1
+
+
+@pytest.mark.parametrize("seeds", [range(1, 31), range(31, 61), range(61, 91), range(91, 121)],
+                         ids=lambda r: f"seeds {r.start}-{r.stop - 1}")
+def test_reduce_cut_agrees_with_the_search(seeds):
+    # one step per redex realizes exactly what the backtracking search over
+    # the same table realizes: the same term and trace, or neither
+    realized = failed = 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        cuts = [(check_forwarder(p1, g1), x, check_forwarder(p2, g2), y)
+                for p1, g1, x, p2, g2, y in genutil.sample_cut_pairs(rng, 10, max_formula=4)]
+        cuts += [genutil.fresh_cut_sides(genutil.random_plain_type(rng, rng.randint(1, 4)))
+                 for _ in range(5)]
+        for j1, x, j2, y in cuts:
+            for g in cut_conclusions(j1.context, x, j2.context, y):
+                want = genutil.search_reduce_cut(j1, x, j2, y, g)
+                try:
+                    got = reduce_cut(j1, x, j2, y, g)
+                except Stuck:
+                    got = None
+                assert got == want, (seed, x, y, P.print_context(g))
+                realized += got is not None
+                failed += got is None
+    assert realized and failed

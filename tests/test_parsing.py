@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from fwdcal import parsing as P
 from fwdcal import syntax as S
-from fwdcal.contexts import Context, Entry, LeftTok, MsgBox, Query, RightTok, Star
+from fwdcal.contexts import (
+    Context, Entry, LeftTok, MsgBox, Query, RightTok, Star, endpoint_names, target_names,
+)
+from fwdcal.records import replace
 from fwdcal.syntax import Atom, Close, One, Tensor
 from test_bench_inputs import load_workloads
 from test_syntax import names, scoped_procs, types
@@ -40,6 +43,24 @@ def sims(pending: int):
                      st.lists(pend, min_size=pending, max_size=pending).map(tuple))
 
 
+# The contexts each declaration states for a term: the term's field, then
+# the context's
+JUDGEMENTS = {P.CheckDecl: [("proc", "context")], P.SimDecl: [("fwd", "fwd_ctx")],
+              P.CutDecl: [("left", "left_ctx"), ("right", "right_ctx")]}
+
+
+def known_targets(d):
+    """``d`` with a terminated entry ``n : .`` in a term's context for each
+    target ``n`` there that names no endpoint or payload of the context and
+    no name of the term, which the parser refuses."""
+    for term, ctx in JUDGEMENTS.get(type(d), ()):
+        g = getattr(d, ctx)
+        unknown = target_names(g) - endpoint_names(g) - S.names(getattr(d, term))
+        d = replace(d, **{ctx: Context(g.entries + tuple(Entry(n, (), None)
+                                                         for n in sorted(unknown)))})
+    return d
+
+
 declarations = st.one_of(
     st.builds(P.CheckDecl, scoped_procs, contexts),
     st.builds(P.CheckCllDecl, scoped_procs, envs),
@@ -48,7 +69,7 @@ declarations = st.one_of(
     st.builds(P.CutDecl, scoped_procs, contexts, scoped_procs, contexts),
     sims(0),
     sims(2),
-)
+).map(known_targets)
 
 # definition names differ from every name the strategies above draw, so a
 # printed term never reads back as a reference to a definition
@@ -145,6 +166,12 @@ def test_fmt_is_a_fixed_point_on_the_corpus(path):
     # the end of the input after a comment is where the text ends
     ("check close x |- x : 1\n## trailing\n", "3:1: got end of input (expected one of: ;)"),
     ("check close x |- x : 1 ## trailing", "1:35: got end of input (expected one of: ;)"),
+    # a judgement's target names an endpoint or payload of its context or a
+    # name of its term; a queue item's target too
+    ("check close x |- x : 1{zz};", "1:24: target zz names no endpoint, payload or name of "
+     "the term"),
+    ("cut (close x) |- u : . [to=x *], x : 1{u} with (wait y; close v) |- v : 1{y}, "
+     "y : bot{v} [to=q *];", "1:94: target q names no endpoint, payload or name of the term"),
     # lines are counted by "\n"; a "\r", a tab or a "\xa0" is one column
     ("synth x : 1;\r\n\r\n  compat x : a\r\n y : ~a;", "4:2: got 'y' (expected one of: ;)"),
     ("## one\n\n\tsynth x :\xa0\xa0| ;", "3:13: got '|' (expected one of: type)"),
@@ -153,7 +180,7 @@ def test_fmt_is_a_fixed_point_on_the_corpus(path):
         "end-of-input-in-term", "empty-queue", "pending-comma", "pending-empty", "single-target",
         "context-comma", "target-comma", "part-comma", "dup-endpoint", "dup-payload",
         "end-after-comment-line",
-        "end-in-comment", "crlf-lines", "tab-and-nbsp"])
+        "end-in-comment", "unknown-target", "unknown-item-target", "crlf-lines", "tab-and-nbsp"])
 def test_parse_errors_keep_their_position_and_text(text, message):
     with pytest.raises(P.ParseError) as e:
         P.parse_file(text)
@@ -171,6 +198,18 @@ def test_an_unexpected_character_keeps_its_line_and_column(text, at, bad):
     with pytest.raises(P.ParseError) as e:
         P.parse_file(text.format(bad))
     assert str(e.value) == f"{at}: unexpected character {bad!r}"
+
+
+def test_a_target_may_name_a_binder_of_the_term_or_a_payload():
+    # derivable judgements whose targets name the binders m and w of their
+    # terms, and a boxed payload m; a synth context has no term, so its
+    # targets may name binders still to be found
+    text = ("check n(m). x[w].(wait m; close w | x<->n) |- x : 1{m} *{n} ~a, "
+            "n : bot{w} |{x} a;\n"
+            "check x[w].(wait m; close w | close x) |- x : 1{m} *{y} 1{y}, "
+            "y : . [to=x msg m : bot{w}] [to=x *];\n"
+            "synth x : 1{w}, y : bot{x};\n")
+    assert len(P.parse_file(text).decls) == 3
 
 
 def test_declaration_lines_skip_blank_and_comment_lines():
