@@ -443,7 +443,7 @@ def cp_step(p: Process, env: Env) -> tuple[str, tuple[tuple[Process, Env], ...]]
 def _cp_ax(p: Link, env: Env):
     x, y = p.x, p.y
     tx, ty = _env_get(env, x), _env_get(env, y)
-    if dual(tx) != ty:
+    if not S.is_dual(ty, tx):
         raise RuleMismatch(f"link {x}<->{y} needs dual types, got "
                            f"{S.print_type(tx)} / {S.print_type(ty)}")
     return "Ax", ()

@@ -32,7 +32,7 @@ from . import syntax as S
 from .syntax import (
     Atom, Bot, Case, Client, Close, DualAtom, Endpoint, Inl, Inr, Link, OfCourse,
     One, Par, Plus, Process, Recv, Send, Server, Tensor, Type, Wait, WhyNot, With,
-    dual, erase, head_endpoint, rename_free,
+    erase, head_endpoint, rename_free,
 )
 from .contexts import (
     Context, Entry, LeftTok, MsgBox, Query, Queue, QueueItem, RightTok, Star, context_size,
@@ -189,7 +189,7 @@ def distributions(top: CutSide, bottom: CutSide) -> list[tuple[CutSide, CutSide]
 
 
 def _require_dual(top: Type, bottom: Type) -> None:
-    if erase(top) != dual(erase(bottom)):
+    if not S.is_dual(top, bottom):
         raise StructuralMismatch(f"cut formulas are not dual: {S.print_type(erase(top))} "
                                  f"vs {S.print_type(erase(bottom))}")
 
@@ -250,7 +250,12 @@ def cut_conclusions(left: Context, x: Endpoint, right: Context, y: Endpoint) -> 
 
 
 def proc_size(p: Process) -> int:
-    return 1 + sum(proc_size(q) for _, q in S.scope(p)[1])
+    n, todo = 0, [p]
+    while todo:
+        n += 1
+        for _, q in S.scope(todo.pop())[1]:
+            todo.append(q)
+    return n
 
 
 @record

@@ -37,7 +37,7 @@ from __future__ import annotations
 from . import syntax as S
 from .syntax import (
     Case, Client, Close, Endpoint, Inl, Inr, Link, Process, Recv, Send, Server, Type,
-    Wait, WhyNot, dual, erase, free_endpoints, head_endpoint, rename_free, size,
+    Wait, WhyNot, erase, free_endpoints, head_endpoint, is_dual, rename_free, size,
 )
 from .contexts import MsgBox, context_size, rename_context
 from .records import record, replace, uncompared
@@ -127,18 +127,19 @@ def _check(c: MCutConfig, stats: McutStats, before: MCutConfig | None = None) ->
         id(p): before.fwd.context.get(p.endpoint).typing for p in before.parts}
     for p in c.parts:
         t = ctx.get(p.endpoint).typing
-        if t is None or (kept.get(id(p)) is not t and erase(t) != dual(p.typ)):
+        if t is None or (kept.get(id(p)) is not t and not is_dual(t, p.typ)):
             raise McutError(f"{p.endpoint}: forwarder and part types are not dual")
-    names = [p.endpoint for p in c.pending]
-    if len(set(names)) != len(names):
+    # each boxed payload takes the pending process of its name, of dual type
+    unmatched = {p.endpoint: p.typ for p in c.pending}
+    if len(unmatched) != len(c.pending):
         raise McutError("pending names not distinct")
-    boxed: list[tuple[Endpoint, Type]] = []
     for e in ctx.entries:
         for it in e.queue:
             if isinstance(it, MsgBox):
-                boxed.extend((pn, erase(pt)) for pn, pt in it.payloads)
-    want = sorted((p.endpoint, dual(p.typ)) for p in c.pending)
-    if sorted(boxed) != want:
+                for pn, pt in it.payloads:
+                    if pn not in unmatched or not is_dual(pt, unmatched.pop(pn)):
+                        raise McutError("queued messages and pending processes disagree")
+    if unmatched:
         raise McutError("queued messages and pending processes disagree")
     for x in c.bound:
         if ctx.get(x).typing is not None and x not in owned:

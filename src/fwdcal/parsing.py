@@ -111,7 +111,7 @@ def tokenize(text: str) -> list[Token]:
 
 
 class Parser:
-    __slots__ = ("toks", "lines", "first", "i", "names", "sizes")
+    __slots__ = ("toks", "lines", "first", "i", "names", "sizes", "bound")
 
     def __init__(self, toks: list[str], lines: list[str], first: list[int]):
         self.toks = toks  # token texts, then "" for the end of input
@@ -120,6 +120,7 @@ class Parser:
         self.i = 0
         self.names: dict[tuple[str, str], object] = {}  # proc/type definitions
         self.sizes: dict[int, int] = {}  # expanded size by id of a tree in names
+        self.bound: set[str] = set()  # the names the context being parsed binds
 
     @property
     def cur(self) -> str:  # a call: the per-token methods index ``toks`` themselves
@@ -290,9 +291,8 @@ class Parser:
         return tuple(items)
 
     def payloads(self) -> C.Payloads:
-        """A box's payloads, ``e : A; f : B``, each name once."""
-        seen: set[str] = set()
-        return self.sep(lambda: (self.bound_endpoint(seen), self.type_()), by=";")
+        """A box's payloads, ``e : A; f : B``, each bound once in its context."""
+        return self.sep(lambda: (self.bound_endpoint(self.bound), self.type_()), by=";")
 
     def bound_endpoint(self, seen: set[str]) -> str:
         """The endpoint an entry of a context or environment binds: each
@@ -314,7 +314,8 @@ class Parser:
         return C.Entry(x, self.queue_items(), typ)
 
     def context(self) -> C.Context:
-        seen: set[str] = set()
+        """Entries that bind each name once, as an endpoint or a boxed payload."""
+        self.bound = seen = set()
         return C.Context(self.sep(lambda: self.context_entry(seen)))
 
     def plain_env(self) -> Env:

@@ -9,7 +9,8 @@ it:
 
 - ``__slots__`` for its fields, so an instance has no ``__dict__``;
 - an ``__init__`` that takes the fields by position or keyword, with their
-  defaults, and then calls ``__post_init__`` if the class defines one;
+  defaults, sets each through its slot descriptor, and then calls
+  ``__post_init__`` if the class defines one;
 - ``__match_args__``, every field name in order, for positional ``match``
   patterns;
 - ``__eq__``, true only between instances of the same class whose compared
@@ -54,7 +55,7 @@ def uncompared(default) -> Field:
     return Field("", "", default, compare=False)
 
 
-_GLOBALS = {"_set": object.__setattr__}
+_GLOBALS: dict = {}  # those of __eq__ and __hash__, which read builtins only
 # (fields, compared fields, post-init) -> the code of __init__, __eq__ and
 # __hash__ over fields named _0, _1, ...
 _TEMPLATES: dict[tuple[int, int, bool], tuple[CodeType, CodeType, CodeType]] = {}
@@ -64,7 +65,7 @@ def _template(n: int, m: int, post_init: bool) -> tuple[CodeType, CodeType, Code
     key = (n, m, post_init)
     if key not in _TEMPLATES:
         args = [f"_{i}" for i in range(n)]
-        init = "".join(f"\n    _set(self, {a!r}, {a})" for a in args)
+        init = "".join(f"\n    _set{a}(self, {a})" for a in args)
         if post_init:
             init += "\n    self.__post_init__()"
         ref = "".join(f"{{0}}._{i}," for i in range(m))
@@ -80,17 +81,17 @@ def _template(n: int, m: int, post_init: bool) -> tuple[CodeType, CodeType, Code
     return _TEMPLATES[key]
 
 
-def _method(code: CodeType, names: tuple[str, ...], defaults: tuple = ()) -> FunctionType:
+def _method(code: CodeType, names: tuple[str, ...], defaults: tuple = (),
+            globals_: dict = _GLOBALS) -> FunctionType:
     """A function over a template's code with its fields ``_0``, ``_1``, ...
-    named ``names``: as parameters, attributes and attribute-name strings."""
+    named ``names``: as parameters and attributes."""
     to = {f"_{i}": n for i, n in enumerate(names)}
 
     def sub(xs: tuple) -> tuple:
-        return tuple(to.get(x, x) if type(x) is str else x for x in xs)
+        return tuple(to.get(x, x) for x in xs)
 
-    code = code.replace(co_names=sub(code.co_names), co_varnames=sub(code.co_varnames),
-                        co_consts=sub(code.co_consts))
-    return FunctionType(code, _GLOBALS, code.co_name, defaults or None)
+    code = code.replace(co_names=sub(code.co_names), co_varnames=sub(code.co_varnames))
+    return FunctionType(code, globals_, code.co_name, defaults or None)
 
 
 class Record:
@@ -131,14 +132,18 @@ def record(cls: type) -> type:
         raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
     compared = tuple(f.name for f in fs if f.compare)
     init, eq, hsh = _template(len(names), len(compared), "__post_init__" in ns)
-    ns["__init__"] = _method(init, names, defaults)
     ns.setdefault("__eq__", _method(eq, compared))
     ns.setdefault("__hash__", _method(hsh, compared))
     ns["__slots__"] = names + tuple(extra)
     ns["__match_args__"] = names
     ns["__qualname__"] = cls.__qualname__
     ns["_fields"] = tuple(fs)
-    return type(cls.__name__, (Record,), ns)
+    out = type(cls.__name__, (Record,), ns)
+    # __init__ sets field i by its slot descriptor's __set__, _set_i in its
+    # globals; the descriptors exist once the class does
+    setters = {f"_set_{i}": vars(out)[n].__set__ for i, n in enumerate(names)}
+    out.__init__ = _method(init, names, defaults, setters)
+    return out
 
 
 def fields(x) -> tuple[Field, ...]:

@@ -7,6 +7,13 @@ plain CP judgement; the checkers decide which discipline applies.
 
 Endpoints are bare strings matching ``[a-zA-Z][a-zA-Z0-9_']*``.  Engine-made
 fresh names may additionally contain ``#``.
+
+``map_slots`` is the one traversal that rebuilds a type slot by slot.  Beside
+it, ``erase``, ``is_dual``, ``size``, ``is_fully_annotated`` and
+``add_targets`` are plain loops over ``CONNECTIVES`` that build only what they
+return, because each sits on a measured hot path: the duality tests of cut and
+composition, the fuel of a reduction, the annotation test of every forwarder
+check, and synthesis's binder candidates.
 """
 
 from __future__ import annotations
@@ -129,8 +136,23 @@ def children(t: Type) -> tuple[Type, ...]:
 
 
 def erase(t: Type) -> Type:
-    """Strip every annotation slot, yielding the plain CP-side type."""
-    return map_slots(t, lambda _, ts: ())
+    """Strip every annotation slot, yielding the plain CP-side type.  A
+    subtree that is plain already is returned as the same object."""
+    row = CONNECTIVES.get(type(t))
+    if row is None:
+        if isinstance(t, (Atom, DualAtom)):
+            return t
+        raise TypeError(t)
+    plain = not t.targets if row.multi else t.target is None
+    if row.arity == 2:
+        l, r = t.left, t.right
+        l2, r2 = erase(l), erase(r)
+        return t if plain and l2 is l and r2 is r else type(t)(l2, r2)
+    if row.arity == 1:
+        b = t.body
+        b2 = erase(b)
+        return t if plain and b2 is b else type(t)(b2)
+    return t if plain else type(t)()
 
 
 def dual(t: Type) -> Type:
@@ -143,6 +165,28 @@ def dual(t: Type) -> Type:
     if row is None:
         return DualAtom(t.name) if isinstance(t, Atom) else Atom(t.name)
     return row.dual(*map(dual, children(t)))
+
+
+_DUAL_ATOM = {Atom: DualAtom, DualAtom: Atom}
+
+
+def is_dual(t: Type, u: Type) -> bool:
+    """``erase(t) == dual(erase(u))``, decided in one walk over both types
+    that builds nothing."""
+    while True:
+        row = CONNECTIVES.get(type(t))
+        if row is None:
+            return type(u) is _DUAL_ATOM[type(t)] and t.name == u.name
+        if type(u) is not row.dual:
+            return False
+        if row.arity == 2:
+            if not is_dual(t.left, u.left):
+                return False
+            t, u = t.right, u.right
+        elif row.arity == 1:
+            t, u = t.body, u.body
+        else:
+            return True
 
 
 def targets_of(t: Type) -> tuple[Endpoint, ...]:
@@ -213,12 +257,8 @@ def slots(t: Type) -> list[tuple[Endpoint, ...]]:
 
 
 def add_targets(t: Type, out: set[Endpoint]) -> None:
-    """Add every annotation target of ``t`` to ``out``.
-
-    A plain loop over ``CONNECTIVES`` rather than a ``map_slots`` walk:
-    synthesis reads every type of a context this way each time a binding
-    rule fires.
-    """
+    """Add every annotation target of ``t`` to ``out``.  Synthesis reads
+    every type of a context this way each time a binding rule fires."""
     while True:
         row = CONNECTIVES.get(type(t))
         if row is None:
@@ -238,7 +278,21 @@ def add_targets(t: Type, out: set[Endpoint]) -> None:
 
 def size(t: Type) -> int:
     """Number of connectives and units (each has one slot); atoms count zero."""
-    return len(slots(t))
+    n = 0
+    while True:
+        row = CONNECTIVES.get(type(t))
+        if row is None:
+            if isinstance(t, (Atom, DualAtom)):
+                return n
+            raise TypeError(t)
+        n += 1
+        if row.arity == 2:
+            n += size(t.left)
+            t = t.right
+        elif row.arity == 1:
+            t = t.body
+        else:
+            return n
 
 
 # An annotation hole: a slot that search fills in later, held as one
@@ -268,14 +322,35 @@ def fill_holes(t: Type, store: dict[str, tuple[Endpoint, ...]],
 def is_fully_annotated(t: Type) -> bool:
     """True when every connective and unit carries a nonempty target slot
     that is not a hole."""
-    return all(ts and not is_hole(ts) for ts in slots(t))
+    while True:
+        row = CONNECTIVES.get(type(t))
+        if row is None:
+            if isinstance(t, (Atom, DualAtom)):
+                return True
+            raise TypeError(t)
+        if row.multi:
+            ts = t.targets
+            if not ts or is_hole(ts):
+                return False
+        elif t.target is None or t.target.startswith(HOLE_PREFIX):
+            return False
+        if row.arity == 2:
+            if not is_fully_annotated(t.left):
+                return False
+            t = t.right
+        elif row.arity == 1:
+            t = t.body
+        else:
+            return True
 
 
 def rename_targets(t: Type, mapping: dict[Endpoint, Endpoint]) -> Type:
-    """Rename annotation targets throughout a type (identity on structure)."""
+    """Rename annotation targets throughout a type (identity on structure);
+    a slot that names no renamed endpoint is kept as it is."""
     if not mapping:
         return t
-    return map_slots(t, lambda _, ts: tuple(mapping.get(u, u) for u in ts))
+    return map_slots(t, lambda _, ts: ts if mapping.keys().isdisjoint(ts)
+                     else tuple(mapping.get(u, u) for u in ts))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,32 @@ def enumerate_plain_types(size: int, atom: str = "a"):
             yield cls(b)
 
 
+# The type walks of ``syntax`` by their definitions over ``map_slots``: the
+# reference the property tests compare the walks with.
+
+
+def erase_by_slots(t: S.Type) -> S.Type:
+    return S.map_slots(t, lambda _, ts: ())
+
+
+def size_by_slots(t: S.Type) -> int:
+    return len(S.slots(t))
+
+
+def fully_annotated_by_slots(t: S.Type) -> bool:
+    return all(ts and not S.is_hole(ts) for ts in S.slots(t))
+
+
+def rename_targets_by_slots(t: S.Type, mapping: dict[str, str]) -> S.Type:
+    if not mapping:
+        return t
+    return S.map_slots(t, lambda _, ts: tuple(mapping.get(u, u) for u in ts))
+
+
+def is_dual_by_erasure(t: S.Type, u: S.Type) -> bool:
+    return erase_by_slots(t) == dual(erase_by_slots(u))
+
+
 def erase_context(g: Context) -> tuple[tuple[S.Endpoint, S.Type], ...]:
     """Erasure into a CP environment.
 

@@ -79,6 +79,27 @@ def test_a_payload_name_repeated_in_one_box_is_a_located_parse_error(tmp_path, c
     assert f"{path}:1:{decl.rindex('m :') + 1}: duplicate endpoint m" in err
 
 
+@pytest.mark.parametrize("cmd,decl,at", [
+    # m in two boxes once ended sim in a TypeError traceback
+    ("sim", "sim (x[w].(m<->w | x[w2].(w2<->m | wait y; wait z; close x))) "
+     "|- x : a *{y} (~a *{z} 1{y,z}), y : bot{x} [to=x msg m : ~a], z : bot{x} [to=x msg m : a] "
+     "parts (x(u). x(u2). wait x; ex[v].(u<->v | ex[v2].(v2<->u2 | close ex))) "
+     "|- ex : a * (~a * 1), x : ~a | (a | bot) @ x pending (m <- m<->k |- m : a, k : ~a);",
+     "msg m : a"),
+    # check once printed ok
+    ("check", "check close x |- x : 1{y}, y : bot{x} [to=x msg y : ~a];", "msg y"),
+])
+def test_a_name_bound_twice_in_one_context_is_a_located_parse_error(cmd, decl, at, tmp_path,
+                                                                     capsys):
+    path = tmp_path / "dup.fwd"
+    path.write_text(decl + "\n", encoding="utf-8")
+    assert cli.main([cmd, str(path)]) == 2
+    out, err = capsys.readouterr()
+    name = at.split()[1]
+    assert "Traceback" not in out + err and out == ""
+    assert f"{path}:1:{decl.index(at) + 5}: duplicate endpoint {name}" in err
+
+
 @pytest.mark.parametrize("cmd,decl,name", [
     ("check", "check close x |- x : 1{zz};", "zz"),
     ("cut", "cut (close x) |- u1 : . [to=x *], x : 1{u1,zz} "

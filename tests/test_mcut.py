@@ -374,3 +374,34 @@ def test_a_forwarder_typing_changed_under_a_kept_part_is_caught(monkeypatch):
                        r"x: forwarder and part types are not dual$"):
         MC.mcutq_step(compose_config())
 
+
+
+
+# two boxes, one payload each, and a pending process for each payload and
+# one more, o; the parser refuses a name in both boxes
+TWO_BOXES = (
+    "sim (x[w].(m<->w | x[w2].(w2<->n | wait y; wait z; close x))) "
+    "|- x : a *{y} (~a *{z} 1{y,z}), y : bot{x} [to=x msg m : ~a], z : bot{x} [to=x msg n : a] "
+    "parts (x(u). x(u2). wait x; ex[v].(u<->v | ex[v2].(v2<->u2 | close ex))) "
+    "|- ex : a * (~a * 1), x : ~a | (a | bot) @ x "
+    "pending (m <- m<->k |- m : a, k : ~a, n <- n<->j |- n : ~a, j : a, "
+    "o <- o<->i |- o : a, i : ~a);")
+
+
+@pytest.mark.parametrize("boxes", ["m twice", "o in none"])
+def test_boxes_and_pending_processes_match_by_name(boxes):
+    # built directly, the boxes may carry m twice, at types that do not
+    # order; each boxed payload takes the pending process of its name, and
+    # every pending process is taken
+    (d,) = P.parse_file(TWO_BOXES).decls
+    c = cli._sim_config(d)
+    if boxes == "m twice":
+        g = c.fwd.ctx
+        z = g.get("z")
+        (box,) = z.queue
+        g = g.replace("z", replace(z, queue=(replace(box, payloads=(("m", box.payloads[0][1]),)),)))
+        fwd = P.parse_process("x[w].(m<->w | x[w2].(w2<->m | wait y; wait z; close x))")
+        c = replace(c, fwd=Judged(fwd, g))
+    with pytest.raises(MC.McutError, match="^invalid configuration: queued messages and "
+                       "pending processes disagree$"):
+        MC.run_mcut(c)

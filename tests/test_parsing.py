@@ -21,16 +21,37 @@ from test_syntax import names, scoped_procs, types
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 # every queue-item kind; boxes carry one to three payloads, each named once
+# in its box (``bound_once`` makes it once in its context)
 payloads = st.lists(st.tuples(st.sampled_from(["p", "q", "r'", "m#1"]), types),
                     min_size=1, max_size=3, unique_by=lambda pl: pl[0]).map(tuple)
 items = st.one_of(st.builds(MsgBox, names, payloads), names.map(Star), names.map(Query),
                   names.map(LeftTok), names.map(RightTok))
 queues = st.lists(items, max_size=4).map(tuple)
 
+
+def bound_once(d) -> Context:
+    """The context of ``d`` (endpoint -> queue and typing), in which a
+    payload name that an earlier box binds takes a "0" more: a context binds
+    each name once.  Payload names are drawn apart from endpoint names."""
+    seen: set[str] = set()
+
+    def fresh(pn: str) -> str:
+        while pn in seen:
+            pn += "0"
+        seen.add(pn)
+        return pn
+
+    def item(it):
+        if not isinstance(it, MsgBox):
+            return it
+        return MsgBox(it.target, tuple((fresh(pn), pt) for pn, pt in it.payloads))
+
+    return Context(tuple(Entry(x, tuple(map(item, q)), t) for x, (q, t) in d.items()))
+
+
 # an entry with no typing is terminated, ``x : .``
 contexts = st.dictionaries(names, st.tuples(queues, st.none() | types),
-                           min_size=1, max_size=4).map(
-    lambda d: Context(tuple(Entry(x, q, t) for x, (q, t) in d.items())))
+                           min_size=1, max_size=4).map(bound_once)
 envs = st.dictionaries(names, types, min_size=1, max_size=4).map(lambda d: tuple(d.items()))
 
 
@@ -161,8 +182,13 @@ def test_fmt_is_a_fixed_point_on_the_corpus(path):
     ("sim x<->y |- x : ~a, y : a parts (y<->e) |- e : a, y : ~a @ y,;",
      "1:63: got ';' (expected one of: process)"),
     ("compat x : a, x : ~a;", "1:15: duplicate endpoint x"),
-    # a box names each of its payloads once
+    # a context binds each name once: an entry's endpoint, or a payload of
+    # one of its boxes
     ("synth x : a | b, y : . [to=x msg m : a; m : b];", "1:41: duplicate endpoint m"),
+    ("synth x : a | b, y : . [to=x msg m : a], z : . [to=x msg m : b];",
+     "1:58: duplicate endpoint m"),
+    ("synth x : a | b, y : . [to=x msg x : a];", "1:34: duplicate endpoint x"),
+    ("synth y : . [to=x msg x : a], x : a | b;", "1:31: duplicate endpoint x"),
     # the end of the input after a comment is where the text ends
     ("check close x |- x : 1\n## trailing\n", "3:1: got end of input (expected one of: ;)"),
     ("check close x |- x : 1 ## trailing", "1:35: got end of input (expected one of: ;)"),
@@ -179,6 +205,7 @@ def test_fmt_is_a_fixed_point_on_the_corpus(path):
         "dup-proc", "process", "queue-bracket", "payload", "cut-with", "select", "end-of-input",
         "end-of-input-in-term", "empty-queue", "pending-comma", "pending-empty", "single-target",
         "context-comma", "target-comma", "part-comma", "dup-endpoint", "dup-payload",
+        "dup-payload-across-boxes", "payload-after-endpoint", "endpoint-after-payload",
         "end-after-comment-line",
         "end-in-comment", "unknown-target", "unknown-item-target", "crlf-lines", "tab-and-nbsp"])
 def test_parse_errors_keep_their_position_and_text(text, message):

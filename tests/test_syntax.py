@@ -22,18 +22,28 @@ targets = st.lists(names, max_size=3, unique=True).map(tuple)
 # example counts below buy distinct small trees rather than time spent
 # generating a few huge ones; ``test_strategies_reach_every_constructor``
 # pins that every constructor is drawn.
-types = st.recursive(
-    st.one_of(names.map(Atom), names.map(DualAtom), targets.map(One), opt_target.map(Bot)),
-    lambda sub: st.one_of(
-        st.builds(Tensor, sub, sub, targets),
-        st.builds(Par, sub, sub, opt_target),
-        st.builds(Plus, sub, sub, opt_target),
-        st.builds(With, sub, sub, targets),
-        st.builds(OfCourse, sub, targets),
-        st.builds(WhyNot, sub, opt_target),
-    ),
-    max_leaves=12,
-)
+def type_strategy(targets, opt_target):
+    """Types whose multi-target slots draw from ``targets`` and whose
+    single-target slots draw from ``opt_target``."""
+    return st.recursive(
+        st.one_of(names.map(Atom), names.map(DualAtom), targets.map(One), opt_target.map(Bot)),
+        lambda sub: st.one_of(
+            st.builds(Tensor, sub, sub, targets),
+            st.builds(Par, sub, sub, opt_target),
+            st.builds(Plus, sub, sub, opt_target),
+            st.builds(With, sub, sub, targets),
+            st.builds(OfCourse, sub, targets),
+            st.builds(WhyNot, sub, opt_target),
+        ),
+        max_leaves=12,
+    )
+
+
+types = type_strategy(targets, opt_target)
+# every slot set, some of them to an annotation hole
+slot_names = st.one_of(names, st.sampled_from([S.HOLE_PREFIX + "1", S.HOLE_PREFIX + "2"]))
+set_types = type_strategy(st.lists(slot_names, min_size=1, max_size=2, unique=True).map(tuple),
+                          slot_names)
 
 proc_leaves = st.one_of(st.builds(Link, names, names), names.map(Close))
 
@@ -304,3 +314,100 @@ def test_alpha_renaming_preserves_judgement():
     d2 = check_forwarder(proc2, ctx2)
     assert d1.rules_preorder() == d2.rules_preorder()
     assert S.size(erase(ctx.entries[0].typing)) == S.size(erase(ctx2.entries[0].typing))
+
+
+# -- the type walks against their definitions over map_slots (genutil) -------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(types, set_types))
+def test_erase_size_and_full_annotation_are_their_definitions(t):
+    import genutil
+
+    e = erase(t)
+    assert e == genutil.erase_by_slots(t)
+    assert erase(e) is e
+    assert size(t) == genutil.size_by_slots(t)
+    assert S.is_fully_annotated(t) == genutil.fully_annotated_by_slots(t)
+
+
+def test_full_annotation_refuses_a_hole_or_an_empty_slot():
+    assert S.is_fully_annotated(P.parse_type("a *{x} 1{y}"))
+    assert not S.is_fully_annotated(P.parse_type("a *{x} 1"))
+    assert not S.is_fully_annotated(Tensor(Atom("a"), One(("x",)), ("?1",)))
+    assert S.is_fully_annotated(Tensor(Atom("a"), One(("x",)), ("?1", "y")))
+    assert not S.is_fully_annotated(WhyNot(One(("x",)), "?2"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(types, st.dictionaries(names, names, max_size=3))
+def test_rename_targets_is_its_definition(t, m):
+    import genutil
+
+    got = S.rename_targets(t, m)
+    assert got == genutil.rename_targets_by_slots(t, m)
+    if not any(n in m for ts in S.slots(t) for n in ts):
+        assert got is t
+
+
+def _annotate(t, fill):
+    """``t`` with its slots set in turn from ``fill``, a list of one-name
+    or empty slots."""
+    it = iter(fill * (size(t) // max(len(fill), 1) + 1))
+    return S.map_slots(t, lambda _, ts: next(it, ()))
+
+
+def _mutated(t, k: int):
+    """Plain ``t`` with its node ``k`` (in pre-order, modulo the node count)
+    changed: an atom's name or polarity, or a connective to another of its
+    operand count."""
+    nodes = []
+
+    def walk(u):
+        nodes.append(u)
+        for c in S.children(u):
+            walk(c)
+
+    walk(t)
+    target = nodes[k % len(nodes)]
+
+    def change(u):
+        if u is target:
+            if isinstance(u, (Atom, DualAtom)):
+                return type(u)(u.name + "'") if k % 2 else (
+                    DualAtom(u.name) if isinstance(u, Atom) else Atom(u.name))
+            row = S.CONNECTIVES[type(u)]
+            same = [c for c, r in S.CONNECTIVES.items() if r.arity == row.arity and c is not type(u)]
+            return same[k % len(same)](*S.children(u))
+        kids = S.children(u)
+        return type(u)(*map(change, kids)) if kids else u
+
+    return change(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(types, st.lists(st.one_of(st.just(()), names.map(lambda n: (n,))), max_size=4))
+def test_is_dual_holds_on_dual_pairs(t, fill):
+    import genutil
+
+    u = _annotate(dual(erase(t)), fill)
+    assert S.is_dual(t, u) and S.is_dual(u, t)
+    assert genutil.is_dual_by_erasure(t, u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(types, types)
+def test_is_dual_is_its_definition_on_random_pairs(t, u):
+    import genutil
+
+    assert S.is_dual(t, u) == genutil.is_dual_by_erasure(t, u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(types, st.integers(min_value=0, max_value=1000))
+def test_is_dual_refuses_a_pair_that_differs_in_one_atom_or_connective(t, k):
+    import genutil
+
+    u = _mutated(dual(erase(t)), k)
+    assert not genutil.is_dual_by_erasure(t, u)
+    assert not S.is_dual(t, u) and not S.is_dual(u, t)
