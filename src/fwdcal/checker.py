@@ -36,7 +36,7 @@ from .syntax import (
     dual, erase, free_endpoints,
 )
 from .contexts import (
-    Context, Entry, LeftTok, MsgBox, Query, Queue, RightTok, Star, context_fully_annotated,
+    Context, Entry, LeftTok, MsgBox, Query, QueueItem, RightTok, Star, context_fully_annotated,
     endpoint_names, first_destined, map_context, msgbox, normalize_queue, print_queue_item,
     rename_context_targets, target_names,
 )
@@ -143,10 +143,11 @@ def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Co
     Returns the rule tag and the premise judgements, or raises a CheckError
     naming the first mismatch.
     """
-    rule = FORWARDER_RULES.get(type(p))
-    if rule is None:
-        raise RuleMismatch(f"no forwarder rule for {type(p).__name__}")
-    return rule(p, g)
+    return FORWARDER_RULES.get(type(p), _fwd_none)(p, g)
+
+
+def _fwd_none(p, g: Context):
+    raise RuleMismatch(f"no forwarder rule for {type(p).__name__}")
 
 
 def _fwd_ax(p: Link, g: Context):
@@ -182,55 +183,56 @@ def _fwd_one(p: Close, g: Context):
 
 def _fwd_bot(p: Wait, g: Context):
     e, t = _active(g, p.x, Bot, "wait", "bot with a target")
-    return "Bot", ((p.cont, g.replace(p.x, Entry(p.x, e.queue + (Star(t.target),), None))),)
+    return "Bot", ((p.cont, g.replace({p.x: Entry(p.x, e.queue + (Star(t.target),), None)})),)
 
 
 def _fwd_par(p: Recv, g: Context):
     x, f = p.x, p.fresh
     e, t = _active(g, x, Par, "recv on", "A|{u}B")
-    if f in endpoint_names(g):
+    if g.binds(f):
         raise RuleMismatch(f"received name {f} is not fresh")
-    g2 = g.replace(x, Entry(x, e.queue + (msgbox(t.target, f, t.left),), t.right))
+    g2 = g.replace({x: Entry(x, e.queue + (msgbox(t.target, f, t.left),), t.right)})
     return "Par", ((p.cont, g2),)
 
 
 def _fwd_tensor(p: Send, g: Context):
     x, f = p.x, p.fresh
-    _, t = _active(g, x, Tensor, "send on", "A*{u}B")
-    if f in endpoint_names(g):
+    e, t = _active(g, x, Tensor, "send on", "A*{u}B")
+    if g.binds(f):
         raise RuleMismatch(f"sent name {f} is not fresh")
     gathered: list[tuple[str, Type]] = []
-    g2 = g
+    new = {}
     for u in t.targets:
         if u == x or not g.has(u):
             raise RuleMismatch(f"* target {u} not in context")
-        if not g2.get(u).queue:
+        eu = new.get(u) or g.get(u)
+        if not eu.queue:
             raise QueueHeadMismatch(f"empty queue at {u}, * at {x} expects a box")
-        head, g2 = _pop_for(g2, u, x)
-        if not head or not isinstance(head[0], MsgBox):
+        head, new[u] = _take(eu, x)
+        if type(head) is not MsgBox:
             raise QueueHeadMismatch(
-                f"head of {u}'s queue must be a message for {x}, got {_popped(head)}")
-        gathered.extend(head[0].payloads)
+                f"head of {u}'s queue must be a message for {x}, got {_shown(head)}")
+        gathered.extend(head.payloads)
     names = [n for n, _ in gathered] + [f]
     if len(set(names)) != len(names):
         raise RuleMismatch(f"gathered payload names clash: {names}")
     left = Context(tuple(Entry(n, (), a) for n, a in gathered) + (Entry(f, (), t.left),))
-    right = g2.replace(x, Entry(x, g2.get(x).queue, t.right))
-    return "Tensor", ((p.payload, left), (p.cont, right))
+    new[x] = Entry(x, e.queue, t.right)
+    return "Tensor", ((p.payload, left), (p.cont, g.replace(new)))
 
 
 def _fwd_plus(p: Inl | Inr, g: Context):
     x, want_left = p.x, type(p) is Inl
     e, t = _active(g, x, Plus, "select on", "A+{z}B")
     z = t.target
-    if not g.has(z):
+    if z == x or not g.has(z):
         raise RuleMismatch(f"+ target {z} not in context")
     tok = LeftTok(x) if want_left else RightTok(x)
-    head, g2 = _pop_for(g, z, x)
-    if head != (tok,):
+    head, ez = _take(g.get(z), x)
+    if head != tok:
         raise QueueHeadMismatch(
-            f"head of {z}'s queue must be {print_queue_item(tok)}, got {_popped(head)}")
-    g2 = g2.replace(x, Entry(x, e.queue, t.left if want_left else t.right))
+            f"head of {z}'s queue must be {print_queue_item(tok)}, got {_shown(head)}")
+    g2 = g.replace({z: ez, x: Entry(x, e.queue, t.left if want_left else t.right)})
     return ("PlusL" if want_left else "PlusR"), ((p.cont, g2),)
 
 
@@ -240,8 +242,8 @@ def _fwd_with(p: Case, g: Context):
     for u in t.targets:
         if u == x or not g.has(u):
             raise RuleMismatch(f"& target {u} not in context")
-    gl = g.replace(x, Entry(x, e.queue + tuple(LeftTok(u) for u in t.targets), t.left))
-    gr = g.replace(x, Entry(x, e.queue + tuple(RightTok(u) for u in t.targets), t.right))
+    gl = g.replace({x: Entry(x, e.queue + tuple(LeftTok(u) for u in t.targets), t.left)})
+    gr = g.replace({x: Entry(x, e.queue + tuple(RightTok(u) for u in t.targets), t.right)})
     return "With", ((p.left, gl), (p.right, gr))
 
 
@@ -258,26 +260,26 @@ def _fwd_bang(p: Server, g: Context):
             raise RuleMismatch(f"! needs {o.endpoint} to be ?-typed")
         if o.queue:
             raise LeftoverQueue(f"! needs an empty queue at {o.endpoint}")
-    if f in endpoint_names(g):
+    if g.binds(f):
         raise RuleMismatch(f"server name {f} is not fresh")
-    g2 = g.replace(x, Entry(f, tuple(Query(u) for u in t.targets), t.body))
-    return "Bang", ((p.body, rename_context_targets(g2, {x: f})),)
+    new = Entry(f, tuple(Query(u) for u in t.targets), t.body)
+    return "Bang", ((p.body, rename_context_targets(g, {x: f}, {x: new})),)
 
 
 def _fwd_quest(p: Client, g: Context):
     x, f = p.x, p.fresh
     e, t = _active(g, x, WhyNot, "client on", "?{z}A")
     z = t.target
-    if not g.has(z):
+    if z == x or not g.has(z):
         raise RuleMismatch(f"? target {z} not in context")
-    head, g2 = _pop_for(g, z, x)
-    if head != (Query(x),):
+    head, ez = _take(g.get(z), x)
+    if head != Query(x):
         raise QueueHeadMismatch(
-            f"head of {z}'s queue must be a query for {x}, got {_popped(head)}")
-    if f in endpoint_names(g):
+            f"head of {z}'s queue must be a query for {x}, got {_shown(head)}")
+    if g.binds(f):
         raise RuleMismatch(f"client name {f} is not fresh")
-    g2 = g2.replace(x, Entry(f, e.queue, t.body))
-    return "Quest", ((p.cont, rename_context_targets(g2, {x: f})),)
+    g2 = rename_context_targets(g, {x: f}, {z: ez, x: Entry(f, e.queue, t.body)})
+    return "Quest", ((p.cont, g2),)
 
 
 def _fwd_cut(p: Cut, g: Context):
@@ -291,27 +293,28 @@ FORWARDER_RULES = {
 }
 
 
-def _popped(head: Queue) -> str:
-    return print_queue_item(head[0]) if head else "nothing"
-
-
-def _pop_for(g: Context, u: str, x: str) -> tuple[Queue, Context]:
-    """The first item of ``u``'s queue aimed at ``x``, as a tuple of at most
-    one item, and ``g`` without it."""
-    e = g.get(u)
+def _take(e: Entry, x: str) -> tuple[QueueItem | None, Entry]:
+    """The first item of ``e``'s queue aimed at ``x`` (None if there is
+    none), and ``e`` without it."""
     i = first_destined(e.queue, x)
     if i is None:
-        return (), g
-    return (e.queue[i],), g.replace(u, Entry(u, e.queue[:i] + e.queue[i + 1:], e.typing))
+        return None, e
+    return e.queue[i], Entry(e.endpoint, e.queue[:i] + e.queue[i + 1:], e.typing)
+
+
+def _shown(item: QueueItem | None) -> str:
+    return "nothing" if item is None else print_queue_item(item)
 
 
 def _active(g: Context, x: str, cls: type, acts: str, shape: str) -> tuple[Entry, Type]:
     """``x``'s entry and its typing, which must be a ``cls`` with its slot
     set; ``acts`` and ``shape`` say what the term does at ``x`` and the
     shape of type it needs."""
-    if not g.has(x):
+    for e in g.entries:
+        if e.endpoint == x:
+            break
+    else:
         raise RuleMismatch(f"endpoint {x} not in context")
-    e = g.get(x)
     t = e.typing
     if t is None:
         raise RuleMismatch(f"endpoint {x} is terminated")
@@ -331,7 +334,7 @@ def check_forwarder(p: Process, g: Context) -> Derivation:
 
 
 def _check_fwd(p: Process, g: Context) -> Derivation:
-    rule, premises = forwarder_step(p, g)
+    rule, premises = FORWARDER_RULES.get(type(p), _fwd_none)(p, g)
     return Derivation(rule, p, g, tuple(starmap(_check_fwd, premises)))
 
 
@@ -754,7 +757,7 @@ def _fire(e: Entry, value: tuple[str, ...], ctor: type, g: Context, store, suppl
     if S.is_hole(ts):  # the head slot takes ``value``, the operands are kept
         store = {**store, ts[0]: _unrename(ren, value)}
         slot = value if type(t) in S.MULTI_TARGET else value[0]
-        g = g.replace(x, Entry(x, e.queue, type(t)(*S.children(t), slot)))
+        g = g.replace({x: Entry(x, e.queue, type(t)(*S.children(t), slot))})
     binders = (_binder_candidates(BINDER_BASE.get(ctor, x), g, supply) if ctor in S.BINDING
                else (None,))
     for head in (S.head_term(ctor, (x,), f) for f in binders):

@@ -74,8 +74,8 @@ from .syntax import (
     Plus, Process, Recv, Send, Server, Tensor, Type, Wait, WhyNot, With, dual, erase,
 )
 from .contexts import (
-    Config, Context, EMPTY_CONFIG, Entry, LeftTok, MsgBox, Query, RightTok, Star, endpoint_names,
-    map_context, msgbox,
+    Config, Context, EMPTY_CONFIG, Entry, LeftTok, MsgBox, Query, RightTok, Star, map_context,
+    msgbox,
 )
 from .records import record
 from .checker import BINDER_BASE, Env, forwarder_step, nonempty_subsets
@@ -593,7 +593,7 @@ class _Replay:
             heads = (x, ren[next(n for n, _ in c.delta if n != lab.x)])
         elif ctor in S.BINDING:
             f = self.find(self.supply.fresh(BINDER_BASE.get(ctor, x)))
-            if self.alias and f in endpoint_names(g):
+            if self.alias and g.binds(f):
                 raise _Disagree(f)  # a shared name, bound already on this path
         head = S.head_term(ctor, heads, f)
         _, prem = forwarder_step(head, g)

@@ -12,6 +12,7 @@ system.
 
 from __future__ import annotations
 
+from operator import attrgetter, eq, is_, itemgetter
 from typing import Callable, Iterable, Union
 
 from .records import record, replace
@@ -137,13 +138,34 @@ class Context:
         raise KeyError(x)
 
     def has(self, x: Endpoint) -> bool:
-        return any(e.endpoint == x for e in self.entries)
+        return x in map(_ENDPOINT, self.entries)
 
     def without(self, *xs: Endpoint) -> Context:
         return Context(tuple(e for e in self.entries if e.endpoint not in xs))
 
-    def replace(self, x: Endpoint, new: Entry) -> Context:
-        return Context(tuple(new if e.endpoint == x else e for e in self.entries))
+    def binds(self, n: Endpoint) -> bool:
+        """``n in endpoint_names(self)``, without building the set."""
+        for e in self.entries:
+            if e.endpoint == n:
+                return True
+            for it in e.queue:
+                if type(it) is MsgBox and n in map(_NAME, it.payloads):
+                    return True
+        return False
+
+    def replace(self, new: dict[Endpoint, Entry]) -> Context:
+        """This context with the entry of each endpoint ``new`` names put in
+        place by its value there; kept names are not checked distinct again."""
+        ents = tuple(map(new.get, map(_ENDPOINT, self.entries), self.entries))
+        if not all(map(eq, new, map(_ENDPOINT, new.values()))):
+            return Context(ents)
+        g = object.__new__(Context)
+        _set_entries(g, ents)
+        return g
+
+
+_ENDPOINT, _NAME = attrgetter("endpoint"), itemgetter(0)
+_set_entries = Context.entries.__set__
 
 
 def ctx(*entries: Entry) -> Context:
@@ -157,10 +179,11 @@ def map_context(g: Context, typ: Callable[[Type], Type] | None = None,
     boxed payload types), ``target`` to every queue item's target and
     ``name`` to every entry endpoint and boxed payload name.
 
-    This is the one walk over contexts: the renamers and scanners below are
-    built on it.  It visits the entries in order, each one's name, then its
-    queue, then its typing.  A callback left out keeps its parts; a part that
-    comes back unchanged is kept as the same object, and so is ``g``.
+    It visits the entries in order, each one's name, then its queue, then
+    its typing.  A callback left out keeps its parts; a part that comes back
+    unchanged is kept as the same object, and so is ``g``.  The renamers and
+    scanners below are plain loops instead, because the forwarder rules run
+    them on every derivation node; ``_rename`` is this walk's special case.
     """
 
     def item(it: QueueItem) -> QueueItem:
@@ -181,27 +204,16 @@ def map_context(g: Context, typ: Callable[[Type], Type] | None = None,
     return Context(tuple(ents)) if changed else g
 
 
-def _recorder(out: list) -> Callable:
-    def record(v):
-        out.append(v)
-        return v
-
-    return record
-
-
 def context_types(g: Context) -> list[Type]:
     """Entry typings and boxed payload types, in walk order."""
     out: list[Type] = []
-    map_context(g, typ=_recorder(out))
+    map_context(g, typ=lambda t: out.append(t) or t)
     return out
 
 
 def endpoint_names(g: Context) -> set[Endpoint]:
-    """Entry endpoints and boxed payload names: the names ``g`` binds.
-
-    A plain loop rather than a ``map_context`` walk: every rule that binds
-    a name asks it for freshness, so it is on the checkers' hot path.
-    """
+    """Entry endpoints and boxed payload names: the names ``g`` binds.  A
+    plain loop, as synthesis asks it at every binder."""
     out = set()
     for e in g.entries:
         out.add(e.endpoint)
@@ -230,7 +242,16 @@ def target_names(g: Context) -> set[Endpoint]:
 
 
 def context_fully_annotated(g: Context) -> bool:
-    return all(is_fully_annotated(t) for t in context_types(g))
+    """Whether ``is_fully_annotated`` holds of every type of ``g``."""
+    for e in g.entries:
+        for it in e.queue:
+            if type(it) is MsgBox:
+                for _, t in it.payloads:
+                    if not is_fully_annotated(t):
+                        return False
+        if e.typing is not None and not is_fully_annotated(e.typing):
+            return False
+    return True
 
 
 def normalize_context(g: Context) -> Context:
@@ -243,22 +264,45 @@ def normalize_context(g: Context) -> Context:
     return Context(ents)
 
 
-def rename_context_targets(g: Context, mapping: dict[Endpoint, Endpoint]) -> Context:
+def rename_context_targets(g: Context, mapping: dict[Endpoint, Endpoint],
+                           new: dict[Endpoint, Entry] | None = None) -> Context:
     """Rename endpoints wherever they occur as forwarding targets (queue item
-    labels and type annotations); entry names are untouched."""
-    if not mapping:
-        return g
-    return map_context(g, typ=lambda t: rename_targets(t, mapping),
-                       target=lambda u: mapping.get(u, u))
+    labels and type annotations); entry names are untouched.  ``new``
+    replaces entries first, as ``Context.replace`` does, in the same pass:
+    the ! and ? rules rename the endpoint whose entry they replace."""
+    return _rename(g, mapping, False, new)
 
 
 def rename_context(g: Context, mapping: dict[Endpoint, Endpoint]) -> Context:
     """Rename endpoints everywhere: entry and payload names as well as
     forwarding targets."""
-    if not mapping:
+    return _rename(g, mapping, True)
+
+
+def _rename(g: Context, mapping: dict[Endpoint, Endpoint], names: bool,
+            new: dict[Endpoint, Entry] | None = None) -> Context:
+    """The renamers' ``map_context`` walk as one loop, after ``new``
+    replaced its entries; what names no renamed endpoint is kept."""
+    if not (mapping or new):
         return g
-    return map_context(g, typ=lambda t: rename_targets(t, mapping),
-                       target=lambda u: mapping.get(u, u), name=lambda n: mapping.get(n, n))
+    ents = g.entries if new is None else tuple(map(new.get, map(_ENDPOINT, g.entries), g.entries))
+    get = mapping.get
+    out = []
+    for e in ents:
+        x = get(e.endpoint, e.endpoint) if names else e.endpoint
+        q = tuple([_rename_item(it, mapping, names) for it in e.queue]) if e.queue else ()
+        t = None if e.typing is None else rename_targets(e.typing, mapping)
+        out.append(e if x == e.endpoint and q == e.queue and t is e.typing else Entry(x, q, t))
+    return g if all(map(is_, out, g.entries)) else Context(tuple(out))
+
+
+def _rename_item(it: QueueItem, mapping: dict[Endpoint, Endpoint], names: bool) -> QueueItem:
+    u = mapping.get(it.target, it.target)
+    if type(it) is not MsgBox:
+        return it if u == it.target else type(it)(u)
+    pls = tuple([(mapping.get(n, n) if names else n, rename_targets(t, mapping))
+                 for n, t in it.payloads])
+    return it if u == it.target and pls == it.payloads else MsgBox(u, pls)
 
 
 def context_size(g: Context) -> int:

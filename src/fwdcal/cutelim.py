@@ -127,7 +127,7 @@ def _redirect(ctx: Context, holder: Endpoint, at: Endpoint, new: tuple[Endpoint,
         moved = {j for j, it in enumerate(q) if it == q[i] and (every or j == i)}
         q = tuple(r for j, it in enumerate(q)
                   for r in ([replace(it, target=u) for u in new] if j in moved else [it]))
-        return ctx.replace(holder, Entry(holder, q, e.typing))
+        return ctx.replace({holder: Entry(holder, q, e.typing)})
     if e.typing is None:
         raise DanglingReference(f"{holder} terminated with no reference to {at}")
     hits = 0
@@ -142,7 +142,7 @@ def _redirect(ctx: Context, holder: Endpoint, at: Endpoint, new: tuple[Endpoint,
     t = S.map_slots(e.typing, splice)
     if not hits:
         raise DanglingReference(f"{holder} has no pending {kind.__name__} at {at}")
-    return ctx.replace(holder, Entry(holder, q, t))
+    return ctx.replace({holder: Entry(holder, q, t)})
 
 
 def distributions(top: CutSide, bottom: CutSide) -> list[tuple[CutSide, CutSide]]:

@@ -34,6 +34,8 @@ not ?-typed is emitted first (``_commute``).
 
 from __future__ import annotations
 
+from operator import is_
+
 from . import syntax as S
 from .syntax import (
     Case, Client, Close, Endpoint, Inl, Inr, Link, Process, Recv, Send, Server, Type,
@@ -110,7 +112,9 @@ def _check(c: MCutConfig, stats: McutStats, before: MCutConfig | None = None) ->
     derivation of its term at its typing, and is checked in CP otherwise.
     ``before`` is the checked configuration the step that made ``c`` started
     from: a part it holds as the same object, at the same forwarder typing
-    object, is dual to that typing already.
+    object, is dual to that typing already; a part or pending process it
+    holds as the same object keeps its certificate, unread.  A ``c`` that
+    needs no new derivation comes back as it is.
     """
     if len(set(c.bound)) != len(c.bound):
         raise McutError("bound endpoints not pairwise distinct")
@@ -125,6 +129,7 @@ def _check(c: MCutConfig, stats: McutStats, before: MCutConfig | None = None) ->
         raise McutError("parts must own distinct bound endpoints")
     kept = {} if before is None else {
         id(p): before.fwd.context.get(p.endpoint).typing for p in before.parts}
+    held = set() if before is None else {id(p) for p in before.parts + before.pending}
     for p in c.parts:
         t = ctx.get(p.endpoint).typing
         if t is None or (kept.get(id(p)) is not t and not is_dual(t, p.typ)):
@@ -144,8 +149,10 @@ def _check(c: MCutConfig, stats: McutStats, before: MCutConfig | None = None) ->
     for x in c.bound:
         if ctx.get(x).typing is not None and x not in owned:
             raise McutError(f"active forwarder endpoint {x} has no part")
-    return replace(c, parts=tuple(_certify(p, "part at", stats) for p in c.parts),
-                   pending=tuple(_certify(p, "pending", stats) for p in c.pending))
+    parts = tuple(p if id(p) in held else _certify(p, "part at", stats) for p in c.parts)
+    pending = tuple(p if id(p) in held else _certify(p, "pending", stats) for p in c.pending)
+    same = all(map(is_, parts + pending, c.parts + c.pending))
+    return c if same else replace(c, parts=parts, pending=pending)
 
 
 def _certify(p: PartEntry, what: str, stats: McutStats) -> PartEntry:

@@ -18,7 +18,8 @@ it:
   the hash of that tuple: the values a frozen dataclass gives, so sets and
   dicts of records behave as they did.  A class that writes its own
   ``__hash__`` keeps it;
-- ``__repr__`` in the form a dataclass prints, ``Name(field=value, ...)``;
+- ``__repr__`` in the form a dataclass prints, ``Name(field=value, ...)``,
+  set per class from a format string and an ``operator.attrgetter``;
 - immutability: assigning or deleting an attribute raises AttributeError.
   A class may list further ``__slots__`` (a cache), which it writes with
   ``object.__setattr__``.
@@ -27,13 +28,14 @@ The methods are not generated per class.  ``__init__``, ``__eq__`` and
 ``__hash__`` are compiled once per arity (how many fields, how many of them
 compared, whether ``__post_init__`` runs) over fields named ``_0``, ``_1``,
 ...; each class gets functions over that code with its own field names put
-in by ``CodeType.replace``, and its own defaults.  ``__repr__`` and
-immutability are inherited from ``Record``.  ``fields`` and ``replace``
-stand in for their ``dataclasses`` namesakes.
+in by ``CodeType.replace``, and its own defaults; ``__repr__`` compiles
+nothing.  Immutability is inherited from ``Record``.  ``fields`` and
+``replace`` stand in for their ``dataclasses`` namesakes.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from types import CodeType, FunctionType
 
 _MISSING = object()
@@ -95,7 +97,8 @@ def _method(code: CodeType, names: tuple[str, ...], defaults: tuple = (),
 
 
 class Record:
-    """The base of every record class: its repr and its immutability."""
+    """The base of every record class: its immutability, and the repr that
+    each class's own ``__repr__`` prints faster."""
 
     __slots__ = ()
 
@@ -134,6 +137,11 @@ def record(cls: type) -> type:
     init, eq, hsh = _template(len(names), len(compared), "__post_init__" in ns)
     ns.setdefault("__eq__", _method(eq, compared))
     ns.setdefault("__hash__", _method(hsh, compared))
+    # the getter reads two attributes past the fields, so it returns a tuple
+    # at every arity; the format string ignores them
+    text = cls.__qualname__ + "(" + ", ".join(f"{n}={{!r}}" for n in names) + ")"
+    get = attrgetter(*names, "__class__", "__class__")
+    ns.setdefault("__repr__", lambda self: text.format(*get(self)))
     ns["__slots__"] = names + tuple(extra)
     ns["__match_args__"] = names
     ns["__qualname__"] = cls.__qualname__

@@ -9,11 +9,12 @@ Endpoints are bare strings matching ``[a-zA-Z][a-zA-Z0-9_']*``.  Engine-made
 fresh names may additionally contain ``#``.
 
 ``map_slots`` is the one traversal that rebuilds a type slot by slot.  Beside
-it, ``erase``, ``is_dual``, ``size``, ``is_fully_annotated`` and
-``add_targets`` are plain loops over ``CONNECTIVES`` that build only what they
-return, because each sits on a measured hot path: the duality tests of cut and
-composition, the fuel of a reduction, the annotation test of every forwarder
-check, and synthesis's binder candidates.
+it, ``erase``, ``is_dual``, ``size``, ``is_fully_annotated``,
+``add_targets`` and ``rename_targets`` are plain loops over ``CONNECTIVES``
+that build only what they return, because each sits on a measured hot path:
+the duality tests of cut and composition, the fuel of a reduction, the
+annotation test of every forwarder check, synthesis's binder candidates, and
+the renaming of the ! and ? rules.
 """
 
 from __future__ import annotations
@@ -346,11 +347,25 @@ def is_fully_annotated(t: Type) -> bool:
 
 def rename_targets(t: Type, mapping: dict[Endpoint, Endpoint]) -> Type:
     """Rename annotation targets throughout a type (identity on structure);
-    a slot that names no renamed endpoint is kept as it is."""
-    if not mapping:
+    a subtree whose slots name no renamed endpoint is kept as it is."""
+    row = _row(t)
+    if row is None or not mapping:
         return t
-    return map_slots(t, lambda _, ts: ts if mapping.keys().isdisjoint(ts)
-                     else tuple(mapping.get(u, u) for u in ts))
+    if row.multi:
+        old = t.targets
+        new = old if mapping.keys().isdisjoint(old) else tuple(map(mapping.get, old, old))
+    else:
+        old = t.target
+        new = mapping.get(old, old)
+    if row.arity == 2:
+        l, r = t.left, t.right
+        l2, r2 = rename_targets(l, mapping), rename_targets(r, mapping)
+        return t if new == old and l2 is l and r2 is r else type(t)(l2, r2, new)
+    if row.arity == 1:
+        b = t.body
+        b2 = rename_targets(b, mapping)
+        return t if new == old and b2 is b else type(t)(b2, new)
+    return t if new == old else type(t)(new)
 
 
 # ---------------------------------------------------------------------------

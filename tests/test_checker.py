@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from fwdcal.checker import (
     synth_forwarder, synth_with_annotations,
 )
 from fwdcal.contexts import (
-    Context, Entry, Star, context_types, ctx, map_context, msgbox,
+    Context, Entry, Query, Star, context_types, ctx, first_destined, map_context, msgbox,
 )
 from fwdcal.syntax import Atom, Bot, DualAtom, Link, One, Par, Tensor, dual, erase
 
@@ -365,3 +366,102 @@ def test_a_cut_and_an_unknown_object_keep_their_errors():
         K.cp_step(object(), (("x", One()),))
     with pytest.raises(RuleMismatch, match="^no forwarder rule for Atom$"):
         K.forwarder_step(Atom("a"), ctx)
+
+
+# The refusals of the rules that build their premise in one pass, each as
+# ``fwdcal check`` prints it, with the class the checker raises.
+REFUSALS = [
+    ("x.inl. x<->y", "x : ~a +{x} ~a [to=x L], y : a",
+     RuleMismatch, "+ target x not in context"),
+    ("?x[w]. w<->y", "x : ?{x} ~a [to=x ?], y : a", RuleMismatch, "? target x not in context"),
+    ("?x[w]. w<->y", "x : ?{y} ~a, y : a",
+     QueueHeadMismatch, "head of y's queue must be a query for x, got nothing"),
+    ("x[w].(w<->m | close x)", "x : a *{u} 1{u}, u : .",
+     QueueHeadMismatch, "empty queue at u, * at x expects a box"),
+    ("x(y). x<->y", "x : ~a |{y} a, y : ~a", RuleMismatch, "received name y is not fresh"),
+    ("!x(y). ?y[u]. u<->y", "x : !{y} a, y : ?{x} ~a",
+     RuleMismatch, "server name y is not fresh"),
+    ("?x[y]. y<->z", "x : ?{z} ~a, z : a [to=x ?], y : a",
+     RuleMismatch, "client name y is not fresh"),
+    ("x[m].(m<->w | x<->y)", "x : ~a *{u} a, u : . [to=x msg m : a; w : ~a], y : ~a",
+     RuleMismatch, "sent name m is not fresh"),
+    ("!x(u). u<->v", "x : !{v} a, v : bot{x}", RuleMismatch, "! needs v to be ?-typed"),
+    ("close x", "x : 1{y}, y : ~a [to=x *]", RuleMismatch, "1 needs y terminated"),
+    ("x<->y", "x : ~a [to=y *], y : a", LeftoverQueue, "Ax requires empty queues"),
+]
+
+
+@pytest.mark.parametrize("term,context,cls,text", REFUSALS, ids=[r[3] for r in REFUSALS])
+def test_forwarder_rules_refuse_with_their_text(term, context, cls, text, tmp_path, capsys):
+    from fwdcal import cli
+
+    with pytest.raises(CheckError) as e:
+        check_forwarder(P.parse_process(term), P.parse_context(context))
+    assert type(e.value) is cls and str(e.value) == text
+    path = tmp_path / "bad.fwd"
+    path.write_text(f"check {term} |- {context};\n", encoding="utf-8")
+    assert cli.main(["--json", "check", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == text
+
+
+def test_gathered_payload_names_clash_is_refused():
+    # the parser refuses a context that binds a payload name twice, so the
+    # context is built here
+    g = ctx(Entry("x", (), Tensor(Atom("a"), One(("u", "v")), ("u", "v"))),
+            Entry("u", (msgbox("x", "m", DualAtom("a")),), None),
+            Entry("v", (msgbox("x", "m", DualAtom("a")),), None))
+    with pytest.raises(RuleMismatch) as e:
+        check_forwarder(P.parse_process("x[w].(w<->m | close x)"), g)
+    assert type(e.value) is RuleMismatch
+    assert str(e.value) == "gathered payload names clash: ['m', 'm', 'w']"
+
+
+def _put(g: Context, x: str, new: Entry) -> Context:
+    return Context(tuple(new if e.endpoint == x else e for e in g.entries))
+
+
+def _pop_for(g: Context, u: str, x: str) -> Context:
+    e = g.get(u)
+    i = first_destined(e.queue, x)
+    return _put(g, u, Entry(u, e.queue[:i] + e.queue[i + 1:], e.typing))
+
+
+def _rename_targets_by_walk(g: Context, m: dict) -> Context:
+    return map_context(g, typ=lambda t: genutil.rename_targets_by_slots(t, m),
+                       target=lambda u: m.get(u, u))
+
+
+def _premises_in_steps(p, g: Context) -> list[Context]:
+    """The premise contexts of the ⊕, ?, ! and ⊗ rules at a judgement they
+    derive, built a step at a time: pop, replace, rename."""
+    x, t = p.x, g.get(p.x).typing
+    if isinstance(p, (S.Inl, S.Inr)):
+        typ = t.left if isinstance(p, S.Inl) else t.right
+        return [_put(_pop_for(g, t.target, x), x, Entry(x, g.get(x).queue, typ))]
+    if isinstance(p, S.Client):
+        g2 = _put(_pop_for(g, t.target, x), x, Entry(p.fresh, g.get(x).queue, t.body))
+        return [_rename_targets_by_walk(g2, {x: p.fresh})]
+    if isinstance(p, S.Server):
+        g2 = _put(g, x, Entry(p.fresh, tuple(Query(u) for u in t.targets), t.body))
+        return [_rename_targets_by_walk(g2, {x: p.fresh})]
+    g2, payload = g, ()
+    for u in t.targets:
+        q = g2.get(u).queue
+        payload += q[first_destined(q, x)].payloads
+        g2 = _pop_for(g2, u, x)
+    return [Context(tuple(Entry(n, (), a) for n, a in payload) + (Entry(p.fresh, (), t.left),)),
+            _put(g2, x, Entry(x, g2.get(x).queue, t.right))]
+
+
+def test_one_pass_premises_equal_the_premises_built_in_steps():
+    seen = set()
+    pairs = (pair for seed in range(1, 11)
+             for pair in genutil.sample_cut_pairs(random.Random(seed), 40, max_formula=5))
+    for p1, g1, _, p2, g2, _ in pairs:
+        for p, g in chain(genutil.derivation_nodes(check_forwarder(p1, g1)),
+                          genutil.derivation_nodes(check_forwarder(p2, g2))):
+            if isinstance(p, (S.Inl, S.Inr, S.Client, S.Server, S.Send)):
+                rule, prem = forwarder_step(p, g)
+                assert [h for _, h in prem] == _premises_in_steps(p, g), (rule, g)
+                seen.add(rule)
+    assert {"PlusL", "PlusR", "Quest", "Bang", "Tensor"} <= seen

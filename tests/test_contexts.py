@@ -1,14 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import config_of_context, erase_context
+from genutil import config_of_context, erase_context, rename_targets_by_slots
 from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal.contexts import (
-    Config, Context, Entry, LeftTok, MsgBox, Query, RightTok, Star, ctx, msgbox,
-    normalize_queue, translate_config,
+    Config, Context, Entry, LeftTok, MsgBox, Query, RightTok, Star, context_fully_annotated,
+    context_types, ctx, endpoint_names, map_context, msgbox, normalize_queue,
+    rename_context, rename_context_targets, translate_config,
 )
 from fwdcal.syntax import Atom, Bot, DualAtom, One, Tensor
+from test_parsing import contexts as parsed_contexts
 
 A = Atom("a")
 NA = DualAtom("a")
@@ -148,3 +150,59 @@ def test_erase_of_translation_lists_boxes_once():
     c = Config.make((("x", A), ("y", NA)), ((("y", "x"), (b,)),))
     e = erase_context(translate_config(c))
     assert sorted(e) == [("m", NA), ("x", A), ("y", NA)]
+
+
+# The context walks that are plain loops, each against its ``map_context``
+# definition over the same draws.
+
+renamings = st.dictionaries(st.sampled_from(["x", "y", "z", "u", "v", "p", "m#1"]),
+                            st.sampled_from(["x", "y", "f", "p", "m#2"]), max_size=3)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValueError as e:  # a renaming that binds a name twice
+        return str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parsed_contexts, renamings)
+def test_context_renamers_are_their_definitions(g, m):
+    def by_walk(name):
+        return map_context(g, typ=lambda t: rename_targets_by_slots(t, m),
+                           target=lambda u: m.get(u, u), name=name)
+
+    want = by_walk(None)
+    got = rename_context_targets(g, m)
+    assert got == want
+    assert (got is g) == (want is g)
+    want = _outcome(lambda: by_walk(lambda n: m.get(n, n)))
+    got = _outcome(lambda: rename_context(g, m))
+    assert got == want
+    if isinstance(want, Context):
+        assert (got is g) == (want is g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parsed_contexts, st.booleans())
+def test_context_fully_annotated_is_its_definition(g, fill):
+    if fill:  # most drawn types leave a slot empty
+        g = map_context(g, typ=lambda t: S.map_slots(t, lambda _, ts: ts or ("x",)))
+    want = all(S.is_fully_annotated(t) for t in context_types(g))
+    assert context_fully_annotated(g) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(parsed_contexts, st.sampled_from(["x", "y", "z", "u", "p", "q", "r'", "m#1", "p0"]))
+def test_binds_is_membership_in_endpoint_names(g, n):
+    assert g.binds(n) == (n in endpoint_names(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(parsed_contexts, st.data())
+def test_replace_puts_each_entry_in_place(g, data):
+    xs = data.draw(st.lists(st.sampled_from(g.endpoints()), unique=True))
+    new = {x: Entry(data.draw(st.sampled_from([x, "f"])), (), None) for x in xs}
+    want = _outcome(lambda: Context(tuple(new.get(e.endpoint, e) for e in g.entries)))
+    assert _outcome(lambda: g.replace(new)) == want

@@ -456,10 +456,10 @@ def test_exchange_lemma_spot():
         box = qu[0]
         redex = cut_conclusions(g1, x, g2, y)
         # reduct: pop the box, peel the formulas, re-box at the bottom queue
-        g1b = g1.replace(u, Entry(u, qu[1:], g1.get(u).typing))
-        g1b = g1b.replace(x, Entry(x, g1.get(x).queue, fx.right))
+        g1b = g1.replace({u: Entry(u, qu[1:], g1.get(u).typing)})
+        g1b = g1b.replace({x: Entry(x, g1.get(x).queue, fx.right)})
         ny = Entry(y, g2.get(y).queue + (MsgBox(fy.target, box.payloads),), fy.right)
-        g2b = g2.replace(y, ny)
+        g2b = g2.replace({y: ny})
         reduct = cut_conclusions(g1b, x, g2b, y)
         rset = {normalize_context(g) for g in reduct}
         for g in redex:

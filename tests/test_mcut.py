@@ -298,6 +298,23 @@ def test_a_run_checks_the_forwarder_once(monkeypatch):
     assert len(calls) == stats.forwarder_checks == 1
 
 
+def test_a_check_keeps_the_certificates_it_holds_and_an_unchanged_configuration(monkeypatch):
+    stats = MC.McutStats()
+    c, _ = MC._start(compose_config(), stats)
+    certified = []
+    certify = MC._certify
+
+    def counted(p, what, stats):
+        certified.append(p)
+        return certify(p, what, stats)
+
+    monkeypatch.setattr(MC, "_certify", counted)
+    checks = stats.part_checks
+    assert MC._check(c, stats, c) is c and certified == []
+    assert MC._check(c, stats) is c and len(certified) == len(c.parts + c.pending)
+    assert stats.part_checks == checks
+
+
 # A step of compose.fwd that leaves the part at y as "close y"; the run must
 # fail at that step.  The first comm emits the part's receive on ey, and the
 # Tensor step leaves y : 1 with ey : bot unused.
@@ -366,7 +383,7 @@ def test_a_forwarder_typing_changed_under_a_kept_part_is_caught(monkeypatch):
     def broken(c, part):
         *head, c2, tag = step(c, part)
         g = c2.fwd.context
-        bad = g.replace("x", replace(g.get("x"), typing=S.One(("y",))))
+        bad = g.replace({"x": replace(g.get("x"), typing=S.One(("y",)))})
         return (*head, replace(c2, fwd=replace(c2.fwd, context=bad)), tag)
 
     monkeypatch.setattr(MC, "_commute_part", broken)
@@ -399,7 +416,8 @@ def test_boxes_and_pending_processes_match_by_name(boxes):
         g = c.fwd.ctx
         z = g.get("z")
         (box,) = z.queue
-        g = g.replace("z", replace(z, queue=(replace(box, payloads=(("m", box.payloads[0][1]),)),)))
+        box = replace(box, payloads=(("m", box.payloads[0][1]),))
+        g = g.replace({"z": replace(z, queue=(box,))})
         fwd = P.parse_process("x[w].(m<->w | x[w2].(w2<->m | wait y; wait z; close x))")
         c = replace(c, fwd=Judged(fwd, g))
     with pytest.raises(MC.McutError, match="^invalid configuration: queued messages and "

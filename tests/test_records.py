@@ -62,6 +62,59 @@ def test_hash_repr_and_equality_are_those_of_a_frozen_dataclass():
     assert len(seen) >= 30  # every type and process constructor, and more
 
 
+def record_classes() -> list[type]:
+    """Every record class the modules of ``fwdcal`` define."""
+    import importlib
+    import pkgutil
+
+    import fwdcal
+
+    seen = {}
+    for m in pkgutil.iter_modules(fwdcal.__path__):
+        for v in vars(importlib.import_module(f"fwdcal.{m.name}")).values():
+            if isinstance(v, type) and issubclass(v, Record) and v is not Record:
+                seen[v] = None
+    return list(seen)
+
+
+def test_every_record_class_prints_the_generic_repr():
+    # ``cut_conclusions`` orders conclusions by repr, so each class's own
+    # ``__repr__`` must print what ``Record.__repr__`` does
+    classes = record_classes()
+    assert len(classes) >= 46
+    for cls in classes:
+        x = object.__new__(cls)  # every field set, ``__post_init__`` skipped
+        for i, n in enumerate(cls.__match_args__):
+            getattr(cls, n).__set__(x, (i, "v", None, S.Atom("a")) if i % 2 else f"v{i}")
+        assert repr(x) == Record.__repr__(x), cls
+    for node in corpus_nodes():
+        assert repr(node) == Record.__repr__(node)
+
+
+def test_a_record_class_of_an_arity_already_built_compiles_nothing(monkeypatch):
+    # a compiled ``__repr__`` per class once cost start-up: import time is a
+    # benchmark metric
+    import builtins
+
+    calls = []
+    real = builtins.compile
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counted)
+
+    @record
+    class Pair:  # two fields, both compared, as ``Link``
+        left: int
+        right: int = 0
+
+    assert calls == []
+    assert repr(Pair(1)) == Record.__repr__(Pair(1))
+    assert repr(Pair(1)).endswith("Pair(left=1, right=0)")
+
+
 def test_no_node_of_a_parsed_file_has_a_dict():
     for node in corpus_nodes():
         assert not hasattr(node, "__dict__"), type(node)

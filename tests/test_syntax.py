@@ -340,7 +340,7 @@ def test_full_annotation_refuses_a_hole_or_an_empty_slot():
 
 
 @settings(max_examples=100, deadline=None)
-@given(types, st.dictionaries(names, names, max_size=3))
+@given(st.one_of(types, set_types), st.dictionaries(names, names, max_size=3))
 def test_rename_targets_is_its_definition(t, m):
     import genutil
 
