@@ -36,9 +36,9 @@ from .syntax import (
     dual, erase, free_endpoints,
 )
 from .contexts import (
-    Context, Entry, LeftTok, MsgBox, Query, QueueItem, RightTok, Star, context_fully_annotated,
-    endpoint_names, first_destined, map_context, msgbox, normalize_queue, print_queue_item,
-    rename_context_targets, target_names,
+    QUEUES, TAKEN_BY, Context, Entry, LeftTok, MsgBox, Query, QueueItem, RightTok, Star,
+    context_fully_annotated, endpoint_names, first_destined, map_context, msgbox,
+    normalize_queue, print_queue_item, rename_context_targets, target_names,
 )
 from .records import record, replace
 
@@ -152,9 +152,9 @@ def _fwd_none(p, g: Context):
 
 def _fwd_ax(p: Link, g: Context):
     x, y = p.x, p.y
-    if set(g.endpoints()) != {x, y}:
-        raise RuleMismatch(f"Ax needs exactly the endpoints {x},{y}")
     ex, ey = g.get(x), g.get(y)
+    if ex is None or ey is None or len(g.entries) != 2 - (x == y):
+        raise RuleMismatch(f"Ax needs exactly the endpoints {x},{y}")
     if ex.queue or ey.queue:
         raise LeftoverQueue("Ax requires empty queues")
     tx, ty = ex.typing, ey.typing
@@ -166,7 +166,7 @@ def _fwd_ax(p: Link, g: Context):
 
 def _fwd_one(p: Close, g: Context):
     x = p.x
-    e, t = _active(g, x, One, "close", "1")
+    e, t = _active(g, p, "1")
     if e.queue:
         raise LeftoverQueue(f"1 requires an empty queue at {x}")
     others = [o for o in g.entries if o.endpoint != x]
@@ -182,13 +182,13 @@ def _fwd_one(p: Close, g: Context):
 
 
 def _fwd_bot(p: Wait, g: Context):
-    e, t = _active(g, p.x, Bot, "wait", "bot with a target")
+    e, t = _active(g, p, "bot with a target")
     return "Bot", ((p.cont, g.replace({p.x: Entry(p.x, e.queue + (Star(t.target),), None)})),)
 
 
 def _fwd_par(p: Recv, g: Context):
     x, f = p.x, p.fresh
-    e, t = _active(g, x, Par, "recv on", "A|{u}B")
+    e, t = _active(g, p, "A|{u}B")
     if g.binds(f):
         raise RuleMismatch(f"received name {f} is not fresh")
     g2 = g.replace({x: Entry(x, e.queue + (msgbox(t.target, f, t.left),), t.right)})
@@ -197,15 +197,15 @@ def _fwd_par(p: Recv, g: Context):
 
 def _fwd_tensor(p: Send, g: Context):
     x, f = p.x, p.fresh
-    e, t = _active(g, x, Tensor, "send on", "A*{u}B")
+    e, t = _active(g, p, "A*{u}B")
     if g.binds(f):
         raise RuleMismatch(f"sent name {f} is not fresh")
     gathered: list[tuple[str, Type]] = []
     new = {}
     for u in t.targets:
-        if u == x or not g.has(u):
-            raise RuleMismatch(f"* target {u} not in context")
         eu = new.get(u) or g.get(u)
+        if u == x or eu is None:
+            raise RuleMismatch(f"* target {u} not in context")
         if not eu.queue:
             raise QueueHeadMismatch(f"empty queue at {u}, * at {x} expects a box")
         head, new[u] = _take(eu, x)
@@ -223,12 +223,13 @@ def _fwd_tensor(p: Send, g: Context):
 
 def _fwd_plus(p: Inl | Inr, g: Context):
     x, want_left = p.x, type(p) is Inl
-    e, t = _active(g, x, Plus, "select on", "A+{z}B")
+    e, t = _active(g, p, "A+{z}B")
     z = t.target
-    if z == x or not g.has(z):
+    ez = g.get(z)
+    if z == x or ez is None:
         raise RuleMismatch(f"+ target {z} not in context")
     tok = LeftTok(x) if want_left else RightTok(x)
-    head, ez = _take(g.get(z), x)
+    head, ez = _take(ez, x)
     if head != tok:
         raise QueueHeadMismatch(
             f"head of {z}'s queue must be {print_queue_item(tok)}, got {_shown(head)}")
@@ -238,9 +239,9 @@ def _fwd_plus(p: Inl | Inr, g: Context):
 
 def _fwd_with(p: Case, g: Context):
     x = p.x
-    e, t = _active(g, x, With, "case on", "A&{u}B")
+    e, t = _active(g, p, "A&{u}B")
     for u in t.targets:
-        if u == x or not g.has(u):
+        if u == x or g.get(u) is None:
             raise RuleMismatch(f"& target {u} not in context")
     gl = g.replace({x: Entry(x, e.queue + tuple(LeftTok(u) for u in t.targets), t.left)})
     gr = g.replace({x: Entry(x, e.queue + tuple(RightTok(u) for u in t.targets), t.right)})
@@ -249,7 +250,7 @@ def _fwd_with(p: Case, g: Context):
 
 def _fwd_bang(p: Server, g: Context):
     x, f = p.x, p.fresh
-    e, t = _active(g, x, OfCourse, "srv on", "!{u}A")
+    e, t = _active(g, p, "!{u}A")
     if e.queue:
         raise LeftoverQueue(f"! requires an empty queue at {x}")
     others = [o for o in g.entries if o.endpoint != x]
@@ -268,11 +269,12 @@ def _fwd_bang(p: Server, g: Context):
 
 def _fwd_quest(p: Client, g: Context):
     x, f = p.x, p.fresh
-    e, t = _active(g, x, WhyNot, "client on", "?{z}A")
+    e, t = _active(g, p, "?{z}A")
     z = t.target
-    if z == x or not g.has(z):
+    ez = g.get(z)
+    if z == x or ez is None:
         raise RuleMismatch(f"? target {z} not in context")
-    head, ez = _take(g.get(z), x)
+    head, ez = _take(ez, x)
     if head != Query(x):
         raise QueueHeadMismatch(
             f"head of {z}'s queue must be a query for {x}, got {_shown(head)}")
@@ -306,14 +308,13 @@ def _shown(item: QueueItem | None) -> str:
     return "nothing" if item is None else print_queue_item(item)
 
 
-def _active(g: Context, x: str, cls: type, acts: str, shape: str) -> tuple[Entry, Type]:
-    """``x``'s entry and its typing, which must be a ``cls`` with its slot
-    set; ``acts`` and ``shape`` say what the term does at ``x`` and the
-    shape of type it needs."""
-    for e in g.entries:
-        if e.endpoint == x:
-            break
-    else:
+def _active(g: Context, p: Process, shape: str) -> tuple[Entry, Type]:
+    """The entry and typing of the endpoint ``p`` acts on, which must be
+    ``p``'s connective (``ACTS``) with its slot set, as ``shape`` says."""
+    x = p.x
+    cls, acts = S.ACTS[type(p)]
+    e = g.get(x)
+    if e is None:
         raise RuleMismatch(f"endpoint {x} not in context")
     t = e.typing
     if t is None:
@@ -349,8 +350,11 @@ def _env_get(env: Env, x: str) -> Type:
     raise RuleMismatch(f"endpoint {x} not in environment")
 
 
-def _env_take(env: Env, x: str, cls: type, acts: str, shape: str) -> tuple[Type, Env]:
-    """``x``'s type, which must be a ``cls``, and ``env`` without ``x``."""
+def _env_take(env: Env, p: Process, shape: str) -> tuple[Type, Env]:
+    """The type of the endpoint ``x`` ``p`` acts on, which must be ``p``'s
+    connective (``ACTS``) as ``shape`` says, and ``env`` without ``x``."""
+    x = p.x
+    cls, acts = S.ACTS[type(p)]
     for i, (n, t) in enumerate(env):
         if n == x:
             if type(t) is not cls:
@@ -453,41 +457,41 @@ def _cp_ax(p: Link, env: Env):
 
 
 def _cp_one(p: Close, env: Env):
-    _env_take(env, p.x, One, "close", "1")
+    _env_take(env, p, "1")
     return "One", ()
 
 
 def _cp_bot(p: Wait, env: Env):
-    _, rest = _env_take(env, p.x, Bot, "wait", "bot")
+    _, rest = _env_take(env, p, "bot")
     return "Bot", ((p.cont, rest),)
 
 
 def _cp_tensor(p: Send, env: Env):
     x, f = p.x, p.fresh
-    t, rest = _env_take(env, x, Tensor, "send on", "A*B")
+    t, rest = _env_take(env, p, "A*B")
     left, right = _split_env(p.payload, {f}, p.cont, {x}, rest, p)
     return "Tensor", ((p.payload, left + ((f, t.left),)), (p.cont, right + ((x, t.right),)))
 
 
 def _cp_par(p: Recv, env: Env):
-    t, rest = _env_take(env, p.x, Par, "recv on", "A|B")
+    t, rest = _env_take(env, p, "A|B")
     return "Par", ((p.cont, rest + ((p.fresh, t.left), (p.x, t.right))),)
 
 
 def _cp_plus(p: Inl | Inr, env: Env):
-    t, rest = _env_take(env, p.x, Plus, "select on", "A+B")
+    t, rest = _env_take(env, p, "A+B")
     if type(p) is Inl:
         return "PlusL", ((p.cont, rest + ((p.x, t.left),)),)
     return "PlusR", ((p.cont, rest + ((p.x, t.right),)),)
 
 
 def _cp_with(p: Case, env: Env):
-    t, rest = _env_take(env, p.x, With, "case on", "A&B")
+    t, rest = _env_take(env, p, "A&B")
     return "With", ((p.left, rest + ((p.x, t.left),)), (p.right, rest + ((p.x, t.right),)))
 
 
 def _cp_bang(p: Server, env: Env):
-    t, rest = _env_take(env, p.x, OfCourse, "srv on", "!A")
+    t, rest = _env_take(env, p, "!A")
     for n, tt in rest:
         if not isinstance(tt, WhyNot):
             raise RuleMismatch(f"! context must be ?-typed, {n} is not")
@@ -496,7 +500,7 @@ def _cp_bang(p: Server, env: Env):
 
 def _cp_quest(p: Client, env: Env):
     x = p.x
-    t, rest = _env_take(env, x, WhyNot, "client on", "?A")
+    t, rest = _env_take(env, p, "?A")
     rest += ((p.fresh, t.body),)
     if x in free_endpoints(p.cont):
         return "Quest", ((p.cont, rest + ((x, t),)),)
@@ -679,63 +683,52 @@ def _solutions_raw(g, store, supply, failed, ren):
             yield from _fire(e, value, head, g, store, supply, failed, ren)
 
 
-# The head constructor the rule of a connective that reads no queue fires.
-_HEAD = {Bot: Wait, Par: Recv, With: Case}
-
-
 def _moves(e: Entry, by: dict[str, Entry]):
     """The rule instances synthesis tries at ``e``, in search order: the
-    value of its head annotation slot and the constructor of the head term.
+    value of its head annotation slot and the action of the head term.
     ``by`` maps the context's endpoints, in name order, to their entries.
 
     A resolved slot offers itself when its rule applies; a hole offers every
-    candidate value.  This is only a cheap applicability test, reading
-    queues per target as ``forwarder_step`` does; the premises come from
-    ``forwarder_step``.
+    candidate value: for a rule that queues items (``QUEUES``), the other
+    endpoints not terminated; for one that takes the first item for ``x`` at
+    each target, those whose item it takes (``TAKEN_BY``, which picks the
+    action).  This is only a cheap applicability test, reading queues per
+    target as ``forwarder_step`` does; the premises come from it.
     """
     t, x = e.typing, e.endpoint
+    cls = type(t)
     ts = S.targets_of(t)
     hole = S.is_hole(ts)
     others = [u for u in by if u != x]
-    match t:
-        case Bot() | Par() | With():
-            if not hole:
-                if all(u in by and u != x for u in ts):
-                    yield ts, _HEAD[type(t)]
-                return
-            actives = [u for u in others if by[u].typing is not None]
-            values = nonempty_subsets(actives) if isinstance(t, With) else ((u,) for u in actives)
-            for v in values:
-                yield v, _HEAD[type(t)]
-        case Tensor():
-            ready = [u for u in others if isinstance(_head_for(by[u], x), MsgBox)]
-            if not hole:
-                if set(ts) <= set(ready):
-                    yield ts, Send
-                return
-            for v in nonempty_subsets(ready):
-                yield v, Send
-        case Plus() | WhyNot():
-            for z in (others if hole else ts):
-                head = _head_for(by[z], x) if z in by and z != x else None
-                if isinstance(t, Plus) and isinstance(head, (LeftTok, RightTok)):
-                    yield (z,), Inl if isinstance(head, LeftTok) else Inr
-                elif isinstance(t, WhyNot) and isinstance(head, Query):
-                    yield (z,), Client
-        case OfCourse():
-            if e.queue or not others or any(
-                    not isinstance(by[u].typing, WhyNot) or by[u].queue for u in others):
-                return
-            if hole:
-                yield tuple(others), Server
-            elif set(ts) == set(others):
-                yield ts, Server
-
-
-def _head_for(o: Entry, x: str):
-    """The first item of ``o``'s queue aimed at ``x``, or None."""
-    i = first_destined(o.queue, x)
-    return None if i is None else o.queue[i]
+    if cls is OfCourse:
+        if e.queue or not others or any(
+                not isinstance(by[u].typing, WhyNot) or by[u].queue for u in others):
+            return
+        if hole:
+            yield tuple(others), Server
+        elif set(ts) == set(others):
+            yield ts, Server
+        return
+    if cls in QUEUES:
+        (act,) = S.ACTIONS[cls]
+        ready = {u: act for u in others if by[u].typing is not None} if hole else {
+            u: act for u in ts if u in by and u != x}
+    else:
+        ready = {}
+        for u in others if hole else ts:
+            i = first_destined(by[u].queue, x) if u in by and u != x else None
+            act = None if i is None else TAKEN_BY.get(type(by[u].queue[i]))
+            if act is not None and S.ACTS[act][0] is cls:
+                ready[u] = act
+    if not hole:
+        if all(u in ready for u in ts):
+            yield ts, ready[ts[0]]
+    elif S.CONNECTIVES[cls].multi:
+        for v in nonempty_subsets(list(ready)):
+            yield v, ready[v[0]]
+    else:
+        for u, act in ready.items():
+            yield (u,), act
 
 
 def nonempty_subsets(names):

@@ -95,17 +95,16 @@ def run_synth(decl: PA.SynthDecl, as_json: bool) -> bool:
         _emit({"synth": src, "ok": False}, as_json, f"{_verdict(False)} synth {src}")
         return False
     ctx2, proc = got
+    fwd = S.print_process(proc)
+    text = f"{_verdict(True)} synth {src}\n  {fwd}"
     if context_fully_annotated(decl.context):
         d = check_forwarder(proc, decl.context)
-        _emit({"synth": src, "ok": True, "forwarder": S.print_process(proc),
-               "derivation": deriv_json(d)},
-              as_json, f"{_verdict(True)} synth {src}\n  {S.print_process(proc)}")
+        _emit({"synth": src, "ok": True, "forwarder": fwd, "derivation": deriv_json(d)},
+              as_json, text)
         return True
-    _emit({"synth": src, "ok": True, "forwarder": S.print_process(proc),
-           "annotated": PA.print_context(ctx2)},
-          as_json,
-          f"{_verdict(True)} synth {src}\n  {S.print_process(proc)}\n"
-          f"  at {PA.print_context(ctx2)}")
+    annotated = PA.print_context(ctx2)
+    _emit({"synth": src, "ok": True, "forwarder": fwd, "annotated": annotated},
+          as_json, f"{text}\n  at {annotated}")
     return True
 
 
@@ -124,7 +123,7 @@ def run_compat(decl: PA.CompatDecl, as_json: bool) -> bool:
         if witness is not None:
             rec["witness"] = S.print_process(witness[1])
             rec["annotated"] = PA.print_context(witness[0])
-            text += f"\n  witness {S.print_process(witness[1])}"
+            text += f"\n  witness {rec['witness']}"
         rec["stats"] = chk.stats()
         _emit(rec, as_json, text)
         return True
@@ -154,23 +153,20 @@ def run_cut(decl: PA.CutDecl, as_json: bool, all_gammas: bool) -> bool:
         _emit({"cut": src, "ok": False, "error": str(e)}, as_json,
               f"{_verdict(False)} {src}: {e}")
         return False
-    chosen = concl if all_gammas else concl[:1]
+    shown = [PA.print_context(g) for g in concl]
     ok = True
     results = []
-    for g in chosen:
+    for g, gamma in zip(concl if all_gammas else concl[:1], shown):
         try:
             term, trace = CE.reduce_cut(left, lx, right, ry, g)
             check_forwarder(term, g)
-            results.append({"gamma": PA.print_context(g), "trace": list(trace),
-                            "term": S.print_process(term)})
+            results.append({"gamma": gamma, "trace": list(trace), "term": S.print_process(term)})
         except (CheckError, CutError) as e:
             ok = False
-            results.append({"gamma": PA.print_context(g), "error": str(e)})
-    rec = {"cut": src, "ok": ok, "conclusions": [PA.print_context(g) for g in concl],
-           "runs": results}
+            results.append({"gamma": gamma, "error": str(e)})
+    rec = {"cut": src, "ok": ok, "conclusions": shown, "runs": results}
     lines = [f"{_verdict(ok)} {src}", f"  conclusions: {len(concl)}"]
-    for g in concl:
-        lines.append(f"    {PA.print_context(g)}")
+    lines.extend(f"    {gamma}" for gamma in shown)
     for rr in results:
         if "term" in rr:
             lines.append(f"  at {rr['gamma']}")
@@ -225,18 +221,19 @@ def _sim_run(cfg: MC.MCutConfig, stats: MC.McutStats) -> tuple[dict, str]:
 def _sim_step(cfg: MC.MCutConfig, stats: MC.McutStats) -> tuple[dict, str]:
     match MC.mcutq_step(cfg, stats):
         case ("final", term, tag):
-            return ({"sim": "final", "tag": tag, "term": S.print_process(term)},
-                    f"{tag}: final {S.print_process(term)}")
+            shown = S.print_process(term)
+            return {"sim": "final", "tag": tag, "term": shown}, f"{tag}: final {shown}"
         case ("continue", c2, tag):
-            return ({"sim": "step", "tag": tag, "state": _print_sim_state(c2)},
-                    f"{tag}:\n{_print_sim_state(c2)}")
+            shown = _print_sim_state(c2)
+            return {"sim": "step", "tag": tag, "state": shown}, f"{tag}:\n{shown}"
         case ("emit", _, c2, tag):
-            return ({"sim": "emit", "tag": tag, "state": _print_sim_state(c2)},
-                    f"{tag}: action emitted\n{_print_sim_state(c2)}")
+            shown = _print_sim_state(c2)
+            return ({"sim": "emit", "tag": tag, "state": shown},
+                    f"{tag}: action emitted\n{shown}")
         case ("fork", _, cl, cr, tag):
-            return ({"sim": "fork", "tag": tag,
-                     "left": _print_sim_state(cl), "right": _print_sim_state(cr)},
-                    f"{tag}: fork\n{_print_sim_state(cl)}\n{_print_sim_state(cr)}")
+            left, right = _print_sim_state(cl), _print_sim_state(cr)
+            return ({"sim": "fork", "tag": tag, "left": left, "right": right},
+                    f"{tag}: fork\n{left}\n{right}")
 
 
 @record

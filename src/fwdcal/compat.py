@@ -21,12 +21,14 @@ and is read off once it is made (point 4).
 2. Annotation slots resolved on demand.  A spine slot with one candidate is
    filled at once; one with several gets a unique hole.  ``transitions``
    raises ``Need`` when an endpoint that might move under some value of its
-   head slot has a hole there (a ``1`` slot is read only when its entry is
-   the last one left).  The solver catches it, fills the hole with each
-   candidate in turn (``nonempty_subsets``/name order) and runs again from the
-   root.  A verdict reached without reading a hole holds for every way of
-   filling it, so the memo stays keyed by ``Config``, holes included.  The
-   solver skips a candidate that ``Need.viable`` rejects: the configuration
+   head slot has a hole there: one whose rule queues items (``QUEUES``)
+   always, one whose rule takes them once an item waits for it, a ``1`` or
+   a ``!`` once the rest of the configuration allows its rule.  The solver
+   catches it, fills the hole with each candidate in turn
+   (``nonempty_subsets``/name order) and runs again from the root.  A
+   verdict reached without reading a hole holds for every way of filling
+   it, so the memo stays keyed by ``Config``, holes included.  The solver
+   skips a candidate that ``Need.viable`` rejects: the configuration
    that read the hole is reached whatever the hole holds, and every path
    from it under that value ends nonempty, so the root is not executable
    under it either.
@@ -74,8 +76,8 @@ from .syntax import (
     Plus, Process, Recv, Send, Server, Tensor, Type, Wait, WhyNot, With, dual, erase,
 )
 from .contexts import (
-    Config, Context, EMPTY_CONFIG, Entry, LeftTok, MsgBox, Query, RightTok, Star, map_context,
-    msgbox,
+    QUEUES, Config, Context, EMPTY_CONFIG, Entry, LeftTok, MsgBox, Query, RightTok, Star,
+    map_context, msgbox,
 )
 from .records import record
 from .checker import BINDER_BASE, Env, forwarder_step, nonempty_subsets
@@ -123,23 +125,6 @@ def _occurs(t: Type, cls: type) -> bool:
     return False
 
 
-def _takes(delta, us, rule: type) -> bool:
-    """Each of ``us`` is still present and may yet fire ``rule``, the only
-    rule that removes the item sent to it."""
-    return all(u in delta and _occurs(delta[u], rule) for u in us)
-
-
-def _feeds(sigma, delta, x: Endpoint, us, items, rule: type) -> bool:
-    """The queue of items for ``x`` at each of ``us`` starts with one of
-    ``items``, or is empty and its holder may yet fire ``rule``, the only
-    rule that sends one; any other head blocks ``x`` for good."""
-    for u in us:
-        q = sigma.get((x, u))
-        if not (isinstance(q[0], items) if q else _takes(delta, (u,), rule)):
-            return False
-    return True
-
-
 def _make(delta, sigma) -> Config:
     """``Config.make`` with every box renamed to its canonical name: ``m<k>``
     in ``sigma`` order, skipping the names of endpoints."""
@@ -163,11 +148,6 @@ def _make(delta, sigma) -> Config:
     return Config(c.delta, tuple(sig)) if changed else c
 
 
-def _waiting(c: Config, x: Endpoint, kinds) -> bool:
-    """Some queue aimed at ``x`` has an item of one of ``kinds`` at its head."""
-    return any(u == x and isinstance(q[0], kinds) for (u, _), q in c.sigma)
-
-
 def transitions(c: Config, one_endpoint: bool = False) -> list[tuple[Step, Config]]:
     """The transitions of a configuration, endpoint by endpoint in name order.
 
@@ -189,16 +169,48 @@ def transitions(c: Config, one_endpoint: bool = False) -> list[tuple[Step, Confi
     out: list[tuple[Step, Config]] = []
     for x, t in c.delta:
         rule, ts = TRANSITIONS.get(type(t)), S.targets_of(t)
-        moves = rule(c, x, t, ts, delta, sigma) if rule is not None and ts else []
+        if rule is None or not ts:
+            continue
+        if S.is_hole(ts) and rule is not _one and rule is not _bang:
+            rule = _need
+        moves = rule(c, x, t, ts, delta, sigma)
         if moves and one_endpoint:
             return moves
         out.extend(moves)
     return out
 
 
+def _need(c: Config, x: Endpoint, t: Type, ts, delta, sigma):
+    """The moves of ``x`` while its head slot is the hole ``ts[0]``, but
+    for 1 and !: a ``Need`` when ``x`` might move under some value, else none.
+
+    ``x``'s rule queues items for its targets (``QUEUES``) or, once an item
+    waits for ``x``, takes them; only the dual connective's rule does the
+    other half.  A value is viable when each target can still do it: its
+    typing holds the dual, or the items it holds for a taking ``x`` start
+    with one ``x`` takes.
+    """
+    cls = type(t)
+    dual = S.CONNECTIVES[cls].dual
+    queues = cls in QUEUES
+    items = QUEUES[cls if queues else dual]
+    if not queues and not any(u == x and isinstance(q[0], items) for (u, _), q in c.sigma):
+        return []
+
+    def viable(us) -> bool:
+        for u in us:
+            q = None if queues else sigma.get((x, u))
+            if not (isinstance(q[0], items) if q else u in delta and _occurs(delta[u], dual)):
+                return False
+        return True
+
+    raise Need(ts[0], viable)
+
+
 # The rule table ``TRANSITIONS``, a row per connective: the moves of ``x`` at
-# type ``t`` with its slot ``ts`` set, each given to ``_successor`` as ``x``'s new
-# type (None when it terminates), the holders it pops from and the items it pushes.
+# type ``t`` with its slot ``ts`` set (or a hole, for 1 and !), each given to
+# ``_successor`` as ``x``'s new type (None when it terminates), the holders it
+# pops from and the items it pushes.
 
 def _one(c: Config, x: Endpoint, t: One, ts, delta, sigma):
     if len(delta) == 1 and all(key[0] == x and q == (Star(x),) for key, q in c.sigma):
@@ -211,22 +223,14 @@ def _one(c: Config, x: Endpoint, t: One, ts, delta, sigma):
 
 
 def _bot(c: Config, x: Endpoint, t: Bot, ts, delta, sigma):
-    if S.is_hole(ts):
-        raise Need(ts[0], lambda v: _takes(delta, v, One))
     return [_successor(c, sigma, "Bot", x, None, (), (Star(ts[0]),))]
 
 
 def _par(c: Config, x: Endpoint, t: Par, ts, delta, sigma):
-    if S.is_hole(ts):
-        raise Need(ts[0], lambda v: _takes(delta, v, Tensor))
     return [_successor(c, sigma, "Par", x, t.right, (), (msgbox(ts[0], "m", t.left),))]
 
 
 def _tensor(c: Config, x: Endpoint, t: Tensor, ts, delta, sigma):
-    if S.is_hole(ts):
-        if _waiting(c, x, MsgBox):
-            raise Need(ts[0], lambda v: _feeds(sigma, delta, x, v, MsgBox, Par))
-        return []
     gathered: list[Type] = []
     for u in ts:
         q = sigma.get((x, u))
@@ -239,10 +243,6 @@ def _tensor(c: Config, x: Endpoint, t: Tensor, ts, delta, sigma):
 
 
 def _plus(c: Config, x: Endpoint, t: Plus, ts, delta, sigma):
-    if S.is_hole(ts):
-        if _waiting(c, x, (LeftTok, RightTok)):
-            raise Need(ts[0], lambda v: _feeds(sigma, delta, x, v, (LeftTok, RightTok), With))
-        return []
     q = sigma.get((x, ts[0]))
     if q and q[0] == LeftTok(x):
         return [_successor(c, sigma, "PlusL", x, t.left, ts)]
@@ -252,8 +252,6 @@ def _plus(c: Config, x: Endpoint, t: Plus, ts, delta, sigma):
 
 
 def _with(c: Config, x: Endpoint, t: With, ts, delta, sigma):
-    if S.is_hole(ts):
-        raise Need(ts[0], lambda v: _takes(delta, v, Plus))
     return [_successor(c, sigma, "WithL", x, t.left, (), tuple(LeftTok(u) for u in ts)),
             _successor(c, sigma, "WithR", x, t.right, (), tuple(RightTok(u) for u in ts))]
 
@@ -269,10 +267,6 @@ def _bang(c: Config, x: Endpoint, t: OfCourse, ts, delta, sigma):
 
 
 def _quest(c: Config, x: Endpoint, t: WhyNot, ts, delta, sigma):
-    if S.is_hole(ts):
-        if _waiting(c, x, Query):
-            raise Need(ts[0], lambda v: _feeds(sigma, delta, x, v, Query, OfCourse))
-        return []
     q = sigma.get((x, ts[0]))
     if q and q[0] == Query(x):
         return [_successor(c, sigma, "Quest", x, t.body, ts)]
@@ -350,10 +344,9 @@ def _canon_env(env: Env) -> Env:
     return tuple(sorted((x, erase(t)) for x, t in env))
 
 
-def _send_key(env: Env) -> tuple[Type, ...]:
-    """The memo key of a carried environment: its names are always
-    ``e0 ... ek``, so its types in name order."""
-    return tuple(t for _, t in _canon_env(env))
+def _dual_env(env: Env) -> Env:
+    """The environment whose annotations decide ``env``'s compatibility."""
+    return tuple((x, dual(t)) for x, t in _canon_env(env))
 
 
 @record
@@ -375,17 +368,15 @@ class CompatChecker:
     """Memoizing decision procedures over the transition semantics.
 
     The memos keep why: ``_exec`` maps each configuration decided to its
-    ``Why``, and ``_send_ok`` and ``_compat`` map each environment decided to
-    the root annotation found executable, or None.  ``witness`` and
-    ``stuck_path`` read them.  It counts the configurations it explored
-    (memo misses), the memo hits and the annotation slots it resolved;
-    ``stats`` reports them.
+    ``Why``, and ``_roots`` each environment decided to the root annotation
+    found executable, or None (``root``).  ``witness`` and ``stuck_path``
+    read them.  It counts the configurations it explored (memo misses), the
+    memo hits and the annotation slots it resolved; ``stats`` reports them.
     """
 
     def __init__(self):
         self._exec: dict[Config, Why] = {}
-        self._send_ok: dict[tuple, Config | None] = {}
-        self._compat: dict[tuple, Config | None] = {}
+        self._roots: dict[Env, Config | None] = {}
         self.configs = 0
         self.memo_hits = 0
         self.resolutions = 0
@@ -447,19 +438,19 @@ class CompatChecker:
                             if need.viable(v))
         return None
 
+    def root(self, env: Env) -> Config | None:
+        """``_some_executable(env)``, decided once per environment."""
+        if env not in self._roots:
+            self._roots[env] = self._some_executable(env)
+        return self._roots[env]
+
     def send_env_ok(self, env: Env) -> bool:
         """Some annotation of the carried environment is executable."""
-        key = _send_key(env)
-        if key not in self._send_ok:
-            self._send_ok[key] = self._some_executable(_canon_env(env))
-        return self._send_ok[key] is not None
+        return self.root(_canon_env(env)) is not None
 
     def multiparty_compatible(self, env: Env) -> bool:
         """Some annotation of the dualized environment is executable."""
-        key = _canon_env(env)
-        if key not in self._compat:
-            self._compat[key] = self._some_executable(tuple((x, dual(t)) for x, t in key))
-        return self._compat[key] is not None
+        return self.root(_dual_env(env)) is not None
 
 
 def _fill(c: Config, hole: str, value: tuple[Endpoint, ...]) -> Config:
@@ -487,7 +478,7 @@ def stuck_path(env: Env, checker: CompatChecker | None = None,
     transitions that deciding the annotation recorded.
     """
     chk = checker or CompatChecker()
-    c0 = _annotate(tuple((x, dual(erase(t))) for x, t in env), lambda cands, _: cands[0])
+    c0 = _annotate(_dual_env(env), lambda cands, _: cands[0])
     if c0 is None:
         return None
     why = chk.why(c0)
@@ -529,8 +520,7 @@ def witness(env: Env, checker: CompatChecker | None = None) -> tuple[Context, Pr
     disagree on the payload's annotation, and there is no witness to read.
     """
     chk = checker or CompatChecker()
-    chk.multiparty_compatible(env)
-    root = chk._compat[_canon_env(env)]
+    root = chk.root(_dual_env(env))
     if root is None or root.is_empty():
         return None
     holes = count(1)
@@ -601,7 +591,7 @@ class _Replay:
             ren = {**ren, lab.x: head.fresh}
         if ctor is Send:
             (_, left), (_, right) = prem
-            sub = self.chk._send_ok[_send_key(lab.carried)]
+            sub = self.chk.root(_canon_env(lab.carried))
             left, sub_ren = self._resolve(left, sub)
             qs = (self.term(sub, left, sub_ren), self.term(edges[0][1], right, ren))
         else:

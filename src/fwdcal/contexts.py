@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Union
 
 from .records import record, replace
 from .syntax import (
-    Endpoint, Forms, Type, add_targets, is_fully_annotated, print_type, rename_targets,
-    size,
+    ACTIONS, CONNECTIVES, Bot, Endpoint, Forms, OfCourse, Par, Type, With, add_targets,
+    is_fully_annotated, print_type, rename_targets, size,
 )
 
 
@@ -67,6 +67,14 @@ class RightTok:
 
 QueueItem = Union[MsgBox, Star, Query, LeftTok, RightTok]
 Queue = tuple[QueueItem, ...]
+
+
+# The items each connective's rule queues, one for each target (&'s left
+# premise the left token, its right one the right); the dual's rule takes
+# them, by the action in the same place (``Inl`` takes the left token).
+QUEUES = {Bot: (Star,), Par: (MsgBox,), With: (LeftTok, RightTok), OfCourse: (Query,)}
+TAKEN_BY = {it: a for c, its in QUEUES.items()
+            for it, a in zip(its, ACTIONS[CONNECTIVES[c].dual], strict=True)}
 
 
 def _print_payloads(payloads: Payloads) -> str:
@@ -131,14 +139,12 @@ class Context:
     def endpoints(self) -> tuple[Endpoint, ...]:
         return tuple(e.endpoint for e in self.entries)
 
-    def get(self, x: Endpoint) -> Entry:
+    def get(self, x: Endpoint) -> Entry | None:
+        """``x``'s entry, or None when ``x`` has none."""
         for e in self.entries:
             if e.endpoint == x:
                 return e
-        raise KeyError(x)
-
-    def has(self, x: Endpoint) -> bool:
-        return x in map(_ENDPOINT, self.entries)
+        return None
 
     def without(self, *xs: Endpoint) -> Context:
         return Context(tuple(e for e in self.entries if e.endpoint not in xs))

@@ -9,8 +9,9 @@ of conclusions.  ``substitute`` then peels the two formulas in lockstep,
 redirecting every remaining reference to the dying endpoints.  Both phases
 rewrite a reference in one place, ``_redirect``: a holder refers to a dying
 endpoint by the first item it queued for it or, before the rule that queues
-that item has fired, by a pending connective aimed at it (``_PUSHES`` and
-``_TAKES`` pair each rule with its items).
+that item has fired, by a pending connective aimed at it
+(``contexts.QUEUES`` pairs each rule with its items, and ``TAKEN_BY`` each
+item with the action that takes it).
 
 The reduction figure is written once, as a table (``_table``): at a redex it
 lists the steps that apply, each a cut-free leaf (B1, B2), a smaller redex
@@ -30,12 +31,11 @@ from typing import Callable, Iterator
 
 from . import syntax as S
 from .syntax import (
-    Atom, Bot, Case, Client, Close, DualAtom, Endpoint, Inl, Inr, Link, OfCourse,
-    One, Par, Plus, Process, Recv, Send, Server, Tensor, Type, Wait, WhyNot, With,
-    erase, head_endpoint, rename_free,
+    Atom, Bot, Case, Client, Close, DualAtom, Endpoint, Inl, Inr, Link, Process, Recv, Send,
+    Server, Tensor, Type, Wait, erase, head_endpoint, rename_free,
 )
 from .contexts import (
-    Context, Entry, LeftTok, MsgBox, Query, Queue, QueueItem, RightTok, Star, context_size,
+    QUEUES, TAKEN_BY, Context, Entry, MsgBox, Queue, QueueItem, RightTok, context_size,
     endpoint_names, first_destined, normalize_context, rename_context, rename_context_targets,
     target_names,
 )
@@ -85,6 +85,8 @@ class CutSide:
     @staticmethod
     def of(g: Context, x: Endpoint) -> CutSide:
         e = g.get(x)
+        if e is None:
+            raise StructuralMismatch(f"cut endpoint {x} not in context")
         if e.typing is None:
             raise StructuralMismatch(f"cut endpoint {x} is terminated")
         return CutSide(g.without(x), e.queue, x, e.typing)
@@ -98,14 +100,6 @@ def _splice(ts: tuple[Endpoint, ...], old: Endpoint, new: tuple[Endpoint, ...]) 
     return ts[:i] + new + ts[i + 1 :]
 
 
-# The items each rule queues at its endpoint for the endpoint it names, and
-# the rule that takes each item from there.
-_PUSHES: dict[type, tuple[type, ...]] = {
-    Bot: (Star,), Par: (MsgBox,), With: (LeftTok, RightTok), OfCourse: (Query,)}
-_TAKES: dict[type, type] = {
-    Star: One, MsgBox: Tensor, LeftTok: Plus, RightTok: Plus, Query: WhyNot}
-
-
 def _redirect(ctx: Context, holder: Endpoint, at: Endpoint, new: tuple[Endpoint, ...],
               kind: type) -> Context:
     """Redirect ``holder``'s reference to the dying endpoint ``at`` to ``new``.
@@ -116,13 +110,13 @@ def _redirect(ctx: Context, holder: Endpoint, at: Endpoint, new: tuple[Endpoint,
     ``map_slots`` order), whose slot takes ``new`` in place of ``at``.  For
     ``bot`` every star, or every connective, aimed at ``at`` is redirected.
     """
-    if not ctx.has(holder):
-        raise DanglingReference(f"partner {holder} missing from context")
     e = ctx.get(holder)
+    if e is None:
+        raise DanglingReference(f"partner {holder} missing from context")
     q, every = e.queue, kind is Bot
-    i = first_destined(q, at) if kind in _PUSHES else None
+    i = first_destined(q, at) if kind in QUEUES else None
     if i is not None:
-        if not isinstance(q[i], _PUSHES[kind]):
+        if not isinstance(q[i], QUEUES[kind]):
             raise StructuralMismatch(f"first item for {at} at {holder} is {type(q[i]).__name__}")
         moved = {j for j, it in enumerate(q) if it == q[i] and (every or j == i)}
         q = tuple(r for j, it in enumerate(q)
@@ -174,7 +168,7 @@ def distributions(top: CutSide, bottom: CutSide) -> list[tuple[CutSide, CutSide]
         for receivers in product(ctxs[1 - side].endpoints(), repeat=len(pieces)):
             try:
                 sender = _redirect(ctxs[side], item.target, dying[side], receivers,
-                                   _TAKES[type(item)])
+                                   S.ACTS[TAKEN_BY[type(item)]][0])
             except DanglingReference as e:
                 raise AnnotationMismatch(str(e)) from None
             go((sender, ctxs[1]) if side == 0 else (ctxs[0], sender),
@@ -324,9 +318,10 @@ BoxCut = Callable[[Derivation, Endpoint, Derivation, Endpoint, Context], Process
 _COMMUTE_TAGS = {Wait: "C1", Recv: "C2", Send: "C3", Case: "C-case", Inl: "C-inl",
                  Inr: "C-inr", Server: "C-srv", Client: "C-cli"}
 
-# Heads that take the negative side of a principal cut; the table puts the
-# positive action (send, case, server, close) on the left.
-_NEGATIVE = (Wait, Recv, Inl, Inr, Client)
+# Heads that take the negative side of a principal cut, the actions on a
+# connective with a single target; the table puts the positive action (send,
+# case, server, close) on the left.
+_NEGATIVE = tuple(a for a, (c, _) in S.ACTS.items() if not S.CONNECTIVES[c].multi)
 
 
 def _table(r: _Cut) -> Iterator[_Step]:
@@ -351,7 +346,7 @@ def _table(r: _Cut) -> Iterator[_Step]:
         # the subterms whose premise holds the cut endpoint go under the cut
         yield _Step(tag, head=side.process, subs=tuple(
             (bs, (_Cut(r.left, r.x, j, r.y) if flip else _Cut(j, r.x, r.right, r.y))
-             if j.context.has(sx) else j)
+             if j.context.get(sx) is not None else j)
             for (bs, _), j in zip(S.scope(side.process)[1], side.premises)))
 
 
@@ -540,7 +535,7 @@ def _cut_in_box(payload: Derivation, a: Endpoint, host: Derivation, c: Endpoint,
 
     def rebuild(h: Derivation) -> Judged:
         term, prem = h.process, h.premises
-        if h.rule == "Tensor" and prem[0].context.has(c):
+        if h.rule == "Tensor" and prem[0].context.get(c) is not None:
             # the send consumes the box: its message process meets the payload
             pj, cj = prem
             if len(pj.context.entries) == 2:

@@ -292,18 +292,18 @@ def _fuel(c: MCutConfig) -> int:
     return 8 * (n + context_size(c.fwd.context) + proc_size(c.fwd.process) + 4)
 
 
-# For each forwarder head: the part head that meets it on the same endpoint,
-# and what the forwarder does there (for the error when the part does not).
+# For each forwarder head, what it does at its endpoint, for the error when
+# the part's head there is not an action on the dual connective (``ACTS``).
 _MEETS = {
-    Close: (Wait, "closes {x} but the part does not wait"),
-    Wait: (Close, "waits on {x} but the part does not close"),
-    Recv: (Send, "receives on {x} but the part does not send"),
-    Send: (Recv, "sends on {x} but the part does not receive"),
-    Case: ((Inl, Inr), "branches on {x} but the part does not select"),
-    Inl: (Case, "selects on {x} but the part does not branch"),
-    Inr: (Case, "selects on {x} but the part does not branch"),
-    Client: (Server, "queries {x} but the part is no server"),
-    Server: (Client, "serves {x} but the part is no client"),
+    Close: "closes {x} but the part does not wait",
+    Wait: "waits on {x} but the part does not close",
+    Recv: "receives on {x} but the part does not send",
+    Send: "sends on {x} but the part does not receive",
+    Case: "branches on {x} but the part does not select",
+    Inl: "selects on {x} but the part does not branch",
+    Inr: "selects on {x} but the part does not branch",
+    Client: "queries {x} but the part is no server",
+    Server: "serves {x} but the part is no client",
 }
 
 
@@ -326,9 +326,9 @@ def _step(c: MCutConfig, r: _Runner):
     got = _commute(c, part)
     if got is not None:
         return got
-    want, what = _MEETS[type(ft)]
-    if not isinstance(part.term, want) or part.term.x != x:
-        raise Stuck("forwarder " + what.format(x=x))
+    dual = S.CONNECTIVES[S.ACTS[type(ft)][0]].dual  # what the part must act on at x
+    if type(part.term) not in S.ACTIONS[dual] or part.term.x != x:
+        raise Stuck("forwarder " + _MEETS[type(ft)].format(x=x))
     match ft:
         case Close():
             if len(c.parts) != 1 or c.pending:

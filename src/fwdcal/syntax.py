@@ -15,6 +15,10 @@ that build only what they return, because each sits on a measured hot path:
 the duality tests of cut and composition, the fuel of a reduction, the
 annotation test of every forwarder check, synthesis's binder candidates, and
 the renaming of the ! and ? rules.
+
+The other modules read the constructors off four tables: ``CONNECTIVES``,
+``BINDERS`` (what a process acts on and binds), ``ACTS`` (the connective an
+action acts on) and ``PROCESSES`` (surface forms).
 """
 
 from __future__ import annotations
@@ -450,6 +454,18 @@ Process = Union[Link, Close, Wait, Send, Recv, Inl, Inr, Case, Server, Client, C
 
 
 Scope = tuple[tuple[tuple[Endpoint, ...], Process], ...]
+
+
+# Each action, the connective it acts on and the verb its refusals use;
+# ``Link`` and ``Cut`` act on none.  ``Inl`` comes before ``Inr`` as the left
+# token before the right in ``contexts.QUEUES``.
+ACTS = {
+    Close: (One, "close"), Wait: (Bot, "wait"), Send: (Tensor, "send on"),
+    Recv: (Par, "recv on"), Inl: (Plus, "select on"), Inr: (Plus, "select on"),
+    Case: (With, "case on"), Server: (OfCourse, "srv on"), Client: (WhyNot, "client on"),
+}
+# The actions on each connective, in ``ACTS`` order.
+ACTIONS = {c: tuple(a for a, (d, _) in ACTS.items() if d is c) for c in CONNECTIVES}
 
 
 # The binder table: each constructor's head fields, the names it acts on,

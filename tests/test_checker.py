@@ -368,8 +368,9 @@ def test_a_cut_and_an_unknown_object_keep_their_errors():
         K.forwarder_step(Atom("a"), ctx)
 
 
-# The refusals of the rules that build their premise in one pass, each as
-# ``fwdcal check`` prints it, with the class the checker raises.
+# The refusals of the rules that build their premise in one pass and of the
+# rules that look their endpoints up, each as ``fwdcal check`` prints it,
+# with the class the checker raises.
 REFUSALS = [
     ("x.inl. x<->y", "x : ~a +{x} ~a [to=x L], y : a",
      RuleMismatch, "+ target x not in context"),
@@ -388,6 +389,10 @@ REFUSALS = [
     ("!x(u). u<->v", "x : !{v} a, v : bot{x}", RuleMismatch, "! needs v to be ?-typed"),
     ("close x", "x : 1{y}, y : ~a [to=x *]", RuleMismatch, "1 needs y terminated"),
     ("x<->y", "x : ~a [to=y *], y : a", LeftoverQueue, "Ax requires empty queues"),
+    ("x<->y", "x : ~a, y : a, z : bot{x}", RuleMismatch, "Ax needs exactly the endpoints x,y"),
+    ("x<->y", "x : ~a, z : a", RuleMismatch, "Ax needs exactly the endpoints x,y"),
+    ("x<->x", "x : ~a, y : a", RuleMismatch, "Ax needs exactly the endpoints x,x"),
+    ("x<->x", "x : ~a", RuleMismatch, "Ax needs x:~a and x:a, got ~a and ~a"),
 ]
 
 

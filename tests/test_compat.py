@@ -402,6 +402,17 @@ def test_witness_names_a_payload_slot_set_on_two_branches_once():
     assert _witness_checks(env)
 
 
+def test_a_witness_reads_the_decided_roots_and_decides_nothing_again():
+    # the verdict decides the root annotation and each carried environment
+    # once; the witness reads them back, so no counter moves
+    env = P.parse_plain_env("p0 : ! a * bot, p1 : 1, p2 : 1 + 1, p3 : ? ~a | 1 & 1")
+    chk = CM.CompatChecker()
+    assert multiparty_compatible(env, chk)
+    before = chk.stats()
+    assert CM.witness(env, chk) is not None
+    assert chk.stats() == before
+
+
 def test_run_compat_calls_no_synthesis(monkeypatch, capsys):
     from fwdcal import checker, cli
 

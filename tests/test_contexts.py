@@ -200,6 +200,12 @@ def test_binds_is_membership_in_endpoint_names(g, n):
 
 
 @settings(max_examples=100, deadline=None)
+@given(parsed_contexts, st.sampled_from(["x", "y", "z", "u", "p", "q", "r'", "m#1", "p0"]))
+def test_get_is_the_entry_of_that_name_or_none(g, n):
+    assert g.get(n) == next((e for e in g.entries if e.endpoint == n), None)
+
+
+@settings(max_examples=100, deadline=None)
 @given(parsed_contexts, st.data())
 def test_replace_puts_each_entry_in_place(g, data):
     xs = data.draw(st.lists(st.sampled_from(g.endpoints()), unique=True))

@@ -175,6 +175,14 @@ def test_subst_first_item_of_the_wrong_kind_is_a_structural_mismatch(top, bottom
         substitute(top, bottom)
 
 
+def test_a_cut_endpoint_is_an_active_endpoint_of_its_context():
+    g = P.parse_context("x : 1{y}, y : . [to=x *]")
+    with pytest.raises(StructuralMismatch, match="^cut endpoint z not in context$"):
+        CutSide.of(g, "z")
+    with pytest.raises(StructuralMismatch, match="^cut endpoint y is terminated$"):
+        CutSide.of(g, "y")
+
+
 @pytest.mark.parametrize("top,bottom", [
     _unit_cut(Entry("u", (), None)),
     _unit_cut(Entry("v", (Star("x"),), None)),

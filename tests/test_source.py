@@ -20,3 +20,37 @@ def test_no_match_statement_binds_a_field_by_position():
             if isinstance(node, ast.MatchClass) and node.patterns:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# The modules that own the classes of the syntax and of contexts, where the
+# tables that relate them (``CONNECTIVES``, ``ACTS``, ``QUEUES``) are written.
+OWNERS = ("syntax.py", "contexts.py")
+
+
+def _owned_classes() -> set[str]:
+    return {node.name for name in OWNERS
+            for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)}
+
+
+def _names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_only_the_owning_modules_write_a_table_between_their_classes():
+    # A dict literal elsewhere that maps classes of the syntax or of contexts
+    # to such classes restates a fact the owners' tables state once: which
+    # connective an action acts on, which items a rule queues, which action
+    # takes an item.  Such a map is to be read off those tables instead.
+    owned = _owned_classes()
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in OWNERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Dict) and any(
+                    k is not None and _names(k) & owned for k in node.keys) and any(
+                    _names(v) & owned for v in node.values):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
