@@ -38,7 +38,7 @@ from .syntax import (
 from .contexts import (
     QUEUES, TAKEN_BY, Context, Entry, LeftTok, MsgBox, Query, QueueItem, RightTok, Star,
     context_fully_annotated, endpoint_names, first_destined, map_context, msgbox,
-    normalize_queue, print_queue_item, rename_context_targets, target_names,
+    normalize_queue, print_queue_item, rename_context_targets, take_destined, target_names,
 )
 from .records import record, replace
 
@@ -208,7 +208,7 @@ def _fwd_tensor(p: Send, g: Context):
             raise RuleMismatch(f"* target {u} not in context")
         if not eu.queue:
             raise QueueHeadMismatch(f"empty queue at {u}, * at {x} expects a box")
-        head, new[u] = _take(eu, x)
+        head, new[u] = take_destined(eu, x)
         if type(head) is not MsgBox:
             raise QueueHeadMismatch(
                 f"head of {u}'s queue must be a message for {x}, got {_shown(head)}")
@@ -229,7 +229,7 @@ def _fwd_plus(p: Inl | Inr, g: Context):
     if z == x or ez is None:
         raise RuleMismatch(f"+ target {z} not in context")
     tok = LeftTok(x) if want_left else RightTok(x)
-    head, ez = _take(ez, x)
+    head, ez = take_destined(ez, x)
     if head != tok:
         raise QueueHeadMismatch(
             f"head of {z}'s queue must be {print_queue_item(tok)}, got {_shown(head)}")
@@ -274,7 +274,7 @@ def _fwd_quest(p: Client, g: Context):
     ez = g.get(z)
     if z == x or ez is None:
         raise RuleMismatch(f"? target {z} not in context")
-    head, ez = _take(ez, x)
+    head, ez = take_destined(ez, x)
     if head != Query(x):
         raise QueueHeadMismatch(
             f"head of {z}'s queue must be a query for {x}, got {_shown(head)}")
@@ -293,15 +293,6 @@ FORWARDER_RULES = {
     Inl: _fwd_plus, Inr: _fwd_plus, Case: _fwd_with, Server: _fwd_bang, Client: _fwd_quest,
     Cut: _fwd_cut,
 }
-
-
-def _take(e: Entry, x: str) -> tuple[QueueItem | None, Entry]:
-    """The first item of ``e``'s queue aimed at ``x`` (None if there is
-    none), and ``e`` without it."""
-    i = first_destined(e.queue, x)
-    if i is None:
-        return None, e
-    return e.queue[i], Entry(e.endpoint, e.queue[:i] + e.queue[i + 1:], e.typing)
 
 
 def _shown(item: QueueItem | None) -> str:
@@ -759,7 +750,7 @@ def _fire(e: Entry, value: tuple[str, ...], ctor: type, g: Context, store, suppl
         except RuleMismatch:
             continue  # the payload names the send gathers clash
         sub_ren = ren
-        if ctor in (Server, Client):
+        if ctor in S.RENAMING:
             sub_ren = {**ren, _unrename(ren, (x,))[0]: head.fresh}
         names, subs = S.scope(head)
         for qs, st in _joint_solutions(prem, store, supply, failed, sub_ren):

@@ -21,7 +21,7 @@ from . import mcut as MC
 from . import parsing as PA
 from . import syntax as S
 from .checker import CheckError, Derivation, check_cll, check_forwarder, synth_context
-from .contexts import Context, context_fully_annotated, translate_config
+from .contexts import Context, context_fully_annotated
 from .cutelim import CutError, Judged
 from .mcut import McutError
 from .records import record
@@ -133,7 +133,7 @@ def run_compat(decl: PA.CompatDecl, as_json: bool) -> bool:
     if stuck is not None:
         c0, labels, final = stuck
         rec["stuck_labels"] = [lab.rule for lab in labels]
-        rec["stuck_at"] = PA.print_context(translate_config(final))
+        rec["stuck_at"] = PA.print_context(final)
         text += "\n  stuck after " + (", ".join(rec["stuck_labels"]) or "no steps")
         text += f"\n  at {rec['stuck_at']}"
     rec["stats"] = chk.stats()

@@ -1,8 +1,9 @@
 """Transition semantics of type contexts and the compatibility decision.
 
-The transition system is defined so that a configuration steps exactly when a
-forwarder rule applies to its context translation, with the premise as the
-target, and each transition is a ``Step`` named by that rule.  Executability
+A configuration is a forwarder ``Context``: each endpoint's type and its
+queue of items labelled with the endpoint each is forwarded to.  It steps
+exactly when a forwarder rule applies to it, with the premise as the target,
+and each transition is a ``Step`` named by that rule.  Executability
 asks that every maximal path drains the configuration and that the
 environment carried by each ``Tensor`` step is itself compatible;
 multiparty compatibility then quantifies over annotations of the dualized
@@ -12,12 +13,13 @@ central correctness test.
 The decision runs at the cost the theory allows through three reductions,
 and is read off once it is made (point 4).
 
-1. Canonical box names.  A boxed payload is named by its position in the
-   configuration (``m1``, ``m2``, ... in ``sigma`` order, skipping endpoint
-   names), assigned in ``_make`` alone, so one state reached by two
-   interleavings is one ``Config`` and the memo merges them.  Payload names
-   are never read here: payload slots are pinned and a ``Tensor`` step
-   carries the gathered types erased.
+1. Canonical configurations.  ``_make`` alone builds them: entries in name
+   order, each queue in target order, a terminated entry dropped once its
+   queue is empty, and each boxed payload named by its position (``m1``,
+   ``m2``, ... in (target, holder) order, skipping endpoint names).  So one
+   state reached by two interleavings is one ``Context`` and the memo merges
+   them.  Payload names are never read here: payload slots are pinned and a
+   ``Tensor`` step carries the gathered types erased.
 2. Annotation slots resolved on demand.  A spine slot with one candidate is
    filled at once; one with several gets a unique hole.  ``transitions``
    raises ``Need`` when an endpoint that might move under some value of its
@@ -27,7 +29,7 @@ and is read off once it is made (point 4).
    catches it, fills the hole with each candidate in turn
    (``nonempty_subsets``/name order) and runs again from the root.  A
    verdict reached without reading a hole holds for every way of filling
-   it, so the memo stays keyed by ``Config``, holes included.  The solver
+   it, so the memo stays keyed by configuration, holes included.  The solver
    skips a candidate that ``Need.viable`` rejects: the configuration
    that read the hole is reached whatever the hole holds, and every path
    from it under that value ends nonempty, so the root is not executable
@@ -36,11 +38,12 @@ and is read off once it is made (point 4).
    transitions of the first endpoint, in name order, that can move (both
    branches of a ``&`` are still followed).  This is a persistent set:
 
-   - An endpoint consumes only the heads of queues aimed at it and pushes
-     only onto the tails of queues it holds.  So transitions of distinct
-     endpoints commute (their targets are equal ``Config``s, canonical names
-     included), and none disables another or changes the transitions another
-     has: an endpoint keeps the moves it has until it takes one.
+   - An endpoint consumes only the first item aimed at it in a queue and
+     pushes only onto its own queue, behind the items it holds for the same
+     target.  So transitions of distinct endpoints commute (their targets are
+     equal configurations, canonical names included), and none disables
+     another or changes the transitions another has: an endpoint keeps the
+     moves it has until it takes one.
    - ``One``, ``Ax`` and ``Bang`` are enabled only when no other endpoint
      can move.
    - Every transition strictly shrinks the acting endpoint's type (``Ax``
@@ -68,7 +71,7 @@ and is read off once it is made (point 4).
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable
+from typing import Callable, Collection, Iterable
 
 from . import syntax as S
 from .syntax import (
@@ -76,8 +79,8 @@ from .syntax import (
     Plus, Process, Recv, Send, Server, Tensor, Type, Wait, WhyNot, With, dual, erase,
 )
 from .contexts import (
-    QUEUES, Config, Context, EMPTY_CONFIG, Entry, LeftTok, MsgBox, Query, RightTok, Star,
-    map_context, msgbox,
+    QUEUES, Context, Entry, LeftTok, MsgBox, Query, QueueItem, RightTok, Star, first_destined,
+    map_context, msgbox, normalize_queue, take_destined,
 )
 from .records import record
 from .checker import BINDER_BASE, Env, forwarder_step, nonempty_subsets
@@ -125,151 +128,174 @@ def _occurs(t: Type, cls: type) -> bool:
     return False
 
 
-def _make(delta, sigma) -> Config:
-    """``Config.make`` with every box renamed to its canonical name: ``m<k>``
-    in ``sigma`` order, skipping the names of endpoints."""
-    c = Config.make(delta, sigma)
-    if not c.sigma:
-        return c
-    used = {x for x, _ in c.delta}
-    for key, _ in c.sigma:
-        used.update(key)
-    names = (n for n in (f"m{k}" for k in count(1)) if n not in used)
-    sig, changed = [], False
-    for key, q in c.sigma:
-        items = []
-        for it in q:
-            if isinstance(it, MsgBox):
-                pls = tuple((next(names), t) for _, t in it.payloads)
-                if pls != it.payloads:
-                    it, changed = MsgBox(it.target, pls), True
-            items.append(it)
-        sig.append((key, tuple(items)))
-    return Config(c.delta, tuple(sig)) if changed else c
+def _make(entries: Iterable[Entry]) -> Context:
+    """The canonical configuration of ``entries``, given in name order with
+    each queue in target order (``normalize_queue``): a terminated entry is
+    dropped once its queue is empty, and every box is renamed to its
+    canonical name, ``m<k>`` in (target, holder) order, skipping the names
+    of endpoints and targets."""
+    ents = [e for e in entries if e.queue or e.typing is not None]
+    used, boxes = set(), []
+    for i, e in enumerate(ents):
+        used.add(e.endpoint)
+        for j, it in enumerate(e.queue):
+            used.add(it.target)
+            if type(it) is MsgBox:
+                boxes.append((it.target, e.endpoint, i, j))
+    if boxes:
+        boxes.sort()
+        names = (n for n in map("m{}".format, count(1)) if n not in used)
+        queues: dict[int, list[QueueItem]] = {}
+        for _, _, i, j in boxes:
+            it = ents[i].queue[j]
+            pls = tuple([(next(names), t) for _, t in it.payloads])
+            if pls != it.payloads:
+                queues.setdefault(i, list(ents[i].queue))[j] = MsgBox(it.target, pls)
+        for i, q in queues.items():
+            ents[i] = Entry(ents[i].endpoint, tuple(q), ents[i].typing)
+    return Context(tuple(ents))
 
 
-def transitions(c: Config, one_endpoint: bool = False) -> list[tuple[Step, Config]]:
+_EMPTY = Context(())
+
+
+def transitions(c: Context, one_endpoint: bool = False) -> list[tuple[Step, Context]]:
     """The transitions of a configuration, endpoint by endpoint in name order.
 
     With ``one_endpoint``, only those of the first endpoint that has any (the
     persistent set of the module docstring).  Raises ``Need`` when an
     endpoint's move depends on a head slot that is still a hole.
     """
-    delta = c.delta_map()
-    sigma = c.sigma_map()
-
+    ents = c.entries
     # Leaf rule on the whole configuration: two atoms can do nothing else.
-    if len(delta) == 2 and not c.sigma:
-        (x, tx), (y, ty) = c.delta
+    if len(ents) == 2 and not (ents[0].queue or ents[1].queue):
+        (x, tx), (y, ty) = ((e.endpoint, e.typing) for e in ents)
         if isinstance(tx, DualAtom) and isinstance(ty, Atom) and tx.name == ty.name:
-            return [(Step("Ax", x), EMPTY_CONFIG)]
+            return [(Step("Ax", x), _EMPTY)]
         if isinstance(tx, Atom) and isinstance(ty, DualAtom) and tx.name == ty.name:
-            return [(Step("Ax", y), EMPTY_CONFIG)]
+            return [(Step("Ax", y), _EMPTY)]
 
-    out: list[tuple[Step, Config]] = []
-    for x, t in c.delta:
-        rule, ts = TRANSITIONS.get(type(t)), S.targets_of(t)
-        if rule is None or not ts:
+    out: list[tuple[Step, Context]] = []
+    for e in ents:
+        rule = TRANSITIONS.get(type(e.typing))
+        if rule is None:
+            continue
+        ts = S.targets_of(e.typing)
+        if not ts:
             continue
         if S.is_hole(ts) and rule is not _one and rule is not _bang:
             rule = _need
-        moves = rule(c, x, t, ts, delta, sigma)
+        moves = rule(c, e, ts)
         if moves and one_endpoint:
             return moves
         out.extend(moves)
     return out
 
 
-def _need(c: Config, x: Endpoint, t: Type, ts, delta, sigma):
-    """The moves of ``x`` while its head slot is the hole ``ts[0]``, but
-    for 1 and !: a ``Need`` when ``x`` might move under some value, else none.
+def _head(e: Entry | None, x: Endpoint) -> QueueItem | None:
+    """The first item for ``x`` in ``e``'s queue, None when there is none
+    (or no ``e``): the head of the FIFO from ``e``'s endpoint to ``x``."""
+    i = None if e is None else first_destined(e.queue, x)
+    return None if i is None else e.queue[i]
 
-    ``x``'s rule queues items for its targets (``QUEUES``) or, once an item
-    waits for ``x``, takes them; only the dual connective's rule does the
-    other half.  A value is viable when each target can still do it: its
-    typing holds the dual, or the items it holds for a taking ``x`` start
-    with one ``x`` takes.
+
+def _need(c: Context, e: Entry, ts):
+    """The moves of ``e`` while its head slot is the hole ``ts[0]``, but
+    for 1 and !: a ``Need`` when it might move under some value, else none.
+
+    Its rule queues items for its targets (``QUEUES``) or, once an item
+    waits for its endpoint ``x``, takes them; only the dual connective's rule
+    does the other half.  A value is viable when each target can still do
+    it: its typing holds the dual, or the items it holds for a taking ``x``
+    start with one ``x`` takes.
     """
-    cls = type(t)
+    x, cls = e.endpoint, type(e.typing)
     dual = S.CONNECTIVES[cls].dual
     queues = cls in QUEUES
     items = QUEUES[cls if queues else dual]
-    if not queues and not any(u == x and isinstance(q[0], items) for (u, _), q in c.sigma):
+    if not queues and not any(isinstance(_head(d, x), items) for d in c.entries):
         return []
 
     def viable(us) -> bool:
         for u in us:
-            q = None if queues else sigma.get((x, u))
-            if not (isinstance(q[0], items) if q else u in delta and _occurs(delta[u], dual)):
+            d = c.get(u)
+            head = None if queues else _head(d, x)
+            if not (isinstance(head, items) if head is not None else
+                    d is not None and d.typing is not None and _occurs(d.typing, dual)):
                 return False
         return True
 
     raise Need(ts[0], viable)
 
 
-# The rule table ``TRANSITIONS``, a row per connective: the moves of ``x`` at
-# type ``t`` with its slot ``ts`` set (or a hole, for 1 and !), each given to
-# ``_successor`` as ``x``'s new type (None when it terminates), the holders it
-# pops from and the items it pushes.
+# The rule table ``TRANSITIONS``, a row per connective: the moves of entry
+# ``e`` with its head slot ``ts`` set (or a hole, for 1 and !), each given to
+# ``_successor`` as ``e``'s new type (None when it terminates), the items it
+# pushes and the holders it pops from.
 
-def _one(c: Config, x: Endpoint, t: One, ts, delta, sigma):
-    if len(delta) == 1 and all(key[0] == x and q == (Star(x),) for key, q in c.sigma):
-        holders = {h for (_, h) in sigma}
-        if S.is_hole(ts):
-            raise Need(ts[0], lambda v: set(v) == holders)
-        if holders == set(ts):
-            return [_successor(c, sigma, "One", x, None, ts)]
-    return []
-
-
-def _bot(c: Config, x: Endpoint, t: Bot, ts, delta, sigma):
-    return [_successor(c, sigma, "Bot", x, None, (), (Star(ts[0]),))]
+def _one(c: Context, e: Entry, ts):
+    x = e.endpoint
+    others = [d for d in c.entries if d is not e]
+    if e.queue or any(d.typing is not None or d.queue != (Star(x),) for d in others):
+        return []
+    holders = {d.endpoint for d in others}
+    if S.is_hole(ts):
+        raise Need(ts[0], lambda v: set(v) == holders)
+    return [(Step("One", x), _EMPTY)] if holders == set(ts) else []  # nothing is left
 
 
-def _par(c: Config, x: Endpoint, t: Par, ts, delta, sigma):
-    return [_successor(c, sigma, "Par", x, t.right, (), (msgbox(ts[0], "m", t.left),))]
+def _bot(c: Context, e: Entry, ts):
+    return [_successor(c, "Bot", e, None, (Star(ts[0]),))]
 
 
-def _tensor(c: Config, x: Endpoint, t: Tensor, ts, delta, sigma):
+def _par(c: Context, e: Entry, ts):
+    t = e.typing
+    return [_successor(c, "Par", e, t.right, (msgbox(ts[0], "m", t.left),))]
+
+
+def _tensor(c: Context, e: Entry, ts):
     gathered: list[Type] = []
     for u in ts:
-        q = sigma.get((x, u))
-        if not q or not isinstance(q[0], MsgBox):
+        head = _head(c.get(u), e.endpoint)
+        if type(head) is not MsgBox:
             return []
-        gathered.extend(erase(g) for _, g in q[0].payloads)
-    gathered.append(erase(t.left))
+        gathered.extend(erase(g) for _, g in head.payloads)
+    gathered.append(erase(e.typing.left))
     carried = tuple((f"e{i}", g) for i, g in enumerate(gathered))
-    return [_successor(c, sigma, "Tensor", x, t.right, ts, (), carried)]
+    return [_successor(c, "Tensor", e, e.typing.right, (), ts, carried)]
 
 
-def _plus(c: Config, x: Endpoint, t: Plus, ts, delta, sigma):
-    q = sigma.get((x, ts[0]))
-    if q and q[0] == LeftTok(x):
-        return [_successor(c, sigma, "PlusL", x, t.left, ts)]
-    if q and q[0] == RightTok(x):
-        return [_successor(c, sigma, "PlusR", x, t.right, ts)]
+def _plus(c: Context, e: Entry, ts):
+    x, t = e.endpoint, e.typing
+    head = _head(c.get(ts[0]), x)
+    if head == LeftTok(x):
+        return [_successor(c, "PlusL", e, t.left, (), ts)]
+    if head == RightTok(x):
+        return [_successor(c, "PlusR", e, t.right, (), ts)]
     return []
 
 
-def _with(c: Config, x: Endpoint, t: With, ts, delta, sigma):
-    return [_successor(c, sigma, "WithL", x, t.left, (), tuple(LeftTok(u) for u in ts)),
-            _successor(c, sigma, "WithR", x, t.right, (), tuple(RightTok(u) for u in ts))]
+def _with(c: Context, e: Entry, ts):
+    t = e.typing
+    return [_successor(c, "WithL", e, t.left, tuple(LeftTok(u) for u in ts)),
+            _successor(c, "WithR", e, t.right, tuple(RightTok(u) for u in ts))]
 
 
-def _bang(c: Config, x: Endpoint, t: OfCourse, ts, delta, sigma):
-    others = {k for k in delta if k != x}
-    if not c.sigma and all(isinstance(delta[o], WhyNot) for o in others):
-        if S.is_hole(ts):
-            raise Need(ts[0], lambda v: set(v) == others)
-        if set(ts) == others:
-            return [_successor(c, sigma, "Bang", x, t.body, (), tuple(Query(u) for u in ts))]
-    return []
+def _bang(c: Context, e: Entry, ts):
+    others = [d for d in c.entries if d is not e]
+    if e.queue or any(d.queue or not isinstance(d.typing, WhyNot) for d in others):
+        return []
+    names = {d.endpoint for d in others}
+    if S.is_hole(ts):
+        raise Need(ts[0], lambda v: set(v) == names)
+    if set(ts) != names:
+        return []
+    return [_successor(c, "Bang", e, e.typing.body, tuple(Query(u) for u in ts))]
 
 
-def _quest(c: Config, x: Endpoint, t: WhyNot, ts, delta, sigma):
-    q = sigma.get((x, ts[0]))
-    if q and q[0] == Query(x):
-        return [_successor(c, sigma, "Quest", x, t.body, ts)]
+def _quest(c: Context, e: Entry, ts):
+    if _head(c.get(ts[0]), e.endpoint) == Query(e.endpoint):
+        return [_successor(c, "Quest", e, e.typing.body, (), ts)]
     return []
 
 
@@ -277,19 +303,15 @@ TRANSITIONS = {One: _one, Bot: _bot, Par: _par, Tensor: _tensor, Plus: _plus, Wi
                OfCourse: _bang, WhyNot: _quest}
 
 
-def _successor(c: Config, sigma, rule: str, x: Endpoint, typ: Type | None,
-               pops: tuple[Endpoint, ...] = (), pushes: tuple = (), carried: Env = (),
-               ) -> tuple[Step, Config]:
-    """The move of ``x`` by ``rule``: ``x`` takes type ``typ`` (None: it
-    terminates), the first item for ``x`` at each of ``pops`` is consumed,
-    and each of ``pushes`` joins ``x``'s queue for its target."""
-    delta = tuple((k, typ if k == x else v) for k, v in c.delta if k != x or typ is not None)
-    ns = dict(sigma)
-    for u in pops:
-        ns[(x, u)] = ns[(x, u)][1:]
-    for it in pushes:
-        ns[(it.target, x)] = ns.get((it.target, x), ()) + (it,)
-    return Step(rule, x, carried), _make(delta, ns.items())
+def _successor(c: Context, rule: str, e: Entry, typ: Type | None, pushes: tuple = (),
+               pops: tuple[Endpoint, ...] = (), carried: Env = ()) -> tuple[Step, Context]:
+    """The move of ``e``'s endpoint ``x`` by ``rule``: ``x`` takes type
+    ``typ`` (None: it terminates), the first item for ``x`` at each of
+    ``pops`` is consumed, and ``pushes`` join ``x``'s own queue."""
+    x = e.endpoint
+    new = {u: take_destined(c.get(u), x)[1] for u in pops}
+    new[x] = Entry(x, normalize_queue(e.queue + pushes) if pushes else e.queue, typ)
+    return Step(rule, x, carried), _make(new.get(d.endpoint, d) for d in c.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +321,8 @@ def _successor(c: Config, sigma, rule: str, x: Endpoint, typ: Type | None,
 Slot = tuple[Endpoint, ...]
 
 
-def _annotate(env: Env, choose: Callable[[list[Slot], Slot], Slot],
-              pin: Callable[[], Slot] | None = None) -> Config | None:
+def _annotate(env: Collection[tuple[Endpoint, Type]], choose: Callable[[list[Slot], Slot], Slot],
+              pin: Callable[[], Slot] | None = None) -> Context | None:
     """The configuration of ``env`` with each spine slot set to
     ``choose(candidates, slot)``, where ``slot`` is its value in ``env``, or
     None when a slot has no candidate.
@@ -313,7 +335,7 @@ def _annotate(env: Env, choose: Callable[[list[Slot], Slot], Slot],
     endpoint.  This walk alone tells payload slots from spine slots.
     """
     names = sorted(x for x, _ in env)
-    delta = []
+    entries = []
     for x, t in sorted(env):
         others = tuple(n for n in names if n != x)
         if not others and S.size(t):
@@ -332,8 +354,13 @@ def _annotate(env: Env, choose: Callable[[list[Slot], Slot], Slot],
                 in_payload = S.size(s.left)  # the next slots visited are the payload's
             return choose(multi if isinstance(s, S.MULTI_TARGET) else single, ts)
 
-        delta.append((x, S.map_slots(t, slot)))
-    return Config.make(delta)
+        entries.append(Entry(x, (), S.map_slots(t, slot)))
+    return Context(tuple(entries))
+
+
+def _typings(c: Context) -> dict[Endpoint, Type]:
+    """Each endpoint's type in a root configuration (one without queues)."""
+    return {e.endpoint: e.typing for e in c.entries}
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +385,7 @@ class Why:
     part that fails."""
 
     ok: bool
-    edges: tuple[tuple[Step, Config | None], ...]
+    edges: tuple[tuple[Step, Context | None], ...]
 
 
 _DRAINED = Why(True, ())
@@ -375,8 +402,8 @@ class CompatChecker:
     """
 
     def __init__(self):
-        self._exec: dict[Config, Why] = {}
-        self._roots: dict[Env, Config | None] = {}
+        self._exec: dict[Context, Why] = {}
+        self._roots: dict[Env, Context | None] = {}
         self.configs = 0
         self.memo_hits = 0
         self.resolutions = 0
@@ -385,13 +412,13 @@ class CompatChecker:
         return {"configs": self.configs, "memo_hits": self.memo_hits,
                 "resolutions": self.resolutions}
 
-    def is_executable(self, c: Config) -> bool:
+    def is_executable(self, c: Context) -> bool:
         """True when every maximal path ends empty and every send step
         carries a recursively compatible environment.  Raises ``Need`` when
         that depends on an annotation hole of ``c``."""
         return self.why(c).ok
 
-    def why(self, c: Config) -> Why:
+    def why(self, c: Context) -> Why:
         """``is_executable``'s verdict on ``c``, with its reason."""
         hit = self._exec.get(c)
         if hit is not None:
@@ -399,7 +426,7 @@ class CompatChecker:
             return hit
         self.configs += 1
         why = _DRAINED
-        if not c.is_empty():
+        if c.entries:
             trs = tuple(transitions(c, one_endpoint=True))
             why = Why(bool(trs), trs)
             for lab, c2 in trs:
@@ -412,7 +439,7 @@ class CompatChecker:
         self._exec[c] = why
         return why
 
-    def _some_executable(self, env: Env) -> Config | None:
+    def _some_executable(self, env: Env) -> Context | None:
         """The first annotation of ``env`` found executable, or None.  Slots
         with several candidates start as holes and are filled as
         ``transitions`` reads them; a hole never read stays in the result."""
@@ -438,7 +465,7 @@ class CompatChecker:
                             if need.viable(v))
         return None
 
-    def root(self, env: Env) -> Config | None:
+    def root(self, env: Env) -> Context | None:
         """``_some_executable(env)``, decided once per environment."""
         if env not in self._roots:
             self._roots[env] = self._some_executable(env)
@@ -453,12 +480,12 @@ class CompatChecker:
         return self.root(_dual_env(env)) is not None
 
 
-def _fill(c: Config, hole: str, value: tuple[Endpoint, ...]) -> Config:
+def _fill(c: Context, hole: str, value: tuple[Endpoint, ...]) -> Context:
     """A root configuration (no queues) with ``hole`` set to ``value``."""
-    return Config.make((x, S.fill_holes(t, {hole: value})) for x, t in c.delta)
+    return map_context(c, typ=lambda t: S.fill_holes(t, {hole: value}))
 
 
-def is_executable(c: Config) -> bool:
+def is_executable(c: Context) -> bool:
     return CompatChecker().is_executable(c)
 
 
@@ -467,7 +494,7 @@ def multiparty_compatible(env: Env, checker: CompatChecker | None = None) -> boo
 
 
 def stuck_path(env: Env, checker: CompatChecker | None = None,
-               ) -> tuple[Config, list[Step], Config] | None:
+               ) -> tuple[Context, list[Step], Context] | None:
     """A witness that an environment is incompatible: for the first annotation
     of its dual, a maximal path ending in a nonempty configuration (or a send
     step whose carried environment is itself incompatible).  None when that
@@ -521,11 +548,12 @@ def witness(env: Env, checker: CompatChecker | None = None) -> tuple[Context, Pr
     """
     chk = checker or CompatChecker()
     root = chk.root(_dual_env(env))
-    if root is None or root.is_empty():
+    if root is None or not root.entries:
         return None
     holes = count(1)
-    ann = _annotate(root.delta, lambda cands, ts: cands[0] if S.is_hole(ts) else ts,
-                    lambda: (f"{S.HOLE_PREFIX}{next(holes)}",)).delta_map()
+    ann = _typings(_annotate(_typings(root).items(),
+                             lambda cands, ts: cands[0] if S.is_hole(ts) else ts,
+                             lambda: (f"{S.HOLE_PREFIX}{next(holes)}",)))
     g = Context(tuple(Entry(x, (), ann[x]) for x, _ in env))
     ren = {x: x for x in ann}
     replay = _Replay(chk, ann, {})
@@ -572,7 +600,7 @@ class _Replay:
             n = self.alias[n]
         return n
 
-    def term(self, c: Config, g: Context, ren: dict[Endpoint, Endpoint]) -> Process:
+    def term(self, c: Context, g: Context, ren: dict[Endpoint, Endpoint]) -> Process:
         """The term at ``g`` of executable ``c``, whose endpoint ``x`` is
         ``ren[x]`` in ``g``."""
         edges = self.chk._exec[c].edges
@@ -580,14 +608,14 @@ class _Replay:
         x = ren[lab.x]
         ctor, heads, f = _HEADS[lab.rule], (x,), None
         if ctor is Link:
-            heads = (x, ren[next(n for n, _ in c.delta if n != lab.x)])
+            heads = (x, ren[next(e.endpoint for e in c.entries if e.endpoint != lab.x)])
         elif ctor in S.BINDING:
             f = self.find(self.supply.fresh(BINDER_BASE.get(ctor, x)))
             if self.alias and g.binds(f):
                 raise _Disagree(f)  # a shared name, bound already on this path
         head = S.head_term(ctor, heads, f)
         _, prem = forwarder_step(head, g)
-        if ctor in (Server, Client):  # the rule renames the endpoint to its binder
+        if ctor in S.RENAMING:  # the rule renames the endpoint to its binder
             ren = {**ren, lab.x: head.fresh}
         if ctor is Send:
             (_, left), (_, right) = prem
@@ -599,7 +627,7 @@ class _Replay:
         names, scopes = S.scope(head)
         return S.from_scope(head, names, tuple((bs, q) for (bs, _), q in zip(scopes, qs)))
 
-    def _resolve(self, left: Context, sub: Config) -> tuple[Context, dict[Endpoint, Endpoint]]:
+    def _resolve(self, left: Context, sub: Context) -> tuple[Context, dict[Endpoint, Endpoint]]:
         """``left``, a send's payload premise, with its holes set to the spine
         slots of ``sub``, the root annotation its carried environment
         ``e0 ... ek`` was decided by; and the renaming of those names."""
@@ -607,7 +635,8 @@ class _Replay:
         if not any(S.size(e.typing) for e in left.entries):
             return left, ren
         # the payload slots of sub's own payloads are pinned to a hole: they stay open
-        spine = _annotate(sub.delta, lambda cands, ts: ts, lambda: (S.HOLE_PREFIX,)).delta_map()
+        spine = _typings(_annotate(_typings(sub).items(), lambda cands, ts: ts,
+                                   lambda: (S.HOLE_PREFIX,)))
         found = {}
         for e, e_k in zip(left.entries, ren):
             for ts, vs in zip(S.slots(e.typing), S.slots(spine[e_k])):

@@ -4,16 +4,15 @@ A queue item sits in the queue of the endpoint that received it and is
 labelled with the endpoint it must be forwarded to.  Items aimed at distinct
 endpoints commute; per-target order is part of the judgement.
 
-``Config`` is the compatibility-checking state: a type environment plus one
-FIFO per ordered (target, holder) pair of endpoints.  Its translation into a
-typing context is the bridge between the transition semantics and the proof
-system.
+A ``Context`` is also compat's state: the transition semantics steps the
+contexts the forwarder rules check, kept in the canonical form ``compat._make``
+gives them, so one queue format serves the proof system and the semantics.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter, eq, is_, itemgetter
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 from .records import record, replace
 from .syntax import (
@@ -100,7 +99,7 @@ def normalize_queue(q: Queue) -> Queue:
     commuting segments by target is a sound canonical representative; the
     subsequence of items sharing a target is never reordered.
     """
-    return tuple(sorted(q, key=lambda it: it.target))
+    return tuple(sorted(q, key=_TARGET))
 
 
 def first_destined(q: Queue, target: Endpoint) -> int | None:
@@ -127,14 +126,34 @@ class Entry:
     typing: Type | None = None  # None encodes the terminated entry "x:."
 
 
+def take_destined(e: Entry, x: Endpoint) -> tuple[QueueItem | None, Entry]:
+    """The first item of ``e``'s queue aimed at ``x`` (None if there is
+    none), and ``e`` without it: what a rule acting at ``x`` pops."""
+    i = first_destined(e.queue, x)
+    if i is None:
+        return None, e
+    return e.queue[i], Entry(e.endpoint, e.queue[:i] + e.queue[i + 1:], e.typing)
+
+
 @record
 class Context:
     entries: tuple[Entry, ...]
+    __slots__ = ("_hash",)  # None until the first ``hash``
 
     def __post_init__(self):
         names = [e.endpoint for e in self.entries]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate endpoints in context: {names}")
+        _set_hash(self, None)
+
+    def __hash__(self) -> int:
+        # cached in the ``_hash`` slot: compat's memo hashes a state on lookup
+        # and again on store, each time over every type and queue item
+        h = self._hash
+        if h is None:
+            h = hash((self.entries,))
+            _set_hash(self, h)
+        return h
 
     def endpoints(self) -> tuple[Endpoint, ...]:
         return tuple(e.endpoint for e in self.entries)
@@ -167,11 +186,12 @@ class Context:
             return Context(ents)
         g = object.__new__(Context)
         _set_entries(g, ents)
+        _set_hash(g, None)
         return g
 
 
-_ENDPOINT, _NAME = attrgetter("endpoint"), itemgetter(0)
-_set_entries = Context.entries.__set__
+_ENDPOINT, _NAME, _TARGET = attrgetter("endpoint"), itemgetter(0), attrgetter("target")
+_set_entries, _set_hash = Context.entries.__set__, Context._hash.__set__
 
 
 def ctx(*entries: Entry) -> Context:
@@ -314,80 +334,3 @@ def _rename_item(it: QueueItem, mapping: dict[Endpoint, Endpoint], names: bool) 
 def context_size(g: Context) -> int:
     """Total size: connectives in entry types plus in queued payload types."""
     return sum(size(t) for t in context_types(g))
-
-
-# ---------------------------------------------------------------------------
-# Compatibility configurations
-
-
-@record
-class Config:
-    """Type environment plus per ordered (target, holder) pair FIFOs.
-
-    ``sigma[(u, x)]`` holds the items received at ``x`` still to be forwarded
-    to ``u``; in the translation they become ``x``'s queue with brackets
-    labelled ``u``.  Both maps are stored as sorted tuples so configs hash.
-    """
-
-    delta: tuple[tuple[Endpoint, Type], ...]
-    sigma: tuple[tuple[tuple[Endpoint, Endpoint], Queue], ...] = ()
-    __slots__ = ("_hash",)  # None until the first ``hash``
-
-    @staticmethod
-    def make(
-        delta: Iterable[tuple[Endpoint, Type]],
-        sigma: Iterable[tuple[tuple[Endpoint, Endpoint], Queue]] = (),
-    ) -> Config:
-        d = tuple(sorted(delta))
-        s = tuple(sorted((k, tuple(q)) for k, q in sigma if q))
-        return Config(d, s)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", None)
-
-    def __hash__(self) -> int:
-        # cached in the ``_hash`` slot: the executability memo hashes a
-        # configuration on lookup and again on store, each time over every
-        # type and queue item
-        h = self._hash
-        if h is None:
-            h = hash((self.delta, self.sigma))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def delta_map(self) -> dict[Endpoint, Type]:
-        return dict(self.delta)
-
-    def sigma_map(self) -> dict[tuple[Endpoint, Endpoint], Queue]:
-        return {k: q for k, q in self.sigma}
-
-    def is_empty(self) -> bool:
-        return not self.delta and not self.sigma
-
-
-EMPTY_CONFIG = Config((), ())
-
-
-def translate_config(c: Config) -> Context:
-    """Forwarder context of a configuration.
-
-    Each endpoint's pending queues are concatenated grouped by bracket label
-    in canonical name order; holders absent from delta become terminated
-    entries that persist until their queues drain.
-    """
-    delta = c.delta_map()
-    sigma = c.sigma_map()
-    known = set(delta) | {x for (_, x) in sigma} | {u for (u, _) in sigma}
-    for (u, x), q in sigma.items():
-        if u == x:
-            raise ValueError(f"self-directed queue at {x}")
-        if u not in known:
-            raise ValueError(f"queue target {u} unknown to the configuration")
-    entries = []
-    holders = sorted(set(delta) | {x for (_, x), q in c.sigma if q})
-    for x in holders:
-        queue: list[QueueItem] = []
-        for u in sorted({u for (u, h) in sigma if h == x}):
-            queue.extend(sigma[(u, x)])
-        entries.append(Entry(x, tuple(queue), delta.get(x)))
-    return Context(tuple(entries))

@@ -466,6 +466,9 @@ ACTS = {
 }
 # The actions on each connective, in ``ACTS`` order.
 ACTIONS = {c: tuple(a for a, (d, _) in ACTS.items() if d is c) for c in CONNECTIVES}
+# The actions whose binder takes over the endpoint they act on: the ! and ?
+# rules continue with the server's or client's copy in its place.
+RENAMING = frozenset(ACTIONS[OfCourse] + ACTIONS[WhyNot])
 
 
 # The binder table: each constructor's head fields, the names it acts on,

@@ -13,8 +13,7 @@ from fwdcal import checker as K
 from fwdcal import compat as CM
 from fwdcal import cutelim as CE
 from fwdcal.contexts import (
-    Config, Context, MsgBox, QueueItem, context_size, endpoint_names, normalize_context,
-    rename_context,
+    Context, Entry, MsgBox, context_size, endpoint_names, normalize_context, rename_context,
 )
 from fwdcal.records import replace
 from fwdcal.syntax import (
@@ -115,18 +114,6 @@ def erase_context(g: Context) -> tuple[tuple[S.Endpoint, S.Type], ...]:
         if e.typing is not None:
             out.append((e.endpoint, erase(e.typing)))
     return tuple(out)
-
-
-def config_of_context(g: Context) -> Config:
-    """Inverse of ``contexts.translate_config`` on its image."""
-    delta = []
-    sigma: dict[tuple[S.Endpoint, S.Endpoint], list[QueueItem]] = {}
-    for e in g.entries:
-        if e.typing is not None:
-            delta.append((e.endpoint, e.typing))
-        for it in e.queue:
-            sigma.setdefault((it.target, e.endpoint), []).append(it)
-    return Config.make(delta, ((k, tuple(v)) for k, v in sigma.items()))
 
 
 def is_cut_free(p: S.Process) -> bool:
@@ -256,7 +243,7 @@ def annotation_variants(env):
         others = tuple(n for n in names if n != x)
         per_entry.append([(x, v) for v in _annotation_variants(erase(t), x, others)])
     for combo in product(*per_entry):
-        yield Config.make(combo)
+        yield Context(tuple(Entry(x, (), t) for x, t in combo))
 
 
 def exhaustively_compatible(env) -> bool:
@@ -278,7 +265,7 @@ def exhaustively_compatible(env) -> bool:
     def is_executable(c) -> bool:
         if c not in executable:
             trs = CM.transitions(c)
-            executable[c] = c.is_empty() or bool(trs) and all(
+            executable[c] = not c.entries or bool(trs) and all(
                 (not lab.carried or carried_ok(lab.carried)) and is_executable(c2)
                 for lab, c2 in trs)
         return executable[c]

@@ -10,12 +10,11 @@ Compat's moves (``TRANSITIONS``) push and take the same kinds.
 
 import pytest
 
-from genutil import config_of_context
 from fwdcal import checker as K
 from fwdcal import compat as CM
 from fwdcal import syntax as S
 from fwdcal.checker import CheckError, forwarder_step
-from fwdcal.contexts import QUEUES, TAKEN_BY, Context, Entry, MsgBox, msgbox
+from fwdcal.contexts import QUEUES, TAKEN_BY, Context, Entry, MsgBox, first_destined, msgbox
 from fwdcal.syntax import Atom, Cut, Link, OfCourse, One, WhyNot
 
 CONNECTIVES = list(S.CONNECTIVES)
@@ -84,13 +83,14 @@ def test_the_rule_queues_the_tables_items_or_takes_its_item(cls):
 def test_compat_moves_push_and_take_the_same_kinds(cls):
     dual = S.CONNECTIVES[cls].dual
     if cls in QUEUES:
-        c = config_of_context(_judgement(S.ACTIONS[cls][0], None)[1])
-        moves = CM.TRANSITIONS[cls](c, "x", _typed(cls), ("z",), c.delta_map(), c.sigma_map())
-        pushed = [tuple(type(it) for it in dict(c2.sigma)[("z", "x")]) for _, c2 in moves]
-        assert pushed == [(kind,) for kind in QUEUES[cls]]
+        c = _judgement(S.ACTIONS[cls][0], None)[1]
+        moves = CM.TRANSITIONS[cls](c, c.get("x"), ("z",))
+        pushed = [[(type(it), it.target) for it in c2.get("x").queue] for _, c2 in moves]
+        assert pushed == [[(kind, "z")] for kind in QUEUES[cls]]
         return
     for item in QUEUES[dual]:
-        c = config_of_context(_judgement(TAKEN_BY[item], item)[1])
-        (move,) = CM.TRANSITIONS[cls](c, "x", _typed(cls), ("z",), c.delta_map(), c.sigma_map())
+        c = _judgement(TAKEN_BY[item], item)[1]
+        (move,) = CM.TRANSITIONS[cls](c, c.get("x"), ("z",))
         assert CM._HEADS[move[0].rule] is TAKEN_BY[item]
-        assert ("x", "z") not in dict(move[1].sigma)
+        z = move[1].get("z")  # none once it is terminated and drained
+        assert z is None or first_destined(z.queue, "x") is None

@@ -224,6 +224,24 @@ def test_fmt_names_a_declaration_too_deep_to_print(tmp_path, capsys):
     assert err == f"{path}:2: fmt declaration nests too deeply to handle\n"
 
 
+WEAKEN = ("sim (!x(x#1). ?y[y#2]. x#1<->y#2) |- x : !{y} ~a, y : ?{x} a "
+          "parts (close z) |- z : 1, x : ? a @ x, (!y(s). ?t[r]. s<->r) |- t : ? a, y : ! ~a @ y;")
+
+
+def test_sim_reaches_the_weaken_step(tmp_path, capsys):
+    # the forwarder's server meets a part that never uses x, and every other
+    # part is a server: the composition is that part alone
+    path = tmp_path / "weaken.fwd"
+    path.write_text(WEAKEN + "\n", encoding="utf-8")
+    assert cli.main(["--json", "sim", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{"sim": "ok", "stats": {"forwarder_checks": 1, "part_checks": 2, "steps": 1}, '
+        '"term": "close z", "trace": ["Weaken"]}\n')
+    assert cli.main(["--json", "sim", "--step", str(path)]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert (rec["sim"], rec["tag"], rec["term"]) == ("final", "Weaken", "close z")
+
+
 def test_sim_step_walks_compose_to_final(tmp_path, capsys):
     # feed each printed state back in: every state parses and steps, and the
     # walk ends in the composition's last action

@@ -7,43 +7,49 @@ from fwdcal import compat as CM
 from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal.checker import check_forwarder, forwarder_step, synth_with_annotations
-from fwdcal.contexts import Config, MsgBox, normalize_context, translate_config
+from fwdcal.contexts import (
+    Context, Entry, LeftTok, MsgBox, Star, msgbox, normalize_context, rename_context,
+)
 from fwdcal.compat import Step, is_executable, multiparty_compatible, stuck_path, transitions
 from fwdcal.records import replace
-from fwdcal.syntax import Atom, Bot, DualAtom, One, dual, erase
+from fwdcal.syntax import Atom, DualAtom, One, dual, erase
+
+
+def _state(text: str) -> Context:
+    """A configuration in surface syntax, put in canonical order; its boxes
+    must carry their canonical names already."""
+    return normalize_context(P.parse_context(text))
 
 
 def test_transitions_dual_atoms():
-    c = Config.make((("x", DualAtom("a")), ("y", Atom("a"))))
-    assert transitions(c) == [(Step("Ax", "x"), Config.make(()))]
+    c = _state("x : ~a, y : a")
+    assert transitions(c) == [(Step("Ax", "x"), Context(()))]
 
 
 def test_transitions_empty_config():
-    assert transitions(Config.make(())) == []
+    assert transitions(Context(())) == []
+
+
+CRISSCROSS = "x : ~name |{y} ~cost *{y} bot{y}, y : cost |{x} name *{x} 1{x}"
 
 
 def test_crisscross_first_transitions_are_the_receives():
-    ann = P.parse_context(
-        "x : ~name |{y} ~cost *{y} bot{y}, y : cost |{x} name *{x} 1{x}")
-    c = Config.make(tuple((e.endpoint, e.typing) for e in ann.entries))
+    c = _state(CRISSCROSS)
     labs = [lab for lab, _ in transitions(c)]
     assert {l.rule for l in labs} == {"Par"}
     assert {l.x for l in labs} == {"x", "y"}
 
 
 def test_executable_dual_atoms():
-    assert is_executable(Config.make((("x", DualAtom("a")), ("y", Atom("a")))))
+    assert is_executable(_state("x : ~a, y : a"))
 
 
 def test_not_executable_same_atoms():
-    assert not is_executable(Config.make((("x", Atom("a")), ("y", Atom("a")))))
+    assert not is_executable(_state("x : a, y : a"))
 
 
 def test_executable_crisscross_annotation():
-    ann = P.parse_context(
-        "x : ~name |{y} ~cost *{y} bot{y}, y : cost |{x} name *{x} 1{x}")
-    c = Config.make(tuple((e.endpoint, e.typing) for e in ann.entries))
-    assert is_executable(c)
+    assert is_executable(_state(CRISSCROSS))
 
 
 def test_compat_examples():
@@ -57,7 +63,7 @@ def test_stuck_path_witness():
     got = stuck_path((("x", Atom("a")), ("y", Atom("a"))))
     assert got is not None
     _, labels, final = got
-    assert not final.is_empty()
+    assert final.entries
 
 
 def test_annotation_variants_cover_two_endpoint_uniqueness():
@@ -77,14 +83,15 @@ def _stub_term(lab, c, cprime):
     x = lab.x
     match lab.rule:
         case "Ax":
-            (y,) = [k for k, _ in c.delta if k != x]
+            (y,) = [e.endpoint for e in c.entries if e.endpoint != x]
             return S.Link(x, y), None
         case "One":
             return S.Close(x), None
         case "Bot":
             return S.Wait(x, stub), None
         case "Par":
-            box = cprime.sigma_map()[(c.delta_map()[x].target, x)][-1]
+            u = c.get(x).typing.target
+            box = [it for it in cprime.get(x).queue if it.target == u][-1]
             ((f, _),) = box.payloads
             return S.Recv(x, f, stub), None
         case "Tensor":
@@ -113,8 +120,8 @@ def _rename_entryname(g, old, new):
 
 
 def test_transitions_mirror_forwarder_rules():
-    # the premise of the rule named by each label, applied to the translated
-    # source, is the translation of the target (up to the fresh binder name)
+    # the premise of the rule named by each label, applied to the source, is
+    # the target (up to the fresh binder name and the order of entries)
     envs = [
         (("x", P.parse_type("~a | bot")), ("y", P.parse_type("a * 1"))),
         (("x", P.parse_type("~a & ~a")), ("y", P.parse_type("a + a"))),
@@ -124,20 +131,20 @@ def test_transitions_mirror_forwarder_rules():
                 for c0 in genutil.annotation_variants(tuple((x, dual(erase(t))) for x, t in env))]
     # three parties, under one annotation: y's branch queues a token for x
     # ahead of one for z, and z's selection reads the first item aimed at z,
-    # as its per-target FIFO in the configuration does
-    g = P.parse_context(THREE_PARTY)
-    frontier.append(Config.make(tuple((e.endpoint, e.typing) for e in g.entries)))
+    # as compat's move takes the first item aimed at z
+    frontier.append(_state(THREE_PARTY))
     seen = set()
     while frontier:
         c = frontier.pop()
         if c in seen:
             continue
         seen.add(c)
-        gam = translate_config(c)
         for lab, c2 in transitions(c):
+            assert c2 == normalize_context(c2)  # canonical: in name and target order
+            assert all(e.queue or e.typing is not None for e in c2.entries)
             frontier.append(c2)
             term, fresh = _stub_term(lab, c, c2)
-            tag, prem = forwarder_step(term, gam)
+            tag, prem = forwarder_step(term, c)
             assert tag == ("With" if lab.rule in ("WithL", "WithR") else lab.rule), (lab, tag)
             if tag == "With":
                 got = prem[lab.rule == "WithR"][1]
@@ -150,7 +157,22 @@ def test_transitions_mirror_forwarder_rules():
             else:
                 got = prem[0][1]
             got = _rename_entryname(got, fresh, lab.x)
-            assert normalize_context(got) == normalize_context(translate_config(c2)), lab
+            assert normalize_context(got) == normalize_context(c2), lab
+
+
+def test_a_move_pushes_into_its_queue_in_target_order():
+    # the star for a goes behind the token x holds for a and ahead of the box
+    # for z; terminated, x keeps its entry while its queue holds items
+    c = _state("a : 1{x}, x : bot{a} [to=a L] [to=z msg m1 : ~a], z : a")
+    (c2,) = [c2 for lab, c2 in transitions(c) if lab.x == "x"]
+    assert c2.get("x") == Entry("x", (LeftTok("a"), Star("a"), msgbox("z", "m1", DualAtom("a"))))
+
+
+def test_a_terminated_entry_stays_until_its_queue_is_empty():
+    kept, typed = Entry("x", (Star("y"),)), Entry("y", (), One(("x",)))
+    assert CM._make([Entry("w"), kept, typed]) == Context((kept, typed))
+    # the 1 takes the last star: nothing is left
+    assert transitions(Context((kept, typed))) == [(Step("One", "y"), Context(()))]
 
 
 def test_executable_invariant_under_renaming():
@@ -159,9 +181,7 @@ def test_executable_invariant_under_renaming():
         t = genutil.random_plain_type(rng, rng.randint(1, 3))
         env = (("x", dual(t)), ("y", t))
         for c in genutil.annotation_variants(env):
-            ren = {"x": "p", "y": "q"}
-            c2 = Config.make(
-                tuple((ren[n], S.rename_targets(tt, ren)) for n, tt in c.delta))
+            c2 = rename_context(c, {"x": "p", "y": "q"})  # name order kept
             assert is_executable(c) == is_executable(c2)
 
 
@@ -233,19 +253,19 @@ def test_four_parties_skip_slot_values_that_cannot_succeed():
 
 
 def test_box_names_do_not_depend_on_the_interleaving():
-    ann = P.parse_context(
-        "x : ~name |{y} ~cost *{y} bot{y}, y : cost |{x} name *{x} 1{x}")
-    c = Config.make(tuple((e.endpoint, e.typing) for e in ann.entries))
+    c = _state(CRISSCROSS)
 
     def step(c, x):
         (c2,) = [c2 for lab, c2 in transitions(c) if lab.x == x]
         return c2
 
-    # each receive boxes a payload; the two orders box them in turn
+    # each receive boxes a payload; the two orders box them in turn, and
+    # the boxes are named in (target, holder) order
     c2 = step(step(c, "x"), "y")
     assert c2 == step(step(c, "y"), "x")
-    boxes = [n for _, q in c2.sigma for it in q if isinstance(it, MsgBox) for n, _ in it.payloads]
-    assert boxes == ["m1", "m2"]
+    boxes = sorted((it.target, e.endpoint, n) for e in c2.entries for it in e.queue
+                   if isinstance(it, MsgBox) for n, _ in it.payloads)
+    assert boxes == [("x", "y", "m1"), ("y", "x", "m2")]
 
 
 def test_theorem_agreement_dual_pairs_always_compatible():
@@ -286,14 +306,14 @@ def test_theorem_agreement_with_payload_slots():
     assert 100 < sum(verdicts) < 200, sum(verdicts)
 
 
-def _stuck_path_all_endpoints(c0: Config):
+def _stuck_path_all_endpoints(c0: Context):
     """``stuck_path``'s search from ``c0`` over every endpoint's moves."""
     chk = CM.CompatChecker()
 
     def search(c, seen):
         trs = transitions(c)
         if not trs:
-            return (seen, c) if not c.is_empty() else None
+            return (seen, c) if c.entries else None
         for lab, c2 in trs:
             if lab.carried and not chk.send_env_ok(lab.carried):
                 return (seen + [lab], c)

@@ -1,15 +1,14 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from genutil import config_of_context, erase_context, rename_targets_by_slots
+from genutil import erase_context, rename_targets_by_slots
 from fwdcal import parsing as P
 from fwdcal import syntax as S
 from fwdcal.contexts import (
-    Config, Context, Entry, LeftTok, MsgBox, Query, RightTok, Star, context_fully_annotated,
+    Context, Entry, LeftTok, Query, RightTok, Star, context_fully_annotated,
     context_types, ctx, endpoint_names, map_context, msgbox, normalize_queue,
-    rename_context, rename_context_targets, translate_config,
+    rename_context, rename_context_targets,
 )
-from fwdcal.syntax import Atom, Bot, DualAtom, One, Tensor
+from fwdcal.syntax import Atom, DualAtom
 from test_parsing import contexts as parsed_contexts
 
 A = Atom("a")
@@ -100,56 +99,9 @@ def test_erase_context_tokens_vanish():
     assert erase_context(g) == ()
 
 
-def test_translate_empty():
-    assert translate_config(Config.make(())) == Context(())
-
-
-def test_translate_single():
-    c = Config.make((("x", A),))
-    assert translate_config(c) == ctx(Entry("x", (), A))
-
-
-def test_translate_one_box():
-    b = msgbox("y", "m", A)
-    c = Config.make((("x", Tensor(A, One(("y",)), ("y",))), ("y", NA)),
-                    (((("y", "x")), (b,)),))
-    g = translate_config(c)
-    assert g.get("x").queue == (b,)
-    assert g.get("y").queue == ()
-
-
-def test_translate_groups_by_label_name_order():
-    b1, b2, s = msgbox("y", "m", A), msgbox("z", "n", A), Star("a")
-    c = Config.make(
-        (("x", A), ("y", NA), ("z", NA), ("a", One(("x",)))),
-        ((("z", "x"), (b2,)), (("y", "x"), (b1,)), (("a", "x"), (s,))),
-    )
-    assert translate_config(c).get("x").queue == (s, b1, b2)
-
-
-def test_translate_terminated_holder():
-    c = Config.make((("y", NA),), ((("y", "x"), (msgbox("y", "m", A),)),))
-    g = translate_config(c)
-    assert g.get("x").typing is None and len(g.get("x").queue) == 1
-
-
-def test_translate_rejects_self_queue():
-    c = Config.make((("x", A),), ((("x", "x"), (Star("x"),)),))
-    with pytest.raises(ValueError):
-        translate_config(c)
-
-
-def test_translate_roundtrip():
-    b = msgbox("y", "m", A)
-    c = Config.make((("x", Bot("y")), ("y", One(("x",)))), ((("y", "x"), (b,)),))
-    assert config_of_context(translate_config(c)) == c
-
-
-def test_erase_of_translation_lists_boxes_once():
-    b = msgbox("y", "m", NA)
-    c = Config.make((("x", A), ("y", NA)), ((("y", "x"), (b,)),))
-    e = erase_context(translate_config(c))
-    assert sorted(e) == [("m", NA), ("x", A), ("y", NA)]
+def test_erase_context_lists_boxes_once():
+    g = ctx(Entry("x", (msgbox("y", "m", NA),), A), Entry("y", (), NA))
+    assert sorted(erase_context(g)) == [("m", NA), ("x", A), ("y", NA)]
 
 
 # The context walks that are plain loops, each against its ``map_context``

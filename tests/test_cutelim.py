@@ -285,6 +285,36 @@ def test_beta_K_annotation_follows_spliced_payload():
         "y : bot{v} [to=v msg d : bot{a}], v : 1{d} *{y} 1{y}")
 
 
+GATHERED_BOX_CUT = (
+    "cut (w(m). wait w; x[w#1].(wait m; close w#1 | close x)) "
+    "|- w : bot{w#1} |{x} bot{x}, x : 1{m} *{w} 1{w} "
+    "with (y(m#1). wait y; z(m#6). u[w#9].(wait m#1; wait m#6; close w#9 | wait z; close u)) "
+    "|- z : bot{w#9} |{u} bot{u}, u : 1{m#1,m#6} *{y,z} 1{y,z}, y : bot{w#9} |{u} bot{u};")
+
+
+@pytest.mark.xfail(strict=True, raises=Stuck, reason=(
+    "the conclusion still names the consumed binders w#1 and m#1 (ROADMAP item 2): "
+    "trace ['C2', 'C1', 'K'], failed at K: m must hold exactly one star for w#9"))
+def test_k_cuts_a_payload_against_a_message_that_gathers_several_boxes(monkeypatch):
+    # u's send gathers the boxes of m#1 and m#6, so K cuts the payload
+    # against that message process (``box_cut``) instead of splicing it
+    box_cuts = []
+    real = cutelim._cut_in_box
+
+    def spy(payload, a, host, c, box_cut):
+        return real(payload, a, host, c, lambda *cut: box_cuts.append(cut) or box_cut(*cut))
+
+    monkeypatch.setattr(cutelim, "_cut_in_box", spy)
+    (d,) = P.parse_file(GATHERED_BOX_CUT).decls
+    left, right = check_forwarder(d.left, d.left_ctx), check_forwarder(d.right, d.right_ctx)
+    try:
+        for g in cut_conclusions(d.left_ctx, "x", d.right_ctx, "y"):
+            term, _ = reduce_cut(left, "x", right, "y", g)
+            check_forwarder(term, g)
+    finally:
+        assert box_cuts  # the general path ran, whether or not the cut was realized
+
+
 def test_box_splice_targets_follow_spectators():
     host = P.parse_context("y : bot{v} [to=v msg c : bot{w}], v : 1{c} *{y} 1{y}")
     two = (("d1", Bot("a")), ("d2", Bot("a")))

@@ -214,6 +214,17 @@ def test_parse_errors_keep_their_position_and_text(text, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("parse,text,message", [
+    (P.parse_type, "a b", "1:3: trailing input 'b' (expected one of: end of input)"),
+    (P.parse_process, "close x; wait y", "1:8: trailing input ';' (expected one of: end of input)"),
+    (P.parse_context, "x : a y", "1:7: trailing input 'y' (expected one of: end of input)"),
+], ids=["type", "process", "context"])
+def test_a_single_form_refuses_input_after_it(parse, text, message):
+    with pytest.raises(P.ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("bad", ["$", "é", "#", "2"])
 @pytest.mark.parametrize("text,at", [
     ("## one\n## two\nsynth y : {};", "3:11"),

@@ -34,8 +34,8 @@ def nodes(x):
 def corpus_nodes() -> list:
     out = [n for path in sorted(CORPUS.glob("*.fwd"))
            for n in nodes(P.parse_file(path.read_text(encoding="utf-8")))]
-    cfg = C.Config.make([("x", S.Atom("a"))], [(("x", "y"), (C.Star("x"),))])
-    return out + [cfg, S.CONNECTIVES[S.Tensor],
+    state = C.Context((C.Entry("x", (), S.Atom("a")), C.Entry("y", (C.Star("x"),))))
+    return out + [state, S.CONNECTIVES[S.Tensor],
                   MC.PartEntry(S.Close("x"), (), "x", S.One(), None)]
 
 
@@ -181,11 +181,13 @@ def test_fields_give_names_and_annotations_in_order():
     assert fields(S.Atom("a")) == fields(S.Atom)
 
 
-def test_config_caches_its_hash_in_a_slot():
-    cfg = C.Config.make([("x", S.One())])
-    assert cfg._hash is None
-    assert hash(cfg) == hash((cfg.delta, cfg.sigma)) == cfg._hash
-    assert not hasattr(cfg, "__dict__")
+def test_context_caches_its_hash_in_a_slot():
+    # built by ``__init__`` and by ``replace``'s fast path, which skips it
+    built = C.Context((C.Entry("x", (), S.One()), C.Entry("y", (C.Star("x"),))))
+    for g in (built, built.replace({"x": C.Entry("x", (), S.Bot())})):
+        assert g._hash is None
+        assert hash(g) == hash((g.entries,)) == g._hash
+        assert not hasattr(g, "__dict__")
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
