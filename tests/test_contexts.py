@@ -6,9 +6,9 @@ from fwdcal import syntax as S
 from fwdcal.contexts import (
     Context, Entry, LeftTok, Query, RightTok, Star, context_fully_annotated,
     context_types, ctx, endpoint_names, map_context, msgbox, normalize_queue,
-    rename_context, rename_context_targets,
+    normalize_context, rename_context, rename_context_targets,
 )
-from fwdcal.syntax import Atom, DualAtom
+from fwdcal.syntax import Atom, DualAtom, One, Tensor
 from test_parsing import contexts as parsed_contexts
 
 A = Atom("a")
@@ -102,6 +102,24 @@ def test_erase_context_tokens_vanish():
 def test_erase_context_lists_boxes_once():
     g = ctx(Entry("x", (msgbox("y", "m", NA),), A), Entry("y", (), NA))
     assert sorted(erase_context(g)) == [("m", NA), ("x", A), ("y", NA)]
+
+
+# A state holds each queued item at its holder, in one queue per entry; the
+# canonical state orders that queue by target, keeping each target's order.
+
+def test_translate_one_box():
+    b = msgbox("y", "m", A)
+    g = normalize_context(ctx(Entry("y", (), NA),
+                              Entry("x", (b,), Tensor(A, One(("y",)), ("y",)))))
+    assert g.get("x").queue == (b,)
+    assert g.get("y").queue == ()
+
+
+def test_translate_groups_by_label_name_order():
+    b1, b2, s = msgbox("y", "m", A), msgbox("z", "n", A), Star("a")
+    g = normalize_context(ctx(Entry("x", (b2, b1, s), A), Entry("y", (), NA),
+                              Entry("z", (), NA), Entry("a", (), One(("x",)))))
+    assert g.get("x").queue == (s, b1, b2)
 
 
 # The context walks that are plain loops, each against its ``map_context``
