@@ -393,6 +393,21 @@ REFUSALS = [
     ("x<->y", "x : ~a, z : a", RuleMismatch, "Ax needs exactly the endpoints x,y"),
     ("x<->x", "x : ~a, y : a", RuleMismatch, "Ax needs exactly the endpoints x,x"),
     ("x<->x", "x : ~a", RuleMismatch, "Ax needs x:~a and x:a, got ~a and ~a"),
+    ("close x", "x : 1{y} [to=y *], y : . [to=x *]",
+     LeftoverQueue, "1 requires an empty queue at x"),
+    ("close x", "x : 1{y}, y : . [to=x *] [to=x *]",
+     LeftoverQueue, "y must hold exactly one star for x"),
+    ("!x(u). u<->v", "x : !{y} a, v : ?{x} ~a, y : ?{x} ~a",
+     RuleMismatch, "! at x must broadcast to every other endpoint"),
+    ("!x(u). ?v[w]. u<->w", "x : !{v} a, v : ?{x} ~a [to=x *]",
+     LeftoverQueue, "! needs an empty queue at v"),
+    ("wait z; close x", "x : 1{y}, y : .", RuleMismatch, "endpoint z not in context"),
+    ("wait x; close y", "x : bot{y}, y : .", RuleMismatch, "endpoint y is terminated"),
+    # a target that names a boxed payload, not an endpoint
+    ("x[w].(w<->m | close x)", "x : ~a *{m} 1{u}, u : . [to=x msg m : a]",
+     RuleMismatch, "* target m not in context"),
+    ("case x {inl: close x; inr: close x}", "x : 1{u} &{m} 1{u}, u : . [to=x msg m : a]",
+     RuleMismatch, "& target m not in context"),
 ]
 
 
@@ -419,6 +434,15 @@ def test_gathered_payload_names_clash_is_refused():
         check_forwarder(P.parse_process("x[w].(w<->m | close x)"), g)
     assert type(e.value) is RuleMismatch
     assert str(e.value) == "gathered payload names clash: ['m', 'm', 'w']"
+
+
+def test_with_needs_a_nonempty_target_set():
+    # the parser reads ``&{}`` as no annotation, so the context is built here,
+    # and ``check_forwarder`` refuses it as unannotated before any rule runs
+    g = ctx(Entry("x", (), S.With(One(("y",)), One(("y",)), ())), Entry("y", (Star("x"),)))
+    with pytest.raises(NonEmptyTargetViolation) as e:
+        forwarder_step(P.parse_process("case x {inl: close x; inr: close x}"), g)
+    assert str(e.value) == "rule & needs a nonempty target set"
 
 
 def _put(g: Context, x: str, new: Entry) -> Context:
