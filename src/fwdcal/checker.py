@@ -7,15 +7,26 @@ the endpoint that must relay it, and a send pops matching boxes.
 ``CP_RULES``, which ``cp_step`` applies, is plain CP typing over an erased
 environment.  Given a term and a context, each applies the rule the term's
 head names and returns the premise judgements; everything else is built on
-them.  ``check_forwarder``
-and ``check_cll`` fold them over a term (``check_cll`` erases its
-environment once, and adds the weakening and contraction steps the term
-forces), and ``synth_context`` decides derivability by proof search that
-fires ``forwarder_step`` (the rules are invertible, so search never
-backtracks over rule order on fully annotated contexts), resolving missing
-annotations lazily; ``synth_forwarder`` is that search on a fully annotated
-context.  The cut and composition engines read their premises off the
-derivations of the two folds.
+them.  ``check_forwarder`` and ``check_cll`` fold them over a term
+(``check_cll`` erases its environment once, and adds the weakening and
+contraction steps the term forces), and ``synth_context`` decides
+derivability by proof search that fires ``forwarder_step`` (the rules are
+invertible, so search never backtracks over rule order on fully annotated
+contexts), resolving missing annotations lazily; ``synth_forwarder`` is that
+search on a fully annotated context.  The cut and composition engines read
+their premises off the derivations of the two folds.
+
+Each forwarder rule is written once, as a body: ``link_rule`` for Ax, and
+each connective's row of ``CONNECTIVE_RULES``, a function of the context,
+the acting entry, the value of its head slot, the action and the name a |
+boxes.  It holds the rule's checks, pops, pushes, residual types and
+refusal texts, and returns the premises as specs: its tag, the entries it
+pops, a (type, pushes) pair per premise of the actor, and a * rule's
+payload environment (the gathered payloads, then the sent one).  Or it
+raises a CheckError, whose text is built only when read.  The rows of
+``FORWARDER_RULES`` add what belongs to the term: the binder, its
+freshness, and the ! and ? rules' renaming to it.  Compat's moves and
+synthesis read the bodies through ``rule_at``.
 
 Queues are read per target.  The ⊗, ⊕ and ? rules acting at ``x`` read the
 first item aimed at ``x`` in the queue of each endpoint they consult, not
@@ -26,6 +37,7 @@ compat's per-target FIFOs have it.
 from __future__ import annotations
 
 import operator
+from functools import partial
 from itertools import combinations, starmap
 from typing import Iterator
 
@@ -37,7 +49,7 @@ from .syntax import (
 )
 from .contexts import (
     QUEUES, TAKEN_BY, Context, Entry, LeftTok, MsgBox, Query, QueueItem, RightTok, Star,
-    context_fully_annotated, endpoint_names, first_destined, map_context, msgbox,
+    context_fully_annotated, destined, endpoint_names, map_context, msgbox,
     normalize_queue, print_queue_item, rename_context_targets, take_destined, target_names,
 )
 from .records import record, replace
@@ -46,7 +58,15 @@ Env = tuple[tuple[str, Type], ...]
 
 
 class CheckError(Exception):
-    pass
+    """A refusal.  Given a format string and its arguments, it builds its
+    text only when something reads it (compat and synthesis never do),
+    calling each argument that is a function."""
+
+    def __str__(self) -> str:
+        if len(self.args) < 2:
+            return super().__str__()
+        text, *args = self.args
+        return text.format(*(a() if callable(a) else a for a in args))
 
 
 class NotAnnotated(CheckError):
@@ -138,12 +158,144 @@ class Derivation:
 
 def forwarder_step(p: Process, g: Context) -> tuple[str, tuple[tuple[Process, Context], ...]]:
     """One rule of the forwarder system, term-directed: the row of
-    ``FORWARDER_RULES`` for ``p``'s class.
-
-    Returns the rule tag and the premise judgements, or raises a CheckError
-    naming the first mismatch.
-    """
+    ``FORWARDER_RULES`` for ``p``'s class.  Returns the rule tag and the
+    premise judgements, or raises a CheckError naming the first mismatch."""
     return FORWARDER_RULES.get(type(p), _fwd_none)(p, g)
+
+
+def link_rule(ex: Entry, ey: Entry) -> str:
+    """The Ax leaf at the only two entries ``ex`` and ``ey``."""
+    if ex.queue or ey.queue:
+        raise LeftoverQueue("Ax requires empty queues")
+    tx, ty = ex.typing, ey.typing
+    if type(tx) is DualAtom and type(ty) is Atom and tx.name == ty.name:
+        return "Ax"
+    shown = ("terminated" if t is None else partial(S.print_type, t) for t in (tx, ty))
+    raise RuleMismatch("Ax needs {}:~a and {}:a, got {} and {}", ex.endpoint, ey.endpoint, *shown)
+
+
+def link_at(ents) -> tuple[str, Entry, Entry] | None:
+    """The Ax leaf's tag and two entries ``ents``, the dual atom first, or None."""
+    d, a = ents if type(ents[0].typing) is DualAtom else ents[::-1]
+    try:
+        return link_rule(d, a), d, a
+    except CheckError:
+        return None
+
+
+def _every_other(g: Context, e: Entry, ts, refusal: str) -> list[Entry]:
+    """The entries but ``e``, which the 1 and ! rules' ``ts`` names once each;
+    else ``refusal``, formatted with ``e``'s endpoint and ``ts``."""
+    others = [o for o in g.entries if o is not e]
+    if len(ts) != len(others) or set(ts) != {o.endpoint for o in others}:
+        raise RuleMismatch(refusal, e.endpoint, ",".join(ts))
+    return others
+
+
+def _one(g: Context, e: Entry, ts, act, f):
+    x = e.endpoint
+    if e.queue:
+        raise LeftoverQueue("1 requires an empty queue at {}", x)
+    for o in _every_other(g, e, ts, "1 at {} must gather every other endpoint, got {{{}}}"):
+        if o.typing is not None:
+            raise RuleMismatch("1 needs {} terminated", o.endpoint)
+        if o.queue != (Star(x),):
+            raise LeftoverQueue("{} must hold exactly one star for {}", o.endpoint, x)
+    return "One", {}, (), ()
+
+
+def _bot(g: Context, e: Entry, ts, act, f):
+    return "Bot", {}, ((None, (Star(ts[0]),)),), ()
+
+
+def _par(g: Context, e: Entry, ts, act, f):
+    t = e.typing
+    return "Par", {}, ((t.right, (msgbox(ts[0], f, t.left),)),), ()
+
+
+def _tensor(g: Context, e: Entry, ts, act, f):
+    x = e.endpoint
+    gathered: list[tuple[str, Type]] = []
+    pops = {}
+    for u in ts:
+        eu = pops.get(u) or g.get(u)
+        if u == x or eu is None:
+            raise RuleMismatch("* target {} not in context", u)
+        if not eu.queue:
+            raise QueueHeadMismatch("empty queue at {}, * at {} expects a box", u, x)
+        head, pops[u] = take_destined(eu, x)
+        if type(head) is not MsgBox:
+            raise QueueHeadMismatch("head of {}'s queue must be a message for {}, got {}",
+                                    u, x, partial(_shown, head))
+        gathered.extend(head.payloads)
+    gathered.append((f, e.typing.left))
+    return "Tensor", pops, ((e.typing.right, ()),), gathered
+
+
+def _taken(g: Context, e: Entry, z: str, item: QueueItem, rule: str) -> dict[str, Entry]:
+    """The + and ? rules' pop: ``z``'s first item for ``e``, which is ``item``."""
+    x, ez = e.endpoint, g.get(z)
+    if z == x or ez is None:
+        raise RuleMismatch("{} target {} not in context", rule, z)
+    head, ez = take_destined(ez, x)
+    if head != item:
+        want = partial(print_queue_item, item) if rule == "+" else "a query for " + x
+        raise QueueHeadMismatch("head of {}'s queue must be {}, got {}", z, want,
+                                partial(_shown, head))
+    return {z: ez}
+
+
+def _plus(g: Context, e: Entry, ts, act, f):
+    t, left = e.typing, act is Inl
+    pops = _taken(g, e, ts[0], (LeftTok if left else RightTok)(e.endpoint), "+")
+    return ("PlusL" if left else "PlusR"), pops, ((t.left if left else t.right, ()),), ()
+
+
+def _with(g: Context, e: Entry, ts, act, f):
+    x, t = e.endpoint, e.typing
+    for u in ts:
+        if u == x or g.get(u) is None:
+            raise RuleMismatch("& target {} not in context", u)
+    return "With", {}, ((t.left, tuple(LeftTok(u) for u in ts)),
+                        (t.right, tuple(RightTok(u) for u in ts))), ()
+
+
+def _bang(g: Context, e: Entry, ts, act, f):
+    x = e.endpoint
+    if e.queue:
+        raise LeftoverQueue("! requires an empty queue at {}", x)
+    for o in _every_other(g, e, ts, "! at {} must broadcast to every other endpoint"):
+        if o.typing is None or not isinstance(o.typing, WhyNot):
+            raise RuleMismatch("! needs {} to be ?-typed", o.endpoint)
+        if o.queue:
+            raise LeftoverQueue("! needs an empty queue at {}", o.endpoint)
+    return "Bang", {}, ((e.typing.body, tuple(Query(u) for u in ts)),), ()
+
+
+def _quest(g: Context, e: Entry, ts, act, f):
+    return "Quest", _taken(g, e, ts[0], Query(e.endpoint), "?"), ((e.typing.body, ()),), ()
+
+
+CONNECTIVE_RULES = {One: _one, Bot: _bot, Tensor: _tensor, Par: _par, Plus: _plus, With: _with,
+                    OfCourse: _bang, WhyNot: _quest}
+
+
+def rule_at(g: Context, e: Entry, ts: tuple[str, ...]):
+    """The action by which the rule of ``e``'s connective applies with head
+    slot ``ts``, and what its body returns; None when it does not apply.  A
+    rule that takes items takes them by the action ``TAKEN_BY`` gives the
+    first one waiting for ``e``'s endpoint at ``ts[0]``."""
+    cls = type(e.typing)
+    if cls in QUEUES:
+        act = S.ACTIONS[cls][0]
+    else:
+        act = TAKEN_BY.get(type(destined(g.get(ts[0]), e.endpoint)))
+        if act is None or S.ACTS[act][0] is not cls:
+            return None
+    try:
+        return act, CONNECTIVE_RULES[cls](g, e, ts, act, "m")
+    except CheckError:
+        return None
 
 
 def _fwd_none(p, g: Context):
@@ -155,155 +307,17 @@ def _fwd_ax(p: Link, g: Context):
     ex, ey = g.get(x), g.get(y)
     if ex is None or ey is None or len(g.entries) != 2 - (x == y):
         raise RuleMismatch(f"Ax needs exactly the endpoints {x},{y}")
-    if ex.queue or ey.queue:
-        raise LeftoverQueue("Ax requires empty queues")
-    tx, ty = ex.typing, ey.typing
-    if type(tx) is DualAtom and type(ty) is Atom and tx.name == ty.name:
-        return "Ax", ()
-    shown = [S.print_type(t) if t is not None else "terminated" for t in (tx, ty)]
-    raise RuleMismatch(f"Ax needs {x}:~a and {y}:a, got {shown[0]} and {shown[1]}")
+    return link_rule(ex, ey), ()
 
 
-def _fwd_one(p: Close, g: Context):
-    x = p.x
-    e, t = _active(g, p, "1")
-    if e.queue:
-        raise LeftoverQueue(f"1 requires an empty queue at {x}")
-    others = [o for o in g.entries if o.endpoint != x]
-    if set(t.targets) != {o.endpoint for o in others}:
-        raise RuleMismatch(
-            f"1 at {x} must gather every other endpoint, got {{{','.join(t.targets)}}}")
-    for o in others:
-        if o.typing is not None:
-            raise RuleMismatch(f"1 needs {o.endpoint} terminated")
-        if o.queue != (Star(x),):
-            raise LeftoverQueue(f"{o.endpoint} must hold exactly one star for {x}")
-    return "One", ()
-
-
-def _fwd_bot(p: Wait, g: Context):
-    e, t = _active(g, p, "bot with a target")
-    return "Bot", ((p.cont, g.replace({p.x: Entry(p.x, e.queue + (Star(t.target),), None)})),)
-
-
-def _fwd_par(p: Recv, g: Context):
-    x, f = p.x, p.fresh
-    e, t = _active(g, p, "A|{u}B")
-    if g.binds(f):
-        raise RuleMismatch(f"received name {f} is not fresh")
-    g2 = g.replace({x: Entry(x, e.queue + (msgbox(t.target, f, t.left),), t.right)})
-    return "Par", ((p.cont, g2),)
-
-
-def _fwd_tensor(p: Send, g: Context):
-    x, f = p.x, p.fresh
-    e, t = _active(g, p, "A*{u}B")
-    if g.binds(f):
-        raise RuleMismatch(f"sent name {f} is not fresh")
-    gathered: list[tuple[str, Type]] = []
-    new = {}
-    for u in t.targets:
-        eu = new.get(u) or g.get(u)
-        if u == x or eu is None:
-            raise RuleMismatch(f"* target {u} not in context")
-        if not eu.queue:
-            raise QueueHeadMismatch(f"empty queue at {u}, * at {x} expects a box")
-        head, new[u] = take_destined(eu, x)
-        if type(head) is not MsgBox:
-            raise QueueHeadMismatch(
-                f"head of {u}'s queue must be a message for {x}, got {_shown(head)}")
-        gathered.extend(head.payloads)
-    names = [n for n, _ in gathered] + [f]
-    if len(set(names)) != len(names):
-        raise RuleMismatch(f"gathered payload names clash: {names}")
-    left = Context(tuple(Entry(n, (), a) for n, a in gathered) + (Entry(f, (), t.left),))
-    new[x] = Entry(x, e.queue, t.right)
-    return "Tensor", ((p.payload, left), (p.cont, g.replace(new)))
-
-
-def _fwd_plus(p: Inl | Inr, g: Context):
-    x, want_left = p.x, type(p) is Inl
-    e, t = _active(g, p, "A+{z}B")
-    z = t.target
-    ez = g.get(z)
-    if z == x or ez is None:
-        raise RuleMismatch(f"+ target {z} not in context")
-    tok = LeftTok(x) if want_left else RightTok(x)
-    head, ez = take_destined(ez, x)
-    if head != tok:
-        raise QueueHeadMismatch(
-            f"head of {z}'s queue must be {print_queue_item(tok)}, got {_shown(head)}")
-    g2 = g.replace({z: ez, x: Entry(x, e.queue, t.left if want_left else t.right)})
-    return ("PlusL" if want_left else "PlusR"), ((p.cont, g2),)
-
-
-def _fwd_with(p: Case, g: Context):
-    x = p.x
-    e, t = _active(g, p, "A&{u}B")
-    for u in t.targets:
-        if u == x or g.get(u) is None:
-            raise RuleMismatch(f"& target {u} not in context")
-    gl = g.replace({x: Entry(x, e.queue + tuple(LeftTok(u) for u in t.targets), t.left)})
-    gr = g.replace({x: Entry(x, e.queue + tuple(RightTok(u) for u in t.targets), t.right)})
-    return "With", ((p.left, gl), (p.right, gr))
-
-
-def _fwd_bang(p: Server, g: Context):
-    x, f = p.x, p.fresh
-    e, t = _active(g, p, "!{u}A")
-    if e.queue:
-        raise LeftoverQueue(f"! requires an empty queue at {x}")
-    others = [o for o in g.entries if o.endpoint != x]
-    if set(t.targets) != {o.endpoint for o in others}:
-        raise RuleMismatch(f"! at {x} must broadcast to every other endpoint")
-    for o in others:
-        if o.typing is None or not isinstance(o.typing, WhyNot):
-            raise RuleMismatch(f"! needs {o.endpoint} to be ?-typed")
-        if o.queue:
-            raise LeftoverQueue(f"! needs an empty queue at {o.endpoint}")
-    if g.binds(f):
-        raise RuleMismatch(f"server name {f} is not fresh")
-    new = Entry(f, tuple(Query(u) for u in t.targets), t.body)
-    return "Bang", ((p.body, rename_context_targets(g, {x: f}, {x: new})),)
-
-
-def _fwd_quest(p: Client, g: Context):
-    x, f = p.x, p.fresh
-    e, t = _active(g, p, "?{z}A")
-    z = t.target
-    ez = g.get(z)
-    if z == x or ez is None:
-        raise RuleMismatch(f"? target {z} not in context")
-    head, ez = take_destined(ez, x)
-    if head != Query(x):
-        raise QueueHeadMismatch(
-            f"head of {z}'s queue must be a query for {x}, got {_shown(head)}")
-    if g.binds(f):
-        raise RuleMismatch(f"client name {f} is not fresh")
-    g2 = rename_context_targets(g, {x: f}, {z: ez, x: Entry(f, e.queue, t.body)})
-    return "Quest", ((p.cont, g2),)
-
-
-def _fwd_cut(p: Cut, g: Context):
-    raise RuleMismatch("forwarders contain no cuts")
-
-
-FORWARDER_RULES = {
-    Link: _fwd_ax, Close: _fwd_one, Wait: _fwd_bot, Recv: _fwd_par, Send: _fwd_tensor,
-    Inl: _fwd_plus, Inr: _fwd_plus, Case: _fwd_with, Server: _fwd_bang, Client: _fwd_quest,
-    Cut: _fwd_cut,
-}
-
-
-def _shown(item: QueueItem | None) -> str:
-    return "nothing" if item is None else print_queue_item(item)
-
-
-def _active(g: Context, p: Process, shape: str) -> tuple[Entry, Type]:
-    """The entry and typing of the endpoint ``p`` acts on, which must be
-    ``p``'s connective (``ACTS``) with its slot set, as ``shape`` says."""
-    x = p.x
-    cls, acts = S.ACTS[type(p)]
+def _fwd_act(p: Process, g: Context):
+    """An action's rule: its connective's rule body at the entry ``p`` acts
+    on, whose typing must be that connective (``ACTS``) with its slot set,
+    under the term.  Its binder is checked fresh before the body reads its
+    targets for * and |, after for ! and ?; a send's gathered names must not
+    clash; the ! and ? rules go on with the binder in place of ``x``."""
+    act, x = type(p), p.x
+    cls, verb = S.ACTS[act]
     e = g.get(x)
     if e is None:
         raise RuleMismatch(f"endpoint {x} not in context")
@@ -312,10 +326,57 @@ def _active(g: Context, p: Process, shape: str) -> tuple[Entry, Type]:
         raise RuleMismatch(f"endpoint {x} is terminated")
     row = S.CONNECTIVES[cls]
     if type(t) is not cls or not row.multi and t.target is None:
-        raise RuleMismatch(f"{acts} {x} needs {x}:{shape}, got {S.print_type(t)}")
-    if row.multi and not t.targets:
+        raise RuleMismatch("{} {} needs {}:{}, got {}", verb, x, x, _SHAPES[act][0],
+                           partial(S.print_type, t))
+    ts = t.targets if row.multi else (t.target,)
+    if not ts:
         raise NonEmptyTargetViolation(f"rule {row.symbol} needs a nonempty target set")
-    return e, t
+    f = p.fresh if act in S.BINDING else None
+    if act is Recv or act is Send:
+        _fresh(g, p)
+    tag, pops, prems, sent = CONNECTIVE_RULES[cls](g, e, ts, act, f)
+    if not prems:  # the 1 rule, a leaf
+        return tag, ()
+    if act is Case:
+        (tl, pl), (tr, pr) = prems
+        return tag, ((p.left, g.replace({x: Entry(x, e.queue + pl, tl)})),
+                     (p.right, g.replace({x: Entry(x, e.queue + pr, tr)})))
+    ((typ, pushes),) = prems
+    if act in S.RENAMING:
+        _fresh(g, p)
+        pops[x] = Entry(f, e.queue + pushes, typ)
+        cont = p.body if act is Server else p.cont
+        return tag, ((cont, rename_context_targets(g, {x: f}, pops)),)
+    pops[x] = Entry(x, e.queue + pushes, typ)
+    if act is not Send:
+        return tag, ((p.cont, g.replace(pops)),)
+    names = [n for n, _ in sent]
+    if len(set(names)) != len(names):
+        raise RuleMismatch(f"gathered payload names clash: {names}")
+    return tag, ((p.payload, Context(tuple(Entry(n, (), a) for n, a in sent))),
+                 (p.cont, g.replace(pops)))
+
+
+def _fwd_cut(p: Cut, g: Context):
+    raise RuleMismatch("forwarders contain no cuts")
+
+
+FORWARDER_RULES = {Link: _fwd_ax, Cut: _fwd_cut, **dict.fromkeys(S.ACTS, _fwd_act)}
+# Each action's typing as its refusals write it, and the word for its binder.
+_SHAPES = {
+    Close: ("1", None), Wait: ("bot with a target", None), Send: ("A*{u}B", "sent"),
+    Recv: ("A|{u}B", "received"), Inl: ("A+{z}B", None), Inr: ("A+{z}B", None),
+    Case: ("A&{u}B", None), Server: ("!{u}A", "server"), Client: ("?{z}A", "client"),
+}
+
+
+def _shown(item: QueueItem | None) -> str:
+    return "nothing" if item is None else print_queue_item(item)
+
+
+def _fresh(g: Context, p: Process):
+    if g.binds(p.fresh):
+        raise RuleMismatch(f"{_SHAPES[type(p)][1]} name {p.fresh} is not fresh")
 
 
 def check_forwarder(p: Process, g: Context) -> Derivation:
@@ -627,33 +688,6 @@ def _unrename(ren: dict[str, str], names: tuple[str, ...]) -> tuple[str, ...]:
 def _solutions_raw(g, store, supply, failed, ren):
     entries = sorted(g.entries, key=lambda e: e.endpoint)
 
-    # Leaf rules first: their applicability is forced by the whole context.
-    if len(entries) == 2:
-        (e1, e2) = entries
-        ts = {type(e1.typing), type(e2.typing)}
-        if ts == {Atom, DualAtom} and not e1.queue and not e2.queue:
-            if isinstance(e1.typing, DualAtom):
-                d, a = e1, e2
-            else:
-                d, a = e2, e1
-            if d.typing.name == a.typing.name:
-                yield Link(d.endpoint, a.endpoint), store
-                return
-
-    for e in entries:
-        if isinstance(e.typing, One) and not e.queue:
-            others = [o for o in entries if o.endpoint != e.endpoint]
-            if all(o.typing is None and o.queue == (Star(e.endpoint),) for o in others):
-                ts = e.typing.targets
-                names = tuple(sorted(o.endpoint for o in others))
-                if S.is_hole(ts):
-                    if names:
-                        yield Close(e.endpoint), {**store, ts[0]: _unrename(ren, names)}
-                    return
-                if ts and set(ts) == set(names):
-                    yield Close(e.endpoint), store
-                    return
-
     # Deterministic step: an entry whose head annotation is resolved and whose
     # rule is enabled can always be fired first (the rules are invertible).
     by = {e.endpoint: e for e in entries}
@@ -664,41 +698,49 @@ def _solutions_raw(g, store, supply, failed, ren):
         if S.is_hole(S.targets_of(e.typing)):
             holed.append(e)
             continue
-        for value, head in _moves(e, by):
+        for value, head in _moves(e, g, by):
             yield from _fire(e, value, head, g, store, supply, failed, ren)
             return
 
     # Otherwise branch over lazy annotation choices, entry by entry.
     for e in holed:
-        for value, head in _moves(e, by):
+        for value, head in _moves(e, g, by):
             yield from _fire(e, value, head, g, store, supply, failed, ren)
+    if holed:  # the leaf rules apply only where no other rule fires
+        return
+    leaf = link_at(entries) if len(entries) == 2 else None
+    if leaf:
+        yield Link(leaf[1].endpoint, leaf[2].endpoint), store
+        return
+    for e in entries:
+        if type(e.typing) is One:
+            ts = e.typing.targets
+            names = tuple(o.endpoint for o in entries if o is not e)
+            hole = S.is_hole(ts)
+            if names and rule_at(g, e, names if hole else ts):
+                yield Close(e.endpoint), {**store, ts[0]: _unrename(ren, names)} if hole else store
+                return
 
 
-def _moves(e: Entry, by: dict[str, Entry]):
+def _moves(e: Entry, g: Context, by: dict[str, Entry]):
     """The rule instances synthesis tries at ``e``, in search order: the
     value of its head annotation slot and the action of the head term.
-    ``by`` maps the context's endpoints, in name order, to their entries.
+    ``by`` maps the endpoints of the context ``g``, in name order, to their
+    entries.
 
     A resolved slot offers itself when its rule applies; a hole offers every
-    candidate value: for a rule that queues items (``QUEUES``), the other
-    endpoints not terminated; for one that takes the first item for ``x`` at
-    each target, those whose item it takes (``TAKEN_BY``, which picks the
-    action).  This is only a cheap applicability test, reading queues per
-    target as ``forwarder_step`` does; the premises come from it.
-    """
-    t, x = e.typing, e.endpoint
-    cls = type(t)
-    ts = S.targets_of(t)
+    candidate value: to a !, every other endpoint if its body takes them
+    (``rule_at``); to another rule that queues items (``QUEUES``), the other
+    endpoints not terminated; to one that takes an item for ``x`` at each
+    target, those whose item it takes (``TAKEN_BY``, which picks the
+    action).  But for the !, this is only a cheap applicability test."""
+    x, cls, ts = e.endpoint, type(e.typing), S.targets_of(e.typing)
     hole = S.is_hole(ts)
     others = [u for u in by if u != x]
     if cls is OfCourse:
-        if e.queue or not others or any(
-                not isinstance(by[u].typing, WhyNot) or by[u].queue for u in others):
-            return
-        if hole:
-            yield tuple(others), Server
-        elif set(ts) == set(others):
-            yield ts, Server
+        value = tuple(others) if hole else ts
+        if others and rule_at(g, e, value):
+            yield value, Server
         return
     if cls in QUEUES:
         (act,) = S.ACTIONS[cls]
@@ -707,8 +749,7 @@ def _moves(e: Entry, by: dict[str, Entry]):
     else:
         ready = {}
         for u in others if hole else ts:
-            i = first_destined(by[u].queue, x) if u in by and u != x else None
-            act = None if i is None else TAKEN_BY.get(type(by[u].queue[i]))
+            act = None if u == x else TAKEN_BY.get(type(destined(by.get(u), x)))
             if act is not None and S.ACTS[act][0] is cls:
                 ready[u] = act
     if not hole:

@@ -3,7 +3,9 @@
 A configuration is a forwarder ``Context``: each endpoint's type and its
 queue of items labelled with the endpoint each is forwarded to.  It steps
 exactly when a forwarder rule applies to it, with the premise as the target,
-and each transition is a ``Step`` named by that rule.  Executability
+and each transition is a ``Step`` named by that rule: ``transitions`` reads
+the moves off the checker's rule bodies (``checker.rule_at``) and keeps no
+rule of its own.  Executability
 asks that every maximal path drains the configuration and that the
 environment carried by each ``Tensor`` step is itself compatible;
 multiparty compatibility then quantifies over annotations of the dualized
@@ -25,7 +27,7 @@ and is read off once it is made (point 4).
    raises ``Need`` when an endpoint that might move under some value of its
    head slot has a hole there: one whose rule queues items (``QUEUES``)
    always, one whose rule takes them once an item waits for it, a ``1`` or
-   a ``!`` once the rest of the configuration allows its rule.  The solver
+   a ``!`` once its rule body applies with every other endpoint.  The solver
    catches it, fills the hole with each candidate in turn
    (``nonempty_subsets``/name order) and runs again from the root.  A
    verdict reached without reading a hole holds for every way of filling
@@ -45,7 +47,7 @@ and is read off once it is made (point 4).
      another or changes the transitions another has: an endpoint keeps the
      moves it has until it takes one.
    - ``One``, ``Ax`` and ``Bang`` are enabled only when no other endpoint
-     can move.
+     can move, so ``transitions`` tries them only then.
    - Every transition strictly shrinks the acting endpoint's type (``Ax``
      and ``One`` empty the configuration), so every path is finite.
 
@@ -75,15 +77,15 @@ from typing import Callable, Collection, Iterable
 
 from . import syntax as S
 from .syntax import (
-    Atom, Bot, Case, Client, Close, DualAtom, Endpoint, Inl, Inr, Link, OfCourse, One, Par,
-    Plus, Process, Recv, Send, Server, Tensor, Type, Wait, WhyNot, With, dual, erase,
+    Endpoint, Link, OfCourse, One, Par, Process, Send, Tensor, Type, dual, erase,
 )
 from .contexts import (
-    QUEUES, Context, Entry, LeftTok, MsgBox, Query, QueueItem, RightTok, Star, first_destined,
-    map_context, msgbox, normalize_queue, take_destined,
+    QUEUES, Context, Entry, MsgBox, QueueItem, _unchecked, destined, map_context, normalize_queue,
 )
-from .records import record
-from .checker import BINDER_BASE, Env, forwarder_step, nonempty_subsets
+from .records import record, uncompared
+from .checker import (
+    BINDER_BASE, CONNECTIVE_RULES, Env, forwarder_step, link_at, nonempty_subsets, rule_at,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +94,16 @@ from .checker import BINDER_BASE, Env, forwarder_step, nonempty_subsets
 
 @record
 class Step:
-    """A transition, named by the forwarder rule it mirrors (the tag
-    ``forwarder_step`` gives it; ``&``'s premises are ``WithL``/``WithR``, as
-    ``⊕``'s rules are ``PlusL``/``PlusR``) and acting at ``x``.  ``carried`` is
-    the plain environment a ``Tensor`` step sends, ``e0 ... ek``: the gathered
-    payload types, then the sent one; other steps carry none."""
+    """A transition at ``x`` by the rule its body names (``&``'s premises are
+    ``WithL``/``WithR``, as ``⊕``'s rules are ``PlusL``/``PlusR``), and the
+    head action ``act`` of its term, which the tag determines.  ``carried``
+    is the plain environment a ``Tensor`` step sends, ``e0 ... ek``: the
+    gathered payload types, then the sent one; other steps carry none."""
 
     rule: str
     x: Endpoint
     carried: Env = ()
+    act: type | None = uncompared(None)
 
 
 class Need(Exception):
@@ -109,8 +112,7 @@ class Need(Exception):
     ``viable`` is false for a value that makes the reading configuration
     non-executable whatever happens next: an item sent to an endpoint that
     can never take it, a read from one that can never send it, or a 1 or a
-    ! whose slot is not the one set its rule accepts.
-    """
+    ! whose slot is not the one set its rule accepts."""
 
     def __init__(self, hole: str, viable: Callable[[tuple[Endpoint, ...]], bool]):
         super().__init__(hole)
@@ -153,165 +155,86 @@ def _make(entries: Iterable[Entry]) -> Context:
                 queues.setdefault(i, list(ents[i].queue))[j] = MsgBox(it.target, pls)
         for i, q in queues.items():
             ents[i] = Entry(ents[i].endpoint, tuple(q), ents[i].typing)
-    return Context(tuple(ents))
+    return _unchecked(tuple(ents))
 
 
 _EMPTY = Context(())
 
 
 def transitions(c: Context, one_endpoint: bool = False) -> list[tuple[Step, Context]]:
-    """The transitions of a configuration, endpoint by endpoint in name order.
-
-    With ``one_endpoint``, only those of the first endpoint that has any (the
-    persistent set of the module docstring).  Raises ``Need`` when an
-    endpoint's move depends on a head slot that is still a hole.
-    """
+    """The transitions of a configuration, endpoint by endpoint in name
+    order, 1, ! and Ax last (point 3).  With ``one_endpoint``, only those of
+    the first endpoint that has any (the persistent set of the module
+    docstring).  Raises ``Need`` when an endpoint's move depends on a head
+    slot that is still a hole."""
     ents = c.entries
-    # Leaf rule on the whole configuration: two atoms can do nothing else.
-    if len(ents) == 2 and not (ents[0].queue or ents[1].queue):
-        (x, tx), (y, ty) = ((e.endpoint, e.typing) for e in ents)
-        if isinstance(tx, DualAtom) and isinstance(ty, Atom) and tx.name == ty.name:
-            return [(Step("Ax", x), _EMPTY)]
-        if isinstance(tx, Atom) and isinstance(ty, DualAtom) and tx.name == ty.name:
-            return [(Step("Ax", y), _EMPTY)]
-
     out: list[tuple[Step, Context]] = []
     for e in ents:
-        rule = TRANSITIONS.get(type(e.typing))
-        if rule is None:
-            continue
-        ts = S.targets_of(e.typing)
-        if not ts:
-            continue
-        if S.is_hole(ts) and rule is not _one and rule is not _bang:
-            rule = _need
-        moves = rule(c, e, ts)
-        if moves and one_endpoint:
-            return moves
-        out.extend(moves)
-    return out
+        if type(e.typing) not in (One, OfCourse):
+            moves = _moves(c, e)
+            if moves and one_endpoint:
+                return moves
+            out.extend(moves)
+    if out:
+        return out
+    for e in ents:
+        if type(e.typing) in (One, OfCourse) and (moves := _moves(c, e)):
+            return moves  # no other endpoint moves, so no other 1 or !
+    leaf = link_at(ents) if len(ents) == 2 else None  # two atoms can do nothing else
+    return [(Step(leaf[0], leaf[1].endpoint, act=Link), _EMPTY)] if leaf else []
 
 
-def _head(e: Entry | None, x: Endpoint) -> QueueItem | None:
-    """The first item for ``x`` in ``e``'s queue, None when there is none
-    (or no ``e``): the head of the FIFO from ``e``'s endpoint to ``x``."""
-    i = None if e is None else first_destined(e.queue, x)
-    return None if i is None else e.queue[i]
+def _moves(c: Context, e: Entry) -> list[tuple[Step, Context]]:
+    """The moves of ``e`` by its connective's rule (``rule_at``)."""
+    t = e.typing
+    ts = type(t) in CONNECTIVE_RULES and S.targets_of(t)
+    if not ts:
+        return []
+    if S.is_hole(ts):
+        return _need(c, e, ts)
+    got = rule_at(c, e, ts)
+    if got is None:
+        return []
+    x, (act, (tag, pops, prems, sent)) = e.endpoint, got
+    carried = tuple((f"e{i}", erase(a)) for i, (_, a) in enumerate(sent)) if sent else ()
+    moves = []
+    for i, (typ, pushes) in enumerate(prems):  # & has a premise per branch
+        pops[x] = Entry(x, normalize_queue(e.queue + pushes) if pushes else e.queue, typ)
+        moves.append((Step(tag + "LR"[i] if len(prems) > 1 else tag, x, carried, act),
+                      _make(pops.get(d.endpoint, d) for d in c.entries)))
+    return moves or [(Step(tag, x, act=act), _EMPTY)]  # a leaf: nothing is left
 
 
-def _need(c: Context, e: Entry, ts):
-    """The moves of ``e`` while its head slot is the hole ``ts[0]``, but
-    for 1 and !: a ``Need`` when it might move under some value, else none.
-
-    Its rule queues items for its targets (``QUEUES``) or, once an item
-    waits for its endpoint ``x``, takes them; only the dual connective's rule
-    does the other half.  A value is viable when each target can still do
-    it: its typing holds the dual, or the items it holds for a taking ``x``
-    start with one ``x`` takes.
-    """
+def _need(c: Context, e: Entry, ts) -> list:
+    """Raise ``Need`` when ``e`` might move under some value of its head
+    slot, the hole ``ts[0]``, else give no moves.  A 1 or a ! takes every other endpoint, when
+    its rule applies so.  Any other rule queues items for its targets
+    (``QUEUES``) or, once an item waits for ``e``'s endpoint ``x``, takes
+    them; only the dual connective's rule does the other half.  A value is
+    viable when each target can still do it: its typing holds the dual, or
+    the items it holds for a taking ``x`` start with one ``x`` takes."""
     x, cls = e.endpoint, type(e.typing)
+    if cls is One or cls is OfCourse:
+        names = tuple(d.endpoint for d in c.entries if d is not e)
+        if names and rule_at(c, e, names):
+            raise Need(ts[0], lambda v: set(v) == set(names))
+        return []
     dual = S.CONNECTIVES[cls].dual
     queues = cls in QUEUES
     items = QUEUES[cls if queues else dual]
-    if not queues and not any(isinstance(_head(d, x), items) for d in c.entries):
+    if not queues and not any(isinstance(destined(d, x), items) for d in c.entries):
         return []
 
     def viable(us) -> bool:
         for u in us:
             d = c.get(u)
-            head = None if queues else _head(d, x)
+            head = None if queues else destined(d, x)
             if not (isinstance(head, items) if head is not None else
                     d is not None and d.typing is not None and _occurs(d.typing, dual)):
                 return False
         return True
 
     raise Need(ts[0], viable)
-
-
-# The rule table ``TRANSITIONS``, a row per connective: the moves of entry
-# ``e`` with its head slot ``ts`` set (or a hole, for 1 and !), each given to
-# ``_successor`` as ``e``'s new type (None when it terminates), the items it
-# pushes and the holders it pops from.
-
-def _one(c: Context, e: Entry, ts):
-    x = e.endpoint
-    others = [d for d in c.entries if d is not e]
-    if e.queue or any(d.typing is not None or d.queue != (Star(x),) for d in others):
-        return []
-    holders = {d.endpoint for d in others}
-    if S.is_hole(ts):
-        raise Need(ts[0], lambda v: set(v) == holders)
-    return [(Step("One", x), _EMPTY)] if holders == set(ts) else []  # nothing is left
-
-
-def _bot(c: Context, e: Entry, ts):
-    return [_successor(c, "Bot", e, None, (Star(ts[0]),))]
-
-
-def _par(c: Context, e: Entry, ts):
-    t = e.typing
-    return [_successor(c, "Par", e, t.right, (msgbox(ts[0], "m", t.left),))]
-
-
-def _tensor(c: Context, e: Entry, ts):
-    gathered: list[Type] = []
-    for u in ts:
-        head = _head(c.get(u), e.endpoint)
-        if type(head) is not MsgBox:
-            return []
-        gathered.extend(erase(g) for _, g in head.payloads)
-    gathered.append(erase(e.typing.left))
-    carried = tuple((f"e{i}", g) for i, g in enumerate(gathered))
-    return [_successor(c, "Tensor", e, e.typing.right, (), ts, carried)]
-
-
-def _plus(c: Context, e: Entry, ts):
-    x, t = e.endpoint, e.typing
-    head = _head(c.get(ts[0]), x)
-    if head == LeftTok(x):
-        return [_successor(c, "PlusL", e, t.left, (), ts)]
-    if head == RightTok(x):
-        return [_successor(c, "PlusR", e, t.right, (), ts)]
-    return []
-
-
-def _with(c: Context, e: Entry, ts):
-    t = e.typing
-    return [_successor(c, "WithL", e, t.left, tuple(LeftTok(u) for u in ts)),
-            _successor(c, "WithR", e, t.right, tuple(RightTok(u) for u in ts))]
-
-
-def _bang(c: Context, e: Entry, ts):
-    others = [d for d in c.entries if d is not e]
-    if e.queue or any(d.queue or not isinstance(d.typing, WhyNot) for d in others):
-        return []
-    names = {d.endpoint for d in others}
-    if S.is_hole(ts):
-        raise Need(ts[0], lambda v: set(v) == names)
-    if set(ts) != names:
-        return []
-    return [_successor(c, "Bang", e, e.typing.body, tuple(Query(u) for u in ts))]
-
-
-def _quest(c: Context, e: Entry, ts):
-    if _head(c.get(ts[0]), e.endpoint) == Query(e.endpoint):
-        return [_successor(c, "Quest", e, e.typing.body, (), ts)]
-    return []
-
-
-TRANSITIONS = {One: _one, Bot: _bot, Par: _par, Tensor: _tensor, Plus: _plus, With: _with,
-               OfCourse: _bang, WhyNot: _quest}
-
-
-def _successor(c: Context, rule: str, e: Entry, typ: Type | None, pushes: tuple = (),
-               pops: tuple[Endpoint, ...] = (), carried: Env = ()) -> tuple[Step, Context]:
-    """The move of ``e``'s endpoint ``x`` by ``rule``: ``x`` takes type
-    ``typ`` (None: it terminates), the first item for ``x`` at each of
-    ``pops`` is consumed, and ``pushes`` join ``x``'s own queue."""
-    x = e.endpoint
-    new = {u: take_destined(c.get(u), x)[1] for u in pops}
-    new[x] = Entry(x, normalize_queue(e.queue + pushes) if pushes else e.queue, typ)
-    return Step(rule, x, carried), _make(new.get(d.endpoint, d) for d in c.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +499,6 @@ class _Disagree(Exception):
     """Two branches need different values in one payload slot."""
 
 
-# The head constructor of the term each rule's step stands for; WithL stands
-# for the case over both branches.
-_HEADS = {
-    "Ax": Link, "One": Close, "Bot": Wait, "Par": Recv, "Tensor": Send, "PlusL": Inl,
-    "PlusR": Inr, "WithL": Case, "Bang": Server, "Quest": Client,
-}
-
-
 class _Replay:
     """One replay of a decided run into a term.  ``store`` collects the
     payload holes set on the way; ``alias`` maps a binder name to the name
@@ -606,7 +521,7 @@ class _Replay:
         edges = self.chk._exec[c].edges
         lab = edges[0][0]
         x = ren[lab.x]
-        ctor, heads, f = _HEADS[lab.rule], (x,), None
+        ctor, heads, f = lab.act, (x,), None  # WithL's is the case over both branches
         if ctor is Link:
             heads = (x, ren[next(e.endpoint for e in c.entries if e.endpoint != lab.x)])
         elif ctor in S.BINDING:

@@ -6,7 +6,9 @@ endpoints commute; per-target order is part of the judgement.
 
 A ``Context`` is also compat's state: the transition semantics steps the
 contexts the forwarder rules check, kept in the canonical form ``compat._make``
-gives them, so one queue format serves the proof system and the semantics.
+gives them, so one queue format serves the proof system and the semantics,
+and the rule bodies of ``checker.CONNECTIVE_RULES`` read and pop both.  The
+tables here (``QUEUES``, ``TAKEN_BY``) say which items each rule moves.
 """
 
 from __future__ import annotations
@@ -126,6 +128,12 @@ class Entry:
     typing: Type | None = None  # None encodes the terminated entry "x:."
 
 
+def destined(e: Entry | None, x: Endpoint) -> QueueItem | None:
+    """The head of the FIFO from ``e``'s endpoint to ``x``, or None."""
+    i = None if e is None else first_destined(e.queue, x)
+    return None if i is None else e.queue[i]
+
+
 def take_destined(e: Entry, x: Endpoint) -> tuple[QueueItem | None, Entry]:
     """The first item of ``e``'s queue aimed at ``x`` (None if there is
     none), and ``e`` without it: what a rule acting at ``x`` pops."""
@@ -184,14 +192,20 @@ class Context:
         ents = tuple(map(new.get, map(_ENDPOINT, self.entries), self.entries))
         if not all(map(eq, new, map(_ENDPOINT, new.values()))):
             return Context(ents)
-        g = object.__new__(Context)
-        _set_entries(g, ents)
-        _set_hash(g, None)
-        return g
+        return _unchecked(ents)
 
 
 _ENDPOINT, _NAME, _TARGET = attrgetter("endpoint"), itemgetter(0), attrgetter("target")
 _set_entries, _set_hash = Context.entries.__set__, Context._hash.__set__
+
+
+def _unchecked(entries: tuple[Entry, ...]) -> Context:
+    """The context of ``entries``, whose names are known distinct, built
+    without ``__post_init__``'s check (``replace``, ``compat._make``)."""
+    g = object.__new__(Context)
+    _set_entries(g, entries)
+    _set_hash(g, None)
+    return g
 
 
 def ctx(*entries: Entry) -> Context:

@@ -5,7 +5,8 @@ the grammar: for every connective, each action on it (``ACTS``) fires its
 rule in ``forwarder_step`` at a one-target judgement, and the premise queues
 exactly the items ``QUEUES`` lists for the connective, or takes the item
 ``TAKEN_BY`` gives the action and refuses every other kind of item.
-Compat's moves (``TRANSITIONS``) push and take the same kinds.
+Compat's moves, by the same rule bodies (``checker.CONNECTIVE_RULES``),
+push and take the same kinds.
 """
 
 import pytest
@@ -48,6 +49,7 @@ def _taken(action: type) -> list[type]:
 
 def test_every_forwarder_rule_but_link_and_cut_acts_on_a_connective():
     assert set(K.FORWARDER_RULES) - {Link, Cut} == set(S.ACTS)
+    assert list(K.CONNECTIVE_RULES) == CONNECTIVES
     assert set().union(*map(set, S.ACTIONS.values())) == set(S.ACTS)
 
 
@@ -81,16 +83,18 @@ def test_the_rule_queues_the_tables_items_or_takes_its_item(cls):
 
 @pytest.mark.parametrize("cls", CONNECTIVES, ids=IDS)
 def test_compat_moves_push_and_take_the_same_kinds(cls):
+    # compat's moves of x, by the rule bodies the checker's rules call
     dual = S.CONNECTIVES[cls].dual
     if cls in QUEUES:
         c = _judgement(S.ACTIONS[cls][0], None)[1]
-        moves = CM.TRANSITIONS[cls](c, c.get("x"), ("z",))
+        moves = [(step, c2) for step, c2 in CM.transitions(c) if step.x == "x"]
         pushed = [[(type(it), it.target) for it in c2.get("x").queue] for _, c2 in moves]
         assert pushed == [[(kind, "z")] for kind in QUEUES[cls]]
+        assert {step.act for step, _ in moves} == set(S.ACTIONS[cls])
         return
     for item in QUEUES[dual]:
         c = _judgement(TAKEN_BY[item], item)[1]
-        (move,) = CM.TRANSITIONS[cls](c, c.get("x"), ("z",))
-        assert CM._HEADS[move[0].rule] is TAKEN_BY[item]
+        (move,) = [(step, c2) for step, c2 in CM.transitions(c) if step.x == "x"]
+        assert move[0].act is TAKEN_BY[item]
         z = move[1].get("z")  # none once it is terminated and drained
         assert z is None or first_destined(z.queue, "x") is None

@@ -165,6 +165,24 @@ def test_rule_failures_print_types_in_surface_syntax(cmd, decl, want, tmp_path, 
     assert rec["error"] == want
 
 
+@pytest.mark.parametrize("cmd,decl,want", [
+    ("check", "check close x |- x : 1{y,y}, y : . [to=x *];",
+     "1 at x must gather every other endpoint, got {y,y}"),
+    ("check", "check !x(u). ?y[w]. u<->w |- x : !{y,y} a, y : ?{x} ~a;",
+     "! at x must broadcast to every other endpoint"),
+    # the left premise is refused; its conclusion u : 1{x,k} named the cut k
+    ("cut", "cut (wait k; close u) |- u : 1{k,k}, k : bot{u} "
+     "with (wait x; close r) |- x : bot{r}, r : 1{x};",
+     "1 at u must gather every other endpoint, got {k,k}"),
+])
+def test_a_1_or_a_bang_slot_names_each_other_endpoint_once(cmd, decl, want, tmp_path, capsys):
+    path = tmp_path / "bad.fwd"
+    path.write_text(decl + "\n", encoding="utf-8")
+    assert cli.main(["--json", cmd, str(path)]) == 1
+    (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert rec["error"] == want
+
+
 def test_sim_json_records_carry_the_run_counters(capsys):
     assert cli.main(["--json", "sim", str(CORPUS / "compose.fwd")]) == 0
     (rec,) = map(json.loads, capsys.readouterr().out.splitlines())

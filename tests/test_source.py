@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from fwdcal import syntax as S
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "fwdcal"
 
 
@@ -52,5 +54,22 @@ def test_only_the_owning_modules_write_a_table_between_their_classes():
             if isinstance(node, ast.Dict) and any(
                     k is not None and _names(k) & owned for k in node.keys) and any(
                     _names(v) & owned for v in node.values):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_the_rule_modules_key_a_table_by_connective():
+    # A dict literal keyed by connectives outside the modules that hold the
+    # syntax, the contexts and the rules restates a rule: what a connective's
+    # rule moves or checks.  Compat's moves and synthesis call the rule
+    # bodies of ``checker.CONNECTIVE_RULES`` instead.
+    connectives = {cls.__name__ for cls in S.CONNECTIVES}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in OWNERS + ("checker.py",):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Dict) and any(
+                    k is not None and _names(k) & connectives for k in node.keys):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
