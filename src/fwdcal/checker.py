@@ -282,20 +282,23 @@ CONNECTIVE_RULES = {One: _one, Bot: _bot, Tensor: _tensor, Par: _par, Plus: _plu
 
 def rule_at(g: Context, e: Entry, ts: tuple[str, ...]):
     """The action by which the rule of ``e``'s connective applies with head
-    slot ``ts``, and what its body returns; None when it does not apply.  A
-    rule that takes items takes them by the action ``TAKEN_BY`` gives the
-    first one waiting for ``e``'s endpoint at ``ts[0]``."""
+    slot ``ts`` (a rule that takes items, by the one that takes the first
+    waiting at ``ts[0]``), and what its body returns; or None."""
     cls = type(e.typing)
-    if cls in QUEUES:
-        act = S.ACTIONS[cls][0]
-    else:
-        act = TAKEN_BY.get(type(destined(g.get(ts[0]), e.endpoint)))
-        if act is None or S.ACTS[act][0] is not cls:
+    act = _ACTING[cls]
+    if type(act) is dict:  # the action on cls that takes the item waiting at ts[0]
+        act = act.get(type(destined(g.get(ts[0]), e.endpoint)))
+        if act is None:
             return None
     try:
         return act, CONNECTIVE_RULES[cls](g, e, ts, act, "m")
     except CheckError:
         return None
+
+
+# Each connective's action; for one taking items, its action per kind (``TAKEN_BY``).
+_ACTING = {cls: acts[0] if cls in QUEUES else {it: a for it, a in TAKEN_BY.items() if a in acts}
+           for cls, acts in S.ACTIONS.items()}
 
 
 def _fwd_none(p, g: Context):
@@ -317,23 +320,23 @@ def _fwd_act(p: Process, g: Context):
     targets for * and |, after for ! and ?; a send's gathered names must not
     clash; the ! and ? rules go on with the binder in place of ``x``."""
     act, x = type(p), p.x
-    cls, verb = S.ACTS[act]
+    cls, verb, multi, shape, binder = _TERMS[act]
     e = g.get(x)
     if e is None:
         raise RuleMismatch(f"endpoint {x} not in context")
     t = e.typing
     if t is None:
         raise RuleMismatch(f"endpoint {x} is terminated")
-    row = S.CONNECTIVES[cls]
-    if type(t) is not cls or not row.multi and t.target is None:
-        raise RuleMismatch("{} {} needs {}:{}, got {}", verb, x, x, _SHAPES[act][0],
+    if type(t) is not cls or not multi and t.target is None:
+        raise RuleMismatch("{} {} needs {}:{}, got {}", verb, x, x, shape,
                            partial(S.print_type, t))
-    ts = t.targets if row.multi else (t.target,)
+    ts = t.targets if multi else (t.target,)
     if not ts:
-        raise NonEmptyTargetViolation(f"rule {row.symbol} needs a nonempty target set")
-    f = p.fresh if act in S.BINDING else None
-    if act is Recv or act is Send:
-        _fresh(g, p)
+        raise NonEmptyTargetViolation("rule {} needs a nonempty target set",
+                                      S.CONNECTIVES[cls].symbol)
+    f = binder and p.fresh
+    if f and act is not Server and act is not Client and g.binds(f):
+        raise RuleMismatch("{} name {} is not fresh", binder, f)
     tag, pops, prems, sent = CONNECTIVE_RULES[cls](g, e, ts, act, f)
     if not prems:  # the 1 rule, a leaf
         return tag, ()
@@ -342,8 +345,9 @@ def _fwd_act(p: Process, g: Context):
         return tag, ((p.left, g.replace({x: Entry(x, e.queue + pl, tl)})),
                      (p.right, g.replace({x: Entry(x, e.queue + pr, tr)})))
     ((typ, pushes),) = prems
-    if act in S.RENAMING:
-        _fresh(g, p)
+    if act is Server or act is Client:
+        if g.binds(f):
+            raise RuleMismatch("{} name {} is not fresh", binder, f)
         pops[x] = Entry(f, e.queue + pushes, typ)
         cont = p.body if act is Server else p.cont
         return tag, ((cont, rename_context_targets(g, {x: f}, pops)),)
@@ -362,21 +366,17 @@ def _fwd_cut(p: Cut, g: Context):
 
 
 FORWARDER_RULES = {Link: _fwd_ax, Cut: _fwd_cut, **dict.fromkeys(S.ACTS, _fwd_act)}
-# Each action's typing as its refusals write it, and the word for its binder.
-_SHAPES = {
-    Close: ("1", None), Wait: ("bot with a target", None), Send: ("A*{u}B", "sent"),
-    Recv: ("A|{u}B", "received"), Inl: ("A+{z}B", None), Inr: ("A+{z}B", None),
-    Case: ("A&{u}B", None), Server: ("!{u}A", "server"), Client: ("?{z}A", "client"),
-}
+# What each action's refusals write: the typing it needs, the word for its binder.
+_WORDS = {Close: ("1", None), Wait: ("bot with a target", None), Send: ("A*{u}B", "sent"),
+          Recv: ("A|{u}B", "received"), Inl: ("A+{z}B", None), Inr: ("A+{z}B", None),
+          Case: ("A&{u}B", None), Server: ("!{u}A", "server"), Client: ("?{z}A", "client")}
+# Each action's connective and verb (``ACTS``), whether its slot is a set, and its words.
+_TERMS = {act: (cls, verb, S.CONNECTIVES[cls].multi, *_WORDS[act])
+          for act, (cls, verb) in S.ACTS.items()}
 
 
 def _shown(item: QueueItem | None) -> str:
     return "nothing" if item is None else print_queue_item(item)
-
-
-def _fresh(g: Context, p: Process):
-    if g.binds(p.fresh):
-        raise RuleMismatch(f"{_SHAPES[type(p)][1]} name {p.fresh} is not fresh")
 
 
 def check_forwarder(p: Process, g: Context) -> Derivation:

@@ -170,7 +170,8 @@ def transitions(c: Context, one_endpoint: bool = False) -> list[tuple[Step, Cont
     ents = c.entries
     out: list[tuple[Step, Context]] = []
     for e in ents:
-        if type(e.typing) not in (One, OfCourse):
+        cls = type(e.typing)
+        if cls in CONNECTIVE_RULES and cls is not One and cls is not OfCourse:
             moves = _moves(c, e)
             if moves and one_endpoint:
                 return moves
@@ -186,8 +187,7 @@ def transitions(c: Context, one_endpoint: bool = False) -> list[tuple[Step, Cont
 
 def _moves(c: Context, e: Entry) -> list[tuple[Step, Context]]:
     """The moves of ``e`` by its connective's rule (``rule_at``)."""
-    t = e.typing
-    ts = type(t) in CONNECTIVE_RULES and S.targets_of(t)
+    ts = S.targets_of(e.typing)
     if not ts:
         return []
     if S.is_hole(ts):
