@@ -695,17 +695,18 @@ def _solutions_raw(g, store, supply, failed, ren):
     for e in entries:
         if e.typing is None or isinstance(e.typing, (Atom, DualAtom, One)):
             continue
-        if S.is_hole(S.targets_of(e.typing)):
-            holed.append(e)
+        ts = S.targets_of(e.typing)
+        if S.is_hole(ts):
+            holed.append((e, ts))
             continue
-        for value, head in _moves(e, g, by):
-            yield from _fire(e, value, head, g, store, supply, failed, ren)
+        for value, head in _moves(e, ts, False, g, by):
+            yield from _fire(e, None, value, head, g, store, supply, failed, ren)
             return
 
     # Otherwise branch over lazy annotation choices, entry by entry.
-    for e in holed:
-        for value, head in _moves(e, g, by):
-            yield from _fire(e, value, head, g, store, supply, failed, ren)
+    for e, ts in holed:
+        for value, head in _moves(e, ts, True, g, by):
+            yield from _fire(e, ts[0], value, head, g, store, supply, failed, ren)
     if holed:  # the leaf rules apply only where no other rule fires
         return
     leaf = link_at(entries) if len(entries) == 2 else None
@@ -722,11 +723,11 @@ def _solutions_raw(g, store, supply, failed, ren):
                 return
 
 
-def _moves(e: Entry, g: Context, by: dict[str, Entry]):
-    """The rule instances synthesis tries at ``e``, in search order: the
-    value of its head annotation slot and the action of the head term.
-    ``by`` maps the endpoints of the context ``g``, in name order, to their
-    entries.
+def _moves(e: Entry, ts, hole: bool, g: Context, by: dict[str, Entry]):
+    """The rule instances synthesis tries at ``e``, whose head slot ``ts``
+    is a hole or not, in search order: the value of that slot and the action
+    of the head term.  ``by`` maps the endpoints of the context ``g``, in
+    name order, to their entries.
 
     A resolved slot offers itself when its rule applies; a hole offers every
     candidate value: to a !, every other endpoint if its body takes them
@@ -734,8 +735,7 @@ def _moves(e: Entry, g: Context, by: dict[str, Entry]):
     endpoints not terminated; to one that takes an item for ``x`` at each
     target, those whose item it takes (``TAKEN_BY``, which picks the
     action).  But for the !, this is only a cheap applicability test."""
-    x, cls, ts = e.endpoint, type(e.typing), S.targets_of(e.typing)
-    hole = S.is_hole(ts)
+    x, cls = e.endpoint, type(e.typing)
     others = [u for u in by if u != x]
     if cls is OfCourse:
         value = tuple(others) if hole else ts
@@ -772,15 +772,14 @@ def nonempty_subsets(names):
 BINDER_BASE = {Recv: "m", Send: "w"}  # a server or client copy keeps its own name
 
 
-def _fire(e: Entry, value: tuple[str, ...], ctor: type, g: Context, store, supply,
-          failed, ren):
-    """Fire ``ctor``'s rule at ``e`` with its head slot set to ``value``,
-    once per binder candidate, and rebuild the term around the solutions of
-    the premises ``forwarder_step`` gives."""
+def _fire(e: Entry, hole: str | None, value: tuple[str, ...], ctor: type, g: Context, store,
+          supply, failed, ren):
+    """Fire ``ctor``'s rule at ``e`` with its head slot, the ``hole`` or set,
+    set to ``value``, once per binder candidate, and rebuild the term around
+    the solutions of the premises ``forwarder_step`` gives."""
     x, t = e.endpoint, e.typing
-    ts = S.targets_of(t)
-    if S.is_hole(ts):  # the head slot takes ``value``, the operands are kept
-        store = {**store, ts[0]: _unrename(ren, value)}
+    if hole is not None:  # the head slot takes ``value``, the operands are kept
+        store = {**store, hole: _unrename(ren, value)}
         slot = value if type(t) in S.MULTI_TARGET else value[0]
         g = g.replace({x: Entry(x, e.queue, type(t)(*S.children(t), slot))})
     binders = (_binder_candidates(BINDER_BASE.get(ctor, x), g, supply) if ctor in S.BINDING
