@@ -183,20 +183,14 @@ def link_at(ents) -> tuple[str, Entry, Entry] | None:
         return None
 
 
-def _every_other(g: Context, e: Entry, ts, refusal: str) -> list[Entry]:
-    """The entries but ``e``, which the 1 and ! rules' ``ts`` names once each;
-    else ``refusal``, formatted with ``e``'s endpoint and ``ts``."""
-    others = [o for o in g.entries if o is not e]
-    if len(ts) != len(others) or set(ts) != {o.endpoint for o in others}:
-        raise RuleMismatch(refusal, e.endpoint, ",".join(ts))
-    return others
-
-
 def _one(g: Context, e: Entry, ts, act, f):
     x = e.endpoint
     if e.queue:
         raise LeftoverQueue("1 requires an empty queue at {}", x)
-    for o in _every_other(g, e, ts, "1 at {} must gather every other endpoint, got {{{}}}"):
+    others = [o for o in g.entries if o is not e]  # each named once by the slot
+    if len(ts) != len(others) or set(ts) != {o.endpoint for o in others}:
+        raise RuleMismatch("1 at {} must gather every other endpoint, got {{{}}}", x, ",".join(ts))
+    for o in others:
         if o.typing is not None:
             raise RuleMismatch("1 needs {} terminated", o.endpoint)
         if o.queue != (Star(x),):
@@ -232,23 +226,17 @@ def _tensor(g: Context, e: Entry, ts, act, f):
     return "Tensor", pops, ((e.typing.right, ()),), gathered
 
 
-def _taken(g: Context, e: Entry, z: str, item: QueueItem, rule: str) -> dict[str, Entry]:
-    """The + and ? rules' pop: ``z``'s first item for ``e``, which is ``item``."""
-    x, ez = e.endpoint, g.get(z)
-    if z == x or ez is None:
-        raise RuleMismatch("{} target {} not in context", rule, z)
-    head, ez = take_destined(ez, x)
-    if head != item:
-        want = partial(print_queue_item, item) if rule == "+" else "a query for " + x
-        raise QueueHeadMismatch("head of {}'s queue must be {}, got {}", z, want,
-                                partial(_shown, head))
-    return {z: ez}
-
-
 def _plus(g: Context, e: Entry, ts, act, f):
-    t, left = e.typing, act is Inl
-    pops = _taken(g, e, ts[0], (LeftTok if left else RightTok)(e.endpoint), "+")
-    return ("PlusL" if left else "PlusR"), pops, ((t.left if left else t.right, ()),), ()
+    x, z, t, left = e.endpoint, ts[0], e.typing, act is Inl
+    ez = g.get(z)
+    if z == x or ez is None:
+        raise RuleMismatch("+ target {} not in context", z)
+    tok = LeftTok(x) if left else RightTok(x)
+    head, ez = take_destined(ez, x)
+    if head != tok:
+        raise QueueHeadMismatch("head of {}'s queue must be {}, got {}", z,
+                                partial(print_queue_item, tok), partial(_shown, head))
+    return ("PlusL" if left else "PlusR"), {z: ez}, ((t.left if left else t.right, ()),), ()
 
 
 def _with(g: Context, e: Entry, ts, act, f):
@@ -264,7 +252,10 @@ def _bang(g: Context, e: Entry, ts, act, f):
     x = e.endpoint
     if e.queue:
         raise LeftoverQueue("! requires an empty queue at {}", x)
-    for o in _every_other(g, e, ts, "! at {} must broadcast to every other endpoint"):
+    others = [o for o in g.entries if o is not e]  # each named once by the slot
+    if len(ts) != len(others) or set(ts) != {o.endpoint for o in others}:
+        raise RuleMismatch("! at {} must broadcast to every other endpoint", x)
+    for o in others:
         if o.typing is None or not isinstance(o.typing, WhyNot):
             raise RuleMismatch("! needs {} to be ?-typed", o.endpoint)
         if o.queue:
@@ -273,7 +264,15 @@ def _bang(g: Context, e: Entry, ts, act, f):
 
 
 def _quest(g: Context, e: Entry, ts, act, f):
-    return "Quest", _taken(g, e, ts[0], Query(e.endpoint), "?"), ((e.typing.body, ()),), ()
+    x, z = e.endpoint, ts[0]
+    ez = g.get(z)
+    if z == x or ez is None:
+        raise RuleMismatch("? target {} not in context", z)
+    head, ez = take_destined(ez, x)
+    if head != Query(x):
+        raise QueueHeadMismatch("head of {}'s queue must be a query for {}, got {}", z, x,
+                                partial(_shown, head))
+    return "Quest", {z: ez}, ((e.typing.body, ()),), ()
 
 
 CONNECTIVE_RULES = {One: _one, Bot: _bot, Tensor: _tensor, Par: _par, Plus: _plus, With: _with,
