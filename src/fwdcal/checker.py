@@ -183,14 +183,20 @@ def link_at(ents) -> tuple[str, Entry, Entry] | None:
         return None
 
 
+def _every_other(g: Context, e: Entry, ts, refusal: str) -> list[Entry]:
+    """The entries but ``e``, which the 1 and ! rules' ``ts`` names once each;
+    else ``refusal``, formatted with ``e``'s endpoint and ``ts``."""
+    others = [o for o in g.entries if o is not e]
+    if len(ts) != len(others) or set(ts) != {o.endpoint for o in others}:
+        raise RuleMismatch(refusal, e.endpoint, ",".join(ts))
+    return others
+
+
 def _one(g: Context, e: Entry, ts, act, f):
     x = e.endpoint
     if e.queue:
         raise LeftoverQueue("1 requires an empty queue at {}", x)
-    others = [o for o in g.entries if o is not e]  # each named once by the slot
-    if len(ts) != len(others) or set(ts) != {o.endpoint for o in others}:
-        raise RuleMismatch("1 at {} must gather every other endpoint, got {{{}}}", x, ",".join(ts))
-    for o in others:
+    for o in _every_other(g, e, ts, "1 at {} must gather every other endpoint, got {{{}}}"):
         if o.typing is not None:
             raise RuleMismatch("1 needs {} terminated", o.endpoint)
         if o.queue != (Star(x),):
@@ -252,10 +258,7 @@ def _bang(g: Context, e: Entry, ts, act, f):
     x = e.endpoint
     if e.queue:
         raise LeftoverQueue("! requires an empty queue at {}", x)
-    others = [o for o in g.entries if o is not e]  # each named once by the slot
-    if len(ts) != len(others) or set(ts) != {o.endpoint for o in others}:
-        raise RuleMismatch("! at {} must broadcast to every other endpoint", x)
-    for o in others:
+    for o in _every_other(g, e, ts, "! at {} must broadcast to every other endpoint"):
         if o.typing is None or not isinstance(o.typing, WhyNot):
             raise RuleMismatch("! needs {} to be ?-typed", o.endpoint)
         if o.queue:
@@ -282,22 +285,18 @@ CONNECTIVE_RULES = {One: _one, Bot: _bot, Tensor: _tensor, Par: _par, Plus: _plu
 def rule_at(g: Context, e: Entry, ts: tuple[str, ...]):
     """The action by which the rule of ``e``'s connective applies with head
     slot ``ts`` (a rule that takes items, by the one that takes the first
-    waiting at ``ts[0]``), and what its body returns; or None."""
+    waiting at ``ts[0]``), and what its body returns, a | boxing ``m``; or None."""
     cls = type(e.typing)
-    act = _ACTING[cls]
-    if type(act) is dict:  # the action on cls that takes the item waiting at ts[0]
-        act = act.get(type(destined(g.get(ts[0]), e.endpoint)))
-        if act is None:
+    if cls in QUEUES:
+        act = S.ACTIONS[cls][0]
+    else:
+        act = TAKEN_BY.get(type(destined(g.get(ts[0]), e.endpoint)))
+        if act is None or S.ACTS[act][0] is not cls:
             return None
     try:
         return act, CONNECTIVE_RULES[cls](g, e, ts, act, "m")
     except CheckError:
         return None
-
-
-# Each connective's action; for one taking items, its action per kind (``TAKEN_BY``).
-_ACTING = {cls: acts[0] if cls in QUEUES else {it: a for it, a in TAKEN_BY.items() if a in acts}
-           for cls, acts in S.ACTIONS.items()}
 
 
 def _fwd_none(p, g: Context):
@@ -310,6 +309,15 @@ def _fwd_ax(p: Link, g: Context):
     if ex is None or ey is None or len(g.entries) != 2 - (x == y):
         raise RuleMismatch(f"Ax needs exactly the endpoints {x},{y}")
     return link_rule(ex, ey), ()
+
+
+# What each action's refusals write: the typing it needs, the word for its binder.
+_WORDS = {Close: ("1", None), Wait: ("bot with a target", None), Send: ("A*{u}B", "sent"),
+          Recv: ("A|{u}B", "received"), Inl: ("A+{z}B", None), Inr: ("A+{z}B", None),
+          Case: ("A&{u}B", None), Server: ("!{u}A", "server"), Client: ("?{z}A", "client")}
+# Each action's connective and verb (``ACTS``), whether its slot is a set, and its words.
+_TERMS = {act: (cls, verb, S.CONNECTIVES[cls].multi, *_WORDS[act])
+          for act, (cls, verb) in S.ACTS.items()}
 
 
 def _fwd_act(p: Process, g: Context):
@@ -365,14 +373,6 @@ def _fwd_cut(p: Cut, g: Context):
 
 
 FORWARDER_RULES = {Link: _fwd_ax, Cut: _fwd_cut, **dict.fromkeys(S.ACTS, _fwd_act)}
-# What each action's refusals write: the typing it needs, the word for its binder.
-_WORDS = {Close: ("1", None), Wait: ("bot with a target", None), Send: ("A*{u}B", "sent"),
-          Recv: ("A|{u}B", "received"), Inl: ("A+{z}B", None), Inr: ("A+{z}B", None),
-          Case: ("A&{u}B", None), Server: ("!{u}A", "server"), Client: ("?{z}A", "client")}
-# Each action's connective and verb (``ACTS``), whether its slot is a set, and its words.
-_TERMS = {act: (cls, verb, S.CONNECTIVES[cls].multi, *_WORDS[act])
-          for act, (cls, verb) in S.ACTS.items()}
-
 
 def _shown(item: QueueItem | None) -> str:
     return "nothing" if item is None else print_queue_item(item)

@@ -207,12 +207,12 @@ def _moves(c: Context, e: Entry) -> list[tuple[Step, Context]]:
 
 def _need(c: Context, e: Entry, ts) -> list:
     """Raise ``Need`` when ``e`` might move under some value of its head
-    slot, the hole ``ts[0]``, else give no moves.  A 1 or a ! takes every other endpoint, when
-    its rule applies so.  Any other rule queues items for its targets
-    (``QUEUES``) or, once an item waits for ``e``'s endpoint ``x``, takes
-    them; only the dual connective's rule does the other half.  A value is
-    viable when each target can still do it: its typing holds the dual, or
-    the items it holds for a taking ``x`` start with one ``x`` takes."""
+    slot, the hole ``ts[0]``; else give no moves.  A 1 or a ! takes every
+    other endpoint, when its rule applies so.  Any other rule queues items
+    for its targets (``QUEUES``) or, once an item waits for ``e``'s endpoint
+    ``x``, takes them; only the dual connective's rule does the other half.
+    A value is viable when each target can still do it: its typing holds the
+    dual, or the items it holds for a taking ``x`` start with one ``x`` takes."""
     x, cls = e.endpoint, type(e.typing)
     if cls is One or cls is OfCourse:
         names = tuple(d.endpoint for d in c.entries if d is not e)
