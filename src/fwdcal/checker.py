@@ -49,7 +49,7 @@ from .syntax import (
 )
 from .contexts import (
     QUEUES, TAKEN_BY, Context, Entry, LeftTok, MsgBox, Query, QueueItem, RightTok, Star,
-    context_fully_annotated, destined, endpoint_names, map_context, msgbox,
+    _unchecked, context_fully_annotated, destined, endpoint_names, map_context, msgbox,
     normalize_queue, print_queue_item, rename_context_targets, take_destined, target_names,
 )
 from .records import record, replace
@@ -364,7 +364,7 @@ def _fwd_act(p: Process, g: Context):
     names = [n for n, _ in sent]
     if len(set(names)) != len(names):
         raise RuleMismatch(f"gathered payload names clash: {names}")
-    return tag, ((p.payload, Context(tuple(Entry(n, (), a) for n, a in sent))),
+    return tag, ((p.payload, _unchecked(tuple(Entry(n, (), a) for n, a in sent))),
                  (p.cont, g.replace(pops)))
 
 

@@ -200,8 +200,8 @@ _set_entries, _set_hash = Context.entries.__set__, Context._hash.__set__
 
 
 def _unchecked(entries: tuple[Entry, ...]) -> Context:
-    """The context of ``entries``, whose names are known distinct, built
-    without ``__post_init__``'s check (``replace``, ``compat._make``)."""
+    """The context of ``entries``, whose names the caller knows distinct,
+    built without ``__post_init__``'s check."""
     g = object.__new__(Context)
     _set_entries(g, entries)
     _set_hash(g, None)
@@ -241,7 +241,7 @@ def map_context(g: Context, typ: Callable[[Type], Type] | None = None,
         if x != e.endpoint or q != e.queue or t is not e.typing:
             e, changed = Entry(x, q, t), True
         ents.append(e)
-    return Context(tuple(ents)) if changed else g
+    return (Context if name else _unchecked)(tuple(ents)) if changed else g  # else g's names
 
 
 def context_types(g: Context) -> list[Type]:
