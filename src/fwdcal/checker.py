@@ -315,9 +315,11 @@ def _fwd_ax(p: Link, g: Context):
 _WORDS = {Close: ("1", None), Wait: ("bot with a target", None), Send: ("A*{u}B", "sent"),
           Recv: ("A|{u}B", "received"), Inl: ("A+{z}B", None), Inr: ("A+{z}B", None),
           Case: ("A&{u}B", None), Server: ("!{u}A", "server"), Client: ("?{z}A", "client")}
-# Each action's connective and verb (``ACTS``), whether its slot is a set, and its words.
-_TERMS = {act: (cls, verb, S.CONNECTIVES[cls].multi, *_WORDS[act])
-          for act, (cls, verb) in S.ACTS.items()}
+# Each action's connective (``ACTS``), whether its slot is a set, its rule body,
+# and whether its binder is checked fresh before the body runs (after, for ! and ?).
+_TERMS = {act: (cls, S.CONNECTIVES[cls].multi, CONNECTIVE_RULES[cls],
+                _WORDS[act][1] is not None and act not in S.RENAMING)
+          for act, (cls, _) in S.ACTS.items()}
 
 
 def _fwd_act(p: Process, g: Context):
@@ -327,7 +329,7 @@ def _fwd_act(p: Process, g: Context):
     targets for * and |, after for ! and ?; a send's gathered names must not
     clash; the ! and ? rules go on with the binder in place of ``x``."""
     act, x = type(p), p.x
-    cls, verb, multi, shape, binder = _TERMS[act]
+    cls, multi, body, fresh_first = _TERMS[act]
     e = g.get(x)
     if e is None:
         raise RuleMismatch(f"endpoint {x} not in context")
@@ -335,16 +337,15 @@ def _fwd_act(p: Process, g: Context):
     if t is None:
         raise RuleMismatch(f"endpoint {x} is terminated")
     if type(t) is not cls or not multi and t.target is None:
-        raise RuleMismatch("{} {} needs {}:{}, got {}", verb, x, x, shape,
+        raise RuleMismatch("{} {} needs {}:{}, got {}", S.ACTS[act][1], x, x, _WORDS[act][0],
                            partial(S.print_type, t))
     ts = t.targets if multi else (t.target,)
     if not ts:
         raise NonEmptyTargetViolation("rule {} needs a nonempty target set",
                                       S.CONNECTIVES[cls].symbol)
-    f = binder and p.fresh
-    if f and act is not Server and act is not Client and g.binds(f):
-        raise RuleMismatch("{} name {} is not fresh", binder, f)
-    tag, pops, prems, sent = CONNECTIVE_RULES[cls](g, e, ts, act, f)
+    if fresh_first and g.binds(p.fresh):
+        raise RuleMismatch("{} name {} is not fresh", _WORDS[act][1], p.fresh)
+    tag, pops, prems, sent = body(g, e, ts, act, p.fresh if fresh_first else None)
     if not prems:  # the 1 rule, a leaf
         return tag, ()
     if act is Case:
@@ -353,8 +354,9 @@ def _fwd_act(p: Process, g: Context):
                      (p.right, g.replace({x: Entry(x, e.queue + pr, tr)})))
     ((typ, pushes),) = prems
     if act is Server or act is Client:
+        f = p.fresh
         if g.binds(f):
-            raise RuleMismatch("{} name {} is not fresh", binder, f)
+            raise RuleMismatch("{} name {} is not fresh", _WORDS[act][1], f)
         pops[x] = Entry(f, e.queue + pushes, typ)
         cont = p.body if act is Server else p.cont
         return tag, ((cont, rename_context_targets(g, {x: f}, pops)),)
