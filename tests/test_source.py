@@ -14,7 +14,7 @@ def test_no_match_statement_binds_a_field_by_position():
     # class in turn.  On Python 3.11.7 (2-core VM), an 11-class cascade over
     # the process constructors took 0.40-1.0 us a dispatch, a dict lookup by
     # ``type(p)`` 0.06 us; the per-node hot paths (``syntax.scope``, the
-    # checkers' and compat's rule tables) dispatch by table instead.  Cold code
+    # checkers' rule tables and compat's moves) dispatch by table instead.  Cold code
     # may still match a class by a bare pattern or by keyword.
     found = []
     for path in sorted(SRC.glob("*.py")):
