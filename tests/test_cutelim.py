@@ -193,6 +193,13 @@ def test_subst_reference_without_a_holder_dangles(top, bottom):
         substitute(top, bottom)
 
 
+def test_an_unset_slot_on_the_negative_cut_formula_is_a_cut_error():
+    # x : bot names no partner for y's 1 to redirect to
+    left, right = P.parse_context("u : 1{x}, x : bot"), P.parse_context("y : 1{v}, v : bot{y}")
+    with pytest.raises(CutError):
+        cut_conclusions(left, "x", right, "y")
+
+
 def test_subst_units_rewrite_every_bot_aimed_at_the_cut():
     # u waits on x twice: both waits now aim at c
     top, bottom = _unit_cut(Entry("u", (), Tensor(Bot("x"), Bot("x"), ("w",))))

@@ -302,6 +302,14 @@ def test_map_slots_visits_in_preorder():
     assert S.slots(t) == [("z",), ("x",), ("y",), ("u",), ("v",)]
 
 
+def test_map_slots_refuses_a_second_name_in_a_single_target_slot():
+    t = P.parse_type("a |{x} 1{y}")
+    assert S.map_slots(t, lambda s, ts: ("u",) if isinstance(s, Par) else ts) == \
+        P.parse_type("a |{u} 1{y}")
+    with pytest.raises(ValueError, match="single-target"):
+        S.map_slots(t, lambda s, ts: ("u", "v") if isinstance(s, Par) else ts)
+
+
 def test_alpha_renaming_preserves_judgement():
     import genutil
 
