@@ -336,10 +336,10 @@ def _fwd_act(p: Process, g: Context):
     t = e.typing
     if t is None:
         raise RuleMismatch(f"endpoint {x} is terminated")
-    if type(t) is not cls or not multi and t.target is None:
+    if type(t) is not cls or not multi and not t.targets:
         raise RuleMismatch("{} {} needs {}:{}, got {}", S.ACTS[act][1], x, x, _WORDS[act][0],
                            partial(S.print_type, t))
-    ts = t.targets if multi else (t.target,)
+    ts = t.targets
     if not ts:
         raise NonEmptyTargetViolation("rule {} needs a nonempty target set",
                                       S.CONNECTIVES[cls].symbol)
@@ -577,18 +577,9 @@ CP_RULES = {
 # Synthesis
 
 
-class _HoleCounter:
-    def __init__(self):
-        self.n = 0
-
-    def new(self) -> str:
-        self.n += 1
-        return f"{S.HOLE_PREFIX}{self.n}"
-
-
-def annotate_with_holes(t: Type, counter: _HoleCounter) -> Type:
-    """Fill every empty annotation slot with a unique placeholder."""
-    return S.map_slots(t, lambda _, ts: ts or (counter.new(),))
+def annotate_with_holes(t: Type, holes: Iterator[str]) -> Type:
+    """Fill every empty annotation slot with the next hole of ``holes``."""
+    return S.map_slots(t, lambda _, ts: ts or (next(holes),))
 
 
 def synth_forwarder(g: Context) -> Process | None:
@@ -622,8 +613,8 @@ def synth_context(g: Context) -> tuple[Context, Process] | None:
     its premises the spectators).  The search keeps this invariant: no
     context it visits holds a hole that its store resolves.
     """
-    counter = _HoleCounter()
-    holed = map_context(g, typ=lambda t: annotate_with_holes(t, counter))
+    holes = S.holes()
+    holed = map_context(g, typ=lambda t: annotate_with_holes(t, holes))
     supply = S.FreshNames(frozenset(endpoint_names(g)))
     for proc, store in _solutions(holed, {}, supply, {}, {}):
         names = sorted(holed.endpoints())
@@ -696,7 +687,7 @@ def _solutions_raw(g, store, supply, failed, ren):
     for e in entries:
         if e.typing is None or isinstance(e.typing, (Atom, DualAtom, One)):
             continue
-        ts = S.targets_of(e.typing)
+        ts = e.typing.targets
         if S.is_hole(ts):
             holed.append((e, ts))
             continue
@@ -781,8 +772,7 @@ def _fire(e: Entry, hole: str | None, value: tuple[str, ...], ctor: type, g: Con
     x, t = e.endpoint, e.typing
     if hole is not None:  # the head slot takes ``value``, the operands are kept
         store = {**store, hole: _unrename(ren, value)}
-        slot = value if type(t) in S.MULTI_TARGET else value[0]
-        g = g.replace({x: Entry(x, e.queue, type(t)(*S.children(t), slot))})
+        g = g.replace({x: Entry(x, e.queue, type(t)(*S.children(t), value))})
     binders = (_binder_candidates(BINDER_BASE.get(ctor, x), g, supply) if ctor in S.BINDING
                else (None,))
     for head in (S.head_term(ctor, (x,), f) for f in binders):

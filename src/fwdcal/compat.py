@@ -187,7 +187,7 @@ def transitions(c: Context, one_endpoint: bool = False) -> list[tuple[Step, Cont
 
 def _moves(c: Context, e: Entry) -> list[tuple[Step, Context]]:
     """The moves of ``e`` by its connective's rule (``rule_at``)."""
-    ts = S.targets_of(e.typing)
+    ts = e.typing.targets
     if not ts:
         return []
     if S.is_hole(ts):
@@ -367,11 +367,12 @@ class CompatChecker:
         with several candidates start as holes and are filled as
         ``transitions`` reads them; a hole never read stays in the result."""
         candidates: dict[str, list[Slot]] = {}
+        holes = S.holes()
 
         def choose(cands, _):
             if len(cands) == 1:
                 return cands[0]
-            hole = f"{S.HOLE_PREFIX}{len(candidates) + 1}"
+            hole = next(holes)
             candidates[hole] = cands
             return (hole,)
 
@@ -473,10 +474,10 @@ def witness(env: Env, checker: CompatChecker | None = None) -> tuple[Context, Pr
     root = chk.root(_dual_env(env))
     if root is None or not root.entries:
         return None
-    holes = count(1)
+    holes = S.holes()
     ann = _typings(_annotate(_typings(root).items(),
                              lambda cands, ts: cands[0] if S.is_hole(ts) else ts,
-                             lambda: (f"{S.HOLE_PREFIX}{next(holes)}",)))
+                             lambda: (next(holes),)))
     g = Context(tuple(Entry(x, (), ann[x]) for x, _ in env))
     ren = {x: x for x in ann}
     replay = _Replay(chk, ann, {})

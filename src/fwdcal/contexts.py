@@ -309,7 +309,9 @@ def rename_context_targets(g: Context, mapping: dict[Endpoint, Endpoint],
     """Rename endpoints wherever they occur as forwarding targets (queue item
     labels and type annotations); entry names are untouched.  ``new``
     replaces entries first, as ``Context.replace`` does, in the same pass:
-    the ! and ? rules rename the endpoint whose entry they replace."""
+    the ! and ? rules rename the endpoint whose entry they replace, to a
+    binder they have checked fresh.  ``new`` must bring no name another
+    entry has: the result is built without the duplicate-name check."""
     return _rename(g, mapping, False, new)
 
 
@@ -333,7 +335,7 @@ def _rename(g: Context, mapping: dict[Endpoint, Endpoint], names: bool,
         q = tuple([_rename_item(it, mapping, names) for it in e.queue]) if e.queue else ()
         t = None if e.typing is None else rename_targets(e.typing, mapping)
         out.append(e if x == e.endpoint and q == e.queue and t is e.typing else Entry(x, q, t))
-    return g if all(map(is_, out, g.entries)) else Context(tuple(out))
+    return g if all(map(is_, out, g.entries)) else (Context if names else _unchecked)(tuple(out))
 
 
 def _rename_item(it: QueueItem, mapping: dict[Endpoint, Endpoint], names: bool) -> QueueItem:

@@ -200,7 +200,8 @@ def substitute(top: CutSide, bottom: CutSide) -> Context:
     while not isinstance(top.formula, (Atom, DualAtom)):
         flip = isinstance(bottom.formula, S.MULTI_TARGET)
         p, n = (bottom, top) if flip else (top, bottom)
-        x, y, ms, c = p.endpoint, n.endpoint, p.formula.targets, n.formula.target
+        x, y, ms = p.endpoint, n.endpoint, p.formula.targets
+        (c,) = n.formula.targets or (None,)  # an unset slot names no partner: _redirect refuses
         pctx = p.ctx
         for m in ms:
             pctx = _redirect(pctx, m, x, (c,), type(n.formula))

@@ -171,21 +171,18 @@ class Parser:
 
     # -- types --------------------------------------------------------------
 
-    def annotation(self, cls: type):
-        """The annotation slot after ``cls``'s symbol, ``{u,v}`` or none, as
-        ``cls`` holds it."""
+    def annotation(self, cls: type) -> tuple[Endpoint, ...]:
+        """The annotation slot after ``cls``'s symbol, ``{u,v}`` or none."""
         start, ts = self.i, ()
         if self.at("{"):
             self.eat("{")
             ts = () if self.at("}") else self.sep(lambda: self.eat_ident("endpoint"))
             self.eat("}")
         row = S.CONNECTIVES[cls]
-        if row.multi:
-            return ts
-        if len(ts) > 1:
+        if len(ts) > 1 and not row.multi:
             self.i = start + 3  # at the second target: "{" u "," v
             raise self.error(f"{row.symbol} takes a single target")
-        return ts[0] if ts else None
+        return ts
 
     def type_atom(self) -> S.Type:
         t = self.toks[self.i]

@@ -3,7 +3,9 @@
 Types are classical linear logic propositions whose connectives carry
 forwarding-target annotations: an empty annotation slot means the type is in
 its erased (plain) form.  One AST serves both the annotated judgement and the
-plain CP judgement; the checkers decide which discipline applies.
+plain CP judgement; the checkers decide which discipline applies.  Each
+connective's slot is the tuple ``targets``: a set of endpoints for the
+gathering and broadcasting 1, *, & and !, at most one for bot, |, + and ?.
 
 Endpoints are bare strings matching ``[a-zA-Z][a-zA-Z0-9_']*``.  Engine-made
 fresh names may additionally contain ``#``.
@@ -23,8 +25,9 @@ action acts on) and ``PROCESSES`` (surface forms).
 
 from __future__ import annotations
 
+from itertools import count
 from string import Formatter
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from .records import fields, record
 
@@ -52,7 +55,7 @@ class One:
 
 @record
 class Bot:
-    target: Endpoint | None = None
+    targets: tuple[Endpoint, ...] = ()
 
 
 @record
@@ -66,14 +69,14 @@ class Tensor:
 class Par:
     left: Type
     right: Type
-    target: Endpoint | None = None
+    targets: tuple[Endpoint, ...] = ()
 
 
 @record
 class Plus:
     left: Type
     right: Type
-    target: Endpoint | None = None
+    targets: tuple[Endpoint, ...] = ()
 
 
 @record
@@ -92,7 +95,7 @@ class OfCourse:
 @record
 class WhyNot:
     body: Type
-    target: Endpoint | None = None
+    targets: tuple[Endpoint, ...] = ()
 
 
 Type = Union[Atom, DualAtom, One, Bot, Tensor, Par, Plus, With, OfCourse, WhyNot]
@@ -103,8 +106,8 @@ class Connective:
     """A row of ``CONNECTIVES``, which the type parser and printer, ``dual``
     and the slot traversals read: a connective's or unit's surface symbol,
     its operand count (0 for a unit, 1 for a prefix, 2 for an infix on the
-    single right-associative tier), whether its annotation slot is a set of
-    endpoints (gathering or broadcast) rather than one, and its dual."""
+    single right-associative tier), whether its slot ``targets`` may hold
+    several endpoints (gathering or broadcast) or at most one, and its dual."""
 
     symbol: str
     arity: int
@@ -148,7 +151,7 @@ def erase(t: Type) -> Type:
         if isinstance(t, (Atom, DualAtom)):
             return t
         raise TypeError(t)
-    plain = not t.targets if row.multi else t.target is None
+    plain = not t.targets
     if row.arity == 2:
         l, r = t.left, t.right
         l2, r2 = erase(l), erase(r)
@@ -194,19 +197,10 @@ def is_dual(t: Type, u: Type) -> bool:
             return True
 
 
-def targets_of(t: Type) -> tuple[Endpoint, ...]:
-    """Annotation slot of the head connective, as a tuple (empty if unset)."""
-    row = _row(t)
-    if row is None:
-        return ()
-    if row.multi:
-        return t.targets
-    return () if t.target is None else (t.target,)
-
-
 def map_slots(t: Type, f: Callable[[Type, tuple[Endpoint, ...]], tuple[Endpoint, ...]]) -> Type:
     """Rebuild ``t`` with every connective's annotation slot replaced by
-    ``f(connective, slot)``; a single-target slot takes at most one name.
+    ``f(connective, slot)``, a tuple; a single-target connective's slot takes
+    at most one name, else ``ValueError``.
 
     ``f`` sees the slots in pre-order: a connective before its left operand
     (or body), the left operand before the right.  Callers rely on that
@@ -221,10 +215,7 @@ def map_slots(t: Type, f: Callable[[Type, tuple[Endpoint, ...]], tuple[Endpoint,
         if isinstance(t, (Atom, DualAtom)):
             return t
         raise TypeError(t)
-    if row.multi:
-        old = t.targets
-    else:
-        old = () if t.target is None else (t.target,)
+    old = t.targets
     new = f(t, old)
     if row.arity == 2:
         l, r = t.left, t.right
@@ -242,11 +233,9 @@ def map_slots(t: Type, f: Callable[[Type, tuple[Endpoint, ...]], tuple[Endpoint,
         return t
     else:
         kids = ()
-    if row.multi:
-        return type(t)(*kids, tuple(new))
-    if len(new) > 1:
+    if len(new) > 1 and not row.multi:
         raise ValueError(f"single-target connective got {new}")
-    return type(t)(*kids, new[0] if new else None)
+    return type(t)(*kids, tuple(new))
 
 
 def slots(t: Type) -> list[tuple[Endpoint, ...]]:
@@ -268,10 +257,7 @@ def add_targets(t: Type, out: set[Endpoint]) -> None:
         row = CONNECTIVES.get(type(t))
         if row is None:
             return
-        if row.multi:
-            out.update(t.targets)
-        elif t.target is not None:
-            out.add(t.target)
+        out.update(t.targets)
         if row.arity == 2:
             add_targets(t.left, out)
             t = t.right
@@ -305,6 +291,11 @@ def size(t: Type) -> int:
 HOLE_PREFIX = "?"
 
 
+def holes() -> Iterator[Endpoint]:
+    """The hole names ``?1``, ``?2``, ... in order."""
+    return map(f"{HOLE_PREFIX}{{}}".format, count(1))
+
+
 def is_hole(ts: tuple[Endpoint, ...]) -> bool:
     return len(ts) == 1 and ts[0].startswith(HOLE_PREFIX)
 
@@ -333,11 +324,7 @@ def is_fully_annotated(t: Type) -> bool:
             if isinstance(t, (Atom, DualAtom)):
                 return True
             raise TypeError(t)
-        if row.multi:
-            ts = t.targets
-            if not ts or is_hole(ts):
-                return False
-        elif t.target is None or t.target.startswith(HOLE_PREFIX):
+        if not t.targets or is_hole(t.targets):
             return False
         if row.arity == 2:
             if not is_fully_annotated(t.left):
@@ -355,12 +342,8 @@ def rename_targets(t: Type, mapping: dict[Endpoint, Endpoint]) -> Type:
     row = _row(t)
     if row is None or not mapping:
         return t
-    if row.multi:
-        old = t.targets
-        new = old if mapping.keys().isdisjoint(old) else tuple(map(mapping.get, old, old))
-    else:
-        old = t.target
-        new = mapping.get(old, old)
+    old = t.targets
+    new = old if mapping.keys().isdisjoint(old) else tuple(map(mapping.get, old, old))
     if row.arity == 2:
         l, r = t.left, t.right
         l2, r2 = rename_targets(l, mapping), rename_targets(r, mapping)
@@ -628,8 +611,7 @@ def print_type(t: Type) -> str:
     row = _row(t)
     if row is None:
         return t.name if isinstance(t, Atom) else "~" + t.name
-    ts = targets_of(t)
-    op = row.symbol + "{" + ",".join(ts) + "}" if ts else row.symbol
+    op = row.symbol + "{" + ",".join(t.targets) + "}" if t.targets else row.symbol
     if not row.arity:
         return op
     first = t.left if row.arity == 2 else t.body

@@ -25,8 +25,7 @@ ITEMS = sorted({it for its in QUEUES.values() for it in its}, key=lambda c: c.__
 
 def _typed(cls: type) -> S.Type:
     """``cls`` over atoms, aimed at ``z``."""
-    row = S.CONNECTIVES[cls]
-    return cls(*(Atom("a"),) * row.arity, ("z",) if row.multi else "z")
+    return cls(*(Atom("a"),) * S.CONNECTIVES[cls].arity, ("z",))
 
 
 def _item(kind: type, target: str):
@@ -37,7 +36,7 @@ def _judgement(action: type, item: type | None) -> tuple[S.Process, Context]:
     """``action`` on ``x`` at type ``_typed``, with ``z`` holding ``item``
     for ``x``: terminated beside a 1, ?-typed beside a !."""
     cls = S.ACTS[action][0]
-    z = None if cls is One else WhyNot(Atom("a"), "x") if cls is OfCourse else Atom("a")
+    z = None if cls is One else WhyNot(Atom("a"), ("x",)) if cls is OfCourse else Atom("a")
     queue = () if item is None else (_item(item, "x"),)
     return (S.head_term(action, ("x",), "f"),
             Context((Entry("x", (), _typed(cls)), Entry("z", queue, z))))

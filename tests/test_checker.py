@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -310,10 +310,11 @@ def test_each_hole_sits_in_one_slot_of_every_premise(monkeypatch):
     monkeypatch.setattr(K, "forwarder_step", step)
     rng = random.Random(31)
     for g in _partly_annotated(rng, 150):
-        counter = K._HoleCounter()
-        holed = map_context(g, typ=lambda t: K.annotate_with_holes(t, counter))
-        assert sorted(_hole_slots(holed)) == sorted(f"{S.HOLE_PREFIX}{i}"
-                                                    for i in range(1, counter.n + 1))
+        holes = S.holes()
+        holed = map_context(g, typ=lambda t: K.annotate_with_holes(t, holes))
+        made = sorted(_hole_slots(holed))
+        assert made == sorted(islice(S.holes(), len(made)))
+        assert next(holes) == f"{S.HOLE_PREFIX}{len(made) + 1}"
         assert K.synth_context(g) is not None
     assert {"Tensor", "With", "Bang", "Quest"} <= set(fired)
 
@@ -466,9 +467,9 @@ def _premises_in_steps(p, g: Context) -> list[Context]:
     x, t = p.x, g.get(p.x).typing
     if isinstance(p, (S.Inl, S.Inr)):
         typ = t.left if isinstance(p, S.Inl) else t.right
-        return [_put(_pop_for(g, t.target, x), x, Entry(x, g.get(x).queue, typ))]
+        return [_put(_pop_for(g, t.targets[0], x), x, Entry(x, g.get(x).queue, typ))]
     if isinstance(p, S.Client):
-        g2 = _put(_pop_for(g, t.target, x), x, Entry(p.fresh, g.get(x).queue, t.body))
+        g2 = _put(_pop_for(g, t.targets[0], x), x, Entry(p.fresh, g.get(x).queue, t.body))
         return [_rename_targets_by_walk(g2, {x: p.fresh})]
     if isinstance(p, S.Server):
         g2 = _put(g, x, Entry(p.fresh, tuple(Query(u) for u in t.targets), t.body))

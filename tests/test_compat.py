@@ -90,7 +90,7 @@ def _stub_term(lab, c, cprime):
         case "Bot":
             return S.Wait(x, stub), None
         case "Par":
-            u = c.get(x).typing.target
+            (u,) = c.get(x).typing.targets
             box = [it for it in cprime.get(x).queue if it.target == u][-1]
             ((f, _),) = box.payloads
             return S.Recv(x, f, stub), None

@@ -29,7 +29,7 @@ def test_distr_moves_box_and_rewires_sender():
     B = Atom("b")
     d_type = Tensor(DualAtom("b"), One(("c",)), ("x",))
     top = CutSide(ctx(Entry("d", (), d_type)), (msgbox("d", "bb", B),), "x", Atom("a"))
-    bottom = CutSide(ctx(Entry("c", (), Bot("d"))), (), "y", DualAtom("a"))
+    bottom = CutSide(ctx(Entry("c", (), Bot(("d",)))), (), "y", DualAtom("a"))
     ((t, b),) = distributions(top, bottom)
     assert t.queue == b.queue == ()
     assert t.ctx.get("d").typing == Tensor(DualAtom("b"), One(("c",)), ("c",))
@@ -46,24 +46,24 @@ def test_distr_two_receivers_two_results():
     B = Atom("b")
     d_type = Tensor(DualAtom("b"), One(("c1", "c2")), ("x",))
     top = CutSide(ctx(Entry("d", (), d_type)), (msgbox("d", "bb", B),), "x", Atom("a"))
-    bottom = CutSide(ctx(Entry("c1", (), Bot("d")), Entry("c2", (), Bot("d"))), (), "y",
+    bottom = CutSide(ctx(Entry("c1", (), Bot(("d",))), Entry("c2", (), Bot(("d",)))), (), "y",
                      DualAtom("a"))
     assert len(distributions(top, bottom)) == 2
 
 
 def test_distr_additive_token():
-    d_type = Plus(Atom("b"), Atom("b"), "x")
+    d_type = Plus(Atom("b"), Atom("b"), ("x",))
     top = CutSide(ctx(Entry("d", (), d_type)), (LeftTok("d"),), "x", Atom("a"))
-    bottom = CutSide(ctx(Entry("c", (), Bot("d"))), (), "y", DualAtom("a"))
+    bottom = CutSide(ctx(Entry("c", (), Bot(("d",)))), (), "y", DualAtom("a"))
     ((t, b),) = distributions(top, bottom)
-    assert t.ctx.get("d").typing == Plus(Atom("b"), Atom("b"), "c")
+    assert t.ctx.get("d").typing == Plus(Atom("b"), Atom("b"), ("c",))
     assert b.ctx.get("c").queue == (LeftTok("d"),)
 
 
 def test_distr_requires_pending_reference():
     top = CutSide(ctx(Entry("d", (), Atom("b"))), (msgbox("d", "bb", Atom("c")),), "x",
                   Atom("a"))
-    bottom = CutSide(ctx(Entry("c", (), Bot("d"))), (), "y", DualAtom("a"))
+    bottom = CutSide(ctx(Entry("c", (), Bot(("d",)))), (), "y", DualAtom("a"))
     with pytest.raises(AnnotationMismatch):
         distributions(top, bottom)
 
@@ -112,7 +112,7 @@ def test_subst_atoms_merges():
 def test_subst_units_rewrites_stars_and_gathering():
     left = ctx(Entry("u1", (Star("x"),), None), Entry("u2", (Star("x"),), None),
                Entry("x", (), One(("u1", "u2"))))
-    right = ctx(Entry("v", (), One(("y",))), Entry("y", (), Bot("v")))
+    right = ctx(Entry("v", (), One(("y",))), Entry("y", (), Bot(("v",))))
     concl = cut_conclusions(left, "x", right, "y")
     assert len(concl) == 1
     g = concl[0]
@@ -135,16 +135,16 @@ def test_subst_tensor_box_case():
     g = concl[0]
     boxes = [it for it in g.get("b").queue if isinstance(it, MsgBox)]
     assert boxes and boxes[0].target == "c"
-    assert g.get("b").typing == Bot("c")
+    assert g.get("b").typing == Bot(("c",))
     assert g.get("c").typing == P.parse_type("a *{b} 1{b}")
 
 
 def _bang_cut(c):
     # x : !{u1,u2} a against y : ?{c} ~a, with c's entry given
-    top = CutSide(ctx(Entry("u1", (), WhyNot(Atom("b"), "x")),
-                      Entry("u2", (), WhyNot(Atom("b"), "x"))), (), "x",
+    top = CutSide(ctx(Entry("u1", (), WhyNot(Atom("b"), ("x",))),
+                      Entry("u2", (), WhyNot(Atom("b"), ("x",)))), (), "x",
                   OfCourse(Atom("a"), ("u1", "u2")))
-    return top, CutSide(ctx(c), (), "y", WhyNot(DualAtom("a"), "c"))
+    return top, CutSide(ctx(c), (), "y", WhyNot(DualAtom("a"), ("c",)))
 
 
 def test_subst_queued_query_becomes_one_per_server_partner():
@@ -157,16 +157,16 @@ def test_subst_queued_query_becomes_one_per_server_partner():
 def _unit_cut(*spectators):
     # x : 1{u} against y : bot{c}, c : 1{y}
     top = CutSide(ctx(*spectators), (), "x", One(("u",)))
-    return top, CutSide(ctx(Entry("c", (), One(("y",)))), (), "y", Bot("c"))
+    return top, CutSide(ctx(Entry("c", (), One(("y",)))), (), "y", Bot(("c",)))
 
 
 @pytest.mark.parametrize("top,bottom,want", [
     (*_bang_cut(Entry("c", (Star("y"),), DualAtom("b"))), "first item for y at c is Star"),
     (*_unit_cut(Entry("u", (LeftTok("x"),), None)), "first item for x at u is LeftTok"),
-    (CutSide(ctx(Entry("u", (), Plus(Atom("b"), Atom("b"), "x"))), (), "x",
+    (CutSide(ctx(Entry("u", (), Plus(Atom("b"), Atom("b"), ("x",)))), (), "x",
              With(Atom("a"), Atom("a"), ("u",))),
      CutSide(ctx(Entry("c", (Star("y"),), With(DualAtom("b"), DualAtom("b"), ("y",)))), (), "y",
-             Plus(DualAtom("a"), DualAtom("a"), "c")),
+             Plus(DualAtom("a"), DualAtom("a"), ("c",))),
      "first item for y at c is Star"),
 ], ids=["bang-single-side", "unit-gathering-side", "with-single-side"])
 def test_subst_first_item_of_the_wrong_kind_is_a_structural_mismatch(top, bottom, want):
@@ -202,7 +202,7 @@ def test_an_unset_slot_on_the_negative_cut_formula_is_a_cut_error():
 
 def test_subst_units_rewrite_every_bot_aimed_at_the_cut():
     # u waits on x twice: both waits now aim at c
-    top, bottom = _unit_cut(Entry("u", (), Tensor(Bot("x"), Bot("x"), ("w",))))
+    top, bottom = _unit_cut(Entry("u", (), Tensor(Bot(("x",)), Bot(("x",)), ("w",))))
     assert P.print_context(substitute(top, bottom)) == "u : bot{c} *{w} bot{c}, c : 1{u}"
 
 
@@ -324,7 +324,7 @@ def test_k_cuts_a_payload_against_a_message_that_gathers_several_boxes(monkeypat
 
 def test_box_splice_targets_follow_spectators():
     host = P.parse_context("y : bot{v} [to=v msg c : bot{w}], v : 1{c} *{y} 1{y}")
-    two = (("d1", Bot("a")), ("d2", Bot("a")))
+    two = (("d1", Bot(("a",))), ("d2", Bot(("a",))))
     swapped = _swap_box(host, "c", two)
     assert swapped.get("v").typing == P.parse_type("1{d1,d2} *{y} 1{y}")
     # a single-target annotation cannot aim at two spectators
@@ -503,7 +503,7 @@ def test_exchange_lemma_spot():
         # reduct: pop the box, peel the formulas, re-box at the bottom queue
         g1b = g1.replace({u: Entry(u, qu[1:], g1.get(u).typing)})
         g1b = g1b.replace({x: Entry(x, g1.get(x).queue, fx.right)})
-        ny = Entry(y, g2.get(y).queue + (MsgBox(fy.target, box.payloads),), fy.right)
+        ny = Entry(y, g2.get(y).queue + (MsgBox(fy.targets[0], box.payloads),), fy.right)
         g2b = g2.replace({y: ny})
         reduct = cut_conclusions(g1b, x, g2b, y)
         rset = {normalize_context(g) for g in reduct}

@@ -14,7 +14,7 @@ from fwdcal.syntax import (
 )
 
 names = st.sampled_from(["x", "y", "z", "u", "v", "w'", "cost", "b1'"])
-opt_target = st.one_of(st.none(), names)
+opt_target = st.one_of(st.just(()), names.map(lambda n: (n,)))
 targets = st.lists(names, max_size=3, unique=True).map(tuple)
 
 
@@ -43,7 +43,7 @@ types = type_strategy(targets, opt_target)
 # every slot set, some of them to an annotation hole
 slot_names = st.one_of(names, st.sampled_from([S.HOLE_PREFIX + "1", S.HOLE_PREFIX + "2"]))
 set_types = type_strategy(st.lists(slot_names, min_size=1, max_size=2, unique=True).map(tuple),
-                          slot_names)
+                          slot_names.map(lambda n: (n,)))
 
 proc_leaves = st.one_of(st.builds(Link, names, names), names.map(Close))
 
@@ -120,7 +120,7 @@ def test_process_roundtrip(p):
 
 def test_parse_type_crisscross():
     t = P.parse_type("~name |{y} ~cost *{y} bot{y}")
-    assert t == Par(DualAtom("name"), Tensor(DualAtom("cost"), Bot("y"), ("y",)), "y")
+    assert t == Par(DualAtom("name"), Tensor(DualAtom("cost"), Bot(("y",)), ("y",)), ("y",))
 
 
 def test_parse_type_atomic():
@@ -130,8 +130,8 @@ def test_parse_type_atomic():
 def test_parse_type_additive_crisscross():
     t = P.parse_type("(name +{y} name) &{y} (cost +{y} cost)")
     assert t == With(
-        Plus(Atom("name"), Atom("name"), "y"),
-        Plus(Atom("cost"), Atom("cost"), "y"),
+        Plus(Atom("name"), Atom("name"), ("y",)),
+        Plus(Atom("cost"), Atom("cost"), ("y",)),
         ("y",),
     )
 
@@ -212,7 +212,7 @@ def test_erase_idempotent(t):
 def test_erase_crisscross():
     t = P.parse_type("~name |{y} ~cost *{y} bot{y}")
     assert erase(t) == P.parse_type("~name | ~cost * bot")
-    assert erase(Bot("y")) == Bot()
+    assert erase(Bot(("y",))) == Bot()
 
 
 def test_free_endpoints():
@@ -302,6 +302,13 @@ def test_map_slots_visits_in_preorder():
     assert S.slots(t) == [("z",), ("x",), ("y",), ("u",), ("v",)]
 
 
+@pytest.mark.parametrize("cls", list(S.CONNECTIVES), ids=[r.symbol for r in S.CONNECTIVES.values()])
+def test_every_connective_holds_its_slot_as_a_tuple_of_targets(cls):
+    *_, last = fields(cls)
+    assert (last.name, last.default) == ("targets", ())
+    assert cls(*(Atom("a"),) * S.CONNECTIVES[cls].arity).targets == ()
+
+
 def test_map_slots_refuses_a_second_name_in_a_single_target_slot():
     t = P.parse_type("a |{x} 1{y}")
     assert S.map_slots(t, lambda s, ts: ("u",) if isinstance(s, Par) else ts) == \
@@ -344,7 +351,7 @@ def test_full_annotation_refuses_a_hole_or_an_empty_slot():
     assert not S.is_fully_annotated(P.parse_type("a *{x} 1"))
     assert not S.is_fully_annotated(Tensor(Atom("a"), One(("x",)), ("?1",)))
     assert S.is_fully_annotated(Tensor(Atom("a"), One(("x",)), ("?1", "y")))
-    assert not S.is_fully_annotated(WhyNot(One(("x",)), "?2"))
+    assert not S.is_fully_annotated(WhyNot(One(("x",)), ("?2",)))
 
 
 @settings(max_examples=100, deadline=None)
